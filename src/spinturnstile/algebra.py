@@ -5,7 +5,8 @@ states are dense complex square matrices, Bloch vectors are real 3-vectors.
 The module provides the primitives the rest of the package is built from:
 tensor products, partial traces, Hermitian matrix exponentials (by
 eigendecomposition, so unitarity holds to solver accuracy), Bloch-vector
-conversions and embedded single-site Pauli operators.
+conversions, embedded single-site Pauli operators, and the Pauli-product
+basis of the two-spin gate with the real coordinates of gate operators on it.
 
 Conventions
 -----------
@@ -35,6 +36,8 @@ __all__ = [
     "SIGMA_Z",
     "IDENTITY_2",
     "PAULIS",
+    "PAULI_PRODUCT_LABELS",
+    "GATE_PAULI_BASIS",
     "SpinOperatorSet",
     "kron",
     "partial_trace",
@@ -42,6 +45,8 @@ __all__ = [
     "apply_unitary",
     "bloch_to_density",
     "density_to_bloch",
+    "pauli_coordinates",
+    "pauli_operator",
     "spin_operators",
     "is_hermitian",
     "check_density_matrix",
@@ -169,6 +174,41 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     if rho.shape != (2, 2):
         raise ValueError("density_to_bloch expects a 2x2 matrix")
     return np.array([np.trace(rho @ p).real for p in PAULIS])
+
+
+# Pauli products on the gate (electron, nucleus): the two local polarizations,
+# then the nine correlators.
+PAULI_PRODUCT_LABELS = (
+    tuple(a + "I" for a in "XYZ")
+    + tuple("I" + b for b in "XYZ")
+    + tuple(a + b for a in "XYZ" for b in "XYZ")
+)
+_PAULI_OF = {"I": IDENTITY_2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+
+# (16, 4, 4): the identity, then the products in PAULI_PRODUCT_LABELS order.
+GATE_PAULI_BASIS = np.array(
+    [kron(IDENTITY_2, IDENTITY_2)]
+    + [kron(_PAULI_OF[label[0]], _PAULI_OF[label[1]]) for label in PAULI_PRODUCT_LABELS]
+)
+# Row j is conj(P_j) flattened, so a product with a flattened operator A gives
+# tr(P_j A) (the P_j are Hermitian).
+_GATE_TRACE_ROWS = GATE_PAULI_BASIS.reshape(16, 16).conj()
+
+
+def pauli_coordinates(op: np.ndarray) -> np.ndarray:
+    """Real coordinates ``x_j = Re tr(op P_j)`` of a 4x4 gate operator.
+
+    A gate state is ``rho = sum_j x_j P_j / 4`` with ``x_0 = tr(rho) = 1``.
+    """
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (4, 4):
+        raise ValueError("expected a 4x4 gate operator")
+    return (_GATE_TRACE_ROWS @ op.reshape(16)).real
+
+
+def pauli_operator(coeffs) -> np.ndarray:
+    """Hermitian 4x4 operator ``sum_j c_j P_j`` from 16 real coefficients."""
+    return np.tensordot(np.asarray(coeffs, dtype=float), GATE_PAULI_BASIS, axes=1)
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,15 @@ from .config import (
     parse_config,
     resolved_dict,
 )
-from .cycle import induced_instrument, run_cycle
+from .algebra import pauli_coordinates
+from .cycle import run_cycle
 from .experiment import (
     calibrate,
     derive_setting_seed,
     run_sweep,
     sample_cycles,
 )
-from .model import build_total_hamiltonian, characteristic_times
+from .model import characteristic_times
 from .results import ResultTable, write_results
 from .tomography import (
     build_design,
@@ -180,7 +181,7 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
     # Probabilities of the actual configured state (not its mode-truncated
     # representative), so single-spin reconstruction of a correlated state
     # honestly shows its model error.
-    pr_exact = _exact_probabilities(settings, cfg, rho_true)
+    pr_exact = design.pulse_rows @ pauli_coordinates(rho_true)
     counts = None
     pr_used = pr_exact
     if cfg.tomography.noise == "shot":
@@ -217,19 +218,6 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
         "unidentifiable_directions": list(report.unidentifiable_directions),
     })
     return ResultTable(columns=columns, rows=rows, metadata=meta)
-
-
-def _exact_probabilities(settings, cfg: RunConfig, rho_true: np.ndarray) -> np.ndarray:
-    pr = np.empty(len(settings))
-    for i, s in enumerate(settings):
-        row_model = s.model if s.model is not None else cfg.model
-        h = build_total_hamiltonian(row_model, cfg.schedule.include_gate_hamiltonian)
-        inst = induced_instrument(
-            s.u_left, s.u_right, h, s.t_interact,
-            cfg.detection_c, cfg.tunnel.tau_detect, cfg.tunnel.gamma0,
-        )
-        pr[i] = inst.pulse_probability(rho_true)
-    return pr
 
 
 def execute(command: str, cfg: RunConfig, digest: str) -> ResultTable:

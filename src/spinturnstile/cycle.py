@@ -10,11 +10,15 @@ probability
     Pr = c * tau_detect * t_sq * (1 + u_right . u_ancilla(t)),
 
 and finally flushing the dot. Because the detection acts only on the ancilla,
-the whole cycle induces a two-outcome quantum instrument on the gate: a pair
-of positive effects summing to the identity, plus the completely positive
-maps giving the conditional post-measurement gate states. Both descriptions
-are exposed here and agree with each other by construction; their numerical
-agreement is the central consistency check of the package.
+the whole cycle induces a two-outcome quantum instrument on the gate. Its two
+completely positive maps are kept as real 16x16 transfer matrices on the
+gate's Pauli-product coordinates ``x_j = tr(rho P_j)`` (the Liouville
+representation, Nielsen & Chuang ch. 8). Everything else follows from them:
+the pulse probability is the first row applied to ``x``, the POVM effects are
+the first rows expanded in the basis, and a post-measurement state is the
+image of ``x`` renormalized by its first entry. Their agreement with the
+ancilla pathway (:func:`joint_evolve`, :func:`ancilla_state`) is the central
+consistency check of the package.
 
 The detection POVM on the ancilla is the minimal two-outcome model that
 reproduces the pulse-probability formula: ``M_pulse = kappa (I + u_right .
@@ -29,7 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    GATE_PAULI_BASIS,
     IDENTITY_2,
+    PAULIS,
     STRUCTURAL_TOL,
     apply_unitary,
     bloch_to_density,
@@ -37,6 +43,8 @@ from .algebra import (
     evolve_unitary,
     kron,
     partial_trace,
+    pauli_coordinates,
+    pauli_operator,
 )
 from .model import SpinModelParams, TunnelParams, build_total_hamiltonian, characteristic_times
 
@@ -57,11 +65,13 @@ __all__ = [
 ]
 
 _JOINT_DIMS = [2, 2, 2]
-_GATE_EYE = np.eye(4, dtype=complex)
 
-# Eigenvalue weights below this (relative) threshold contribute nothing to a
-# map and are dropped from its Kraus decomposition.
-_KRAUS_WEIGHT_CUTOFF = 1e-14
+# Row (a, i) is conj(sigma_a x P_i) flattened, with sigma_a over (I, X, Y, Z)
+# on the ancilla and P_i over the gate basis: a product with a flattened
+# joint operator A gives every tr[(sigma_a x P_i) A] at once.
+_JOINT_TRACE_ROWS = np.array(
+    [kron(s, p) for s in (IDENTITY_2,) + PAULIS for p in GATE_PAULI_BASIS]
+).reshape(64, 64).conj()
 
 
 class PulseClampWarning(UserWarning):
@@ -129,21 +139,30 @@ class MeasurementSetting:
 class QuantumInstrument:
     """Two-outcome instrument induced on the gate by one readout cycle.
 
-    ``effect_pulse``/``effect_nopulse`` are the 4x4 POVM effects (positive,
-    summing to the identity): ``Pr(pulse | rho) = tr(effect_pulse rho)``.
-    ``kraus_pulse``/``kraus_nopulse`` hold Kraus operators of the conditional
-    (trace-nonincreasing) maps taking the pre-measurement gate state to the
-    unnormalized post-measurement state for each outcome.
+    ``pulse``/``nopulse`` are the real 16x16 transfer matrices of the
+    conditional (trace-nonincreasing) maps on the Pauli-product coordinates
+    ``x = pauli_coordinates(rho)``: the unnormalized post-measurement state
+    of an outcome has coordinates ``S @ x``, and its probability is the first
+    entry. ``ancilla_bloch`` (3x16) takes ``x`` to the ancilla polarization
+    after the joint evolution, before detection.
     """
 
-    effect_pulse: np.ndarray
-    effect_nopulse: np.ndarray
-    kraus_pulse: tuple
-    kraus_nopulse: tuple
+    pulse: np.ndarray
+    nopulse: np.ndarray
+    ancilla_bloch: np.ndarray
     kappa: float
 
+    @property
+    def effect_pulse(self) -> np.ndarray:
+        """4x4 POVM effect: ``Pr(pulse | rho) = tr(effect_pulse rho)``."""
+        return pauli_operator(self.pulse[0])
+
+    @property
+    def effect_nopulse(self) -> np.ndarray:
+        return pauli_operator(self.nopulse[0])
+
     def pulse_probability(self, rho_gate: np.ndarray) -> float:
-        return float(np.trace(self.effect_pulse @ rho_gate).real)
+        return float(self.pulse[0] @ pauli_coordinates(rho_gate))
 
     def apply(self, rho_gate: np.ndarray, pulse: bool):
         """Conditional post-measurement state and its probability.
@@ -151,21 +170,11 @@ class QuantumInstrument:
         Returns ``(rho_post, prob)``; ``rho_post`` is None when the outcome
         has (numerically) zero probability.
         """
-        kraus = self.kraus_pulse if pulse else self.kraus_nopulse
-        sigma = np.zeros((4, 4), dtype=complex)
-        for k in kraus:
-            sigma += k @ rho_gate @ k.conj().T
-        prob = float(np.trace(sigma).real)
+        post = (self.pulse if pulse else self.nopulse) @ pauli_coordinates(rho_gate)
+        prob = float(post[0])
         if prob <= 1e-14:
             return None, max(prob, 0.0)
-        return sigma / prob, prob
-
-    def kraus_stacks(self):
-        """Kraus operators stacked as (k, 4, 4) arrays, pulse first."""
-        return (
-            np.stack(self.kraus_pulse).astype(np.complex128),
-            np.stack(self.kraus_nopulse).astype(np.complex128),
-        )
+        return pauli_operator(post / prob) / 4.0, prob
 
 
 @dataclass(frozen=True)
@@ -246,39 +255,6 @@ def detection_probability(u_ancilla, u_right, c: float, tau_detect: float, t_sq:
     return float(min(max(pr, 0.0), 1.0))
 
 
-def _detection_povm(u_right, kappa: float):
-    """Two-outcome ancilla POVM reproducing the pulse-probability formula."""
-    m_pulse = kappa * bloch_to_density(u_right)
-    return m_pulse, IDENTITY_2 - m_pulse
-
-
-def _kraus_from(rho_ancilla: np.ndarray, m_effect: np.ndarray, u: np.ndarray):
-    """Kraus operators of ``rho -> Tr_A{(M x I) U (rho_A x rho) U^dag}``.
-
-    Spectral-decomposes the ancilla preparation and the effect; each pair of
-    eigenvectors contributes one 4x4 Kraus operator weighted by the square
-    roots of the eigenvalues.
-    """
-    q, prep_vecs = np.linalg.eigh(rho_ancilla)
-    w, eff_vecs = np.linalg.eigh(m_effect)
-    q = np.clip(q, 0.0, None)
-    w = np.clip(w, 0.0, None)
-    kraus = []
-    u_resh = u.reshape(2, 4, 2, 4)
-    for n in range(2):
-        for m in range(2):
-            weight = q[n] * w[m]
-            # weights are products of probabilities (<= 1): absolute cutoff
-            if weight <= _KRAUS_WEIGHT_CUTOFF:
-                continue
-            # <m| U |n> on the ancilla factor: contract both 2-dim indices.
-            block = np.einsum("a,abcd,c->bd", eff_vecs[:, m].conj(), u_resh, prep_vecs[:, n])
-            kraus.append(np.sqrt(weight) * block)
-    if not kraus:
-        kraus.append(np.zeros((4, 4), dtype=complex))
-    return tuple(kraus)
-
-
 def induced_instrument(
     u_left,
     u_right,
@@ -290,35 +266,39 @@ def induced_instrument(
 ) -> QuantumInstrument:
     """Build the two-outcome instrument the cycle induces on the gate.
 
-    The effects are obtained by pulling the detection POVM back through the
-    joint unitary and tracing out the ancilla preparation:
-    ``E = Tr_A{(rho_A x I) U^dag (M x I) U}``. They satisfy
-    ``E_pulse + E_nopulse = I`` and reproduce the pulse-probability formula
-    for every gate state.
+    One joint evolution of ``rho_A x P_j`` for each gate basis element gives
+    the real response tensor
+    ``R[a, i, j] = tr[(sigma_a x P_i) U (rho_A x P_j) U^dag] / 4``: row
+    ``R[a, 0]`` takes gate coordinates to the ancilla polarization component
+    ``a`` (``a = 0`` is the trace), and ``R[0]`` is the unconditional map on
+    the gate. The detection POVM ``M_pulse = kappa/2 sum_a (1, u_right)_a
+    sigma_a`` then weights the ancilla components: ``pulse = kappa/2 sum_a
+    (1, u_right)_a R[a]`` and ``nopulse = R[0] - pulse``.
 
     Raises:
-        ValueError: if the detection strength ``kappa`` exceeds 1 (the POVM
-            would not be positive: unphysical detection).
+        ValueError: if ``u_left`` or ``u_right`` is not a polarization vector,
+            or if the detection strength ``kappa`` exceeds 1 (the POVM would
+            not be positive: unphysical detection).
     """
     kappa = detection_strength(c, tau_detect, t_sq)
     if kappa > 1.0 + STRUCTURAL_TOL:
         raise ValueError(f"detection strength kappa={kappa} exceeds 1; reduce c, tau_detect or t_sq")
     rho_a = prepare_ancilla(u_left)
-    m_pulse, m_nopulse = _detection_povm(u_right, kappa)
+    u_right = np.asarray(u_right, dtype=float)
+    if u_right.shape != (3,) or float(np.linalg.norm(u_right)) > 1.0 + STRUCTURAL_TOL:
+        raise ValueError("u_right must be a 3-vector of norm <= 1")
     u = evolve_unitary(h_total, t)
 
-    prep = kron(rho_a, _GATE_EYE)
-    effects = []
-    for m in (m_pulse, m_nopulse):
-        big = prep @ u.conj().T @ kron(m, _GATE_EYE) @ u
-        e = partial_trace(big, [2, 4], keep=[1])
-        effects.append(0.5 * (e + e.conj().T))  # exact hermitization
+    # kron(rho_a, P_j) for every j, as (16, 8, 8)
+    inputs = np.einsum("ab,jcd->jacbd", rho_a, GATE_PAULI_BASIS).reshape(16, 8, 8)
+    outputs = u @ inputs @ u.conj().T
+    response = 0.25 * (_JOINT_TRACE_ROWS @ outputs.reshape(16, 64).T).real.reshape(4, 16, 16)
 
+    pulse = 0.5 * kappa * np.tensordot(np.concatenate(([1.0], u_right)), response, axes=1)
     return QuantumInstrument(
-        effect_pulse=effects[0],
-        effect_nopulse=effects[1],
-        kraus_pulse=_kraus_from(rho_a, m_pulse, u),
-        kraus_nopulse=_kraus_from(rho_a, m_nopulse, u),
+        pulse=pulse,
+        nopulse=response[0] - pulse,
+        ancilla_bloch=response[1:, 0],
         kappa=kappa,
     )
 
@@ -334,9 +314,9 @@ def run_cycle(
 ) -> CycleOutcome:
     """Execute one full measurement cycle on a given gate state.
 
-    Composes ancilla preparation, joint evolution, detection and the induced
-    instrument into a single outcome record. The detection window width comes
-    from ``schedule.tau_detect`` and the escape transparency from
+    Builds the induced instrument and reads the ancilla polarization, the
+    pulse probability and both conditional gate states off it. The detection
+    window width comes from ``schedule.tau_detect`` and the escape transparency from
     ``tunnel.gamma0``. Emits a :class:`HierarchyWarning` when the device time
     scales are not properly separated (the protocol's instantaneous-switching
     assumptions are then questionable), but still computes the ideal-limit
@@ -352,12 +332,10 @@ def run_cycle(
         )
 
     h_total = build_total_hamiltonian(params, schedule.include_gate_hamiltonian)
-    rho_joint = joint_evolve(prepare_ancilla(u_left), rho_gate, h_total, schedule.t_interact)
-    _, u_a = ancilla_state(rho_joint)
-
     instrument = induced_instrument(
         u_left, u_right, h_total, schedule.t_interact, c, schedule.tau_detect, tunnel.gamma0
     )
+    u_a = instrument.ancilla_bloch @ pauli_coordinates(rho_gate)
     pr = instrument.pulse_probability(rho_gate)
     rho_pulse, _ = instrument.apply(rho_gate, pulse=True)
     rho_nopulse, _ = instrument.apply(rho_gate, pulse=False)

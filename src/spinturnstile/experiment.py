@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
+from .algebra import pauli_coordinates, pauli_operator
 from .cycle import MeasurementSetting, PulseSchedule, QuantumInstrument, run_cycle
 from .constants import ELEMENTARY_CHARGE
 from .model import SpinModelParams, TunnelParams
@@ -40,6 +40,8 @@ __all__ = [
     "derive_setting_seed",
     "run_sweep",
 ]
+
+_MIXED_COORDINATES = np.eye(16)[0]
 
 
 @dataclass(frozen=True)
@@ -114,17 +116,31 @@ def sample_cycles(pr: float, n: int, seed: int) -> ShotRecord:
 def propagate_cycles(instrument: QuantumInstrument, rho_gate: np.ndarray, n: int, seed: int) -> ChainRecord:
     """Run ``n`` cycles carrying the conditional gate state across cycles.
 
-    Each cycle applies the instrument to the current gate state, draws the
-    outcome and replaces the state by the normalized post-measurement branch.
-    The per-cycle uniforms are pre-drawn from the seeded generator, so the
-    outcome sequence is reproducible and backend-independent.
+    Each cycle applies the pulse transfer matrix to the gate state's Pauli
+    coordinates; the first entry of the result is the pulse probability. The
+    outcome is drawn against a uniform variate pre-drawn from the seeded
+    generator, and the state is replaced by the selected branch renormalized
+    by its first entry.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    uniforms = rng.random(n)
-    kraus_pulse, kraus_nopulse = instrument.kraus_stacks()
-    outcomes, probs, rho_final = _kernels.run_chain(kraus_pulse, kraus_nopulse, rho_gate, uniforms)
+    pulse, nopulse = instrument.pulse, instrument.nopulse
+    x = pauli_coordinates(rho_gate)
+    outcomes = np.zeros(n, dtype=np.uint8)
+    probs = np.empty(n)
+    for i, uniform in enumerate(rng.random(n).tolist()):
+        post = pulse @ x
+        p_pulse = min(max(float(post[0]), 0.0), 1.0)
+        probs[i] = p_pulse
+        if uniform < p_pulse:
+            outcomes[i] = 1
+            x = post / p_pulse
+        else:
+            post = nopulse @ x
+            p_no = float(post[0])
+            # Unreachable for a valid instrument; keep the chain alive.
+            x = post / p_no if p_no > 0.0 else _MIXED_COORDINATES
     n_pulses = int(outcomes.sum())
     pr_hat = n_pulses / n
     # Binomial-shaped error bar; only indicative since the chain correlates cycles.
@@ -137,7 +153,7 @@ def propagate_cycles(instrument: QuantumInstrument, rho_gate: np.ndarray, n: int
         seed=int(seed),
         outcomes=outcomes,
         probs=probs,
-        rho_final=rho_final,
+        rho_final=pauli_operator(x) / 4.0,
     )
 
 

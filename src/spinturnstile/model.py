@@ -249,9 +249,16 @@ def gamma_rate(delta: float, tp: TunnelParams) -> float:
     Lorentzian resonance ``interdot_sq * gamma0^2 / (delta^2 + gamma0^2)``:
     equal to ``interdot_sq`` on resonance and suppressed as
     ``~ gamma0^2 / delta^2`` far from it. Even in ``delta`` and maximal at 0.
+    Evaluated as ``interdot_sq / (1 + (delta/gamma0)^2)``, which cannot
+    underflow to 0/0 for a tiny ``gamma0``: far off resonance it reaches 0.
     """
-    g0_sq = tp.gamma0 * tp.gamma0
-    return tp.interdot_sq * g0_sq / (delta * delta + g0_sq)
+    x = delta / tp.gamma0
+    return tp.interdot_sq / (1.0 + x * x)
+
+
+def _inverse(rate: float) -> float:
+    """Time scale of a rate; a vanishing rate never happens (``inf``)."""
+    return 1.0 / rate if rate > 0.0 else math.inf
 
 
 def characteristic_times(
@@ -268,13 +275,15 @@ def characteristic_times(
     norm of the traceless part of the gate+interaction Hamiltonian (the
     trace part is a global phase and generates no dynamics).
 
+    A rate that vanishes in floating point (e.g. leakage through a barrier
+    with ``gamma0`` near the underflow limit) gives an infinite time.
     A zero Hamiltonian leaves ``tau_dyn`` undefined; the report then carries
     ``tau_dyn = inf`` with ``tau_dyn_finite=False`` instead of raising.
     """
     if delta_off is None:
         delta_off = tp.detuning
-    tau_res = 1.0 / gamma_rate(0.0, tp)
-    tau_non = 1.0 / gamma_rate(delta_off, tp)
+    tau_res = _inverse(gamma_rate(0.0, tp))
+    tau_non = _inverse(gamma_rate(delta_off, tp))
 
     h = build_gate_hamiltonian(p) + build_interaction_hamiltonian(p)
     h = h - (np.trace(h) / _DIM) * np.eye(_DIM)

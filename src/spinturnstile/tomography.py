@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import IDENTITY_2, PAULIS, kron
-from .cycle import MeasurementSetting, induced_instrument
+from .algebra import GATE_PAULI_BASIS, PAULI_PRODUCT_LABELS, pauli_coordinates
+from .cycle import induced_instrument
 from .model import SpinModelParams, build_total_hamiltonian
 
 __all__ = [
@@ -61,25 +61,6 @@ TWO_SPIN = "two_spin"
 # Relative singular-value cutoff separating signal from numerically-zero
 # directions in the design matrix.
 RANK_TOL = 1e-10
-
-
-def _product_basis():
-    labels, mats = [], []
-    axis_labels = "XYZ"
-    for a, la in zip(PAULIS, axis_labels):
-        labels.append(la + "I")
-        mats.append(kron(a, IDENTITY_2))
-    for b, lb in zip(PAULIS, axis_labels):
-        labels.append("I" + lb)
-        mats.append(kron(IDENTITY_2, b))
-    for a, la in zip(PAULIS, axis_labels):
-        for b, lb in zip(PAULIS, axis_labels):
-            labels.append(la + lb)
-            mats.append(kron(a, b))
-    return tuple(labels), tuple(mats)
-
-
-PAULI_PRODUCT_LABELS, _PRODUCT_BASIS = _product_basis()
 
 
 class RankDeficientWarning(UserWarning):
@@ -116,20 +97,14 @@ def theta_to_density(theta, mode: str) -> np.ndarray:
     if theta.shape != (n_parameters(mode),):
         raise ValueError(f"{mode} expects {n_parameters(mode)} parameters, got shape {theta.shape}")
     rho = np.eye(4, dtype=complex) / 4.0
-    basis = _PRODUCT_BASIS[:3] if mode == SINGLE_SPIN else _PRODUCT_BASIS
-    for coeff, mat in zip(theta, basis):
+    for coeff, mat in zip(theta, GATE_PAULI_BASIS[1:]):
         rho = rho + coeff * mat / 4.0
     return rho
 
 
 def density_to_theta(rho: np.ndarray, mode: str) -> np.ndarray:
     """Parameter vector ``theta_j = tr(rho P_j)`` of a 4x4 gate state."""
-    _check_mode(mode)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 gate state")
-    basis = _PRODUCT_BASIS[:3] if mode == SINGLE_SPIN else _PRODUCT_BASIS
-    return np.array([np.trace(rho @ p).real for p in basis])
+    return pauli_coordinates(rho)[1 : 1 + n_parameters(mode)]
 
 
 def is_physical(theta, mode: str, tol: float = 1e-10) -> bool:
@@ -172,7 +147,10 @@ class TomographyDesign:
     """Affine design ``Pr = A theta + b`` over a grid of settings.
 
     ``matrix`` has one row per setting and one column per state parameter;
-    ``offset`` holds the maximally-mixed-gate probabilities. Rank and
+    ``offset`` holds the maximally-mixed-gate probabilities. Row ``i`` of
+    ``pulse_rows`` is the first row of setting ``i``'s pulse transfer matrix,
+    so ``pulse_rows @ pauli_coordinates(rho)`` gives the exact probabilities
+    of any gate state, whatever the mode. Rank and
     conditioning are computed from the singular spectrum with relative cutoff
     ``RANK_TOL``; ``null_space`` columns span the unidentifiable directions.
     """
@@ -181,6 +159,7 @@ class TomographyDesign:
     mode: str
     matrix: np.ndarray
     offset: np.ndarray
+    pulse_rows: np.ndarray
     singular_values: np.ndarray
     rank: int
     condition_number: float
@@ -246,16 +225,6 @@ class IdentifiabilityReport:
         }
 
 
-def _effect_for(setting: MeasurementSetting, model: SpinModelParams, c, tau_detect, t_sq,
-                include_gate_hamiltonian: bool) -> np.ndarray:
-    row_model = setting.model if setting.model is not None else model
-    h_total = build_total_hamiltonian(row_model, include_gate_hamiltonian)
-    instrument = induced_instrument(
-        setting.u_left, setting.u_right, h_total, setting.t_interact, c, tau_detect, t_sq
-    )
-    return instrument.effect_pulse
-
-
 def build_design(
     settings,
     model: SpinModelParams,
@@ -267,28 +236,26 @@ def build_design(
 ) -> TomographyDesign:
     """Assemble the affine design matrix for a grid of settings.
 
-    Each row is evaluated through the forward model: the offset is the pulse
-    probability on the maximally mixed gate, and the matrix entries are the
-    probability responses to unit perturbations along each parameter
-    direction (exact, since the forward map is affine).
+    Each row is the first row of the setting's pulse transfer matrix, which
+    gives the probability as a function of the state's Pauli coordinates
+    ``(1, theta)``: its identity entry is the offset (the probability on the
+    maximally mixed gate) and the entries of the mode's parameters are the
+    matrix row.
     """
     _check_mode(mode)
     settings = tuple(settings)
     if not settings:
         raise ValueError("at least one setting is required")
-    n_par = n_parameters(mode)
-    rho_mixed = np.eye(4, dtype=complex) / 4.0
-    basis = _PRODUCT_BASIS[:3] if mode == SINGLE_SPIN else _PRODUCT_BASIS
 
-    matrix = np.empty((len(settings), n_par))
-    offset = np.empty(len(settings))
-    for i, setting in enumerate(settings):
-        effect = _effect_for(setting, model, c, tau_detect, t_sq, include_gate_hamiltonian)
-        b_i = float(np.trace(effect @ rho_mixed).real)
-        offset[i] = b_i
-        for j in range(n_par):
-            pr_j = float(np.trace(effect @ (rho_mixed + basis[j] / 4.0)).real)
-            matrix[i, j] = pr_j - b_i
+    pulse_rows = np.empty((len(settings), 16))
+    for i, s in enumerate(settings):
+        h_total = build_total_hamiltonian(s.model if s.model is not None else model,
+                                          include_gate_hamiltonian)
+        pulse_rows[i] = induced_instrument(
+            s.u_left, s.u_right, h_total, s.t_interact, c, tau_detect, t_sq
+        ).pulse[0]
+    matrix = pulse_rows[:, 1 : 1 + n_parameters(mode)]
+    offset = pulse_rows[:, 0]
 
     _, sv, vt = np.linalg.svd(matrix, full_matrices=True)
     cutoff = RANK_TOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
@@ -300,6 +267,7 @@ def build_design(
         mode=mode,
         matrix=matrix,
         offset=offset,
+        pulse_rows=pulse_rows,
         singular_values=sv,
         rank=rank,
         condition_number=cond,

@@ -7,6 +7,8 @@ diagonalization instead of the closed-form exchange. Slow is fine; these only
 run in tests.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -123,3 +125,106 @@ def random_bloch(rng: np.random.Generator, max_norm: float = 1.0) -> np.ndarray:
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     return v * rng.uniform(0.0, max_norm)
+
+
+_ORACLE_PAULIS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _spin_half(u) -> np.ndarray:
+    """(I + u . sigma) / 2 written out entrywise."""
+    x, y, z = (float(c) for c in u)
+    return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
+
+
+@functools.lru_cache(maxsize=None)
+def pauli_product_basis() -> tuple:
+    """The 16 gate Pauli products: identity, XI, YI, ZI, IX, IY, IZ, then XX..ZZ."""
+    labels = ["II"] + [a + "I" for a in "XYZ"] + ["I" + b for b in "XYZ"]
+    labels += [a + b for a in "XYZ" for b in "XYZ"]
+    return tuple(kron_bruteforce(_ORACLE_PAULIS[l[0]], _ORACLE_PAULIS[l[1]]) for l in labels)
+
+
+def kraus_instrument(u_left, u_right, u: np.ndarray, kappa: float):
+    """Kraus operators of both conditional maps of a readout cycle.
+
+    The map of outcome m is ``rho -> Tr_A{(M_m x I) U (rho_A x rho) U^dag}``
+    with ``rho_A = (I + u_left . sigma)/2``, ``M_pulse = kappa (I + u_right .
+    sigma)/2`` and ``M_nopulse = I - M_pulse``. Spectral-decomposes the
+    ancilla preparation and each effect; each pair of eigenvectors
+    contributes one 4x4 Kraus operator weighted by the square roots of the
+    eigenvalues. Returns ``(kraus_pulse, kraus_nopulse)`` as lists.
+    """
+    rho_a = _spin_half(u_left)
+    m_pulse = kappa * _spin_half(u_right)
+    q, prep_vecs = np.linalg.eigh(rho_a)
+    q = np.clip(q, 0.0, None)
+    u_resh = u.reshape(2, 4, 2, 4)
+    out = []
+    for m_effect in (m_pulse, np.eye(2) - m_pulse):
+        w, eff_vecs = np.linalg.eigh(m_effect)
+        w = np.clip(w, 0.0, None)
+        kraus = []
+        for n in range(2):
+            for m in range(2):
+                # <m| U |n> on the ancilla factor
+                block = np.einsum("a,abcd,c->bd", eff_vecs[:, m].conj(), u_resh, prep_vecs[:, n])
+                kraus.append(np.sqrt(q[n] * w[m]) * block)
+        out.append(kraus)
+    return out[0], out[1]
+
+
+def liouville_matrix(kraus) -> np.ndarray:
+    """Transfer matrix ``L[i, j] = tr[P_i sum_k K P_j K^dag] / 4`` on the gate basis."""
+    basis = pauli_product_basis()
+    out = np.zeros((16, 16))
+    for j, p_j in enumerate(basis):
+        image = sum(k @ p_j @ k.conj().T for k in kraus)
+        for i, p_i in enumerate(basis):
+            out[i, j] = 0.25 * np.trace(p_i @ image).real
+    return out
+
+
+def choi_from_transfer(s: np.ndarray) -> np.ndarray:
+    """Choi matrix ``sum_kl |k><l| x Phi(|k><l|)`` of the map with transfer matrix s.
+
+    ``Phi(P_j) = sum_i s[i, j] P_i``, so the Choi matrix is
+    ``sum_ij s[i, j] P_j^T x P_i / 4``.
+    """
+    return 0.25 * np.einsum("ij,ijkl->kl", s, _choi_terms())
+
+
+@functools.lru_cache(maxsize=None)
+def _choi_terms() -> np.ndarray:
+    """``[i, j] -> P_j^T x P_i`` for all pairs of gate basis elements."""
+    basis = pauli_product_basis()
+    return np.array([[kron_bruteforce(p_j.T, p_i) for p_j in basis] for p_i in basis])
+
+
+def kraus_chain(kraus_pulse, kraus_nopulse, rho0, uniforms):
+    """Conditional-state chain by plain Kraus sums, one cycle at a time.
+
+    Per cycle: the pulse branch ``sum_k K rho K^dag``, its trace as the
+    (clipped) pulse probability, the outcome drawn against the supplied
+    uniform, and the selected branch renormalized. Returns
+    ``(outcomes, probs, rho_final)``.
+    """
+    rho = np.array(rho0, dtype=complex)
+    outcomes = np.zeros(len(uniforms), dtype=np.uint8)
+    probs = np.empty(len(uniforms))
+    for i, uniform in enumerate(uniforms):
+        sigma = sum(k @ rho @ k.conj().T for k in kraus_pulse)
+        p_pulse = min(max(float(np.trace(sigma).real), 0.0), 1.0)
+        probs[i] = p_pulse
+        if uniform < p_pulse:
+            outcomes[i] = 1
+            rho = sigma / p_pulse
+        else:
+            sigma = sum(k @ rho @ k.conj().T for k in kraus_nopulse)
+            p_no = float(np.trace(sigma).real)
+            rho = sigma / p_no if p_no > 0.0 else np.eye(4) / 4
+    return outcomes, probs, rho

@@ -243,6 +243,23 @@ class TestCli:
         code, _ = run_cli(tmp_path, "cycle", cfg)
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("gamma0", [1e-150, 1e-170, 1e-300, 5e-324])
+    @pytest.mark.parametrize("command", ["rates", "cycle"])
+    def test_tiny_gamma0_runs(self, tmp_path, command, gamma0):
+        # gamma0**2 underflows to 0 from about 1e-162 on: the leakage rate
+        # must vanish (tau_non = inf) instead of dividing zero by zero
+        code, out = run_cli(tmp_path, command, {"tunnel": {"gamma0_per_s": gamma0}})
+        assert code == EXIT_OK
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(lines) == 2
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        if command == "rates":
+            assert row["tau_non_s"] == "inf"
+            assert float(row["rate_non_per_s"]) == 0.0
+            assert float(row["tau_res_s"]) == pytest.approx(1e-9)
+        else:
+            assert 0.0 <= float(row["pr_pulse"]) < 1e-100
+
     def test_metadata_embeds_digest_and_seed(self, tmp_path):
         code, out = run_cli(tmp_path, "rates", FULL, fmt="jsonl", seed=31337)
         meta = json.loads(out.read_text().splitlines()[0])["metadata"]

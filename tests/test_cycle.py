@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinturnstile.algebra import bloch_to_density, kron
+from spinturnstile.algebra import bloch_to_density, evolve_unitary, kron
 from spinturnstile.constants import G_NUCLEAR_P31, MU_B_PER_HBAR
 from spinturnstile.cycle import (
     HierarchyWarning,
@@ -18,7 +18,14 @@ from spinturnstile.cycle import (
 )
 from spinturnstile.model import SpinModelParams, TunnelParams, build_total_hamiltonian
 
-from oracles import random_bloch, random_density, random_hermitian, rotate_about_axis
+from oracles import (
+    kraus_instrument,
+    liouville_matrix,
+    random_bloch,
+    random_density,
+    random_hermitian,
+    rotate_about_axis,
+)
 
 RNG_SCALE = 1.0  # random Hamiltonians in these tests use order-1 rad/s and order-1 s
 
@@ -189,19 +196,17 @@ class TestInducedInstrument:
             for e in (inst.effect_pulse, inst.effect_nopulse):
                 assert np.linalg.eigvalsh(e).min() > -1e-10
 
-    def test_kraus_operators_realize_the_effects(self):
-        # sum_k K^dag K must reproduce each effect: the conditional maps are
-        # completely positive and trace-nonincreasing with the right weights
+    def test_transfer_matrices_match_kraus_liouville(self):
+        # the transfer matrices are the Liouville matrices of the conditional
+        # maps built independently as Kraus sums
         rng = np.random.default_rng(27)
         for _ in range(20):
-            inst = induced_instrument(
-                random_bloch(rng), random_bloch(rng), random_hermitian(rng, 8),
-                rng.uniform(0, 4), rng.uniform(0.1, 1), 0.4, rng.uniform(0.1, 1),
-            )
-            for kraus, effect in ((inst.kraus_pulse, inst.effect_pulse),
-                                  (inst.kraus_nopulse, inst.effect_nopulse)):
-                total = sum(k.conj().T @ k for k in kraus)
-                assert np.abs(total - effect).max() < 1e-10
+            u_l, u_r, h = random_bloch(rng), random_bloch(rng), random_hermitian(rng, 8)
+            t, c, t_sq = rng.uniform(0, 4), rng.uniform(0.1, 1), rng.uniform(0.1, 1)
+            inst = induced_instrument(u_l, u_r, h, t, c, 0.4, t_sq)
+            kraus_pulse, kraus_nopulse = kraus_instrument(u_l, u_r, evolve_unitary(h, t), inst.kappa)
+            assert np.abs(inst.pulse - liouville_matrix(kraus_pulse)).max() < 1e-10
+            assert np.abs(inst.nopulse - liouville_matrix(kraus_nopulse)).max() < 1e-10
 
     def test_post_states_are_valid(self):
         rng = np.random.default_rng(28)
