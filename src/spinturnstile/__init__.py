@@ -26,6 +26,7 @@ from .cycle import (
     detection_probability,
     induced_instrument,
     run_cycle,
+    setting_instrument,
 )
 from .experiment import calibrate, estimate_current, propagate_cycles, run_sweep, sample_cycles
 from .model import (

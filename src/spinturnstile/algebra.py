@@ -64,6 +64,10 @@ _AXES = ("x", "y", "z")
 # what the dense algebra here is meant for.
 MAX_SPINS = 12
 
+# Largest propagator phase |w| t (rad) accepted: beyond it rounding alone
+# leaves the float64 phase uncertain by more than about 1e-4 rad.
+MAX_PHASE = 1e12
+
 
 def kron(*ops: np.ndarray) -> np.ndarray:
     """Tensor product of one or more square matrices, leftmost index major."""
@@ -132,7 +136,8 @@ def evolve_unitary(h: np.ndarray, t: float) -> np.ndarray:
     truncated series.
 
     Raises:
-        ValueError: if ``h`` is not Hermitian within tolerance.
+        ValueError: if ``h`` is not Hermitian within tolerance, or if a phase
+            ``|w| t`` exceeds ``MAX_PHASE`` rad.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
@@ -141,6 +146,9 @@ def evolve_unitary(h: np.ndarray, t: float) -> np.ndarray:
         # exact identity, not V V^dag, so zero-phase evolution is noiseless
         return np.eye(h.shape[0], dtype=complex)
     w, v = np.linalg.eigh(h)
+    phase = float(np.abs(w).max()) * abs(float(t))
+    if phase > MAX_PHASE:
+        raise ValueError(f"propagator phase {phase:.3g} rad exceeds {MAX_PHASE:.0e} rad: precision lost")
     phases = np.exp(-1j * w * float(t))
     return (v * phases) @ v.conj().T
 

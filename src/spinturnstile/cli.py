@@ -92,6 +92,7 @@ def _cmd_cycle(cfg: RunConfig, meta: dict) -> ResultTable:
         cfg.model, cfg.tunnel, cfg.schedule,
         cfg.u_left.vector(), cfg.u_right.vector(),
         cfg.gate_state.density(), cfg.detection_c,
+        threshold=cfg.hierarchy_threshold,
     )
     columns = (
         "t_interact_s", "kappa", "pr_pulse",
@@ -99,7 +100,7 @@ def _cmd_cycle(cfg: RunConfig, meta: dict) -> ResultTable:
     )
     u = outcome.u_ancilla
     row = (
-        cfg.schedule.t_interact, outcome.kappa, outcome.pr_pulse,
+        cfg.schedule.t_interact, outcome.instrument.kappa, outcome.pr_pulse,
         float(u[0]), float(u[1]), float(u[2]), float(np.linalg.norm(u)),
     )
     return ResultTable(columns=columns, rows=[row], metadata=meta)
@@ -111,12 +112,13 @@ def _cmd_sweep(cfg: RunConfig, meta: dict) -> ResultTable:
         settings,
         model=cfg.model,
         tunnel=cfg.tunnel,
-        schedule=cfg.schedule,
         rho_gate=cfg.gate_state.density(),
         c=cfg.detection_c,
         n_cycles=cfg.experiment.n_cycles,
         seed=cfg.experiment.seed,
         mode=cfg.experiment.mode,
+        include_gate_hamiltonian=cfg.schedule.include_gate_hamiltonian,
+        threshold=cfg.hierarchy_threshold,
     )
     columns = (
         "row",
@@ -172,7 +174,7 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
     mode = cfg.tomography.mode
     settings = [s.to_setting() for s in cfg.tomography.settings]
     design = build_design(
-        settings, cfg.model, cfg.detection_c, cfg.tunnel.tau_detect, cfg.tunnel.gamma0,
+        settings, cfg.model, cfg.tunnel, cfg.detection_c,
         mode=mode, include_gate_hamiltonian=cfg.schedule.include_gate_hamiltonian,
     )
     rho_true = cfg.gate_state.density()

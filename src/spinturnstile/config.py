@@ -333,17 +333,13 @@ def parse_config(data) -> RunConfig:
 
     sched = _as_dict(root.get("schedule", {}), "schedule")
     _reject_unknown(sched, {"t_interact_s", "include_gate_hamiltonian"}, "schedule")
-    try:
-        schedule = PulseSchedule(
-            t_interact=_as_float(sched.get("t_interact_s", 1.0e-6), "schedule.t_interact_s", minimum=0.0),
-            tau_detect=tunnel.tau_detect,
-            tau_cycle=tunnel.tau_cycle,
-            include_gate_hamiltonian=_as_bool(
-                sched.get("include_gate_hamiltonian", True), "schedule.include_gate_hamiltonian"
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigValidationError("schedule", str(exc)) from exc
+    # _as_float already enforces the schedule's only constraint, t_interact >= 0.
+    schedule = PulseSchedule(
+        t_interact=_as_float(sched.get("t_interact_s", 1.0e-6), "schedule.t_interact_s", minimum=0.0),
+        include_gate_hamiltonian=_as_bool(
+            sched.get("include_gate_hamiltonian", True), "schedule.include_gate_hamiltonian"
+        ),
+    )
 
     leads = _as_dict(root.get("leads", {}), "leads")
     _reject_unknown(leads, {"u_left", "u_right"}, "leads")
@@ -366,49 +362,39 @@ def parse_config(data) -> RunConfig:
 
     threshold = _as_float(root.get("hierarchy_threshold", 100.0), "hierarchy_threshold", minimum=1.0)
 
-    # Default grid: left lead fixed, right-lead axis swept over x, y, z at the
-    # scheduled interaction time.
-    def default_settings():
-        return tuple(
-            SettingSpec(
-                u_left=u_left,
-                u_right=LeadSpec(direction=_AXES[ax], magnitude=u_right.magnitude),
-                t_interact=schedule.t_interact,
-            )
-            for ax in ("x", "y", "z")
-        )
-
     raw_model = _as_dict(root.get("model", {}), "model")
     merged_model = dict(_MODEL_DEFAULTS)
     merged_model.update(raw_model)
 
-    sweep = _as_dict(root.get("sweep", {}), "sweep")
-    _reject_unknown(sweep, {"settings"}, "sweep")
-    if "settings" in sweep and sweep["settings"] is not None:
-        raw = sweep["settings"]
+    def parse_settings(block: dict, path: str) -> tuple:
+        raw = block.get("settings")
+        if raw is None:
+            # Default grid: left lead fixed, right-lead axis swept over x, y, z
+            # at the scheduled interaction time.
+            return tuple(
+                SettingSpec(
+                    u_left=u_left,
+                    u_right=LeadSpec(direction=_AXES[ax], magnitude=u_right.magnitude),
+                    t_interact=schedule.t_interact,
+                )
+                for ax in ("x", "y", "z")
+            )
         if not isinstance(raw, list) or not raw:
-            raise ConfigValidationError("sweep.settings", "expected a nonempty array")
-        sweep_settings = tuple(
-            _parse_setting(s, f"sweep.settings[{i}]", (u_left, u_right), schedule.t_interact, merged_model)
+            raise ConfigValidationError(f"{path}.settings", "expected a nonempty array")
+        return tuple(
+            _parse_setting(s, f"{path}.settings[{i}]", (u_left, u_right), schedule.t_interact, merged_model)
             for i, s in enumerate(raw)
         )
-    else:
-        sweep_settings = default_settings()
+
+    sweep = _as_dict(root.get("sweep", {}), "sweep")
+    _reject_unknown(sweep, {"settings"}, "sweep")
+    sweep_settings = parse_settings(sweep, "sweep")
 
     tomo = _as_dict(root.get("tomography", {}), "tomography")
     _reject_unknown(tomo, {"mode", "noise", "settings"}, "tomography")
     tomo_mode = _as_choice(tomo.get("mode", SINGLE_SPIN), "tomography.mode", {SINGLE_SPIN, TWO_SPIN})
     tomo_noise = _as_choice(tomo.get("noise", "none"), "tomography.noise", {"none", "shot"})
-    if "settings" in tomo and tomo["settings"] is not None:
-        raw = tomo["settings"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigValidationError("tomography.settings", "expected a nonempty array")
-        tomo_settings = tuple(
-            _parse_setting(s, f"tomography.settings[{i}]", (u_left, u_right), schedule.t_interact, merged_model)
-            for i, s in enumerate(raw)
-        )
-    else:
-        tomo_settings = default_settings()
+    tomo_settings = parse_settings(tomo, "tomography")
     tomography = TomographySpec(mode=tomo_mode, noise=tomo_noise, settings=tomo_settings)
 
     return RunConfig(

@@ -46,7 +46,7 @@ from .algebra import (
     pauli_coordinates,
     pauli_operator,
 )
-from .model import SpinModelParams, TunnelParams, build_total_hamiltonian, characteristic_times
+from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams, build_total_hamiltonian, characteristic_times
 
 __all__ = [
     "PulseSchedule",
@@ -61,6 +61,8 @@ __all__ = [
     "detection_strength",
     "detection_probability",
     "induced_instrument",
+    "setting_instrument",
+    "warn_on_hierarchy",
     "run_cycle",
 ]
 
@@ -86,27 +88,22 @@ class HierarchyWarning(UserWarning):
 class PulseSchedule:
     """Timing of one measurement cycle.
 
+    The detection window and cycle period are device constants on
+    :class:`TunnelParams`.
+
     Attributes:
         t_interact: joint ancilla-gate evolution time, seconds.
-        tau_detect: detection window width, seconds.
-        tau_cycle: full cycle period, seconds.
         include_gate_hamiltonian: evolve under the full physical Hamiltonian
             (gate + interaction + ancilla Zeeman) when True; under the
             interaction term alone when False.
     """
 
     t_interact: float
-    tau_detect: float = 1.0e-10
-    tau_cycle: float = 1.0e-6
     include_gate_hamiltonian: bool = True
 
     def __post_init__(self):
         if self.t_interact < 0:
             raise ValueError("t_interact must be nonnegative")
-        if self.tau_detect < 0:
-            raise ValueError("tau_detect must be nonnegative")
-        if self.tau_cycle <= 0:
-            raise ValueError("tau_cycle must be positive")
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,9 @@ class QuantumInstrument:
         return pauli_operator(self.nopulse[0])
 
     def pulse_probability(self, rho_gate: np.ndarray) -> float:
-        return float(self.pulse[0] @ pauli_coordinates(rho_gate))
+        """``Pr(pulse | rho)``; a valid instrument gives [0, kappa], so the clamp
+        to [0, 1] only removes rounding (e.g. antiparallel unit leads)."""
+        return min(max(float(self.pulse[0] @ pauli_coordinates(rho_gate)), 0.0), 1.0)
 
     def apply(self, rho_gate: np.ndarray, pulse: bool):
         """Conditional post-measurement state and its probability.
@@ -190,10 +189,7 @@ class CycleOutcome:
     pr_pulse: float
     rho_gate_pulse: np.ndarray | None
     rho_gate_nopulse: np.ndarray | None
-    effect_pulse: np.ndarray
-    effect_nopulse: np.ndarray
-    kappa: float
-    instrument: QuantumInstrument = field(repr=False, default=None)
+    instrument: QuantumInstrument = field(repr=False)
 
 
 def prepare_ancilla(u_left) -> np.ndarray:
@@ -303,6 +299,38 @@ def induced_instrument(
     )
 
 
+def setting_instrument(
+    setting: MeasurementSetting,
+    model: SpinModelParams,
+    tunnel: TunnelParams,
+    c: float,
+    include_gate_hamiltonian: bool = True,
+) -> QuantumInstrument:
+    """The instrument one setting induces on the gate.
+
+    Uses the setting's own model override when it has one and ``model``
+    otherwise; the detection window and the escape transparency
+    (``t_sq = gamma0``) come from ``tunnel``.
+    """
+    h_total = build_total_hamiltonian(setting.model if setting.model is not None else model,
+                                      include_gate_hamiltonian)
+    return induced_instrument(setting.u_left, setting.u_right, h_total, setting.t_interact,
+                              c, tunnel.tau_detect, tunnel.gamma0)
+
+
+def warn_on_hierarchy(params: SpinModelParams, tunnel: TunnelParams, threshold: float) -> None:
+    """Emit a :class:`HierarchyWarning` at the caller's caller when the device
+    time scales are not separated by ``threshold``."""
+    report = characteristic_times(params, tunnel, threshold=threshold)
+    if not report.satisfied:
+        warnings.warn(
+            "time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+            f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})",
+            HierarchyWarning,
+            stacklevel=3,
+        )
+
+
 def run_cycle(
     params: SpinModelParams,
     tunnel: TunnelParams,
@@ -311,42 +339,26 @@ def run_cycle(
     u_right,
     rho_gate: np.ndarray,
     c: float,
+    *,
+    threshold: float = HIERARCHY_THRESHOLD,
 ) -> CycleOutcome:
     """Execute one full measurement cycle on a given gate state.
 
     Builds the induced instrument and reads the ancilla polarization, the
-    pulse probability and both conditional gate states off it. The detection
-    window width comes from ``schedule.tau_detect`` and the escape transparency from
-    ``tunnel.gamma0``. Emits a :class:`HierarchyWarning` when the device time
-    scales are not properly separated (the protocol's instantaneous-switching
-    assumptions are then questionable), but still computes the ideal-limit
-    result.
+    pulse probability and both conditional gate states off it. Emits a
+    :class:`HierarchyWarning` when the device time scales are not separated
+    by ``threshold`` (the protocol's instantaneous-switching assumptions are
+    then questionable), but still computes the ideal-limit result.
     """
-    report = characteristic_times(params, tunnel)
-    if not report.satisfied:
-        warnings.warn(
-            "time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
-            f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})",
-            HierarchyWarning,
-            stacklevel=2,
-        )
-
-    h_total = build_total_hamiltonian(params, schedule.include_gate_hamiltonian)
-    instrument = induced_instrument(
-        u_left, u_right, h_total, schedule.t_interact, c, schedule.tau_detect, tunnel.gamma0
-    )
-    u_a = instrument.ancilla_bloch @ pauli_coordinates(rho_gate)
-    pr = instrument.pulse_probability(rho_gate)
+    warn_on_hierarchy(params, tunnel, threshold)
+    setting = MeasurementSetting(u_left=u_left, u_right=u_right, t_interact=schedule.t_interact)
+    instrument = setting_instrument(setting, params, tunnel, c, schedule.include_gate_hamiltonian)
     rho_pulse, _ = instrument.apply(rho_gate, pulse=True)
     rho_nopulse, _ = instrument.apply(rho_gate, pulse=False)
-
     return CycleOutcome(
-        u_ancilla=u_a,
-        pr_pulse=pr,
+        u_ancilla=instrument.ancilla_bloch @ pauli_coordinates(rho_gate),
+        pr_pulse=instrument.pulse_probability(rho_gate),
         rho_gate_pulse=rho_pulse,
         rho_gate_nopulse=rho_nopulse,
-        effect_pulse=instrument.effect_pulse,
-        effect_nopulse=instrument.effect_nopulse,
-        kappa=instrument.kappa,
         instrument=instrument,
     )

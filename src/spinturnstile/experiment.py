@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import pauli_coordinates, pauli_operator
-from .cycle import MeasurementSetting, PulseSchedule, QuantumInstrument, run_cycle
+from .cycle import MeasurementSetting, QuantumInstrument, setting_instrument, warn_on_hierarchy
 from .constants import ELEMENTARY_CHARGE
-from .model import SpinModelParams, TunnelParams
+from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
 __all__ = [
     "ShotRecord",
@@ -224,18 +224,19 @@ def run_sweep(
     *,
     model: SpinModelParams,
     tunnel: TunnelParams,
-    schedule: PulseSchedule,
     rho_gate: np.ndarray,
     c: float,
     n_cycles: int,
     seed: int,
     mode: str = "refresh",
+    include_gate_hamiltonian: bool = True,
+    threshold: float = HIERARCHY_THRESHOLD,
 ):
     """Evaluate a grid of measurement settings with shot statistics.
 
-    Each row runs one cycle configuration (per-setting lead vectors,
-    interaction time and optional model override), then samples ``n_cycles``
-    shots. ``mode`` chooses between independent cycles ("refresh") and the
+    Each row checks its model's time-scale hierarchy against ``threshold``,
+    builds the setting's instrument, then samples ``n_cycles`` shots.
+    ``mode`` chooses between independent cycles ("refresh") and the
     back-action chain ("propagate"). Invalid settings produce a row with an
     error status instead of aborting the sweep.
 
@@ -251,19 +252,14 @@ def run_sweep(
     rows = []
     for idx, setting in enumerate(settings):
         try:
-            row_model = setting.model if setting.model is not None else model
-            row_schedule = PulseSchedule(
-                t_interact=setting.t_interact,
-                tau_detect=schedule.tau_detect,
-                tau_cycle=schedule.tau_cycle,
-                include_gate_hamiltonian=schedule.include_gate_hamiltonian,
-            )
-            outcome = run_cycle(row_model, tunnel, row_schedule, setting.u_left, setting.u_right, rho_gate, c)
+            warn_on_hierarchy(setting.model if setting.model is not None else model, tunnel, threshold)
+            instrument = setting_instrument(setting, model, tunnel, c, include_gate_hamiltonian)
+            pr = instrument.pulse_probability(rho_gate)
             row_seed = derive_setting_seed(seed, setting)
             if mode == "refresh":
-                record = sample_cycles(outcome.pr_pulse, n_cycles, row_seed)
+                record = sample_cycles(pr, n_cycles, row_seed)
             else:
-                chain = propagate_cycles(outcome.instrument, rho_gate, n_cycles, row_seed)
+                chain = propagate_cycles(instrument, rho_gate, n_cycles, row_seed)
                 record = ShotRecord(
                     n_cycles=chain.n_cycles,
                     n_pulses=chain.n_pulses,
@@ -271,9 +267,8 @@ def run_sweep(
                     std_err=chain.std_err,
                     seed=chain.seed,
                 )
-            current = estimate_current(record, schedule.tau_cycle)
-            rows.append(SweepRow(index=idx, setting=setting, pr=outcome.pr_pulse,
-                                 record=record, current=current))
+            current = estimate_current(record, tunnel.tau_cycle)
+            rows.append(SweepRow(index=idx, setting=setting, pr=pr, record=record, current=current))
         except ValueError as exc:
             rows.append(SweepRow(index=idx, setting=setting, pr=float("nan"),
                                  record=None, current=None, status=f"error: {exc}"))

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GATE_PAULI_BASIS, PAULI_PRODUCT_LABELS, pauli_coordinates
-from .cycle import induced_instrument
-from .model import SpinModelParams, build_total_hamiltonian
+from .cycle import setting_instrument
+from .model import SpinModelParams, TunnelParams
 
 __all__ = [
     "SINGLE_SPIN",
@@ -59,7 +59,8 @@ SINGLE_SPIN = "single_spin"
 TWO_SPIN = "two_spin"
 
 # Relative singular-value cutoff separating signal from numerically-zero
-# directions in the design matrix.
+# directions in the design matrix. Subnormal singular values, whose inverse
+# overflows, always count as zero.
 RANK_TOL = 1e-10
 
 
@@ -152,7 +153,8 @@ class TomographyDesign:
     so ``pulse_rows @ pauli_coordinates(rho)`` gives the exact probabilities
     of any gate state, whatever the mode. Rank and
     conditioning are computed from the singular spectrum with relative cutoff
-    ``RANK_TOL``; ``null_space`` columns span the unidentifiable directions.
+    ``RANK_TOL``; ``null_space`` columns span the unidentifiable directions
+    and ``pseudo_inverse`` is the rank-truncated pseudoinverse of ``matrix``.
     """
 
     settings: tuple
@@ -164,6 +166,7 @@ class TomographyDesign:
     rank: int
     condition_number: float
     null_space: np.ndarray
+    pseudo_inverse: np.ndarray
 
     @property
     def n_settings(self) -> int:
@@ -228,9 +231,8 @@ class IdentifiabilityReport:
 def build_design(
     settings,
     model: SpinModelParams,
+    tunnel: TunnelParams,
     c: float,
-    tau_detect: float,
-    t_sq: float,
     mode: str = SINGLE_SPIN,
     include_gate_hamiltonian: bool = True,
 ) -> TomographyDesign:
@@ -249,19 +251,17 @@ def build_design(
 
     pulse_rows = np.empty((len(settings), 16))
     for i, s in enumerate(settings):
-        h_total = build_total_hamiltonian(s.model if s.model is not None else model,
-                                          include_gate_hamiltonian)
-        pulse_rows[i] = induced_instrument(
-            s.u_left, s.u_right, h_total, s.t_interact, c, tau_detect, t_sq
-        ).pulse[0]
+        pulse_rows[i] = setting_instrument(s, model, tunnel, c, include_gate_hamiltonian).pulse[0]
     matrix = pulse_rows[:, 1 : 1 + n_parameters(mode)]
     offset = pulse_rows[:, 0]
 
-    _, sv, vt = np.linalg.svd(matrix, full_matrices=True)
-    cutoff = RANK_TOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
+    # Thin U (for the pseudoinverse) and full V^T (for the null space).
+    u, sv, vt = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+    cutoff = max(RANK_TOL * sv[0], np.finfo(float).tiny)
     rank = int((sv > cutoff).sum())
     cond = float(sv[0] / sv[rank - 1]) if rank > 0 else float("inf")
-    null_space = vt[rank:].T.copy()
+    inv_sv = np.zeros_like(sv)
+    inv_sv[:rank] = 1.0 / sv[:rank]
     return TomographyDesign(
         settings=settings,
         mode=mode,
@@ -271,7 +271,8 @@ def build_design(
         singular_values=sv,
         rank=rank,
         condition_number=cond,
-        null_space=null_space,
+        null_space=vt[rank:].T.copy(),
+        pseudo_inverse=vt[: sv.size].T @ np.diag(inv_sv) @ u.T,
     )
 
 
@@ -301,19 +302,12 @@ def reconstruct(design: TomographyDesign, pr_measured, shot_counts=None) -> Reco
             f"expected {design.n_settings} probabilities, got shape {pr_measured.shape}"
         )
     y = pr_measured - design.offset
-
-    u, sv, vt = np.linalg.svd(design.matrix, full_matrices=False)
-    cutoff = RANK_TOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-    rank = int((sv > cutoff).sum())
-    inv_sv = np.zeros_like(sv)
-    inv_sv[:rank] = 1.0 / sv[:rank]
-    pinv = vt.T @ np.diag(inv_sv) @ u.T
-    theta_hat = pinv @ y
+    theta_hat = design.pseudo_inverse @ y
     residual_norm = float(np.linalg.norm(design.matrix @ theta_hat - y))
 
-    if rank < design.n_params:
+    if design.rank < design.n_params:
         warnings.warn(
-            f"design rank {rank} < {design.n_params} parameters; "
+            f"design rank {design.rank} < {design.n_params} parameters; "
             "null-space components of the estimate are unconstrained (returned as 0)",
             RankDeficientWarning,
             stacklevel=2,
@@ -325,7 +319,7 @@ def reconstruct(design: TomographyDesign, pr_measured, shot_counts=None) -> Reco
         if np.any(counts <= 0):
             raise ValueError("shot counts must be positive")
         var = pr_measured * (1.0 - pr_measured) / counts
-        covariance = pinv @ np.diag(var) @ pinv.T
+        covariance = design.pseudo_inverse @ np.diag(var) @ design.pseudo_inverse.T
 
     physical = is_physical(theta_hat, design.mode)
     projection = None if physical else project_physical(theta_hat, design.mode)

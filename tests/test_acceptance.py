@@ -86,7 +86,7 @@ def test_criterion_3_pulse_probability_analytics():
     with criterion(3, "pulse probability at parallel/antiparallel magnetizations", 1.0):
         params = SpinModelParams(b_field=(0.0, 0.0, 1e-4), g_nuclear=G_NUCLEAR_P31)
         tp = TunnelParams(gamma0=1e9, interdot_sq=1e9, detuning=1e14)
-        schedule = PulseSchedule(t_interact=0.0, tau_detect=tp.tau_detect, tau_cycle=tp.tau_cycle)
+        schedule = PulseSchedule(t_interact=0.0)
         c = 1.0
         rho = np.eye(4) / 4
         parallel = run_cycle(params, tp, schedule, AXES["z"], AXES["z"], rho, c)
@@ -142,7 +142,7 @@ def _swap_design():
         MeasurementSetting(u_left=AXES["z"], u_right=AXES[ax], t_interact=np.pi / (4 * j))
         for ax in ("x", "y", "z")
     ]
-    return build_design(settings, model, 1.0, 1e-10, 1e9, mode=SINGLE_SPIN,
+    return build_design(settings, model, TunnelParams(gamma0=1e9, tau_detect=1e-10), 1.0, mode=SINGLE_SPIN,
                         include_gate_hamiltonian=False)
 
 
@@ -158,7 +158,7 @@ def _rich_two_spin_design():
         for la in ("x", "z")
         for lr in ("x", "y", "z")
     ]
-    return build_design(settings, model, 1.0, 1e-10, 1e9, mode=TWO_SPIN)
+    return build_design(settings, model, TunnelParams(gamma0=1e9, tau_detect=1e-10), 1.0, mode=TWO_SPIN)
 
 
 def test_criterion_6_exact_tomography():
@@ -246,7 +246,7 @@ def test_criterion_10_identifiability_sanity():
             MeasurementSetting(u_left=AXES["z"], u_right=AXES[ax], t_interact=0.0)
             for ax in ("x", "y", "z")
         ]
-        design0 = build_design(zero_t, model, 1.0, 1e-10, 1e9, mode=SINGLE_SPIN)
+        design0 = build_design(zero_t, model, TunnelParams(gamma0=1e9, tau_detect=1e-10), 1.0, mode=SINGLE_SPIN)
         assert design0.rank == 0
 
         design3 = _swap_design()

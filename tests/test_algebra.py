@@ -3,6 +3,7 @@ import pytest
 
 from spinturnstile.algebra import (
     IDENTITY_2,
+    MAX_PHASE,
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
@@ -145,6 +146,16 @@ class TestEvolveUnitary:
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             evolve_unitary(bad, 1.0)
+
+    def test_lost_phase_precision_rejected(self):
+        # largest |eigenvalue| is 2, so the phase is 2 t
+        h = 2.0 * SIGMA_Z
+        u = evolve_unitary(h, 0.5 * MAX_PHASE)
+        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+        with pytest.raises(ValueError, match="phase"):
+            evolve_unitary(h, 0.6 * MAX_PHASE)
+        with pytest.raises(ValueError, match="phase"):
+            evolve_unitary(-h, -0.6 * MAX_PHASE)
 
 
 class TestBlochConversions:

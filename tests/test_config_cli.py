@@ -260,6 +260,46 @@ class TestCli:
         else:
             assert 0.0 <= float(row["pr_pulse"]) < 1e-100
 
+    @pytest.mark.parametrize("mode", ["single_spin", "two_spin"])
+    def test_tiny_gamma0_tomography_is_finite(self, tmp_path, mode):
+        # kappa ~ 2e-310: the design's singular values are subnormal, so the
+        # design carries no information instead of an overflowing inverse
+        from spinturnstile.tomography import RankDeficientWarning
+
+        cfg = {"tunnel": {"gamma0_per_s": 1e-300}, "tomography": {"mode": mode, "noise": "shot"}}
+        with pytest.warns(RankDeficientWarning):
+            code, out = run_cli(tmp_path, "tomography", cfg)
+        assert code == EXIT_OK
+        text = out.read_text()
+        assert "nan" not in text
+        assert "# rank = 0" in text.splitlines()
+
+    @pytest.mark.parametrize("command", ["cycle", "tomography"])
+    def test_lost_phase_precision_exit_3(self, tmp_path, command):
+        code, _ = run_cli(tmp_path, command, {"schedule": {"t_interact_s": 1e300}})
+        assert code == EXIT_VALIDATION
+
+    def test_lost_phase_precision_marks_sweep_rows(self, tmp_path):
+        code, out = run_cli(tmp_path, "sweep", {"schedule": {"t_interact_s": 1e300}})
+        assert code == EXIT_OK
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        assert len(rows) == 3
+        assert all(r["status"].startswith("error: propagator phase") for r in rows)
+
+    @pytest.mark.parametrize("threshold, warned", [(100.0, False), (1e9, True)])
+    @pytest.mark.parametrize("command", ["cycle", "sweep"])
+    def test_hierarchy_threshold_reaches_cycle_and_sweep(self, tmp_path, command, threshold, warned):
+        # the default device passes the default threshold of 100 but not 1e9
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"hierarchy_threshold": threshold}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinturnstile", command, "--config", str(cfg_path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert ("HierarchyWarning" in proc.stderr) == warned
+
     def test_metadata_embeds_digest_and_seed(self, tmp_path):
         code, out = run_cli(tmp_path, "rates", FULL, fmt="jsonl", seed=31337)
         meta = json.loads(out.read_text().splitlines()[0])["metadata"]

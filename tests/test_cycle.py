@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,7 +240,7 @@ class TestRunCycle:
         p = hierarchy_ok_params()
         tp = quiet_tunnel()
         t = 3.3e-7
-        schedule = PulseSchedule(t_interact=t, tau_detect=tp.tau_detect, tau_cycle=tp.tau_cycle)
+        schedule = PulseSchedule(t_interact=t)
         u_l = np.array([1.0, 0, 0])
         u_r = np.array([0, 0, 1.0])
         rng = np.random.default_rng(29)
@@ -254,7 +256,7 @@ class TestRunCycle:
     def test_calibration_point(self):
         p = hierarchy_ok_params()
         tp = quiet_tunnel()
-        schedule = PulseSchedule(t_interact=0.0, tau_detect=tp.tau_detect, tau_cycle=tp.tau_cycle)
+        schedule = PulseSchedule(t_interact=0.0)
         out = run_cycle(p, tp, schedule, [0, 0, 1.0], [0, 0, 1.0], np.eye(4) / 4, c=1.0)
         assert out.pr_pulse == pytest.approx(2 * 1.0 * tp.tau_detect * tp.gamma0, abs=1e-12)
 
@@ -265,15 +267,12 @@ class TestRunCycle:
         p = hierarchy_ok_params(exchange=2e5, hyperfine_ancilla=1e5, hyperfine_gate=3e5)
         tp = quiet_tunnel()
         for _ in range(20):
-            schedule = PulseSchedule(
-                t_interact=rng.uniform(0, 2e-5),
-                tau_detect=tp.tau_detect, tau_cycle=tp.tau_cycle,
-            )
+            schedule = PulseSchedule(t_interact=rng.uniform(0, 2e-5))
             out = run_cycle(p, tp, schedule, random_bloch(rng), random_bloch(rng),
                             random_density(rng, 4), c=rng.uniform(0.1, 1.0))
             assert 0.0 <= out.pr_pulse <= 1.0
             assert np.linalg.norm(out.u_ancilla) <= 1 + 1e-10
-            total = out.effect_pulse + out.effect_nopulse
+            total = out.instrument.effect_pulse + out.instrument.effect_nopulse
             assert np.abs(total - np.eye(4)).max() < 1e-10
             if out.rho_gate_pulse is not None:
                 check_density_matrix(out.rho_gate_pulse, tol=1e-9)
@@ -283,7 +282,7 @@ class TestRunCycle:
     def test_level_offset_invariance(self):
         p = hierarchy_ok_params(exchange=2e5, hyperfine_gate=3e5)
         tp = quiet_tunnel()
-        schedule = PulseSchedule(t_interact=5e-6, tau_detect=tp.tau_detect, tau_cycle=tp.tau_cycle)
+        schedule = PulseSchedule(t_interact=5e-6)
         rng = np.random.default_rng(31)
         rho_s = random_density(rng, 4)
         base = run_cycle(p, tp, schedule, [0.3, 0.1, 0.9], [0, 1.0, 0], rho_s, c=0.8)
@@ -293,7 +292,7 @@ class TestRunCycle:
         shifted = run_cycle(shifted_params, tp, schedule, [0.3, 0.1, 0.9], [0, 1.0, 0], rho_s, c=0.8)
         assert abs(base.pr_pulse - shifted.pr_pulse) < 1e-10
         assert np.abs(base.u_ancilla - shifted.u_ancilla).max() < 1e-10
-        assert np.abs(base.effect_pulse - shifted.effect_pulse).max() < 1e-10
+        assert np.abs(base.instrument.effect_pulse - shifted.instrument.effect_pulse).max() < 1e-10
         assert np.abs(base.rho_gate_pulse - shifted.rho_gate_pulse).max() < 1e-10
 
     def test_global_rotation_invariance(self):
@@ -304,7 +303,7 @@ class TestRunCycle:
         p = hierarchy_ok_params(exchange=2e5, hyperfine_ancilla=1e5, hyperfine_gate=3e5,
                                 b_field=(3e-5, -2e-5, 9e-5))
         tp = quiet_tunnel()
-        schedule = PulseSchedule(t_interact=4e-6, tau_detect=tp.tau_detect, tau_cycle=tp.tau_cycle)
+        schedule = PulseSchedule(t_interact=4e-6)
         u_l, u_r = random_bloch(rng), random_bloch(rng)
         rho_s = random_density(rng, 4)
         base = run_cycle(p, tp, schedule, u_l, u_r, rho_s, c=0.7)
@@ -330,8 +329,7 @@ class TestRunCycle:
         p = hierarchy_ok_params(exchange=3e5, hyperfine_ancilla=2e5)
         tp = quiet_tunnel()
         for _ in range(10):
-            schedule = PulseSchedule(t_interact=rng.uniform(0, 2e-5),
-                                     tau_detect=tp.tau_detect, tau_cycle=tp.tau_cycle)
+            schedule = PulseSchedule(t_interact=rng.uniform(0, 2e-5))
             u_l = random_bloch(rng)
             out = run_cycle(p, tp, schedule, u_l, random_bloch(rng), np.eye(4) / 4, c=0.5)
             purity_before = float(np.trace(bloch_to_density(u_l) @ bloch_to_density(u_l)).real)
@@ -345,6 +343,29 @@ class TestRunCycle:
         schedule = PulseSchedule(t_interact=1e-6)
         with pytest.warns(HierarchyWarning):
             run_cycle(p, tp, schedule, [0, 0, 1], [0, 0, 1], np.eye(4) / 4, c=1.0)
+
+    def test_hierarchy_threshold_is_honoured(self):
+        p = hierarchy_ok_params(exchange=3e5)
+        tp = quiet_tunnel()
+        schedule = PulseSchedule(t_interact=1e-6)
+        args = (p, tp, schedule, [0, 0, 1], [0, 0, 1], np.eye(4) / 4, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", HierarchyWarning)
+            run_cycle(*args)
+        with pytest.warns(HierarchyWarning):
+            run_cycle(*args, threshold=1e12)
+
+    def test_antiparallel_unit_leads_give_zero_probability(self):
+        # rounding leaves u_right . u_left a few ulp below -1; the probability
+        # must still be exactly 0, not a tiny negative number
+        rng = np.random.default_rng(34)
+        tp = quiet_tunnel()
+        schedule = PulseSchedule(t_interact=0.0)
+        for _ in range(50):
+            u = random_bloch(rng)
+            u /= np.linalg.norm(u)
+            out = run_cycle(hierarchy_ok_params(), tp, schedule, u, -u, np.eye(4) / 4, c=1.0)
+            assert 0.0 <= out.pr_pulse < 1e-15
 
 
 class TestMeasurementSetting:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinturnstile.algebra import pauli_coordinates
 from spinturnstile.constants import ELEMENTARY_CHARGE, G_NUCLEAR_P31
 from spinturnstile.cycle import MeasurementSetting, PulseSchedule, run_cycle
 from spinturnstile.experiment import (
@@ -12,8 +13,9 @@ from spinturnstile.experiment import (
     sample_cycles,
 )
 from spinturnstile.model import SpinModelParams, TunnelParams
+from spinturnstile.tomography import TWO_SPIN, build_design
 
-from oracles import random_density
+from oracles import random_bloch, random_density
 
 
 def quiet_model(**overrides):
@@ -139,7 +141,6 @@ class TestSweep:
 
     def common(self):
         return dict(model=quiet_model(), tunnel=quiet_tunnel(),
-                    schedule=PulseSchedule(t_interact=4e-6, tau_detect=1e-10, tau_cycle=1e-6),
                     c=1.0, n_cycles=10_000, seed=123)
 
     def test_single_point_composes_cycle_and_sampling(self):
@@ -148,7 +149,7 @@ class TestSweep:
         rows = run_sweep([setting], rho_gate=np.eye(4) / 4, **kw)
         assert len(rows) == 1 and rows[0].status == "ok"
         outcome = run_cycle(kw["model"], kw["tunnel"],
-                            PulseSchedule(t_interact=setting.t_interact, tau_detect=1e-10, tau_cycle=1e-6),
+                            PulseSchedule(t_interact=setting.t_interact),
                             setting.u_left, setting.u_right, np.eye(4) / 4, 1.0)
         assert rows[0].pr == pytest.approx(outcome.pr_pulse, abs=1e-15)
         expected = sample_cycles(outcome.pr_pulse, 10_000, derive_setting_seed(123, setting))
@@ -220,6 +221,49 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_sweep([], rho_gate=np.eye(4) / 4, **self.common())
+
+    def test_antiparallel_unit_leads_are_ok_rows(self):
+        # u_right = -u_left at unit magnitude and t = 0: the true probability
+        # is 0, and rounding just below it must not turn a row into an error
+        rng = np.random.default_rng(37)
+        settings = []
+        for _ in range(100):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            settings.append(MeasurementSetting(u_left=tuple(u), u_right=tuple(-u), t_interact=0.0))
+        rows = run_sweep(settings, rho_gate=np.eye(4) / 4, **self.common())
+        assert [r.status for r in rows] == ["ok"] * len(settings)
+        assert all(0.0 <= r.pr < 1e-15 for r in rows)
+
+
+@pytest.mark.parametrize("include_gate_hamiltonian", [True, False])
+def test_sweep_cycle_and_design_agree(include_gate_hamiltonian):
+    # one setting -> instrument route: a sweep row, a single cycle and a
+    # tomography design row give the same probability, model overrides included
+    rng = np.random.default_rng(38)
+    base, tunnel, c = quiet_model(), quiet_tunnel(), 0.8
+    settings = [
+        MeasurementSetting(
+            u_left=tuple(random_bloch(rng)), u_right=tuple(random_bloch(rng)),
+            t_interact=rng.uniform(1e-7, 1e-5),
+            model=None if k == 0 else quiet_model(exchange=rng.uniform(2e5, 5e6),
+                                                  hyperfine_gate=rng.uniform(2e5, 5e6)),
+        )
+        for k in range(6)
+    ]
+    rho = random_density(rng, 4)
+    rows = run_sweep(settings, model=base, tunnel=tunnel, rho_gate=rho, c=c, n_cycles=10,
+                     seed=1, include_gate_hamiltonian=include_gate_hamiltonian)
+    design = build_design(settings, base, tunnel, c, mode=TWO_SPIN,
+                          include_gate_hamiltonian=include_gate_hamiltonian)
+    pr_design = design.pulse_rows @ pauli_coordinates(rho)
+    for row, s, pr_row in zip(rows, settings, pr_design):
+        schedule = PulseSchedule(t_interact=s.t_interact,
+                                 include_gate_hamiltonian=include_gate_hamiltonian)
+        out = run_cycle(s.model or base, tunnel, schedule, s.u_left, s.u_right, rho, c)
+        assert row.status == "ok"
+        assert abs(row.pr - out.pr_pulse) <= 1e-15
+        assert abs(row.pr - pr_row) <= 1e-15
 
 
 class TestPropagate:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinturnstile.cycle import MeasurementSetting
-from spinturnstile.model import SpinModelParams
+from spinturnstile.model import SpinModelParams, TunnelParams
 from spinturnstile.tomography import (
     SINGLE_SPIN,
     TWO_SPIN,
@@ -23,6 +23,7 @@ from oracles import eigclip_project, random_density
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 C, TAU, TSQ = 1.0, 1e-10, 1e9  # kappa = 0.2
+TUNNEL = TunnelParams(gamma0=TSQ, tau_detect=TAU)
 
 
 def exchange_model(j=1.2e7):
@@ -122,21 +123,21 @@ class TestBuildDesign:
             MeasurementSetting(u_left=AXES["z"], u_right=AXES[ax], t_interact=0.0)
             for ax in ("x", "y", "z")
         ]
-        design = build_design(settings, exchange_model(), C, TAU, TSQ, mode=SINGLE_SPIN)
+        design = build_design(settings, exchange_model(), TUNNEL, C, mode=SINGLE_SPIN)
         assert design.rank == 0
         assert np.abs(design.matrix).max() < 1e-12
 
     def test_swap_design_rank_three(self):
-        design = build_design(swap_axes_settings(), exchange_model(), C, TAU, TSQ,
+        design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
                               mode=SINGLE_SPIN, include_gate_hamiltonian=False)
         assert design.rank == 3
         assert design.condition_number < 1.0 + 1e-9
 
     def test_duplicated_rows_leave_rank_unchanged(self):
         settings = swap_axes_settings()
-        d1 = build_design(settings, exchange_model(), C, TAU, TSQ, mode=SINGLE_SPIN,
+        d1 = build_design(settings, exchange_model(), TUNNEL, C, mode=SINGLE_SPIN,
                           include_gate_hamiltonian=False)
-        d2 = build_design(settings + settings, exchange_model(), C, TAU, TSQ,
+        d2 = build_design(settings + settings, exchange_model(), TUNNEL, C,
                           mode=SINGLE_SPIN, include_gate_hamiltonian=False)
         assert d1.rank == d2.rank == 3
 
@@ -145,7 +146,7 @@ class TestBuildDesign:
         model = rich_model()
         ranks = []
         for k in (3, 6, 12, len(settings)):
-            ranks.append(build_design(settings[:k], model, C, TAU, TSQ, mode=TWO_SPIN).rank)
+            ranks.append(build_design(settings[:k], model, TUNNEL, C, mode=TWO_SPIN).rank)
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
     def test_affine_forward_model_matches_simulation(self):
@@ -156,7 +157,7 @@ class TestBuildDesign:
         rng = np.random.default_rng(64)
         model = rich_model()
         settings = two_spin_settings()[::5]
-        design = build_design(settings, model, C, TAU, TSQ, mode=TWO_SPIN)
+        design = build_design(settings, model, TUNNEL, C, mode=TWO_SPIN)
         h = build_total_hamiltonian(model)
         for _ in range(5):
             rho = random_density(rng, 4)
@@ -168,7 +169,7 @@ class TestBuildDesign:
 
     def test_affine_combination_linearity(self):
         rng = np.random.default_rng(65)
-        design = build_design(swap_axes_settings(), exchange_model(), C, TAU, TSQ,
+        design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
                               mode=SINGLE_SPIN, include_gate_hamiltonian=False)
         t1, t2 = random_single_theta(rng), random_single_theta(rng)
         alpha = 0.3
@@ -181,7 +182,7 @@ class TestBuildDesign:
 class TestReconstruct:
     def test_noiseless_exact_recovery_single_spin(self):
         rng = np.random.default_rng(66)
-        design = build_design(swap_axes_settings(), exchange_model(), C, TAU, TSQ,
+        design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
                               mode=SINGLE_SPIN, include_gate_hamiltonian=False)
         for _ in range(25):
             theta = random_single_theta(rng)
@@ -192,7 +193,7 @@ class TestReconstruct:
 
     def test_noiseless_exact_recovery_two_spin(self):
         rng = np.random.default_rng(67)
-        design = build_design(two_spin_settings(), rich_model(), C, TAU, TSQ, mode=TWO_SPIN)
+        design = build_design(two_spin_settings(), rich_model(), TUNNEL, C, mode=TWO_SPIN)
         assert design.rank == 15
         for _ in range(10):
             theta = density_to_theta(random_density(rng, 4), TWO_SPIN)
@@ -205,14 +206,14 @@ class TestReconstruct:
             MeasurementSetting(u_left=AXES["z"], u_right=AXES[ax], t_interact=0.0)
             for ax in ("x", "y", "z")
         ]
-        design = build_design(settings, exchange_model(), C, TAU, TSQ, mode=SINGLE_SPIN)
+        design = build_design(settings, exchange_model(), TUNNEL, C, mode=SINGLE_SPIN)
         pr = forward_probabilities(design, np.array([0.3, 0.2, 0.1]))
         with pytest.warns(RankDeficientWarning):
             result = reconstruct(design, pr)
         assert np.allclose(result.theta_hat, 0.0)
 
     def test_unphysical_estimate_reports_projection(self):
-        design = build_design(swap_axes_settings(), exchange_model(), C, TAU, TSQ,
+        design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
                               mode=SINGLE_SPIN, include_gate_hamiltonian=False)
         theta = np.array([0.0, 0.0, 0.999])
         pr = forward_probabilities(design, theta)
@@ -225,7 +226,7 @@ class TestReconstruct:
             assert result.physical_projection is None
 
     def test_covariance_matches_monte_carlo(self):
-        design = build_design(swap_axes_settings(), exchange_model(), C, TAU, TSQ,
+        design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
                               mode=SINGLE_SPIN, include_gate_hamiltonian=False)
         theta = np.array([0.2, -0.4, 0.5])
         pr = forward_probabilities(design, theta)
@@ -244,7 +245,7 @@ class TestReconstruct:
             assert 1 / 1.5 < ratio < 1.5
 
     def test_shot_noise_error_scaling(self):
-        design = build_design(swap_axes_settings(), exchange_model(), C, TAU, TSQ,
+        design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
                               mode=SINGLE_SPIN, include_gate_hamiltonian=False)
         theta = np.array([0.1, 0.3, -0.5])
         pr = forward_probabilities(design, theta)
@@ -261,7 +262,7 @@ class TestReconstruct:
         assert slope == pytest.approx(-0.5, abs=0.1)
 
     def test_row_count_mismatch(self):
-        design = build_design(swap_axes_settings(), exchange_model(), C, TAU, TSQ,
+        design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
                               mode=SINGLE_SPIN, include_gate_hamiltonian=False)
         with pytest.raises(ValueError):
             reconstruct(design, np.zeros(5))
@@ -269,7 +270,7 @@ class TestReconstruct:
 
 class TestIdentifiability:
     def test_full_rank_reported_identifiable(self):
-        design = build_design(swap_axes_settings(), exchange_model(), C, TAU, TSQ,
+        design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
                               mode=SINGLE_SPIN, include_gate_hamiltonian=False)
         report = identifiability_report(design)
         assert report.identifiable
@@ -286,7 +287,7 @@ class TestIdentifiability:
             for a in ("x", "z") for b in ("x", "y", "z")
             for t in (np.pi / (4 * 1.2e7), np.pi / (8 * 1.2e7))
         ]
-        design = build_design(settings, model, C, TAU, TSQ, mode=TWO_SPIN,
+        design = build_design(settings, model, TUNNEL, C, mode=TWO_SPIN,
                               include_gate_hamiltonian=False)
         assert design.rank == 3
         # nuclear and correlator columns carry no signal
@@ -296,12 +297,12 @@ class TestIdentifiability:
         assert len(report.unidentifiable_directions) == 12
 
     def test_empty_null_space_iff_full_rank(self):
-        d_full = build_design(swap_axes_settings(), exchange_model(), C, TAU, TSQ,
+        d_full = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
                               mode=SINGLE_SPIN, include_gate_hamiltonian=False)
         assert d_full.null_space.shape[1] == 0
         assert d_full.rank == d_full.n_params
         d_zero = build_design(
             [MeasurementSetting(u_left=AXES["z"], u_right=AXES["z"], t_interact=0.0)],
-            exchange_model(), C, TAU, TSQ, mode=SINGLE_SPIN,
+            exchange_model(), TUNNEL, C, mode=SINGLE_SPIN,
         )
         assert d_zero.null_space.shape[1] == 3 - d_zero.rank
