@@ -21,9 +21,7 @@ from .algebra import (
 from .cycle import (
     CycleOutcome,
     MeasurementSetting,
-    PulseSchedule,
     QuantumInstrument,
-    detection_probability,
     induced_instrument,
     run_cycle,
     setting_instrument,

@@ -34,7 +34,7 @@ from .config import (
     resolved_dict,
 )
 from .algebra import pauli_coordinates
-from .cycle import run_cycle
+from .cycle import run_cycle, setting_instrument
 from .experiment import (
     calibrate,
     derive_setting_seed,
@@ -89,9 +89,8 @@ def _cmd_rates(cfg: RunConfig, meta: dict) -> ResultTable:
 
 def _cmd_cycle(cfg: RunConfig, meta: dict) -> ResultTable:
     outcome = run_cycle(
-        cfg.model, cfg.tunnel, cfg.schedule,
-        cfg.u_left.vector(), cfg.u_right.vector(),
-        cfg.gate_state.density(), cfg.detection_c,
+        cfg.setting.to_setting(), cfg.model, cfg.tunnel,
+        cfg.gate_state.density(), cfg.detection_c, cfg.include_gate_hamiltonian,
         threshold=cfg.hierarchy_threshold,
     )
     columns = (
@@ -100,7 +99,7 @@ def _cmd_cycle(cfg: RunConfig, meta: dict) -> ResultTable:
     )
     u = outcome.u_ancilla
     row = (
-        cfg.schedule.t_interact, outcome.instrument.kappa, outcome.pr_pulse,
+        cfg.setting.t_interact, outcome.instrument.kappa, outcome.pr_pulse,
         float(u[0]), float(u[1]), float(u[2]), float(np.linalg.norm(u)),
     )
     return ResultTable(columns=columns, rows=[row], metadata=meta)
@@ -117,7 +116,7 @@ def _cmd_sweep(cfg: RunConfig, meta: dict) -> ResultTable:
         n_cycles=cfg.experiment.n_cycles,
         seed=cfg.experiment.seed,
         mode=cfg.experiment.mode,
-        include_gate_hamiltonian=cfg.schedule.include_gate_hamiltonian,
+        include_gate_hamiltonian=cfg.include_gate_hamiltonian,
         threshold=cfg.hierarchy_threshold,
     )
     columns = (
@@ -147,23 +146,21 @@ def _cmd_calibrate(cfg: RunConfig, meta: dict) -> ResultTable:
     # Calibration geometry: both leads magnetized along the left-lead axis,
     # interaction off, so the pulse probability depends only on the (known)
     # magnitudes and the detection constant.
-    mag_l = cfg.u_left.magnitude
-    mag_r = cfg.u_right.magnitude
-    if mag_l <= 0 or mag_r <= 0:
-        raise ValueError("calibration requires nonzero lead magnetizations")
-    t_sq = cfg.tunnel.gamma0
-    tau = cfg.tunnel.tau_detect
+    lead_l = cfg.setting.u_left
+    mag_l, mag_r = lead_l.magnitude, cfg.setting.u_right.magnitude
+    geometry = dataclasses.replace(cfg.setting, u_right=dataclasses.replace(lead_l, magnitude=mag_r),
+                                   t_interact=0.0)
+    instrument = setting_instrument(geometry.to_setting(), cfg.model, cfg.tunnel, cfg.detection_c,
+                                    cfg.include_gate_hamiltonian)
+    pr_true = instrument.pulse_probability(cfg.gate_state.density())
     c_true = cfg.detection_c
-    pr_true = c_true * tau * t_sq * (1.0 + mag_r * mag_l)
-    if not 0.0 <= pr_true <= 1.0:
-        raise ValueError(f"calibration pulse probability {pr_true} outside [0, 1]")
 
     rows = []
-    exact = calibrate(pr_true, mag_l, mag_r, tau, t_sq)
+    exact = calibrate(pr_true, mag_l, mag_r, cfg.tunnel)
     rows.append(("noiseless", pr_true, c_true, exact.c_hat, exact.residual,
                  abs(exact.c_hat - c_true) / c_true if c_true else 0.0, None))
     rec = sample_cycles(pr_true, cfg.experiment.n_cycles, cfg.experiment.seed)
-    noisy = calibrate(rec.pr_hat, mag_l, mag_r, tau, t_sq)
+    noisy = calibrate(rec.pr_hat, mag_l, mag_r, cfg.tunnel)
     rows.append(("shot_noise", rec.pr_hat, c_true, noisy.c_hat, noisy.residual,
                  abs(noisy.c_hat - c_true) / c_true if c_true else 0.0, rec.n_cycles))
     columns = ("kind", "pr_measured", "c_true", "c_hat", "residual", "abs_rel_error", "n_cycles")
@@ -175,7 +172,7 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
     settings = [s.to_setting() for s in cfg.tomography.settings]
     design = build_design(
         settings, cfg.model, cfg.tunnel, cfg.detection_c,
-        mode=mode, include_gate_hamiltonian=cfg.schedule.include_gate_hamiltonian,
+        mode=mode, include_gate_hamiltonian=cfg.include_gate_hamiltonian,
     )
     rho_true = cfg.gate_state.density()
     theta_true = density_to_theta(rho_true, mode)

@@ -10,12 +10,12 @@ reproduces an equal :class:`RunConfig`.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import G_NUCLEAR_P31
-from .cycle import MeasurementSetting, PulseSchedule
+from .cycle import MeasurementSetting
 from .model import SpinModelParams, TunnelParams
 from .tomography import SINGLE_SPIN, TWO_SPIN, n_parameters, theta_to_density
 
@@ -85,7 +85,8 @@ class LeadSpec:
 
 @dataclass(frozen=True)
 class SettingSpec:
-    """One sweep/tomography setting; ``model`` optionally overrides couplings."""
+    """One cycle setting (the run's own, or a sweep/tomography row);
+    ``model`` optionally overrides couplings."""
 
     u_left: LeadSpec
     u_right: LeadSpec
@@ -142,9 +143,8 @@ class RunConfig:
 
     model: SpinModelParams
     tunnel: TunnelParams
-    schedule: PulseSchedule
-    u_left: LeadSpec
-    u_right: LeadSpec
+    setting: SettingSpec
+    include_gate_hamiltonian: bool
     detection_c: float
     gate_state: GateStateSpec
     experiment: ExperimentSpec
@@ -257,12 +257,13 @@ def _parse_lead(obj, path: str, default_direction=(0.0, 0.0, 1.0), default_magni
     return LeadSpec(direction=direction, magnitude=magnitude)
 
 
-def _parse_setting(obj, path: str, cfg_leads, default_t: float, base_model: dict) -> SettingSpec:
+def _parse_setting(obj, path: str, default: SettingSpec, base_model: dict) -> SettingSpec:
     obj = _as_dict(obj, path)
     _reject_unknown(obj, {"u_left", "u_right", "t_interact_s", "model"}, path)
-    u_left = (_parse_lead(obj["u_left"], f"{path}.u_left") if "u_left" in obj else cfg_leads[0])
-    u_right = (_parse_lead(obj["u_right"], f"{path}.u_right") if "u_right" in obj else cfg_leads[1])
-    t_interact = _as_float(obj.get("t_interact_s", default_t), f"{path}.t_interact_s", minimum=0.0)
+    u_left = (_parse_lead(obj["u_left"], f"{path}.u_left") if "u_left" in obj else default.u_left)
+    u_right = (_parse_lead(obj["u_right"], f"{path}.u_right") if "u_right" in obj else default.u_right)
+    t_interact = _as_float(obj.get("t_interact_s", default.t_interact), f"{path}.t_interact_s",
+                           minimum=0.0)
     # A per-setting model block is a partial override merged onto the run model.
     model = _parse_model(obj["model"], f"{path}.model", base=base_model) if "model" in obj else None
     return SettingSpec(u_left=u_left, u_right=u_right, t_interact=t_interact, model=model)
@@ -333,18 +334,18 @@ def parse_config(data) -> RunConfig:
 
     sched = _as_dict(root.get("schedule", {}), "schedule")
     _reject_unknown(sched, {"t_interact_s", "include_gate_hamiltonian"}, "schedule")
-    # _as_float already enforces the schedule's only constraint, t_interact >= 0.
-    schedule = PulseSchedule(
-        t_interact=_as_float(sched.get("t_interact_s", 1.0e-6), "schedule.t_interact_s", minimum=0.0),
-        include_gate_hamiltonian=_as_bool(
-            sched.get("include_gate_hamiltonian", True), "schedule.include_gate_hamiltonian"
-        ),
+    t_interact = _as_float(sched.get("t_interact_s", 1.0e-6), "schedule.t_interact_s", minimum=0.0)
+    include_gate_hamiltonian = _as_bool(
+        sched.get("include_gate_hamiltonian", True), "schedule.include_gate_hamiltonian"
     )
 
     leads = _as_dict(root.get("leads", {}), "leads")
     _reject_unknown(leads, {"u_left", "u_right"}, "leads")
-    u_left = _parse_lead(leads.get("u_left", {}), "leads.u_left")
-    u_right = _parse_lead(leads.get("u_right", {}), "leads.u_right")
+    setting = SettingSpec(
+        u_left=_parse_lead(leads.get("u_left", {}), "leads.u_left"),
+        u_right=_parse_lead(leads.get("u_right", {}), "leads.u_right"),
+        t_interact=t_interact,
+    )
 
     det = _as_dict(root.get("detection", {}), "detection")
     _reject_unknown(det, {"c"}, "detection")
@@ -369,20 +370,16 @@ def parse_config(data) -> RunConfig:
     def parse_settings(block: dict, path: str) -> tuple:
         raw = block.get("settings")
         if raw is None:
-            # Default grid: left lead fixed, right-lead axis swept over x, y, z
-            # at the scheduled interaction time.
+            # Default grid: the run's setting with the right-lead axis swept
+            # over x, y, z.
             return tuple(
-                SettingSpec(
-                    u_left=u_left,
-                    u_right=LeadSpec(direction=_AXES[ax], magnitude=u_right.magnitude),
-                    t_interact=schedule.t_interact,
-                )
+                replace(setting, u_right=replace(setting.u_right, direction=_AXES[ax]))
                 for ax in ("x", "y", "z")
             )
         if not isinstance(raw, list) or not raw:
             raise ConfigValidationError(f"{path}.settings", "expected a nonempty array")
         return tuple(
-            _parse_setting(s, f"{path}.settings[{i}]", (u_left, u_right), schedule.t_interact, merged_model)
+            _parse_setting(s, f"{path}.settings[{i}]", setting, merged_model)
             for i, s in enumerate(raw)
         )
 
@@ -400,9 +397,8 @@ def parse_config(data) -> RunConfig:
     return RunConfig(
         model=model,
         tunnel=tunnel,
-        schedule=schedule,
-        u_left=u_left,
-        u_right=u_right,
+        setting=setting,
+        include_gate_hamiltonian=include_gate_hamiltonian,
         detection_c=detection_c,
         gate_state=gate_state,
         experiment=experiment,
@@ -489,10 +485,10 @@ def resolved_dict(cfg: RunConfig) -> dict:
             "tau_cycle_s": cfg.tunnel.tau_cycle,
         },
         "schedule": {
-            "t_interact_s": cfg.schedule.t_interact,
-            "include_gate_hamiltonian": cfg.schedule.include_gate_hamiltonian,
+            "t_interact_s": cfg.setting.t_interact,
+            "include_gate_hamiltonian": cfg.include_gate_hamiltonian,
         },
-        "leads": {"u_left": _lead_dict(cfg.u_left), "u_right": _lead_dict(cfg.u_right)},
+        "leads": {"u_left": _lead_dict(cfg.setting.u_left), "u_right": _lead_dict(cfg.setting.u_right)},
         "detection": {"c": cfg.detection_c},
         "gate_state": gs,
         "experiment": {

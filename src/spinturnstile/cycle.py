@@ -14,11 +14,14 @@ the whole cycle induces a two-outcome quantum instrument on the gate. Its two
 completely positive maps are kept as real 16x16 transfer matrices on the
 gate's Pauli-product coordinates ``x_j = tr(rho P_j)`` (the Liouville
 representation, Nielsen & Chuang ch. 8). Everything else follows from them:
-the pulse probability is the first row applied to ``x``, the POVM effects are
-the first rows expanded in the basis, and a post-measurement state is the
-image of ``x`` renormalized by its first entry. Their agreement with the
-ancilla pathway (:func:`joint_evolve`, :func:`ancilla_state`) is the central
-consistency check of the package.
+the pulse probability is the first row applied to ``x``, the ancilla
+polarization is ``ancilla_bloch @ x``, the POVM effects are the first rows
+expanded in the basis, and a post-measurement state is the image of ``x``
+renormalized by its first entry. :func:`setting_instrument` is the one route
+from a :class:`MeasurementSetting` to these matrices, and :func:`run_cycle`
+reads a cycle off them. Their agreement with the ancilla pathway (a second
+joint evolution of ``rho_A x rho``, a partial trace and the formula above,
+kept in ``tests/oracles.py``) is the central consistency check of the package.
 
 The detection POVM on the ancilla is the minimal two-outcome model that
 reproduces the pulse-probability formula: ``M_pulse = kappa (I + u_right .
@@ -27,6 +30,7 @@ sigma)/2`` with strength ``kappa = 2 c tau_detect t_sq``, and
 "measurement" would fire with probability above one.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,36 +41,25 @@ from .algebra import (
     IDENTITY_2,
     PAULIS,
     STRUCTURAL_TOL,
-    apply_unitary,
     bloch_to_density,
-    density_to_bloch,
     evolve_unitary,
     kron,
-    partial_trace,
     pauli_coordinates,
     pauli_operator,
 )
 from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams, build_total_hamiltonian, characteristic_times
 
 __all__ = [
-    "PulseSchedule",
     "MeasurementSetting",
     "QuantumInstrument",
     "CycleOutcome",
-    "PulseClampWarning",
     "HierarchyWarning",
-    "prepare_ancilla",
-    "joint_evolve",
-    "ancilla_state",
     "detection_strength",
-    "detection_probability",
     "induced_instrument",
     "setting_instrument",
     "warn_on_hierarchy",
     "run_cycle",
 ]
-
-_JOINT_DIMS = [2, 2, 2]
 
 # Row (a, i) is conj(sigma_a x P_i) flattened, with sigma_a over (I, X, Y, Z)
 # on the ancilla and P_i over the gate basis: a product with a flattened
@@ -76,34 +69,8 @@ _JOINT_TRACE_ROWS = np.array(
 ).reshape(64, 64).conj()
 
 
-class PulseClampWarning(UserWarning):
-    """Pulse probability formula left [0, 1] and was clamped."""
-
-
 class HierarchyWarning(UserWarning):
     """Device time scales violate tau_res << tau_dyn << tau_non."""
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Timing of one measurement cycle.
-
-    The detection window and cycle period are device constants on
-    :class:`TunnelParams`.
-
-    Attributes:
-        t_interact: joint ancilla-gate evolution time, seconds.
-        include_gate_hamiltonian: evolve under the full physical Hamiltonian
-            (gate + interaction + ancilla Zeeman) when True; under the
-            interaction term alone when False.
-    """
-
-    t_interact: float
-    include_gate_hamiltonian: bool = True
-
-    def __post_init__(self):
-        if self.t_interact < 0:
-            raise ValueError("t_interact must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -123,6 +90,8 @@ class MeasurementSetting:
     def __post_init__(self):
         object.__setattr__(self, "u_left", tuple(float(x) for x in self.u_left))
         object.__setattr__(self, "u_right", tuple(float(x) for x in self.u_right))
+        if not all(math.isfinite(x) for x in (*self.u_left, *self.u_right, self.t_interact)):
+            raise ValueError("lead polarizations and t_interact must be finite")
         for name, u in (("u_left", self.u_left), ("u_right", self.u_right)):
             if len(u) != 3:
                 raise ValueError(f"{name} must have 3 components")
@@ -192,63 +161,9 @@ class CycleOutcome:
     instrument: QuantumInstrument = field(repr=False)
 
 
-def prepare_ancilla(u_left) -> np.ndarray:
-    """Fresh ancilla state inheriting the left-lead polarization."""
-    return bloch_to_density(u_left)
-
-
-def joint_evolve(rho_ancilla: np.ndarray, rho_gate: np.ndarray, h_total: np.ndarray, t: float) -> np.ndarray:
-    """Evolve the product state ``rho_ancilla x rho_gate`` for time ``t``.
-
-    ``h_total`` is the 8x8 generator on (ancilla, gate electron, nucleus).
-    """
-    rho_ancilla = np.asarray(rho_ancilla, dtype=complex)
-    rho_gate = np.asarray(rho_gate, dtype=complex)
-    if rho_ancilla.shape != (2, 2) or rho_gate.shape != (4, 4):
-        raise ValueError("expected a 2x2 ancilla state and a 4x4 gate state")
-    if np.asarray(h_total).shape != (8, 8):
-        raise ValueError("joint Hamiltonian must be 8x8")
-    u = evolve_unitary(h_total, t)
-    return apply_unitary(u, kron(rho_ancilla, rho_gate))
-
-
-def ancilla_state(rho_joint: np.ndarray):
-    """Reduced ancilla state and its polarization vector after joint evolution."""
-    rho_joint = np.asarray(rho_joint, dtype=complex)
-    if rho_joint.shape != (8, 8):
-        raise ValueError("joint state must be 8x8")
-    rho_a = partial_trace(rho_joint, _JOINT_DIMS, keep=[0])
-    return rho_a, density_to_bloch(rho_a)
-
-
 def detection_strength(c: float, tau_detect: float, t_sq: float) -> float:
     """POVM strength ``kappa = 2 c tau_detect t_sq`` of the detection window."""
     return 2.0 * c * tau_detect * t_sq
-
-
-def detection_probability(u_ancilla, u_right, c: float, tau_detect: float, t_sq: float) -> float:
-    """Probability of a current pulse in the right electrode.
-
-    Evaluates ``c * tau_detect * t_sq * (1 + u_right . u_ancilla)``. The
-    formula is a rate-times-time product; if the detection strength allows
-    values above 1 the result is clamped to [0, 1] and a
-    :class:`PulseClampWarning` is emitted rather than raising.
-    """
-    u_ancilla = np.asarray(u_ancilla, dtype=float)
-    u_right = np.asarray(u_right, dtype=float)
-    for name, u in (("u_ancilla", u_ancilla), ("u_right", u_right)):
-        if float(np.linalg.norm(u)) > 1.0 + STRUCTURAL_TOL:
-            raise ValueError(f"{name} must have norm <= 1")
-    if c < 0 or tau_detect < 0 or t_sq < 0:
-        raise ValueError("c, tau_detect and t_sq must be nonnegative")
-    pr = c * tau_detect * t_sq * (1.0 + float(u_right @ u_ancilla))
-    if detection_strength(c, tau_detect, t_sq) > 1.0:
-        warnings.warn(
-            "detection strength 2*c*tau_detect*t_sq exceeds 1; pulse probability clamped",
-            PulseClampWarning,
-            stacklevel=2,
-        )
-    return float(min(max(pr, 0.0), 1.0))
 
 
 def induced_instrument(
@@ -279,7 +194,7 @@ def induced_instrument(
     kappa = detection_strength(c, tau_detect, t_sq)
     if kappa > 1.0 + STRUCTURAL_TOL:
         raise ValueError(f"detection strength kappa={kappa} exceeds 1; reduce c, tau_detect or t_sq")
-    rho_a = prepare_ancilla(u_left)
+    rho_a = bloch_to_density(u_left)
     u_right = np.asarray(u_right, dtype=float)
     if u_right.shape != (3,) or float(np.linalg.norm(u_right)) > 1.0 + STRUCTURAL_TOL:
         raise ValueError("u_right must be a 3-vector of norm <= 1")
@@ -332,27 +247,26 @@ def warn_on_hierarchy(params: SpinModelParams, tunnel: TunnelParams, threshold: 
 
 
 def run_cycle(
-    params: SpinModelParams,
+    setting: MeasurementSetting,
+    model: SpinModelParams,
     tunnel: TunnelParams,
-    schedule: PulseSchedule,
-    u_left,
-    u_right,
     rho_gate: np.ndarray,
     c: float,
+    include_gate_hamiltonian: bool = True,
     *,
     threshold: float = HIERARCHY_THRESHOLD,
 ) -> CycleOutcome:
     """Execute one full measurement cycle on a given gate state.
 
-    Builds the induced instrument and reads the ancilla polarization, the
-    pulse probability and both conditional gate states off it. Emits a
-    :class:`HierarchyWarning` when the device time scales are not separated
-    by ``threshold`` (the protocol's instantaneous-switching assumptions are
+    Builds the setting's instrument (:func:`setting_instrument`, same
+    arguments) and reads the ancilla polarization, the pulse probability and
+    both conditional gate states off it. Emits a :class:`HierarchyWarning`
+    when the time scales of the setting's model are not separated by
+    ``threshold`` (the protocol's instantaneous-switching assumptions are
     then questionable), but still computes the ideal-limit result.
     """
-    warn_on_hierarchy(params, tunnel, threshold)
-    setting = MeasurementSetting(u_left=u_left, u_right=u_right, t_interact=schedule.t_interact)
-    instrument = setting_instrument(setting, params, tunnel, c, schedule.include_gate_hamiltonian)
+    warn_on_hierarchy(setting.model if setting.model is not None else model, tunnel, threshold)
+    instrument = setting_instrument(setting, model, tunnel, c, include_gate_hamiltonian)
     rho_pulse, _ = instrument.apply(rho_gate, pulse=True)
     rho_nopulse, _ = instrument.apply(rho_gate, pulse=False)
     return CycleOutcome(

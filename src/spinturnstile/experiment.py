@@ -17,7 +17,7 @@ parallel execution schedule.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -169,21 +169,21 @@ def calibrate(
     measured_pr: float,
     u_left_mag: float,
     u_right_mag: float,
-    tau_detect: float,
-    t_sq: float,
+    tunnel: TunnelParams,
 ) -> CalibrationResult:
     """Infer the detection constant from a parallel-magnetization, zero-interaction run.
 
     With both lead magnetizations parallel and the gate interaction off, the
     ancilla polarization equals the left-lead one, so the pulse probability
-    reduces to ``c * tau_detect * t_sq * (1 + |u_right| |u_left|)`` and can be
-    inverted for ``c``. Magnitudes must lie in (0, 1]; they are assumed known.
+    reduces to ``c * tau_detect * gamma0 * (1 + |u_right| |u_left|)`` and can
+    be inverted for ``c``. Magnitudes must lie in (0, 1]; they are assumed
+    known. The detection window and ``gamma0`` come from ``tunnel``.
     """
     if not 0.0 < u_left_mag <= 1.0 or not 0.0 < u_right_mag <= 1.0:
         raise ValueError("lead magnetization magnitudes must lie in (0, 1]")
-    denom = tau_detect * t_sq * (1.0 + u_right_mag * u_left_mag)
+    denom = tunnel.tau_detect * tunnel.gamma0 * (1.0 + u_right_mag * u_left_mag)
     if denom <= 0.0:
-        raise ValueError("tau_detect * t_sq must be positive to calibrate")
+        raise ValueError("tau_detect * gamma0 must be positive to calibrate")
     c_hat = measured_pr / denom
     residual = abs(c_hat * denom - measured_pr)
     return CalibrationResult(
@@ -208,12 +208,9 @@ def derive_setting_seed(master_seed: int, setting: MeasurementSetting) -> int:
         "t_interact": setting.t_interact,
     }
     if setting.model is not None:
-        m = setting.model
-        payload["model"] = [
-            list(m.b_field), m.g_electron, m.g_nuclear, m.g_ancilla,
-            m.hyperfine_gate, m.hyperfine_ancilla, m.hopping, m.coulomb_u,
-            m.exchange, m.level_offset,
-        ]
+        # Field values in declaration order; not dataclasses.astuple, whose
+        # deep copy costs ten times as much on this per-row path.
+        payload["model"] = [getattr(setting.model, f.name) for f in fields(setting.model)]
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).digest()
     sub = int.from_bytes(digest[:8], "big")
     return int(np.random.SeedSequence([int(master_seed) & (2**63 - 1), sub]).generate_state(1)[0])

@@ -23,7 +23,7 @@ realistic nuclear Larmor scales are reached with ``g_nuclear ~ 1e-3``
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -130,6 +130,8 @@ class TunnelParams:
     tau_cycle: float = 1.0e-6
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError("all tunnel parameters must be finite")
         if self.gamma0 <= 0:
             raise ValueError("gamma0 must be positive")
         if self.interdot_sq < 0:

@@ -141,6 +141,34 @@ def _spin_half(u) -> np.ndarray:
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 
 
+def prepare_ancilla(u_left) -> np.ndarray:
+    """Fresh ancilla state inheriting the left-lead polarization."""
+    return _spin_half(u_left)
+
+
+def joint_evolve(rho_ancilla, rho_gate, h_total: np.ndarray, t: float) -> np.ndarray:
+    """``U (rho_ancilla x rho_gate) U^dag`` with ``U = exp(-i h_total t)`` on
+    (ancilla, gate electron, nucleus)."""
+    rho_ancilla = np.asarray(rho_ancilla, dtype=complex)
+    rho_gate = np.asarray(rho_gate, dtype=complex)
+    if rho_ancilla.shape != (2, 2) or rho_gate.shape != (4, 4):
+        raise ValueError("expected a 2x2 ancilla state and a 4x4 gate state")
+    w, v = np.linalg.eigh(h_total)
+    u = (v * np.exp(-1j * w * t)) @ v.conj().T
+    return u @ kron_bruteforce(rho_ancilla, rho_gate) @ u.conj().T
+
+
+def ancilla_state(rho_joint: np.ndarray):
+    """Reduced ancilla state and its polarization vector after joint evolution."""
+    rho_a = partial_trace_bruteforce(rho_joint, [2, 2, 2], keep=[0])
+    return rho_a, np.array([np.trace(rho_a @ _ORACLE_PAULIS[k]).real for k in "XYZ"])
+
+
+def detection_probability(u_ancilla, u_right, c: float, tau_detect: float, t_sq: float) -> float:
+    """The pulse-probability formula ``c tau_detect t_sq (1 + u_right . u_ancilla)``."""
+    return c * tau_detect * t_sq * (1.0 + float(np.dot(u_right, u_ancilla)))
+
+
 @functools.lru_cache(maxsize=None)
 def pauli_product_basis() -> tuple:
     """The 16 gate Pauli products: identity, XI, YI, ZI, IX, IY, IZ, then XX..ZZ."""

@@ -12,15 +12,7 @@ import numpy as np
 import pytest
 
 from spinturnstile.constants import G_NUCLEAR_P31
-from spinturnstile.cycle import (
-    MeasurementSetting,
-    PulseSchedule,
-    ancilla_state,
-    detection_probability,
-    induced_instrument,
-    joint_evolve,
-    run_cycle,
-)
+from spinturnstile.cycle import MeasurementSetting, induced_instrument, run_cycle
 from spinturnstile.algebra import bloch_to_density, evolve_unitary
 from spinturnstile.cli import main
 from spinturnstile.experiment import calibrate, sample_cycles
@@ -39,7 +31,15 @@ from spinturnstile.tomography import (
     reconstruct,
 )
 
-from oracles import random_bloch, random_density, random_hermitian, rk4_von_neumann
+from oracles import (
+    ancilla_state,
+    detection_probability,
+    joint_evolve,
+    random_bloch,
+    random_density,
+    random_hermitian,
+    rk4_von_neumann,
+)
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
@@ -86,12 +86,11 @@ def test_criterion_3_pulse_probability_analytics():
     with criterion(3, "pulse probability at parallel/antiparallel magnetizations", 1.0):
         params = SpinModelParams(b_field=(0.0, 0.0, 1e-4), g_nuclear=G_NUCLEAR_P31)
         tp = TunnelParams(gamma0=1e9, interdot_sq=1e9, detuning=1e14)
-        schedule = PulseSchedule(t_interact=0.0)
         c = 1.0
         rho = np.eye(4) / 4
-        parallel = run_cycle(params, tp, schedule, AXES["z"], AXES["z"], rho, c)
+        parallel = run_cycle(MeasurementSetting(AXES["z"], AXES["z"], 0.0), params, tp, rho, c)
         assert abs(parallel.pr_pulse - 2.0 * c * tp.tau_detect * tp.gamma0) < 1e-12
-        anti = run_cycle(params, tp, schedule, AXES["z"], (0.0, 0.0, -1.0), rho, c)
+        anti = run_cycle(MeasurementSetting(AXES["z"], (0.0, 0.0, -1.0), 0.0), params, tp, rho, c)
         assert abs(anti.pr_pulse) < 1e-12
 
 
@@ -207,11 +206,12 @@ def test_criterion_8_calibration():
         c_true, mag = 0.5, 1.0
         pr = c_true * tau * t_sq * (1 + mag * mag)  # = 0.1
         assert pr == pytest.approx(0.1)
-        exact = calibrate(pr, mag, mag, tau, t_sq)
+        tunnel = TunnelParams(gamma0=t_sq, tau_detect=tau)
+        exact = calibrate(pr, mag, mag, tunnel)
         assert exact.residual < 1e-12
         assert abs(exact.c_hat - c_true) < 1e-12
         rec = sample_cycles(pr, 10**6, seed=314159)
-        noisy = calibrate(rec.pr_hat, mag, mag, tau, t_sq)
+        noisy = calibrate(rec.pr_hat, mag, mag, tunnel)
         assert abs(noisy.c_hat - c_true) / c_true < 0.01
 
 

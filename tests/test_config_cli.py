@@ -95,7 +95,7 @@ class TestParseConfig:
     def test_axis_name_directions(self):
         doc = json.dumps({"leads": {"u_right": {"direction": "x", "magnitude": 0.5}}})
         cfg = parse_config(doc)
-        assert np.allclose(cfg.u_right.vector(), [0.5, 0, 0])
+        assert np.allclose(cfg.setting.u_right.vector(), [0.5, 0, 0])
 
     def test_derived_exchange_from_hopping(self):
         doc = json.dumps({"model": {"exchange_per_s": None, "hopping_per_s": 1e6,
@@ -242,6 +242,16 @@ class TestCli:
         cfg["detection"] = {"c": 100.0}
         code, _ = run_cli(tmp_path, "cycle", cfg)
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["cycle", "calibrate"])
+    def test_detection_strength_above_one_exit_3(self, tmp_path, command):
+        # kappa = 2 * 1 * 6e-10 * 1e9 = 1.2, while the calibration probability
+        # c tau gamma0 (1 + 0.25) = 0.75 alone would look valid
+        cfg = {"tunnel": {"tau_detect_s": 6e-10},
+               "leads": {"u_left": {"magnitude": 0.5}, "u_right": {"magnitude": 0.5}}}
+        code, out = run_cli(tmp_path, command, cfg)
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
 
     @pytest.mark.parametrize("gamma0", [1e-150, 1e-170, 1e-300, 5e-324])
     @pytest.mark.parametrize("command", ["rates", "cycle"])

@@ -8,21 +8,19 @@ from spinturnstile.constants import G_NUCLEAR_P31, MU_B_PER_HBAR
 from spinturnstile.cycle import (
     HierarchyWarning,
     MeasurementSetting,
-    PulseClampWarning,
-    PulseSchedule,
-    ancilla_state,
-    detection_probability,
     detection_strength,
     induced_instrument,
-    joint_evolve,
-    prepare_ancilla,
     run_cycle,
 )
 from spinturnstile.model import SpinModelParams, TunnelParams, build_total_hamiltonian
 
 from oracles import (
+    ancilla_state,
+    detection_probability,
+    joint_evolve,
     kraus_instrument,
     liouville_matrix,
+    prepare_ancilla,
     random_bloch,
     random_density,
     random_hermitian,
@@ -151,11 +149,6 @@ class TestDetectionProbability:
         pr = detection_probability([0, 0, 0], [0.3, 0.4, 0.5], 1.0, 1e-10, 1e9)
         assert pr == pytest.approx(1.0 * 1e-10 * 1e9, abs=1e-15)
 
-    def test_clamped_with_warning(self):
-        with pytest.warns(PulseClampWarning):
-            pr = detection_probability([0, 0, 1], [0, 0, 1], 1.0, 1e-8, 1e9)
-        assert pr == 1.0
-
     def test_strength_formula(self):
         assert detection_strength(0.5, 1e-10, 1e9) == pytest.approx(0.1)
 
@@ -240,12 +233,11 @@ class TestRunCycle:
         p = hierarchy_ok_params()
         tp = quiet_tunnel()
         t = 3.3e-7
-        schedule = PulseSchedule(t_interact=t)
         u_l = np.array([1.0, 0, 0])
         u_r = np.array([0, 0, 1.0])
         rng = np.random.default_rng(29)
         rho_s = random_density(rng, 4)
-        out = run_cycle(p, tp, schedule, u_l, u_r, rho_s, c=1.0)
+        out = run_cycle(MeasurementSetting(u_l, u_r, t), p, tp, rho_s, c=1.0)
         b = np.array(p.b_field)
         angle = 2.0 * p.g_ancilla * MU_B_PER_HBAR * np.linalg.norm(b) * t
         u_pred = rotate_about_axis(u_l, b / np.linalg.norm(b), angle)
@@ -256,8 +248,8 @@ class TestRunCycle:
     def test_calibration_point(self):
         p = hierarchy_ok_params()
         tp = quiet_tunnel()
-        schedule = PulseSchedule(t_interact=0.0)
-        out = run_cycle(p, tp, schedule, [0, 0, 1.0], [0, 0, 1.0], np.eye(4) / 4, c=1.0)
+        setting = MeasurementSetting([0, 0, 1.0], [0, 0, 1.0], 0.0)
+        out = run_cycle(setting, p, tp, np.eye(4) / 4, c=1.0)
         assert out.pr_pulse == pytest.approx(2 * 1.0 * tp.tau_detect * tp.gamma0, abs=1e-12)
 
     def test_outcome_invariants_random_sweep(self):
@@ -267,9 +259,9 @@ class TestRunCycle:
         p = hierarchy_ok_params(exchange=2e5, hyperfine_ancilla=1e5, hyperfine_gate=3e5)
         tp = quiet_tunnel()
         for _ in range(20):
-            schedule = PulseSchedule(t_interact=rng.uniform(0, 2e-5))
-            out = run_cycle(p, tp, schedule, random_bloch(rng), random_bloch(rng),
-                            random_density(rng, 4), c=rng.uniform(0.1, 1.0))
+            t = rng.uniform(0, 2e-5)
+            setting = MeasurementSetting(random_bloch(rng), random_bloch(rng), t)
+            out = run_cycle(setting, p, tp, random_density(rng, 4), c=rng.uniform(0.1, 1.0))
             assert 0.0 <= out.pr_pulse <= 1.0
             assert np.linalg.norm(out.u_ancilla) <= 1 + 1e-10
             total = out.instrument.effect_pulse + out.instrument.effect_nopulse
@@ -282,14 +274,14 @@ class TestRunCycle:
     def test_level_offset_invariance(self):
         p = hierarchy_ok_params(exchange=2e5, hyperfine_gate=3e5)
         tp = quiet_tunnel()
-        schedule = PulseSchedule(t_interact=5e-6)
+        setting = MeasurementSetting([0.3, 0.1, 0.9], [0, 1.0, 0], 5e-6)
         rng = np.random.default_rng(31)
         rho_s = random_density(rng, 4)
-        base = run_cycle(p, tp, schedule, [0.3, 0.1, 0.9], [0, 1.0, 0], rho_s, c=0.8)
+        base = run_cycle(setting, p, tp, rho_s, c=0.8)
         import dataclasses
 
         shifted_params = dataclasses.replace(p, level_offset=2.0e9)
-        shifted = run_cycle(shifted_params, tp, schedule, [0.3, 0.1, 0.9], [0, 1.0, 0], rho_s, c=0.8)
+        shifted = run_cycle(setting, shifted_params, tp, rho_s, c=0.8)
         assert abs(base.pr_pulse - shifted.pr_pulse) < 1e-10
         assert np.abs(base.u_ancilla - shifted.u_ancilla).max() < 1e-10
         assert np.abs(base.instrument.effect_pulse - shifted.instrument.effect_pulse).max() < 1e-10
@@ -303,10 +295,9 @@ class TestRunCycle:
         p = hierarchy_ok_params(exchange=2e5, hyperfine_ancilla=1e5, hyperfine_gate=3e5,
                                 b_field=(3e-5, -2e-5, 9e-5))
         tp = quiet_tunnel()
-        schedule = PulseSchedule(t_interact=4e-6)
         u_l, u_r = random_bloch(rng), random_bloch(rng)
         rho_s = random_density(rng, 4)
-        base = run_cycle(p, tp, schedule, u_l, u_r, rho_s, c=0.7)
+        base = run_cycle(MeasurementSetting(u_l, u_r, 4e-6), p, tp, rho_s, c=0.7)
 
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
@@ -320,7 +311,7 @@ class TestRunCycle:
 
         p_rot = dataclasses.replace(p, b_field=tuple(rot @ np.array(p.b_field)))
         rotated = run_cycle(
-            p_rot, tp, schedule, rot @ u_l, rot @ u_r, big @ rho_s @ big.conj().T, c=0.7
+            MeasurementSetting(rot @ u_l, rot @ u_r, 4e-6), p_rot, tp, big @ rho_s @ big.conj().T, c=0.7
         )
         assert abs(base.pr_pulse - rotated.pr_pulse) < 1e-10
 
@@ -329,9 +320,9 @@ class TestRunCycle:
         p = hierarchy_ok_params(exchange=3e5, hyperfine_ancilla=2e5)
         tp = quiet_tunnel()
         for _ in range(10):
-            schedule = PulseSchedule(t_interact=rng.uniform(0, 2e-5))
+            t = rng.uniform(0, 2e-5)
             u_l = random_bloch(rng)
-            out = run_cycle(p, tp, schedule, u_l, random_bloch(rng), np.eye(4) / 4, c=0.5)
+            out = run_cycle(MeasurementSetting(u_l, random_bloch(rng), t), p, tp, np.eye(4) / 4, c=0.5)
             purity_before = float(np.trace(bloch_to_density(u_l) @ bloch_to_density(u_l)).real)
             rho_a_after = bloch_to_density(out.u_ancilla)
             purity_after = float(np.trace(rho_a_after @ rho_a_after).real)
@@ -340,15 +331,14 @@ class TestRunCycle:
     def test_hierarchy_violation_warns(self):
         p = SpinModelParams(exchange=1e3)  # agonizingly slow gate dynamics
         tp = TunnelParams(gamma0=1e9, interdot_sq=1e9, detuning=1e10)
-        schedule = PulseSchedule(t_interact=1e-6)
+        setting = MeasurementSetting([0, 0, 1], [0, 0, 1], 1e-6)
         with pytest.warns(HierarchyWarning):
-            run_cycle(p, tp, schedule, [0, 0, 1], [0, 0, 1], np.eye(4) / 4, c=1.0)
+            run_cycle(setting, p, tp, np.eye(4) / 4, c=1.0)
 
     def test_hierarchy_threshold_is_honoured(self):
         p = hierarchy_ok_params(exchange=3e5)
         tp = quiet_tunnel()
-        schedule = PulseSchedule(t_interact=1e-6)
-        args = (p, tp, schedule, [0, 0, 1], [0, 0, 1], np.eye(4) / 4, 1.0)
+        args = (MeasurementSetting([0, 0, 1], [0, 0, 1], 1e-6), p, tp, np.eye(4) / 4, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", HierarchyWarning)
             run_cycle(*args)
@@ -360,11 +350,10 @@ class TestRunCycle:
         # must still be exactly 0, not a tiny negative number
         rng = np.random.default_rng(34)
         tp = quiet_tunnel()
-        schedule = PulseSchedule(t_interact=0.0)
         for _ in range(50):
             u = random_bloch(rng)
             u /= np.linalg.norm(u)
-            out = run_cycle(hierarchy_ok_params(), tp, schedule, u, -u, np.eye(4) / 4, c=1.0)
+            out = run_cycle(MeasurementSetting(u, -u, 0.0), hierarchy_ok_params(), tp, np.eye(4) / 4, c=1.0)
             assert 0.0 <= out.pr_pulse < 1e-15
 
 
@@ -376,3 +365,13 @@ class TestMeasurementSetting:
     def test_validates_time(self):
         with pytest.raises(ValueError):
             MeasurementSetting(u_left=(0, 0, 1), u_right=(0, 0, 1), t_interact=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        # nan slips past "norm > 1" and "t < 0", which are both False for it
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSetting(u_left=(bad, 0, 0), u_right=(0, 0, 1), t_interact=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSetting(u_left=(0, 0, 1), u_right=(0, bad, 0), t_interact=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSetting(u_left=(0, 0, 1), u_right=(0, 0, 1), t_interact=bad)

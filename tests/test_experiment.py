@@ -3,7 +3,7 @@ import pytest
 
 from spinturnstile.algebra import pauli_coordinates
 from spinturnstile.constants import ELEMENTARY_CHARGE, G_NUCLEAR_P31
-from spinturnstile.cycle import MeasurementSetting, PulseSchedule, run_cycle
+from spinturnstile.cycle import MeasurementSetting, run_cycle
 from spinturnstile.experiment import (
     calibrate,
     derive_setting_seed,
@@ -92,7 +92,7 @@ class TestCalibrate:
     def test_noiseless_unit_constant(self):
         tau, t_sq = 1e-10, 1e9
         pr = 1.0 * tau * t_sq * (1 + 1.0 * 1.0)
-        res = calibrate(pr, 1.0, 1.0, tau, t_sq)
+        res = calibrate(pr, 1.0, 1.0, TunnelParams(gamma0=t_sq, tau_detect=tau))
         assert res.c_hat == pytest.approx(1.0, abs=1e-12)
         assert res.residual < 1e-12
 
@@ -100,7 +100,7 @@ class TestCalibrate:
         tau, t_sq = 1e-10, 1e9
         pr = 0.5 * tau * t_sq * (1 + 1.0)
         assert pr == pytest.approx(tau * t_sq)
-        res = calibrate(pr, 1.0, 1.0, tau, t_sq)
+        res = calibrate(pr, 1.0, 1.0, TunnelParams(gamma0=t_sq, tau_detect=tau))
         assert res.c_hat == pytest.approx(0.5, abs=1e-12)
 
     def test_shot_noise_percent_accuracy(self):
@@ -108,14 +108,14 @@ class TestCalibrate:
         mag = 0.8
         pr = c_true * tau * t_sq * (1 + mag * mag)  # ~0.082
         rec = sample_cycles(pr, 10**6, seed=7)
-        res = calibrate(rec.pr_hat, mag, mag, tau, t_sq)
+        res = calibrate(rec.pr_hat, mag, mag, TunnelParams(gamma0=t_sq, tau_detect=tau))
         assert abs(res.c_hat - c_true) / c_true < 0.01
 
     def test_invalid_magnitudes(self):
         with pytest.raises(ValueError):
-            calibrate(0.1, 0.0, 1.0, 1e-10, 1e9)
+            calibrate(0.1, 0.0, 1.0, TunnelParams(gamma0=1e9, tau_detect=1e-10))
         with pytest.raises(ValueError):
-            calibrate(0.1, 1.0, 1.5, 1e-10, 1e9)
+            calibrate(0.1, 1.0, 1.5, TunnelParams(gamma0=1e9, tau_detect=1e-10))
 
 
 class TestSettingSeeds:
@@ -133,6 +133,15 @@ class TestSettingSeeds:
         a = MeasurementSetting(u_left=(0, 0, 1), u_right=(1, 0, 0), t_interact=1e-6)
         assert derive_setting_seed(1, a) != derive_setting_seed(2, a)
 
+    def test_model_override_seed_is_pinned(self):
+        # the digest covers every model field in declaration order, a null
+        # exchange included; a changed payload would reseed every override row
+        model = SpinModelParams(b_field=(0.0, 0.0, 0.01), g_nuclear=G_NUCLEAR_P31,
+                                hyperfine_gate=2e6, hopping=1e6, coulomb_u=1e9)
+        a = MeasurementSetting(u_left=(0, 0, 1), u_right=(1, 0, 0), t_interact=1e-6, model=model)
+        assert model.exchange is None
+        assert derive_setting_seed(42, a) == 1358241148
+
 
 class TestSweep:
     def axes_settings(self, t=4e-6):
@@ -148,9 +157,7 @@ class TestSweep:
         setting = self.axes_settings()[2]
         rows = run_sweep([setting], rho_gate=np.eye(4) / 4, **kw)
         assert len(rows) == 1 and rows[0].status == "ok"
-        outcome = run_cycle(kw["model"], kw["tunnel"],
-                            PulseSchedule(t_interact=setting.t_interact),
-                            setting.u_left, setting.u_right, np.eye(4) / 4, 1.0)
+        outcome = run_cycle(setting, kw["model"], kw["tunnel"], np.eye(4) / 4, 1.0)
         assert rows[0].pr == pytest.approx(outcome.pr_pulse, abs=1e-15)
         expected = sample_cycles(outcome.pr_pulse, 10_000, derive_setting_seed(123, setting))
         assert rows[0].record == expected
@@ -258,9 +265,7 @@ def test_sweep_cycle_and_design_agree(include_gate_hamiltonian):
                           include_gate_hamiltonian=include_gate_hamiltonian)
     pr_design = design.pulse_rows @ pauli_coordinates(rho)
     for row, s, pr_row in zip(rows, settings, pr_design):
-        schedule = PulseSchedule(t_interact=s.t_interact,
-                                 include_gate_hamiltonian=include_gate_hamiltonian)
-        out = run_cycle(s.model or base, tunnel, schedule, s.u_left, s.u_right, rho, c)
+        out = run_cycle(s, base, tunnel, rho, c, include_gate_hamiltonian)
         assert row.status == "ok"
         assert abs(row.pr - out.pr_pulse) <= 1e-15
         assert abs(row.pr - pr_row) <= 1e-15

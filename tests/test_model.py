@@ -194,3 +194,12 @@ class TestCharacteristicTimes:
         expect = report.ratio_dyn_res >= 100.0 and report.ratio_non_dyn >= 100.0
         assert report.satisfied == expect
         assert isinstance(report, HierarchyReport)
+
+
+class TestTunnelParams:
+    @pytest.mark.parametrize("field", ["gamma0", "interdot_sq", "detuning", "tau_detect", "tau_cycle"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, bad):
+        # nan passes "<= 0" and "< 0" checks; inf passes them too
+        with pytest.raises(ValueError, match="finite"):
+            TunnelParams(**{field: bad})

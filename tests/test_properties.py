@@ -4,8 +4,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinturnstile.cycle import induced_instrument
+from spinturnstile.algebra import pauli_coordinates
+from spinturnstile.constants import G_NUCLEAR_P31
+from spinturnstile.cycle import MeasurementSetting, induced_instrument
 from spinturnstile.experiment import propagate_cycles
+from spinturnstile.model import SpinModelParams, TunnelParams
+from spinturnstile.tomography import (
+    SINGLE_SPIN,
+    TWO_SPIN,
+    build_design,
+    density_to_theta,
+    forward_probabilities,
+    theta_to_density,
+)
 
 from oracles import choi_from_transfer, random_density, random_hermitian
 
@@ -66,3 +77,35 @@ def test_chain_state_stays_physical(cycle, seed):
     assert abs(np.trace(rho) - 1.0) < 1e-10
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-9
+
+
+DESIGN_MODEL = SpinModelParams(b_field=(0.0, 0.0, 0.01), g_nuclear=G_NUCLEAR_P31,
+                               hyperfine_gate=2.0e6, hyperfine_ancilla=1.1e6, exchange=7.0e5)
+measurement_settings = st.builds(
+    MeasurementSetting, u_left=polarizations, u_right=polarizations,
+    t_interact=st.floats(0.0, 2e-5, allow_nan=False),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(measurement_settings, min_size=1, max_size=4), unit_interval,
+       polarizations, polarizations, st.integers(0, 2**32 - 1), unit_interval)
+def test_design_is_affine_in_the_state(settings_, kappa, pol_a, pol_b, seed, lam):
+    # kappa = 2 c tau_detect gamma0 with the default tau_detect * gamma0 = 0.1
+    rng = np.random.default_rng(seed)
+    states = {
+        SINGLE_SPIN: [theta_to_density(p, SINGLE_SPIN) for p in (pol_a, pol_b)],
+        TWO_SPIN: [random_density(rng, 4) for _ in range(2)],
+    }
+    for mode, (rho_a, rho_b) in states.items():
+        design = build_design(settings_, DESIGN_MODEL, TunnelParams(), 5.0 * kappa, mode=mode)
+
+        def probabilities(rho):
+            exact = design.pulse_rows @ pauli_coordinates(rho)
+            affine = forward_probabilities(design, density_to_theta(rho, mode))
+            assert np.abs(affine - exact).max() < 1e-12
+            return exact
+
+        mixed = probabilities(lam * rho_a + (1.0 - lam) * rho_b)
+        expected = lam * probabilities(rho_a) + (1.0 - lam) * probabilities(rho_b)
+        assert np.abs(mixed - expected).max() < 1e-12
