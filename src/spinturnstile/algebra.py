@@ -41,6 +41,7 @@ __all__ = [
     "SpinOperatorSet",
     "kron",
     "partial_trace",
+    "evolve_unitaries",
     "evolve_unitary",
     "apply_unitary",
     "bloch_to_density",
@@ -121,36 +122,68 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     return np.einsum(sub, m.reshape(dims + dims)).reshape(kept_dim, kept_dim)
 
 
+def _hermitian_rows(m: np.ndarray, tol: float) -> np.ndarray:
+    """Entrywise Hermiticity of each matrix of an (R, d, d) stack, tolerance
+    scaled by the matrix magnitude; a non-finite matrix is not Hermitian."""
+    scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    return np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= tol * scale
+
+
 def is_hermitian(m: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """Entrywise Hermiticity check, tolerance scaled by the matrix magnitude."""
-    m = np.asarray(m)
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    return bool(np.abs(m - m.conj().T).max() <= tol * scale)
+    return bool(_hermitian_rows(np.asarray(m)[None], tol)[0])
+
+
+def evolve_unitaries(h: np.ndarray, t) -> tuple:
+    """Propagators ``exp(-i h_k t_k)`` of a stack of generators, from one ``eigh``.
+
+    ``h`` is an (R, d, d) stack in rad/s and ``t`` holds R times in seconds.
+    The eigendecomposition route keeps each result unitary to solver accuracy
+    even for large phases, unlike a truncated series.
+
+    Returns:
+        ``(u, errors)``: the (R, d, d) propagators and, per row, None or the
+        reason the row has no propagator: a generator that is not Hermitian
+        within tolerance, or a phase ``|w| t`` over ``MAX_PHASE`` rad. Such
+        rows never reach the exponential, and they hold the identity, as do
+        rows with ``t == 0`` or ``h == 0`` (exact, not ``V V^dag``, so
+        zero-phase evolution is noiseless).
+    """
+    h = np.asarray(h, dtype=complex)
+    t = np.asarray(t, dtype=float)
+    hermitian = _hermitian_rows(h, STRUCTURAL_TOL)
+    identity = ~hermitian | (t == 0.0) | ~h.any(axis=(1, 2))
+    w, v = np.linalg.eigh(np.where(identity[:, None, None], 0.0, h))
+    with np.errstate(over="ignore"):  # an infinite phase is over the limit too
+        phase = np.abs(w).max(axis=1) * np.abs(t)
+    lost = phase > MAX_PHASE
+    identity |= lost
+    phases = np.exp(-1j * w * np.where(identity, 0.0, t)[:, None])
+    u = (v * phases[:, None, :]) @ v.conj().swapaxes(1, 2)
+    u[identity] = np.eye(h.shape[1])
+    errors = []
+    for ok, over, p in zip(hermitian.tolist(), lost.tolist(), phase.tolist()):
+        if not ok:
+            errors.append("evolve_unitary requires a Hermitian generator")
+        elif over:
+            errors.append(f"propagator phase {p:.3g} rad exceeds {MAX_PHASE:.0e} rad: precision lost")
+        else:
+            errors.append(None)
+    return u, errors
 
 
 def evolve_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """Propagator ``exp(-i h t)`` of a Hermitian generator, via eigendecomposition.
-
-    ``h`` is in rad/s and ``t`` in seconds. The eigendecomposition route keeps
-    the result unitary to solver accuracy even for large phases, unlike a
-    truncated series.
+    """Propagator ``exp(-i h t)`` of one Hermitian generator: the one-row case
+    of :func:`evolve_unitaries`.
 
     Raises:
         ValueError: if ``h`` is not Hermitian within tolerance, or if a phase
             ``|w| t`` exceeds ``MAX_PHASE`` rad.
     """
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        raise ValueError("evolve_unitary requires a Hermitian generator")
-    if t == 0.0 or not np.any(h):
-        # exact identity, not V V^dag, so zero-phase evolution is noiseless
-        return np.eye(h.shape[0], dtype=complex)
-    w, v = np.linalg.eigh(h)
-    phase = float(np.abs(w).max()) * abs(float(t))
-    if phase > MAX_PHASE:
-        raise ValueError(f"propagator phase {phase:.3g} rad exceeds {MAX_PHASE:.0e} rad: precision lost")
-    phases = np.exp(-1j * w * float(t))
-    return (v * phases) @ v.conj().T
+    u, errors = evolve_unitaries(np.asarray(h)[None], [float(t)])
+    if errors[0] is not None:
+        raise ValueError(errors[0])
+    return u[0]
 
 
 def apply_unitary(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -204,14 +237,17 @@ _GATE_TRACE_ROWS = GATE_PAULI_BASIS.reshape(16, 16).conj()
 
 
 def pauli_coordinates(op: np.ndarray) -> np.ndarray:
-    """Real coordinates ``x_j = Re tr(op P_j)`` of a 4x4 gate operator.
+    """Real coordinates ``x_j = Re tr(op P_j)`` of a 4x4 gate operator, or of
+    each operator of a (..., 4, 4) stack along a new last axis.
 
     A gate state is ``rho = sum_j x_j P_j / 4`` with ``x_0 = tr(rho) = 1``.
     """
     op = np.asarray(op, dtype=complex)
-    if op.shape != (4, 4):
+    if op.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 gate operator")
-    return (_GATE_TRACE_ROWS @ op.reshape(16)).real
+    if op.ndim == 2:
+        return (_GATE_TRACE_ROWS @ op.reshape(16)).real
+    return (op.reshape(-1, 16) @ _GATE_TRACE_ROWS.T).real.reshape(op.shape[:-2] + (16,))
 
 
 def pauli_operator(coeffs) -> np.ndarray:

@@ -47,6 +47,7 @@ from .tomography import (
     build_design,
     density_to_theta,
     identifiability_report,
+    identified_parameters,
     parameter_labels,
     reconstruct,
 )
@@ -197,12 +198,14 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
     labels = parameter_labels(mode)
     std = (np.sqrt(np.clip(np.diag(result.covariance), 0.0, None))
            if result.covariance is not None else None)
+    # an unidentified parameter's estimate misses its null-space part: no error bar
+    identified = identified_parameters(design)
     rows = []
     for j, label in enumerate(labels):
         rows.append((
             label, float(theta_true[j]), float(result.theta_hat[j]),
             abs(float(result.theta_hat[j] - theta_true[j])),
-            float(std[j]) if std is not None else None,
+            float(std[j]) if std is not None and identified[j] else None,
         ))
     columns = ("parameter", "theta_true", "theta_hat", "abs_error", "std_pred")
     meta.update({

@@ -17,11 +17,13 @@ representation, Nielsen & Chuang ch. 8). Everything else follows from them:
 the pulse probability is the first row applied to ``x``, the ancilla
 polarization is ``ancilla_bloch @ x``, the POVM effects are the first rows
 expanded in the basis, and a post-measurement state is the image of ``x``
-renormalized by its first entry. :func:`setting_instrument` is the one route
-from a :class:`MeasurementSetting` to these matrices, and :func:`run_cycle`
-reads a cycle off them. Their agreement with the ancilla pathway (a second
-joint evolution of ``rho_A x rho``, a partial trace and the formula above,
-kept in ``tests/oracles.py``) is the central consistency check of the package.
+renormalized by its first entry. :func:`setting_instruments` is the one route
+from :class:`MeasurementSetting` values to these matrices, stacked a block of
+settings at a time; :func:`setting_instrument` is its one-row case, and
+:func:`run_cycle` reads a cycle off one row. Their agreement with the ancilla
+pathway (a second joint evolution of ``rho_A x rho``, a partial trace and the
+formula above, kept in ``tests/oracles.py``) is the central consistency check
+of the package.
 
 The detection POVM on the ancilla is the minimal two-outcome model that
 reproduces the pulse-probability formula: ``M_pulse = kappa (I + u_right .
@@ -42,31 +44,44 @@ from .algebra import (
     PAULIS,
     STRUCTURAL_TOL,
     bloch_to_density,
-    evolve_unitary,
+    evolve_unitaries,
     kron,
     pauli_coordinates,
     pauli_operator,
 )
-from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams, build_total_hamiltonian, characteristic_times
+from .model import (
+    HIERARCHY_THRESHOLD,
+    SpinModelParams,
+    TunnelParams,
+    hamiltonians,
+    hierarchy_norms,
+    hierarchy_report,
+    model_coefficients,
+)
 
 __all__ = [
+    "BLOCK_ROWS",
     "MeasurementSetting",
     "QuantumInstrument",
+    "InstrumentBlock",
     "CycleOutcome",
     "HierarchyWarning",
     "detection_strength",
     "induced_instrument",
+    "setting_instruments",
     "setting_instrument",
-    "warn_on_hierarchy",
     "run_cycle",
 ]
 
-# Row (a, i) is conj(sigma_a x P_i) flattened, with sigma_a over (I, X, Y, Z)
-# on the ancilla and P_i over the gate basis: a product with a flattened
-# joint operator A gives every tr[(sigma_a x P_i) A] at once.
-_JOINT_TRACE_ROWS = np.array(
-    [kron(s, p) for s in (IDENTITY_2,) + PAULIS for p in GATE_PAULI_BASIS]
-).reshape(64, 64).conj()
+# Settings per stacked pass of setting_instruments. Larger blocks hold more
+# memory at once and ran no faster per row (8, 16 and 32 were timed).
+BLOCK_ROWS = 16
+
+# Row a is kron(sigma_a, I_4) / 2 flattened, sigma_a over (I, X, Y, Z): the
+# ancilla state rho_A x I of polarization u is (1, u) times these rows.
+_ANCILLA_INPUTS = 0.5 * np.array([kron(s, np.eye(4)) for s in (IDENTITY_2,) + PAULIS]).reshape(4, 64)
+# kron(I_2, P_j) side by side: column block j of W @ _GATE_RIGHT is W (I x P_j).
+_GATE_RIGHT = np.array([kron(IDENTITY_2, p) for p in GATE_PAULI_BASIS]).transpose(1, 0, 2).reshape(8, 128)
 
 
 class HierarchyWarning(UserWarning):
@@ -128,9 +143,8 @@ class QuantumInstrument:
         return pauli_operator(self.nopulse[0])
 
     def pulse_probability(self, rho_gate: np.ndarray) -> float:
-        """``Pr(pulse | rho)``; a valid instrument gives [0, kappa], so the clamp
-        to [0, 1] only removes rounding (e.g. antiparallel unit leads)."""
-        return min(max(float(self.pulse[0] @ pauli_coordinates(rho_gate)), 0.0), 1.0)
+        """``Pr(pulse | rho)``; see :func:`_pulse_probabilities`."""
+        return float(_pulse_probabilities(self.pulse, rho_gate))
 
     def apply(self, rho_gate: np.ndarray, pulse: bool):
         """Conditional post-measurement state and its probability.
@@ -143,6 +157,41 @@ class QuantumInstrument:
         if prob <= 1e-14:
             return None, max(prob, 0.0)
         return pauli_operator(post / prob) / 4.0, prob
+
+
+@dataclass(frozen=True)
+class InstrumentBlock:
+    """Instruments of consecutive settings, stacked along a first axis.
+
+    Row ``k`` holds the :class:`QuantumInstrument` fields of setting
+    ``start + k``, or, when ``errors[k]`` is not None, meaningless numbers and
+    in ``errors[k]`` the reason that setting has no instrument.
+    """
+
+    start: int
+    pulse: np.ndarray
+    nopulse: np.ndarray
+    ancilla_bloch: np.ndarray
+    kappa: float
+    errors: tuple
+
+    def instrument(self, k: int) -> QuantumInstrument:
+        """The instrument of row ``k``; raises ``ValueError`` with the row's error."""
+        if self.errors[k] is not None:
+            raise ValueError(self.errors[k])
+        return QuantumInstrument(pulse=self.pulse[k], nopulse=self.nopulse[k],
+                                 ancilla_bloch=self.ancilla_bloch[k], kappa=self.kappa)
+
+    def pulse_probabilities(self, rho_gate: np.ndarray) -> np.ndarray:
+        """``Pr(pulse | rho)`` of every row; see :func:`_pulse_probabilities`."""
+        return _pulse_probabilities(self.pulse, rho_gate)
+
+
+def _pulse_probabilities(pulse: np.ndarray, rho_gate: np.ndarray) -> np.ndarray:
+    """``Pr(pulse | rho)`` of one or a stack of pulse transfer matrices. A
+    valid instrument gives [0, kappa], so the clamp to [0, 1] only removes
+    rounding (e.g. antiparallel unit leads)."""
+    return np.clip(pulse[..., 0, :] @ pauli_coordinates(rho_gate), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -166,6 +215,54 @@ def detection_strength(c: float, tau_detect: float, t_sq: float) -> float:
     return 2.0 * c * tau_detect * t_sq
 
 
+def _kappa_error(kappa: float) -> str | None:
+    """Why the detection POVM of strength ``kappa`` is unphysical, or None."""
+    if kappa > 1.0 + STRUCTURAL_TOL:
+        return (f"detection strength kappa={kappa} exceeds 1; reduce detection.c, "
+                "tunnel.tau_detect_s or tunnel.gamma0_per_s")
+    return None
+
+
+def _instrument_block(start: int, h: np.ndarray, t, u_left: np.ndarray, u_right: np.ndarray,
+                      kappa: float) -> InstrumentBlock:
+    """Instruments of stacked rows: Hamiltonians ``h`` (R, 8, 8), times ``t``
+    and lead polarizations (R, 3), with detection strength ``kappa``.
+
+    For every gate basis element ``P_j`` the joint state ``U (rho_A x P_j)
+    U^dag`` is partially traced against ``sigma_a x I`` (``a`` over I, X, Y,
+    Z), which gives the response ``R[a, i, j] = tr[(sigma_a x P_i) U (rho_A x
+    P_j) U^dag] / 4`` of :func:`induced_instrument`. Since ``U (rho_A x P_j)
+    = W (I x P_j)`` with ``W = U (rho_A x I)``, all 16 joint states of a row
+    come from two matrix products.
+    """
+    u, errors = evolve_unitaries(h, t)
+    kappa_error = _kappa_error(kappa)
+    if kappa_error is not None:
+        errors = [kappa_error] * len(errors)
+    n = len(u)
+    w = u @ (_with_trace(u_left) @ _ANCILLA_INPUTS).reshape(n, 8, 8)
+    joint = (w.reshape(8 * n, 8) @ _GATE_RIGHT).reshape(n, 128, 8) @ u.conj().swapaxes(1, 2)
+    # [row, k, g, j, l, h] = <k g| U (rho_A x P_j) U^dag |l h>, ancilla k, l
+    blocks = joint.reshape(n, 2, 4, 16, 2, 4)
+    o00, o01 = blocks[:, 0, :, :, 0], blocks[:, 0, :, :, 1]
+    o10, o11 = blocks[:, 1, :, :, 0], blocks[:, 1, :, :, 1]
+    # Tr_A[(sigma_a x I) X] = sum_kl sigma_a[l, k] X_kl, as [row, g, j, h]
+    traced = (o00 + o11, o01 + o10, 1j * (o01 - o10), o00 - o11)
+    weights = 0.5 * kappa * _with_trace(u_right)
+    pulse_ops = sum(weights[:, a, None, None, None] * traced[a] for a in range(4))
+    ancilla_bloch = 0.25 * np.stack(traced[1:], 1).trace(axis1=2, axis2=4).real
+    # images of P_j as [row, map, j, g, h], then their coordinates as [.., i, j]
+    images = np.stack((traced[0], pulse_ops), 1).transpose(0, 1, 3, 2, 4)
+    total, pulse = np.moveaxis(0.25 * pauli_coordinates(images).swapaxes(2, 3), 1, 0)
+    return InstrumentBlock(start=start, pulse=pulse, nopulse=total - pulse,
+                           ancilla_bloch=ancilla_bloch, kappa=kappa, errors=tuple(errors))
+
+
+def _with_trace(u: np.ndarray) -> np.ndarray:
+    """(R, 3) polarizations as (R, 4) coefficients of (I, X, Y, Z)."""
+    return np.concatenate((np.ones((len(u), 1)), u), axis=1)
+
+
 def induced_instrument(
     u_left,
     u_right,
@@ -184,34 +281,70 @@ def induced_instrument(
     ``a`` (``a = 0`` is the trace), and ``R[0]`` is the unconditional map on
     the gate. The detection POVM ``M_pulse = kappa/2 sum_a (1, u_right)_a
     sigma_a`` then weights the ancilla components: ``pulse = kappa/2 sum_a
-    (1, u_right)_a R[a]`` and ``nopulse = R[0] - pulse``.
+    (1, u_right)_a R[a]`` and ``nopulse = R[0] - pulse``. This is the one-row
+    case of the stacked computation :func:`setting_instruments` runs.
 
     Raises:
         ValueError: if ``u_left`` or ``u_right`` is not a polarization vector,
-            or if the detection strength ``kappa`` exceeds 1 (the POVM would
-            not be positive: unphysical detection).
+            if the detection strength ``kappa`` exceeds 1 (the POVM would
+            not be positive: unphysical detection), or if
+            :func:`evolve_unitaries` gives no propagator.
     """
     kappa = detection_strength(c, tau_detect, t_sq)
-    if kappa > 1.0 + STRUCTURAL_TOL:
-        raise ValueError(f"detection strength kappa={kappa} exceeds 1; reduce c, tau_detect or t_sq")
-    rho_a = bloch_to_density(u_left)
+    error = _kappa_error(kappa)
+    if error is not None:
+        raise ValueError(error)
+    bloch_to_density(u_left)  # validates u_left
     u_right = np.asarray(u_right, dtype=float)
     if u_right.shape != (3,) or float(np.linalg.norm(u_right)) > 1.0 + STRUCTURAL_TOL:
         raise ValueError("u_right must be a 3-vector of norm <= 1")
-    u = evolve_unitary(h_total, t)
+    return _instrument_block(0, np.asarray(h_total)[None], [float(t)],
+                             np.asarray(u_left, dtype=float)[None], u_right[None], kappa).instrument(0)
 
-    # kron(rho_a, P_j) for every j, as (16, 8, 8)
-    inputs = np.einsum("ab,jcd->jacbd", rho_a, GATE_PAULI_BASIS).reshape(16, 8, 8)
-    outputs = u @ inputs @ u.conj().T
-    response = 0.25 * (_JOINT_TRACE_ROWS @ outputs.reshape(16, 64).T).real.reshape(4, 16, 16)
 
-    pulse = 0.5 * kappa * np.tensordot(np.concatenate(([1.0], u_right)), response, axes=1)
-    return QuantumInstrument(
-        pulse=pulse,
-        nopulse=response[0] - pulse,
-        ancilla_bloch=response[1:, 0],
-        kappa=kappa,
-    )
+def setting_instruments(
+    settings,
+    model: SpinModelParams,
+    tunnel: TunnelParams,
+    c: float,
+    include_gate_hamiltonian: bool = True,
+    *,
+    threshold: float | None = None,
+):
+    """Yield the instruments of a sequence of settings, one
+    :class:`InstrumentBlock` per ``BLOCK_ROWS`` consecutive settings.
+
+    Each setting uses its own model override when it has one and ``model``
+    otherwise; the detection window and the escape transparency
+    (``t_sq = gamma0``) come from ``tunnel``. A block's Hamiltonians come from
+    one product with the generator stack, its propagators from one ``eigh``
+    and its transfer matrices from a few stacked products; a block is built
+    only when the previous one has been consumed. A setting that has no
+    instrument (detection strength above 1, lost propagator phase) gets an
+    error message in its row instead of stopping the others.
+
+    With a ``threshold``, every setting whose model's time scales are not
+    separated by it emits a :class:`HierarchyWarning`, in row order, at the
+    caller of the code iterating this generator.
+    """
+    settings = list(settings)
+    kappa = detection_strength(c, tunnel.tau_detect, tunnel.gamma0)
+    for start in range(0, len(settings), BLOCK_ROWS):
+        block = settings[start:start + BLOCK_ROWS]
+        coefficients = model_coefficients(s.model if s.model is not None else model for s in block)
+        if threshold is not None:
+            for norm in hierarchy_norms(coefficients).tolist():
+                report = hierarchy_report(norm, tunnel, threshold=threshold)
+                if not report.satisfied:
+                    warnings.warn(
+                        "time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+                        f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})",
+                        HierarchyWarning,
+                        stacklevel=3,
+                    )
+        yield _instrument_block(start, hamiltonians(coefficients, include_gate_hamiltonian),
+                                [s.t_interact for s in block], np.array([s.u_left for s in block]),
+                                np.array([s.u_right for s in block]), kappa)
 
 
 def setting_instrument(
@@ -221,29 +354,10 @@ def setting_instrument(
     c: float,
     include_gate_hamiltonian: bool = True,
 ) -> QuantumInstrument:
-    """The instrument one setting induces on the gate.
-
-    Uses the setting's own model override when it has one and ``model``
-    otherwise; the detection window and the escape transparency
-    (``t_sq = gamma0``) come from ``tunnel``.
-    """
-    h_total = build_total_hamiltonian(setting.model if setting.model is not None else model,
-                                      include_gate_hamiltonian)
-    return induced_instrument(setting.u_left, setting.u_right, h_total, setting.t_interact,
-                              c, tunnel.tau_detect, tunnel.gamma0)
-
-
-def warn_on_hierarchy(params: SpinModelParams, tunnel: TunnelParams, threshold: float) -> None:
-    """Emit a :class:`HierarchyWarning` at the caller's caller when the device
-    time scales are not separated by ``threshold``."""
-    report = characteristic_times(params, tunnel, threshold=threshold)
-    if not report.satisfied:
-        warnings.warn(
-            "time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
-            f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})",
-            HierarchyWarning,
-            stacklevel=3,
-        )
+    """The instrument one setting induces on the gate: the one-row case of
+    :func:`setting_instruments`, raising ``ValueError`` where that reports an
+    error."""
+    return next(setting_instruments([setting], model, tunnel, c, include_gate_hamiltonian)).instrument(0)
 
 
 def run_cycle(
@@ -265,8 +379,8 @@ def run_cycle(
     ``threshold`` (the protocol's instantaneous-switching assumptions are
     then questionable), but still computes the ideal-limit result.
     """
-    warn_on_hierarchy(setting.model if setting.model is not None else model, tunnel, threshold)
-    instrument = setting_instrument(setting, model, tunnel, c, include_gate_hamiltonian)
+    instrument = next(setting_instruments([setting], model, tunnel, c, include_gate_hamiltonian,
+                                          threshold=threshold)).instrument(0)
     rho_pulse, _ = instrument.apply(rho_gate, pulse=True)
     rho_nopulse, _ = instrument.apply(rho_gate, pulse=False)
     return CycleOutcome(

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import pauli_coordinates, pauli_operator
-from .cycle import MeasurementSetting, QuantumInstrument, setting_instrument, warn_on_hierarchy
+from .cycle import MeasurementSetting, QuantumInstrument, setting_instruments
 from .constants import ELEMENTARY_CHARGE
 from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
@@ -231,8 +231,9 @@ def run_sweep(
 ):
     """Evaluate a grid of measurement settings with shot statistics.
 
-    Each row checks its model's time-scale hierarchy against ``threshold``,
-    builds the setting's instrument, then samples ``n_cycles`` shots.
+    The settings' instruments come from :func:`setting_instruments`, which
+    also checks each row's time-scale hierarchy against ``threshold``; each
+    row then samples ``n_cycles`` shots.
     ``mode`` chooses between independent cycles ("refresh") and the
     back-action chain ("propagate"). Invalid settings produce a row with an
     error status instead of aborting the sweep.
@@ -247,26 +248,29 @@ def run_sweep(
         raise ValueError("sweep requires at least one setting")
 
     rows = []
-    for idx, setting in enumerate(settings):
-        try:
-            warn_on_hierarchy(setting.model if setting.model is not None else model, tunnel, threshold)
-            instrument = setting_instrument(setting, model, tunnel, c, include_gate_hamiltonian)
-            pr = instrument.pulse_probability(rho_gate)
-            row_seed = derive_setting_seed(seed, setting)
-            if mode == "refresh":
-                record = sample_cycles(pr, n_cycles, row_seed)
-            else:
-                chain = propagate_cycles(instrument, rho_gate, n_cycles, row_seed)
-                record = ShotRecord(
-                    n_cycles=chain.n_cycles,
-                    n_pulses=chain.n_pulses,
-                    pr_hat=chain.pr_hat,
-                    std_err=chain.std_err,
-                    seed=chain.seed,
-                )
-            current = estimate_current(record, tunnel.tau_cycle)
-            rows.append(SweepRow(index=idx, setting=setting, pr=pr, record=record, current=current))
-        except ValueError as exc:
-            rows.append(SweepRow(index=idx, setting=setting, pr=float("nan"),
-                                 record=None, current=None, status=f"error: {exc}"))
+    for block in setting_instruments(settings, model, tunnel, c, include_gate_hamiltonian,
+                                     threshold=threshold):
+        probabilities = block.pulse_probabilities(rho_gate).tolist()
+        for k, setting in enumerate(settings[block.start:block.start + len(block.errors)]):
+            idx = block.start + k
+            try:
+                instrument = block.instrument(k)
+                pr = probabilities[k]
+                row_seed = derive_setting_seed(seed, setting)
+                if mode == "refresh":
+                    record = sample_cycles(pr, n_cycles, row_seed)
+                else:
+                    chain = propagate_cycles(instrument, rho_gate, n_cycles, row_seed)
+                    record = ShotRecord(
+                        n_cycles=chain.n_cycles,
+                        n_pulses=chain.n_pulses,
+                        pr_hat=chain.pr_hat,
+                        std_err=chain.std_err,
+                        seed=chain.seed,
+                    )
+                current = estimate_current(record, tunnel.tau_cycle)
+                rows.append(SweepRow(index=idx, setting=setting, pr=pr, record=record, current=current))
+            except ValueError as exc:
+                rows.append(SweepRow(index=idx, setting=setting, pr=float("nan"),
+                                     record=None, current=None, status=f"error: {exc}"))
     return rows

@@ -38,6 +38,10 @@ __all__ = [
     "build_interaction_hamiltonian",
     "build_ancilla_zeeman",
     "build_total_hamiltonian",
+    "model_coefficients",
+    "hamiltonians",
+    "hierarchy_norms",
+    "hierarchy_report",
     "effective_exchange",
     "gamma_rate",
     "characteristic_times",
@@ -160,22 +164,69 @@ class HierarchyReport:
     tau_dyn_finite: bool = True
 
 
-def _three_vector_dot(coeff_vec, site: int) -> np.ndarray:
-    """``sum_a v_a sigma_a`` embedded at ``site`` of the 3-spin space."""
-    h = np.zeros((_DIM, _DIM), dtype=complex)
-    for axis in range(3):
-        c = float(coeff_vec[axis])
-        if c != 0.0:
-            h += c * _SITES.op(site, axis)
-    return h
-
-
 def _pauli_dot_pauli(site_a: int, site_b: int) -> np.ndarray:
     """Isotropic ``sigma . sigma`` coupling between two sites."""
-    h = np.zeros((_DIM, _DIM), dtype=complex)
-    for axis in range(3):
-        h += _SITES.op(site_a, axis) @ _SITES.op(site_b, axis)
-    return h
+    return sum(_SITES.op(site_a, axis) @ _SITES.op(site_b, axis) for axis in range(3))
+
+
+# H is linear in the couplings: H = sum_k coefficient_k G_k over this fixed
+# stack of Hermitian generators (flattened), in the order of _coefficients.
+_GENERATORS = np.array(
+    [_SITES.op(site, axis) for site in (_ELECTRON, _NUCLEUS, _ANCILLA) for axis in range(3)]
+    + [_pauli_dot_pauli(_NUCLEUS, _ELECTRON), _pauli_dot_pauli(_ELECTRON, _ANCILLA),
+       _pauli_dot_pauli(_NUCLEUS, _ANCILLA), np.eye(_DIM)]
+).reshape(13, _DIM * _DIM)
+_GATE_TERMS = [0, 1, 2, 3, 4, 5, 9, 12]
+_INTERACTION_TERMS = [10, 11]
+_ANCILLA_ZEEMAN_TERMS = [6, 7, 8]
+_TOTAL_TERMS = list(range(13))
+# The traceless gate+interaction part: everything but the ancilla Zeeman term
+# and the level offset (the only generator with a trace).
+_HIERARCHY_TERMS = [0, 1, 2, 3, 4, 5, 9, 10, 11]
+
+
+def _coefficients(p: SpinModelParams) -> tuple:
+    """Coefficients of the generator stack for one model."""
+    bx, by, bz = p.b_field
+    el, nuc, anc = p.g_electron * MU_B_PER_HBAR, p.g_nuclear * MU_B_PER_HBAR, p.g_ancilla * MU_B_PER_HBAR
+    return (el * bx, el * by, el * bz, nuc * bx, nuc * by, nuc * bz, anc * bx, anc * by, anc * bz,
+            p.hyperfine_gate, p.exchange_value(), p.hyperfine_ancilla, p.level_offset)
+
+
+def model_coefficients(models) -> np.ndarray:
+    """(R, 13) coefficients of the fixed generator stack, one row per model.
+
+    Every Hamiltonian of this module is a product of such rows with the
+    stack, so a block of models costs one matrix product.
+    """
+    return np.array([_coefficients(p) for p in models], dtype=float).reshape(-1, 13)
+
+
+def _combine(coefficients: np.ndarray, terms) -> np.ndarray:
+    """(R, 8, 8) Hamiltonians made of the listed generators only."""
+    return (coefficients[:, terms] @ _GENERATORS[terms]).reshape(-1, _DIM, _DIM)
+
+
+def hamiltonians(coefficients: np.ndarray, include_gate_hamiltonian: bool = True) -> np.ndarray:
+    """Hamiltonians active during the interaction window, one per coefficient row.
+
+    With ``include_gate_hamiltonian`` (the default) this is the full physical
+    generator: interaction + gate internal terms + ancilla Zeeman. With it
+    disabled only the ancilla-gate interaction acts, which isolates the
+    information transfer from the free precession.
+    """
+    return _combine(coefficients, _TOTAL_TERMS if include_gate_hamiltonian else _INTERACTION_TERMS)
+
+
+def hierarchy_norms(coefficients: np.ndarray) -> np.ndarray:
+    """Spectral norm of the traceless gate+interaction Hamiltonian of each
+    coefficient row, from one stacked ``eigvalsh`` (the trace part is a global
+    phase and generates no dynamics). A Hamiltonian that overflows float64
+    gets NaN, and the other rows still get their norms."""
+    h = _combine(coefficients, _HIERARCHY_TERMS)
+    finite = np.isfinite(h).all(axis=(1, 2))
+    norms = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], h, 0.0))).max(axis=1)
+    return np.where(finite, norms, np.nan)
 
 
 def build_gate_hamiltonian(p: SpinModelParams) -> np.ndarray:
@@ -185,13 +236,7 @@ def build_gate_hamiltonian(p: SpinModelParams) -> np.ndarray:
     + hyperfine_gate sigma_nuc . sigma_el`` acting on sites 1 (gate electron)
     and 2 (nucleus), identity on the ancilla.
     """
-    b = np.asarray(p.b_field, dtype=float)
-    h = float(p.level_offset) * np.eye(_DIM, dtype=complex)
-    h += _three_vector_dot(p.g_electron * MU_B_PER_HBAR * b, _ELECTRON)
-    h += _three_vector_dot(p.g_nuclear * MU_B_PER_HBAR * b, _NUCLEUS)
-    if p.hyperfine_gate != 0.0:
-        h += p.hyperfine_gate * _pauli_dot_pauli(_NUCLEUS, _ELECTRON)
-    return h
+    return _combine(model_coefficients([p]), _GATE_TERMS)[0]
 
 
 def build_interaction_hamiltonian(p: SpinModelParams) -> np.ndarray:
@@ -200,33 +245,18 @@ def build_interaction_hamiltonian(p: SpinModelParams) -> np.ndarray:
     ``H = J sigma_el . sigma_anc + hyperfine_ancilla sigma_nuc . sigma_anc``
     where ``J`` is the effective exchange (hopping folded into superexchange).
     """
-    h = np.zeros((_DIM, _DIM), dtype=complex)
-    j = p.exchange_value()
-    if j != 0.0:
-        h += j * _pauli_dot_pauli(_ELECTRON, _ANCILLA)
-    if p.hyperfine_ancilla != 0.0:
-        h += p.hyperfine_ancilla * _pauli_dot_pauli(_NUCLEUS, _ANCILLA)
-    return h
+    return _combine(model_coefficients([p]), _INTERACTION_TERMS)[0]
 
 
 def build_ancilla_zeeman(p: SpinModelParams) -> np.ndarray:
     """Zeeman term of the ancilla electron in the external field."""
-    b = np.asarray(p.b_field, dtype=float)
-    return _three_vector_dot(p.g_ancilla * MU_B_PER_HBAR * b, _ANCILLA)
+    return _combine(model_coefficients([p]), _ANCILLA_ZEEMAN_TERMS)[0]
 
 
 def build_total_hamiltonian(p: SpinModelParams, include_gate_hamiltonian: bool = True) -> np.ndarray:
-    """Hamiltonian active during the interaction window.
-
-    With ``include_gate_hamiltonian`` (the default) this is the full physical
-    generator: interaction + gate internal terms + ancilla Zeeman. With it
-    disabled only the ancilla-gate interaction acts, which isolates the
-    information transfer from the free precession.
-    """
-    h = build_interaction_hamiltonian(p)
-    if include_gate_hamiltonian:
-        h = h + build_gate_hamiltonian(p) + build_ancilla_zeeman(p)
-    return h
+    """Hamiltonian of one model during the interaction window: the one-row
+    case of :func:`hamiltonians`."""
+    return hamiltonians(model_coefficients([p]), include_gate_hamiltonian)[0]
 
 
 def effective_exchange(hopping: float, coulomb_u: float) -> float:
@@ -271,11 +301,29 @@ def characteristic_times(
 ) -> HierarchyReport:
     """Evaluate the three device time scales and check their separation.
 
+    The one-model case of :func:`hierarchy_report`, with the norm from
+    :func:`hierarchy_norms`.
+
+    Raises:
+        ValueError: if the model's Hamiltonian overflows float64.
+    """
+    norm = float(hierarchy_norms(model_coefficients([p]))[0])
+    if math.isnan(norm):
+        raise ValueError("the model Hamiltonian overflows float64")
+    return hierarchy_report(norm, tp, delta_off, threshold)
+
+
+def hierarchy_report(
+    norm: float,
+    tp: TunnelParams,
+    delta_off: float | None = None,
+    threshold: float = HIERARCHY_THRESHOLD,
+) -> HierarchyReport:
+    """Device time scales of a model whose :func:`hierarchy_norms` entry is ``norm``.
+
     ``tau_res`` is the on-resonance escape time, ``tau_non`` the leakage time
     at detuning ``delta_off`` (default: ``tp.detuning``), and ``tau_dyn`` the
-    joint spin-dynamics time estimated as ``2 pi / ||H||`` with the spectral
-    norm of the traceless part of the gate+interaction Hamiltonian (the
-    trace part is a global phase and generates no dynamics).
+    joint spin-dynamics time estimated as ``2 pi / norm``.
 
     A rate that vanishes in floating point (e.g. leakage through a barrier
     with ``gamma0`` near the underflow limit) gives an infinite time.
@@ -287,9 +335,6 @@ def characteristic_times(
     tau_res = _inverse(gamma_rate(0.0, tp))
     tau_non = _inverse(gamma_rate(delta_off, tp))
 
-    h = build_gate_hamiltonian(p) + build_interaction_hamiltonian(p)
-    h = h - (np.trace(h) / _DIM) * np.eye(_DIM)
-    norm = float(np.abs(np.linalg.eigvalsh(h)).max())
     finite = norm > 0.0
     tau_dyn = 2.0 * math.pi / norm if finite else math.inf
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GATE_PAULI_BASIS, PAULI_PRODUCT_LABELS, pauli_coordinates
-from .cycle import setting_instrument
+from .cycle import setting_instruments
 from .model import SpinModelParams, TunnelParams
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "build_design",
     "forward_probabilities",
     "reconstruct",
+    "identified_parameters",
     "identifiability_report",
 ]
 
@@ -62,6 +63,10 @@ TWO_SPIN = "two_spin"
 # directions in the design matrix. Subnormal singular values, whose inverse
 # overflows, always count as zero.
 RANK_TOL = 1e-10
+# A parameter whose unit vector has a null-space component of larger norm is
+# not identified by the design: its estimate misses that component, so no
+# error bar describes it.
+NULL_OVERLAP_TOL = 1e-6
 
 
 class RankDeficientWarning(UserWarning):
@@ -250,8 +255,11 @@ def build_design(
         raise ValueError("at least one setting is required")
 
     pulse_rows = np.empty((len(settings), 16))
-    for i, s in enumerate(settings):
-        pulse_rows[i] = setting_instrument(s, model, tunnel, c, include_gate_hamiltonian).pulse[0]
+    for block in setting_instruments(settings, model, tunnel, c, include_gate_hamiltonian):
+        for error in block.errors:
+            if error is not None:
+                raise ValueError(error)
+        pulse_rows[block.start:block.start + len(block.errors)] = block.pulse[:, 0]
     matrix = pulse_rows[:, 1 : 1 + n_parameters(mode)]
     offset = pulse_rows[:, 0]
 
@@ -334,6 +342,12 @@ def reconstruct(design: TomographyDesign, pr_measured, shot_counts=None) -> Reco
         condition_number=design.condition_number,
         null_space=design.null_space,
     )
+
+
+def identified_parameters(design: TomographyDesign) -> np.ndarray:
+    """Per parameter, whether the design identifies it: whether its unit vector
+    has no null-space component of norm above ``NULL_OVERLAP_TOL``."""
+    return np.linalg.norm(design.null_space, axis=1) <= NULL_OVERLAP_TOL
 
 
 def identifiability_report(design: TomographyDesign) -> IdentifiabilityReport:

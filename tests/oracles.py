@@ -177,6 +177,29 @@ def pauli_product_basis() -> tuple:
     return tuple(kron_bruteforce(_ORACLE_PAULIS[l[0]], _ORACLE_PAULIS[l[1]]) for l in labels)
 
 
+def spin_hamiltonian(p, include_gate_hamiltonian: bool = True) -> np.ndarray:
+    """The model Hamiltonian written out term by term with explicit tensor
+    products on (ancilla, gate electron, nucleus); ``p`` is a SpinModelParams."""
+    from spinturnstile.constants import MU_B_PER_HBAR
+
+    paulis = [_ORACLE_PAULIS[k] for k in "XYZ"]
+
+    def at(site, op):
+        factors = [_ORACLE_PAULIS["I"]] * 3
+        factors[site] = op
+        return kron_bruteforce(kron_bruteforce(factors[0], factors[1]), factors[2])
+
+    def dot(site_a, site_b):
+        return sum(at(site_a, s) @ at(site_b, s) for s in paulis)
+
+    h = p.exchange_value() * dot(1, 0) + p.hyperfine_ancilla * dot(2, 0)
+    if include_gate_hamiltonian:
+        h = h + p.level_offset * np.eye(8) + p.hyperfine_gate * dot(2, 1)
+        for g, site in ((p.g_ancilla, 0), (p.g_electron, 1), (p.g_nuclear, 2)):
+            h = h + sum(g * MU_B_PER_HBAR * b * at(site, s) for b, s in zip(p.b_field, paulis))
+    return h
+
+
 def kraus_instrument(u_left, u_right, u: np.ndarray, kappa: float):
     """Kraus operators of both conditional maps of a readout cycle.
 

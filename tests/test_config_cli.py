@@ -17,6 +17,7 @@ from spinturnstile.config import (
     serialize_config,
 )
 from spinturnstile.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from spinturnstile.cycle import HierarchyWarning
 from spinturnstile.results import ResultTable, render_csv, render_jsonl, write_results
 from spinturnstile.tomography import TWO_SPIN, theta_to_density
 
@@ -244,7 +245,7 @@ class TestCli:
         assert code == EXIT_VALIDATION
 
     @pytest.mark.parametrize("command", ["cycle", "calibrate"])
-    def test_detection_strength_above_one_exit_3(self, tmp_path, command):
+    def test_detection_strength_above_one_exit_3(self, tmp_path, capsys, command):
         # kappa = 2 * 1 * 6e-10 * 1e9 = 1.2, while the calibration probability
         # c tau gamma0 (1 + 0.25) = 0.75 alone would look valid
         cfg = {"tunnel": {"tau_detect_s": 6e-10},
@@ -252,6 +253,8 @@ class TestCli:
         code, out = run_cli(tmp_path, command, cfg)
         assert code == EXIT_VALIDATION
         assert not out.exists()
+        # the message names the config keys that set kappa
+        assert "gamma0_per_s" in capsys.readouterr().err
 
     @pytest.mark.parametrize("gamma0", [1e-150, 1e-170, 1e-300, 5e-324])
     @pytest.mark.parametrize("command", ["rates", "cycle"])
@@ -296,6 +299,19 @@ class TestCli:
         rows = list(csv.DictReader(lines))
         assert len(rows) == 3
         assert all(r["status"].startswith("error: propagator phase") for r in rows)
+
+    def test_overflowing_hamiltonian(self, tmp_path):
+        # g mu_B B overflows float64: rates and cycle exit 3, and each sweep row
+        # becomes an error row instead of failing the whole sweep
+        cfg = {"model": {"g_electron": 1e300, "b_field_tesla": [0, 0, 1e300]}}
+        assert run_cli(tmp_path, "rates", cfg)[0] == EXIT_VALIDATION
+        with pytest.warns(HierarchyWarning):
+            assert run_cli(tmp_path, "cycle", cfg)[0] == EXIT_VALIDATION
+        with pytest.warns(HierarchyWarning):
+            code, out = run_cli(tmp_path, "sweep", cfg)
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+        assert len(rows) == 3 and all(r["status"].startswith("error: ") for r in rows)
 
     @pytest.mark.parametrize("threshold, warned", [(100.0, False), (1e9, True)])
     @pytest.mark.parametrize("command", ["cycle", "sweep"])
@@ -357,6 +373,28 @@ class TestCli:
         assert not meta["identifiable"]
         for line in lines[1:]:
             json.loads(line)
+
+    @pytest.mark.parametrize("mode, settings, identified", [
+        # both leads along z: only ZI reaches the pulse probability
+        ("single_spin", [{"u_left": {"direction": "z"}, "u_right": {"direction": "z"}}], {"ZI"}),
+        # the default three settings: rank 3 of 15
+        ("two_spin", None, set()),
+    ])
+    def test_unidentified_parameters_have_no_std_pred(self, tmp_path, mode, settings, identified):
+        tomo = {"mode": mode, "noise": "shot"}
+        if settings is not None:
+            tomo["settings"] = settings
+        from spinturnstile.tomography import RankDeficientWarning
+
+        with pytest.warns(RankDeficientWarning):
+            code, out = run_cli(tmp_path, "tomography", {"tomography": tomo})
+        assert code == EXIT_OK
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        assert {r["parameter"] for r in rows if r["std_pred"] != ""} == identified
+        for r in rows:
+            if r["parameter"] in identified:
+                assert 0.0 < float(r["std_pred"]) < 1.0
 
     def test_tomography_noiseless_recovers_state(self, tmp_path):
         cfg = dict(FULL)

@@ -3,14 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from spinturnstile.algebra import bloch_to_density, evolve_unitary, kron
+from spinturnstile.algebra import bloch_to_density, evolve_unitary, kron, pauli_coordinates
 from spinturnstile.constants import G_NUCLEAR_P31, MU_B_PER_HBAR
 from spinturnstile.cycle import (
+    BLOCK_ROWS,
     HierarchyWarning,
     MeasurementSetting,
     detection_strength,
     induced_instrument,
     run_cycle,
+    setting_instruments,
 )
 from spinturnstile.model import SpinModelParams, TunnelParams, build_total_hamiltonian
 
@@ -25,6 +27,7 @@ from oracles import (
     random_density,
     random_hermitian,
     rotate_about_axis,
+    spin_hamiltonian,
 )
 
 RNG_SCALE = 1.0  # random Hamiltonians in these tests use order-1 rad/s and order-1 s
@@ -375,3 +378,69 @@ class TestMeasurementSetting:
             MeasurementSetting(u_left=(0, 0, 1), u_right=(0, bad, 0), t_interact=0.0)
         with pytest.raises(ValueError, match="finite"):
             MeasurementSetting(u_left=(0, 0, 1), u_right=(0, 0, 1), t_interact=bad)
+
+
+class TestSettingInstruments:
+    """The batched setting -> instrument route against the oracles, row by row."""
+
+    N = 2 * BLOCK_ROWS + 3  # two full blocks and a partial one
+
+    def settings(self, rng):
+        zero = SpinModelParams()  # H = 0 whatever the gate terms
+        zeeman_only = SpinModelParams(b_field=(3e-5, -2e-5, 1e-4), g_electron=2.0, g_ancilla=1.5)
+        out = []
+        for k in range(self.N):
+            if k % 4 == 1:
+                model = SpinModelParams(
+                    b_field=tuple(rng.normal(scale=1e-4, size=3)), g_electron=rng.uniform(-2, 2),
+                    g_nuclear=rng.uniform(-2e-3, 2e-3), g_ancilla=rng.uniform(-2, 2),
+                    hyperfine_gate=rng.normal(scale=2e6), hyperfine_ancilla=rng.normal(scale=2e6),
+                    exchange=rng.normal(scale=2e6), level_offset=rng.normal(scale=1e6))
+            else:
+                model = (None, None, zero, zeeman_only)[k % 4]
+            t = 0.0 if k % 5 == 0 else rng.uniform(1e-7, 3e-6)
+            out.append(MeasurementSetting(u_left=tuple(random_bloch(rng)),
+                                          u_right=tuple(random_bloch(rng)), t_interact=t, model=model))
+        return out
+
+    @staticmethod
+    def stacked(settings, base, tunnel, c, include):
+        blocks = list(setting_instruments(settings, base, tunnel, c, include))
+        assert [b.start for b in blocks] == list(range(0, len(settings), BLOCK_ROWS))
+        assert all(e is None for b in blocks for e in b.errors)
+        return [np.concatenate([getattr(b, name) for b in blocks])
+                for name in ("pulse", "nopulse", "ancilla_bloch")]
+
+    @pytest.mark.parametrize("include", [True, False])
+    def test_rows_match_oracles(self, include):
+        rng = np.random.default_rng(2024)
+        base = hierarchy_ok_params(exchange=1.3e6, hyperfine_ancilla=4e5, hyperfine_gate=2e6,
+                                   b_field=(2e-5, 0.0, 1e-4))
+        tunnel, c = quiet_tunnel(), 3.1
+        kappa = detection_strength(c, tunnel.tau_detect, tunnel.gamma0)
+        settings = self.settings(rng)
+        pulse, nopulse, bloch = self.stacked(settings, base, tunnel, c, include)
+        for k, s in enumerate(settings):
+            h = spin_hamiltonian(s.model or base, include)
+            w, v = np.linalg.eigh(h)
+            u = (v * np.exp(-1j * w * s.t_interact)) @ v.conj().T
+            kraus_p, kraus_n = kraus_instrument(s.u_left, s.u_right, u, kappa)
+            assert np.abs(pulse[k] - liouville_matrix(kraus_p)).max() < 1e-12
+            assert np.abs(nopulse[k] - liouville_matrix(kraus_n)).max() < 1e-12
+            # ancilla pathway: a second joint evolution and a partial trace
+            rho = random_density(rng, 4)
+            _, u_anc = ancilla_state(joint_evolve(prepare_ancilla(s.u_left), rho, h, s.t_interact))
+            x = pauli_coordinates(rho)
+            assert np.abs(bloch[k] @ x - u_anc).max() < 1e-12
+            pr = detection_probability(u_anc, s.u_right, c, tunnel.tau_detect, tunnel.gamma0)
+            assert abs(pulse[k, 0] @ x - pr) < 1e-12
+
+    def test_row_order_does_not_matter(self):
+        rng = np.random.default_rng(2025)
+        base, tunnel = hierarchy_ok_params(exchange=1.3e6), quiet_tunnel()
+        settings = self.settings(rng)
+        perm = rng.permutation(self.N)
+        ordered = self.stacked(settings, base, tunnel, 2.0, True)
+        shuffled = self.stacked([settings[i] for i in perm], base, tunnel, 2.0, True)
+        for a, b in zip(ordered, shuffled):
+            assert np.array_equal(a[perm], b)

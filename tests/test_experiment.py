@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from spinturnstile.algebra import pauli_coordinates
 from spinturnstile.constants import ELEMENTARY_CHARGE, G_NUCLEAR_P31
-from spinturnstile.cycle import MeasurementSetting, run_cycle
+from spinturnstile.cycle import BLOCK_ROWS, HierarchyWarning, MeasurementSetting, run_cycle
 from spinturnstile.experiment import (
     calibrate,
     derive_setting_seed,
@@ -224,6 +226,38 @@ class TestSweep:
         assert len(rows) == 3
         assert all(r.status.startswith("error:") for r in rows)
         assert all(r.record is None for r in rows)
+
+    def test_lost_phase_rows_mixed_in(self):
+        # rows whose propagator phase carries no information become error rows
+        # at their own indices, without numpy warnings and without touching
+        # the valid rows around them, across block boundaries
+        kw = self.common()
+        valid = [MeasurementSetting(u_left=(0, 0, 1.0), u_right=ax, t_interact=t)
+                 for t in (1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 6e-6, 7e-6, 8e-6, 9e-6, 1e-5, 1.1e-5, 1.2e-5)
+                 for ax in [(1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)]]
+        bad = MeasurementSetting(u_left=(0, 0, 1.0), u_right=(1.0, 0, 0), t_interact=1e300)
+        settings = [s for k, v in enumerate(valid) for s in ((bad, v) if k % 3 == 0 else (v,))]
+        assert len(settings) > 2 * BLOCK_ROWS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = run_sweep(settings, rho_gate=np.eye(4) / 4, **kw)
+            alone = run_sweep(valid, rho_gate=np.eye(4) / 4, **kw)
+        ok_rows = []
+        for row, s in zip(rows, settings):
+            if s is bad:
+                assert row.status.startswith("error: propagator phase")
+                assert "exceeds" in row.status and row.record is None
+            else:
+                ok_rows.append(row)
+        assert [r.index for r in rows] == list(range(len(settings)))
+        assert len(ok_rows) == len(alone)
+        for row, ref in zip(ok_rows, alone):
+            assert row.status == "ok" and row.setting == ref.setting
+            assert row.record == ref.record and row.pr == ref.pr
+
+        with pytest.warns(HierarchyWarning) as caught:
+            run_sweep(settings, rho_gate=np.eye(4) / 4, threshold=1e9, **kw)
+        assert len([w for w in caught if w.category is HierarchyWarning]) == len(settings)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
