@@ -28,6 +28,7 @@ from .constants import ELEMENTARY_CHARGE
 from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
 __all__ = [
+    "RUN_BLOCK",
     "ShotRecord",
     "ChainRecord",
     "CalibrationResult",
@@ -41,7 +42,17 @@ __all__ = [
     "run_sweep",
 ]
 
-_MIXED_COORDINATES = np.eye(16)[0]
+_IDENTITY = np.eye(16)
+_MIXED_COORDINATES = _IDENTITY[0]
+
+# Cycles of a no-pulse run decided by one stacked product in
+# :func:`propagate_cycles`; a chain's stacks hold 2 * (RUN_BLOCK + 1) 16x16
+# matrices (0.14 MB).
+RUN_BLOCK = 32
+# Run probabilities are ratios over no-pulse survivals ``(Q^j x)[0]``; below
+# this floor a ratio could carry over 2**16 times the rounding of the
+# per-cycle rule, so the run is renormalized there or stepped one cycle.
+_SURVIVAL_FLOOR = 2.0 ** -16
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,11 @@ class ShotRecord:
 
 @dataclass(frozen=True)
 class ChainRecord:
-    """Pulse statistics of a back-action chain (cycles not independent)."""
+    """Pulse statistics of a back-action chain (cycles not independent).
+
+    ``resets`` counts no-pulse branches of nonpositive probability, after
+    which the state was reset to maximally mixed; a valid instrument has none.
+    """
 
     n_cycles: int
     n_pulses: int
@@ -67,6 +82,7 @@ class ChainRecord:
     outcomes: np.ndarray
     probs: np.ndarray
     rho_final: np.ndarray
+    resets: int
 
 
 class CurrentEstimate(NamedTuple):
@@ -113,35 +129,119 @@ def sample_cycles(pr: float, n: int, seed: int) -> ShotRecord:
     return ShotRecord(n_cycles=n, n_pulses=n_pulses, pr_hat=pr_hat, std_err=std_err, seed=int(seed))
 
 
+def _run_stacks(pulse: np.ndarray, nopulse: np.ndarray, m: int):
+    """Stacks for sampling no-pulse runs of up to ``m`` cycles.
+
+    Returns ``(powers, jumps, heads)``: ``powers[j] = Q^j`` with
+    ``Q = nopulse``, built by doubling, and ``jumps[j] = pulse @ Q^j``, both
+    for ``j <= m``; ``heads`` stacks their first rows, so that ``heads @ x``
+    holds every survival ``(Q^j x)[0]`` and then every pulse numerator
+    ``(pulse Q^j x)[0]``.
+    """
+    powers = np.empty((m + 1, 16, 16))
+    powers[0] = _IDENTITY
+    powers[1] = nopulse
+    filled = 2
+    while filled <= m:
+        # Q^(filled + r) = Q^(filled - 1) Q^(1 + r) from rows already filled.
+        step = min(filled - 1, m + 1 - filled)
+        np.matmul(powers[filled - 1], powers[1:1 + step], out=powers[filled:filled + step])
+        filled += step
+    jumps = pulse @ powers
+    return powers, jumps, np.concatenate((powers[:, 0], jumps[:, 0]))
+
+
 def propagate_cycles(instrument: QuantumInstrument, rho_gate: np.ndarray, n: int, seed: int) -> ChainRecord:
     """Run ``n`` cycles carrying the conditional gate state across cycles.
 
-    Each cycle applies the pulse transfer matrix to the gate state's Pauli
-    coordinates; the first entry of the result is the pulse probability. The
-    outcome is drawn against a uniform variate pre-drawn from the seeded
-    generator, and the state is replaced by the selected branch renormalized
-    by its first entry.
+    The state is the gate's Pauli coordinates ``x``. Cycle ``i`` pulses when
+    the ``i``-th uniform variate pre-drawn from the seeded generator lies
+    below the pulse probability ``(pulse @ x)[0]``; the state becomes the
+    selected branch renormalized by its first entry.
+
+    The chain is sampled run by run. Between pulses the state is
+    deterministic: ``j`` no-pulse cycles after ``x`` it is ``Q^j x``
+    renormalized, with ``Q = nopulse``, and the pulse probability there is
+    ``(pulse[0] Q^j x) / (Q^j x)[0]``. A cycle after a pulse is checked
+    alone. After a no-pulse cycle, one product of ``x`` with stacked rows of
+    ``Q^j`` and ``pulse[0] Q^j`` gives the probabilities of the next
+    ``RUN_BLOCK`` cycles; the first uniform below its probability marks the
+    next pulse, and a stacked ``pulse Q^j`` takes ``x`` to the state after
+    it. A block without a pulse moves ``x`` along the run by a stacked
+    ``Q^j``. The state is renormalized at every pulse and at every block
+    end. The uniforms and the comparisons are those of the per-cycle rule,
+    so the outcomes equal it unless a uniform lies within rounding (about
+    1e-16) of its probability. This needs the no-pulse survival not to grow
+    along a run, which holds for every physical instrument: positive maps
+    whose effects sum to the identity.
+
+    A no-pulse branch of nonpositive probability, unreachable for a valid
+    instrument, resets the state to maximally mixed; ``resets`` counts it.
+    ``probs`` is clamped to [0, 1]; the comparisons need no clamp.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
+    uniforms = np.random.default_rng(seed).random(n)
     pulse, nopulse = instrument.pulse, instrument.nopulse
     x = pauli_coordinates(rho_gate)
     outcomes = np.zeros(n, dtype=np.uint8)
     probs = np.empty(n)
-    for i, uniform in enumerate(rng.random(n).tolist()):
+    n_pulses = resets = 0
+    powers = None
+    u = uniforms.tolist()
+    i = 0
+    while i < n:
         post = pulse @ x
-        p_pulse = min(max(float(post[0]), 0.0), 1.0)
+        p_pulse = float(post[0])
         probs[i] = p_pulse
-        if uniform < p_pulse:
+        if u[i] < p_pulse:
             outcomes[i] = 1
+            n_pulses += 1
             x = post / p_pulse
-        else:
-            post = nopulse @ x
-            p_no = float(post[0])
-            # Unreachable for a valid instrument; keep the chain alive.
-            x = post / p_no if p_no > 0.0 else _MIXED_COORDINATES
-    n_pulses = int(outcomes.sum())
+            i += 1
+            continue
+        # Cycle i gave no pulse and x is the state before it. Decide the
+        # next cycles from one product with the stacks, h[j] = (Q^j x)[0]
+        # and h[m + 1 + j] = (pulse Q^j x)[0], until a pulse; after a block
+        # without one, x moves to the state before the block's last cycle.
+        while True:
+            k = min(RUN_BLOCK, n - 1 - i)
+            cut = 1
+            if k:
+                if powers is None:
+                    m = k
+                    powers, jumps, heads = _run_stacks(pulse, nopulse, m)
+                h = heads @ x
+                # Survivals do not grow along a run, so the last one tells
+                # whether any falls below the floor; cut at the first that does.
+                cut = k + 1 if h[k] >= _SURVIVAL_FLOOR else int((h[:k + 1] >= _SURVIVAL_FLOOR).argmin())
+            if cut <= 1:
+                # Cycle i's no-pulse branch alone: the last cycle, or a
+                # survival too small for the stacked product.
+                post = nopulse @ x
+                p_no = float(post[0])
+                if p_no > 0.0:
+                    x = post / p_no
+                else:
+                    # Unreachable for a valid instrument; keep the chain alive.
+                    x = _MIXED_COORDINATES
+                    resets += 1
+                i += 1
+                break
+            p_run = np.divide(h[m + 2:m + 1 + cut], h[1:cut], out=probs[i + 1:i + cut])
+            fired = uniforms[i + 1:i + cut] < p_run
+            j = int(fired.argmax())
+            if fired[j]:
+                outcomes[i + j + 1] = 1
+                n_pulses += 1
+                post = jumps[j + 1] @ x
+                x = post / post[0]
+                i += j + 2
+                break
+            post = powers[cut - 1] @ x
+            x = post / post[0]
+            i += cut - 1
+    np.minimum(np.maximum(probs, 0.0, out=probs), 1.0, out=probs)
     pr_hat = n_pulses / n
     # Binomial-shaped error bar; only indicative since the chain correlates cycles.
     std_err = float(np.sqrt(pr_hat * (1.0 - pr_hat) / n))
@@ -154,6 +254,7 @@ def propagate_cycles(instrument: QuantumInstrument, rho_gate: np.ndarray, n: int
         outcomes=outcomes,
         probs=probs,
         rho_final=pauli_operator(x) / 4.0,
+        resets=resets,
     )
 
 

@@ -279,3 +279,38 @@ def kraus_chain(kraus_pulse, kraus_nopulse, rho0, uniforms):
             p_no = float(np.trace(sigma).real)
             rho = sigma / p_no if p_no > 0.0 else np.eye(4) / 4
     return outcomes, probs, rho
+
+
+def stepwise_chain(instrument, rho0, uniforms):
+    """Conditional-state chain by transfer matrices, one cycle at a time.
+
+    Per cycle: the pulse branch ``pulse @ x``, its first entry as the
+    (clipped) pulse probability, the outcome drawn against the supplied
+    uniform, and the selected branch renormalized; a no-pulse branch of
+    nonpositive probability resets the state to maximally mixed. Returns
+    ``(outcomes, probs, rho_final, resets)``.
+    """
+    from spinturnstile.algebra import pauli_coordinates, pauli_operator
+
+    pulse, nopulse = instrument.pulse, instrument.nopulse
+    x = pauli_coordinates(rho0)
+    n = len(uniforms)
+    outcomes = np.zeros(n, dtype=np.uint8)
+    probs = np.empty(n)
+    resets = 0
+    for i, uniform in enumerate(np.asarray(uniforms).tolist()):
+        post = pulse @ x
+        p_pulse = min(max(float(post[0]), 0.0), 1.0)
+        probs[i] = p_pulse
+        if uniform < p_pulse:
+            outcomes[i] = 1
+            x = post / p_pulse
+        else:
+            post = nopulse @ x
+            p_no = float(post[0])
+            if p_no > 0.0:
+                x = post / p_no
+            else:
+                x = np.eye(16)[0]
+                resets += 1
+    return outcomes, probs, pauli_operator(x) / 4.0, resets

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from spinturnstile.algebra import check_density_matrix, evolve_unitary
-from spinturnstile.cycle import induced_instrument
-from spinturnstile.experiment import propagate_cycles
+from spinturnstile.config import parse_config
+from spinturnstile.cycle import QuantumInstrument, induced_instrument, setting_instrument
+from spinturnstile.experiment import RUN_BLOCK, propagate_cycles
 from spinturnstile.model import SpinModelParams, build_total_hamiltonian
 
-from oracles import kraus_chain, kraus_instrument, random_density
+from oracles import kraus_chain, kraus_instrument, random_density, stepwise_chain
 
 U_LEFT, U_RIGHT = [0, 0, 1.0], [1.0, 0, 0]
 
@@ -21,6 +24,27 @@ def make_hamiltonian(exchange=3e5):
 
 def make_instrument(exchange=3e5, t=4e-6, kappa_c=0.9):
     return induced_instrument(U_LEFT, U_RIGHT, make_hamiltonian(exchange), t, kappa_c, 1e-10, 1e9)
+
+
+def default_probes(c):
+    """Gate state and instruments of the default sweep's three probes at detection constant c."""
+    cfg = parse_config({"detection": {"c": c}})
+    return cfg.gate_state.density(), [
+        setting_instrument(s.to_setting(), cfg.model, cfg.tunnel, c, cfg.include_gate_hamiltonian)
+        for s in cfg.sweep_settings
+    ]
+
+
+def assert_matches_stepwise(inst, rho0, n, seed):
+    """The chain equals the per-cycle transfer-matrix rule on the same uniforms."""
+    rec = propagate_cycles(inst, rho0, n, seed=seed)
+    outcomes, probs, rho_final, resets = stepwise_chain(inst, rho0, np.random.default_rng(seed).random(n))
+    assert np.array_equal(rec.outcomes, outcomes)
+    assert rec.n_pulses == int(outcomes.sum())
+    assert np.abs(rec.probs - probs).max() < 1e-12
+    assert np.abs(rec.rho_final - rho_final).max() < 1e-10
+    assert rec.resets == resets
+    return rec
 
 
 class TestPropagateCycles:
@@ -68,3 +92,80 @@ class TestPropagateCycles:
         assert np.array_equal(rec.outcomes, outcomes)
         assert np.abs(rec.probs - probs).max() < 1e-12
         assert np.abs(rec.rho_final - rho_final).max() < 1e-10
+
+
+class TestRunLengthSampler:
+    @pytest.mark.parametrize("c", [1.0, 0.05, 0.01])
+    def test_default_probes_match_stepwise(self, c):
+        rho0, instruments = default_probes(c)
+        for k, inst in enumerate(instruments):
+            rec = assert_matches_stepwise(inst, rho0, 10_000, seed=k + 1)
+            assert 0 < rec.n_pulses < 10_000
+            assert rec.resets == 0
+
+    def test_long_low_probability_row(self):
+        rho0, instruments = default_probes(0.01)
+        rec = assert_matches_stepwise(instruments[2], rho0, 200_000, seed=17)
+        assert rec.pr_hat < 0.01
+
+    @pytest.mark.parametrize("n", [1, 2, RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1, 3 * RUN_BLOCK + 5])
+    @pytest.mark.parametrize("c", [1.0, 0.01])
+    def test_short_and_partial_blocks(self, n, c):
+        # at c = 0.01 most chains end inside a run, so the final state comes
+        # from a partial block
+        rho0, instruments = default_probes(c)
+        for seed in range(8):
+            for inst in instruments:
+                assert_matches_stepwise(inst, rho0, n, seed)
+
+    def test_pulse_dense_chain_raises_no_warning(self):
+        # kappa = 1: after a no-pulse cycle the z/z probe pulses surely, so
+        # the no-pulse survival two cycles on is zero
+        rho0, instruments = default_probes(5.0)
+        assert instruments[2].kappa == pytest.approx(1.0)
+        n = 10_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k, inst in enumerate(instruments):
+                rec = propagate_cycles(inst, rho0, n, seed=k + 1)
+                outcomes, _, _, _ = stepwise_chain(inst, rho0, np.random.default_rng(k + 1).random(n))
+                assert np.array_equal(rec.outcomes, outcomes)
+        assert rec.n_pulses > 0.999 * n
+
+    def test_underflowing_survival(self):
+        # the no-pulse image shrinks by 1e-200 per cycle, so survivals of a
+        # stacked run underflow; the per-cycle rule renormalizes every cycle
+        rho0 = random_density(np.random.default_rng(60), 4)
+        inst = QuantumInstrument(pulse=0.3 * np.eye(16), nopulse=1e-200 * np.eye(16),
+                                 ancilla_bloch=np.zeros((3, 16)), kappa=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = assert_matches_stepwise(inst, rho0, 3 * RUN_BLOCK + 5, seed=6)
+        assert 0 < rec.n_pulses < rec.n_cycles
+
+    @pytest.mark.parametrize("scale", [-0.1, 1.25])
+    def test_probabilities_clamped_in_record_only(self, scale):
+        # a pulse probability below 0 never fires and one above 1 always does
+        inst = QuantumInstrument(pulse=scale * np.eye(16), nopulse=0.5 * np.eye(16),
+                                 ancilla_bloch=np.zeros((3, 16)), kappa=1.0)
+        rec = propagate_cycles(inst, np.eye(4) / 4, 3 * RUN_BLOCK + 5, seed=9)
+        outcomes, probs, _, _ = stepwise_chain(inst, np.eye(4) / 4, np.random.default_rng(9).random(rec.n_cycles))
+        assert np.array_equal(rec.outcomes, outcomes)
+        assert np.array_equal(rec.probs, probs)
+        assert rec.n_pulses == (rec.n_cycles if scale > 1 else 0)
+
+    def test_resets_counted(self):
+        # Pr = 1/2 always; a no-pulse cycle from the mixed state leaves ZI = -1,
+        # whose no-pulse image has a zero first entry, so every second
+        # no-pulse cycle resets the state to maximally mixed
+        nopulse = 0.5 * np.eye(16)
+        nopulse[0, 3] = 0.5
+        nopulse[3, 0] = nopulse[3, 3] = -0.5
+        inst = QuantumInstrument(pulse=0.5 * np.eye(16), nopulse=nopulse,
+                                 ancilla_bloch=np.zeros((3, 16)), kappa=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = assert_matches_stepwise(inst, np.eye(4) / 4, 2_000, seed=8)
+        assert 0.2 * rec.n_cycles < rec.resets < 0.4 * rec.n_cycles
+        assert np.all(rec.probs == 0.5)
+        check_density_matrix(rec.rho_final, tol=1e-12)

@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinturnstile
 from spinturnstile.config import (
     ConfigSyntaxError,
     ConfigValidationError,
@@ -20,6 +23,12 @@ from spinturnstile.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, mai
 from spinturnstile.cycle import HierarchyWarning
 from spinturnstile.results import ResultTable, render_csv, render_jsonl, write_results
 from spinturnstile.tomography import TWO_SPIN, theta_to_density
+
+
+def package_env() -> dict:
+    """The environment, with PYTHONPATH finding the package this test run imported."""
+    src = str(Path(spinturnstile.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 MINIMAL = "{}"
@@ -321,7 +330,7 @@ class TestCli:
         cfg_path.write_text(json.dumps({"hierarchy_threshold": threshold}))
         proc = subprocess.run(
             [sys.executable, "-m", "spinturnstile", command, "--config", str(cfg_path)],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=package_env(),
         )
         assert proc.returncode == 0
         assert ("HierarchyWarning" in proc.stderr) == warned
@@ -349,7 +358,7 @@ class TestCli:
         cfg_path.write_text(json.dumps(FULL))
         proc = subprocess.run(
             [sys.executable, "-m", "spinturnstile", "rates", "--config", str(cfg_path)],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=package_env(),
         )
         assert proc.returncode == 0
         assert "tau_res_s" in proc.stdout

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from spinturnstile.algebra import pauli_coordinates
 from spinturnstile.constants import G_NUCLEAR_P31
 from spinturnstile.cycle import MeasurementSetting, induced_instrument
-from spinturnstile.experiment import propagate_cycles
+from spinturnstile.experiment import RUN_BLOCK, propagate_cycles
 from spinturnstile.model import SpinModelParams, TunnelParams
 from spinturnstile.tomography import (
     SINGLE_SPIN,
@@ -18,7 +18,7 @@ from spinturnstile.tomography import (
     theta_to_density,
 )
 
-from oracles import choi_from_transfer, random_density, random_hermitian
+from oracles import choi_from_transfer, random_density, random_hermitian, stepwise_chain
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -77,6 +77,19 @@ def test_chain_state_stays_physical(cycle, seed):
     assert abs(np.trace(rho) - 1.0) < 1e-10
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-9
+
+
+@PROPERTY_SETTINGS
+@given(readout_cycles, st.integers(1, 3 * RUN_BLOCK + 5), st.integers(0, 2**32 - 1))
+def test_chain_matches_stepwise_rule(cycle, n, seed):
+    inst = build(cycle)
+    rho0 = random_density(np.random.default_rng(seed), 4)
+    rec = propagate_cycles(inst, rho0, n, seed=seed)
+    outcomes, probs, rho_final, resets = stepwise_chain(inst, rho0, np.random.default_rng(seed).random(n))
+    assert np.array_equal(rec.outcomes, outcomes)
+    assert np.abs(rec.probs - probs).max() < 1e-12
+    assert np.abs(rec.rho_final - rho_final).max() < 1e-10
+    assert rec.resets == resets == 0
 
 
 DESIGN_MODEL = SpinModelParams(b_field=(0.0, 0.0, 0.01), g_nuclear=G_NUCLEAR_P31,
