@@ -43,7 +43,6 @@ __all__ = [
     "partial_trace",
     "evolve_unitaries",
     "evolve_unitary",
-    "apply_unitary",
     "bloch_to_density",
     "density_to_bloch",
     "pauli_coordinates",
@@ -186,11 +185,6 @@ def evolve_unitary(h: np.ndarray, t: float) -> np.ndarray:
     return u[0]
 
 
-def apply_unitary(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Conjugate a state: ``u @ rho @ u^dagger``."""
-    return u @ rho @ u.conj().T
-
-
 def bloch_to_density(u) -> np.ndarray:
     """Spin-1/2 density matrix ``(I + u . sigma) / 2`` from a polarization vector.
 
@@ -231,9 +225,12 @@ GATE_PAULI_BASIS = np.array(
     [kron(IDENTITY_2, IDENTITY_2)]
     + [kron(_PAULI_OF[label[0]], _PAULI_OF[label[1]]) for label in PAULI_PRODUCT_LABELS]
 )
+# Row j is P_j flattened, so coefficients times these rows give the flattened
+# operator sum_j c_j P_j.
+_GATE_BASIS_ROWS = GATE_PAULI_BASIS.reshape(16, 16)
 # Row j is conj(P_j) flattened, so a product with a flattened operator A gives
 # tr(P_j A) (the P_j are Hermitian).
-_GATE_TRACE_ROWS = GATE_PAULI_BASIS.reshape(16, 16).conj()
+_GATE_TRACE_ROWS = _GATE_BASIS_ROWS.conj()
 
 
 def pauli_coordinates(op: np.ndarray) -> np.ndarray:
@@ -252,7 +249,7 @@ def pauli_coordinates(op: np.ndarray) -> np.ndarray:
 
 def pauli_operator(coeffs) -> np.ndarray:
     """Hermitian 4x4 operator ``sum_j c_j P_j`` from 16 real coefficients."""
-    return np.tensordot(np.asarray(coeffs, dtype=float), GATE_PAULI_BASIS, axes=1)
+    return (np.asarray(coeffs, dtype=float) @ _GATE_BASIS_ROWS).reshape(4, 4)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,25 @@
-"""Run configuration: JSON schema, validation and canonical serialization.
+"""Run configuration: JSON schema, validation and the resolved configuration.
 
 A run configuration is a single JSON document with explicit unit-bearing
 field names (``_per_s`` for rates and angular frequencies, ``_s`` for times,
 ``_tesla`` for fields). Parsing applies documented defaults, rejects unknown
-keys, and reports semantic violations with the full field path. The resolved
-configuration can be serialized back to JSON canonically; parsing that text
-reproduces an equal :class:`RunConfig`.
+keys, and reports semantic violations with the full field path. The model,
+tunnel, lead and experiment sections are each stated once, as a field table
+that drives their parsing, defaults and resolved form. :func:`resolved_dict`
+gives the configuration with every default applied, in the schema's shape;
+the command line embeds it in every output, and parsing it reproduces an
+equal :class:`RunConfig`.
 """
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from .algebra import PAULI_PRODUCT_LABELS
 from .constants import G_NUCLEAR_P31
 from .cycle import MeasurementSetting
 from .model import SpinModelParams, TunnelParams
@@ -30,7 +36,6 @@ __all__ = [
     "TomographySpec",
     "RunConfig",
     "parse_config",
-    "serialize_config",
     "resolved_dict",
     "config_digest",
     "GATE_PRESETS",
@@ -54,26 +59,21 @@ class ConfigValidationError(ConfigError):
 
 
 # Gate-state presets, expressed as 15-component two-spin parameter vectors
-# (order: XI YI ZI IX IY IZ XX XY XZ YX YY YZ ZX ZY ZZ).
-def _preset_vec(**entries):
-    labels = ("XI", "YI", "ZI", "IX", "IY", "IZ",
-              "XX", "XY", "XZ", "YX", "YY", "YZ", "ZX", "ZY", "ZZ")
-    vec = [0.0] * 15
-    for key, val in entries.items():
-        vec[labels.index(key)] = val
-    return tuple(vec)
-
-
+# in PAULI_PRODUCT_LABELS order.
 GATE_PRESETS = {
-    "maximally_mixed": _preset_vec(),
-    "pure_up": _preset_vec(ZI=1.0, IZ=1.0, ZZ=1.0),
-    "singlet": _preset_vec(XX=-1.0, YY=-1.0, ZZ=-1.0),
+    name: tuple(entries.get(label, 0.0) for label in PAULI_PRODUCT_LABELS)
+    for name, entries in (
+        ("maximally_mixed", {}),
+        ("pure_up", {"ZI": 1.0, "IZ": 1.0, "ZZ": 1.0}),
+        ("singlet", {"XX": -1.0, "YY": -1.0, "ZZ": -1.0}),
+    )
 }
 
 
 @dataclass(frozen=True)
 class LeadSpec:
-    """Lead polarization: a direction (any nonzero 3-vector) and a magnitude."""
+    """Lead polarization: a direction (any nonzero 3-vector of finite norm)
+    and a magnitude."""
 
     direction: tuple
     magnitude: float
@@ -177,8 +177,11 @@ def _as_float(value, path: str, minimum=None, maximum=None, allow_none=False):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigValidationError(path, "expected a number")
-    value = float(value)
-    if not np.isfinite(value):
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigValidationError(path, "must be finite") from None
+    if not math.isfinite(value):
         raise ConfigValidationError(path, "must be finite")
     if minimum is not None and value < minimum:
         raise ConfigValidationError(path, f"must be >= {minimum}")
@@ -187,11 +190,13 @@ def _as_float(value, path: str, minimum=None, maximum=None, allow_none=False):
     return value
 
 
-def _as_int(value, path: str, minimum=None):
+def _as_int(value, path: str, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigValidationError(path, "expected an integer")
     if minimum is not None and value < minimum:
         raise ConfigValidationError(path, f"must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigValidationError(path, f"must be <= {maximum}")
     return int(value)
 
 
@@ -213,82 +218,101 @@ def _as_vec3(value, path: str):
     return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _parse_model(obj, path: str, base: dict | None = None) -> SpinModelParams:
+def _as_direction(value, path: str) -> tuple:
+    if isinstance(value, str):
+        if value not in _AXES:
+            raise ConfigValidationError(path, "axis name must be 'x', 'y' or 'z'")
+        return _AXES[value]
+    direction = _as_vec3(value, path)
+    # The norm LeadSpec.vector() divides by: an overflow to inf would turn the
+    # lead into an unpolarized one.
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        raise ConfigValidationError(path, "must be a nonzero vector")
+    if not math.isfinite(norm):
+        raise ConfigValidationError(path, "norm must be finite")
+    return direction
+
+
+# Section field tables: JSON key -> (dataclass field, default, reader). Each
+# table gives its section's keys, their order in the resolved configuration,
+# their defaults and their checks.
+_MODEL_FIELDS = {
+    "b_field_tesla": ("b_field", (0.0, 0.0, 0.01), _as_vec3),
+    "g_electron": ("g_electron", 0.0, _as_float),
+    "g_nuclear": ("g_nuclear", G_NUCLEAR_P31, _as_float),
+    "g_ancilla": ("g_ancilla", 0.0, _as_float),
+    "hyperfine_gate_per_s": ("hyperfine_gate", 2.0e6, _as_float),
+    "hyperfine_ancilla_per_s": ("hyperfine_ancilla", 1.1e6, _as_float),
+    "hopping_per_s": ("hopping", 0.0, _as_float),
+    "coulomb_u_per_s": ("coulomb_u", 0.0, partial(_as_float, minimum=0.0)),
+    "exchange_per_s": ("exchange", 7.0e5, partial(_as_float, allow_none=True)),
+    "level_offset_per_s": ("level_offset", 0.0, _as_float),
+}
+
+_TUNNEL_FIELDS = {
+    "gamma0_per_s": ("gamma0", TunnelParams.gamma0, _as_float),
+    "interdot_sq_per_s": ("interdot_sq", TunnelParams.interdot_sq, _as_float),
+    "detuning_per_s": ("detuning", TunnelParams.detuning, _as_float),
+    "tau_detect_s": ("tau_detect", TunnelParams.tau_detect, _as_float),
+    "tau_cycle_s": ("tau_cycle", TunnelParams.tau_cycle, _as_float),
+}
+
+_LEAD_FIELDS = {
+    "direction": ("direction", _AXES["z"], _as_direction),
+    "magnitude": ("magnitude", 1.0, partial(_as_float, minimum=0.0, maximum=1.0)),
+}
+
+_EXPERIMENT_FIELDS = {
+    # numpy's binomial sampler takes counts up to the int64 maximum.
+    "n_cycles": ("n_cycles", 100_000, partial(_as_int, minimum=1, maximum=2**63 - 1)),
+    "seed": ("seed", 12345, partial(_as_int, minimum=0)),
+    "mode": ("mode", "refresh", partial(_as_choice, choices={"refresh", "propagate"})),
+}
+
+
+def _parse_section(obj, path: str, cls, fields: dict, base=None):
+    """Build ``cls`` from the JSON object at ``path``: each key of ``fields``
+    that ``obj`` gives is read and checked; every other field comes from
+    ``base`` (an instance of ``cls``) or, without one, from the table."""
     obj = _as_dict(obj, path)
-    known = {
-        "b_field_tesla", "g_electron", "g_nuclear", "g_ancilla",
-        "hyperfine_gate_per_s", "hyperfine_ancilla_per_s",
-        "hopping_per_s", "coulomb_u_per_s", "exchange_per_s", "level_offset_per_s",
-    }
-    _reject_unknown(obj, known, path)
-    merged = dict(base or _MODEL_DEFAULTS)
-    merged.update(obj)
+    _reject_unknown(obj, fields, path)
+    values = {}
+    for key, (attr, default, read) in fields.items():
+        if key in obj:
+            values[attr] = read(obj[key], f"{path}.{key}")
+        else:
+            values[attr] = default if base is None else getattr(base, attr)
     try:
-        return SpinModelParams(
-            b_field=_as_vec3(merged["b_field_tesla"], f"{path}.b_field_tesla"),
-            g_electron=_as_float(merged["g_electron"], f"{path}.g_electron"),
-            g_nuclear=_as_float(merged["g_nuclear"], f"{path}.g_nuclear"),
-            g_ancilla=_as_float(merged["g_ancilla"], f"{path}.g_ancilla"),
-            hyperfine_gate=_as_float(merged["hyperfine_gate_per_s"], f"{path}.hyperfine_gate_per_s"),
-            hyperfine_ancilla=_as_float(merged["hyperfine_ancilla_per_s"], f"{path}.hyperfine_ancilla_per_s"),
-            hopping=_as_float(merged["hopping_per_s"], f"{path}.hopping_per_s"),
-            coulomb_u=_as_float(merged["coulomb_u_per_s"], f"{path}.coulomb_u_per_s", minimum=0.0),
-            exchange=_as_float(merged["exchange_per_s"], f"{path}.exchange_per_s", allow_none=True),
-            level_offset=_as_float(merged["level_offset_per_s"], f"{path}.level_offset_per_s"),
-        )
+        return cls(**values)
     except ValueError as exc:
         raise ConfigValidationError(path, str(exc)) from exc
 
 
-def _parse_lead(obj, path: str, default_direction=(0.0, 0.0, 1.0), default_magnitude=1.0) -> LeadSpec:
-    obj = _as_dict(obj, path)
-    _reject_unknown(obj, {"direction", "magnitude"}, path)
-    raw_dir = obj.get("direction", list(default_direction))
-    if isinstance(raw_dir, str):
-        if raw_dir not in _AXES:
-            raise ConfigValidationError(f"{path}.direction", "axis name must be 'x', 'y' or 'z'")
-        direction = _AXES[raw_dir]
-    else:
-        direction = _as_vec3(raw_dir, f"{path}.direction")
-    if float(np.linalg.norm(direction)) == 0.0:
-        raise ConfigValidationError(f"{path}.direction", "must be a nonzero vector")
-    magnitude = _as_float(obj.get("magnitude", default_magnitude), f"{path}.magnitude",
-                          minimum=0.0, maximum=1.0)
-    return LeadSpec(direction=direction, magnitude=magnitude)
+def _section_dict(value, fields: dict) -> dict:
+    """The resolved JSON object of a section built by :func:`_parse_section`."""
+    out = {}
+    for key, (attr, _, _) in fields.items():
+        field = getattr(value, attr)
+        out[key] = list(field) if isinstance(field, tuple) else field
+    return out
 
 
-def _parse_setting(obj, path: str, default: SettingSpec, base_model: dict) -> SettingSpec:
+def _parse_setting(obj, path: str, default: SettingSpec, base_model: SpinModelParams) -> SettingSpec:
     obj = _as_dict(obj, path)
     _reject_unknown(obj, {"u_left", "u_right", "t_interact_s", "model"}, path)
-    u_left = (_parse_lead(obj["u_left"], f"{path}.u_left") if "u_left" in obj else default.u_left)
-    u_right = (_parse_lead(obj["u_right"], f"{path}.u_right") if "u_right" in obj else default.u_right)
+    u_left = (_parse_section(obj["u_left"], f"{path}.u_left", LeadSpec, _LEAD_FIELDS)
+              if "u_left" in obj else default.u_left)
+    u_right = (_parse_section(obj["u_right"], f"{path}.u_right", LeadSpec, _LEAD_FIELDS)
+               if "u_right" in obj else default.u_right)
     t_interact = _as_float(obj.get("t_interact_s", default.t_interact), f"{path}.t_interact_s",
                            minimum=0.0)
-    # A per-setting model block is a partial override merged onto the run model.
-    model = _parse_model(obj["model"], f"{path}.model", base=base_model) if "model" in obj else None
+    # A per-setting model block is a partial override of the run model.
+    model = (_parse_section(obj["model"], f"{path}.model", SpinModelParams, _MODEL_FIELDS,
+                            base=base_model)
+             if "model" in obj else None)
     return SettingSpec(u_left=u_left, u_right=u_right, t_interact=t_interact, model=model)
-
-
-_MODEL_DEFAULTS = {
-    "b_field_tesla": [0.0, 0.0, 0.01],
-    "g_electron": 0.0,
-    "g_nuclear": G_NUCLEAR_P31,
-    "g_ancilla": 0.0,
-    "hyperfine_gate_per_s": 2.0e6,
-    "hyperfine_ancilla_per_s": 1.1e6,
-    "hopping_per_s": 0.0,
-    "coulomb_u_per_s": 0.0,
-    "exchange_per_s": 7.0e5,
-    "level_offset_per_s": 0.0,
-}
-
-_TUNNEL_DEFAULTS = {
-    "gamma0_per_s": 1.0e9,
-    "interdot_sq_per_s": 1.0e9,
-    "detuning_per_s": 1.0e12,
-    "tau_detect_s": 1.0e-10,
-    "tau_cycle_s": 1.0e-6,
-}
 
 
 def parse_config(data) -> RunConfig:
@@ -315,22 +339,8 @@ def parse_config(data) -> RunConfig:
     }
     _reject_unknown(root, known, "")
 
-    model = _parse_model(root.get("model", {}), "model")
-
-    tun = _as_dict(root.get("tunnel", {}), "tunnel")
-    _reject_unknown(tun, set(_TUNNEL_DEFAULTS), "tunnel")
-    merged = dict(_TUNNEL_DEFAULTS)
-    merged.update(tun)
-    try:
-        tunnel = TunnelParams(
-            gamma0=_as_float(merged["gamma0_per_s"], "tunnel.gamma0_per_s"),
-            interdot_sq=_as_float(merged["interdot_sq_per_s"], "tunnel.interdot_sq_per_s"),
-            detuning=_as_float(merged["detuning_per_s"], "tunnel.detuning_per_s"),
-            tau_detect=_as_float(merged["tau_detect_s"], "tunnel.tau_detect_s"),
-            tau_cycle=_as_float(merged["tau_cycle_s"], "tunnel.tau_cycle_s"),
-        )
-    except ValueError as exc:
-        raise ConfigValidationError("tunnel", str(exc)) from exc
+    model = _parse_section(root.get("model", {}), "model", SpinModelParams, _MODEL_FIELDS)
+    tunnel = _parse_section(root.get("tunnel", {}), "tunnel", TunnelParams, _TUNNEL_FIELDS)
 
     sched = _as_dict(root.get("schedule", {}), "schedule")
     _reject_unknown(sched, {"t_interact_s", "include_gate_hamiltonian"}, "schedule")
@@ -342,8 +352,8 @@ def parse_config(data) -> RunConfig:
     leads = _as_dict(root.get("leads", {}), "leads")
     _reject_unknown(leads, {"u_left", "u_right"}, "leads")
     setting = SettingSpec(
-        u_left=_parse_lead(leads.get("u_left", {}), "leads.u_left"),
-        u_right=_parse_lead(leads.get("u_right", {}), "leads.u_right"),
+        u_left=_parse_section(leads.get("u_left", {}), "leads.u_left", LeadSpec, _LEAD_FIELDS),
+        u_right=_parse_section(leads.get("u_right", {}), "leads.u_right", LeadSpec, _LEAD_FIELDS),
         t_interact=t_interact,
     )
 
@@ -353,19 +363,10 @@ def parse_config(data) -> RunConfig:
 
     gate_state = _parse_gate_state(root.get("gate_state", {"preset": "maximally_mixed"}))
 
-    exp = _as_dict(root.get("experiment", {}), "experiment")
-    _reject_unknown(exp, {"n_cycles", "seed", "mode"}, "experiment")
-    experiment = ExperimentSpec(
-        n_cycles=_as_int(exp.get("n_cycles", 100_000), "experiment.n_cycles", minimum=1),
-        seed=_as_int(exp.get("seed", 12345), "experiment.seed", minimum=0),
-        mode=_as_choice(exp.get("mode", "refresh"), "experiment.mode", {"refresh", "propagate"}),
-    )
+    experiment = _parse_section(root.get("experiment", {}), "experiment", ExperimentSpec,
+                                _EXPERIMENT_FIELDS)
 
     threshold = _as_float(root.get("hierarchy_threshold", 100.0), "hierarchy_threshold", minimum=1.0)
-
-    raw_model = _as_dict(root.get("model", {}), "model")
-    merged_model = dict(_MODEL_DEFAULTS)
-    merged_model.update(raw_model)
 
     def parse_settings(block: dict, path: str) -> tuple:
         raw = block.get("settings")
@@ -379,7 +380,7 @@ def parse_config(data) -> RunConfig:
         if not isinstance(raw, list) or not raw:
             raise ConfigValidationError(f"{path}.settings", "expected a nonempty array")
         return tuple(
-            _parse_setting(s, f"{path}.settings[{i}]", setting, merged_model)
+            _parse_setting(s, f"{path}.settings[{i}]", setting, model)
             for i, s in enumerate(raw)
         )
 
@@ -436,33 +437,14 @@ def _parse_gate_state(obj) -> GateStateSpec:
     return spec
 
 
-def _lead_dict(lead: LeadSpec) -> dict:
-    return {"direction": list(lead.direction), "magnitude": lead.magnitude}
-
-
-def _model_dict(m: SpinModelParams) -> dict:
-    return {
-        "b_field_tesla": list(m.b_field),
-        "g_electron": m.g_electron,
-        "g_nuclear": m.g_nuclear,
-        "g_ancilla": m.g_ancilla,
-        "hyperfine_gate_per_s": m.hyperfine_gate,
-        "hyperfine_ancilla_per_s": m.hyperfine_ancilla,
-        "hopping_per_s": m.hopping,
-        "coulomb_u_per_s": m.coulomb_u,
-        "exchange_per_s": m.exchange,
-        "level_offset_per_s": m.level_offset,
-    }
-
-
 def _setting_dict(s: SettingSpec) -> dict:
     out = {
-        "u_left": _lead_dict(s.u_left),
-        "u_right": _lead_dict(s.u_right),
+        "u_left": _section_dict(s.u_left, _LEAD_FIELDS),
+        "u_right": _section_dict(s.u_right, _LEAD_FIELDS),
         "t_interact_s": s.t_interact,
     }
     if s.model is not None:
-        out["model"] = _model_dict(s.model)
+        out["model"] = _section_dict(s.model, _MODEL_FIELDS)
     return out
 
 
@@ -476,26 +458,19 @@ def resolved_dict(cfg: RunConfig) -> dict:
     else:
         gs["theta_two_spin"] = list(cfg.gate_state.theta_two)
     return {
-        "model": _model_dict(cfg.model),
-        "tunnel": {
-            "gamma0_per_s": cfg.tunnel.gamma0,
-            "interdot_sq_per_s": cfg.tunnel.interdot_sq,
-            "detuning_per_s": cfg.tunnel.detuning,
-            "tau_detect_s": cfg.tunnel.tau_detect,
-            "tau_cycle_s": cfg.tunnel.tau_cycle,
-        },
+        "model": _section_dict(cfg.model, _MODEL_FIELDS),
+        "tunnel": _section_dict(cfg.tunnel, _TUNNEL_FIELDS),
         "schedule": {
             "t_interact_s": cfg.setting.t_interact,
             "include_gate_hamiltonian": cfg.include_gate_hamiltonian,
         },
-        "leads": {"u_left": _lead_dict(cfg.setting.u_left), "u_right": _lead_dict(cfg.setting.u_right)},
+        "leads": {
+            "u_left": _section_dict(cfg.setting.u_left, _LEAD_FIELDS),
+            "u_right": _section_dict(cfg.setting.u_right, _LEAD_FIELDS),
+        },
         "detection": {"c": cfg.detection_c},
         "gate_state": gs,
-        "experiment": {
-            "n_cycles": cfg.experiment.n_cycles,
-            "seed": cfg.experiment.seed,
-            "mode": cfg.experiment.mode,
-        },
+        "experiment": _section_dict(cfg.experiment, _EXPERIMENT_FIELDS),
         "hierarchy_threshold": cfg.hierarchy_threshold,
         "sweep": {"settings": [_setting_dict(s) for s in cfg.sweep_settings]},
         "tomography": {
@@ -504,11 +479,6 @@ def resolved_dict(cfg: RunConfig) -> dict:
             "settings": [_setting_dict(s) for s in cfg.tomography.settings],
         },
     }
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical JSON text of the resolved configuration."""
-    return json.dumps(resolved_dict(cfg), indent=2, sort_keys=False) + "\n"
 
 
 def config_digest(raw: bytes) -> str:

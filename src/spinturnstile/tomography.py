@@ -209,29 +209,6 @@ class IdentifiabilityReport:
     identifiable: bool
     unidentifiable_directions: tuple
 
-    def __str__(self):
-        lines = [
-            f"settings: {self.n_settings}, parameters: {self.n_params} ({self.mode})",
-            f"rank: {self.rank} -> {'identifiable' if self.identifiable else 'NOT identifiable'}",
-            f"condition number: {self.condition_number:.6g}",
-        ]
-        if self.unidentifiable_directions:
-            lines.append("unidentifiable directions (dominant parameters):")
-            for desc in self.unidentifiable_directions:
-                lines.append(f"  - {desc}")
-        return "\n".join(lines)
-
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "n_settings": self.n_settings,
-            "n_params": self.n_params,
-            "rank": self.rank,
-            "condition_number": self.condition_number,
-            "identifiable": self.identifiable,
-            "unidentifiable_directions": list(self.unidentifiable_directions),
-        }
-
 
 def build_design(
     settings,

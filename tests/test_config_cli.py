@@ -17,7 +17,6 @@ from spinturnstile.config import (
     config_digest,
     parse_config,
     resolved_dict,
-    serialize_config,
 )
 from spinturnstile.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from spinturnstile.cycle import HierarchyWarning
@@ -80,11 +79,31 @@ class TestParseConfig:
         with pytest.raises(ConfigSyntaxError):
             parse_config(b"{not json")
 
-    def test_round_trip_equality(self):
+    def test_round_trip_equality(self, tmp_path):
+        # The resolved configuration a run embeds parses to the run's own
+        # configuration, and run on it the command repeats the output except
+        # for the digest of the configuration bytes.
         cfg = parse_config(json.dumps(FULL))
-        again = parse_config(serialize_config(cfg))
+        code, out = run_cli(tmp_path, "sweep", FULL, fmt="jsonl")
+        assert code == EXIT_OK
+        first = out.read_text().splitlines()[0]
+        start = first.index('"resolved_config":') + len('"resolved_config":')
+        resolved, end = json.JSONDecoder().raw_decode(first, start)
+        text = first[start:end]
+        assert resolved == json.loads(first)["metadata"]["resolved_config"]
+        again = parse_config(text)
         assert again == cfg
         assert resolved_dict(again) == resolved_dict(cfg)
+
+        _, out = run_cli(tmp_path, "sweep", FULL)
+        resolved_path = tmp_path / "resolved.json"
+        resolved_path.write_text(text)
+        rerun_path = tmp_path / "rerun.csv"
+        assert main(["sweep", "--config", str(resolved_path), "--out", str(rerun_path)]) == EXIT_OK
+        lines, rerun = out.read_bytes().splitlines(), rerun_path.read_bytes().splitlines()
+        differ = [a for a, b in zip(lines, rerun) if a != b]
+        assert len(lines) == len(rerun)
+        assert [line.split(b" = ")[0] for line in differ] == [b"# config_sha256"]
 
     def test_presets_are_physical(self):
         for name, theta in GATE_PRESETS.items():
@@ -101,6 +120,42 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError) as err:
             parse_config(doc)
         assert "gate_state" in str(err.value)
+
+    @pytest.mark.parametrize("path, doc", [
+        ("leads.u_left.direction",
+         {"leads": {"u_left": {"direction": [1e300, 1e300, 0], "magnitude": 1.0}}}),
+        ("sweep.settings[1].u_right.direction",
+         {"sweep": {"settings": [{}, {"u_right": {"direction": [0, -1e200, 1e200]}}]}}),
+    ])
+    def test_direction_with_overflowing_norm_exit_3(self, tmp_path, capsys, path, doc):
+        # np.linalg.norm overflows to inf, which would make the lead unpolarized
+        code, out = run_cli(tmp_path, "sweep", doc)
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        assert f"{path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, doc", [
+        ("detection.c", {"detection": {"c": 10**400}}),
+        ("model.g_electron", {"model": {"g_electron": -(10**400)}}),
+        ("sweep.settings[0].t_interact_s", {"sweep": {"settings": [{"t_interact_s": 10**400}]}}),
+    ])
+    def test_integer_beyond_float_range_exit_3(self, tmp_path, capsys, path, doc):
+        code, _ = run_cli(tmp_path, "cycle", doc)
+        assert code == EXIT_VALIDATION
+        assert f"{path}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_cycles, expected", [
+        (2**63 - 1, EXIT_OK),
+        (2**63, EXIT_VALIDATION),
+        (10**19, EXIT_VALIDATION),
+    ])
+    def test_n_cycles_bounded_by_sampler(self, tmp_path, capsys, n_cycles, expected):
+        # the binomial sampler takes counts up to the int64 maximum; seeds
+        # stay unbounded
+        code, _ = run_cli(tmp_path, "sweep", {"experiment": {"n_cycles": n_cycles, "seed": 10**30}})
+        assert code == expected
+        if expected == EXIT_VALIDATION:
+            assert "experiment.n_cycles: must be <= 9223372036854775807" in capsys.readouterr().err
 
     def test_axis_name_directions(self):
         doc = json.dumps({"leads": {"u_right": {"direction": "x", "magnitude": 0.5}}})

@@ -1,10 +1,14 @@
-"""Property-based checks of the transfer-matrix instrument over random settings."""
+"""Property-based checks of the transfer-matrix instrument over random
+settings, and of the configuration's resolved form over random documents."""
+
+import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinturnstile.algebra import pauli_coordinates
+from spinturnstile.config import parse_config, resolved_dict
 from spinturnstile.constants import G_NUCLEAR_P31
 from spinturnstile.cycle import MeasurementSetting, induced_instrument
 from spinturnstile.experiment import RUN_BLOCK, propagate_cycles
@@ -122,3 +126,66 @@ def test_design_is_affine_in_the_state(settings_, kappa, pol_a, pol_b, seed, lam
         mixed = probabilities(lam * rho_a + (1.0 - lam) * rho_b)
         expected = lam * probabilities(rho_a) + (1.0 - lam) * probabilities(rho_b)
         assert np.abs(mixed - expected).max() < 1e-12
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+numbers = finite | st.integers(-10**6, 10**6)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+model_blocks = st.fixed_dictionaries({}, optional={
+    "b_field_tesla": st.lists(numbers, min_size=3, max_size=3),
+    "g_electron": numbers,
+    "g_nuclear": numbers,
+    "g_ancilla": numbers,
+    "hyperfine_gate_per_s": numbers,
+    "hyperfine_ancilla_per_s": numbers,
+    "hopping_per_s": numbers,
+    "coulomb_u_per_s": st.floats(min_value=0.0, allow_infinity=False),
+    "exchange_per_s": st.none() | numbers,
+    "level_offset_per_s": numbers,
+})
+config_documents = st.fixed_dictionaries({}, optional={
+    "model": model_blocks,
+    "tunnel": st.fixed_dictionaries({}, optional={
+        "gamma0_per_s": positive,
+        "interdot_sq_per_s": st.floats(min_value=0.0, allow_infinity=False),
+        "detuning_per_s": finite,
+        "tau_detect_s": positive,
+        "tau_cycle_s": positive,
+    }),
+    "experiment": st.fixed_dictionaries({}, optional={
+        "n_cycles": st.integers(1, 2**63 - 1),
+        "seed": st.integers(0, 10**30),
+        "mode": st.sampled_from(["refresh", "propagate"]),
+    }),
+    "sweep": st.fixed_dictionaries({
+        "settings": st.lists(st.fixed_dictionaries({}, optional={"model": model_blocks}),
+                             min_size=1, max_size=3),
+    }),
+})
+DEFAULT_MODEL = resolved_dict(parse_config("{}"))["model"]
+
+
+def exchange_derivable(model: dict) -> bool:
+    # A null exchange is derived from hopping, which needs a positive coulomb_u.
+    return not (model["exchange_per_s"] is None and model["hopping_per_s"] != 0
+                and model["coulomb_u_per_s"] <= 0)
+
+
+@PROPERTY_SETTINGS
+@given(config_documents)
+def test_resolved_config_parses_to_the_same_config(doc):
+    run_model = {**DEFAULT_MODEL, **doc.get("model", {})}
+    overrides = [s.get("model", {}) for s in doc.get("sweep", {}).get("settings", [])]
+    assume(all(exchange_derivable({**run_model, **o}) for o in [{}, *overrides]))
+    cfg = parse_config(json.dumps(doc))
+    resolved = resolved_dict(cfg)
+    assert parse_config(resolved) == cfg
+    for section in ("model", "tunnel", "experiment"):
+        for key, value in doc.get(section, {}).items():
+            assert resolved[section][key] == value
+    for given_setting, setting in zip(doc.get("sweep", {}).get("settings", []),
+                                      resolved["sweep"]["settings"]):
+        assert ("model" in setting) == ("model" in given_setting)
+        override = given_setting.get("model", {})
+        for key, value in setting.get("model", {}).items():
+            assert value == override.get(key, resolved["model"][key])

@@ -1,9 +1,14 @@
-"""The README's Python API example runs against the current package."""
+"""The README's Python API example runs against the current package, and its
+configuration reference states the parser's defaults."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import pytest
+
+from spinturnstile.config import parse_config, resolved_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +25,30 @@ def test_readme_python_examples_run():
     for block in python_blocks():
         with contextlib.redirect_stdout(io.StringIO()):
             exec(compile(block, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def assert_close(got, want, path):
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-4), path
+    else:
+        assert got == want, path
+
+
+def test_readme_configuration_states_the_defaults():
+    # Every section but the example sweep resolves as an empty document does;
+    # the README rounds g_nuclear, so floats compare to 1e-4 relative.
+    (block,) = re.findall(r"^```jsonc\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+    resolved = resolved_dict(parse_config(re.sub(r"//.*", "", block)))
+    defaults = resolved_dict(parse_config("{}"))
+    assert list(resolved) == list(defaults)
+    for section in defaults:
+        if section != "sweep":
+            assert_close(resolved[section], defaults[section], section)
