@@ -10,14 +10,7 @@ the gate state from pulse probabilities over many settings.
 __version__ = "0.1.0"
 
 from . import algebra, cycle, experiment, model, tomography
-from .algebra import (
-    bloch_to_density,
-    density_to_bloch,
-    evolve_unitary,
-    kron,
-    partial_trace,
-    spin_operators,
-)
+from .algebra import evolve_unitary, kron
 from .cycle import (
     CycleOutcome,
     MeasurementSetting,
@@ -31,8 +24,6 @@ from .model import (
     HierarchyReport,
     SpinModelParams,
     TunnelParams,
-    build_gate_hamiltonian,
-    build_interaction_hamiltonian,
     build_total_hamiltonian,
     characteristic_times,
     effective_exchange,

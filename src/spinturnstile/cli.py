@@ -187,8 +187,16 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
     if cfg.tomography.noise == "shot":
         n = cfg.experiment.n_cycles
         pr_used = np.empty_like(pr_exact)
+        rows_of_seed = {}
         for i, setting in enumerate(settings):
             seed_i = derive_setting_seed(cfg.experiment.seed, setting)
+            # A repeated setting would repeat its draws, which reconstruct
+            # would count as independent shots.
+            first = rows_of_seed.setdefault(seed_i, i)
+            if first != i:
+                raise ValueError(f"tomography.settings[{first}] and tomography.settings[{i}] derive "
+                                 "the same seed, so their shot-noise draws would be identical, not "
+                                 "independent; list each setting once")
             pr_used[i] = sample_cycles(float(np.clip(pr_exact[i], 0.0, 1.0)), n, seed_i).pr_hat
         counts = np.full(design.n_settings, n)
 

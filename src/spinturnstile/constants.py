@@ -22,6 +22,3 @@ G_NUCLEAR_P31 = P31_GYROMAGNETIC / MU_B_PER_HBAR
 # Structural tolerance for matrix invariants (hermiticity, unit trace,
 # positivity, unitarity).
 STRUCTURAL_TOL = 1e-10
-
-# Tolerance for exact round trips (e.g. Bloch vector <-> density matrix).
-ROUNDTRIP_TOL = 1e-12

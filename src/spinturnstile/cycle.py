@@ -43,7 +43,6 @@ from .algebra import (
     IDENTITY_2,
     PAULIS,
     STRUCTURAL_TOL,
-    bloch_to_density,
     evolve_unitaries,
     kron,
     pauli_coordinates,
@@ -294,12 +293,12 @@ def induced_instrument(
     error = _kappa_error(kappa)
     if error is not None:
         raise ValueError(error)
-    bloch_to_density(u_left)  # validates u_left
-    u_right = np.asarray(u_right, dtype=float)
-    if u_right.shape != (3,) or float(np.linalg.norm(u_right)) > 1.0 + STRUCTURAL_TOL:
-        raise ValueError("u_right must be a 3-vector of norm <= 1")
+    u_left, u_right = np.asarray(u_left, dtype=float), np.asarray(u_right, dtype=float)
+    for name, u in (("u_left", u_left), ("u_right", u_right)):
+        if u.shape != (3,) or not float(np.linalg.norm(u)) <= 1.0 + STRUCTURAL_TOL:  # NaN too
+            raise ValueError(f"{name} must be a 3-vector of norm <= 1")
     return _instrument_block(0, np.asarray(h_total)[None], [float(t)],
-                             np.asarray(u_left, dtype=float)[None], u_right[None], kappa).instrument(0)
+                             u_left[None], u_right[None], kappa).instrument(0)
 
 
 def setting_instruments(

@@ -336,8 +336,8 @@ def run_sweep(
     also checks each row's time-scale hierarchy against ``threshold``; each
     row then samples ``n_cycles`` shots.
     ``mode`` chooses between independent cycles ("refresh") and the
-    back-action chain ("propagate"). Invalid settings produce a row with an
-    error status instead of aborting the sweep.
+    back-action chain ("propagate"). Invalid settings, and chains too long to
+    allocate, produce a row with an error status instead of aborting the sweep.
 
     Returns:
         list of :class:`SweepRow`, ordered like ``settings``.
@@ -371,7 +371,8 @@ def run_sweep(
                     )
                 current = estimate_current(record, tunnel.tau_cycle)
                 rows.append(SweepRow(index=idx, setting=setting, pr=pr, record=record, current=current))
-            except ValueError as exc:
+            except (ValueError, MemoryError) as exc:
+                # MemoryError: a propagate chain of n_cycles that cannot be allocated.
                 rows.append(SweepRow(index=idx, setting=setting, pr=float("nan"),
                                      record=None, current=None, status=f"error: {exc}"))
     return rows

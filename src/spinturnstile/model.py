@@ -15,6 +15,10 @@ between the donor and the central dot is folded into an isotropic Heisenberg
 exchange (standard second-order superexchange, ``4 t^2 / U``), which keeps the
 joint dynamics an 8x8 problem.
 
+The Hamiltonian is built one way: per-model coupling coefficients
+(:func:`model_coefficients`) times a fixed stack of 13 generators
+(:func:`hamiltonians`); :func:`build_total_hamiltonian` is the one-model case.
+
 Unit conventions follow :mod:`spinturnstile.constants`: couplings in rad/s,
 fields in tesla, times in seconds. Nuclear Zeeman terms are written with the
 Bohr magneton and a freely settable dimensionless factor ``g_nuclear``, so
@@ -27,16 +31,13 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .algebra import spin_operators
+from .algebra import IDENTITY_2, PAULIS, kron
 from .constants import MU_B_PER_HBAR
 
 __all__ = [
     "SpinModelParams",
     "TunnelParams",
     "HierarchyReport",
-    "build_gate_hamiltonian",
-    "build_interaction_hamiltonian",
-    "build_ancilla_zeeman",
     "build_total_hamiltonian",
     "model_coefficients",
     "hamiltonians",
@@ -47,7 +48,6 @@ __all__ = [
     "characteristic_times",
 ]
 
-_SITES = spin_operators(3)
 _DIM = 8
 _ANCILLA, _ELECTRON, _NUCLEUS = 0, 1, 2
 
@@ -164,21 +164,26 @@ class HierarchyReport:
     tau_dyn_finite: bool = True
 
 
+# _SITE_PAULIS[site][axis]: sigma_axis on one site, identities on the other two.
+_SITE_PAULIS = [[kron(*(pauli if k == site else IDENTITY_2 for k in range(3))) for pauli in PAULIS]
+                for site in range(3)]
+
+
 def _pauli_dot_pauli(site_a: int, site_b: int) -> np.ndarray:
     """Isotropic ``sigma . sigma`` coupling between two sites."""
-    return sum(_SITES.op(site_a, axis) @ _SITES.op(site_b, axis) for axis in range(3))
+    return sum(_SITE_PAULIS[site_a][axis] @ _SITE_PAULIS[site_b][axis] for axis in range(3))
 
 
 # H is linear in the couplings: H = sum_k coefficient_k G_k over this fixed
-# stack of Hermitian generators (flattened), in the order of _coefficients.
+# stack of Hermitian generators (flattened), in the order of _coefficients:
+# the electron, nucleus and ancilla Zeeman triples, the gate hyperfine, the
+# exchange, the ancilla hyperfine and the level offset.
 _GENERATORS = np.array(
-    [_SITES.op(site, axis) for site in (_ELECTRON, _NUCLEUS, _ANCILLA) for axis in range(3)]
+    [_SITE_PAULIS[site][axis] for site in (_ELECTRON, _NUCLEUS, _ANCILLA) for axis in range(3)]
     + [_pauli_dot_pauli(_NUCLEUS, _ELECTRON), _pauli_dot_pauli(_ELECTRON, _ANCILLA),
        _pauli_dot_pauli(_NUCLEUS, _ANCILLA), np.eye(_DIM)]
 ).reshape(13, _DIM * _DIM)
-_GATE_TERMS = [0, 1, 2, 3, 4, 5, 9, 12]
 _INTERACTION_TERMS = [10, 11]
-_ANCILLA_ZEEMAN_TERMS = [6, 7, 8]
 _TOTAL_TERMS = list(range(13))
 # The traceless gate+interaction part: everything but the ancilla Zeeman term
 # and the level offset (the only generator with a trace).
@@ -221,36 +226,12 @@ def hamiltonians(coefficients: np.ndarray, include_gate_hamiltonian: bool = True
 def hierarchy_norms(coefficients: np.ndarray) -> np.ndarray:
     """Spectral norm of the traceless gate+interaction Hamiltonian of each
     coefficient row, from one stacked ``eigvalsh`` (the trace part is a global
-    phase and generates no dynamics). A Hamiltonian that overflows float64
-    gets NaN, and the other rows still get their norms."""
+    phase and generates no dynamics). A Hamiltonian that overflows float64,
+    or whose norm does, gets NaN, and the other rows still get their norms."""
     h = _combine(coefficients, _HIERARCHY_TERMS)
     finite = np.isfinite(h).all(axis=(1, 2))
     norms = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], h, 0.0))).max(axis=1)
-    return np.where(finite, norms, np.nan)
-
-
-def build_gate_hamiltonian(p: SpinModelParams) -> np.ndarray:
-    """Internal Hamiltonian of the two-spin gate, embedded in the 8-dim space.
-
-    ``H = level_offset * I + g_el mu_B sigma_el . B + g_nuc mu_B sigma_nuc . B
-    + hyperfine_gate sigma_nuc . sigma_el`` acting on sites 1 (gate electron)
-    and 2 (nucleus), identity on the ancilla.
-    """
-    return _combine(model_coefficients([p]), _GATE_TERMS)[0]
-
-
-def build_interaction_hamiltonian(p: SpinModelParams) -> np.ndarray:
-    """Ancilla-gate coupling on the 8-dim spin space.
-
-    ``H = J sigma_el . sigma_anc + hyperfine_ancilla sigma_nuc . sigma_anc``
-    where ``J`` is the effective exchange (hopping folded into superexchange).
-    """
-    return _combine(model_coefficients([p]), _INTERACTION_TERMS)[0]
-
-
-def build_ancilla_zeeman(p: SpinModelParams) -> np.ndarray:
-    """Zeeman term of the ancilla electron in the external field."""
-    return _combine(model_coefficients([p]), _ANCILLA_ZEEMAN_TERMS)[0]
+    return np.where(finite & np.isfinite(norms), norms, np.nan)
 
 
 def build_total_hamiltonian(p: SpinModelParams, include_gate_hamiltonian: bool = True) -> np.ndarray:
@@ -293,6 +274,12 @@ def _inverse(rate: float) -> float:
     return 1.0 / rate if rate > 0.0 else math.inf
 
 
+def _separation(slow: float, fast: float) -> float:
+    """Ratio ``slow / fast`` of two time scales; 0 (not separated) when the
+    faster one never happens, so two infinite times give 0, not NaN."""
+    return 0.0 if math.isinf(fast) else slow / fast
+
+
 def characteristic_times(
     p: SpinModelParams,
     tp: TunnelParams,
@@ -328,7 +315,8 @@ def hierarchy_report(
     A rate that vanishes in floating point (e.g. leakage through a barrier
     with ``gamma0`` near the underflow limit) gives an infinite time.
     A zero Hamiltonian leaves ``tau_dyn`` undefined; the report then carries
-    ``tau_dyn = inf`` with ``tau_dyn_finite=False`` instead of raising.
+    ``tau_dyn = inf`` with ``tau_dyn_finite=False`` instead of raising. A
+    ratio whose denominator time is infinite reads 0.
     """
     if delta_off is None:
         delta_off = tp.detuning
@@ -338,8 +326,8 @@ def hierarchy_report(
     finite = norm > 0.0
     tau_dyn = 2.0 * math.pi / norm if finite else math.inf
 
-    r1 = tau_dyn / tau_res
-    r2 = tau_non / tau_dyn if finite else 0.0
+    r1 = _separation(tau_dyn, tau_res)
+    r2 = _separation(tau_non, tau_dyn)
     return HierarchyReport(
         tau_res=tau_res,
         tau_dyn=tau_dyn,

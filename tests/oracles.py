@@ -4,7 +4,7 @@ Everything here is deliberately written by a different route than the package
 code it checks: explicit index loops instead of einsum/np.kron, a Runge-Kutta
 integrator instead of eigendecomposition, a brute-force two-site Hubbard
 diagonalization instead of the closed-form exchange. Slow is fine; these only
-run in tests.
+run in tests. ``check_density_matrix`` validates the states tests produce.
 """
 
 import functools
@@ -135,15 +135,40 @@ _ORACLE_PAULIS = {
 }
 
 
-def _spin_half(u) -> np.ndarray:
+def spin_half(u) -> np.ndarray:
     """(I + u . sigma) / 2 written out entrywise."""
     x, y, z = (float(c) for c in u)
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 
 
+def check_density_matrix(rho: np.ndarray, dims=None, tol: float = 1e-10) -> None:
+    """Validate the density-matrix invariants; raise ``ValueError`` on failure.
+
+    Checks: square, finite, Hermitian, unit trace and positive semidefinite,
+    all within ``tol`` (Hermiticity scaled by the matrix magnitude). If
+    ``dims`` is given, the product of subsystem dimensions must match the
+    matrix dimension.
+    """
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    if dims is not None and int(np.prod(list(dims))) != rho.shape[0]:
+        raise ValueError(f"subsystem dims {list(dims)} do not match dimension {rho.shape[0]}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
+    if np.abs(rho - rho.conj().T).max() > tol * max(1.0, np.abs(rho).max()):
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    trace = complex(np.trace(rho))
+    if abs(trace - 1.0) > tol:
+        raise ValueError(f"density matrix trace {trace} is not 1 within tolerance")
+    min_eig = float(np.linalg.eigvalsh(rho).min())
+    if min_eig < -tol:
+        raise ValueError(f"density matrix has negative eigenvalue {min_eig}")
+
+
 def prepare_ancilla(u_left) -> np.ndarray:
     """Fresh ancilla state inheriting the left-lead polarization."""
-    return _spin_half(u_left)
+    return spin_half(u_left)
 
 
 def joint_evolve(rho_ancilla, rho_gate, h_total: np.ndarray, t: float) -> np.ndarray:
@@ -210,8 +235,8 @@ def kraus_instrument(u_left, u_right, u: np.ndarray, kappa: float):
     contributes one 4x4 Kraus operator weighted by the square roots of the
     eigenvalues. Returns ``(kraus_pulse, kraus_nopulse)`` as lists.
     """
-    rho_a = _spin_half(u_left)
-    m_pulse = kappa * _spin_half(u_right)
+    rho_a = spin_half(u_left)
+    m_pulse = kappa * spin_half(u_right)
     q, prep_vecs = np.linalg.eigh(rho_a)
     q = np.clip(q, 0.0, None)
     u_resh = u.reshape(2, 4, 2, 4)

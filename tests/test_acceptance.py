@@ -13,7 +13,7 @@ import pytest
 
 from spinturnstile.constants import G_NUCLEAR_P31
 from spinturnstile.cycle import MeasurementSetting, induced_instrument, run_cycle
-from spinturnstile.algebra import bloch_to_density, evolve_unitary
+from spinturnstile.algebra import evolve_unitary
 from spinturnstile.cli import main
 from spinturnstile.experiment import calibrate, sample_cycles
 from spinturnstile.model import (
@@ -39,6 +39,7 @@ from oracles import (
     random_density,
     random_hermitian,
     rk4_von_neumann,
+    spin_half,
 )
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -109,7 +110,7 @@ def test_criterion_4_instrument_theorem():
                 tau = 0.45 / (c * t_sq)
             rho_s = random_density(rng, 4)
             inst = induced_instrument(u_l, u_r, h, t, c, tau, t_sq)
-            joint = joint_evolve(bloch_to_density(u_l), rho_s, h, t)
+            joint = joint_evolve(spin_half(u_l), rho_s, h, t)
             _, u_a = ancilla_state(joint)
             pr_formula = detection_probability(u_a, u_r, c, tau, t_sq)
             worst_pr = max(worst_pr, abs(inst.pulse_probability(rho_s) - pr_formula))

@@ -8,22 +8,22 @@ from spinturnstile.algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    bloch_to_density,
-    check_density_matrix,
-    density_to_bloch,
     evolve_unitary,
     kron,
-    partial_trace,
-    spin_operators,
 )
+from spinturnstile.cycle import induced_instrument
+from spinturnstile.model import _GENERATORS
 
 from oracles import (
+    ancilla_state,
+    check_density_matrix,
     kron_bruteforce,
     partial_trace_bruteforce,
     random_bloch,
     random_density,
     random_hermitian,
     rk4_von_neumann,
+    spin_half,
 )
 
 
@@ -58,51 +58,50 @@ class TestKron:
 
 
 class TestPartialTrace:
+    # The package keeps no partial trace; these pin the oracle the
+    # instrument and ancilla-pathway tests rely on.
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(10)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 4)
-        reduced = partial_trace(kron(rho_a, rho_b), [2, 4], keep=[0])
+        reduced = partial_trace_bruteforce(kron(rho_a, rho_b), [2, 4], keep=[0])
         assert np.allclose(reduced, rho_a, atol=1e-12)
 
     def test_bell_state_reduces_to_maximally_mixed(self):
         phi = np.zeros(4, dtype=complex)
         phi[0] = phi[3] = 1 / np.sqrt(2)
         rho = np.outer(phi, phi.conj())
-        assert np.allclose(partial_trace(rho, [2, 2], keep=[0]), np.eye(2) / 2, atol=1e-14)
+        assert np.allclose(partial_trace_bruteforce(rho, [2, 2], keep=[0]), np.eye(2) / 2, atol=1e-14)
 
     def test_trace_preserved_random_8x8(self):
         rng = np.random.default_rng(11)
         rho = random_density(rng, 8)
-        expected = partial_trace_bruteforce(rho, [2, 2, 2], keep=[1, 2])
-        got = partial_trace(rho, [2, 2, 2], keep=[1, 2])
-        assert np.allclose(got, expected, atol=1e-13)
-        assert np.isclose(np.trace(got).real, 1.0, atol=1e-12)
+        got = partial_trace_bruteforce(rho, [2, 2, 2], keep=[1, 2])
+        check_density_matrix(got, dims=[2, 2], tol=1e-12)
+        # tracing out in two steps gives the same single-site state
+        assert np.allclose(partial_trace_bruteforce(got, [2, 2], keep=[1]),
+                           partial_trace_bruteforce(rho, [2, 2, 2], keep=[2]), atol=1e-14)
 
     def test_matches_bruteforce_on_random_keeps(self):
+        # Duality: tr(Tr_rest(m) A) = tr(m embed(A)) for product A on the kept sites.
         rng = np.random.default_rng(12)
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         for keep in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-            assert np.allclose(
-                partial_trace(m, [2, 2, 2], keep),
-                partial_trace_bruteforce(m, [2, 2, 2], keep),
-                atol=1e-13,
-            )
+            factors = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) if s in keep
+                       else IDENTITY_2 for s in range(3)]
+            a = kron(*(factors[s] for s in keep))
+            lhs = np.trace(partial_trace_bruteforce(m, [2, 2, 2], keep) @ a)
+            assert np.isclose(lhs, np.trace(m @ kron(*factors)), atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(13)
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         n = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         a, b = 0.7, -1.3
-        lhs = partial_trace(a * m + b * n, [2, 2, 2], [0])
-        rhs = a * partial_trace(m, [2, 2, 2], [0]) + b * partial_trace(n, [2, 2, 2], [0])
+        lhs = partial_trace_bruteforce(a * m + b * n, [2, 2, 2], [0])
+        rhs = (a * partial_trace_bruteforce(m, [2, 2, 2], [0])
+               + b * partial_trace_bruteforce(n, [2, 2, 2], [0]))
         assert np.allclose(lhs, rhs, atol=1e-13)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(6), [2, 2, 2], [0])
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(8), [2, 2, 2], [])
 
 
 class TestEvolveUnitary:
@@ -158,80 +157,84 @@ class TestEvolveUnitary:
             evolve_unitary(-h, -0.6 * MAX_PHASE)
 
 
+def ancilla_bloch_of(u) -> np.ndarray:
+    """Polarization read back by the ancilla-pathway oracle from an ancilla in
+    ``spin_half(u)`` next to a maximally mixed gate."""
+    return ancilla_state(kron(spin_half(u), np.eye(4) / 4))[1]
+
+
 class TestBlochConversions:
     def test_zero_vector_is_maximally_mixed(self):
-        assert np.allclose(bloch_to_density([0, 0, 0]), np.eye(2) / 2)
+        assert np.allclose(spin_half([0, 0, 0]), np.eye(2) / 2)
 
     def test_pure_up(self):
-        assert np.allclose(bloch_to_density([0, 0, 1]), np.diag([1.0, 0.0]))
+        assert np.allclose(spin_half([0, 0, 1]), np.diag([1.0, 0.0]))
 
     def test_pure_x(self):
-        assert np.allclose(bloch_to_density([1, 0, 0]), 0.5 * np.ones((2, 2)))
+        assert np.allclose(spin_half([1, 0, 0]), 0.5 * np.ones((2, 2)))
 
     def test_eigenvalues_from_norm(self):
-        rho = bloch_to_density(0.7 * np.array([1.0, 0, 0]))
+        rho = spin_half(0.7 * np.array([1.0, 0, 0]))
         assert np.allclose(np.sort(np.linalg.eigvalsh(rho)), [0.15, 0.85])
 
     def test_overlong_vector_rejected(self):
-        with pytest.raises(ValueError):
-            bloch_to_density([1.1, 0, 0])
+        # induced_instrument, the one package entry that takes raw
+        # polarizations, rejects either lead beyond the unit ball.
+        args = (np.zeros((8, 8)), 1.0, 1.0, 1e-10, 1e9)
+        for bad in ([1.1, 0, 0], [np.nan, 0, 0]):
+            with pytest.raises(ValueError, match="u_left"):
+                induced_instrument(bad, [0, 0, 1], *args)
+            with pytest.raises(ValueError, match="u_right"):
+                induced_instrument([0, 0, 1], bad, *args)
 
     def test_maximally_mixed_maps_to_zero(self):
-        assert np.allclose(density_to_bloch(np.eye(2) / 2), np.zeros(3))
+        assert np.allclose(ancilla_bloch_of([0, 0, 0]), np.zeros(3))
 
     def test_diag_10_maps_to_z(self):
-        assert np.allclose(density_to_bloch(np.diag([1.0, 0.0])), [0, 0, 1])
+        assert np.allclose(ancilla_bloch_of([0, 0, 1]), [0, 0, 1])
 
     def test_round_trip(self):
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(200):
             u = random_bloch(rng)
-            worst = max(worst, np.abs(density_to_bloch(bloch_to_density(u)) - u).max())
+            worst = max(worst, np.abs(ancilla_bloch_of(u) - u).max())
         assert worst < 1e-12
-
-    def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            density_to_bloch(np.eye(4) / 4)
 
 
 class TestSpinOperators:
+    # The embedded single-site Paulis are the first nine generators of the
+    # model's Hamiltonian stack: gate electron, nucleus, then ancilla.
+    SITE_ROWS = {1: slice(0, 3), 2: slice(3, 6), 0: slice(6, 9)}
+
+    def paulis(self, site):
+        return _GENERATORS[self.SITE_ROWS[site]].reshape(3, 8, 8)
+
     def test_single_site_traceless(self):
-        ops = spin_operators(1)
-        for axis in "xyz":
-            assert abs(np.trace(ops.op(0, axis))) == 0.0
+        for site in range(3):
+            for op in self.paulis(site):
+                assert abs(np.trace(op)) == 0.0
 
     def test_distinct_sites_commute(self):
-        ops = spin_operators(3)
-        a = ops.op(0, "x")
-        b = ops.op(1, "y")
+        a = self.paulis(0)[0]
+        b = self.paulis(1)[1]
         assert np.allclose(a @ b - b @ a, 0)
         assert a.shape == (8, 8)
 
     def test_same_site_commutator(self):
-        ops = spin_operators(2)
-        for site in range(2):
-            sx, sy, sz = (ops.op(site, ax) for ax in "xyz")
+        for site in range(3):
+            sx, sy, sz = self.paulis(site)
             assert np.allclose(sx @ sy - sy @ sx, 2j * sz, atol=1e-14)
 
     def test_squares_to_identity_and_hermitian(self):
-        ops = spin_operators(2)
-        for site in range(2):
-            for axis in "xyz":
-                op = ops.op(site, axis)
-                assert np.allclose(op @ op, np.eye(4))
+        for site in range(3):
+            for op in self.paulis(site):
+                assert np.allclose(op @ op, np.eye(8))
                 assert np.allclose(op, op.conj().T)
 
     def test_zz_eigenvalues(self):
-        ops = spin_operators(2)
-        zz = ops.op(0, "z") @ ops.op(1, "z")
-        assert np.allclose(np.sort(np.linalg.eigvalsh(zz)), [-1, -1, 1, 1])
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            spin_operators(0)
-        with pytest.raises(ValueError):
-            spin_operators(13)
+        zz = self.paulis(0)[2] @ self.paulis(1)[2]
+        assert np.allclose(np.sort(np.linalg.eigvalsh(zz)), [-1] * 4 + [1] * 4)
 
 
 class TestDensityValidation:

@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from spinturnstile.algebra import check_density_matrix, evolve_unitary
+from spinturnstile.algebra import evolve_unitary
 from spinturnstile.config import parse_config
 from spinturnstile.cycle import QuantumInstrument, induced_instrument, setting_instrument
 from spinturnstile.experiment import RUN_BLOCK, propagate_cycles
 from spinturnstile.model import SpinModelParams, build_total_hamiltonian
 
-from oracles import kraus_chain, kraus_instrument, random_density, stepwise_chain
+from oracles import check_density_matrix, kraus_chain, kraus_instrument, random_density, stepwise_chain
 
 U_LEFT, U_RIGHT = [0, 0, 1.0], [1.0, 0, 0]
 

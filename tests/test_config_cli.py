@@ -337,6 +337,42 @@ class TestCli:
         else:
             assert 0.0 <= float(row["pr_pulse"]) < 1e-100
 
+    @pytest.mark.parametrize("interdot_sq", [0.0, 5e-324])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_rates_without_tunneling_or_dynamics_has_no_nan(self, tmp_path, fmt, interdot_sq):
+        # tau_res and tau_dyn are both infinite: their ratio reads 0 (not
+        # separated), as ratio_non_dyn does, instead of inf / inf = nan
+        cfg = {"tunnel": {"interdot_sq_per_s": interdot_sq},
+               "model": {"b_field_tesla": [0, 0, 0], "hyperfine_gate_per_s": 0,
+                         "hyperfine_ancilla_per_s": 0, "exchange_per_s": 0}}
+        code, out = run_cli(tmp_path, "rates", cfg, fmt=fmt)
+        assert code == EXIT_OK
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        if fmt == "csv":
+            row = dict(zip(lines[0].split(","), lines[1].split(",")))
+            assert "nan" not in out.read_text()
+        else:
+            row = json.loads(lines[-1])
+        assert float(row["ratio_dyn_res"]) == 0.0 and float(row["ratio_non_dyn"]) == 0.0
+        assert row["satisfied"] in ("false", False)
+        for command in ("cycle", "sweep"):
+            with pytest.warns(HierarchyWarning) as caught:
+                assert run_cli(tmp_path, command, cfg, fmt=fmt)[0] == EXIT_OK
+            assert all("ratios 0, 0" in str(w.message) for w in caught if w.category is HierarchyWarning)
+
+    @pytest.mark.parametrize("noise, expected", [("shot", EXIT_VALIDATION), ("none", EXIT_OK)])
+    def test_repeated_tomography_setting(self, tmp_path, capsys, noise, expected):
+        # a repeated setting derives a repeated seed: under shot noise its
+        # draws would repeat, and reconstruct would count them as independent
+        probes = [{"u_right": {"direction": ax}} for ax in "xyzx"]
+        cfg = {"tomography": {"noise": noise, "settings": probes}}
+        code, out = run_cli(tmp_path, "tomography", cfg)
+        assert code == expected
+        err = capsys.readouterr().err
+        if expected == EXIT_VALIDATION:
+            assert not out.exists()
+            assert "tomography.settings[0]" in err and "tomography.settings[3]" in err
+
     @pytest.mark.parametrize("mode", ["single_spin", "two_spin"])
     def test_tiny_gamma0_tomography_is_finite(self, tmp_path, mode):
         # kappa ~ 2e-310: the design's singular values are subnormal, so the
@@ -365,17 +401,19 @@ class TestCli:
         assert all(r["status"].startswith("error: propagator phase") for r in rows)
 
     def test_overflowing_hamiltonian(self, tmp_path):
-        # g mu_B B overflows float64: rates and cycle exit 3, and each sweep row
-        # becomes an error row instead of failing the whole sweep
-        cfg = {"model": {"g_electron": 1e300, "b_field_tesla": [0, 0, 1e300]}}
-        assert run_cli(tmp_path, "rates", cfg)[0] == EXIT_VALIDATION
-        with pytest.warns(HierarchyWarning):
-            assert run_cli(tmp_path, "cycle", cfg)[0] == EXIT_VALIDATION
-        with pytest.warns(HierarchyWarning):
-            code, out = run_cli(tmp_path, "sweep", cfg)
-        assert code == EXIT_OK
-        rows = list(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
-        assert len(rows) == 3 and all(r["status"].startswith("error: ") for r in rows)
+        # g mu_B B overflows float64, or every entry is finite but the norm
+        # (-3 J) is not: rates and cycle exit 3, and each sweep row becomes
+        # an error row instead of failing the whole sweep
+        for cfg in ({"model": {"g_electron": 1e300, "b_field_tesla": [0, 0, 1e300]}},
+                    {"model": {"exchange_per_s": 6e307}}):
+            assert run_cli(tmp_path, "rates", cfg)[0] == EXIT_VALIDATION
+            with pytest.warns(HierarchyWarning):
+                assert run_cli(tmp_path, "cycle", cfg)[0] == EXIT_VALIDATION
+            with pytest.warns(HierarchyWarning):
+                code, out = run_cli(tmp_path, "sweep", cfg)
+            assert code == EXIT_OK
+            rows = list(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+            assert len(rows) == 3 and all(r["status"].startswith("error: ") for r in rows)
 
     @pytest.mark.parametrize("threshold, warned", [(100.0, False), (1e9, True)])
     @pytest.mark.parametrize("command", ["cycle", "sweep"])

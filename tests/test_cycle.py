@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinturnstile.algebra import bloch_to_density, evolve_unitary, kron, pauli_coordinates
+from spinturnstile.algebra import PAULIS, evolve_unitary, kron, pauli_coordinates
 from spinturnstile.constants import G_NUCLEAR_P31, MU_B_PER_HBAR
 from spinturnstile.cycle import (
     BLOCK_ROWS,
@@ -18,15 +18,18 @@ from spinturnstile.model import SpinModelParams, TunnelParams, build_total_hamil
 
 from oracles import (
     ancilla_state,
+    check_density_matrix,
     detection_probability,
     joint_evolve,
     kraus_instrument,
     liouville_matrix,
+    partial_trace_bruteforce,
     prepare_ancilla,
     random_bloch,
     random_density,
     random_hermitian,
     rotate_about_axis,
+    spin_half,
     spin_hamiltonian,
 )
 
@@ -84,16 +87,14 @@ class TestJointEvolve:
         p = SpinModelParams(exchange=j)
         h = build_total_hamiltonian(p, include_gate_hamiltonian=False)
         t_swap = np.pi / (4 * j)
-        rho_a = bloch_to_density([0, 0, 1.0])
-        rho_el = bloch_to_density([0, 0, -1.0])
+        rho_a = spin_half([0, 0, 1.0])
+        rho_el = spin_half([0, 0, -1.0])
         rho_s = kron(rho_el, np.eye(2) / 2)
         joint = joint_evolve(rho_a, rho_s, h, t_swap)
         _, u_a = ancilla_state(joint)
         assert np.allclose(u_a, [0, 0, -1.0], atol=1e-10)
         # and the electron picked up the ancilla polarization
-        from spinturnstile.algebra import PAULIS, partial_trace
-
-        rho_el_after = partial_trace(joint, [2, 2, 2], keep=[1])
+        rho_el_after = partial_trace_bruteforce(joint, [2, 2, 2], keep=[1])
         u_el = np.array([np.trace(rho_el_after @ s).real for s in PAULIS])
         assert np.allclose(u_el, [0, 0, 1.0], atol=1e-10)
 
@@ -133,7 +134,7 @@ class TestAncillaState:
         rng = np.random.default_rng(24)
         for _ in range(50):
             joint = joint_evolve(
-                bloch_to_density(random_bloch(rng)), random_density(rng, 4),
+                spin_half(random_bloch(rng)), random_density(rng, 4),
                 random_hermitian(rng, 8), rng.uniform(0, 5),
             )
             _, u = ancilla_state(joint)
@@ -177,7 +178,7 @@ class TestInducedInstrument:
                 tau = 0.4 / (c * t_sq)
             rho_s = random_density(rng, 4)
             inst = induced_instrument(u_l, u_r, h, t, c, tau, t_sq)
-            joint = joint_evolve(bloch_to_density(u_l), rho_s, h, t)
+            joint = joint_evolve(spin_half(u_l), rho_s, h, t)
             _, u_a = ancilla_state(joint)
             pr_formula = detection_probability(u_a, u_r, c, tau, t_sq)
             assert abs(inst.pulse_probability(rho_s) - pr_formula) < 1e-10
@@ -208,8 +209,6 @@ class TestInducedInstrument:
 
     def test_post_states_are_valid(self):
         rng = np.random.default_rng(28)
-        from spinturnstile.algebra import check_density_matrix
-
         for _ in range(20):
             inst = induced_instrument(
                 random_bloch(rng, 0.9), random_bloch(rng, 0.9), random_hermitian(rng, 8),
@@ -256,8 +255,6 @@ class TestRunCycle:
         assert out.pr_pulse == pytest.approx(2 * 1.0 * tp.tau_detect * tp.gamma0, abs=1e-12)
 
     def test_outcome_invariants_random_sweep(self):
-        from spinturnstile.algebra import check_density_matrix
-
         rng = np.random.default_rng(30)
         p = hierarchy_ok_params(exchange=2e5, hyperfine_ancilla=1e5, hyperfine_gate=3e5)
         tp = quiet_tunnel()
@@ -326,8 +323,8 @@ class TestRunCycle:
             t = rng.uniform(0, 2e-5)
             u_l = random_bloch(rng)
             out = run_cycle(MeasurementSetting(u_l, random_bloch(rng), t), p, tp, np.eye(4) / 4, c=0.5)
-            purity_before = float(np.trace(bloch_to_density(u_l) @ bloch_to_density(u_l)).real)
-            rho_a_after = bloch_to_density(out.u_ancilla)
+            purity_before = float(np.trace(spin_half(u_l) @ spin_half(u_l)).real)
+            rho_a_after = spin_half(out.u_ancilla)
             purity_after = float(np.trace(rho_a_after @ rho_a_after).real)
             assert purity_after <= purity_before + 1e-10
 

@@ -17,7 +17,7 @@ from spinturnstile.experiment import (
 from spinturnstile.model import SpinModelParams, TunnelParams
 from spinturnstile.tomography import TWO_SPIN, build_design
 
-from oracles import random_bloch, random_density
+from oracles import check_density_matrix, random_bloch, random_density, spin_half
 
 
 def quiet_model(**overrides):
@@ -205,9 +205,9 @@ class TestSweep:
         kw = self.common()
         kw["model"] = model
         u_el = np.array([0.3, -0.5, 0.6])
-        from spinturnstile.algebra import bloch_to_density, kron
+        from spinturnstile.algebra import kron
 
-        rho_gate = kron(bloch_to_density(u_el), np.eye(2) / 2)
+        rho_gate = kron(spin_half(u_el), np.eye(2) / 2)
         import warnings
 
         from spinturnstile.cycle import HierarchyWarning
@@ -258,6 +258,25 @@ class TestSweep:
         with pytest.warns(HierarchyWarning) as caught:
             run_sweep(settings, rho_gate=np.eye(4) / 4, threshold=1e9, **kw)
         assert len([w for w in caught if w.category is HierarchyWarning]) == len(settings)
+
+    def test_unallocatable_chain_is_an_error_row(self, monkeypatch):
+        # A propagate row whose chain cannot be allocated (e.g. 1e13 cycles)
+        # becomes an error row; the stand-in raises without allocating.
+        import spinturnstile.experiment as experiment
+
+        settings = self.axes_settings()
+        chain = experiment.propagate_cycles
+
+        def propagate_or_fail(instrument, rho_gate, n, seed):
+            if seed == derive_setting_seed(123, settings[1]):
+                raise MemoryError("Unable to allocate 72.8 TiB for an array")
+            return chain(instrument, rho_gate, n, seed)
+
+        monkeypatch.setattr(experiment, "propagate_cycles", propagate_or_fail)
+        rows = run_sweep(settings, rho_gate=np.eye(4) / 4, mode="propagate", **self.common())
+        assert [r.status for r in rows[::2]] == ["ok", "ok"]
+        assert rows[1].status == "error: Unable to allocate 72.8 TiB for an array"
+        assert rows[1].record is None and rows[1].current is None
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -336,8 +355,6 @@ class TestPropagate:
         assert abs(rec.pr_hat - pr) < 4 * np.sqrt(pr * (1 - pr) / 20_000)
 
     def test_final_state_valid(self):
-        from spinturnstile.algebra import check_density_matrix
-
         inst = self.make_instrument()
         rec = propagate_cycles(inst, np.eye(4) / 4, 2_000, seed=13)
         check_density_matrix(rec.rho_final, tol=1e-8)

@@ -1,9 +1,11 @@
-"""Every public name the package declares or re-exports still exists."""
+"""Every public name the package declares or re-exports still exists, and is
+used by the package or documented in the README."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,38 @@ def test_package_reexports_resolve():
             if not hasattr(module, alias.name) or alias.name not in getattr(module, "__all__", ()):
                 stale.append(f"{node.module}.{alias.name}")
     assert not stale, f"spinturnstile/__init__.py imports stale names: {stale}"
+
+
+def _all_names(tree: ast.Module) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [ast.literal_eval(element) for element in node.value.elts]
+    return []
+
+
+def _references(tree: ast.AST, name: str, skip_definition: bool) -> int:
+    """Loads of ``name`` (as a name or an attribute), optionally not counting
+    those inside its own function or class definition."""
+    if skip_definition and isinstance(tree, (ast.FunctionDef, ast.ClassDef)) and tree.name == name:
+        return 0
+    own = ((isinstance(tree, ast.Name) and tree.id == name and isinstance(tree.ctx, ast.Load))
+           or (isinstance(tree, ast.Attribute) and tree.attr == name))
+    return int(own) + sum(_references(child, name, skip_definition) for child in ast.iter_child_nodes(tree))
+
+
+def test_public_names_are_used_or_documented():
+    # A name in a module's __all__ earns its place by serving the package
+    # (a reference outside its own definition; re-exports in __init__.py do
+    # not count) or by being documented in the README.
+    package_dir = Path(PACKAGE.origin).parent
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package_dir.glob("*.py"))}
+    unused = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _all_names(tree)
+        if not any(_references(other, name, skip_definition=other_module == module)
+                   for other_module, other in trees.items() if other_module != "__init__")
+        and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert not unused, f"public names neither used by the package nor in README.md: {unused}"

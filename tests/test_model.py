@@ -1,21 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from spinturnstile.algebra import IDENTITY_2, SIGMA_Z, kron
 from spinturnstile.constants import G_NUCLEAR_P31, MU_B_PER_HBAR
 from spinturnstile.model import (
     HierarchyReport,
     SpinModelParams,
     TunnelParams,
-    build_ancilla_zeeman,
-    build_gate_hamiltonian,
-    build_interaction_hamiltonian,
     build_total_hamiltonian,
     characteristic_times,
     effective_exchange,
     gamma_rate,
 )
 
-from oracles import hubbard_dimer_exchange
+from oracles import hubbard_dimer_exchange, spin_hamiltonian
 
 
 def rand_params(rng):
@@ -31,15 +31,21 @@ def rand_params(rng):
     )
 
 
+def gate_only(p):
+    """``p`` with the ancilla terms (exchange, ancilla hyperfine, ancilla
+    Zeeman) zeroed, so its total Hamiltonian is the gate's own."""
+    return replace(p, exchange=0.0, hyperfine_ancilla=0.0, g_ancilla=0.0)
+
+
 class TestGateHamiltonian:
     def test_all_zero(self):
-        h = build_gate_hamiltonian(SpinModelParams())
+        h = build_total_hamiltonian(SpinModelParams())
         assert np.allclose(h, 0)
 
     def test_electron_zeeman_spectrum(self):
         bz = 0.004
         p = SpinModelParams(b_field=(0, 0, bz), g_electron=2.0)
-        w = np.linalg.eigvalsh(build_gate_hamiltonian(p))
+        w = np.linalg.eigvalsh(build_total_hamiltonian(p))
         scale = 2.0 * MU_B_PER_HBAR * bz
         # +/- g mu_B B_z, each 4-fold degenerate
         assert np.allclose(np.sort(w), [-scale] * 4 + [scale] * 4, rtol=1e-12)
@@ -47,49 +53,49 @@ class TestGateHamiltonian:
     def test_hyperfine_spectrum(self):
         a = 3.7e6
         p = SpinModelParams(hyperfine_gate=a)
-        w = np.sort(np.linalg.eigvalsh(build_gate_hamiltonian(p)))
+        w = np.sort(np.linalg.eigvalsh(build_total_hamiltonian(p)))
         # singlet/triplet structure of sigma.sigma, doubled by the ancilla
         assert np.allclose(w, [-3 * a] * 2 + [a] * 6, rtol=1e-9)
 
     def test_exactly_hermitian(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            h = build_gate_hamiltonian(rand_params(rng))
+            h = build_total_hamiltonian(gate_only(rand_params(rng)))
             assert np.array_equal(h, h.conj().T)
 
     def test_commutes_with_total_sz_for_axial_field(self):
         p = SpinModelParams(b_field=(0, 0, 0.01), g_electron=2.0, g_nuclear=G_NUCLEAR_P31)
-        h = build_gate_hamiltonian(p)
-        from spinturnstile.algebra import spin_operators
-
-        ops = spin_operators(3)
-        total_sz = sum(ops.op(site, "z") for site in range(3))
+        h = build_total_hamiltonian(p)
+        total_sz = (kron(SIGMA_Z, IDENTITY_2, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Z, IDENTITY_2)
+                    + kron(IDENTITY_2, IDENTITY_2, SIGMA_Z))
         comm = h @ total_sz - total_sz @ h
         assert np.abs(comm).max() < 1e-10 * max(1.0, np.abs(h).max())
 
 
 class TestInteractionHamiltonian:
     def test_zero_couplings(self):
-        assert np.allclose(build_interaction_hamiltonian(SpinModelParams()), 0)
+        assert np.allclose(build_total_hamiltonian(SpinModelParams(), include_gate_hamiltonian=False), 0)
 
     def test_exchange_spectrum(self):
         j = 5.5e6
         p = SpinModelParams(exchange=j)
-        w = np.sort(np.linalg.eigvalsh(build_interaction_hamiltonian(p)))
+        w = np.sort(np.linalg.eigvalsh(build_total_hamiltonian(p, include_gate_hamiltonian=False)))
         assert np.allclose(w, [-3 * j] * 2 + [j] * 6, rtol=1e-9)
 
     def test_hermitian_for_random_params(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            h = build_interaction_hamiltonian(rand_params(rng))
+            h = build_total_hamiltonian(rand_params(rng), include_gate_hamiltonian=False)
             assert np.array_equal(h, h.conj().T)
 
     def test_total_includes_ancilla_zeeman_only_when_gate_terms_on(self):
         p = SpinModelParams(b_field=(0, 0, 0.01), g_ancilla=2.0, exchange=1e6)
         full = build_total_hamiltonian(p, include_gate_hamiltonian=True)
         bare = build_total_hamiltonian(p, include_gate_hamiltonian=False)
-        assert np.allclose(bare, build_interaction_hamiltonian(p))
-        assert np.allclose(full, build_interaction_hamiltonian(p) + build_gate_hamiltonian(p) + build_ancilla_zeeman(p))
+        assert np.allclose(bare, spin_hamiltonian(p, include_gate_hamiltonian=False))
+        assert np.allclose(full, spin_hamiltonian(p, include_gate_hamiltonian=True))
+        ancilla_zeeman = 2.0 * MU_B_PER_HBAR * 0.01 * kron(SIGMA_Z, IDENTITY_2, IDENTITY_2)
+        assert np.allclose(full - bare, ancilla_zeeman)
 
 
 class TestEffectiveExchange:

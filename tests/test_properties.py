@@ -1,7 +1,9 @@
 """Property-based checks of the transfer-matrix instrument over random
-settings, and of the configuration's resolved form over random documents."""
+settings, of the configuration's resolved form over random documents, and of
+the time-scale hierarchy report over random norms and tunnels."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -12,7 +14,7 @@ from spinturnstile.config import parse_config, resolved_dict
 from spinturnstile.constants import G_NUCLEAR_P31
 from spinturnstile.cycle import MeasurementSetting, induced_instrument
 from spinturnstile.experiment import RUN_BLOCK, propagate_cycles
-from spinturnstile.model import SpinModelParams, TunnelParams
+from spinturnstile.model import SpinModelParams, TunnelParams, hierarchy_report
 from spinturnstile.tomography import (
     SINGLE_SPIN,
     TWO_SPIN,
@@ -189,3 +191,25 @@ def test_resolved_config_parses_to_the_same_config(doc):
         override = given_setting.get("model", {})
         for key, value in setting.get("model", {}).items():
             assert value == override.get(key, resolved["model"][key])
+
+
+def with_edges(edges, strategy):
+    """``strategy``, plus the listed edge values drawn as often as the rest."""
+    return st.one_of(st.sampled_from(edges), strategy)
+
+
+@PROPERTY_SETTINGS
+@given(
+    # what hierarchy_norms can return: a finite norm, or NaN for an overflow
+    norm=with_edges([0.0, 5e-324, 1.0, 1.7e308, math.nan], st.floats(0.0, 1.7e308)),
+    gamma0=with_edges([5e-324, 1e-300, 1e9], st.floats(5e-324, 1e300)),
+    interdot_sq=with_edges([0.0, 5e-324, 1e9], st.floats(0.0, 1e300)),
+    detuning=with_edges([0.0, 1e12, 1e300], st.floats(-1e300, 1e300)),
+    threshold=st.floats(0.0, 1e12),
+)
+def test_hierarchy_ratios_are_never_nan(norm, gamma0, interdot_sq, detuning, threshold):
+    tunnel = TunnelParams(gamma0=gamma0, interdot_sq=interdot_sq, detuning=detuning)
+    report = hierarchy_report(norm, tunnel, threshold=threshold)
+    # nan compares false, so this also rules it out
+    assert report.ratio_dyn_res >= 0.0 and report.ratio_non_dyn >= 0.0
+    assert report.satisfied == (report.ratio_dyn_res >= threshold and report.ratio_non_dyn >= threshold)
