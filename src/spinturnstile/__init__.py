@@ -33,7 +33,6 @@ from .tomography import (
     SINGLE_SPIN,
     TWO_SPIN,
     build_design,
-    identifiability_report,
     project_physical,
     reconstruct,
 )

@@ -46,10 +46,10 @@ from .results import ResultTable, write_results
 from .tomography import (
     build_design,
     density_to_theta,
-    identifiability_report,
     identified_parameters,
     parameter_labels,
     reconstruct,
+    unidentifiable_directions,
 )
 
 EXIT_OK = 0
@@ -81,8 +81,7 @@ def _cmd_rates(cfg: RunConfig, meta: dict) -> ResultTable:
     )
     row = (
         report.tau_res, report.tau_dyn, report.tau_non,
-        1.0 / report.tau_res, (1.0 / report.tau_dyn if report.tau_dyn_finite else 0.0),
-        1.0 / report.tau_non,
+        1.0 / report.tau_res, 1.0 / report.tau_dyn, 1.0 / report.tau_non,
         report.ratio_dyn_res, report.ratio_non_dyn, report.satisfied,
     )
     return ResultTable(columns=columns, rows=[row], metadata=meta)
@@ -201,7 +200,6 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
         counts = np.full(design.n_settings, n)
 
     result = reconstruct(design, pr_used, shot_counts=counts)
-    report = identifiability_report(design)
 
     labels = parameter_labels(mode)
     std = (np.sqrt(np.clip(np.diag(result.covariance), 0.0, None))
@@ -222,10 +220,10 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
         "n_settings": design.n_settings,
         "rank": design.rank,
         "condition_number": design.condition_number,
-        "identifiable": report.identifiable,
+        "identifiable": design.rank == design.n_params,
         "residual_norm": result.residual_norm,
         "estimate_physical": result.physical,
-        "unidentifiable_directions": list(report.unidentifiable_directions),
+        "unidentifiable_directions": unidentifiable_directions(design),
     })
     return ResultTable(columns=columns, rows=rows, metadata=meta)
 

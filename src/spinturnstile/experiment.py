@@ -96,9 +96,6 @@ class CalibrationResult:
 
     c_hat: float
     residual: float
-    pr_measured: float
-    u_left_mag: float
-    u_right_mag: float
 
 
 @dataclass(frozen=True)
@@ -287,13 +284,7 @@ def calibrate(
         raise ValueError("tau_detect * gamma0 must be positive to calibrate")
     c_hat = measured_pr / denom
     residual = abs(c_hat * denom - measured_pr)
-    return CalibrationResult(
-        c_hat=c_hat,
-        residual=residual,
-        pr_measured=measured_pr,
-        u_left_mag=u_left_mag,
-        u_right_mag=u_right_mag,
-    )
+    return CalibrationResult(c_hat=c_hat, residual=residual)
 
 
 def derive_setting_seed(master_seed: int, setting: MeasurementSetting) -> int:

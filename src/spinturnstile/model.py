@@ -151,7 +151,7 @@ class HierarchyReport:
     The protocol requires resonant tunneling to be much faster than the joint
     spin dynamics, which in turn must be much faster than the off-resonant
     leakage: ``tau_res << tau_dyn << tau_non``. ``satisfied`` holds exactly
-    when both ratios reach ``threshold``.
+    when both ratios reach the threshold the report was computed with.
     """
 
     tau_res: float
@@ -160,8 +160,6 @@ class HierarchyReport:
     ratio_dyn_res: float
     ratio_non_dyn: float
     satisfied: bool
-    threshold: float
-    tau_dyn_finite: bool = True
 
 
 # _SITE_PAULIS[site][axis]: sigma_axis on one site, identities on the other two.
@@ -281,10 +279,7 @@ def _separation(slow: float, fast: float) -> float:
 
 
 def characteristic_times(
-    p: SpinModelParams,
-    tp: TunnelParams,
-    delta_off: float | None = None,
-    threshold: float = HIERARCHY_THRESHOLD,
+    p: SpinModelParams, tp: TunnelParams, threshold: float = HIERARCHY_THRESHOLD
 ) -> HierarchyReport:
     """Evaluate the three device time scales and check their separation.
 
@@ -297,34 +292,27 @@ def characteristic_times(
     norm = float(hierarchy_norms(model_coefficients([p]))[0])
     if math.isnan(norm):
         raise ValueError("the model Hamiltonian overflows float64")
-    return hierarchy_report(norm, tp, delta_off, threshold)
+    return hierarchy_report(norm, tp, threshold)
 
 
 def hierarchy_report(
-    norm: float,
-    tp: TunnelParams,
-    delta_off: float | None = None,
-    threshold: float = HIERARCHY_THRESHOLD,
+    norm: float, tp: TunnelParams, threshold: float = HIERARCHY_THRESHOLD
 ) -> HierarchyReport:
     """Device time scales of a model whose :func:`hierarchy_norms` entry is ``norm``.
 
     ``tau_res`` is the on-resonance escape time, ``tau_non`` the leakage time
-    at detuning ``delta_off`` (default: ``tp.detuning``), and ``tau_dyn`` the
-    joint spin-dynamics time estimated as ``2 pi / norm``.
+    at detuning ``tp.detuning``, and ``tau_dyn`` the joint spin-dynamics time
+    estimated as ``2 pi / norm``.
 
     A rate that vanishes in floating point (e.g. leakage through a barrier
     with ``gamma0`` near the underflow limit) gives an infinite time.
-    A zero Hamiltonian leaves ``tau_dyn`` undefined; the report then carries
-    ``tau_dyn = inf`` with ``tau_dyn_finite=False`` instead of raising. A
-    ratio whose denominator time is infinite reads 0.
+    A zero Hamiltonian generates no dynamics; the report then carries
+    ``tau_dyn = inf`` instead of raising. A ratio whose denominator time is
+    infinite reads 0.
     """
-    if delta_off is None:
-        delta_off = tp.detuning
     tau_res = _inverse(gamma_rate(0.0, tp))
-    tau_non = _inverse(gamma_rate(delta_off, tp))
-
-    finite = norm > 0.0
-    tau_dyn = 2.0 * math.pi / norm if finite else math.inf
+    tau_non = _inverse(gamma_rate(tp.detuning, tp))
+    tau_dyn = 2.0 * math.pi / norm if norm > 0.0 else math.inf
 
     r1 = _separation(tau_dyn, tau_res)
     r2 = _separation(tau_non, tau_dyn)
@@ -335,6 +323,4 @@ def hierarchy_report(
         ratio_dyn_res=r1,
         ratio_non_dyn=r2,
         satisfied=bool(r1 >= threshold and r2 >= threshold),
-        threshold=float(threshold),
-        tau_dyn_finite=finite,
     )

@@ -20,8 +20,12 @@ Two parameterizations are supported:
 - ``"two_spin"``: all 15 generalized parameters (two local polarizations
   plus 9 correlators).
 
+A single-spin vector is the two-spin vector with parameters 4-15 held at 0,
+so the state, its physicality and its projection follow one route in both
+modes. Rank, conditioning and null space live on the design only.
+
 Shot noise propagates through the pseudoinverse into a parameter covariance
-estimate. Raw estimates may leave the physical state set; a clip-based
+estimate. Raw estimates may leave the physical state set; an eigenvalue-clip
 projection back to physicality is provided as a diagnostic, never applied
 silently.
 """
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GATE_PAULI_BASIS, PAULI_PRODUCT_LABELS, pauli_coordinates
+from .algebra import PAULI_PRODUCT_LABELS, pauli_coordinates, pauli_operator
 from .cycle import setting_instruments
 from .model import SpinModelParams, TunnelParams
 
@@ -41,7 +45,6 @@ __all__ = [
     "PAULI_PRODUCT_LABELS",
     "TomographyDesign",
     "ReconstructionResult",
-    "IdentifiabilityReport",
     "RankDeficientWarning",
     "n_parameters",
     "parameter_labels",
@@ -53,7 +56,7 @@ __all__ = [
     "forward_probabilities",
     "reconstruct",
     "identified_parameters",
-    "identifiability_report",
+    "unidentifiable_directions",
 ]
 
 SINGLE_SPIN = "single_spin"
@@ -92,20 +95,17 @@ def parameter_labels(mode: str):
 
 
 def theta_to_density(theta, mode: str) -> np.ndarray:
-    """Gate state from its parameter vector.
+    """Gate state ``(I + sum_j theta_j P_j) / 4`` from its parameter vector.
 
     Single-spin parameters describe the electron polarization with the
-    nucleus maximally mixed; two-spin parameters are the full Pauli-product
-    expansion coefficients.
+    nucleus maximally mixed: the two-spin vector with parameters 4-15 at 0.
     """
     _check_mode(mode)
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n_parameters(mode),):
-        raise ValueError(f"{mode} expects {n_parameters(mode)} parameters, got shape {theta.shape}")
-    rho = np.eye(4, dtype=complex) / 4.0
-    for coeff, mat in zip(theta, GATE_PAULI_BASIS[1:]):
-        rho = rho + coeff * mat / 4.0
-    return rho
+    n = n_parameters(mode)
+    if theta.shape != (n,):
+        raise ValueError(f"{mode} expects {n} parameters, got shape {theta.shape}")
+    return pauli_operator(np.concatenate(([1.0], theta, np.zeros(15 - n)))) / 4.0
 
 
 def density_to_theta(rho: np.ndarray, mode: str) -> np.ndarray:
@@ -114,34 +114,22 @@ def density_to_theta(rho: np.ndarray, mode: str) -> np.ndarray:
 
 
 def is_physical(theta, mode: str, tol: float = 1e-10) -> bool:
-    """Whether the parameter vector corresponds to a positive unit-trace state."""
-    _check_mode(mode)
-    theta = np.asarray(theta, dtype=float)
-    if mode == SINGLE_SPIN:
-        return float(np.linalg.norm(theta)) <= 1.0 + tol
-    min_eig = float(np.linalg.eigvalsh(theta_to_density(theta, mode)).min())
-    return min_eig >= -tol
+    """Whether the smallest eigenvalue of :func:`theta_to_density` is at
+    least ``-tol``; in single-spin mode it is ``(1 - |theta|) / 4``."""
+    return float(np.linalg.eigvalsh(theta_to_density(theta, mode)).min()) >= -tol
 
 
 def project_physical(theta, mode: str) -> np.ndarray:
     """Clip-based projection of a raw estimate back to the physical set.
 
-    Single-spin: radial shrink of the polarization vector onto the unit ball.
-    Two-spin: clip negative eigenvalues of the reconstructed matrix to zero
-    and renormalize the trace. Idempotent; physical inputs pass through
-    unchanged (up to re-expansion round-off).
+    Clips the negative eigenvalues of :func:`theta_to_density` to zero,
+    renormalizes the trace and returns the mode's parameters. In single-spin
+    mode this shrinks an overlong polarization radially onto the unit
+    sphere. Idempotent; physical inputs pass through unchanged.
     """
-    _check_mode(mode)
-    theta = np.asarray(theta, dtype=float)
-    if mode == SINGLE_SPIN:
-        norm = float(np.linalg.norm(theta))
-        if norm <= 1.0:
-            return theta.copy()
-        return theta / norm
-    rho = theta_to_density(theta, mode)
-    w, v = np.linalg.eigh(rho)
+    w, v = np.linalg.eigh(theta_to_density(theta, mode))
     if w.min() >= 0.0:
-        return theta.copy()
+        return np.array(theta, dtype=float)
     w = np.clip(w, 0.0, None)
     rho_proj = (v * w) @ v.conj().T
     rho_proj /= np.trace(rho_proj).real
@@ -160,14 +148,13 @@ class TomographyDesign:
     conditioning are computed from the singular spectrum with relative cutoff
     ``RANK_TOL``; ``null_space`` columns span the unidentifiable directions
     and ``pseudo_inverse`` is the rank-truncated pseudoinverse of ``matrix``.
+    The design identifies the state exactly when ``rank == n_params``.
     """
 
-    settings: tuple
     mode: str
     matrix: np.ndarray
     offset: np.ndarray
     pulse_rows: np.ndarray
-    singular_values: np.ndarray
     rank: int
     condition_number: float
     null_space: np.ndarray
@@ -187,27 +174,10 @@ class ReconstructionResult:
     """Least-squares gate-state estimate with diagnostics."""
 
     theta_hat: np.ndarray
-    mode: str
     residual_norm: float
     covariance: np.ndarray | None
     physical: bool
     physical_projection: np.ndarray | None
-    rank: int
-    condition_number: float
-    null_space: np.ndarray
-
-
-@dataclass(frozen=True)
-class IdentifiabilityReport:
-    """Summary of which state parameters a design can resolve."""
-
-    mode: str
-    n_settings: int
-    n_params: int
-    rank: int
-    condition_number: float
-    identifiable: bool
-    unidentifiable_directions: tuple
 
 
 def build_design(
@@ -248,12 +218,10 @@ def build_design(
     inv_sv = np.zeros_like(sv)
     inv_sv[:rank] = 1.0 / sv[:rank]
     return TomographyDesign(
-        settings=settings,
         mode=mode,
         matrix=matrix,
         offset=offset,
         pulse_rows=pulse_rows,
-        singular_values=sv,
         rank=rank,
         condition_number=cond,
         null_space=vt[rank:].T.copy(),
@@ -304,20 +272,16 @@ def reconstruct(design: TomographyDesign, pr_measured, shot_counts=None) -> Reco
         if np.any(counts <= 0):
             raise ValueError("shot counts must be positive")
         var = pr_measured * (1.0 - pr_measured) / counts
-        covariance = design.pseudo_inverse @ np.diag(var) @ design.pseudo_inverse.T
+        covariance = (design.pseudo_inverse * var) @ design.pseudo_inverse.T
 
     physical = is_physical(theta_hat, design.mode)
     projection = None if physical else project_physical(theta_hat, design.mode)
     return ReconstructionResult(
         theta_hat=theta_hat,
-        mode=design.mode,
         residual_norm=residual_norm,
         covariance=covariance,
         physical=physical,
         physical_projection=projection,
-        rank=design.rank,
-        condition_number=design.condition_number,
-        null_space=design.null_space,
     )
 
 
@@ -327,23 +291,16 @@ def identified_parameters(design: TomographyDesign) -> np.ndarray:
     return np.linalg.norm(design.null_space, axis=1) <= NULL_OVERLAP_TOL
 
 
-def identifiability_report(design: TomographyDesign) -> IdentifiabilityReport:
-    """Describe the unidentifiable directions of a design, if any."""
+def unidentifiable_directions(design: TomographyDesign) -> list:
+    """One string per null-space direction of the design, naming its (up to
+    three) dominant parameters with their weights; empty when the design
+    identifies the state."""
     labels = parameter_labels(design.mode)
     directions = []
-    for k in range(design.null_space.shape[1]):
-        vec = design.null_space[:, k]
+    for vec in design.null_space.T:
         order = np.argsort(-np.abs(vec))
         dominant = [
             f"{labels[j]} ({vec[j]:+.3f})" for j in order[:3] if abs(vec[j]) > 0.05
         ]
         directions.append(", ".join(dominant) if dominant else "(diffuse)")
-    return IdentifiabilityReport(
-        mode=design.mode,
-        n_settings=design.n_settings,
-        n_params=design.n_params,
-        rank=design.rank,
-        condition_number=design.condition_number,
-        identifiable=design.rank == design.n_params,
-        unidentifiable_directions=tuple(directions),
-    )
+    return directions

@@ -1,5 +1,6 @@
 """Every public name the package declares or re-exports still exists, and is
-used by the package or documented in the README."""
+used by the package or documented in the README; every field of a package
+record is read somewhere or documented in the README."""
 
 import ast
 import importlib
@@ -77,3 +78,35 @@ def test_public_names_are_used_or_documented():
         and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert not unused, f"public names neither used by the package nor in README.md: {unused}"
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+            or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases))
+
+
+def test_record_fields_are_read_or_documented():
+    # A field of a package dataclass or NamedTuple earns its place by being
+    # read as an attribute somewhere in the package or the tests, or by being
+    # documented in the README. A field nothing reads only echoes an input or
+    # copies another object's field.
+    package_dir = Path(PACKAGE.origin).parent
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    package = sorted(package_dir.glob("*.py"))
+    read = {node.attr for path in package + sorted((root / "tests").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [
+        f"{path.stem}.{cls.name}.{item.target.id}"
+        for path in package
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef) and _is_record(cls)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+        and not re.search(rf"\b{re.escape(item.target.id)}\b", readme)
+    ]
+    assert not unread, f"record fields neither read as attributes nor in README.md: {unread}"

@@ -1,6 +1,7 @@
 """Property-based checks of the transfer-matrix instrument over random
-settings, of the configuration's resolved form over random documents, and of
-the time-scale hierarchy report over random norms and tunnels."""
+settings, of the tomography parameterization over random vectors, of the
+configuration's resolved form over random documents, and of the time-scale
+hierarchy report over random norms and tunnels."""
 
 import json
 import math
@@ -21,6 +22,8 @@ from spinturnstile.tomography import (
     build_design,
     density_to_theta,
     forward_probabilities,
+    is_physical,
+    project_physical,
     theta_to_density,
 )
 
@@ -128,6 +131,20 @@ def test_design_is_affine_in_the_state(settings_, kappa, pol_a, pol_b, seed, lam
         mixed = probabilities(lam * rho_a + (1.0 - lam) * rho_b)
         expected = lam * probabilities(rho_a) + (1.0 - lam) * probabilities(rho_b)
         assert np.abs(mixed - expected).max() < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(st.tuples(*3 * [st.floats(-2.0, 2.0)]).map(np.array))
+def test_single_spin_is_two_spin_with_zero_padding(theta):
+    padded = np.concatenate([theta, np.zeros(12)])
+    assert np.array_equal(theta_to_density(theta, SINGLE_SPIN), theta_to_density(padded, TWO_SPIN))
+    single, double = project_physical(theta, SINGLE_SPIN), project_physical(padded, TWO_SPIN)
+    assert np.abs(single - double[:3]).max() <= 1e-12
+    assert np.abs(double[3:]).max() <= 1e-12
+    # the single-spin state is physical exactly when |theta| <= 1
+    norm = np.linalg.norm(theta)
+    if abs(norm - 1.0) > 1e-9:
+        assert is_physical(theta, SINGLE_SPIN) == is_physical(padded, TWO_SPIN) == (norm < 1.0)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
