@@ -64,7 +64,8 @@ def _hermitian_rows(m: np.ndarray, tol: float) -> np.ndarray:
     """Entrywise Hermiticity of each matrix of an (R, d, d) stack, tolerance
     scaled by the matrix magnitude; a non-finite matrix is not Hermitian."""
     scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-    return np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= tol * scale
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= tol * scale
 
 
 def evolve_unitaries(h: np.ndarray, t) -> tuple:
@@ -77,15 +78,17 @@ def evolve_unitaries(h: np.ndarray, t) -> tuple:
     Returns:
         ``(u, errors)``: the (R, d, d) propagators and, per row, None or the
         reason the row has no propagator: a generator that is not Hermitian
-        within tolerance, or a phase ``|w| t`` over ``MAX_PHASE`` rad. Such
-        rows never reach the exponential, and they hold the identity, as do
-        rows with ``t == 0`` or ``h == 0`` (exact, not ``V V^dag``, so
-        zero-phase evolution is noiseless).
+        within tolerance, a time that is not finite, or a phase ``|w| t``
+        over ``MAX_PHASE`` rad. Such rows never reach the exponential, and
+        they hold the identity, as do rows with ``t == 0`` or ``h == 0``
+        (exact, not ``V V^dag``, so zero-phase evolution is noiseless).
     """
     h = np.asarray(h, dtype=complex)
     t = np.asarray(t, dtype=float)
     hermitian = _hermitian_rows(h, STRUCTURAL_TOL)
-    identity = ~hermitian | (t == 0.0) | ~h.any(axis=(1, 2))
+    finite = np.isfinite(t)
+    t = np.where(finite, t, 0.0)  # a row reported below
+    identity = ~hermitian | ~finite | (t == 0.0) | ~h.any(axis=(1, 2))
     w, v = np.linalg.eigh(np.where(identity[:, None, None], 0.0, h))
     with np.errstate(over="ignore"):  # an infinite phase is over the limit too
         phase = np.abs(w).max(axis=1) * np.abs(t)
@@ -96,9 +99,12 @@ def evolve_unitaries(h: np.ndarray, t) -> tuple:
     u = (v * phases[:, None, :]) @ v.conj().swapaxes(1, 2)
     u[identity] = np.eye(h.shape[1])
     errors = []
-    for ok, over, p in zip(hermitian.tolist(), lost.tolist(), phase.tolist()):
+    for ok, timed, over, p in zip(hermitian.tolist(), finite.tolist(), lost.tolist(),
+                                  phase.tolist()):
         if not ok:
             errors.append("evolve_unitary requires a Hermitian generator")
+        elif not timed:
+            errors.append("evolve_unitary requires a finite time")
         elif over:
             errors.append(f"propagator phase {p:.3g} rad exceeds {MAX_PHASE:.0e} rad: precision lost")
         else:
@@ -111,8 +117,8 @@ def evolve_unitary(h: np.ndarray, t: float) -> np.ndarray:
     of :func:`evolve_unitaries`.
 
     Raises:
-        ValueError: if ``h`` is not Hermitian within tolerance, or if a phase
-            ``|w| t`` exceeds ``MAX_PHASE`` rad.
+        ValueError: if ``h`` is not Hermitian within tolerance, if ``t`` is
+            not finite, or if a phase ``|w| t`` exceeds ``MAX_PHASE`` rad.
     """
     u, errors = evolve_unitaries(np.asarray(h)[None], [float(t)])
     if errors[0] is not None:

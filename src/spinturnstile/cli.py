@@ -1,18 +1,13 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library layers:
-
-- ``rates``      device time scales and hierarchy check
-- ``cycle``      a single measurement cycle on the configured gate state
-- ``sweep``      shot statistics over a grid of settings
-- ``calibrate``  detection-constant recovery at parallel magnetizations
-- ``tomography`` design diagnostics plus gate-state reconstruction
-
-All commands read one JSON configuration (``--config PATH`` or ``-`` for
-stdin), write CSV or JSON-lines to ``--out`` (default stdout) and embed the
-configuration digest and effective seed in the output metadata, making every
-result reproducible from its own header. Warnings (e.g. a violated time-scale
-hierarchy) go to stderr and never change the exit code.
+The subcommands, listed with their handlers and help texts in ``COMMANDS``,
+map one-to-one onto the library layers. All commands read one JSON
+configuration (``--config PATH`` or ``-`` for stdin), write their table in
+one of the ``results.RENDERERS`` formats (CSV or JSON-lines) to ``--out``
+(default stdout) and embed the configuration digest and effective seed in
+the output metadata, making every result reproducible from its own header.
+Warnings (e.g. a violated time-scale hierarchy) go to stderr and never
+change the exit code.
 
 Exit codes: 0 success, 2 configuration syntax error, 3 validation error,
 4 I/O error, 1 internal error.
@@ -42,7 +37,7 @@ from .experiment import (
     sample_cycles,
 )
 from .model import characteristic_times
-from .results import ResultTable, write_results
+from .results import RENDERERS, ResultTable, write_results
 from .tomography import (
     build_design,
     density_to_theta,
@@ -57,8 +52,6 @@ EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
-
-COMMANDS = ("rates", "cycle", "sweep", "calibrate", "tomography")
 
 
 def _base_metadata(command: str, digest: str, cfg: RunConfig) -> dict:
@@ -228,20 +221,21 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
     return ResultTable(columns=columns, rows=rows, metadata=meta)
 
 
+# Subcommand -> (handler, help text).
+COMMANDS = {
+    "rates": (_cmd_rates, "device time scales and hierarchy check"),
+    "cycle": (_cmd_cycle, "single measurement cycle"),
+    "sweep": (_cmd_sweep, "shot statistics over a setting grid"),
+    "calibrate": (_cmd_calibrate, "detection-constant calibration"),
+    "tomography": (_cmd_tomography, "gate-state reconstruction"),
+}
+
+
 def execute(command: str, cfg: RunConfig, digest: str) -> ResultTable:
     """Run one subcommand against a validated configuration."""
-    meta = _base_metadata(command, digest, cfg)
-    if command == "rates":
-        return _cmd_rates(cfg, meta)
-    if command == "cycle":
-        return _cmd_cycle(cfg, meta)
-    if command == "sweep":
-        return _cmd_sweep(cfg, meta)
-    if command == "calibrate":
-        return _cmd_calibrate(cfg, meta)
-    if command == "tomography":
-        return _cmd_tomography(cfg, meta)
-    raise ValueError(f"unknown command {command!r}")
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}")
+    return COMMANDS[command][0](cfg, _base_metadata(command, digest, cfg))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,18 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Turnstile readout simulator for donor spin gates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("rates", "device time scales and hierarchy check"),
-        ("cycle", "single measurement cycle"),
-        ("sweep", "shot statistics over a setting grid"),
-        ("calibrate", "detection-constant calibration"),
-        ("tomography", "gate-state reconstruction"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,
                        help="path to the JSON configuration, or '-' for stdin")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", default="csv", choices=("csv", "jsonl"),
+        p.add_argument("--format", default="csv", choices=tuple(RENDERERS),
                        help="output format (default: csv)")
         p.add_argument("--seed", type=int, default=None,
                        help="override experiment.seed from the configuration")

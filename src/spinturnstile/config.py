@@ -23,7 +23,7 @@ from .algebra import PAULI_PRODUCT_LABELS
 from .constants import G_NUCLEAR_P31
 from .cycle import MeasurementSetting
 from .model import SpinModelParams, TunnelParams
-from .tomography import SINGLE_SPIN, TWO_SPIN, n_parameters, theta_to_density
+from .tomography import SINGLE_SPIN, TWO_SPIN, is_physical, n_parameters, theta_to_density
 
 __all__ = [
     "ConfigError",
@@ -429,11 +429,8 @@ def _parse_gate_state(obj) -> GateStateSpec:
     theta = tuple(_as_float(v, f"gate_state.{key}[{i}]") for i, v in enumerate(raw))
     spec = (GateStateSpec(theta_single=theta) if mode == SINGLE_SPIN
             else GateStateSpec(theta_two=theta))
-    min_eig = float(np.linalg.eigvalsh(spec.density()).min())
-    if min_eig < -1e-10:
-        raise ConfigValidationError(
-            f"gate_state.{key}", f"parameters give an unphysical state (min eigenvalue {min_eig:.3e})"
-        )
+    if not is_physical(spec.theta_two_spin(), TWO_SPIN):
+        raise ConfigValidationError(f"gate_state.{key}", "parameters give an unphysical state")
     return spec
 
 

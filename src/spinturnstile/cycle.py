@@ -49,6 +49,7 @@ from .algebra import (
     pauli_operator,
 )
 from .model import (
+    _OVERFLOW_ERROR,
     HIERARCHY_THRESHOLD,
     SpinModelParams,
     TunnelParams,
@@ -94,6 +95,11 @@ class MeasurementSetting:
     ``model`` optionally overrides the baseline spin-model parameters for
     this setting only (sweeps and tomography designs may vary couplings or
     the field alongside the lead magnetizations).
+
+    This is the one check of ``(u_left, u_right, t_interact)``, which
+    :func:`induced_instrument` applies too: each lead has 3 components and a
+    finite norm of at most 1, and the time is finite and nonnegative. Each
+    ``ValueError`` names its field.
     """
 
     u_left: tuple
@@ -102,17 +108,15 @@ class MeasurementSetting:
     model: SpinModelParams | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "u_left", tuple(float(x) for x in self.u_left))
-        object.__setattr__(self, "u_right", tuple(float(x) for x in self.u_right))
-        if not all(math.isfinite(x) for x in (*self.u_left, *self.u_right, self.t_interact)):
-            raise ValueError("lead polarizations and t_interact must be finite")
-        for name, u in (("u_left", self.u_left), ("u_right", self.u_right)):
+        for name in ("u_left", "u_right"):
+            u = tuple(float(x) for x in getattr(self, name))
             if len(u) != 3:
                 raise ValueError(f"{name} must have 3 components")
-            if float(np.linalg.norm(u)) > 1.0 + STRUCTURAL_TOL:
-                raise ValueError(f"{name} must have norm <= 1")
-        if self.t_interact < 0:
-            raise ValueError("t_interact must be nonnegative")
+            if not math.hypot(*u) <= 1.0 + STRUCTURAL_TOL:  # NaN too
+                raise ValueError(f"{name} must be finite with norm <= 1")
+            object.__setattr__(self, name, u)
+        if not 0.0 <= self.t_interact < math.inf:  # NaN too
+            raise ValueError("t_interact must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -214,18 +218,13 @@ def detection_strength(c: float, tau_detect: float, t_sq: float) -> float:
     return 2.0 * c * tau_detect * t_sq
 
 
-def _kappa_error(kappa: float) -> str | None:
-    """Why the detection POVM of strength ``kappa`` is unphysical, or None."""
-    if kappa > 1.0 + STRUCTURAL_TOL:
-        return (f"detection strength kappa={kappa} exceeds 1; reduce detection.c, "
-                "tunnel.tau_detect_s or tunnel.gamma0_per_s")
-    return None
-
-
 def _instrument_block(start: int, h: np.ndarray, t, u_left: np.ndarray, u_right: np.ndarray,
-                      kappa: float) -> InstrumentBlock:
+                      kappa: float, errors=None) -> InstrumentBlock:
     """Instruments of stacked rows: Hamiltonians ``h`` (R, 8, 8), times ``t``
     and lead polarizations (R, 3), with detection strength ``kappa``.
+    ``errors`` holds, per row, None or a reason already known that the row
+    has no instrument; the others get the errors of :func:`evolve_unitaries`,
+    and every row gets the error of a ``kappa`` above 1.
 
     For every gate basis element ``P_j`` the joint state ``U (rho_A x P_j)
     U^dag`` is partially traced against ``sigma_a x I`` (``a`` over I, X, Y,
@@ -234,10 +233,11 @@ def _instrument_block(start: int, h: np.ndarray, t, u_left: np.ndarray, u_right:
     = W (I x P_j)`` with ``W = U (rho_A x I)``, all 16 joint states of a row
     come from two matrix products.
     """
-    u, errors = evolve_unitaries(h, t)
-    kappa_error = _kappa_error(kappa)
-    if kappa_error is not None:
-        errors = [kappa_error] * len(errors)
+    u, found = evolve_unitaries(h, t)
+    errors = found if errors is None else [known or other for known, other in zip(errors, found)]
+    if kappa > 1.0 + STRUCTURAL_TOL:
+        errors = [f"detection strength kappa={kappa} exceeds 1; reduce detection.c, "
+                  "tunnel.tau_detect_s or tunnel.gamma0_per_s"] * len(errors)
     n = len(u)
     w = u @ (_with_trace(u_left) @ _ANCILLA_INPUTS).reshape(n, 8, 8)
     joint = (w.reshape(8 * n, 8) @ _GATE_RIGHT).reshape(n, 128, 8) @ u.conj().swapaxes(1, 2)
@@ -284,21 +284,16 @@ def induced_instrument(
     case of the stacked computation :func:`setting_instruments` runs.
 
     Raises:
-        ValueError: if ``u_left`` or ``u_right`` is not a polarization vector,
-            if the detection strength ``kappa`` exceeds 1 (the POVM would
-            not be positive: unphysical detection), or if
+        ValueError: if ``(u_left, u_right, t)`` is not a valid
+            :class:`MeasurementSetting` (a NaN, infinite or negative ``t``
+            included), if the detection strength ``kappa`` exceeds 1 (the
+            POVM would not be positive: unphysical detection), or if
             :func:`evolve_unitaries` gives no propagator.
     """
-    kappa = detection_strength(c, tau_detect, t_sq)
-    error = _kappa_error(kappa)
-    if error is not None:
-        raise ValueError(error)
-    u_left, u_right = np.asarray(u_left, dtype=float), np.asarray(u_right, dtype=float)
-    for name, u in (("u_left", u_left), ("u_right", u_right)):
-        if u.shape != (3,) or not float(np.linalg.norm(u)) <= 1.0 + STRUCTURAL_TOL:  # NaN too
-            raise ValueError(f"{name} must be a 3-vector of norm <= 1")
-    return _instrument_block(0, np.asarray(h_total)[None], [float(t)],
-                             u_left[None], u_right[None], kappa).instrument(0)
+    setting = MeasurementSetting(u_left, u_right, t)
+    return _instrument_block(0, np.asarray(h_total)[None], [setting.t_interact],
+                             np.array([setting.u_left]), np.array([setting.u_right]),
+                             detection_strength(c, tau_detect, t_sq)).instrument(0)
 
 
 def setting_instruments(
@@ -319,31 +314,40 @@ def setting_instruments(
     one product with the generator stack, its propagators from one ``eigh``
     and its transfer matrices from a few stacked products; a block is built
     only when the previous one has been consumed. A setting that has no
-    instrument (detection strength above 1, lost propagator phase) gets an
-    error message in its row instead of stopping the others.
+    instrument (detection strength above 1, a model that overflows float64,
+    lost propagator phase) gets an error message in its row instead of
+    stopping the others.
 
     With a ``threshold``, every setting whose model's time scales are not
-    separated by it emits a :class:`HierarchyWarning`, in row order, at the
-    caller of the code iterating this generator.
+    separated by it, or cannot be computed because the model overflows,
+    emits a :class:`HierarchyWarning`, in row order, at the caller of the
+    code iterating this generator.
     """
     settings = list(settings)
     kappa = detection_strength(c, tunnel.tau_detect, tunnel.gamma0)
     for start in range(0, len(settings), BLOCK_ROWS):
         block = settings[start:start + BLOCK_ROWS]
         coefficients = model_coefficients(s.model if s.model is not None else model for s in block)
+        norms = hierarchy_norms(coefficients)
         if threshold is not None:
-            for norm in hierarchy_norms(coefficients).tolist():
+            for norm in norms.tolist():
                 report = hierarchy_report(norm, tunnel, threshold=threshold)
-                if not report.satisfied:
-                    warnings.warn(
-                        "time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
-                        f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})",
-                        HierarchyWarning,
-                        stacklevel=3,
-                    )
-        yield _instrument_block(start, hamiltonians(coefficients, include_gate_hamiltonian),
-                                [s.t_interact for s in block], np.array([s.u_left for s in block]),
-                                np.array([s.u_right for s in block]), kappa)
+                if math.isnan(norm):
+                    problem = f"cannot be checked: {_OVERFLOW_ERROR}"
+                elif not report.satisfied:
+                    problem = (f"not satisfied (ratios {report.ratio_dyn_res:.3g}, "
+                               f"{report.ratio_non_dyn:.3g})")
+                else:
+                    continue
+                warnings.warn(f"time-scale hierarchy tau_res << tau_dyn << tau_non {problem}",
+                              HierarchyWarning, stacklevel=3)
+        h = hamiltonians(coefficients, include_gate_hamiltonian)
+        overflow = np.isnan(norms) | ~np.isfinite(h).all(axis=(1, 2))
+        h[overflow] = 0.0
+        yield _instrument_block(start, h, [s.t_interact for s in block],
+                                np.array([s.u_left for s in block]),
+                                np.array([s.u_right for s in block]), kappa,
+                                [_OVERFLOW_ERROR if o else None for o in overflow.tolist()])
 
 
 def setting_instrument(

@@ -67,18 +67,16 @@ class ShotRecord:
 
 
 @dataclass(frozen=True)
-class ChainRecord:
-    """Pulse statistics of a back-action chain (cycles not independent).
+class ChainRecord(ShotRecord):
+    """Pulse statistics of a back-action chain (cycles not independent), with
+    the chain's outcomes, pulse probabilities and final state.
 
-    ``resets`` counts no-pulse branches of nonpositive probability, after
-    which the state was reset to maximally mixed; a valid instrument has none.
+    ``std_err`` keeps the binomial form, which is only indicative here since
+    the chain correlates cycles. ``resets`` counts no-pulse branches of
+    nonpositive probability, after which the state was reset to maximally
+    mixed; a valid instrument has none.
     """
 
-    n_cycles: int
-    n_pulses: int
-    pr_hat: float
-    std_err: float
-    seed: int
     outcomes: np.ndarray
     probs: np.ndarray
     rho_final: np.ndarray
@@ -110,6 +108,14 @@ class SweepRow:
     status: str = "ok"
 
 
+def _count_record(n_pulses: int, n: int, seed: int, record=ShotRecord, **chain):
+    """``record`` of ``n_pulses`` in ``n`` cycles, with their ``pr_hat`` and its
+    binomial ``std_err``."""
+    pr_hat = n_pulses / n
+    return record(n_cycles=n, n_pulses=n_pulses, pr_hat=pr_hat,
+                  std_err=float(np.sqrt(pr_hat * (1.0 - pr_hat) / n)), seed=int(seed), **chain)
+
+
 def sample_cycles(pr: float, n: int, seed: int) -> ShotRecord:
     """Draw the pulse count of ``n`` independent cycles at pulse probability ``pr``.
 
@@ -119,11 +125,7 @@ def sample_cycles(pr: float, n: int, seed: int) -> ShotRecord:
         raise ValueError(f"pulse probability {pr} outside [0, 1]")
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    n_pulses = int(rng.binomial(n, pr))
-    pr_hat = n_pulses / n
-    std_err = float(np.sqrt(pr_hat * (1.0 - pr_hat) / n))
-    return ShotRecord(n_cycles=n, n_pulses=n_pulses, pr_hat=pr_hat, std_err=std_err, seed=int(seed))
+    return _count_record(int(np.random.default_rng(seed).binomial(n, pr)), n, seed)
 
 
 def _run_stacks(pulse: np.ndarray, nopulse: np.ndarray, m: int):
@@ -239,20 +241,8 @@ def propagate_cycles(instrument: QuantumInstrument, rho_gate: np.ndarray, n: int
             x = post / post[0]
             i += cut - 1
     np.minimum(np.maximum(probs, 0.0, out=probs), 1.0, out=probs)
-    pr_hat = n_pulses / n
-    # Binomial-shaped error bar; only indicative since the chain correlates cycles.
-    std_err = float(np.sqrt(pr_hat * (1.0 - pr_hat) / n))
-    return ChainRecord(
-        n_cycles=n,
-        n_pulses=n_pulses,
-        pr_hat=pr_hat,
-        std_err=std_err,
-        seed=int(seed),
-        outcomes=outcomes,
-        probs=probs,
-        rho_final=pauli_operator(x) / 4.0,
-        resets=resets,
-    )
+    return _count_record(n_pulses, n, seed, ChainRecord, outcomes=outcomes, probs=probs,
+                         rho_final=pauli_operator(x) / 4.0, resets=resets)
 
 
 def estimate_current(record, tau_cycle: float) -> CurrentEstimate:
@@ -352,14 +342,9 @@ def run_sweep(
                 if mode == "refresh":
                     record = sample_cycles(pr, n_cycles, row_seed)
                 else:
+                    # the row keeps the count, not the chain's arrays
                     chain = propagate_cycles(instrument, rho_gate, n_cycles, row_seed)
-                    record = ShotRecord(
-                        n_cycles=chain.n_cycles,
-                        n_pulses=chain.n_pulses,
-                        pr_hat=chain.pr_hat,
-                        std_err=chain.std_err,
-                        seed=chain.seed,
-                    )
+                    record = _count_record(chain.n_pulses, n_cycles, row_seed)
                 current = estimate_current(record, tunnel.tau_cycle)
                 rows.append(SweepRow(index=idx, setting=setting, pr=pr, record=record, current=current))
             except (ValueError, MemoryError) as exc:

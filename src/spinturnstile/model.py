@@ -54,6 +54,9 @@ _ANCILLA, _ELECTRON, _NUCLEUS = 0, 1, 2
 # Default threshold for "much smaller than" in the time-scale hierarchy.
 HIERARCHY_THRESHOLD = 100.0
 
+# What every command reports for a model whose hierarchy_norms entry is NaN.
+_OVERFLOW_ERROR = "the model Hamiltonian overflows float64"
+
 
 @dataclass(frozen=True)
 class SpinModelParams:
@@ -95,7 +98,7 @@ class SpinModelParams:
     def __post_init__(self):
         values = (*self.b_field, self.g_electron, self.g_nuclear, self.g_ancilla,
                   self.hyperfine_gate, self.hyperfine_ancilla, self.hopping,
-                  self.coulomb_u, self.level_offset)
+                  self.coulomb_u, self.level_offset, 0.0 if self.exchange is None else self.exchange)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("all model parameters must be finite")
         if len(self.b_field) != 3:
@@ -107,8 +110,6 @@ class SpinModelParams:
         """Exchange coupling in rad/s, deriving it from hopping/coulomb_u if unset."""
         if self.exchange is not None:
             return float(self.exchange)
-        if self.hopping == 0.0:
-            return 0.0
         return effective_exchange(self.hopping, self.coulomb_u)
 
 
@@ -206,8 +207,11 @@ def model_coefficients(models) -> np.ndarray:
 
 
 def _combine(coefficients: np.ndarray, terms) -> np.ndarray:
-    """(R, 8, 8) Hamiltonians made of the listed generators only."""
-    return (coefficients[:, terms] @ _GENERATORS[terms]).reshape(-1, _DIM, _DIM)
+    """(R, 8, 8) Hamiltonians made of the listed generators only. A row that
+    overflows float64 gets non-finite entries, silently:
+    :func:`hierarchy_norms` reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (coefficients[:, terms] @ _GENERATORS[terms]).reshape(-1, _DIM, _DIM)
 
 
 def hamiltonians(coefficients: np.ndarray, include_gate_hamiltonian: bool = True) -> np.ndarray:
@@ -291,7 +295,7 @@ def characteristic_times(
     """
     norm = float(hierarchy_norms(model_coefficients([p]))[0])
     if math.isnan(norm):
-        raise ValueError("the model Hamiltonian overflows float64")
+        raise ValueError(_OVERFLOW_ERROR)
     return hierarchy_report(norm, tp, threshold)
 
 

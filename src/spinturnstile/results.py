@@ -12,7 +12,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["ResultTable", "render_csv", "render_jsonl", "write_results", "format_value"]
+__all__ = ["ResultTable", "RENDERERS", "render_csv", "render_jsonl", "write_results", "format_value"]
 
 
 @dataclass
@@ -80,20 +80,21 @@ def render_jsonl(table: ResultTable) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+# Output format name -> renderer.
+RENDERERS = {"csv": render_csv, "jsonl": render_jsonl}
+
+
 def write_results(table: ResultTable, fmt: str, dest) -> int:
     """Render and write a table; returns the number of bytes written.
 
     Args:
         table: the results.
-        fmt: "csv" or "jsonl".
+        fmt: a name in ``RENDERERS``.
         dest: a filesystem path or a binary file-like object.
     """
-    if fmt == "csv":
-        payload = render_csv(table)
-    elif fmt == "jsonl":
-        payload = render_jsonl(table)
-    else:
+    if fmt not in RENDERERS:
         raise ValueError(f"unknown output format {fmt!r}")
+    payload = RENDERERS[fmt](table)
     if hasattr(dest, "write"):
         dest.write(payload)
     else:

@@ -99,12 +99,16 @@ def theta_to_density(theta, mode: str) -> np.ndarray:
 
     Single-spin parameters describe the electron polarization with the
     nucleus maximally mixed: the two-spin vector with parameters 4-15 at 0.
+    A parameter that is not finite raises ``ValueError``, and so does
+    :func:`is_physical` or :func:`project_physical` of it.
     """
     _check_mode(mode)
     theta = np.asarray(theta, dtype=float)
     n = n_parameters(mode)
     if theta.shape != (n,):
         raise ValueError(f"{mode} expects {n} parameters, got shape {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
     return pauli_operator(np.concatenate(([1.0], theta, np.zeros(15 - n)))) / 4.0
 
 
@@ -240,7 +244,8 @@ def reconstruct(design: TomographyDesign, pr_measured, shot_counts=None) -> Reco
 
     Args:
         design: affine design from :func:`build_design`.
-        pr_measured: measured pulse probabilities, one per design row.
+        pr_measured: measured pulse probabilities, one per design row, all
+            finite.
         shot_counts: optional per-row cycle counts; when given, binomial
             variances are propagated through the pseudoinverse into a
             parameter covariance estimate.
@@ -254,6 +259,8 @@ def reconstruct(design: TomographyDesign, pr_measured, shot_counts=None) -> Reco
         raise ValueError(
             f"expected {design.n_settings} probabilities, got shape {pr_measured.shape}"
         )
+    if not np.isfinite(pr_measured).all():
+        raise ValueError("measured probabilities must be finite")
     y = pr_measured - design.offset
     theta_hat = design.pseudo_inverse @ y
     residual_norm = float(np.linalg.norm(design.matrix @ theta_hat - y))

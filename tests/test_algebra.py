@@ -8,6 +8,7 @@ from spinturnstile.algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    evolve_unitaries,
     evolve_unitary,
     kron,
 )
@@ -155,6 +156,19 @@ class TestEvolveUnitary:
             evolve_unitary(h, 0.6 * MAX_PHASE)
         with pytest.raises(ValueError, match="phase"):
             evolve_unitary(-h, -0.6 * MAX_PHASE)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        # a NaN time used to give an all-NaN propagator, and an infinite one
+        # on a zero generator the identity
+        h = 2.0 * SIGMA_Z
+        for generator in (h, np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="finite time"):
+                evolve_unitary(generator, bad)
+        u, errors = evolve_unitaries(np.stack([h, h, np.zeros((2, 2))]), [0.3, bad, bad])
+        assert errors[0] is None and all("finite time" in e for e in errors[1:])
+        assert np.array_equal(u[0], evolve_unitary(h, 0.3))
+        assert np.array_equal(u[1:], np.stack([np.eye(2)] * 2))
 
 
 def ancilla_bloch_of(u) -> np.ndarray:

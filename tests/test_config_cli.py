@@ -18,9 +18,18 @@ from spinturnstile.config import (
     parse_config,
     resolved_dict,
 )
-from spinturnstile.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from spinturnstile.cli import (
+    COMMANDS,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_VALIDATION,
+    build_parser,
+    execute,
+    main,
+)
 from spinturnstile.cycle import HierarchyWarning
-from spinturnstile.results import ResultTable, render_csv, render_jsonl, write_results
+from spinturnstile.results import RENDERERS, ResultTable, render_csv, render_jsonl, write_results
 from spinturnstile.tomography import TWO_SPIN, theta_to_density
 
 
@@ -120,6 +129,22 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError) as err:
             parse_config(doc)
         assert "gate_state" in str(err.value)
+
+    @pytest.mark.parametrize("key, theta, physical", [
+        # a single-spin state's smallest eigenvalue is (1 - |theta|) / 4
+        ("theta_single_spin", [1.0 + 3e-10, 0.0, 0.0], True),
+        ("theta_single_spin", [1.0 + 5e-10, 0.0, 0.0], False),
+        ("theta_two_spin", [0.0] * 14 + [-1.0], True),
+        ("theta_two_spin", [0.0] * 12 + [-1.0, -1.0, -1.0 - 1e-9], False),
+    ])
+    def test_physicality_is_the_tomography_test(self, key, theta, physical):
+        doc = json.dumps({"gate_state": {key: theta}})
+        if physical:
+            parse_config(doc)
+        else:
+            with pytest.raises(ConfigValidationError,
+                               match=f"^gate_state.{key}: parameters give an unphysical state$"):
+                parse_config(doc)
 
     @pytest.mark.parametrize("path, doc", [
         ("leads.u_left.direction",
@@ -221,6 +246,18 @@ class TestResultTable:
     def test_deterministic_bytes(self):
         assert render_csv(self.table()) == render_csv(self.table())
         assert render_jsonl(self.table()) == render_jsonl(self.table())
+
+    def test_formats_are_the_renderer_table(self, tmp_path):
+        for fmt, render in RENDERERS.items():
+            dest = tmp_path / f"out.{fmt}"
+            write_results(self.table(), fmt, dest)
+            assert dest.read_bytes() == render(self.table())
+        with pytest.raises(ValueError, match="unknown output format"):
+            write_results(self.table(), "xml", tmp_path / "out.xml")
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for parser in sub.choices.values():
+            (fmt,) = [a for a in parser._actions if a.dest == "format"]
+            assert tuple(fmt.choices) == tuple(RENDERERS)
 
     def test_write_returns_byte_count(self, tmp_path):
         dest = tmp_path / "out.csv"
@@ -445,6 +482,42 @@ class TestCli:
         monkeypatch.setattr(sys, "stdin", FakeStdin)
         assert main(["rates", "--config", "-", "--out", str(out_path)]) == EXIT_OK
         assert out_path.exists()
+
+    def test_subcommands_are_the_command_table(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert list(sub.choices) == list(COMMANDS)
+        assert [a.help for a in sub._choices_actions] == [text for _, text in COMMANDS.values()]
+        cfg = parse_config(MINIMAL)
+        assert execute("rates", cfg, "0" * 64).metadata["command"] == "rates"
+        with pytest.raises(ValueError, match="unknown command 'bogus'"):
+            execute("bogus", cfg, "0" * 64)
+
+    def test_overflowing_sweep_row_reports_overflow(self, tmp_path):
+        # one setting whose couplings overflow float64 beside a normal one:
+        # the first row names the overflow as `rates` does, the second is
+        # unchanged, and no numpy warning or ratio reaches stderr
+        huge = {key: 1e308 for key in ("exchange_per_s", "hyperfine_gate_per_s",
+                                       "hyperfine_ancilla_per_s")}
+
+        def sweep(settings):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"sweep": {"settings": settings}}))
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinturnstile", "sweep", "--config", str(cfg_path)],
+                capture_output=True, text=True, timeout=120, env=package_env(),
+            )
+            assert proc.returncode == EXIT_OK
+            return [l for l in proc.stdout.splitlines() if not l.startswith("#")], proc.stderr
+
+        rows, err = sweep([{"model": huge}, {}])
+        # the same block size, so the same batched arithmetic for row 1
+        reference, _ = sweep([{"t_interact_s": 2e-6}, {}])
+        assert rows[1].endswith(",error: the model Hamiltonian overflows float64")
+        assert rows[2] == reference[2]
+        assert "RuntimeWarning" not in err and "ratios" not in err
+        (warning,) = [l for l in err.splitlines() if "Warning" in l]
+        assert warning.endswith("HierarchyWarning: time-scale hierarchy tau_res << tau_dyn << tau_non "
+                                "cannot be checked: the model Hamiltonian overflows float64")
 
     def test_console_entrypoint_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -227,6 +227,12 @@ class TestInducedInstrument:
         with pytest.raises(ValueError):
             induced_instrument([0, 0, 1], [0, 0, 1], np.zeros((8, 8)), 0.0, 1.0, 1e-8, 1e9)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1e-9])
+    def test_invalid_time_rejected(self, t):
+        # the setting's own check: a NaN time used to give an all-NaN instrument
+        with pytest.raises(ValueError, match="^t_interact must be finite and nonnegative$"):
+            induced_instrument([0, 0, 1], [0, 0, 1], np.zeros((8, 8)), t, 1.0, 1e-10, 1e9)
+
 
 class TestRunCycle:
     def test_zeeman_only_closed_form(self):
@@ -375,6 +381,19 @@ class TestMeasurementSetting:
             MeasurementSetting(u_left=(0, 0, 1), u_right=(0, bad, 0), t_interact=0.0)
         with pytest.raises(ValueError, match="finite"):
             MeasurementSetting(u_left=(0, 0, 1), u_right=(0, 0, 1), t_interact=bad)
+
+    @pytest.mark.parametrize("u", [(1e308, 1e308, 0.0), (0.8, 0.8, 0.0), (np.nan, 0.0, 0.0),
+                                   (np.inf, np.nan, 0.0)])
+    def test_message_names_the_lead(self, u):
+        # 1e308 components: the norm test itself must not overflow
+        for name, kw in (("u_left", dict(u_left=u, u_right=(0, 0, 1))),
+                         ("u_right", dict(u_left=(0, 0, 1), u_right=u))):
+            with pytest.raises(ValueError, match=f"^{name} must be finite with norm <= 1$"):
+                MeasurementSetting(t_interact=0.0, **kw)
+
+    def test_three_components_required(self):
+        with pytest.raises(ValueError, match="^u_right must have 3 components$"):
+            MeasurementSetting(u_left=(0, 0, 1), u_right=(0, 1), t_interact=0.0)
 
 
 class TestSettingInstruments:

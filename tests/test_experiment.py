@@ -7,6 +7,8 @@ from spinturnstile.algebra import pauli_coordinates
 from spinturnstile.constants import ELEMENTARY_CHARGE, G_NUCLEAR_P31
 from spinturnstile.cycle import BLOCK_ROWS, HierarchyWarning, MeasurementSetting, run_cycle
 from spinturnstile.experiment import (
+    ChainRecord,
+    ShotRecord,
     calibrate,
     derive_setting_seed,
     estimate_current,
@@ -353,6 +355,25 @@ class TestPropagate:
         pr = inst.pulse_probability(np.eye(4) / 4)
         rec = propagate_cycles(inst, np.eye(4) / 4, 20_000, seed=11)
         assert abs(rec.pr_hat - pr) < 4 * np.sqrt(pr * (1 - pr) / 20_000)
+
+    def test_chain_record_extends_shot_record(self):
+        inst = self.make_instrument()
+        rec = propagate_cycles(inst, np.eye(4) / 4, 2_000, seed=13)
+        assert isinstance(rec, ChainRecord) and isinstance(rec, ShotRecord)
+        assert rec.pr_hat == rec.n_pulses / 2_000
+        assert rec.std_err == np.sqrt(rec.pr_hat * (1 - rec.pr_hat) / 2_000)
+
+    def test_propagate_row_keeps_the_count(self):
+        # a propagate sweep row holds the chain's ShotRecord fields, not its arrays
+        kw = dict(model=quiet_model(), tunnel=quiet_tunnel(), rho_gate=np.eye(4) / 4, c=1.0,
+                  n_cycles=700, seed=3, mode="propagate")
+        setting = MeasurementSetting([0, 0, 1.0], [1.0, 0, 0], 4e-6)
+        (row,) = run_sweep([setting], **kw)
+        chain = propagate_cycles(self.make_instrument(), np.eye(4) / 4, 700,
+                                 derive_setting_seed(3, setting))
+        assert type(row.record) is ShotRecord
+        assert row.record == ShotRecord(chain.n_cycles, chain.n_pulses, chain.pr_hat,
+                                        chain.std_err, chain.seed)
 
     def test_final_state_valid(self):
         inst = self.make_instrument()

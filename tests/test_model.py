@@ -128,6 +128,13 @@ class TestEffectiveExchange:
         q = SpinModelParams(hopping=1e6, coulomb_u=1e9, exchange=7.0)
         assert q.exchange_value() == 7.0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_exchange_rejected(self, bad):
+        # it used to construct, then overflow characteristic_times and fail
+        # run_cycle with a non-Hermitian generator
+        with pytest.raises(ValueError, match="finite"):
+            SpinModelParams(exchange=bad)
+
 
 class TestGammaRate:
     def test_resonant_value_exact(self):

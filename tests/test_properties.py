@@ -5,17 +5,24 @@ hierarchy report over random norms and tunnels."""
 
 import json
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinturnstile.algebra import pauli_coordinates
 from spinturnstile.config import parse_config, resolved_dict
 from spinturnstile.constants import G_NUCLEAR_P31
-from spinturnstile.cycle import MeasurementSetting, induced_instrument
+from spinturnstile.cycle import MeasurementSetting, induced_instrument, setting_instrument
 from spinturnstile.experiment import RUN_BLOCK, propagate_cycles
-from spinturnstile.model import SpinModelParams, TunnelParams, hierarchy_report
+from spinturnstile.model import (
+    SpinModelParams,
+    TunnelParams,
+    build_total_hamiltonian,
+    hierarchy_report,
+)
 from spinturnstile.tomography import (
     SINGLE_SPIN,
     TWO_SPIN,
@@ -230,3 +237,34 @@ def test_hierarchy_ratios_are_never_nan(norm, gamma0, interdot_sq, detuning, thr
     # nan compares false, so this also rules it out
     assert report.ratio_dyn_res >= 0.0 and report.ratio_non_dyn >= 0.0
     assert report.satisfied == (report.ratio_dyn_res >= threshold and report.ratio_non_dyn >= threshold)
+
+
+# leads and times, valid or not: NaN, infinities, negative and overlong
+# values drawn about as often as valid ones
+lead_components = with_edges([math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 1e308],
+                             st.floats(-1.0, 1.0))
+raw_leads = st.one_of(polarizations.map(tuple),
+                      st.tuples(lead_components, lead_components, lead_components))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(u_left=raw_leads, u_right=raw_leads,
+       t=with_edges([math.nan, math.inf, -math.inf, -1e-9, 0.0], st.floats(0.0, 3e-6)))
+def test_induced_instrument_checks_the_setting(u_left, u_right, t):
+    # induced_instrument raises exactly when MeasurementSetting does, and
+    # otherwise builds setting_instrument's arrays bit for bit
+    model = SpinModelParams(b_field=(0.0, 0.0, 0.01), g_nuclear=G_NUCLEAR_P31,
+                            hyperfine_gate=2e6, hyperfine_ancilla=1.1e6, exchange=7e5)
+    tunnel = TunnelParams()
+    args = (build_total_hamiltonian(model), t, 1.0, tunnel.tau_detect, tunnel.gamma0)
+    try:
+        setting = MeasurementSetting(u_left, u_right, t)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            induced_instrument(u_left, u_right, *args)
+        return
+    got = induced_instrument(u_left, u_right, *args)
+    want = setting_instrument(setting, model, tunnel, 1.0)
+    for name in ("pulse", "nopulse", "ancilla_bloch"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.kappa == want.kappa

@@ -106,6 +106,16 @@ class TestProjection:
         assert np.abs(theta_to_density(proj, TWO_SPIN) - oracle).max() < 1e-10
         assert is_physical(proj, TWO_SPIN)
 
+    @pytest.mark.parametrize("mode", [SINGLE_SPIN, TWO_SPIN])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, mode, bad):
+        # NaN used to end in LinAlgError "Eigenvalues did not converge"
+        theta = np.zeros(n_parameters(mode))
+        theta[1] = bad
+        for check in (is_physical, project_physical):
+            with pytest.raises(ValueError, match="finite"):
+                check(theta, mode)
+
     def test_idempotent(self):
         rng = np.random.default_rng(63)
         for mode, dim in ((SINGLE_SPIN, 3), (TWO_SPIN, 15)):
@@ -198,6 +208,15 @@ class TestReconstruct:
             pr = forward_probabilities(design, theta)
             result = reconstruct(design, pr)
             assert np.linalg.norm(result.theta_hat - theta) < 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
+                              mode=SINGLE_SPIN, include_gate_hamiltonian=False)
+        pr = forward_probabilities(design, np.array([0.3, 0.2, 0.1]))
+        pr[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct(design, pr, shot_counts=1000)
 
     def test_rank_zero_returns_zero_with_warning(self):
         settings = [
