@@ -14,7 +14,7 @@ equal :class:`RunConfig`.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -55,6 +55,7 @@ class ConfigValidationError(ConfigError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.reason = message
         super().__init__(f"{path}: {message}")
 
 
@@ -73,14 +74,31 @@ GATE_PRESETS = {
 @dataclass(frozen=True)
 class LeadSpec:
     """Lead polarization: a direction (any nonzero 3-vector of finite norm)
-    and a magnitude."""
+    and a magnitude. ``norm`` is the direction's norm, computed once here.
+
+    Raises:
+        ConfigValidationError: at path ``direction`` if its norm is zero or
+            not finite.
+    """
 
     direction: tuple
     magnitude: float
+    norm: float = field(init=False, repr=False, compare=False)
 
-    def vector(self) -> np.ndarray:
-        d = np.asarray(self.direction, dtype=float)
-        return self.magnitude * d / np.linalg.norm(d)
+    def __post_init__(self):
+        # The norm vector() divides by: an overflow to inf would turn the
+        # lead into an unpolarized one.
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.direction))
+        if norm == 0.0:
+            raise ConfigValidationError("direction", "must be a nonzero vector")
+        if not math.isfinite(norm):
+            raise ConfigValidationError("direction", "norm must be finite")
+        object.__setattr__(self, "norm", norm)
+
+    def vector(self) -> tuple:
+        # the elementwise float arithmetic of magnitude * d / norm on an array
+        return tuple(self.magnitude * float(x) / self.norm for x in self.direction)
 
 
 @dataclass(frozen=True)
@@ -95,8 +113,8 @@ class SettingSpec:
 
     def to_setting(self) -> MeasurementSetting:
         return MeasurementSetting(
-            u_left=tuple(self.u_left.vector()),
-            u_right=tuple(self.u_right.vector()),
+            u_left=self.u_left.vector(),
+            u_right=self.u_right.vector(),
             t_interact=self.t_interact,
             model=self.model,
         )
@@ -173,14 +191,15 @@ def _as_dict(value, path: str) -> dict:
 
 
 def _as_float(value, path: str, minimum=None, maximum=None, allow_none=False):
-    if value is None and allow_none:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigValidationError(path, "expected a number")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ConfigValidationError(path, "must be finite") from None
+    if type(value) is not float:  # a JSON number is most often a float already
+        if value is None and allow_none:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigValidationError(path, "expected a number")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            raise ConfigValidationError(path, "must be finite") from None
     if not math.isfinite(value):
         raise ConfigValidationError(path, "must be finite")
     if minimum is not None and value < minimum:
@@ -219,20 +238,12 @@ def _as_vec3(value, path: str):
 
 
 def _as_direction(value, path: str) -> tuple:
+    """An axis name or a 3-vector; :class:`LeadSpec` checks its norm."""
     if isinstance(value, str):
         if value not in _AXES:
             raise ConfigValidationError(path, "axis name must be 'x', 'y' or 'z'")
         return _AXES[value]
-    direction = _as_vec3(value, path)
-    # The norm LeadSpec.vector() divides by: an overflow to inf would turn the
-    # lead into an unpolarized one.
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        raise ConfigValidationError(path, "must be a nonzero vector")
-    if not math.isfinite(norm):
-        raise ConfigValidationError(path, "norm must be finite")
-    return direction
+    return _as_vec3(value, path)
 
 
 # Section field tables: JSON key -> (dataclass field, default, reader). Each
@@ -286,6 +297,8 @@ def _parse_section(obj, path: str, cls, fields: dict, base=None):
             values[attr] = default if base is None else getattr(base, attr)
     try:
         return cls(**values)
+    except ConfigValidationError as exc:  # a field check the section class makes
+        raise ConfigValidationError(f"{path}.{exc.path}", exc.reason) from exc
     except ValueError as exc:
         raise ConfigValidationError(path, str(exc)) from exc
 
@@ -294,8 +307,8 @@ def _section_dict(value, fields: dict) -> dict:
     """The resolved JSON object of a section built by :func:`_parse_section`."""
     out = {}
     for key, (attr, _, _) in fields.items():
-        field = getattr(value, attr)
-        out[key] = list(field) if isinstance(field, tuple) else field
+        item = getattr(value, attr)
+        out[key] = list(item) if isinstance(item, tuple) else item
     return out
 
 

@@ -53,6 +53,7 @@ from .model import (
     HIERARCHY_THRESHOLD,
     SpinModelParams,
     TunnelParams,
+    _hierarchy_overflows,
     hamiltonians,
     hierarchy_norms,
     hierarchy_report,
@@ -328,8 +329,11 @@ def setting_instruments(
     for start in range(0, len(settings), BLOCK_ROWS):
         block = settings[start:start + BLOCK_ROWS]
         coefficients = model_coefficients(s.model if s.model is not None else model for s in block)
-        norms = hierarchy_norms(coefficients)
-        if threshold is not None:
+        if threshold is None:
+            overflows = _hierarchy_overflows(coefficients)
+        else:
+            norms = hierarchy_norms(coefficients)
+            overflows = np.isnan(norms)
             for norm in norms.tolist():
                 report = hierarchy_report(norm, tunnel, threshold=threshold)
                 if math.isnan(norm):
@@ -342,7 +346,7 @@ def setting_instruments(
                 warnings.warn(f"time-scale hierarchy tau_res << tau_dyn << tau_non {problem}",
                               HierarchyWarning, stacklevel=3)
         h = hamiltonians(coefficients, include_gate_hamiltonian)
-        overflow = np.isnan(norms) | ~np.isfinite(h).all(axis=(1, 2))
+        overflow = overflows | ~np.isfinite(h).all(axis=(1, 2))
         h[overflow] = 0.0
         yield _instrument_block(start, h, [s.t_interact for s in block],
                                 np.array([s.u_left for s in block]),

@@ -10,9 +10,11 @@ charge per cycle period.
 
 Reproducibility: every stochastic quantity is drawn from a
 ``numpy.random.Generator`` seeded deterministically. Sweep rows derive their
-seeds from the master seed and a content digest of the row's setting, so the
-result attached to a given setting does not depend on row order or on any
-parallel execution schedule.
+seeds from the master seed and a content digest of the row's setting, so a
+setting's seed does not depend on row order or on any parallel execution
+schedule. Its pulse probability ``pr`` can still differ in the last digit
+with the rows that share its block of
+:func:`~spinturnstile.cycle.setting_instruments`.
 """
 
 import hashlib
@@ -277,6 +279,10 @@ def calibrate(
     return CalibrationResult(c_hat=c_hat, residual=residual)
 
 
+# A model override enters a setting's seed as its field values in this order.
+_MODEL_FIELD_NAMES = tuple(f.name for f in fields(SpinModelParams))
+
+
 def derive_setting_seed(master_seed: int, setting: MeasurementSetting) -> int:
     """Deterministic per-setting seed from the master seed and the setting content.
 
@@ -284,16 +290,16 @@ def derive_setting_seed(master_seed: int, setting: MeasurementSetting) -> int:
     result invariant under grid reordering and safe to compute in parallel.
     Identical settings in one grid share a seed and therefore a result.
     """
-    payload = {
-        "u_left": list(setting.u_left),
-        "u_right": list(setting.u_right),
-        "t_interact": setting.t_interact,
-    }
+    # The text of json.dumps(payload, sort_keys=True), written by the default
+    # encoder: the keys go in sorted order, which saves building a sorting
+    # encoder per call.
+    payload = {}
     if setting.model is not None:
-        # Field values in declaration order; not dataclasses.astuple, whose
-        # deep copy costs ten times as much on this per-row path.
-        payload["model"] = [getattr(setting.model, f.name) for f in fields(setting.model)]
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).digest()
+        payload["model"] = [getattr(setting.model, name) for name in _MODEL_FIELD_NAMES]
+    payload["t_interact"] = setting.t_interact
+    payload["u_left"] = setting.u_left
+    payload["u_right"] = setting.u_right
+    digest = hashlib.sha256(json.dumps(payload).encode()).digest()
     sub = int.from_bytes(digest[:8], "big")
     return int(np.random.SeedSequence([int(master_seed) & (2**63 - 1), sub]).generate_state(1)[0])
 

@@ -187,6 +187,12 @@ _TOTAL_TERMS = list(range(13))
 # The traceless gate+interaction part: everything but the ancilla Zeeman term
 # and the level offset (the only generator with a trace).
 _HIERARCHY_TERMS = [0, 1, 2, 3, 4, 5, 9, 10, 11]
+# Spectral norm of each generator: 1 for a Pauli term and the identity, 3
+# for sigma . sigma (eigenvalues 1 and -3).
+_GENERATOR_NORMS = np.array([1.0] * 9 + [3.0] * 3 + [1.0])
+# A Hamiltonian whose norm is bounded by this has finite entries and
+# eigenvalues, with room to spare for the rounding of the bound and of them.
+_SAFE_NORM_BOUND = np.finfo(float).max / 4
 
 
 def _coefficients(p: SpinModelParams) -> tuple:
@@ -209,9 +215,17 @@ def model_coefficients(models) -> np.ndarray:
 def _combine(coefficients: np.ndarray, terms) -> np.ndarray:
     """(R, 8, 8) Hamiltonians made of the listed generators only. A row that
     overflows float64 gets non-finite entries, silently:
-    :func:`hierarchy_norms` reports it."""
+    :func:`hierarchy_norms` reports it.
+
+    A one-row product takes another BLAS path, which rounds differently in
+    the last digit, so a lone row is computed as a pair: a model's
+    Hamiltonian is then the same alone as in any block.
+    """
+    rows = coefficients[:, terms]
+    if len(rows) == 1:
+        rows = np.repeat(rows, 2, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return (coefficients[:, terms] @ _GENERATORS[terms]).reshape(-1, _DIM, _DIM)
+        return (rows @ _GENERATORS[terms]).reshape(-1, _DIM, _DIM)[:len(coefficients)]
 
 
 def hamiltonians(coefficients: np.ndarray, include_gate_hamiltonian: bool = True) -> np.ndarray:
@@ -234,6 +248,22 @@ def hierarchy_norms(coefficients: np.ndarray) -> np.ndarray:
     finite = np.isfinite(h).all(axis=(1, 2))
     norms = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], h, 0.0))).max(axis=1)
     return np.where(finite & np.isfinite(norms), norms, np.nan)
+
+
+def _hierarchy_overflows(coefficients: np.ndarray) -> np.ndarray:
+    """Whether each coefficient row's :func:`hierarchy_norms` entry is NaN.
+
+    The norm is at most ``sum_k |c_k| ||G_k||`` over the hierarchy terms. A
+    row whose bound stays below a quarter of the float64 maximum cannot
+    overflow; only the other rows get the eigenvalues.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.abs(coefficients[:, _HIERARCHY_TERMS]) @ _GENERATOR_NORMS[_HIERARCHY_TERMS]
+    unsure = ~(bound <= _SAFE_NORM_BOUND)  # NaN too
+    overflows = np.zeros(len(coefficients), dtype=bool)
+    if unsure.any():
+        overflows[unsure] = np.isnan(hierarchy_norms(coefficients[unsure]))
+    return overflows
 
 
 def build_total_hamiltonian(p: SpinModelParams, include_gate_hamiltonian: bool = True) -> np.ndarray:

@@ -8,6 +8,7 @@ metadata as the first object, then one object per row.
 """
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -32,39 +33,59 @@ class ResultTable:
 
 def format_value(value) -> str:
     """Render a scalar deterministically; floats at 17 significant digits."""
+    if isinstance(value, float):  # the most common cell first
+        return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
     if value is None:
         return ""
     return str(value)
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+@functools.cache
+def _json_key(key: str) -> str:
+    """A JSON object key with its colon, encoded once per process: the keys
+    are the configuration schema's and the tables' few dozen names."""
+    return json.dumps(key) + ":"
+
+
+def _json_value(value) -> str:
+    """JSON text of a scalar, list, tuple or dict, for CSV metadata and JSONL.
+
+    A float is written at 17 significant digits; JSON has no NaN or
+    infinity, so a non-finite float is the string of its CSV text ("nan",
+    "inf", "-inf") and ``null`` stays a missing value. Exact types are tested
+    first; their subclasses (e.g. ``numpy.float64``) take the ``isinstance``
+    tests after them.
+    """
+    kind = type(value)
+    if kind is float:
+        text = format(value, ".17g")
+        return text if value - value == 0.0 else f'"{text}"'  # inf - inf and nan are nan
+    if kind is dict:
+        # str(k) before the cache, which would take the key 1 for True
+        return "{" + ",".join([_json_key(k if type(k) is str else str(k)) + _json_value(v)
+                               for k, v in value.items()]) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([_json_value(v) for v in value]) + "]"
+    if kind is str:
+        return json.dumps(value)
+    if kind is int:
+        return str(value)
     if value is None:
         return "null"
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return "null"  # JSON has no NaN/Infinity
-        return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_scalar(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_json_scalar(v)}" for k, v in value.items()) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
+    if kind is bool:
+        return "true" if value else "false"
+    for base in (float, int, str, list, tuple, dict):  # a subclass, written as its base
+        if isinstance(value, base):
+            return _json_value(base(value))
+    raise TypeError(f"cannot serialize {kind.__name__} deterministically")
 
 
 def render_csv(table: ResultTable) -> bytes:
     buf = io.StringIO()
     for key, value in table.metadata.items():
-        buf.write(f"# {key} = {_json_scalar(value) if isinstance(value, (dict, list)) else format_value(value)}\n")
+        buf.write(f"# {key} = {_json_value(value) if isinstance(value, (dict, list)) else format_value(value)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
     for row in table.rows:
@@ -73,10 +94,10 @@ def render_csv(table: ResultTable) -> bytes:
 
 
 def render_jsonl(table: ResultTable) -> bytes:
-    lines = ["{\"metadata\":" + _json_scalar(dict(table.metadata)) + "}"]
+    lines = ["{\"metadata\":" + _json_value(dict(table.metadata)) + "}"]
+    keys = [_json_key(str(col)) for col in table.columns]
     for row in table.rows:
-        body = ",".join(f"{_json_scalar(col)}:{_json_scalar(v)}" for col, v in zip(table.columns, row))
-        lines.append("{" + body + "}")
+        lines.append("{" + ",".join([key + _json_value(v) for key, v in zip(keys, row)]) + "}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -8,6 +8,9 @@ run in tests. ``check_density_matrix`` validates the states tests produce.
 """
 
 import functools
+import hashlib
+import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -339,3 +342,43 @@ def stepwise_chain(instrument, rho0, uniforms):
                 x = np.eye(16)[0]
                 resets += 1
     return outcomes, probs, pauli_operator(x) / 4.0, resets
+
+
+def json_scalar(value) -> str:
+    """JSON text of a metadata or row value by recursive ``isinstance`` tests,
+    with ``json.dumps`` on every key: the package's writer before it
+    dispatched on exact types. It writes a non-finite float as ``null``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        if value != value or value in (float("inf"), float("-inf")):
+            return "null"  # JSON has no NaN/Infinity
+        return format(value, ".17g")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(json_scalar(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{json_scalar(v)}" for k, v in value.items()) + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
+
+
+def setting_seed(master_seed: int, setting) -> int:
+    """A setting's seed from its definition: the SHA-256 of
+    ``json.dumps(payload, sort_keys=True)``, the model as its field values in
+    declaration order, then ``SeedSequence`` of the master seed and the
+    digest's first 8 bytes."""
+    payload = {
+        "u_left": list(setting.u_left),
+        "u_right": list(setting.u_right),
+        "t_interact": setting.t_interact,
+    }
+    if setting.model is not None:
+        payload["model"] = [getattr(setting.model, f.name) for f in fields(setting.model)]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).digest()
+    sub = int.from_bytes(digest[:8], "big")
+    return int(np.random.SeedSequence([int(master_seed) & (2**63 - 1), sub]).generate_state(1)[0])

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +159,18 @@ class TestParseConfig:
         assert code == EXIT_VALIDATION
         assert not out.exists()
         assert f"{path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"leads": {"u_left": {"direction": [0, 0, 0]}}},
+         "leads.u_left.direction: must be a nonzero vector"),
+        ({"leads": {"u_right": {"direction": [1e300, 1e300, 0]}}},
+         "leads.u_right.direction: norm must be finite"),
+        ({"tomography": {"settings": [{"u_left": {"direction": [0.0, -0.0, 0], "magnitude": 0.5}}]}},
+         "tomography.settings[0].u_left.direction: must be a nonzero vector"),
+    ])
+    def test_direction_norm_messages(self, doc, message):
+        with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}$"):
+            parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize("path, doc", [
         ("detection.c", {"detection": {"c": 10**400}}),
@@ -397,6 +410,26 @@ class TestCli:
                 assert run_cli(tmp_path, command, cfg, fmt=fmt)[0] == EXIT_OK
             assert all("ratios 0, 0" in str(w.message) for w in caught if w.category is HierarchyWarning)
 
+    def test_jsonl_writes_a_non_finite_float_as_its_csv_text(self, tmp_path):
+        # no tunneling and no dynamics: every time scale is infinite. JSONL
+        # writes the CSV cell text as a string, so an infinite time is not
+        # read as a missing value (null)
+        cfg = {"tunnel": {"interdot_sq_per_s": 0},
+               "model": {"b_field_tesla": [0, 0, 0], "hyperfine_gate_per_s": 0,
+                         "hyperfine_ancilla_per_s": 0, "exchange_per_s": 0}}
+        _, csv_out = run_cli(tmp_path, "rates", cfg)
+        _, jsonl_out = run_cli(tmp_path, "rates", cfg, fmt="jsonl")
+        lines = [l for l in csv_out.read_text().splitlines() if not l.startswith("#")]
+        cells = dict(zip(lines[0].split(","), lines[1].split(",")))
+        row = json.loads(jsonl_out.read_text().splitlines()[-1])
+        assert row["tau_res_s"] == row["tau_dyn_s"] == row["tau_non_s"] == "inf"
+        assert list(row) == list(cells)
+        for column, value in row.items():
+            if isinstance(value, str):
+                assert value == cells[column]
+            else:
+                assert value == json.loads(cells[column])
+
     @pytest.mark.parametrize("noise, expected", [("shot", EXIT_VALIDATION), ("none", EXIT_OK)])
     def test_repeated_tomography_setting(self, tmp_path, capsys, noise, expected):
         # a repeated setting derives a repeated seed: under shot noise its
@@ -544,7 +577,7 @@ class TestCli:
         lines = out.read_text().splitlines()
         meta = json.loads(lines[0])["metadata"]  # must parse: no bare inf/nan
         assert meta["rank"] == 0
-        assert meta["condition_number"] is None
+        assert meta["condition_number"] == "inf"  # a non-finite float is its CSV text
         assert not meta["identifiable"]
         for line in lines[1:]:
             json.loads(line)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spinturnstile import model
 from spinturnstile.algebra import IDENTITY_2, SIGMA_Z, kron
 from spinturnstile.constants import G_NUCLEAR_P31, MU_B_PER_HBAR
 from spinturnstile.model import (
@@ -200,6 +201,11 @@ class TestCharacteristicTimes:
         shifted = SpinModelParams(b_field=(0, 0, 0.01), g_nuclear=G_NUCLEAR_P31, level_offset=1e12)
         b = characteristic_times(shifted, tp)
         assert a.tau_dyn == pytest.approx(b.tau_dyn, rel=1e-12)
+
+    def test_overflow_bound_weighs_each_term_by_its_norm(self):
+        # _hierarchy_overflows bounds the norm by sum_k |c_k| ||G_k||
+        stack = model._GENERATORS.reshape(13, 8, 8)
+        assert np.array_equal(model._GENERATOR_NORMS, np.abs(np.linalg.eigvalsh(stack)).max(axis=1))
 
     def test_satisfied_definition(self):
         report = characteristic_times(self.nuclear_only(), TunnelParams(), threshold=100.0)

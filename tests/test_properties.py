@@ -1,7 +1,8 @@
 """Property-based checks of the transfer-matrix instrument over random
 settings, of the tomography parameterization over random vectors, of the
-configuration's resolved form over random documents, and of the time-scale
-hierarchy report over random norms and tunnels."""
+configuration's resolved form over random documents, of the time-scale
+hierarchy report over random norms and tunnels, and of the output writer and
+the setting seeds against their oracles."""
 
 import json
 import math
@@ -16,13 +17,16 @@ from spinturnstile.algebra import pauli_coordinates
 from spinturnstile.config import parse_config, resolved_dict
 from spinturnstile.constants import G_NUCLEAR_P31
 from spinturnstile.cycle import MeasurementSetting, induced_instrument, setting_instrument
-from spinturnstile.experiment import RUN_BLOCK, propagate_cycles
+from spinturnstile.experiment import RUN_BLOCK, derive_setting_seed, propagate_cycles
 from spinturnstile.model import (
     SpinModelParams,
     TunnelParams,
+    _hierarchy_overflows,
     build_total_hamiltonian,
+    hierarchy_norms,
     hierarchy_report,
 )
+from spinturnstile.results import ResultTable, render_csv, render_jsonl
 from spinturnstile.tomography import (
     SINGLE_SPIN,
     TWO_SPIN,
@@ -34,7 +38,14 @@ from spinturnstile.tomography import (
     theta_to_density,
 )
 
-from oracles import choi_from_transfer, random_density, random_hermitian, stepwise_chain
+from oracles import (
+    choi_from_transfer,
+    json_scalar,
+    random_density,
+    random_hermitian,
+    setting_seed,
+    stepwise_chain,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -268,3 +279,85 @@ def test_induced_instrument_checks_the_setting(u_left, u_right, t):
     for name in ("pulse", "nopulse", "ancilla_bloch"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert got.kappa == want.kappa
+
+
+@PROPERTY_SETTINGS
+@given(config_documents)
+def test_resolved_config_line_matches_the_oracle(doc):
+    run_model = {**DEFAULT_MODEL, **doc.get("model", {})}
+    overrides = [s.get("model", {}) for s in doc.get("sweep", {}).get("settings", [])]
+    assume(all(exchange_derivable({**run_model, **o}) for o in [{}, *overrides]))
+    resolved = resolved_dict(parse_config(json.dumps(doc)))
+    table = ResultTable(columns=(), rows=[], metadata={"resolved_config": resolved})
+    text = json_scalar(resolved)
+    assert render_csv(table) == f"# resolved_config = {text}\n\n".encode()
+    assert render_jsonl(table) == f'{{"metadata":{{"resolved_config":{text}}}}}\n'.encode()
+
+
+json_floats = with_edges([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                          1.7976931348623157e308, math.inf, -math.inf, math.nan], st.floats())
+json_leaves = (json_floats | json_floats.map(np.float64) | st.integers(-2**70, 2**70)
+               | st.booleans() | st.none() | st.text())
+json_trees = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text() | st.integers(), inner, max_size=4)),
+    max_leaves=30)
+
+
+def nonfinite_as_text(value):
+    """``value`` with each non-finite float replaced by its CSV text, the
+    string JSONL writes for it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return format(value, ".17g")
+    if isinstance(value, (list, tuple)):
+        return [nonfinite_as_text(v) for v in value]
+    if isinstance(value, dict):
+        return {k: nonfinite_as_text(v) for k, v in value.items()}
+    return value
+
+
+@PROPERTY_SETTINGS
+@given(json_trees)
+def test_json_writer_matches_the_oracle(tree):
+    # the oracle's bytes, with a non-finite float as the string of its CSV
+    # text instead of null
+    want = json_scalar(nonfinite_as_text(tree))
+    row = ResultTable(columns=("v", "ключ"), rows=[(tree, 1)])
+    assert render_jsonl(row).decode().splitlines()[1] == f'{{"v":{want},{json_scalar("ключ")}:1}}'
+    meta = ResultTable(columns=(), rows=[], metadata={"tree": [tree]})
+    assert render_csv(meta) == f"# tree = [{want}]\n\n".encode()
+
+
+model_numbers = st.floats(-1e7, 1e7) | st.integers(-10**6, 10**6)
+seed_models = st.builds(
+    SpinModelParams,
+    b_field=st.tuples(model_numbers, model_numbers, model_numbers),
+    g_electron=model_numbers, g_nuclear=model_numbers, g_ancilla=model_numbers,
+    hyperfine_gate=model_numbers, hyperfine_ancilla=model_numbers, hopping=model_numbers,
+    coulomb_u=st.floats(1.0, 1e12) | st.integers(1, 10**9),
+    exchange=st.none() | model_numbers, level_offset=model_numbers,
+)
+seed_leads = polarizations.map(tuple) | st.sampled_from([(0, 0, 1), (1, 0, 0), (0, 0, 0)])
+seed_settings = st.builds(
+    MeasurementSetting, u_left=seed_leads, u_right=seed_leads,
+    t_interact=st.integers(0, 10) | st.floats(0.0, 1e-3) | st.floats(0.0, 1e-3).map(np.float64),
+    model=st.none() | seed_models,
+)
+
+
+@PROPERTY_SETTINGS
+@given(master=st.integers(0, 2**70), setting=seed_settings)
+def test_setting_seed_matches_the_oracle(master, setting):
+    assert derive_setting_seed(master, setting) == setting_seed(master, setting)
+
+
+coefficient_values = with_edges([0.0, 5e-324, 1e307, -6e307, 1e308, -1.7e308, math.inf, -math.inf,
+                                 math.nan], st.floats(-1e300, 1e300))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.lists(coefficient_values, min_size=13, max_size=13), min_size=1, max_size=5))
+def test_overflow_bound_agrees_with_the_eigenvalues(rows):
+    coefficients = np.array(rows)
+    assert np.array_equal(_hierarchy_overflows(coefficients), np.isnan(hierarchy_norms(coefficients)))
