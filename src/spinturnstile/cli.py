@@ -29,7 +29,7 @@ from .config import (
     resolved_dict,
 )
 from .algebra import pauli_coordinates
-from .cycle import run_cycle, setting_instrument
+from .cycle import run_cycle, setting_instruments
 from .experiment import (
     calibrate,
     derive_setting_seed,
@@ -143,9 +143,11 @@ def _cmd_calibrate(cfg: RunConfig, meta: dict) -> ResultTable:
     mag_l, mag_r = lead_l.magnitude, cfg.setting.u_right.magnitude
     geometry = dataclasses.replace(cfg.setting, u_right=dataclasses.replace(lead_l, magnitude=mag_r),
                                    t_interact=0.0)
-    instrument = setting_instrument(geometry.to_setting(), cfg.model, cfg.tunnel, cfg.detection_c,
-                                    cfg.include_gate_hamiltonian)
-    pr_true = instrument.pulse_probability(cfg.gate_state.density())
+    (block,) = setting_instruments([geometry.to_setting()], cfg.model, cfg.tunnel, cfg.detection_c,
+                                   cfg.include_gate_hamiltonian)
+    if block.errors[0] is not None:
+        raise ValueError(block.errors[0])
+    pr_true = float(block.pulse_probabilities(cfg.gate_state.density())[0])
     c_true = cfg.detection_c
 
     rows = []

@@ -10,19 +10,24 @@ probability
     Pr = c * tau_detect * t_sq * (1 + u_right . u_ancilla(t)),
 
 and finally flushing the dot. Because the detection acts only on the ancilla,
-the whole cycle induces a two-outcome quantum instrument on the gate. Its two
-completely positive maps are kept as real 16x16 transfer matrices on the
-gate's Pauli-product coordinates ``x_j = tr(rho P_j)`` (the Liouville
-representation, Nielsen & Chuang ch. 8). Everything else follows from them:
-the pulse probability is the first row applied to ``x``, the ancilla
-polarization is ``ancilla_bloch @ x``, the POVM effects are the first rows
-expanded in the basis, and a post-measurement state is the image of ``x``
-renormalized by its first entry. :func:`setting_instruments` is the one route
-from :class:`MeasurementSetting` values to these matrices, stacked a block of
-settings at a time; :func:`setting_instrument` is its one-row case, and
-:func:`run_cycle` reads a cycle off one row. Their agreement with the ancilla
-pathway (a second joint evolution of ``rho_A x rho``, a partial trace and the
-formula above, kept in ``tests/oracles.py``) is the central consistency check
+the whole cycle induces a two-outcome quantum instrument on the gate. Its
+pulse outcome has one POVM effect, ``E = Tr_A[(rho_A x I) U^dag (M_pulse x
+I) U]`` (Nielsen & Chuang ch. 8), kept as its real coordinates ``tr(E P_j) /
+4`` on the gate's Pauli products, so that ``Pr = effects @ x`` with ``x_j =
+tr(rho P_j)``. It comes first, from one Heisenberg-picture conjugation per
+setting, and it is all that refresh sweeps, tomography designs and
+calibration read. Propagate-mode sweeps and single cycles also need the two
+completely positive maps, kept as real 16x16 transfer matrices on the same
+coordinates (the Liouville representation), and the ancilla polarization
+``ancilla_bloch @ x``; these are built on demand, and the first row of the
+pulse matrix is the effect. A post-measurement state is the image of ``x``
+renormalized by its first entry. :func:`setting_instruments` is the one
+route from :class:`MeasurementSetting` values to effects and matrices,
+stacked a block of settings at a time; :func:`setting_instrument` is its
+one-row case, and :func:`run_cycle` reads a cycle off one row. Their
+agreement with the ancilla pathway (a second joint evolution of ``rho_A x
+rho``, a partial trace and the formula above) and with a Kraus-operator
+route, both kept in ``tests/oracles.py``, is the central consistency check
 of the package.
 
 The detection POVM on the ancilla is the minimal two-outcome model that
@@ -35,6 +40,7 @@ sigma)/2`` with strength ``kappa = 2 c tau_detect t_sq``, and
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +89,9 @@ BLOCK_ROWS = 16
 _ANCILLA_INPUTS = 0.5 * np.array([kron(s, np.eye(4)) for s in (IDENTITY_2,) + PAULIS]).reshape(4, 64)
 # kron(I_2, P_j) side by side: column block j of W @ _GATE_RIGHT is W (I x P_j).
 _GATE_RIGHT = np.array([kron(IDENTITY_2, p) for p in GATE_PAULI_BASIS]).transpose(1, 0, 2).reshape(8, 128)
+# Column j is conj(kron(I_2, P_j)) / 4 flattened: a flattened 8x8 operator X
+# times these columns gives tr[X (I x P_j)] / 4 (the P_j are Hermitian).
+_GATE_READ = 0.25 * np.array([kron(IDENTITY_2, p) for p in GATE_PAULI_BASIS]).reshape(16, 64).conj().T
 
 
 class HierarchyWarning(UserWarning):
@@ -148,7 +157,7 @@ class QuantumInstrument:
 
     def pulse_probability(self, rho_gate: np.ndarray) -> float:
         """``Pr(pulse | rho)``; see :func:`_pulse_probabilities`."""
-        return float(_pulse_probabilities(self.pulse, rho_gate))
+        return float(_pulse_probabilities(self.pulse[:1], rho_gate)[0])
 
     def apply(self, rho_gate: np.ndarray, pulse: bool):
         """Conditional post-measurement state and its probability.
@@ -167,17 +176,40 @@ class QuantumInstrument:
 class InstrumentBlock:
     """Instruments of consecutive settings, stacked along a first axis.
 
-    Row ``k`` holds the :class:`QuantumInstrument` fields of setting
-    ``start + k``, or, when ``errors[k]`` is not None, meaningless numbers and
-    in ``errors[k]`` the reason that setting has no instrument.
+    Row ``k`` belongs to setting ``start + k``. ``effects[k]`` holds the
+    Pauli coordinates ``tr(E P_j) / 4`` of its pulse effect ``E``, so that
+    ``Pr(pulse | rho) = effects[k] @ pauli_coordinates(rho)``. The transfer
+    matrices ``pulse``, ``nopulse`` and ``ancilla_bloch`` are built from the
+    block's ``propagators`` and leads the first time one of them is read,
+    and the first row of ``pulse`` is ``effects``. When ``errors[k]`` is not
+    None, row ``k`` holds meaningless numbers and ``errors[k]`` the reason
+    that setting has no instrument.
     """
 
     start: int
-    pulse: np.ndarray
-    nopulse: np.ndarray
-    ancilla_bloch: np.ndarray
+    effects: np.ndarray
     kappa: float
     errors: tuple
+    propagators: np.ndarray = field(repr=False)
+    u_left: np.ndarray = field(repr=False)
+    u_right: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _transfers(self) -> tuple:
+        return _transfer_matrices(self.propagators, self.u_left, self.u_right, self.kappa,
+                                  self.effects)
+
+    @property
+    def pulse(self) -> np.ndarray:
+        return self._transfers[0]
+
+    @property
+    def nopulse(self) -> np.ndarray:
+        return self._transfers[1]
+
+    @property
+    def ancilla_bloch(self) -> np.ndarray:
+        return self._transfers[2]
 
     def instrument(self, k: int) -> QuantumInstrument:
         """The instrument of row ``k``; raises ``ValueError`` with the row's error."""
@@ -188,14 +220,15 @@ class InstrumentBlock:
 
     def pulse_probabilities(self, rho_gate: np.ndarray) -> np.ndarray:
         """``Pr(pulse | rho)`` of every row; see :func:`_pulse_probabilities`."""
-        return _pulse_probabilities(self.pulse, rho_gate)
+        return _pulse_probabilities(self.effects, rho_gate)
 
 
-def _pulse_probabilities(pulse: np.ndarray, rho_gate: np.ndarray) -> np.ndarray:
-    """``Pr(pulse | rho)`` of one or a stack of pulse transfer matrices. A
+def _pulse_probabilities(effects: np.ndarray, rho_gate: np.ndarray) -> np.ndarray:
+    """``Pr(pulse | rho)`` of an (R, 16) stack of effect coordinates, by one
+    product per row, so a row gets the same bits alone as in any stack. A
     valid instrument gives [0, kappa], so the clamp to [0, 1] only removes
     rounding (e.g. antiparallel unit leads)."""
-    return np.clip(pulse[..., 0, :] @ pauli_coordinates(rho_gate), 0.0, 1.0)
+    return np.clip((effects[:, None, :] @ pauli_coordinates(rho_gate))[:, 0], 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -227,6 +260,32 @@ def _instrument_block(start: int, h: np.ndarray, t, u_left: np.ndarray, u_right:
     has no instrument; the others get the errors of :func:`evolve_unitaries`,
     and every row gets the error of a ``kappa`` above 1.
 
+    The pulse effect is computed in the Heisenberg picture: the detection
+    operator evolves backwards, ``A = U^dag (M_pulse x I) U``, and ``E =
+    Tr_A[(rho_A x I) A]``, so ``tr(E P_j) = tr[(rho_A x I) A (I x P_j)]``.
+    Every product is stacked per row, so a row's effect has the same bits
+    alone as in any block.
+    """
+    u, found = evolve_unitaries(h, t)
+    errors = found if errors is None else [known or other for known, other in zip(errors, found)]
+    if kappa > 1.0 + STRUCTURAL_TOL:
+        errors = [f"detection strength kappa={kappa} exceeds 1; reduce detection.c, "
+                  "tunnel.tau_detect_s or tunnel.gamma0_per_s"] * len(errors)
+    n = len(u)
+    rho_a = (_with_trace(u_left)[:, None] @ _ANCILLA_INPUTS).reshape(n, 8, 8)
+    m_pulse = (kappa * _with_trace(u_right)[:, None] @ _ANCILLA_INPUTS).reshape(n, 8, 8)
+    heisenberg = u.conj().swapaxes(1, 2) @ (m_pulse @ u)
+    effects = ((rho_a @ heisenberg).reshape(n, 1, 64) @ _GATE_READ)[:, 0].real
+    return InstrumentBlock(start=start, effects=effects, kappa=kappa, errors=tuple(errors),
+                           propagators=u, u_left=u_left, u_right=u_right)
+
+
+def _transfer_matrices(u: np.ndarray, u_left: np.ndarray, u_right: np.ndarray, kappa: float,
+                       effects: np.ndarray) -> tuple:
+    """``(pulse, nopulse, ancilla_bloch)`` of stacked rows with propagators
+    ``u`` (R, 8, 8), lead polarizations (R, 3) and pulse effects ``effects``
+    (R, 16), which become the first rows of ``pulse``.
+
     For every gate basis element ``P_j`` the joint state ``U (rho_A x P_j)
     U^dag`` is partially traced against ``sigma_a x I`` (``a`` over I, X, Y,
     Z), which gives the response ``R[a, i, j] = tr[(sigma_a x P_i) U (rho_A x
@@ -234,11 +293,6 @@ def _instrument_block(start: int, h: np.ndarray, t, u_left: np.ndarray, u_right:
     = W (I x P_j)`` with ``W = U (rho_A x I)``, all 16 joint states of a row
     come from two matrix products.
     """
-    u, found = evolve_unitaries(h, t)
-    errors = found if errors is None else [known or other for known, other in zip(errors, found)]
-    if kappa > 1.0 + STRUCTURAL_TOL:
-        errors = [f"detection strength kappa={kappa} exceeds 1; reduce detection.c, "
-                  "tunnel.tau_detect_s or tunnel.gamma0_per_s"] * len(errors)
     n = len(u)
     w = u @ (_with_trace(u_left) @ _ANCILLA_INPUTS).reshape(n, 8, 8)
     joint = (w.reshape(8 * n, 8) @ _GATE_RIGHT).reshape(n, 128, 8) @ u.conj().swapaxes(1, 2)
@@ -254,8 +308,8 @@ def _instrument_block(start: int, h: np.ndarray, t, u_left: np.ndarray, u_right:
     # images of P_j as [row, map, j, g, h], then their coordinates as [.., i, j]
     images = np.stack((traced[0], pulse_ops), 1).transpose(0, 1, 3, 2, 4)
     total, pulse = np.moveaxis(0.25 * pauli_coordinates(images).swapaxes(2, 3), 1, 0)
-    return InstrumentBlock(start=start, pulse=pulse, nopulse=total - pulse,
-                           ancilla_bloch=ancilla_bloch, kappa=kappa, errors=tuple(errors))
+    pulse[:, 0] = effects
+    return pulse, total - pulse, ancilla_bloch
 
 
 def _with_trace(u: np.ndarray) -> np.ndarray:
@@ -313,7 +367,9 @@ def setting_instruments(
     otherwise; the detection window and the escape transparency
     (``t_sq = gamma0``) come from ``tunnel``. A block's Hamiltonians come from
     one product with the generator stack, its propagators from one ``eigh``
-    and its transfer matrices from a few stacked products; a block is built
+    and its pulse effects from one stacked conjugation ``U^dag (M_pulse x I)
+    U``; its transfer matrices are built from the same propagators only when
+    read (propagate-mode sweeps and :func:`run_cycle`). A block is built
     only when the previous one has been consumed. A setting that has no
     instrument (detection strength above 1, a model that overflows float64,
     lost propagator phase) gets an error message in its row instead of

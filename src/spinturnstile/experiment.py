@@ -12,9 +12,7 @@ Reproducibility: every stochastic quantity is drawn from a
 ``numpy.random.Generator`` seeded deterministically. Sweep rows derive their
 seeds from the master seed and a content digest of the row's setting, so a
 setting's seed does not depend on row order or on any parallel execution
-schedule. Its pulse probability ``pr`` can still differ in the last digit
-with the rows that share its block of
-:func:`~spinturnstile.cycle.setting_instruments`.
+schedule.
 """
 
 import hashlib
@@ -321,7 +319,8 @@ def run_sweep(
 
     The settings' instruments come from :func:`setting_instruments`, which
     also checks each row's time-scale hierarchy against ``threshold``; each
-    row then samples ``n_cycles`` shots.
+    row then samples ``n_cycles`` shots. A row's ``pr`` is read off its pulse
+    effect, and only propagate mode builds the transfer matrices.
     ``mode`` chooses between independent cycles ("refresh") and the
     back-action chain ("propagate"). Invalid settings, and chains too long to
     allocate, produce a row with an error status instead of aborting the sweep.
@@ -342,14 +341,15 @@ def run_sweep(
         for k, setting in enumerate(settings[block.start:block.start + len(block.errors)]):
             idx = block.start + k
             try:
-                instrument = block.instrument(k)
+                if block.errors[k] is not None:
+                    raise ValueError(block.errors[k])
                 pr = probabilities[k]
                 row_seed = derive_setting_seed(seed, setting)
                 if mode == "refresh":
                     record = sample_cycles(pr, n_cycles, row_seed)
                 else:
                     # the row keeps the count, not the chain's arrays
-                    chain = propagate_cycles(instrument, rho_gate, n_cycles, row_seed)
+                    chain = propagate_cycles(block.instrument(k), rho_gate, n_cycles, row_seed)
                     record = _count_record(chain.n_pulses, n_cycles, row_seed)
                 current = estimate_current(record, tunnel.tau_cycle)
                 rows.append(SweepRow(index=idx, setting=setting, pr=pr, record=record, current=current))

@@ -146,7 +146,8 @@ class TomographyDesign:
 
     ``matrix`` has one row per setting and one column per state parameter;
     ``offset`` holds the maximally-mixed-gate probabilities. Row ``i`` of
-    ``pulse_rows`` is the first row of setting ``i``'s pulse transfer matrix,
+    ``pulse_rows`` holds the coordinates of setting ``i``'s pulse effect (the
+    first row of its pulse transfer matrix),
     so ``pulse_rows @ pauli_coordinates(rho)`` gives the exact probabilities
     of any gate state, whatever the mode. Rank and
     conditioning are computed from the singular spectrum with relative cutoff
@@ -194,8 +195,9 @@ def build_design(
 ) -> TomographyDesign:
     """Assemble the affine design matrix for a grid of settings.
 
-    Each row is the first row of the setting's pulse transfer matrix, which
-    gives the probability as a function of the state's Pauli coordinates
+    Each row holds the coordinates of the setting's pulse effect
+    (:attr:`~spinturnstile.cycle.InstrumentBlock.effects`), which give the
+    probability as a function of the state's Pauli coordinates
     ``(1, theta)``: its identity entry is the offset (the probability on the
     maximally mixed gate) and the entries of the mode's parameters are the
     matrix row.
@@ -210,7 +212,7 @@ def build_design(
         for error in block.errors:
             if error is not None:
                 raise ValueError(error)
-        pulse_rows[block.start:block.start + len(block.errors)] = block.pulse[:, 0]
+        pulse_rows[block.start:block.start + len(block.errors)] = block.effects
     matrix = pulse_rows[:, 1 : 1 + n_parameters(mode)]
     offset = pulse_rows[:, 0]
 

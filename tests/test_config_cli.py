@@ -21,6 +21,7 @@ from spinturnstile.config import (
 )
 from spinturnstile.cli import (
     COMMANDS,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
@@ -442,6 +443,30 @@ class TestCli:
         if expected == EXIT_VALIDATION:
             assert not out.exists()
             assert "tomography.settings[0]" in err and "tomography.settings[3]" in err
+
+    @pytest.mark.parametrize("command, section, builds", [
+        ("sweep", {"experiment": {"mode": "refresh"}}, False),
+        ("tomography", {"tomography": {"noise": "none"}}, False),
+        ("tomography", {"tomography": {"noise": "shot"}}, False),
+        ("calibrate", {}, False),
+        ("sweep", {"experiment": {"mode": "propagate", "n_cycles": 10}}, True),
+        ("cycle", {}, True),
+    ])
+    def test_only_chain_and_cycle_build_transfer_matrices(self, tmp_path, monkeypatch, capsys,
+                                                          command, section, builds):
+        # the other commands read Pr off the pulse effect alone
+        import spinturnstile.cycle
+
+        calls = []
+
+        def refuse(*args):
+            calls.append(command)
+            raise RuntimeError("transfer matrices built")
+
+        monkeypatch.setattr(spinturnstile.cycle, "_transfer_matrices", refuse)
+        code, _ = run_cli(tmp_path, command, {**FULL, **section})
+        assert (code, len(calls)) == ((EXIT_INTERNAL, 1) if builds else (EXIT_OK, 0))
+        assert ("transfer matrices built" in capsys.readouterr().err) == builds
 
     @pytest.mark.parametrize("mode", ["single_spin", "two_spin"])
     def test_tiny_gamma0_tomography_is_finite(self, tmp_path, mode):

@@ -465,19 +465,28 @@ class TestSettingInstruments:
     def test_instrument_does_not_depend_on_its_block(self, include):
         # a setting alone, at each position of a full block among other
         # settings, and as the lone last row of a 17-row pass gets the same
-        # arrays bit for bit (a one-row product would round differently)
+        # effect, transfer matrices and pulse probability bit for bit (a
+        # one-row product would round differently)
         rng = np.random.default_rng(2026)
         base, tunnel = hierarchy_ok_params(exchange=1.3e6, hyperfine_gate=2e6), quiet_tunnel()
         settings = self.settings(rng)
+        rho = random_density(rng, 4)
         others = settings[:BLOCK_ROWS]
-        names = ("pulse", "nopulse", "ancilla_bloch")
+
+        def rows(block, k):
+            return [block.effects[k], block.pulse_probabilities(rho)[k]] + [
+                getattr(block, name)[k] for name in ("pulse", "nopulse", "ancilla_bloch")]
+
         for setting in settings[BLOCK_ROWS:]:
             (alone,) = setting_instruments([setting], base, tunnel, 2.0, include)
-            want = [getattr(alone, name)[0] for name in names]
+            want = rows(alone, 0)
+            assert np.array_equal(want[2][0], want[0])  # the first pulse row is the effect
             for k in range(BLOCK_ROWS):
                 block = others[:k] + [setting] + others[k + 1:]
                 (got,) = setting_instruments(block, base, tunnel, 2.0, include)
-                assert all(np.array_equal(getattr(got, name)[k], w) for name, w in zip(names, want))
+                assert all(np.array_equal(g, w) for g, w in zip(rows(got, k), want))
             _, last = setting_instruments(others + [setting], base, tunnel, 2.0, include)
             assert len(last.errors) == 1
-            assert all(np.array_equal(getattr(last, name)[0], w) for name, w in zip(names, want))
+            assert all(np.array_equal(g, w) for g, w in zip(rows(last, 0), want))
+            # the single-instrument route reads the same probability
+            assert alone.instrument(0).pulse_probability(rho) == want[1]

@@ -326,6 +326,24 @@ def test_sweep_cycle_and_design_agree(include_gate_hamiltonian):
         assert abs(row.pr - pr_row) <= 1e-15
 
 
+def test_row_pr_is_the_cycle_pr_bit_for_bit():
+    # a setting's pr is the same alone, in a 17-row sweep and from run_cycle
+    rng = np.random.default_rng(39)
+    base, tunnel, c = quiet_model(), quiet_tunnel(), 0.8
+    settings = [
+        MeasurementSetting(u_left=tuple(random_bloch(rng)), u_right=tuple(random_bloch(rng)),
+                           t_interact=rng.uniform(1e-7, 1e-5),
+                           model=quiet_model(exchange=rng.uniform(2e5, 5e6)))
+        for _ in range(BLOCK_ROWS + 1)
+    ]
+    rho = random_density(rng, 4)
+    kw = dict(model=base, tunnel=tunnel, rho_gate=rho, c=c, n_cycles=10, seed=1)
+    together = [row.pr for row in run_sweep(settings, **kw)]
+    for s, pr in zip(settings, together):
+        (alone,) = run_sweep([s], **kw)
+        assert alone.pr == pr == run_cycle(s, base, tunnel, rho, c).pr_pulse
+
+
 class TestPropagate:
     def make_instrument(self):
         from spinturnstile.cycle import induced_instrument

@@ -7,11 +7,17 @@ configuration line and every row renderer. A digest changes when any output
 byte does: a change that alters output on purpose records the new digests
 here and says why. The digests hold for one numpy/BLAS build; another
 build may round the instruments differently in the last digit.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints the current digests
+in ``GOLDEN``'s form. Diff the outputs column by column against the previous
+code before recording them.
 """
 
 import hashlib
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -65,15 +71,23 @@ def output_digest(tmp_path, name: str, fmt: str) -> str:
 
 
 GOLDEN = {
-    ("refresh", "csv"): "a9c9c390f997e42f4ed303b4843b3a8908ce1a2c2a748e7a31b161581ab2b389",
-    ("refresh", "jsonl"): "cab1edcd52210dcdfd709c4c98b38f8f06e61c027456bb6d9e4ad2cc2bd23bcb",
-    ("propagate", "csv"): "f3fef561cdbd1bb8a36e36dbdbeb220f64f6d10fdf59f33e0b35fa1d04371790",
-    ("propagate", "jsonl"): "3e7e1991c06c8dac3f3414a2cfa046180618b3755cbf73b3947c1a716a83852b",
-    ("tomography", "csv"): "368e5c3bd666a06c5794bdb3886092de8841d6d127d90491c69715352ffe000a",
-    ("tomography", "jsonl"): "9880fc91fe28dde4cc9d27f248ddcf9ab025c833e5e900821bf92e41ac3e5e85",
+    ("refresh", "csv"): "57f9a761ef76f5c79623272c893f25feb9ce19fb75c90628ee620d22ebe1f1d1",
+    ("refresh", "jsonl"): "f2ddab66538dc7b6601cdcff23f228d3d2039fdb16cdaa6b653b45fe24ea10dc",
+    ("propagate", "csv"): "688289d2a8861674317a58f6f9cf0c4062fcaeea9eccbda0dde459361c0e2144",
+    ("propagate", "jsonl"): "2472bf58c62895d487294832e1c5d3da7eb846f3eaf179cbbdb4c13c5dae20d2",
+    ("tomography", "csv"): "c844c787f6b7894cd793cf2363a7f6f4e9e2ffbc72c246968a3eeb692fa33352",
+    ("tomography", "jsonl"): "2fbff3248de660d76a4bad01420cd8b06627b07c5368a31285b3e451832f4b0e",
 }
 
 
 @pytest.mark.parametrize("name, fmt", sorted(GOLDEN))
 def test_output_bytes_are_pinned(tmp_path, name, fmt):
     assert output_digest(tmp_path, name, fmt) == GOLDEN[name, fmt]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
+        for name, fmt in GOLDEN:
+            print(f'    ("{name}", "{fmt}"): "{output_digest(Path(tmp), name, fmt)}",')
+        print("}")

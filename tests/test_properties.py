@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from spinturnstile.algebra import pauli_coordinates
 from spinturnstile.config import parse_config, resolved_dict
 from spinturnstile.constants import G_NUCLEAR_P31
-from spinturnstile.cycle import MeasurementSetting, induced_instrument, setting_instrument
+from spinturnstile.cycle import (
+    BLOCK_ROWS,
+    MeasurementSetting,
+    induced_instrument,
+    setting_instrument,
+    setting_instruments,
+)
 from spinturnstile.experiment import RUN_BLOCK, derive_setting_seed, propagate_cycles
 from spinturnstile.model import (
     SpinModelParams,
@@ -41,9 +47,13 @@ from spinturnstile.tomography import (
 from oracles import (
     choi_from_transfer,
     json_scalar,
+    kraus_instrument,
+    liouville_matrix,
+    pauli_product_basis,
     random_density,
     random_hermitian,
     setting_seed,
+    spin_hamiltonian,
     stepwise_chain,
 )
 
@@ -93,6 +103,55 @@ def test_pulse_row_is_detection_formula(cycle):
     inst = build(cycle)
     expected = 0.5 * cycle["kappa"] * (np.eye(16)[0] + cycle["u_right"] @ inst.ancilla_bloch)
     assert np.abs(inst.pulse[0] - expected).max() < 1e-12
+
+
+unit_directions = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+    lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: np.array(v) / np.linalg.norm(v))
+block_rows = st.fixed_dictionaries({
+    # random leads, or antiparallel unit leads (no pulse whatever the state)
+    "leads": st.tuples(polarizations, polarizations) | unit_directions.map(lambda u: (u, -u)),
+    "couplings": st.tuples(*[st.floats(-2e6, 2e6)] * 3),
+    "b_field": st.tuples(*[st.floats(-1e-5, 1e-5)] * 3),
+    "t": st.just(0.0) | st.floats(0.0, 1e-6),
+})
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(block_rows, min_size=1, max_size=BLOCK_ROWS + 1),
+       st.just(1.0) | unit_interval, st.booleans(), st.integers(0, 2**32 - 1))
+def test_block_matches_the_kraus_route(rows, kappa, include, seed):
+    # the block's effects and its lazily built transfer matrices against
+    # Kraus operators by double eigendecomposition and their Liouville matrices
+    settings_ = [
+        MeasurementSetting(row["leads"][0], row["leads"][1], row["t"], model=SpinModelParams(
+            b_field=row["b_field"], g_ancilla=2.0, exchange=row["couplings"][0],
+            hyperfine_gate=row["couplings"][1], hyperfine_ancilla=row["couplings"][2]))
+        for row in rows
+    ]
+    tunnel = TunnelParams()  # kappa = 2 c tau_detect gamma0 with tau_detect * gamma0 = 0.1
+    blocks = list(setting_instruments(settings_, SpinModelParams(), tunnel, 5.0 * kappa, include))
+    rho = random_density(np.random.default_rng(seed), 4)
+    x = pauli_coordinates(rho)
+    e0 = np.eye(16)[0]
+    for block in blocks:
+        probabilities = block.pulse_probabilities(rho)
+        for k, s in enumerate(settings_[block.start:block.start + len(block.errors)]):
+            assert block.errors[k] is None
+            w, v = np.linalg.eigh(spin_hamiltonian(s.model, include))
+            u = (v * np.exp(-1j * w * s.t_interact)) @ v.conj().T
+            kraus_p, kraus_n = kraus_instrument(s.u_left, s.u_right, u, kappa)
+            pulse = liouville_matrix(kraus_p)
+            assert np.abs(block.effects[k] - pulse[0]).max() < 1e-14
+            assert np.abs(block.pulse[k] - pulse).max() < 1e-14
+            assert np.abs(block.nopulse[k] - liouville_matrix(kraus_n)).max() < 1e-14
+            # a unit pulse effect E along axis a has tr(E P_j) / 4 = (e0 + ancilla_bloch[a]) / 2
+            for a, axis in enumerate(np.eye(3)):
+                effect = sum(kr.conj().T @ kr for kr in kraus_instrument(s.u_left, axis, u, 1.0)[0])
+                half = 0.25 * np.array([np.trace(effect @ p).real for p in pauli_product_basis()])
+                assert np.abs(block.ancilla_bloch[k, a] - (2.0 * half - e0)).max() < 1e-14
+            pr = sum(np.trace(kr @ rho @ kr.conj().T).real for kr in kraus_p)
+            assert abs(probabilities[k] - min(max(pr, 0.0), 1.0)) < 1e-14
+            assert abs(block.effects[k] @ x - pr) < 1e-14
 
 
 @PROPERTY_SETTINGS
