@@ -59,10 +59,11 @@ from .model import (
     HIERARCHY_THRESHOLD,
     SpinModelParams,
     TunnelParams,
+    _escape_times,
     _hierarchy_overflows,
+    _hierarchy_report,
     hamiltonians,
     hierarchy_norms,
-    hierarchy_report,
     model_coefficients,
 )
 
@@ -376,12 +377,14 @@ def setting_instruments(
     stopping the others.
 
     With a ``threshold``, every setting whose model's time scales are not
-    separated by it, or cannot be computed because the model overflows,
-    emits a :class:`HierarchyWarning`, in row order, at the caller of the
-    code iterating this generator.
+    separated by it emits a :class:`HierarchyWarning`, in row order, at the
+    caller of the code iterating this generator. A model that overflows is
+    reported by its row's error alone, since its time scales cannot be
+    computed.
     """
     settings = list(settings)
     kappa = detection_strength(c, tunnel.tau_detect, tunnel.gamma0)
+    times = _escape_times(tunnel)
     for start in range(0, len(settings), BLOCK_ROWS):
         block = settings[start:start + BLOCK_ROWS]
         coefficients = model_coefficients(s.model if s.model is not None else model for s in block)
@@ -391,16 +394,14 @@ def setting_instruments(
             norms = hierarchy_norms(coefficients)
             overflows = np.isnan(norms)
             for norm in norms.tolist():
-                report = hierarchy_report(norm, tunnel, threshold=threshold)
+                # an overflowing model is reported by its row's error alone
                 if math.isnan(norm):
-                    problem = f"cannot be checked: {_OVERFLOW_ERROR}"
-                elif not report.satisfied:
-                    problem = (f"not satisfied (ratios {report.ratio_dyn_res:.3g}, "
-                               f"{report.ratio_non_dyn:.3g})")
-                else:
                     continue
-                warnings.warn(f"time-scale hierarchy tau_res << tau_dyn << tau_non {problem}",
-                              HierarchyWarning, stacklevel=3)
+                report = _hierarchy_report(norm, *times, threshold)
+                if not report.satisfied:
+                    warnings.warn("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+                                  f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})",
+                                  HierarchyWarning, stacklevel=3)
         h = hamiltonians(coefficients, include_gate_hamiltonian)
         overflow = overflows | ~np.isfinite(h).all(axis=(1, 2))
         h[overflow] = 0.0

@@ -45,14 +45,18 @@ __all__ = [
 _IDENTITY = np.eye(16)
 _MIXED_COORDINATES = _IDENTITY[0]
 
-# Cycles of a no-pulse run decided by one stacked product in
-# :func:`propagate_cycles`; a chain's stacks hold 2 * (RUN_BLOCK + 1) 16x16
-# matrices (0.14 MB).
+# Cycles decided by one block of :func:`propagate_cycles`. A chain's two
+# event-map stacks hold 2 * (RUN_BLOCK + 1) matrices of 16 + 2 * (RUN_BLOCK + 1)
+# rows and 16 columns (0.69 MB).
 RUN_BLOCK = 32
 # Run probabilities are ratios over no-pulse survivals ``(Q^j x)[0]``; below
-# this floor a ratio could carry over 2**16 times the rounding of the
-# per-cycle rule, so the run is renormalized there or stepped one cycle.
+# this fraction of the block's first survival a ratio could carry over 2**16
+# times the rounding of the per-cycle rule, so the block is cut there.
 _SURVIVAL_FLOOR = 2.0 ** -16
+# The chain carries its state unnormalized and divides it by its first entry
+# only when that leaves this range, far from the float range's ends.
+_RESCALE_BELOW = 2.0 ** -600
+_RESCALE_ABOVE = 2.0 ** 600
 
 
 @dataclass(frozen=True)
@@ -129,15 +133,24 @@ def sample_cycles(pr: float, n: int, seed: int) -> ShotRecord:
 
 
 def _run_stacks(pulse: np.ndarray, nopulse: np.ndarray, m: int):
-    """Stacks for sampling no-pulse runs of up to ``m`` cycles.
+    """Event maps for sampling a chain in blocks of up to ``m`` cycles.
 
-    Returns ``(powers, jumps, heads)``: ``powers[j] = Q^j`` with
-    ``Q = nopulse``, built by doubling, and ``jumps[j] = pulse @ Q^j``, both
-    for ``j <= m``; ``heads`` stacks their first rows, so that ``heads @ x``
-    holds every survival ``(Q^j x)[0]`` and then every pulse numerator
-    ``(pulse Q^j x)[0]``.
+    With ``Q = nopulse``, ``heads`` stacks the first rows of ``Q^j`` and then
+    of ``pulse Q^j`` for ``j <= m``, so that ``heads @ x`` holds the
+    survivals ``(Q^j x)[0]`` and then the pulse numerators
+    ``(pulse Q^j x)[0]`` of the ``m + 1`` cycles from state ``x`` on.
+
+    Returns ``(after_jump, after_run)``, each of shape
+    ``(m + 1, 16 + 2 * (m + 1), 16)``: ``after_jump[j]`` stacks
+    ``pulse Q^j`` over ``heads @ pulse Q^j`` and ``after_run[d]`` stacks
+    ``Q^d`` over ``heads @ Q^d``. One product ``y = map @ x`` then gives the
+    state after the event, ``y[:16]``, together with ``heads`` of that state
+    in ``y[16:]``. The powers are built by doubling.
     """
-    powers = np.empty((m + 1, 16, 16))
+    rows = 16 + 2 * (m + 1)
+    after_jump = np.empty((m + 1, rows, 16))
+    after_run = np.empty((m + 1, rows, 16))
+    powers = after_run[:, :16]
     powers[0] = _IDENTITY
     powers[1] = nopulse
     filled = 2
@@ -146,8 +159,11 @@ def _run_stacks(pulse: np.ndarray, nopulse: np.ndarray, m: int):
         step = min(filled - 1, m + 1 - filled)
         np.matmul(powers[filled - 1], powers[1:1 + step], out=powers[filled:filled + step])
         filled += step
-    jumps = pulse @ powers
-    return powers, jumps, np.concatenate((powers[:, 0], jumps[:, 0]))
+    jumps = np.matmul(pulse, powers, out=after_jump[:, :16])
+    heads = np.concatenate((powers[:, 0], jumps[:, 0]))
+    np.matmul(heads, powers, out=after_run[:, 16:])
+    np.matmul(heads, jumps, out=after_jump[:, 16:])
+    return after_jump, after_run
 
 
 def propagate_cycles(instrument: QuantumInstrument, rho_gate: np.ndarray, n: int, seed: int) -> ChainRecord:
@@ -155,94 +171,101 @@ def propagate_cycles(instrument: QuantumInstrument, rho_gate: np.ndarray, n: int
 
     The state is the gate's Pauli coordinates ``x``. Cycle ``i`` pulses when
     the ``i``-th uniform variate pre-drawn from the seeded generator lies
-    below the pulse probability ``(pulse @ x)[0]``; the state becomes the
-    selected branch renormalized by its first entry.
+    below the pulse probability ``(pulse @ x)[0] / x[0]``; the state becomes
+    the selected branch.
 
-    The chain is sampled run by run. Between pulses the state is
-    deterministic: ``j`` no-pulse cycles after ``x`` it is ``Q^j x``
-    renormalized, with ``Q = nopulse``, and the pulse probability there is
-    ``(pulse[0] Q^j x) / (Q^j x)[0]``. A cycle after a pulse is checked
-    alone. After a no-pulse cycle, one product of ``x`` with stacked rows of
-    ``Q^j`` and ``pulse[0] Q^j`` gives the probabilities of the next
-    ``RUN_BLOCK`` cycles; the first uniform below its probability marks the
-    next pulse, and a stacked ``pulse Q^j`` takes ``x`` to the state after
-    it. A block without a pulse moves ``x`` along the run by a stacked
-    ``Q^j``. The state is renormalized at every pulse and at every block
-    end. The uniforms and the comparisons are those of the per-cycle rule,
-    so the outcomes equal it unless a uniform lies within rounding (about
+    The chain is sampled in blocks, one stacked product per event. Between
+    pulses the state is deterministic: ``j`` no-pulse cycles after ``x`` it
+    is ``Q^j x``, with ``Q = nopulse``, and the pulse probability there is
+    ``(pulse Q^j x)[0] / (Q^j x)[0]``. The state ``y[:16]`` travels with
+    those survivals and pulse numerators for the next ``RUN_BLOCK + 1``
+    cycles, ``y[16:]``. A block decides cycles ``i`` to ``i + k - 1`` by
+    these ratios; the first uniform below its ratio marks a pulse, and the
+    event map ``after_jump[j]`` of :func:`_run_stacks` takes ``y`` to the
+    state after it. A block without a pulse moves ``y`` on by
+    ``after_run[k]``. Right after a pulse, cycle ``i`` is first checked
+    alone, so a chain that pulses every cycle costs one product per cycle.
+    The uniforms and the comparisons are those of the per-cycle rule, so
+    the outcomes equal it unless a uniform lies within rounding (about
     1e-16) of its probability. This needs the no-pulse survival not to grow
     along a run, which holds for every physical instrument: positive maps
     whose effects sum to the identity.
 
-    A no-pulse branch of nonpositive probability, unreachable for a valid
-    instrument, resets the state to maximally mixed; ``resets`` counts it.
-    ``probs`` is clamped to [0, 1]; the comparisons need no clamp.
+    The state is carried unnormalized, since the probabilities are ratios.
+    It is divided by its first entry only when that leaves
+    ``[2**-600, 2**600]``, and ``rho_final`` is normalized at the end. A
+    block is cut at the first survival below ``2**-16`` of its first one.
+    The no-pulse branch of the cycle before the cut is then stepped alone
+    and renormalized, as in the per-cycle rule. A branch of nonpositive
+    probability there, unreachable for a valid instrument, resets the state
+    to maximally mixed; ``resets`` counts it. ``probs`` is clamped to
+    [0, 1]; the comparisons need no clamp.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     uniforms = np.random.default_rng(seed).random(n)
-    pulse, nopulse = instrument.pulse, instrument.nopulse
-    x = pauli_coordinates(rho_gate)
+    nopulse = instrument.nopulse
+    m = min(RUN_BLOCK, n)
+    after_jump, after_run = _run_stacks(instrument.pulse, nopulse, m)
+    # y[sv + j] = (Q^j x)[0] and y[nm + j] = (pulse Q^j x)[0], with x = y[:16]
+    sv, nm = 16, 17 + m
+    y = after_run[0].dot(pauli_coordinates(rho_gate))
     outcomes = np.zeros(n, dtype=np.uint8)
     probs = np.empty(n)
     n_pulses = resets = 0
-    powers = None
     u = uniforms.tolist()
+    after_pulse = False
     i = 0
     while i < n:
-        post = pulse @ x
-        p_pulse = float(post[0])
-        probs[i] = p_pulse
-        if u[i] < p_pulse:
-            outcomes[i] = 1
-            n_pulses += 1
-            x = post / p_pulse
-            i += 1
-            continue
-        # Cycle i gave no pulse and x is the state before it. Decide the
-        # next cycles from one product with the stacks, h[j] = (Q^j x)[0]
-        # and h[m + 1 + j] = (pulse Q^j x)[0], until a pulse; after a block
-        # without one, x moves to the state before the block's last cycle.
-        while True:
-            k = min(RUN_BLOCK, n - 1 - i)
-            cut = 1
-            if k:
-                if powers is None:
-                    m = k
-                    powers, jumps, heads = _run_stacks(pulse, nopulse, m)
-                h = heads @ x
-                # Survivals do not grow along a run, so the last one tells
-                # whether any falls below the floor; cut at the first that does.
-                cut = k + 1 if h[k] >= _SURVIVAL_FLOOR else int((h[:k + 1] >= _SURVIVAL_FLOOR).argmin())
-            if cut <= 1:
-                # Cycle i's no-pulse branch alone: the last cycle, or a
-                # survival too small for the stacked product.
-                post = nopulse @ x
-                p_no = float(post[0])
-                if p_no > 0.0:
-                    x = post / p_no
-                else:
-                    # Unreachable for a valid instrument; keep the chain alive.
-                    x = _MIXED_COORDINATES
-                    resets += 1
-                i += 1
-                break
-            p_run = np.divide(h[m + 2:m + 1 + cut], h[1:cut], out=probs[i + 1:i + cut])
-            fired = uniforms[i + 1:i + cut] < p_run
-            j = int(fired.argmax())
-            if fired[j]:
-                outcomes[i + j + 1] = 1
+        if not _RESCALE_BELOW <= y[0] <= _RESCALE_ABOVE:
+            y /= y[0]
+        if after_pulse:
+            # Cycle i alone first: a pulse often follows a pulse.
+            p_pulse = y[nm] / y[sv]
+            if u[i] < p_pulse:
+                probs[i] = p_pulse
+                outcomes[i] = 1
                 n_pulses += 1
-                post = jumps[j + 1] @ x
-                x = post / post[0]
-                i += j + 2
-                break
-            post = powers[cut - 1] @ x
-            x = post / post[0]
-            i += cut - 1
+                y = after_jump[0].dot(y[:16])
+                i += 1
+                continue
+        k = min(m, n - i)
+        floor = _SURVIVAL_FLOOR * y[sv]
+        # Survivals do not grow along a run, so the one after the block tells
+        # whether any falls below the floor; cut at the first that does.
+        whole = y[sv + k] >= floor
+        cut = k if whole else int((y[sv:sv + k + 1] >= floor).argmin())
+        p_run = np.divide(y[nm:nm + cut], y[sv:sv + cut], out=probs[i:i + cut])
+        fired = uniforms[i:i + cut] < p_run
+        j = int(fired.argmax())
+        if fired[j]:
+            outcomes[i + j] = 1
+            n_pulses += 1
+            y = after_jump[j].dot(y[:16])
+            i += j + 1
+            after_pulse = True
+        elif whole:
+            y = after_run[k].dot(y[:16])
+            i += k
+            after_pulse = False
+        else:
+            # The survival of cycle i + cut is below the floor: step the
+            # no-pulse branch of cycle i + cut - 1 alone, from the state
+            # before it, as the per-cycle rule does.
+            post = nopulse.dot(after_run[cut - 1, :16].dot(y[:16]))
+            p_no = float(post[0])
+            if p_no > 0.0:
+                x = post / p_no
+            else:
+                # Unreachable for a valid instrument; keep the chain alive.
+                x = _MIXED_COORDINATES
+                resets += 1
+            y = after_run[0].dot(x)
+            i += cut
+            after_pulse = False
     np.minimum(np.maximum(probs, 0.0, out=probs), 1.0, out=probs)
     return _count_record(n_pulses, n, seed, ChainRecord, outcomes=outcomes, probs=probs,
-                         rho_final=pauli_operator(x) / 4.0, resets=resets)
+                         rho_final=pauli_operator(y[:16] / y[0]) / 4.0, resets=resets)
 
 
 def estimate_current(record, tau_cycle: float) -> CurrentEstimate:

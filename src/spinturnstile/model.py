@@ -344,10 +344,18 @@ def hierarchy_report(
     ``tau_dyn = inf`` instead of raising. A ratio whose denominator time is
     infinite reads 0.
     """
-    tau_res = _inverse(gamma_rate(0.0, tp))
-    tau_non = _inverse(gamma_rate(tp.detuning, tp))
-    tau_dyn = 2.0 * math.pi / norm if norm > 0.0 else math.inf
+    return _hierarchy_report(norm, *_escape_times(tp), threshold)
 
+
+def _escape_times(tp: TunnelParams) -> tuple:
+    """``(tau_res, tau_non)`` of :func:`hierarchy_report`, which depend on the
+    tunnel alone."""
+    return _inverse(gamma_rate(0.0, tp)), _inverse(gamma_rate(tp.detuning, tp))
+
+
+def _hierarchy_report(norm: float, tau_res: float, tau_non: float, threshold: float) -> HierarchyReport:
+    """:func:`hierarchy_report` from the tunnel's :func:`_escape_times`."""
+    tau_dyn = 2.0 * math.pi / norm if norm > 0.0 else math.inf
     r1 = _separation(tau_dyn, tau_res)
     r2 = _separation(tau_non, tau_dyn)
     return HierarchyReport(

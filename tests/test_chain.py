@@ -6,7 +6,7 @@ import pytest
 from spinturnstile.algebra import evolve_unitary
 from spinturnstile.config import parse_config
 from spinturnstile.cycle import QuantumInstrument, induced_instrument, setting_instrument
-from spinturnstile.experiment import RUN_BLOCK, propagate_cycles
+from spinturnstile.experiment import RUN_BLOCK, _run_stacks, propagate_cycles
 from spinturnstile.model import SpinModelParams, build_total_hamiltonian
 
 from oracles import check_density_matrix, kraus_chain, kraus_instrument, random_density, stepwise_chain
@@ -118,6 +118,34 @@ class TestRunLengthSampler:
             for inst in instruments:
                 assert_matches_stepwise(inst, rho0, n, seed)
 
+    def test_rescaled_state_matches_stepwise(self):
+        # The chain carries its state unnormalized, and the state's first
+        # entry shrinks by the probability of each branch taken. Over 2e4
+        # cycles at c = 1 their product is below 2**-1100, past the smallest
+        # double, so the chain can only match by rescaling on the way.
+        rho0, instruments = default_probes(1.0)
+        for k, inst in enumerate(instruments):
+            rec = assert_matches_stepwise(inst, rho0, 20_000, seed=k + 1)
+            taken = np.where(rec.outcomes == 1, rec.probs, 1.0 - rec.probs)
+            assert np.log2(taken).sum() < -1100
+
+    @pytest.mark.parametrize("n", [RUN_BLOCK, RUN_BLOCK + 1])
+    def test_pulse_after_pulse_checked_alone(self, n):
+        # at c = 5 the z/z probe (the last) pulses almost every cycle, so
+        # nearly every cycle, the last one included, is checked alone after
+        # a pulse
+        rho0, instruments = default_probes(5.0)
+        for seed in range(8):
+            for inst in instruments:
+                rec = assert_matches_stepwise(inst, rho0, n, seed)
+            assert rec.outcomes[-2:].all()
+
+    def test_event_maps_within_budget(self):
+        inst = make_instrument()
+        after_jump, after_run = _run_stacks(inst.pulse, inst.nopulse, RUN_BLOCK)
+        assert after_jump.shape == after_run.shape == (RUN_BLOCK + 1, 16 + 2 * (RUN_BLOCK + 1), 16)
+        assert after_jump.nbytes + after_run.nbytes <= 0.75e6
+
     def test_pulse_dense_chain_raises_no_warning(self):
         # kappa = 1: after a no-pulse cycle the z/z probe pulses surely, so
         # the no-pulse survival two cycles on is zero
@@ -154,18 +182,48 @@ class TestRunLengthSampler:
         assert np.array_equal(rec.probs, probs)
         assert rec.n_pulses == (rec.n_cycles if scale > 1 else 0)
 
-    def test_resets_counted(self):
+    @pytest.mark.parametrize("scale", [-0.1, 1.25])
+    def test_unnormalized_state_stays_in_range(self, scale):
+        # the state is carried unnormalized: over 5000 cycles it would shrink
+        # by 0.8**5000 (no pulse ever, in whole blocks) or grow by 1.25**5000
+        # (a pulse map that adds trace), past either end of the float range,
+        # unless rescaled
+        inst = QuantumInstrument(pulse=scale * np.eye(16), nopulse=0.8 * np.eye(16),
+                                 ancilla_bloch=np.zeros((3, 16)), kappa=1.0)
+        rec = propagate_cycles(inst, np.eye(4) / 4, 5_000, seed=9)
+        assert rec.n_pulses == (rec.n_cycles if scale > 1 else 0)
+        assert np.all(rec.probs == (1.0 if scale > 1 else 0.0))
+        assert np.abs(rec.rho_final - np.eye(4) / 4).max() < 1e-12
+
+    @staticmethod
+    def resetting_instrument():
         # Pr = 1/2 always; a no-pulse cycle from the mixed state leaves ZI = -1,
         # whose no-pulse image has a zero first entry, so every second
         # no-pulse cycle resets the state to maximally mixed
         nopulse = 0.5 * np.eye(16)
         nopulse[0, 3] = 0.5
         nopulse[3, 0] = nopulse[3, 3] = -0.5
-        inst = QuantumInstrument(pulse=0.5 * np.eye(16), nopulse=nopulse,
+        return QuantumInstrument(pulse=0.5 * np.eye(16), nopulse=nopulse,
                                  ancilla_bloch=np.zeros((3, 16)), kappa=1.0)
+
+    def test_resets_counted(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rec = assert_matches_stepwise(inst, np.eye(4) / 4, 2_000, seed=8)
+            rec = assert_matches_stepwise(self.resetting_instrument(), np.eye(4) / 4, 2_000, seed=8)
         assert 0.2 * rec.n_cycles < rec.resets < 0.4 * rec.n_cycles
         assert np.all(rec.probs == 0.5)
         check_density_matrix(rec.rho_final, tol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reset_on_the_last_cycle(self, n):
+        # a short chain's one block reaches its end: the state after it has
+        # survival 0 when its last two cycles give no pulse, so the last
+        # cycle is stepped alone and resets
+        resets = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(16):
+                rec = assert_matches_stepwise(self.resetting_instrument(), np.eye(4) / 4, n, seed)
+                resets += rec.resets
+                check_density_matrix(rec.rho_final, tol=1e-12)
+        assert resets > 0

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -495,20 +496,23 @@ class TestCli:
         assert len(rows) == 3
         assert all(r["status"].startswith("error: propagator phase") for r in rows)
 
-    def test_overflowing_hamiltonian(self, tmp_path):
+    def test_overflowing_hamiltonian(self, tmp_path, capsys):
         # g mu_B B overflows float64, or every entry is finite but the norm
         # (-3 J) is not: rates and cycle exit 3, and each sweep row becomes
-        # an error row instead of failing the whole sweep
+        # an error row instead of failing the whole sweep. The error names
+        # the overflow, so no HierarchyWarning repeats it.
+        overflow = "the model Hamiltonian overflows float64"
         for cfg in ({"model": {"g_electron": 1e300, "b_field_tesla": [0, 0, 1e300]}},
                     {"model": {"exchange_per_s": 6e307}}):
-            assert run_cli(tmp_path, "rates", cfg)[0] == EXIT_VALIDATION
-            with pytest.warns(HierarchyWarning):
-                assert run_cli(tmp_path, "cycle", cfg)[0] == EXIT_VALIDATION
-            with pytest.warns(HierarchyWarning):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", HierarchyWarning)
+                for command in ("rates", "cycle"):
+                    assert run_cli(tmp_path, command, cfg)[0] == EXIT_VALIDATION
+                    assert capsys.readouterr().err == f"error: {overflow}\n"
                 code, out = run_cli(tmp_path, "sweep", cfg)
             assert code == EXIT_OK
             rows = list(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
-            assert len(rows) == 3 and all(r["status"].startswith("error: ") for r in rows)
+            assert len(rows) == 3 and all(r["status"] == f"error: {overflow}" for r in rows)
 
     @pytest.mark.parametrize("threshold, warned", [(100.0, False), (1e9, True)])
     @pytest.mark.parametrize("command", ["cycle", "sweep"])
@@ -553,7 +557,8 @@ class TestCli:
     def test_overflowing_sweep_row_reports_overflow(self, tmp_path):
         # one setting whose couplings overflow float64 beside a normal one:
         # the first row names the overflow as `rates` does, the second is
-        # unchanged, and no numpy warning or ratio reaches stderr
+        # unchanged, and no numpy warning, ratio or HierarchyWarning reaches
+        # stderr
         huge = {key: 1e308 for key in ("exchange_per_s", "hyperfine_gate_per_s",
                                        "hyperfine_ancilla_per_s")}
 
@@ -572,10 +577,8 @@ class TestCli:
         reference, _ = sweep([{"t_interact_s": 2e-6}, {}])
         assert rows[1].endswith(",error: the model Hamiltonian overflows float64")
         assert rows[2] == reference[2]
-        assert "RuntimeWarning" not in err and "ratios" not in err
-        (warning,) = [l for l in err.splitlines() if "Warning" in l]
-        assert warning.endswith("HierarchyWarning: time-scale hierarchy tau_res << tau_dyn << tau_non "
-                                "cannot be checked: the model Hamiltonian overflows float64")
+        # the row's error names the overflow, so stderr stays empty
+        assert err == ""
 
     def test_console_entrypoint_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
