@@ -32,8 +32,9 @@ from .algebra import pauli_coordinates
 from .cycle import run_cycle, setting_instruments
 from .experiment import (
     calibrate,
-    derive_setting_seed,
+    derive_setting_seeds,
     run_sweep,
+    sample_counts,
     sample_cycles,
 )
 from .model import characteristic_times
@@ -180,10 +181,9 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
     pr_used = pr_exact
     if cfg.tomography.noise == "shot":
         n = cfg.experiment.n_cycles
-        pr_used = np.empty_like(pr_exact)
+        seeds = derive_setting_seeds(cfg.experiment.seed, settings)
         rows_of_seed = {}
-        for i, setting in enumerate(settings):
-            seed_i = derive_setting_seed(cfg.experiment.seed, setting)
+        for i, seed_i in enumerate(seeds):
             # A repeated setting would repeat its draws, which reconstruct
             # would count as independent shots.
             first = rows_of_seed.setdefault(seed_i, i)
@@ -191,7 +191,8 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
                 raise ValueError(f"tomography.settings[{first}] and tomography.settings[{i}] derive "
                                  "the same seed, so their shot-noise draws would be identical, not "
                                  "independent; list each setting once")
-            pr_used[i] = sample_cycles(float(np.clip(pr_exact[i], 0.0, 1.0)), n, seed_i).pr_hat
+        pulses = sample_counts(np.clip(pr_exact, 0.0, 1.0).tolist(), n, seeds)
+        pr_used = np.array([k / n for k in pulses])
         counts = np.full(design.n_settings, n)
 
     result = reconstruct(design, pr_used, shot_counts=counts)

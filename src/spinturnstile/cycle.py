@@ -110,7 +110,8 @@ class MeasurementSetting:
     This is the one check of ``(u_left, u_right, t_interact)``, which
     :func:`induced_instrument` applies too: each lead has 3 components and a
     finite norm of at most 1, and the time is finite and nonnegative. Each
-    ``ValueError`` names its field.
+    ``ValueError`` names its field. The leads and the time are kept as
+    floats, so equal settings are equal whatever numeric types built them.
     """
 
     u_left: tuple
@@ -128,6 +129,7 @@ class MeasurementSetting:
             object.__setattr__(self, name, u)
         if not 0.0 <= self.t_interact < math.inf:  # NaN too
             raise ValueError("t_interact must be finite and nonnegative")
+        object.__setattr__(self, "t_interact", float(self.t_interact))
 
 
 @dataclass(frozen=True)

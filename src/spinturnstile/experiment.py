@@ -12,11 +12,14 @@ Reproducibility: every stochastic quantity is drawn from a
 ``numpy.random.Generator`` seeded deterministically. Sweep rows derive their
 seeds from the master seed and a content digest of the row's setting, so a
 setting's seed does not depend on row order or on any parallel execution
-schedule.
+schedule. A row's count is exactly ``numpy.random.default_rng(seed).binomial(n,
+pr)`` for its seed, although the rows' seeds and counts are computed together
+(:func:`derive_setting_seeds`, :func:`sample_counts`).
 """
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -35,10 +38,12 @@ __all__ = [
     "CurrentEstimate",
     "SweepRow",
     "sample_cycles",
+    "sample_counts",
     "propagate_cycles",
     "estimate_current",
     "calibrate",
     "derive_setting_seed",
+    "derive_setting_seeds",
     "run_sweep",
 ]
 
@@ -57,6 +62,16 @@ _SURVIVAL_FLOOR = 2.0 ** -16
 # only when that leaves this range, far from the float range's ends.
 _RESCALE_BELOW = 2.0 ** -600
 _RESCALE_ABOVE = 2.0 ** 600
+
+# numpy's SeedSequence hash constants, as Python ints below 2**32.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier and state mask.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -120,16 +135,113 @@ def _count_record(n_pulses: int, n: int, seed: int, record=ShotRecord, **chain):
                   std_err=float(np.sqrt(pr_hat * (1.0 - pr_hat) / n)), seed=int(seed), **chain)
 
 
-def sample_cycles(pr: float, n: int, seed: int) -> ShotRecord:
-    """Draw the pulse count of ``n`` independent cycles at pulse probability ``pr``.
-
-    Identical ``(pr, n, seed)`` always yields the identical record.
-    """
+def _check_draw(pr: float, n: int) -> None:
     if not 0.0 <= pr <= 1.0:
         raise ValueError(f"pulse probability {pr} outside [0, 1]")
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _count_record(int(np.random.default_rng(seed).binomial(n, pr)), n, seed)
+
+
+def _uint32_words(values):
+    """Rows of the little-endian 32-bit words of nonnegative ints, as
+    ``SeedSequence`` reads an int entropy (0 is the one word 0), zero-padded
+    to a common width; returns ``(words, lengths)``."""
+    values = [operator.index(v) for v in values]
+    if values and min(values) < 0:
+        raise ValueError("seeds must be nonnegative")
+    lengths = [max(1, -(-v.bit_length() // 32)) for v in values]
+    width = max(lengths, default=1)
+    data = b"".join(v.to_bytes(4 * width, "little") for v in values)
+    return np.frombuffer(data, dtype="<u4").reshape(len(values), width), np.array(lengths)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init`` and its ``count`` successive products by ``mult``, modulo 2**32."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)
+
+
+def _seed_states(words: np.ndarray, k: int, lengths=None) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(k)`` for every row at once.
+
+    Row ``r``'s entropy is ``words[r, :lengths[r]]`` (all of ``words[r]``
+    without the ``lengths`` array). This is numpy's pool mixing with the rows stacked:
+    the 4 pool words are the rows of a ``(4, rows)`` uint32 array, whose
+    products wrap like the C hash, and the 3 updates from one source word
+    are one operation. The pool pads the entropy with zero words, so zeros
+    beyond a row's length change nothing up to width 4; ``lengths`` matters
+    only for words past the pool. Returns a ``(rows, k)`` uint32 array.
+    """
+    rows, width = words.shape
+    # hash call j xors its value with hash_a[j] and multiplies it by hash_a[j + 1]
+    hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * max(width - _POOL_SIZE, 0))
+    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
+    pool[:min(width, _POOL_SIZE)] = words[:, :_POOL_SIZE].T
+    pool ^= hash_a[:_POOL_SIZE, None]
+    pool *= hash_a[1:_POOL_SIZE + 1, None]
+    pool ^= pool >> 16
+    j = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        hashed = (pool[src] ^ hash_a[j:j + 3, None]) * hash_a[j + 1:j + 4, None]
+        hashed ^= hashed >> 16
+        mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[dst] = mixed ^ (mixed >> 16)
+        j += 3
+    for src in range(_POOL_SIZE, width):
+        extra = lengths > src
+        for d in range(_POOL_SIZE):
+            hashed = (words[:, src] ^ hash_a[j]) * hash_a[j + 1]
+            hashed ^= hashed >> 16
+            mixed = pool[d] * _MIX_MULT_L - hashed * _MIX_MULT_R
+            pool[d] = np.where(extra, mixed ^ (mixed >> 16), pool[d])
+            j += 1
+    hash_b = _hash_constants(_INIT_B, _MULT_B, k)
+    state = (pool[np.arange(k) % _POOL_SIZE] ^ hash_b[:k, None]) * hash_b[1:, None]
+    state ^= state >> 16
+    return np.ascontiguousarray(state.T)
+
+
+def sample_counts(prs, n: int, seeds) -> list:
+    """Pulse counts of ``n`` independent cycles, one per ``(pr, seed)`` pair.
+
+    Each count equals ``numpy.random.default_rng(seed).binomial(n, pr)`` bit
+    for bit. The seeds' ``SeedSequence`` states come from one stacked pass
+    (:func:`_seed_states`), and one ``PCG64`` generator is set, per row, to
+    the state ``PCG64(seed)`` starts from: with ``v0..v3`` the row's words
+    as uint64, ``initstate = v0 << 64 | v1``, ``inc = (v2 << 64 | v3) << 1 |
+    1`` and ``state = (inc + initstate) * M + inc`` modulo 2**128, ``M`` the
+    PCG64 multiplier. Raises the ``ValueError`` of the first row whose
+    ``pr`` is outside [0, 1], or that ``n`` is below 1.
+    """
+    prs = list(prs)
+    for pr in prs:
+        _check_draw(pr, n)
+    words, lengths = _uint32_words(seeds)
+    if len(words) != len(prs):
+        raise ValueError("sample_counts needs one seed per probability")
+    starts = _seed_states(words, 8, lengths).view(np.uint64).tolist()
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    counts = []
+    for pr, (v0, v1, v2, v3) in zip(prs, starts):
+        inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+        state["state"] = {"state": ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+        bit_generator.state = state
+        counts.append(int(generator.binomial(n, pr)))
+    return counts
+
+
+def sample_cycles(pr: float, n: int, seed: int) -> ShotRecord:
+    """Draw the pulse count of ``n`` independent cycles at pulse probability ``pr``.
+
+    Identical ``(pr, n, seed)`` always yields the identical record; this is
+    the one-row case of :func:`sample_counts`.
+    """
+    return _count_record(sample_counts([pr], n, [seed])[0], n, seed)
 
 
 def _run_stacks(pulse: np.ndarray, nopulse: np.ndarray, m: int):
@@ -304,13 +416,7 @@ def calibrate(
 _MODEL_FIELD_NAMES = tuple(f.name for f in fields(SpinModelParams))
 
 
-def derive_setting_seed(master_seed: int, setting: MeasurementSetting) -> int:
-    """Deterministic per-setting seed from the master seed and the setting content.
-
-    Content addressing (rather than row position) makes a setting's stochastic
-    result invariant under grid reordering and safe to compute in parallel.
-    Identical settings in one grid share a seed and therefore a result.
-    """
+def _setting_digest(setting: MeasurementSetting) -> bytes:
     # The text of json.dumps(payload, sort_keys=True), written by the default
     # encoder: the keys go in sorted order, which saves building a sorting
     # encoder per call.
@@ -320,9 +426,33 @@ def derive_setting_seed(master_seed: int, setting: MeasurementSetting) -> int:
     payload["t_interact"] = setting.t_interact
     payload["u_left"] = setting.u_left
     payload["u_right"] = setting.u_right
-    digest = hashlib.sha256(json.dumps(payload).encode()).digest()
-    sub = int.from_bytes(digest[:8], "big")
-    return int(np.random.SeedSequence([int(master_seed) & (2**63 - 1), sub]).generate_state(1)[0])
+    # the first 8 bytes, reversed: the little-endian bytes of their big-endian int
+    return hashlib.sha256(json.dumps(payload).encode()).digest()[7::-1]
+
+
+def derive_setting_seeds(master_seed: int, settings) -> list:
+    """Deterministic per-setting seeds from the master seed and each setting's content.
+
+    Content addressing (rather than row position) makes a setting's stochastic
+    result invariant under grid reordering and safe to compute in parallel.
+    Identical settings in one grid share a seed and therefore a result.
+
+    Setting ``s`` gets ``SeedSequence([master_seed & (2**63 - 1), d]).
+    generate_state(1)[0]``, with ``d`` the first 8 bytes, big-endian, of the
+    SHA-256 of its JSON text. Those entropies take at most 4 words, the
+    master's then ``d``'s low and high word, and the states of all settings
+    come from one stacked pass.
+    """
+    master = int(master_seed) & (2**63 - 1)
+    master_bytes = master.to_bytes(4 if master < 2**32 else 8, "little")
+    data = b"".join(master_bytes + _setting_digest(s) for s in settings)
+    words = np.frombuffer(data, dtype="<u4").reshape(-1, len(master_bytes) // 4 + 2)
+    return _seed_states(words, 1)[:, 0].tolist()
+
+
+def derive_setting_seed(master_seed: int, setting: MeasurementSetting) -> int:
+    """The one-setting case of :func:`derive_setting_seeds`."""
+    return derive_setting_seeds(master_seed, [setting])[0]
 
 
 def run_sweep(
@@ -357,27 +487,36 @@ def run_sweep(
     if not settings:
         raise ValueError("sweep requires at least one setting")
 
-    rows = []
+    seeds = derive_setting_seeds(seed, settings)
+    rows = [None] * len(settings)
+    drawn = []  # (index, pr) of refresh rows; their counts are drawn together below
+
+    def ok_row(idx, pr, record):
+        return SweepRow(index=idx, setting=settings[idx], pr=pr, record=record,
+                        current=estimate_current(record, tunnel.tau_cycle))
+
     for block in setting_instruments(settings, model, tunnel, c, include_gate_hamiltonian,
                                      threshold=threshold):
         probabilities = block.pulse_probabilities(rho_gate).tolist()
-        for k, setting in enumerate(settings[block.start:block.start + len(block.errors)]):
+        for k, error in enumerate(block.errors):
             idx = block.start + k
             try:
-                if block.errors[k] is not None:
-                    raise ValueError(block.errors[k])
+                if error is not None:
+                    raise ValueError(error)
                 pr = probabilities[k]
-                row_seed = derive_setting_seed(seed, setting)
                 if mode == "refresh":
-                    record = sample_cycles(pr, n_cycles, row_seed)
+                    _check_draw(pr, n_cycles)
+                    drawn.append((idx, pr))
                 else:
                     # the row keeps the count, not the chain's arrays
-                    chain = propagate_cycles(block.instrument(k), rho_gate, n_cycles, row_seed)
-                    record = _count_record(chain.n_pulses, n_cycles, row_seed)
-                current = estimate_current(record, tunnel.tau_cycle)
-                rows.append(SweepRow(index=idx, setting=setting, pr=pr, record=record, current=current))
+                    chain = propagate_cycles(block.instrument(k), rho_gate, n_cycles, seeds[idx])
+                    rows[idx] = ok_row(idx, pr, _count_record(chain.n_pulses, n_cycles, seeds[idx]))
             except (ValueError, MemoryError) as exc:
                 # MemoryError: a propagate chain of n_cycles that cannot be allocated.
-                rows.append(SweepRow(index=idx, setting=setting, pr=float("nan"),
-                                     record=None, current=None, status=f"error: {exc}"))
+                rows[idx] = SweepRow(index=idx, setting=settings[idx], pr=float("nan"),
+                                     record=None, current=None, status=f"error: {exc}")
+    if drawn:
+        counts = sample_counts([pr for _, pr in drawn], n_cycles, [seeds[idx] for idx, _ in drawn])
+        for (idx, pr), count in zip(drawn, counts):
+            rows[idx] = ok_row(idx, pr, _count_record(count, n_cycles, seeds[idx]))
     return rows

@@ -58,6 +58,11 @@ HIERARCHY_THRESHOLD = 100.0
 _OVERFLOW_ERROR = "the model Hamiltonian overflows float64"
 
 
+# The scalar fields of SpinModelParams that are never null.
+_FLOAT_FIELDS = ("g_electron", "g_nuclear", "g_ancilla", "hyperfine_gate", "hyperfine_ancilla",
+                 "hopping", "coulomb_u", "level_offset")
+
+
 @dataclass(frozen=True)
 class SpinModelParams:
     """Couplings of the three-spin model and the external field.
@@ -105,6 +110,13 @@ class SpinModelParams:
             raise ValueError("b_field must have 3 components")
         if self.exchange is None and self.hopping != 0.0 and self.coulomb_u <= 0.0:
             raise ValueError("coulomb_u must be positive to derive the exchange from hopping")
+        # Equal parameters are equal values whatever their numeric type, so
+        # they write one text into a setting's seed digest.
+        object.__setattr__(self, "b_field", tuple(float(v) for v in self.b_field))
+        for name in _FLOAT_FIELDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.exchange is not None:
+            object.__setattr__(self, "exchange", float(self.exchange))
 
     def exchange_value(self) -> float:
         """Exchange coupling in rad/s, deriving it from hopping/coulomb_u if unset."""

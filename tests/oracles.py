@@ -314,9 +314,9 @@ def stepwise_chain(instrument, rho0, uniforms):
 
     Per cycle: the pulse branch ``pulse @ x``, its first entry as the
     (clipped) pulse probability, the outcome drawn against the supplied
-    uniform, and the selected branch renormalized; a no-pulse branch of
-    nonpositive probability resets the state to maximally mixed. Returns
-    ``(outcomes, probs, rho_final, resets)``.
+    uniform, and the selected branch renormalized by its own first entry; a
+    no-pulse branch of nonpositive probability resets the state to
+    maximally mixed. Returns ``(outcomes, probs, rho_final, resets)``.
     """
     from spinturnstile.algebra import pauli_coordinates, pauli_operator
 
@@ -332,7 +332,7 @@ def stepwise_chain(instrument, rho0, uniforms):
         probs[i] = p_pulse
         if uniform < p_pulse:
             outcomes[i] = 1
-            x = post / p_pulse
+            x = post / post[0]
         else:
             post = nopulse @ x
             p_no = float(post[0])

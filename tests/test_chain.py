@@ -187,10 +187,16 @@ class TestRunLengthSampler:
         # the state is carried unnormalized: over 5000 cycles it would shrink
         # by 0.8**5000 (no pulse ever, in whole blocks) or grow by 1.25**5000
         # (a pulse map that adds trace), past either end of the float range,
-        # unless rescaled
+        # unless rescaled; the per-cycle oracle renormalizes every cycle
         inst = QuantumInstrument(pulse=scale * np.eye(16), nopulse=0.8 * np.eye(16),
                                  ancilla_bloch=np.zeros((3, 16)), kappa=1.0)
-        rec = propagate_cycles(inst, np.eye(4) / 4, 5_000, seed=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = propagate_cycles(inst, np.eye(4) / 4, 5_000, seed=9)
+            outcomes, probs, _, _ = stepwise_chain(inst, np.eye(4) / 4,
+                                                   np.random.default_rng(9).random(rec.n_cycles))
+        assert np.array_equal(rec.outcomes, outcomes)
+        assert np.array_equal(rec.probs, probs)
         assert rec.n_pulses == (rec.n_cycles if scale > 1 else 0)
         assert np.all(rec.probs == (1.0 if scale > 1 else 0.0))
         assert np.abs(rec.rho_final - np.eye(4) / 4).max() < 1e-12

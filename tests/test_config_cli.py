@@ -33,7 +33,7 @@ from spinturnstile.cli import (
 )
 from spinturnstile.cycle import HierarchyWarning
 from spinturnstile.results import RENDERERS, ResultTable, render_csv, render_jsonl, write_results
-from spinturnstile.tomography import TWO_SPIN, theta_to_density
+from spinturnstile.tomography import TWO_SPIN, RankDeficientWarning, theta_to_density
 
 
 def package_env() -> dict:
@@ -444,6 +444,24 @@ class TestCli:
         if expected == EXIT_VALIDATION:
             assert not out.exists()
             assert "tomography.settings[0]" in err and "tomography.settings[3]" in err
+
+    @pytest.mark.parametrize("noise, expected", [("shot", EXIT_VALIDATION), ("none", EXIT_OK)])
+    def test_two_identical_tomography_settings(self, tmp_path, capsys, noise, expected):
+        # the seeds of a shot-noise run come from one pass over all settings;
+        # the first repeat is named with the setting it repeats
+        setting = {"u_right": {"direction": [1, 0, 0]}, "t_interact_s": 2e-6}
+        cfg = {"tomography": {"noise": noise, "settings": [setting, dict(setting)]}}
+        if expected == EXIT_VALIDATION:
+            code, out = run_cli(tmp_path, "tomography", cfg)
+            assert code == expected and not out.exists()
+            assert capsys.readouterr().err == (
+                "error: tomography.settings[0] and tomography.settings[1] derive the same seed, so "
+                "their shot-noise draws would be identical, not independent; list each setting once\n")
+        else:
+            # without draws the pair is only a rank-1 design
+            with pytest.warns(RankDeficientWarning):
+                code, out = run_cli(tmp_path, "tomography", cfg)
+            assert code == expected and out.exists()
 
     @pytest.mark.parametrize("command, section, builds", [
         ("sweep", {"experiment": {"mode": "refresh"}}, False),

@@ -1,4 +1,6 @@
+import math
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from spinturnstile.cycle import BLOCK_ROWS, HierarchyWarning, MeasurementSetting
 from spinturnstile.experiment import (
     ChainRecord,
     ShotRecord,
+    _seed_states,
+    _uint32_words,
     calibrate,
     derive_setting_seed,
     estimate_current,
     propagate_cycles,
     run_sweep,
+    sample_counts,
     sample_cycles,
 )
 from spinturnstile.model import SpinModelParams, TunnelParams
@@ -67,6 +72,42 @@ class TestSampleCycles:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             sample_cycles(1.2, 10, seed=0)
+
+
+class TestSampleCounts:
+    # 1000 seeds: every derived seed is below 2**32, and the master seed of
+    # `calibrate` may take any number of words
+    SEEDS = [*range(990), 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 7, 2**128 - 1, 2**128,
+             2**160 + 1, 3**200, 12345]
+
+    def test_seeding_matches_numpy_over_a_fixed_table(self):
+        words, lengths = _uint32_words(self.SEEDS)
+        states = _seed_states(words, 8, lengths)
+        changed = [s for s, state in zip(self.SEEDS, states)
+                   if not np.array_equal(state, np.random.SeedSequence(s).generate_state(8))]
+        assert not changed, (
+            f"numpy's SeedSequence no longer matches experiment._seed_states (seeds {changed[:5]}): "
+            "a numpy upgrade changed its seeding, so the stacked copy must follow it")
+        prs = [(0.0, 5e-324, 0.3, 0.5, 1 - 2**-53, 1.0)[i % 6] for i in range(len(self.SEEDS))]
+        for n in (1, 1000, 2**63 - 1):
+            want = [int(np.random.default_rng(s).binomial(n, p)) for p, s in zip(prs, self.SEEDS)]
+            got = sample_counts(prs, n, self.SEEDS)
+            changed = [s for s, a, b in zip(self.SEEDS, got, want) if a != b]
+            assert not changed, (
+                f"sample_counts differs from default_rng(seed).binomial({n}, pr) for seeds "
+                f"{changed[:5]}: a numpy upgrade changed how PCG64 starts from its seed")
+
+    def test_one_row_case(self):
+        assert sample_cycles(0.37, 10_000, seed=99).n_pulses == sample_counts([0.37], 10_000, [99])[0]
+        assert sample_counts([], 10, []) == []
+
+    def test_invalid_rows(self):
+        with pytest.raises(ValueError, match=r"^pulse probability 1.2 outside \[0, 1\]$"):
+            sample_counts([0.5, 1.2, math.nan], 10, [1, 2, 3])
+        with pytest.raises(ValueError, match="^seeds must be nonnegative$"):
+            sample_counts([0.5], 10, [-1])
+        with pytest.raises(ValueError, match="^sample_counts needs one seed per probability$"):
+            sample_counts([0.5, 0.5], 10, [1])
 
 
 class TestEstimateCurrent:
@@ -145,6 +186,29 @@ class TestSettingSeeds:
         a = MeasurementSetting(u_left=(0, 0, 1), u_right=(1, 0, 0), t_interact=1e-6, model=model)
         assert model.exchange is None
         assert derive_setting_seed(42, a) == 1358241148
+
+    def test_int_and_float_inputs_share_a_seed(self):
+        # json.dumps writes 1 and 1.0 differently: the values are kept as
+        # floats, so equal settings write one text and derive one seed
+        as_int = MeasurementSetting(u_left=(0, 0, 1), u_right=(1, 0, 0), t_interact=1)
+        as_float = MeasurementSetting(u_left=(0.0, 0.0, 1.0), u_right=(1.0, 0.0, 0.0), t_interact=1.0)
+        assert as_int == as_float and type(as_int.t_interact) is float
+        assert derive_setting_seed(1, as_int) == derive_setting_seed(1, as_float) == 152993821
+
+        int_model = SpinModelParams(b_field=[0, 0, 1], g_electron=2, g_nuclear=-1, g_ancilla=2,
+                                    hyperfine_gate=10**6, hyperfine_ancilla=10**5, hopping=10**6,
+                                    coulomb_u=10**9, level_offset=3)
+        float_model = SpinModelParams(b_field=(0.0, 0.0, 1.0), g_electron=2.0, g_nuclear=-1.0,
+                                      g_ancilla=2.0, hyperfine_gate=1e6, hyperfine_ancilla=1e5,
+                                      hopping=1e6, coulomb_u=1e9, level_offset=3.0)
+        assert int_model == float_model and int_model.exchange is None
+        assert all(type(getattr(int_model, f.name)) is float for f in fields(int_model) if f.name not in
+                   ("b_field", "exchange"))
+        assert all(type(v) is float for v in int_model.b_field)
+        assert type(SpinModelParams(exchange=3).exchange) is float
+        seeds = {derive_setting_seed(1, replace(setting, model=model))
+                 for setting in (as_int, as_float) for model in (int_model, float_model)}
+        assert len(seeds) == 1
 
 
 class TestSweep:

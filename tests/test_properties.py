@@ -23,7 +23,16 @@ from spinturnstile.cycle import (
     setting_instrument,
     setting_instruments,
 )
-from spinturnstile.experiment import RUN_BLOCK, derive_setting_seed, propagate_cycles
+from spinturnstile.experiment import (
+    RUN_BLOCK,
+    _seed_states,
+    _uint32_words,
+    derive_setting_seed,
+    derive_setting_seeds,
+    propagate_cycles,
+    sample_counts,
+    sample_cycles,
+)
 from spinturnstile.model import (
     SpinModelParams,
     TunnelParams,
@@ -409,6 +418,61 @@ seed_settings = st.builds(
 @given(master=st.integers(0, 2**70), setting=seed_settings)
 def test_setting_seed_matches_the_oracle(master, setting):
     assert derive_setting_seed(master, setting) == setting_seed(master, setting)
+
+
+entropy_words = st.integers(0, 2**32 - 1) | st.just(0)
+
+
+@PROPERTY_SETTINGS
+@given(width=st.integers(0, 4), data=st.data(), k=st.integers(1, 9))
+def test_stacked_seed_states_match_seed_sequence(width, data, k):
+    rows = data.draw(st.lists(st.lists(entropy_words, min_size=width, max_size=width), min_size=1,
+                              max_size=6))
+    words = np.array(rows, dtype=np.uint32).reshape(len(rows), width)
+    want = [np.random.SeedSequence(np.array(row, dtype=np.uint32)).generate_state(k) for row in rows]
+    assert np.array_equal(_seed_states(words, k), want)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**300), min_size=1, max_size=6))
+def test_stacked_seed_states_of_int_entropies(values):
+    # an int entropy takes as many words as it needs, beyond the pool's 4
+    words, lengths = _uint32_words(values)
+    want = [np.random.SeedSequence(v).generate_state(8) for v in values]
+    assert np.array_equal(_seed_states(words, 8, lengths), want)
+
+
+@PROPERTY_SETTINGS
+@given(master=st.integers(0, 2**70), settings_=st.lists(seed_settings, max_size=5))
+def test_setting_seeds_match_the_oracle_in_any_order(master, settings_):
+    seeds = derive_setting_seeds(master, settings_)
+    assert seeds == [setting_seed(master, s) for s in settings_]
+    assert derive_setting_seeds(master, settings_[::-1]) == seeds[::-1]
+
+
+edge_probabilities = st.sampled_from([0.0, 5e-324, 0.5, 1 - 2**-53, 1.0]) | unit_interval
+cycle_counts = st.sampled_from([1, 2**31, 2**63 - 1]) | st.integers(1, 10**6)
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.lists(st.tuples(edge_probabilities, st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+       n=cycle_counts)
+def test_sample_counts_equal_default_rng(rows, n):
+    prs, seeds = [p for p, _ in rows], [s for _, s in rows]
+    want = [int(np.random.default_rng(s).binomial(n, p)) for p, s in rows]
+    assert sample_counts(prs, n, seeds) == want
+
+
+@pytest.mark.parametrize("pr, n, message", [
+    (math.nan, 10, "pulse probability nan outside [0, 1]"),
+    (1.2, 10, "pulse probability 1.2 outside [0, 1]"),
+    (0.5, 0, "n must be at least 1"),
+    (0.5, -3, "n must be at least 1"),
+])
+def test_sample_counts_rejects_what_sample_cycles_rejects(pr, n, message):
+    for draw in (lambda: sample_cycles(pr, n, 7), lambda: sample_counts([0.25, pr], n, [1, 7])):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            draw()
 
 
 coefficient_values = with_edges([0.0, 5e-324, 1e307, -6e307, 1e308, -1.7e308, math.inf, -math.inf,
