@@ -31,6 +31,7 @@ from .config import (
 from .algebra import pauli_coordinates
 from .cycle import run_cycle, setting_instruments
 from .experiment import (
+    MASTER_SEED_MAX,
     calibrate,
     derive_setting_seeds,
     run_sweep,
@@ -138,28 +139,24 @@ def _cmd_sweep(cfg: RunConfig, meta: dict) -> ResultTable:
 
 def _cmd_calibrate(cfg: RunConfig, meta: dict) -> ResultTable:
     # Calibration geometry: both leads magnetized along the left-lead axis,
-    # interaction off, so the pulse probability depends only on the (known)
-    # magnitudes and the detection constant.
-    lead_l = cfg.setting.u_left
-    mag_l, mag_r = lead_l.magnitude, cfg.setting.u_right.magnitude
-    geometry = dataclasses.replace(cfg.setting, u_right=dataclasses.replace(lead_l, magnitude=mag_r),
-                                   t_interact=0.0)
-    (block,) = setting_instruments([geometry.to_setting()], cfg.model, cfg.tunnel, cfg.detection_c,
+    # interaction off, so the pulse probability does not depend on the
+    # unknown gate state.
+    c_true = cfg.detection_c
+    if c_true == 0.0:
+        raise ValueError("detection.c: must be positive to calibrate, since no pulse occurs at 0")
+    u_right = dataclasses.replace(cfg.setting.u_left, magnitude=cfg.setting.u_right.magnitude)
+    geometry = dataclasses.replace(cfg.setting, u_right=u_right, t_interact=0.0)
+    (block,) = setting_instruments([geometry.to_setting()], cfg.model, cfg.tunnel, c_true,
                                    cfg.include_gate_hamiltonian)
     if block.errors[0] is not None:
         raise ValueError(block.errors[0])
     pr_true = float(block.pulse_probabilities(cfg.gate_state.density())[0])
-    c_true = cfg.detection_c
-
-    rows = []
-    exact = calibrate(pr_true, mag_l, mag_r, cfg.tunnel)
-    rows.append(("noiseless", pr_true, c_true, exact.c_hat, exact.residual,
-                 abs(exact.c_hat - c_true) / c_true if c_true else 0.0, None))
     rec = sample_cycles(pr_true, cfg.experiment.n_cycles, cfg.experiment.seed)
-    noisy = calibrate(rec.pr_hat, mag_l, mag_r, cfg.tunnel)
-    rows.append(("shot_noise", rec.pr_hat, c_true, noisy.c_hat, noisy.residual,
-                 abs(noisy.c_hat - c_true) / c_true if c_true else 0.0, rec.n_cycles))
-    columns = ("kind", "pr_measured", "c_true", "c_hat", "residual", "abs_rel_error", "n_cycles")
+    rows = []
+    for kind, pr, n in (("noiseless", pr_true, None), ("shot_noise", rec.pr_hat, rec.n_cycles)):
+        c_hat = calibrate(pr, pr_true, c_true)
+        rows.append((kind, pr, c_true, c_hat, abs(c_hat - c_true) / c_true, n))
+    columns = ("kind", "pr_measured", "c_true", "c_hat", "abs_rel_error", "n_cycles")
     return ResultTable(columns=columns, rows=rows, metadata=meta)
 
 
@@ -282,8 +279,8 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     if args.seed is not None:
-        if args.seed < 0:
-            print("error: --seed must be nonnegative", file=sys.stderr)
+        if not 0 <= args.seed <= MASTER_SEED_MAX:
+            print(f"error: --seed must lie in [0, {MASTER_SEED_MAX}]", file=sys.stderr)
             return EXIT_VALIDATION
         cfg = dataclasses.replace(
             cfg, experiment=dataclasses.replace(cfg.experiment, seed=args.seed)

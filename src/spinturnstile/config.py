@@ -22,6 +22,7 @@ import numpy as np
 from .algebra import PAULI_PRODUCT_LABELS
 from .constants import G_NUCLEAR_P31
 from .cycle import MeasurementSetting
+from .experiment import MASTER_SEED_MAX
 from .model import SpinModelParams, TunnelParams
 from .tomography import SINGLE_SPIN, TWO_SPIN, is_physical, n_parameters, theta_to_density
 
@@ -278,7 +279,8 @@ _LEAD_FIELDS = {
 _EXPERIMENT_FIELDS = {
     # numpy's binomial sampler takes counts up to the int64 maximum.
     "n_cycles": ("n_cycles", 100_000, partial(_as_int, minimum=1, maximum=2**63 - 1)),
-    "seed": ("seed", 12345, partial(_as_int, minimum=0)),
+    # the range derive_setting_seeds mixes, so that no two seeds give one run
+    "seed": ("seed", 12345, partial(_as_int, minimum=0, maximum=MASTER_SEED_MAX)),
     "mode": ("mode", "refresh", partial(_as_choice, choices={"refresh", "propagate"})),
 }
 

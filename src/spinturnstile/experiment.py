@@ -32,9 +32,9 @@ from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
 __all__ = [
     "RUN_BLOCK",
+    "MASTER_SEED_MAX",
     "ShotRecord",
     "ChainRecord",
-    "CalibrationResult",
     "CurrentEstimate",
     "SweepRow",
     "sample_cycles",
@@ -62,6 +62,10 @@ _SURVIVAL_FLOOR = 2.0 ** -16
 # only when that leaves this range, far from the float range's ends.
 _RESCALE_BELOW = 2.0 ** -600
 _RESCALE_ABOVE = 2.0 ** 600
+
+# The largest master seed: :func:`derive_setting_seeds` mixes a master
+# seed's low 63 bits, so a larger one would repeat a smaller one's seeds.
+MASTER_SEED_MAX = 2**63 - 1
 
 # numpy's SeedSequence hash constants, as Python ints below 2**32.
 _MASK32 = 0xFFFFFFFF
@@ -108,14 +112,6 @@ class CurrentEstimate(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CalibrationResult:
-    """Detection constant inferred from a parallel-magnetization run."""
-
-    c_hat: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """Result of one sweep setting; ``status`` is 'ok' or an error message."""
 
@@ -142,17 +138,15 @@ def _check_draw(pr: float, n: int) -> None:
         raise ValueError("n must be at least 1")
 
 
-def _uint32_words(values):
-    """Rows of the little-endian 32-bit words of nonnegative ints, as
-    ``SeedSequence`` reads an int entropy (0 is the one word 0), zero-padded
-    to a common width; returns ``(words, lengths)``."""
-    values = [operator.index(v) for v in values]
-    if values and min(values) < 0:
-        raise ValueError("seeds must be nonnegative")
-    lengths = [max(1, -(-v.bit_length() // 32)) for v in values]
-    width = max(lengths, default=1)
-    data = b"".join(v.to_bytes(4 * width, "little") for v in values)
-    return np.frombuffer(data, dtype="<u4").reshape(len(values), width), np.array(lengths)
+def _uint32_words(seeds) -> np.ndarray:
+    """The two little-endian 32-bit words of each seed in [0, 2**64), one
+    row per seed: ``SeedSequence``'s words of an int entropy, with a zero
+    word after a seed below 2**32, which changes nothing (see
+    :func:`_seed_states`)."""
+    seeds = [operator.index(s) for s in seeds]
+    if not all(0 <= s < 2**64 for s in seeds):
+        raise ValueError("seeds must lie in [0, 2**64)")
+    return np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -163,41 +157,34 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(values, dtype=np.uint32)
 
 
-def _seed_states(words: np.ndarray, k: int, lengths=None) -> np.ndarray:
+# hash call j xors its value with _HASH_A[j] and multiplies it by _HASH_A[j + 1]
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE ** 2)
+
+
+def _seed_states(words: np.ndarray, k: int) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(k)`` for every row at once.
 
-    Row ``r``'s entropy is ``words[r, :lengths[r]]`` (all of ``words[r]``
-    without the ``lengths`` array). This is numpy's pool mixing with the rows stacked:
-    the 4 pool words are the rows of a ``(4, rows)`` uint32 array, whose
-    products wrap like the C hash, and the 3 updates from one source word
-    are one operation. The pool pads the entropy with zero words, so zeros
-    beyond a row's length change nothing up to width 4; ``lengths`` matters
-    only for words past the pool. Returns a ``(rows, k)`` uint32 array.
+    Row ``r``'s entropy is ``words[r]``, at most 4 words. This is numpy's
+    pool mixing with the rows stacked: the 4 pool words are the rows of a
+    ``(4, rows)`` uint32 array, whose products wrap like the C hash, and the
+    3 updates from one source word are one operation. The pool pads the
+    entropy with zero words, so trailing zero words change nothing. Returns
+    a ``(rows, k)`` uint32 array.
     """
     rows, width = words.shape
-    # hash call j xors its value with hash_a[j] and multiplies it by hash_a[j + 1]
-    hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * max(width - _POOL_SIZE, 0))
     pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
-    pool[:min(width, _POOL_SIZE)] = words[:, :_POOL_SIZE].T
-    pool ^= hash_a[:_POOL_SIZE, None]
-    pool *= hash_a[1:_POOL_SIZE + 1, None]
+    pool[:width] = words.T
+    pool ^= _HASH_A[:_POOL_SIZE, None]
+    pool *= _HASH_A[1:_POOL_SIZE + 1, None]
     pool ^= pool >> 16
     j = _POOL_SIZE
     for src in range(_POOL_SIZE):
         dst = [d for d in range(_POOL_SIZE) if d != src]
-        hashed = (pool[src] ^ hash_a[j:j + 3, None]) * hash_a[j + 1:j + 4, None]
+        hashed = (pool[src] ^ _HASH_A[j:j + 3, None]) * _HASH_A[j + 1:j + 4, None]
         hashed ^= hashed >> 16
         mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
         pool[dst] = mixed ^ (mixed >> 16)
         j += 3
-    for src in range(_POOL_SIZE, width):
-        extra = lengths > src
-        for d in range(_POOL_SIZE):
-            hashed = (words[:, src] ^ hash_a[j]) * hash_a[j + 1]
-            hashed ^= hashed >> 16
-            mixed = pool[d] * _MIX_MULT_L - hashed * _MIX_MULT_R
-            pool[d] = np.where(extra, mixed ^ (mixed >> 16), pool[d])
-            j += 1
     hash_b = _hash_constants(_INIT_B, _MULT_B, k)
     state = (pool[np.arange(k) % _POOL_SIZE] ^ hash_b[:k, None]) * hash_b[1:, None]
     state ^= state >> 16
@@ -208,21 +195,22 @@ def sample_counts(prs, n: int, seeds) -> list:
     """Pulse counts of ``n`` independent cycles, one per ``(pr, seed)`` pair.
 
     Each count equals ``numpy.random.default_rng(seed).binomial(n, pr)`` bit
-    for bit. The seeds' ``SeedSequence`` states come from one stacked pass
-    (:func:`_seed_states`), and one ``PCG64`` generator is set, per row, to
-    the state ``PCG64(seed)`` starts from: with ``v0..v3`` the row's words
-    as uint64, ``initstate = v0 << 64 | v1``, ``inc = (v2 << 64 | v3) << 1 |
-    1`` and ``state = (inc + initstate) * M + inc`` modulo 2**128, ``M`` the
-    PCG64 multiplier. Raises the ``ValueError`` of the first row whose
-    ``pr`` is outside [0, 1], or that ``n`` is below 1.
+    for bit, for seeds in [0, 2**64). The seeds' ``SeedSequence`` states come
+    from one stacked pass (:func:`_seed_states`), and one ``PCG64`` generator
+    is set, per row, to the state ``PCG64(seed)`` starts from: with
+    ``v0..v3`` the row's words as uint64, ``initstate = v0 << 64 | v1``,
+    ``inc = (v2 << 64 | v3) << 1 | 1`` and ``state = (inc + initstate) * M +
+    inc`` modulo 2**128, ``M`` the PCG64 multiplier. Raises the
+    ``ValueError`` of the first row whose ``pr`` is outside [0, 1], or that
+    ``n`` is below 1, or that a seed is outside [0, 2**64).
     """
     prs = list(prs)
     for pr in prs:
         _check_draw(pr, n)
-    words, lengths = _uint32_words(seeds)
+    words = _uint32_words(seeds)
     if len(words) != len(prs):
         raise ValueError("sample_counts needs one seed per probability")
-    starts = _seed_states(words, 8, lengths).view(np.uint64).tolist()
+    starts = _seed_states(words, 8).view(np.uint64).tolist()
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
@@ -388,28 +376,18 @@ def estimate_current(record, tau_cycle: float) -> CurrentEstimate:
     return CurrentEstimate(amperes=record.pr_hat * scale, std_err_amperes=record.std_err * scale)
 
 
-def calibrate(
-    measured_pr: float,
-    u_left_mag: float,
-    u_right_mag: float,
-    tunnel: TunnelParams,
-) -> CalibrationResult:
-    """Infer the detection constant from a parallel-magnetization, zero-interaction run.
+def calibrate(measured_pr: float, pr_model: float, c: float) -> float:
+    """The detection constant that makes the model predict ``measured_pr``.
 
-    With both lead magnetizations parallel and the gate interaction off, the
-    ancilla polarization equals the left-lead one, so the pulse probability
-    reduces to ``c * tau_detect * gamma0 * (1 + |u_right| |u_left|)`` and can
-    be inverted for ``c``. Magnitudes must lie in (0, 1]; they are assumed
-    known. The detection window and ``gamma0`` come from ``tunnel``.
+    Every pulse map is exactly proportional to the detection strength, and
+    it to ``c``. So where the model gives pulse probability ``pr_model`` at
+    detection constant ``c``, for any setting and gate state, the constant
+    of the measured run is ``c * measured_pr / pr_model``. Raises
+    ``ValueError`` when ``pr_model`` is not positive.
     """
-    if not 0.0 < u_left_mag <= 1.0 or not 0.0 < u_right_mag <= 1.0:
-        raise ValueError("lead magnetization magnitudes must lie in (0, 1]")
-    denom = tunnel.tau_detect * tunnel.gamma0 * (1.0 + u_right_mag * u_left_mag)
-    if denom <= 0.0:
-        raise ValueError("tau_detect * gamma0 must be positive to calibrate")
-    c_hat = measured_pr / denom
-    residual = abs(c_hat * denom - measured_pr)
-    return CalibrationResult(c_hat=c_hat, residual=residual)
+    if not pr_model > 0.0:
+        raise ValueError(f"model pulse probability {pr_model} must be positive to calibrate")
+    return c * (measured_pr / pr_model)
 
 
 # A model override enters a setting's seed as its field values in this order.
@@ -443,7 +421,7 @@ def derive_setting_seeds(master_seed: int, settings) -> list:
     master's then ``d``'s low and high word, and the states of all settings
     come from one stacked pass.
     """
-    master = int(master_seed) & (2**63 - 1)
+    master = int(master_seed) & MASTER_SEED_MAX
     master_bytes = master.to_bytes(4 if master < 2**32 else 8, "little")
     data = b"".join(master_bytes + _setting_digest(s) for s in settings)
     words = np.frombuffer(data, dtype="<u4").reshape(-1, len(master_bytes) // 4 + 2)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spinturnstile.constants import G_NUCLEAR_P31
-from spinturnstile.cycle import MeasurementSetting, induced_instrument, run_cycle
+from spinturnstile.cycle import MeasurementSetting, induced_instrument, run_cycle, setting_instrument
 from spinturnstile.algebra import evolve_unitary
 from spinturnstile.cli import main
 from spinturnstile.experiment import calibrate, sample_cycles
@@ -208,12 +208,18 @@ def test_criterion_8_calibration():
         pr = c_true * tau * t_sq * (1 + mag * mag)  # = 0.1
         assert pr == pytest.approx(0.1)
         tunnel = TunnelParams(gamma0=t_sq, tau_detect=tau)
-        exact = calibrate(pr, mag, mag, tunnel)
-        assert exact.residual < 1e-12
-        assert abs(exact.c_hat - c_true) < 1e-12
+        setting = MeasurementSetting(u_left=(0, 0, mag), u_right=(0, 0, mag), t_interact=0.0)
+
+        def model_pr(c):  # read off the pulse effect
+            instrument = setting_instrument(setting, SpinModelParams(), tunnel, c)
+            return instrument.pulse_probability(np.eye(4) / 4)
+
+        pr_model = model_pr(1.0)
+        assert calibrate(model_pr(c_true), pr_model, 1.0) == c_true
+        assert abs(calibrate(pr, pr_model, 1.0) - c_true) < 1e-12
         rec = sample_cycles(pr, 10**6, seed=314159)
-        noisy = calibrate(rec.pr_hat, mag, mag, tunnel)
-        assert abs(noisy.c_hat - c_true) / c_true < 0.01
+        noisy = calibrate(rec.pr_hat, pr_model, 1.0)
+        assert abs(noisy - c_true) / c_true < 0.01
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -190,12 +190,20 @@ class TestParseConfig:
         (10**19, EXIT_VALIDATION),
     ])
     def test_n_cycles_bounded_by_sampler(self, tmp_path, capsys, n_cycles, expected):
-        # the binomial sampler takes counts up to the int64 maximum; seeds
-        # stay unbounded
-        code, _ = run_cli(tmp_path, "sweep", {"experiment": {"n_cycles": n_cycles, "seed": 10**30}})
+        # the binomial sampler takes counts up to the int64 maximum
+        code, _ = run_cli(tmp_path, "sweep", {"experiment": {"n_cycles": n_cycles, "seed": 2**63 - 1}})
         assert code == expected
         if expected == EXIT_VALIDATION:
             assert "experiment.n_cycles: must be <= 9223372036854775807" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, expected", [(2**63 - 1, EXIT_OK), (2**63, EXIT_VALIDATION)])
+    def test_seed_bounded_by_seed_mixing(self, tmp_path, capsys, seed, expected):
+        # derive_setting_seeds mixes a master seed's low 63 bits, and calibrate
+        # draws with the master seed itself
+        code, out = run_cli(tmp_path, "calibrate", {"experiment": {"seed": seed}})
+        assert (code, out.exists()) == (expected, expected == EXIT_OK)
+        if expected == EXIT_VALIDATION:
+            assert "experiment.seed: must be <= 9223372036854775807" in capsys.readouterr().err
 
     def test_axis_name_directions(self):
         doc = json.dumps({"leads": {"u_right": {"direction": "x", "magnitude": 0.5}}})
@@ -335,6 +343,14 @@ class TestCli:
         _, out2 = run_cli(tmp_path, "sweep", FULL, seed=2, tag="_b")
         assert out1.read_bytes() != out2.read_bytes()
 
+    @pytest.mark.parametrize("seed, expected", [(2**63 - 1, EXIT_OK), (2**63, EXIT_VALIDATION),
+                                                (-1, EXIT_VALIDATION)])
+    def test_seed_override_range(self, tmp_path, capsys, seed, expected):
+        code, out = run_cli(tmp_path, "sweep", FULL, seed=seed)
+        assert (code, out.exists()) == (expected, expected == EXIT_OK)
+        if expected == EXIT_VALIDATION:
+            assert capsys.readouterr().err == "error: --seed must lie in [0, 9223372036854775807]\n"
+
     def test_malformed_json_exit_2(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{oops")
@@ -371,6 +387,31 @@ class TestCli:
         assert not out.exists()
         # the message names the config keys that set kappa
         assert "gamma0_per_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        FULL,
+        {"leads": {"u_left": {"magnitude": 0}}},
+        {"leads": {"u_right": {"magnitude": 0}}},
+        # kappa ~ 2e-310 is subnormal: the closed form read c as 1.0000000000000495
+        {"tunnel": {"gamma0_per_s": 1e-300}},
+    ])
+    def test_calibrate_reads_c_exactly(self, tmp_path, doc):
+        # the noiseless row divides the model's probability by itself,
+        # unpolarized leads included
+        code, out = run_cli(tmp_path, "calibrate", doc)
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+        assert list(rows[0]) == ["kind", "pr_measured", "c_true", "c_hat", "abs_rel_error",
+                                 "n_cycles"]
+        assert [r["kind"] for r in rows] == ["noiseless", "shot_noise"]
+        assert rows[0]["c_hat"] == rows[0]["c_true"] == "1"
+        assert rows[0]["abs_rel_error"] == "0"
+
+    def test_calibrate_without_detection_exit_3(self, tmp_path, capsys):
+        # at c = 0 no pulse occurs, so nothing measures c
+        code, out = run_cli(tmp_path, "calibrate", {"detection": {"c": 0}})
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err.startswith("error: detection.c: must be positive")
 
     @pytest.mark.parametrize("gamma0", [1e-150, 1e-170, 1e-300, 5e-324])
     @pytest.mark.parametrize("command", ["rates", "cycle"])

@@ -7,7 +7,13 @@ import pytest
 
 from spinturnstile.algebra import pauli_coordinates
 from spinturnstile.constants import ELEMENTARY_CHARGE, G_NUCLEAR_P31
-from spinturnstile.cycle import BLOCK_ROWS, HierarchyWarning, MeasurementSetting, run_cycle
+from spinturnstile.cycle import (
+    BLOCK_ROWS,
+    HierarchyWarning,
+    MeasurementSetting,
+    run_cycle,
+    setting_instrument,
+)
 from spinturnstile.experiment import (
     ChainRecord,
     ShotRecord,
@@ -75,14 +81,13 @@ class TestSampleCycles:
 
 
 class TestSampleCounts:
-    # 1000 seeds: every derived seed is below 2**32, and the master seed of
-    # `calibrate` may take any number of words
-    SEEDS = [*range(990), 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 7, 2**128 - 1, 2**128,
-             2**160 + 1, 3**200, 12345]
+    # 1000 seeds: every derived seed is below 2**32, and a master seed, which
+    # the calibrate command draws with, is below 2**63
+    SEEDS = [*range(990), 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**48 + 7, 3**40, 2**63,
+             2**33 + 1, 5**27, 12345]
 
     def test_seeding_matches_numpy_over_a_fixed_table(self):
-        words, lengths = _uint32_words(self.SEEDS)
-        states = _seed_states(words, 8, lengths)
+        states = _seed_states(_uint32_words(self.SEEDS), 8)
         changed = [s for s, state in zip(self.SEEDS, states)
                    if not np.array_equal(state, np.random.SeedSequence(s).generate_state(8))]
         assert not changed, (
@@ -104,8 +109,9 @@ class TestSampleCounts:
     def test_invalid_rows(self):
         with pytest.raises(ValueError, match=r"^pulse probability 1.2 outside \[0, 1\]$"):
             sample_counts([0.5, 1.2, math.nan], 10, [1, 2, 3])
-        with pytest.raises(ValueError, match="^seeds must be nonnegative$"):
-            sample_counts([0.5], 10, [-1])
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"^seeds must lie in \[0, 2\*\*64\)$"):
+                sample_counts([0.5], 10, [seed])
         with pytest.raises(ValueError, match="^sample_counts needs one seed per probability$"):
             sample_counts([0.5, 0.5], 10, [1])
 
@@ -134,33 +140,39 @@ class TestEstimateCurrent:
 
 
 class TestCalibrate:
+    # the calibration geometry: parallel leads along z, interaction off, where
+    # the pulse probability is c tau_detect gamma0 (1 + |u_right| |u_left|)
+    TUNNEL = TunnelParams(gamma0=1e9, tau_detect=1e-10)
+
+    def pr_model(self, mag):
+        # the model's probability at c = 1, read off the pulse effect
+        setting = MeasurementSetting(u_left=(0, 0, mag), u_right=(0, 0, mag), t_interact=0.0)
+        instrument = setting_instrument(setting, quiet_model(), self.TUNNEL, 1.0)
+        return instrument.pulse_probability(np.eye(4) / 4)
+
     def test_noiseless_unit_constant(self):
-        tau, t_sq = 1e-10, 1e9
-        pr = 1.0 * tau * t_sq * (1 + 1.0 * 1.0)
-        res = calibrate(pr, 1.0, 1.0, TunnelParams(gamma0=t_sq, tau_detect=tau))
-        assert res.c_hat == pytest.approx(1.0, abs=1e-12)
-        assert res.residual < 1e-12
+        pr = self.pr_model(1.0)
+        assert pr == pytest.approx(1.0 * 1e-10 * 1e9 * (1 + 1.0 * 1.0), abs=1e-12)
+        assert calibrate(pr, pr, 1.0) == 1.0
 
     def test_forward_then_inverse_half(self):
         tau, t_sq = 1e-10, 1e9
         pr = 0.5 * tau * t_sq * (1 + 1.0)
         assert pr == pytest.approx(tau * t_sq)
-        res = calibrate(pr, 1.0, 1.0, TunnelParams(gamma0=t_sq, tau_detect=tau))
-        assert res.c_hat == pytest.approx(0.5, abs=1e-12)
+        assert calibrate(pr, self.pr_model(1.0), 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_shot_noise_percent_accuracy(self):
         tau, t_sq, c_true = 1e-10, 1e9, 0.5
         mag = 0.8
         pr = c_true * tau * t_sq * (1 + mag * mag)  # ~0.082
         rec = sample_cycles(pr, 10**6, seed=7)
-        res = calibrate(rec.pr_hat, mag, mag, TunnelParams(gamma0=t_sq, tau_detect=tau))
-        assert abs(res.c_hat - c_true) / c_true < 0.01
+        c_hat = calibrate(rec.pr_hat, self.pr_model(mag), 1.0)
+        assert abs(c_hat - c_true) / c_true < 0.01
 
-    def test_invalid_magnitudes(self):
-        with pytest.raises(ValueError):
-            calibrate(0.1, 0.0, 1.0, TunnelParams(gamma0=1e9, tau_detect=1e-10))
-        with pytest.raises(ValueError):
-            calibrate(0.1, 1.0, 1.5, TunnelParams(gamma0=1e9, tau_detect=1e-10))
+    def test_nonpositive_model_probability(self):
+        for pr_model in (0.0, -0.0, math.nan):
+            with pytest.raises(ValueError, match="must be positive to calibrate"):
+                calibrate(0.1, pr_model, 1.0)
 
 
 class TestSettingSeeds:

@@ -1,8 +1,9 @@
 """Property-based checks of the transfer-matrix instrument over random
-settings, of the tomography parameterization over random vectors, of the
-configuration's resolved form over random documents, of the time-scale
-hierarchy report over random norms and tunnels, and of the output writer and
-the setting seeds against their oracles."""
+settings, of calibration against the pulse-probability formula, of the
+tomography parameterization over random vectors, of the configuration's
+resolved form over random documents, of the time-scale hierarchy report over
+random norms and tunnels, and of the output writer and the setting seeds
+against their oracles."""
 
 import json
 import math
@@ -27,6 +28,7 @@ from spinturnstile.experiment import (
     RUN_BLOCK,
     _seed_states,
     _uint32_words,
+    calibrate,
     derive_setting_seed,
     derive_setting_seeds,
     propagate_cycles,
@@ -55,6 +57,7 @@ from spinturnstile.tomography import (
 
 from oracles import (
     choi_from_transfer,
+    detection_probability,
     json_scalar,
     kraus_instrument,
     liouville_matrix,
@@ -164,6 +167,31 @@ def test_block_matches_the_kraus_route(rows, kappa, include, seed):
 
 
 @PROPERTY_SETTINGS
+@given(block_rows, st.floats(1e-6, 1.0), st.floats(1e-6, 1.0), st.integers(0, 2**32 - 1),
+       unit_directions, unit_interval, unit_interval)
+def test_pulse_probability_is_proportional_to_c(row, c, c_other, seed, direction, mag_l, mag_r):
+    # kappa = 2 c tau_detect gamma0 = c here, and every pulse map is
+    # proportional to kappa, so calibrate reads c off a ratio of probabilities
+    tunnel = TunnelParams(gamma0=0.5, tau_detect=1.0, tau_cycle=1.0)
+    model = SpinModelParams(b_field=row["b_field"], g_ancilla=2.0, exchange=row["couplings"][0],
+                            hyperfine_gate=row["couplings"][1], hyperfine_ancilla=row["couplings"][2])
+    rho = random_density(np.random.default_rng(seed), 4)
+
+    def pr(setting, c_):
+        return setting_instrument(setting, model, tunnel, c_).pulse_probability(rho)
+
+    setting = MeasurementSetting(row["leads"][0], row["leads"][1], row["t"])
+    pr_c, pr_other = pr(setting, c), pr(setting, c_other)
+    assert abs(pr_other - (c_other / c) * pr_c) <= 1e-12 * c_other
+    if pr_c >= 1e-3 * c:
+        assert abs(calibrate(pr_other, pr_c, c) - c_other) <= 1e-12 * c_other
+    # the calibration geometry: parallel leads, interaction off
+    u_left, u_right = mag_l * direction, mag_r * direction
+    want = detection_probability(u_left, u_right, c_other, tunnel.tau_detect, tunnel.gamma0)
+    assert abs(pr(MeasurementSetting(u_left, u_right, 0.0), c_other) - want) <= 1e-12 * c_other
+
+
+@PROPERTY_SETTINGS
 @given(readout_cycles, st.integers(0, 2**32 - 1))
 def test_chain_state_stays_physical(cycle, seed):
     rho0 = random_density(np.random.default_rng(seed), 4)
@@ -259,7 +287,7 @@ config_documents = st.fixed_dictionaries({}, optional={
     }),
     "experiment": st.fixed_dictionaries({}, optional={
         "n_cycles": st.integers(1, 2**63 - 1),
-        "seed": st.integers(0, 10**30),
+        "seed": st.integers(0, 2**63 - 1),
         "mode": st.sampled_from(["refresh", "propagate"]),
     }),
     "sweep": st.fixed_dictionaries({
@@ -434,12 +462,11 @@ def test_stacked_seed_states_match_seed_sequence(width, data, k):
 
 
 @PROPERTY_SETTINGS
-@given(st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**300), min_size=1, max_size=6))
+@given(st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**64 - 1), min_size=1, max_size=6))
 def test_stacked_seed_states_of_int_entropies(values):
-    # an int entropy takes as many words as it needs, beyond the pool's 4
-    words, lengths = _uint32_words(values)
+    # a seed below 2**32 is one word, padded with a zero word
     want = [np.random.SeedSequence(v).generate_state(8) for v in values]
-    assert np.array_equal(_seed_states(words, 8, lengths), want)
+    assert np.array_equal(_seed_states(_uint32_words(values), 8), want)
 
 
 @PROPERTY_SETTINGS
