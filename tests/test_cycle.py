@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from spinturnstile.algebra import PAULIS, evolve_unitary, kron, pauli_coordinates
+from spinturnstile import cycle
+from spinturnstile.algebra import PAULIS, evolve_unitaries, evolve_unitary, kron, pauli_coordinates
 from spinturnstile.constants import G_NUCLEAR_P31, MU_B_PER_HBAR
 from spinturnstile.cycle import (
     BLOCK_ROWS,
@@ -464,29 +465,109 @@ class TestSettingInstruments:
     @pytest.mark.parametrize("include", [True, False])
     def test_instrument_does_not_depend_on_its_block(self, include):
         # a setting alone, at each position of a full block among other
-        # settings, and as the lone last row of a 17-row pass gets the same
-        # effect, transfer matrices and pulse probability bit for bit (a
-        # one-row product would round differently)
+        # settings, and as the lone last row of a (BLOCK_ROWS + 1)-row pass
+        # gets the same effect, transfer matrices and pulse probability bit
+        # for bit (a one-row product would round differently); the checked
+        # settings are rotated through one block, so that each of them takes
+        # every position once
         rng = np.random.default_rng(2026)
         base, tunnel = hierarchy_ok_params(exchange=1.3e6, hyperfine_gate=2e6), quiet_tunnel()
         settings = self.settings(rng)
         rho = random_density(rng, 4)
-        others = settings[:BLOCK_ROWS]
+        others, checked = settings[:BLOCK_ROWS], settings[BLOCK_ROWS:]
 
         def rows(block, k):
             return [block.effects[k], block.pulse_probabilities(rho)[k]] + [
                 getattr(block, name)[k] for name in ("pulse", "nopulse", "ancilla_bloch")]
 
-        for setting in settings[BLOCK_ROWS:]:
+        wants = []
+        for setting in checked:
             (alone,) = setting_instruments([setting], base, tunnel, 2.0, include)
             want = rows(alone, 0)
+            wants.append(want)
             assert np.array_equal(want[2][0], want[0])  # the first pulse row is the effect
-            for k in range(BLOCK_ROWS):
-                block = others[:k] + [setting] + others[k + 1:]
-                (got,) = setting_instruments(block, base, tunnel, 2.0, include)
-                assert all(np.array_equal(g, w) for g, w in zip(rows(got, k), want))
             _, last = setting_instruments(others + [setting], base, tunnel, 2.0, include)
             assert len(last.errors) == 1
             assert all(np.array_equal(g, w) for g, w in zip(rows(last, 0), want))
             # the single-instrument route reads the same probability
             assert alone.instrument(0).pulse_probability(rho) == want[1]
+        assert len(checked) > BLOCK_ROWS
+        for shift in range(len(checked)):
+            order = [(shift + k) % len(checked) for k in range(BLOCK_ROWS)]
+            (got,) = setting_instruments([checked[i] for i in order], base, tunnel, 2.0, include)
+            for k, i in enumerate(order):
+                assert all(np.array_equal(g, w) for g, w in zip(rows(got, k), wants[i]))
+
+    @staticmethod
+    def record_propagator_rows(monkeypatch):
+        """Route ``cycle.evolve_unitaries`` through a recorder; the returned
+        list gets, per call, the (Hamiltonian, time) byte keys of its rows."""
+        calls = []
+
+        def recording(h, t):
+            calls.append([hk.tobytes() + np.float64(tk).tobytes() for hk, tk in zip(h, t)])
+            return evolve_unitaries(h, t)
+
+        monkeypatch.setattr(cycle, "evolve_unitaries", recording)
+        return calls
+
+    def test_shared_propagators_match_their_lone_rows(self, monkeypatch):
+        # (model, t) pairs repeat inside a block and across block boundaries:
+        # equal-valued but distinct model objects, a -0.0 field component
+        # beside its +0.0 twin, lost-phase rows and overflowing models. Each
+        # row is the setting alone, bit for bit, and each block evolves only
+        # its distinct (H, t) pairs, once each
+        rng = np.random.default_rng(2027)
+        base, tunnel = hierarchy_ok_params(exchange=1.3e6, hyperfine_gate=2e6), quiet_tunnel()
+
+        def twin():  # a new object per call, equal in value to the others
+            return SpinModelParams(b_field=(2e-5, 0.0, 1e-4), g_electron=2.0, g_ancilla=2.0,
+                                   exchange=7e5, hyperfine_gate=2e6)
+
+        def signed(zero):
+            return SpinModelParams(b_field=(zero, 3e-5, 1e-4), g_electron=2.0, g_ancilla=1.5,
+                                   hyperfine_ancilla=4e5)
+
+        huge = SpinModelParams(exchange=1e308, hyperfine_gate=1e308, hyperfine_ancilla=1e308)
+        pool = [(lambda: None, 1e-6), (twin, 1e-6), (lambda: None, 2e-6),
+                (lambda: signed(-0.0), 1e-6), (lambda: signed(0.0), 1e-6),
+                (lambda: None, 1e300), (lambda: huge, 1e-6), (twin, 2e-6),
+                (lambda: SpinModelParams(exchange=1e308), 1e300)]
+        settings = []
+        for k in range(2 * BLOCK_ROWS + 5):
+            model, t = pool[k % len(pool)]
+            settings.append(MeasurementSetting(u_left=tuple(random_bloch(rng)),
+                                               u_right=tuple(random_bloch(rng)), t_interact=t,
+                                               model=model()))
+        calls = self.record_propagator_rows(monkeypatch)
+        blocks = list(setting_instruments(settings, base, tunnel, 2.0))
+        names = ("effects", "propagators", "pulse", "nopulse", "ancilla_bloch")
+        lone_keys = []
+        for block in blocks:
+            for k, setting in enumerate(settings[block.start:block.start + len(block.errors)]):
+                (alone,) = setting_instruments([setting], base, tunnel, 2.0)
+                (key,) = calls[-1]
+                lone_keys.append(key)
+                assert block.errors[k] == alone.errors[0]
+                for name in names:
+                    assert np.array_equal(getattr(block, name)[k], getattr(alone, name)[0]), name
+        errors = [e for block in blocks for e in block.errors]
+        assert errors.count(None) < len(errors) and len(set(errors)) == 3
+        for block, keys in zip(blocks, calls):
+            wanted = lone_keys[block.start:block.start + len(block.errors)]
+            assert sorted(keys) == sorted(set(wanted)) and len(keys) <= len(pool)
+
+    def test_tomography_grid_evolves_each_time_once_per_block(self, monkeypatch):
+        # 500 settings over 10 interaction times and the base model, as in a
+        # tomography design: 10 propagators per block, one per time
+        rng = np.random.default_rng(2028)
+        times = rng.uniform(1e-7, 3e-6, size=10)
+        settings = [MeasurementSetting(u_left=tuple(random_bloch(rng)),
+                                       u_right=tuple(random_bloch(rng)), t_interact=times[k % 10])
+                    for k in range(500)]
+        calls = self.record_propagator_rows(monkeypatch)
+        blocks = list(setting_instruments(settings, hierarchy_ok_params(exchange=1.3e6),
+                                          quiet_tunnel(), 2.0))
+        assert [len(b.errors) for b in blocks] == [BLOCK_ROWS] * 7 + [500 - 7 * BLOCK_ROWS]
+        assert [len(keys) for keys in calls] == [10] * len(blocks)
+        assert all(len(set(keys)) == 10 for keys in calls)

@@ -311,7 +311,7 @@ class TestSweep:
         # the valid rows around them, across block boundaries
         kw = self.common()
         valid = [MeasurementSetting(u_left=(0, 0, 1.0), u_right=ax, t_interact=t)
-                 for t in (1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 6e-6, 7e-6, 8e-6, 9e-6, 1e-5, 1.1e-5, 1.2e-5)
+                 for t in [k * 1e-6 for k in range(1, 34)]
                  for ax in [(1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)]]
         bad = MeasurementSetting(u_left=(0, 0, 1.0), u_right=(1.0, 0, 0), t_interact=1e300)
         settings = [s for k, v in enumerate(valid) for s in ((bad, v) if k % 3 == 0 else (v,))]
@@ -403,7 +403,7 @@ def test_sweep_cycle_and_design_agree(include_gate_hamiltonian):
 
 
 def test_row_pr_is_the_cycle_pr_bit_for_bit():
-    # a setting's pr is the same alone, in a 17-row sweep and from run_cycle
+    # a setting's pr is the same alone, in a (BLOCK_ROWS + 1)-row sweep and from run_cycle
     rng = np.random.default_rng(39)
     base, tunnel, c = quiet_model(), quiet_tunnel(), 0.8
     settings = [
