@@ -14,8 +14,6 @@ from .algebra import evolve_unitary, kron
 from .cycle import (
     CycleOutcome,
     MeasurementSetting,
-    QuantumInstrument,
-    induced_instrument,
     run_cycle,
     setting_instrument,
 )

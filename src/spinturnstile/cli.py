@@ -29,7 +29,7 @@ from .config import (
     resolved_dict,
 )
 from .algebra import pauli_coordinates
-from .cycle import run_cycle, setting_instruments
+from .cycle import run_cycle, setting_instrument
 from .experiment import (
     MASTER_SEED_MAX,
     calibrate,
@@ -146,10 +146,8 @@ def _cmd_calibrate(cfg: RunConfig, meta: dict) -> ResultTable:
         raise ValueError("detection.c: must be positive to calibrate, since no pulse occurs at 0")
     u_right = dataclasses.replace(cfg.setting.u_left, magnitude=cfg.setting.u_right.magnitude)
     geometry = dataclasses.replace(cfg.setting, u_right=u_right, t_interact=0.0)
-    (block,) = setting_instruments([geometry.to_setting()], cfg.model, cfg.tunnel, c_true,
-                                   cfg.include_gate_hamiltonian)
-    if block.errors[0] is not None:
-        raise ValueError(block.errors[0])
+    block = setting_instrument(geometry.to_setting(), cfg.model, cfg.tunnel, c_true,
+                               cfg.include_gate_hamiltonian)
     pr_true = float(block.pulse_probabilities(cfg.gate_state.density())[0])
     rec = sample_cycles(pr_true, cfg.experiment.n_cycles, cfg.experiment.seed)
     rows = []

@@ -21,14 +21,15 @@ completely positive maps, kept as real 16x16 transfer matrices on the same
 coordinates (the Liouville representation), and the ancilla polarization
 ``ancilla_bloch @ x``; these are built on demand, and the first row of the
 pulse matrix is the effect. A post-measurement state is the image of ``x``
-renormalized by its first entry. :func:`setting_instruments` is the one
-route from :class:`MeasurementSetting` values to effects and matrices,
-stacked a block of settings at a time; :func:`setting_instrument` is its
-one-row case, and :func:`run_cycle` reads a cycle off one row. Their
-agreement with the ancilla pathway (a second joint evolution of ``rho_A x
-rho``, a partial trace and the formula above) and with a Kraus-operator
-route, both kept in ``tests/oracles.py``, is the central consistency check
-of the package.
+renormalized by its first entry. :class:`InstrumentBlock` is the one
+instrument type: it holds these arrays for a stack of settings, one row
+each. :func:`setting_instruments` is the one route from
+:class:`MeasurementSetting` values to blocks; :func:`setting_instrument`
+gives the one-row block of a single setting, and :func:`run_cycle` reads a
+cycle off it. Their agreement with the ancilla pathway (a second joint
+evolution of ``rho_A x rho``, a partial trace and the formula above) and
+with a Kraus-operator route, both kept in ``tests/oracles.py``, is the
+central consistency check of the package.
 
 The detection POVM on the ancilla is the minimal two-outcome model that
 reproduces the pulse-probability formula: ``M_pulse = kappa (I + u_right .
@@ -70,12 +71,10 @@ from .model import (
 __all__ = [
     "BLOCK_ROWS",
     "MeasurementSetting",
-    "QuantumInstrument",
     "InstrumentBlock",
     "CycleOutcome",
     "HierarchyWarning",
     "detection_strength",
-    "induced_instrument",
     "setting_instruments",
     "setting_instrument",
     "run_cycle",
@@ -111,11 +110,11 @@ class MeasurementSetting:
     this setting only (sweeps and tomography designs may vary couplings or
     the field alongside the lead magnetizations).
 
-    This is the one check of ``(u_left, u_right, t_interact)``, which
-    :func:`induced_instrument` applies too: each lead has 3 components and a
-    finite norm of at most 1, and the time is finite and nonnegative. Each
-    ``ValueError`` names its field. The leads and the time are kept as
-    floats, so equal settings are equal whatever numeric types built them.
+    This is the one check of ``(u_left, u_right, t_interact)``: each lead
+    has 3 components and a finite norm of at most 1, and the time is finite
+    and nonnegative. Each ``ValueError`` names its field. The leads and the
+    time are kept as floats, so equal settings are equal whatever numeric
+    types built them.
     """
 
     u_left: tuple
@@ -137,60 +136,19 @@ class MeasurementSetting:
 
 
 @dataclass(frozen=True)
-class QuantumInstrument:
-    """Two-outcome instrument induced on the gate by one readout cycle.
-
-    ``pulse``/``nopulse`` are the real 16x16 transfer matrices of the
-    conditional (trace-nonincreasing) maps on the Pauli-product coordinates
-    ``x = pauli_coordinates(rho)``: the unnormalized post-measurement state
-    of an outcome has coordinates ``S @ x``, and its probability is the first
-    entry. ``ancilla_bloch`` (3x16) takes ``x`` to the ancilla polarization
-    after the joint evolution, before detection.
-    """
-
-    pulse: np.ndarray
-    nopulse: np.ndarray
-    ancilla_bloch: np.ndarray
-    kappa: float
-
-    @property
-    def effect_pulse(self) -> np.ndarray:
-        """4x4 POVM effect: ``Pr(pulse | rho) = tr(effect_pulse rho)``."""
-        return pauli_operator(self.pulse[0])
-
-    @property
-    def effect_nopulse(self) -> np.ndarray:
-        return pauli_operator(self.nopulse[0])
-
-    def pulse_probability(self, rho_gate: np.ndarray) -> float:
-        """``Pr(pulse | rho)``; see :func:`_pulse_probabilities`."""
-        return float(_pulse_probabilities(self.pulse[:1], rho_gate)[0])
-
-    def apply(self, rho_gate: np.ndarray, pulse: bool):
-        """Conditional post-measurement state and its probability.
-
-        Returns ``(rho_post, prob)``; ``rho_post`` is None when the outcome
-        has (numerically) zero probability.
-        """
-        post = (self.pulse if pulse else self.nopulse) @ pauli_coordinates(rho_gate)
-        prob = float(post[0])
-        if prob <= 1e-14:
-            return None, max(prob, 0.0)
-        return pauli_operator(post / prob) / 4.0, prob
-
-
-@dataclass(frozen=True)
 class InstrumentBlock:
-    """Instruments of consecutive settings, stacked along a first axis.
+    """Two-outcome instruments of consecutive settings, stacked along a first axis.
 
     Row ``k`` belongs to setting ``start + k``. ``effects[k]`` holds the
     Pauli coordinates ``tr(E P_j) / 4`` of its pulse effect ``E``, so that
-    ``Pr(pulse | rho) = effects[k] @ pauli_coordinates(rho)``. The transfer
-    matrices ``pulse``, ``nopulse`` and ``ancilla_bloch`` are built from the
-    block's ``propagators`` and leads the first time one of them is read,
-    and the first row of ``pulse`` is ``effects``. When ``errors[k]`` is not
-    None, row ``k`` holds meaningless numbers and ``errors[k]`` the reason
-    that setting has no instrument.
+    ``Pr(pulse | rho) = effects[k] @ x`` with ``x = pauli_coordinates(rho)``.
+    The 16x16 transfer matrices ``pulse[k]`` and ``nopulse[k]`` take ``x`` to
+    the unnormalized post-measurement state of their outcome, and the 3x16
+    ``ancilla_bloch[k]`` to the ancilla polarization before detection. These
+    are built from the block's ``propagators`` and leads the first time one
+    of them is read, and the first row of ``pulse`` is ``effects``. When
+    ``errors[k]`` is not None, row ``k`` holds meaningless numbers and
+    ``errors[k]`` the reason that setting has no instrument.
     """
 
     start: int
@@ -218,24 +176,12 @@ class InstrumentBlock:
     def ancilla_bloch(self) -> np.ndarray:
         return self._transfers[2]
 
-    def instrument(self, k: int) -> QuantumInstrument:
-        """The instrument of row ``k``; raises ``ValueError`` with the row's error."""
-        if self.errors[k] is not None:
-            raise ValueError(self.errors[k])
-        return QuantumInstrument(pulse=self.pulse[k], nopulse=self.nopulse[k],
-                                 ancilla_bloch=self.ancilla_bloch[k], kappa=self.kappa)
-
     def pulse_probabilities(self, rho_gate: np.ndarray) -> np.ndarray:
-        """``Pr(pulse | rho)`` of every row; see :func:`_pulse_probabilities`."""
-        return _pulse_probabilities(self.effects, rho_gate)
-
-
-def _pulse_probabilities(effects: np.ndarray, rho_gate: np.ndarray) -> np.ndarray:
-    """``Pr(pulse | rho)`` of an (R, 16) stack of effect coordinates, by one
-    product per row, so a row gets the same bits alone as in any stack. A
-    valid instrument gives [0, kappa], so the clamp to [0, 1] only removes
-    rounding (e.g. antiparallel unit leads)."""
-    return np.clip((effects[:, None, :] @ pauli_coordinates(rho_gate))[:, 0], 0.0, 1.0)
+        """``Pr(pulse | rho)`` of every row, by one product per row, so a row
+        gets the same bits alone as in any block. A valid instrument gives
+        [0, kappa], so the clamp to [0, 1] only removes rounding (e.g.
+        antiparallel unit leads)."""
+        return np.clip((self.effects[:, None, :] @ pauli_coordinates(rho_gate))[:, 0], 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -251,7 +197,7 @@ class CycleOutcome:
     pr_pulse: float
     rho_gate_pulse: np.ndarray | None
     rho_gate_nopulse: np.ndarray | None
-    instrument: QuantumInstrument = field(repr=False)
+    instrument: InstrumentBlock = field(repr=False)
 
 
 def detection_strength(c: float, tau_detect: float, t_sq: float) -> float:
@@ -302,10 +248,15 @@ def _transfer_matrices(u: np.ndarray, u_left: np.ndarray, u_right: np.ndarray, k
 
     For every gate basis element ``P_j`` the joint state ``U (rho_A x P_j)
     U^dag`` is partially traced against ``sigma_a x I`` (``a`` over I, X, Y,
-    Z), which gives the response ``R[a, i, j] = tr[(sigma_a x P_i) U (rho_A x
-    P_j) U^dag] / 4`` of :func:`induced_instrument`. Since ``U (rho_A x P_j)
-    = W (I x P_j)`` with ``W = U (rho_A x I)``, all 16 joint states of a row
-    come from two matrix products.
+    Z), which gives the real response tensor ``R[a, i, j] = tr[(sigma_a x
+    P_i) U (rho_A x P_j) U^dag] / 4``. Row ``R[a, 0]`` takes gate coordinates
+    to the ancilla polarization component ``a`` (``a = 0`` is the trace), and
+    ``R[0]`` is the unconditional map on the gate. The detection POVM
+    ``M_pulse = kappa/2 sum_a (1, u_right)_a sigma_a`` weights the ancilla
+    components: ``pulse = kappa/2 sum_a (1, u_right)_a R[a]`` and ``nopulse
+    = R[0] - pulse``. Since ``U (rho_A x P_j) = W (I x P_j)`` with ``W = U
+    (rho_A x I)``, all 16 joint states of a row come from two matrix
+    products.
     """
     n = len(u)
     w = u @ (_with_trace(u_left) @ _ANCILLA_INPUTS).reshape(n, 8, 8)
@@ -329,40 +280,6 @@ def _transfer_matrices(u: np.ndarray, u_left: np.ndarray, u_right: np.ndarray, k
 def _with_trace(u: np.ndarray) -> np.ndarray:
     """(R, 3) polarizations as (R, 4) coefficients of (I, X, Y, Z)."""
     return np.concatenate((np.ones((len(u), 1)), u), axis=1)
-
-
-def induced_instrument(
-    u_left,
-    u_right,
-    h_total: np.ndarray,
-    t: float,
-    c: float,
-    tau_detect: float,
-    t_sq: float,
-) -> QuantumInstrument:
-    """Build the two-outcome instrument the cycle induces on the gate.
-
-    One joint evolution of ``rho_A x P_j`` for each gate basis element gives
-    the real response tensor
-    ``R[a, i, j] = tr[(sigma_a x P_i) U (rho_A x P_j) U^dag] / 4``: row
-    ``R[a, 0]`` takes gate coordinates to the ancilla polarization component
-    ``a`` (``a = 0`` is the trace), and ``R[0]`` is the unconditional map on
-    the gate. The detection POVM ``M_pulse = kappa/2 sum_a (1, u_right)_a
-    sigma_a`` then weights the ancilla components: ``pulse = kappa/2 sum_a
-    (1, u_right)_a R[a]`` and ``nopulse = R[0] - pulse``. This is the one-row
-    case of the stacked computation :func:`setting_instruments` runs.
-
-    Raises:
-        ValueError: if ``(u_left, u_right, t)`` is not a valid
-            :class:`MeasurementSetting` (a NaN, infinite or negative ``t``
-            included), if the detection strength ``kappa`` exceeds 1 (the
-            POVM would not be positive: unphysical detection), or if
-            :func:`evolve_unitaries` gives no propagator.
-    """
-    setting = MeasurementSetting(u_left, u_right, t)
-    return _instrument_block(0, np.asarray(h_total)[None], [setting.t_interact],
-                             np.array([setting.u_left]), np.array([setting.u_right]),
-                             detection_strength(c, tau_detect, t_sq)).instrument(0)
 
 
 def setting_instruments(
@@ -432,11 +349,18 @@ def setting_instrument(
     tunnel: TunnelParams,
     c: float,
     include_gate_hamiltonian: bool = True,
-) -> QuantumInstrument:
-    """The instrument one setting induces on the gate: the one-row case of
+) -> InstrumentBlock:
+    """The instrument one setting induces on the gate: the one-row block of
     :func:`setting_instruments`, raising ``ValueError`` where that reports an
     error."""
-    return next(setting_instruments([setting], model, tunnel, c, include_gate_hamiltonian)).instrument(0)
+    return _checked(next(setting_instruments([setting], model, tunnel, c, include_gate_hamiltonian)))
+
+
+def _checked(block: InstrumentBlock) -> InstrumentBlock:
+    """A one-row ``block``; raises ``ValueError`` with its row's error."""
+    if block.errors[0] is not None:
+        raise ValueError(block.errors[0])
+    return block
 
 
 def run_cycle(
@@ -458,14 +382,19 @@ def run_cycle(
     ``threshold`` (the protocol's instantaneous-switching assumptions are
     then questionable), but still computes the ideal-limit result.
     """
-    instrument = next(setting_instruments([setting], model, tunnel, c, include_gate_hamiltonian,
-                                          threshold=threshold)).instrument(0)
-    rho_pulse, _ = instrument.apply(rho_gate, pulse=True)
-    rho_nopulse, _ = instrument.apply(rho_gate, pulse=False)
+    block = _checked(next(setting_instruments([setting], model, tunnel, c, include_gate_hamiltonian,
+                                              threshold=threshold)))
+    x = pauli_coordinates(rho_gate)
+
+    def branch(transfer):
+        post = transfer[0] @ x
+        prob = float(post[0])
+        return None if prob <= 1e-14 else pauli_operator(post / prob) / 4.0
+
     return CycleOutcome(
-        u_ancilla=instrument.ancilla_bloch @ pauli_coordinates(rho_gate),
-        pr_pulse=instrument.pulse_probability(rho_gate),
-        rho_gate_pulse=rho_pulse,
-        rho_gate_nopulse=rho_nopulse,
-        instrument=instrument,
+        u_ancilla=block.ancilla_bloch[0] @ x,
+        pr_pulse=float(block.pulse_probabilities(rho_gate)[0]),
+        rho_gate_pulse=branch(block.pulse),
+        rho_gate_nopulse=branch(block.nopulse),
+        instrument=block,
     )

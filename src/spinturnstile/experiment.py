@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import pauli_coordinates, pauli_operator
-from .cycle import MeasurementSetting, QuantumInstrument, setting_instruments
+from .cycle import MeasurementSetting, setting_instruments
 from .constants import ELEMENTARY_CHARGE
 from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
@@ -266,13 +266,17 @@ def _run_stacks(pulse: np.ndarray, nopulse: np.ndarray, m: int):
     return after_jump, after_run
 
 
-def propagate_cycles(instrument: QuantumInstrument, rho_gate: np.ndarray, n: int, seed: int) -> ChainRecord:
+def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarray, n: int,
+                     seed: int) -> ChainRecord:
     """Run ``n`` cycles carrying the conditional gate state across cycles.
 
-    The state is the gate's Pauli coordinates ``x``. Cycle ``i`` pulses when
-    the ``i``-th uniform variate pre-drawn from the seeded generator lies
-    below the pulse probability ``(pulse @ x)[0] / x[0]``; the state becomes
-    the selected branch.
+    ``pulse`` and ``nopulse`` are the 16x16 transfer matrices of one
+    instrument row, ``block.pulse[k]`` and ``block.nopulse[k]`` of an
+    :class:`~spinturnstile.cycle.InstrumentBlock`. The state is the gate's
+    Pauli coordinates ``x``. Cycle ``i`` pulses when the ``i``-th uniform
+    variate pre-drawn from the seeded generator lies below the pulse
+    probability ``(pulse @ x)[0] / x[0]``; the state becomes the selected
+    branch.
 
     The chain is sampled in blocks, one stacked product per event. Between
     pulses the state is deterministic: ``j`` no-pulse cycles after ``x`` it
@@ -304,9 +308,8 @@ def propagate_cycles(instrument: QuantumInstrument, rho_gate: np.ndarray, n: int
     if n < 1:
         raise ValueError("n must be at least 1")
     uniforms = np.random.default_rng(seed).random(n)
-    nopulse = instrument.nopulse
     m = min(RUN_BLOCK, n)
-    after_jump, after_run = _run_stacks(instrument.pulse, nopulse, m)
+    after_jump, after_run = _run_stacks(pulse, nopulse, m)
     # y[sv + j] = (Q^j x)[0] and y[nm + j] = (pulse Q^j x)[0], with x = y[:16]
     sv, nm = 16, 17 + m
     y = after_run[0].dot(pauli_coordinates(rho_gate))
@@ -487,7 +490,8 @@ def run_sweep(
                     drawn.append((idx, pr))
                 else:
                     # the row keeps the count, not the chain's arrays
-                    chain = propagate_cycles(block.instrument(k), rho_gate, n_cycles, seeds[idx])
+                    chain = propagate_cycles(block.pulse[k], block.nopulse[k], rho_gate, n_cycles,
+                                             seeds[idx])
                     rows[idx] = ok_row(idx, pr, _count_record(chain.n_pulses, n_cycles, seeds[idx]))
             except (ValueError, MemoryError) as exc:
                 # MemoryError: a propagate chain of n_cycles that cannot be allocated.

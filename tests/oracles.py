@@ -309,7 +309,7 @@ def kraus_chain(kraus_pulse, kraus_nopulse, rho0, uniforms):
     return outcomes, probs, rho
 
 
-def stepwise_chain(instrument, rho0, uniforms):
+def stepwise_chain(pulse, nopulse, rho0, uniforms):
     """Conditional-state chain by transfer matrices, one cycle at a time.
 
     Per cycle: the pulse branch ``pulse @ x``, its first entry as the
@@ -320,7 +320,6 @@ def stepwise_chain(instrument, rho0, uniforms):
     """
     from spinturnstile.algebra import pauli_coordinates, pauli_operator
 
-    pulse, nopulse = instrument.pulse, instrument.nopulse
     x = pauli_coordinates(rho0)
     n = len(uniforms)
     outcomes = np.zeros(n, dtype=np.uint8)
@@ -342,6 +341,20 @@ def stepwise_chain(instrument, rho0, uniforms):
                 x = np.eye(16)[0]
                 resets += 1
     return outcomes, probs, pauli_operator(x) / 4.0, resets
+
+
+def induced_instrument(u_left, u_right, h, t, c, tau_detect, t_sq):
+    """The one-row instrument block of a raw 8x8 Hamiltonian ``h``, by the
+    package's stacked route; raises ``ValueError`` where
+    :class:`MeasurementSetting` does or with the row's error."""
+    from spinturnstile.cycle import MeasurementSetting, _instrument_block, detection_strength
+
+    setting = MeasurementSetting(u_left, u_right, t)
+    block = _instrument_block(0, np.asarray(h)[None], [setting.t_interact], np.array([setting.u_left]),
+                              np.array([setting.u_right]), detection_strength(c, tau_detect, t_sq))
+    if block.errors[0] is not None:
+        raise ValueError(block.errors[0])
+    return block
 
 
 def json_scalar(value) -> str:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from spinturnstile.constants import G_NUCLEAR_P31
-from spinturnstile.cycle import MeasurementSetting, induced_instrument, run_cycle, setting_instrument
-from spinturnstile.algebra import evolve_unitary
+from spinturnstile.cycle import MeasurementSetting, run_cycle, setting_instrument
+from spinturnstile.algebra import evolve_unitary, pauli_operator
 from spinturnstile.cli import main
 from spinturnstile.experiment import calibrate, sample_cycles
 from spinturnstile.model import (
@@ -34,6 +34,7 @@ from spinturnstile.tomography import (
 from oracles import (
     ancilla_state,
     detection_probability,
+    induced_instrument,
     joint_evolve,
     random_bloch,
     random_density,
@@ -113,8 +114,9 @@ def test_criterion_4_instrument_theorem():
             joint = joint_evolve(spin_half(u_l), rho_s, h, t)
             _, u_a = ancilla_state(joint)
             pr_formula = detection_probability(u_a, u_r, c, tau, t_sq)
-            worst_pr = max(worst_pr, abs(inst.pulse_probability(rho_s) - pr_formula))
-            comp = np.abs(inst.effect_pulse + inst.effect_nopulse - np.eye(4)).max()
+            worst_pr = max(worst_pr, abs(inst.pulse_probabilities(rho_s)[0] - pr_formula))
+            effects = pauli_operator(inst.pulse[0, 0]) + pauli_operator(inst.nopulse[0, 0])
+            comp = np.abs(effects - np.eye(4)).max()
             worst_complete = max(worst_complete, comp)
         assert worst_pr < 1e-10
         assert worst_complete < 1e-10
@@ -212,7 +214,7 @@ def test_criterion_8_calibration():
 
         def model_pr(c):  # read off the pulse effect
             instrument = setting_instrument(setting, SpinModelParams(), tunnel, c)
-            return instrument.pulse_probability(np.eye(4) / 4)
+            return instrument.pulse_probabilities(np.eye(4) / 4)[0]
 
         pr_model = model_pr(1.0)
         assert calibrate(model_pr(c_true), pr_model, 1.0) == c_true

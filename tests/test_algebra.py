@@ -12,7 +12,7 @@ from spinturnstile.algebra import (
     evolve_unitary,
     kron,
 )
-from spinturnstile.cycle import induced_instrument
+from spinturnstile.cycle import MeasurementSetting
 from spinturnstile.model import _GENERATORS
 
 from oracles import (
@@ -192,14 +192,13 @@ class TestBlochConversions:
         assert np.allclose(np.sort(np.linalg.eigvalsh(rho)), [0.15, 0.85])
 
     def test_overlong_vector_rejected(self):
-        # induced_instrument, the one package entry that takes raw
-        # polarizations, rejects either lead beyond the unit ball.
-        args = (np.zeros((8, 8)), 1.0, 1.0, 1e-10, 1e9)
+        # MeasurementSetting, the one check of raw lead polarizations,
+        # rejects either lead beyond the unit ball.
         for bad in ([1.1, 0, 0], [np.nan, 0, 0]):
             with pytest.raises(ValueError, match="u_left"):
-                induced_instrument(bad, [0, 0, 1], *args)
+                MeasurementSetting(bad, [0, 0, 1], 1.0)
             with pytest.raises(ValueError, match="u_right"):
-                induced_instrument([0, 0, 1], bad, *args)
+                MeasurementSetting([0, 0, 1], bad, 1.0)
 
     def test_maximally_mixed_maps_to_zero(self):
         assert np.allclose(ancilla_bloch_of([0, 0, 0]), np.zeros(3))

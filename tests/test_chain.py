@@ -5,11 +5,18 @@ import pytest
 
 from spinturnstile.algebra import evolve_unitary
 from spinturnstile.config import parse_config
-from spinturnstile.cycle import QuantumInstrument, induced_instrument, setting_instrument
+from spinturnstile.cycle import setting_instrument
 from spinturnstile.experiment import RUN_BLOCK, _run_stacks, propagate_cycles
 from spinturnstile.model import SpinModelParams, build_total_hamiltonian
 
-from oracles import check_density_matrix, kraus_chain, kraus_instrument, random_density, stepwise_chain
+from oracles import (
+    check_density_matrix,
+    induced_instrument,
+    kraus_chain,
+    kraus_instrument,
+    random_density,
+    stepwise_chain,
+)
 
 U_LEFT, U_RIGHT = [0, 0, 1.0], [1.0, 0, 0]
 
@@ -26,6 +33,11 @@ def make_instrument(exchange=3e5, t=4e-6, kappa_c=0.9):
     return induced_instrument(U_LEFT, U_RIGHT, make_hamiltonian(exchange), t, kappa_c, 1e-10, 1e9)
 
 
+def maps(block):
+    """The (pulse, nopulse) transfer matrices of a one-row instrument block."""
+    return block.pulse[0], block.nopulse[0]
+
+
 def default_probes(c):
     """Gate state and instruments of the default sweep's three probes at detection constant c."""
     cfg = parse_config({"detection": {"c": c}})
@@ -35,10 +47,11 @@ def default_probes(c):
     ]
 
 
-def assert_matches_stepwise(inst, rho0, n, seed):
+def assert_matches_stepwise(pulse, nopulse, rho0, n, seed):
     """The chain equals the per-cycle transfer-matrix rule on the same uniforms."""
-    rec = propagate_cycles(inst, rho0, n, seed=seed)
-    outcomes, probs, rho_final, resets = stepwise_chain(inst, rho0, np.random.default_rng(seed).random(n))
+    rec = propagate_cycles(pulse, nopulse, rho0, n, seed=seed)
+    outcomes, probs, rho_final, resets = stepwise_chain(pulse, nopulse, rho0,
+                                                        np.random.default_rng(seed).random(n))
     assert np.array_equal(rec.outcomes, outcomes)
     assert rec.n_pulses == int(outcomes.sum())
     assert np.abs(rec.probs - probs).max() < 1e-12
@@ -50,7 +63,7 @@ def assert_matches_stepwise(inst, rho0, n, seed):
 class TestPropagateCycles:
     def test_final_state_valid(self):
         rng = np.random.default_rng(40)
-        rec = propagate_cycles(make_instrument(), random_density(rng, 4), 500, seed=1)
+        rec = propagate_cycles(*maps(make_instrument()), random_density(rng, 4), 500, seed=1)
         assert rec.outcomes.shape == (500,)
         assert np.all((rec.probs >= 0) & (rec.probs <= 1))
         check_density_matrix(rec.rho_final, tol=1e-9)
@@ -58,8 +71,8 @@ class TestPropagateCycles:
     def test_deterministic_given_uniforms(self):
         inst = make_instrument()
         rho0 = random_density(np.random.default_rng(42), 4)
-        a = propagate_cycles(inst, rho0, 300, seed=2)
-        b = propagate_cycles(inst, rho0, 300, seed=2)
+        a = propagate_cycles(*maps(inst), rho0, 300, seed=2)
+        b = propagate_cycles(*maps(inst), rho0, 300, seed=2)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.probs, b.probs)
         assert np.array_equal(a.rho_final, b.rho_final)
@@ -67,14 +80,14 @@ class TestPropagateCycles:
     def test_first_cycle_probability_matches_instrument(self):
         inst = make_instrument()
         rho0 = random_density(np.random.default_rng(43), 4)
-        rec = propagate_cycles(inst, rho0, 5, seed=3)
-        assert rec.probs[0] == pytest.approx(inst.pulse_probability(rho0), abs=1e-12)
+        rec = propagate_cycles(*maps(inst), rho0, 5, seed=3)
+        assert rec.probs[0] == pytest.approx(inst.pulse_probabilities(rho0)[0], abs=1e-12)
 
     def test_uninformative_instrument_keeps_state_fixed(self):
         # with no interaction the conditional maps leave the gate untouched
         inst = make_instrument(exchange=0.0, t=0.0)
         rho0 = random_density(np.random.default_rng(44), 4)
-        rec = propagate_cycles(inst, rho0, 200, seed=4)
+        rec = propagate_cycles(*maps(inst), rho0, 200, seed=4)
         assert np.allclose(rec.rho_final, rho0, atol=1e-10)
         assert np.allclose(rec.probs, rec.probs[0], atol=1e-12)
 
@@ -85,7 +98,7 @@ class TestPropagateCycles:
         kraus_pulse, kraus_nopulse = kraus_instrument(U_LEFT, U_RIGHT, evolve_unitary(h, t), inst.kappa)
         rho0 = np.eye(4) / 4
         n, seed = 3000, 5
-        rec = propagate_cycles(inst, rho0, n, seed=seed)
+        rec = propagate_cycles(*maps(inst), rho0, n, seed=seed)
         outcomes, probs, rho_final = kraus_chain(
             kraus_pulse, kraus_nopulse, rho0, np.random.default_rng(seed).random(n))
         assert 0 < rec.n_pulses < n
@@ -99,13 +112,13 @@ class TestRunLengthSampler:
     def test_default_probes_match_stepwise(self, c):
         rho0, instruments = default_probes(c)
         for k, inst in enumerate(instruments):
-            rec = assert_matches_stepwise(inst, rho0, 10_000, seed=k + 1)
+            rec = assert_matches_stepwise(*maps(inst), rho0, 10_000, seed=k + 1)
             assert 0 < rec.n_pulses < 10_000
             assert rec.resets == 0
 
     def test_long_low_probability_row(self):
         rho0, instruments = default_probes(0.01)
-        rec = assert_matches_stepwise(instruments[2], rho0, 200_000, seed=17)
+        rec = assert_matches_stepwise(*maps(instruments[2]), rho0, 200_000, seed=17)
         assert rec.pr_hat < 0.01
 
     @pytest.mark.parametrize("n", [1, 2, RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1, 3 * RUN_BLOCK + 5])
@@ -116,7 +129,7 @@ class TestRunLengthSampler:
         rho0, instruments = default_probes(c)
         for seed in range(8):
             for inst in instruments:
-                assert_matches_stepwise(inst, rho0, n, seed)
+                assert_matches_stepwise(*maps(inst), rho0, n, seed)
 
     def test_rescaled_state_matches_stepwise(self):
         # The chain carries its state unnormalized, and the state's first
@@ -125,7 +138,7 @@ class TestRunLengthSampler:
         # double, so the chain can only match by rescaling on the way.
         rho0, instruments = default_probes(1.0)
         for k, inst in enumerate(instruments):
-            rec = assert_matches_stepwise(inst, rho0, 20_000, seed=k + 1)
+            rec = assert_matches_stepwise(*maps(inst), rho0, 20_000, seed=k + 1)
             taken = np.where(rec.outcomes == 1, rec.probs, 1.0 - rec.probs)
             assert np.log2(taken).sum() < -1100
 
@@ -137,12 +150,12 @@ class TestRunLengthSampler:
         rho0, instruments = default_probes(5.0)
         for seed in range(8):
             for inst in instruments:
-                rec = assert_matches_stepwise(inst, rho0, n, seed)
+                rec = assert_matches_stepwise(*maps(inst), rho0, n, seed)
             assert rec.outcomes[-2:].all()
 
     def test_event_maps_within_budget(self):
         inst = make_instrument()
-        after_jump, after_run = _run_stacks(inst.pulse, inst.nopulse, RUN_BLOCK)
+        after_jump, after_run = _run_stacks(*maps(inst), RUN_BLOCK)
         assert after_jump.shape == after_run.shape == (RUN_BLOCK + 1, 16 + 2 * (RUN_BLOCK + 1), 16)
         assert after_jump.nbytes + after_run.nbytes <= 0.75e6
 
@@ -155,8 +168,8 @@ class TestRunLengthSampler:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k, inst in enumerate(instruments):
-                rec = propagate_cycles(inst, rho0, n, seed=k + 1)
-                outcomes, _, _, _ = stepwise_chain(inst, rho0, np.random.default_rng(k + 1).random(n))
+                rec = propagate_cycles(*maps(inst), rho0, n, seed=k + 1)
+                outcomes, _, _, _ = stepwise_chain(*maps(inst), rho0, np.random.default_rng(k + 1).random(n))
                 assert np.array_equal(rec.outcomes, outcomes)
         assert rec.n_pulses > 0.999 * n
 
@@ -164,20 +177,19 @@ class TestRunLengthSampler:
         # the no-pulse image shrinks by 1e-200 per cycle, so survivals of a
         # stacked run underflow; the per-cycle rule renormalizes every cycle
         rho0 = random_density(np.random.default_rng(60), 4)
-        inst = QuantumInstrument(pulse=0.3 * np.eye(16), nopulse=1e-200 * np.eye(16),
-                                 ancilla_bloch=np.zeros((3, 16)), kappa=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rec = assert_matches_stepwise(inst, rho0, 3 * RUN_BLOCK + 5, seed=6)
+            rec = assert_matches_stepwise(0.3 * np.eye(16), 1e-200 * np.eye(16), rho0, 3 * RUN_BLOCK + 5,
+                                          seed=6)
         assert 0 < rec.n_pulses < rec.n_cycles
 
     @pytest.mark.parametrize("scale", [-0.1, 1.25])
     def test_probabilities_clamped_in_record_only(self, scale):
         # a pulse probability below 0 never fires and one above 1 always does
-        inst = QuantumInstrument(pulse=scale * np.eye(16), nopulse=0.5 * np.eye(16),
-                                 ancilla_bloch=np.zeros((3, 16)), kappa=1.0)
-        rec = propagate_cycles(inst, np.eye(4) / 4, 3 * RUN_BLOCK + 5, seed=9)
-        outcomes, probs, _, _ = stepwise_chain(inst, np.eye(4) / 4, np.random.default_rng(9).random(rec.n_cycles))
+        pulse, nopulse = scale * np.eye(16), 0.5 * np.eye(16)
+        rec = propagate_cycles(pulse, nopulse, np.eye(4) / 4, 3 * RUN_BLOCK + 5, seed=9)
+        outcomes, probs, _, _ = stepwise_chain(pulse, nopulse, np.eye(4) / 4,
+                                               np.random.default_rng(9).random(rec.n_cycles))
         assert np.array_equal(rec.outcomes, outcomes)
         assert np.array_equal(rec.probs, probs)
         assert rec.n_pulses == (rec.n_cycles if scale > 1 else 0)
@@ -188,12 +200,11 @@ class TestRunLengthSampler:
         # by 0.8**5000 (no pulse ever, in whole blocks) or grow by 1.25**5000
         # (a pulse map that adds trace), past either end of the float range,
         # unless rescaled; the per-cycle oracle renormalizes every cycle
-        inst = QuantumInstrument(pulse=scale * np.eye(16), nopulse=0.8 * np.eye(16),
-                                 ancilla_bloch=np.zeros((3, 16)), kappa=1.0)
+        pulse, nopulse = scale * np.eye(16), 0.8 * np.eye(16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rec = propagate_cycles(inst, np.eye(4) / 4, 5_000, seed=9)
-            outcomes, probs, _, _ = stepwise_chain(inst, np.eye(4) / 4,
+            rec = propagate_cycles(pulse, nopulse, np.eye(4) / 4, 5_000, seed=9)
+            outcomes, probs, _, _ = stepwise_chain(pulse, nopulse, np.eye(4) / 4,
                                                    np.random.default_rng(9).random(rec.n_cycles))
         assert np.array_equal(rec.outcomes, outcomes)
         assert np.array_equal(rec.probs, probs)
@@ -202,20 +213,19 @@ class TestRunLengthSampler:
         assert np.abs(rec.rho_final - np.eye(4) / 4).max() < 1e-12
 
     @staticmethod
-    def resetting_instrument():
+    def resetting_maps():
         # Pr = 1/2 always; a no-pulse cycle from the mixed state leaves ZI = -1,
         # whose no-pulse image has a zero first entry, so every second
         # no-pulse cycle resets the state to maximally mixed
         nopulse = 0.5 * np.eye(16)
         nopulse[0, 3] = 0.5
         nopulse[3, 0] = nopulse[3, 3] = -0.5
-        return QuantumInstrument(pulse=0.5 * np.eye(16), nopulse=nopulse,
-                                 ancilla_bloch=np.zeros((3, 16)), kappa=1.0)
+        return 0.5 * np.eye(16), nopulse
 
     def test_resets_counted(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rec = assert_matches_stepwise(self.resetting_instrument(), np.eye(4) / 4, 2_000, seed=8)
+            rec = assert_matches_stepwise(*self.resetting_maps(), np.eye(4) / 4, 2_000, seed=8)
         assert 0.2 * rec.n_cycles < rec.resets < 0.4 * rec.n_cycles
         assert np.all(rec.probs == 0.5)
         check_density_matrix(rec.rho_final, tol=1e-12)
@@ -229,7 +239,7 @@ class TestRunLengthSampler:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in range(16):
-                rec = assert_matches_stepwise(self.resetting_instrument(), np.eye(4) / 4, n, seed)
+                rec = assert_matches_stepwise(*self.resetting_maps(), np.eye(4) / 4, n, seed)
                 resets += rec.resets
                 check_density_matrix(rec.rho_final, tol=1e-12)
         assert resets > 0

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from spinturnstile import cycle
-from spinturnstile.algebra import PAULIS, evolve_unitaries, evolve_unitary, kron, pauli_coordinates
+from spinturnstile.algebra import (
+    PAULIS,
+    evolve_unitaries,
+    evolve_unitary,
+    kron,
+    pauli_coordinates,
+    pauli_operator,
+)
 from spinturnstile.constants import G_NUCLEAR_P31, MU_B_PER_HBAR
 from spinturnstile.cycle import (
     BLOCK_ROWS,
     HierarchyWarning,
     MeasurementSetting,
     detection_strength,
-    induced_instrument,
     run_cycle,
+    setting_instrument,
     setting_instruments,
 )
 from spinturnstile.model import SpinModelParams, TunnelParams, build_total_hamiltonian
@@ -21,6 +28,7 @@ from oracles import (
     ancilla_state,
     check_density_matrix,
     detection_probability,
+    induced_instrument,
     joint_evolve,
     kraus_instrument,
     liouville_matrix,
@@ -51,6 +59,11 @@ def hierarchy_ok_params(**overrides):
 
 def quiet_tunnel():
     return TunnelParams(gamma0=1e9, interdot_sq=1e9, detuning=1e14, tau_detect=1e-10, tau_cycle=1e-6)
+
+
+def effect_operators(block):
+    """The 4x4 pulse and no-pulse effects of a one-row instrument block."""
+    return pauli_operator(block.effects[0]), pauli_operator(block.nopulse[0, 0])
 
 
 class TestPrepareAncilla:
@@ -164,8 +177,9 @@ class TestInducedInstrument:
         h = build_total_hamiltonian(p)
         inst = induced_instrument([0, 0, 1], [1, 0, 0], h, 0.0, 1.0, 1e-10, 1e9)
         # proportional to identity: zero information about the gate
-        diag = inst.effect_pulse[0, 0]
-        assert np.allclose(inst.effect_pulse, diag * np.eye(4), atol=1e-12)
+        effect_pulse, _ = effect_operators(inst)
+        diag = effect_pulse[0, 0]
+        assert np.allclose(effect_pulse, diag * np.eye(4), atol=1e-12)
 
     def test_two_path_consistency_random(self):
         rng = np.random.default_rng(25)
@@ -182,7 +196,7 @@ class TestInducedInstrument:
             joint = joint_evolve(spin_half(u_l), rho_s, h, t)
             _, u_a = ancilla_state(joint)
             pr_formula = detection_probability(u_a, u_r, c, tau, t_sq)
-            assert abs(inst.pulse_probability(rho_s) - pr_formula) < 1e-10
+            assert abs(inst.pulse_probabilities(rho_s)[0] - pr_formula) < 1e-10
 
     def test_completeness_and_positivity(self):
         rng = np.random.default_rng(26)
@@ -191,9 +205,9 @@ class TestInducedInstrument:
                 random_bloch(rng), random_bloch(rng), random_hermitian(rng, 8),
                 rng.uniform(0, 4), rng.uniform(0, 1), 0.5, rng.uniform(0, 1),
             )
-            total = inst.effect_pulse + inst.effect_nopulse
-            assert np.abs(total - np.eye(4)).max() < 1e-10
-            for e in (inst.effect_pulse, inst.effect_nopulse):
+            effects = effect_operators(inst)
+            assert np.abs(sum(effects) - np.eye(4)).max() < 1e-10
+            for e in effects:
                 assert np.linalg.eigvalsh(e).min() > -1e-10
 
     def test_transfer_matrices_match_kraus_liouville(self):
@@ -205,8 +219,8 @@ class TestInducedInstrument:
             t, c, t_sq = rng.uniform(0, 4), rng.uniform(0.1, 1), rng.uniform(0.1, 1)
             inst = induced_instrument(u_l, u_r, h, t, c, 0.4, t_sq)
             kraus_pulse, kraus_nopulse = kraus_instrument(u_l, u_r, evolve_unitary(h, t), inst.kappa)
-            assert np.abs(inst.pulse - liouville_matrix(kraus_pulse)).max() < 1e-10
-            assert np.abs(inst.nopulse - liouville_matrix(kraus_nopulse)).max() < 1e-10
+            assert np.abs(inst.pulse[0] - liouville_matrix(kraus_pulse)).max() < 1e-10
+            assert np.abs(inst.nopulse[0] - liouville_matrix(kraus_nopulse)).max() < 1e-10
 
     def test_post_states_are_valid(self):
         rng = np.random.default_rng(28)
@@ -215,14 +229,14 @@ class TestInducedInstrument:
                 random_bloch(rng, 0.9), random_bloch(rng, 0.9), random_hermitian(rng, 8),
                 rng.uniform(0, 4), rng.uniform(0.1, 1), 0.4, rng.uniform(0.1, 1),
             )
-            rho_s = random_density(rng, 4)
-            for pulse in (True, False):
-                post, prob = inst.apply(rho_s, pulse)
-                if post is not None:
-                    check_density_matrix(post, dims=[2, 2], tol=1e-9)
-            p1 = inst.apply(rho_s, True)[1]
-            p0 = inst.apply(rho_s, False)[1]
-            assert p1 + p0 == pytest.approx(1.0, abs=1e-10)
+            x = pauli_coordinates(random_density(rng, 4))
+            probs = []
+            for transfer in (inst.pulse[0], inst.nopulse[0]):
+                post = transfer @ x
+                if post[0] > 1e-14:
+                    check_density_matrix(pauli_operator(post / post[0]) / 4.0, dims=[2, 2], tol=1e-9)
+                probs.append(max(post[0], 0.0))
+            assert sum(probs) == pytest.approx(1.0, abs=1e-10)
 
     def test_unphysical_strength_rejected(self):
         with pytest.raises(ValueError):
@@ -271,7 +285,7 @@ class TestRunCycle:
             out = run_cycle(setting, p, tp, random_density(rng, 4), c=rng.uniform(0.1, 1.0))
             assert 0.0 <= out.pr_pulse <= 1.0
             assert np.linalg.norm(out.u_ancilla) <= 1 + 1e-10
-            total = out.instrument.effect_pulse + out.instrument.effect_nopulse
+            total = sum(effect_operators(out.instrument))
             assert np.abs(total - np.eye(4)).max() < 1e-10
             if out.rho_gate_pulse is not None:
                 check_density_matrix(out.rho_gate_pulse, tol=1e-9)
@@ -291,7 +305,8 @@ class TestRunCycle:
         shifted = run_cycle(setting, shifted_params, tp, rho_s, c=0.8)
         assert abs(base.pr_pulse - shifted.pr_pulse) < 1e-10
         assert np.abs(base.u_ancilla - shifted.u_ancilla).max() < 1e-10
-        assert np.abs(base.instrument.effect_pulse - shifted.instrument.effect_pulse).max() < 1e-10
+        assert np.abs(effect_operators(base.instrument)[0]
+                      - effect_operators(shifted.instrument)[0]).max() < 1e-10
         assert np.abs(base.rho_gate_pulse - shifted.rho_gate_pulse).max() < 1e-10
 
     def test_global_rotation_invariance(self):
@@ -351,6 +366,37 @@ class TestRunCycle:
             run_cycle(*args)
         with pytest.warns(HierarchyWarning):
             run_cycle(*args, threshold=1e12)
+
+    def test_post_states_match_kraus_route(self):
+        # both conditional states against sum_k K rho K^dag / tr of Kraus
+        # operators built from the same model's propagator; the last case,
+        # antiparallel unit leads at t = 0, has no pulse branch
+        rng = np.random.default_rng(35)
+        tp = quiet_tunnel()
+        cases = []
+        for _ in range(30):
+            p = hierarchy_ok_params(exchange=rng.uniform(1e5, 2e6), hyperfine_gate=rng.uniform(1e5, 3e6),
+                                    hyperfine_ancilla=rng.uniform(1e5, 2e6))
+            setting = MeasurementSetting(random_bloch(rng), random_bloch(rng), rng.uniform(0, 2e-5))
+            cases.append((setting, p, rng.uniform(0.1, 1.0)))
+        u = random_bloch(rng)
+        u /= np.linalg.norm(u)
+        cases.append((MeasurementSetting(u, -u, 0.0), hierarchy_ok_params(), 1.0))
+        for i, (setting, p, c) in enumerate(cases):
+            rho = random_density(rng, 4)
+            out = run_cycle(setting, p, tp, rho, c=c)
+            propagator = evolve_unitary(build_total_hamiltonian(p), setting.t_interact)
+            kraus = kraus_instrument(setting.u_left, setting.u_right, propagator,
+                                     detection_strength(c, tp.tau_detect, tp.gamma0))
+            for got, ops in zip((out.rho_gate_pulse, out.rho_gate_nopulse), kraus):
+                sigma = sum(k @ rho @ k.conj().T for k in ops)
+                prob = np.trace(sigma).real
+                if got is None:
+                    assert abs(prob) < 1e-14
+                else:
+                    assert np.abs(got - sigma / prob).max() < 1e-10
+            assert out.rho_gate_nopulse is not None
+            assert (out.rho_gate_pulse is None) == (i == len(cases) - 1)
 
     def test_antiparallel_unit_leads_give_zero_probability(self):
         # rounding leaves u_right . u_left a few ulp below -1; the probability
@@ -490,7 +536,7 @@ class TestSettingInstruments:
             assert len(last.errors) == 1
             assert all(np.array_equal(g, w) for g, w in zip(rows(last, 0), want))
             # the single-instrument route reads the same probability
-            assert alone.instrument(0).pulse_probability(rho) == want[1]
+            assert setting_instrument(setting, base, tunnel, 2.0, include).pulse_probabilities(rho)[0] == want[1]
         assert len(checked) > BLOCK_ROWS
         for shift in range(len(checked)):
             order = [(shift + k) % len(checked) for k in range(BLOCK_ROWS)]

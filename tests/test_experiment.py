@@ -30,7 +30,7 @@ from spinturnstile.experiment import (
 from spinturnstile.model import SpinModelParams, TunnelParams
 from spinturnstile.tomography import TWO_SPIN, build_design
 
-from oracles import check_density_matrix, random_bloch, random_density, spin_half
+from oracles import check_density_matrix, induced_instrument, random_bloch, random_density, spin_half
 
 
 def quiet_model(**overrides):
@@ -148,7 +148,7 @@ class TestCalibrate:
         # the model's probability at c = 1, read off the pulse effect
         setting = MeasurementSetting(u_left=(0, 0, mag), u_right=(0, 0, mag), t_interact=0.0)
         instrument = setting_instrument(setting, quiet_model(), self.TUNNEL, 1.0)
-        return instrument.pulse_probability(np.eye(4) / 4)
+        return instrument.pulse_probabilities(np.eye(4) / 4)[0]
 
     def test_noiseless_unit_constant(self):
         pr = self.pr_model(1.0)
@@ -345,10 +345,10 @@ class TestSweep:
         settings = self.axes_settings()
         chain = experiment.propagate_cycles
 
-        def propagate_or_fail(instrument, rho_gate, n, seed):
+        def propagate_or_fail(pulse, nopulse, rho_gate, n, seed):
             if seed == derive_setting_seed(123, settings[1]):
                 raise MemoryError("Unable to allocate 72.8 TiB for an array")
-            return chain(instrument, rho_gate, n, seed)
+            return chain(pulse, nopulse, rho_gate, n, seed)
 
         monkeypatch.setattr(experiment, "propagate_cycles", propagate_or_fail)
         rows = run_sweep(settings, rho_gate=np.eye(4) / 4, mode="propagate", **self.common())
@@ -421,38 +421,37 @@ def test_row_pr_is_the_cycle_pr_bit_for_bit():
 
 
 class TestPropagate:
-    def make_instrument(self):
-        from spinturnstile.cycle import induced_instrument
+    def make_maps(self):
+        """(pulse, nopulse) of the x-probe instrument at 4 us."""
         from spinturnstile.model import build_total_hamiltonian
 
         model = quiet_model()
         h = build_total_hamiltonian(model)
-        return induced_instrument([0, 0, 1.0], [1.0, 0, 0], h, 4e-6, 1.0, 1e-10, 1e9)
+        inst = induced_instrument([0, 0, 1.0], [1.0, 0, 0], h, 4e-6, 1.0, 1e-10, 1e9)
+        return inst.pulse[0], inst.nopulse[0]
 
     def test_deterministic(self):
-        inst = self.make_instrument()
+        maps = self.make_maps()
         rng = np.random.default_rng(50)
         rho = random_density(rng, 4)
-        a = propagate_cycles(inst, rho, 500, seed=7)
-        b = propagate_cycles(inst, rho, 500, seed=7)
+        a = propagate_cycles(*maps, rho, 500, seed=7)
+        b = propagate_cycles(*maps, rho, 500, seed=7)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert a.n_pulses == b.n_pulses
 
     def test_uninformative_chain_matches_binomial(self):
         # a zero-time instrument has no back-action: the chain is iid and
         # must reproduce the plain binomial draw statistics
-        from spinturnstile.cycle import induced_instrument
         from spinturnstile.model import build_total_hamiltonian
 
         h = build_total_hamiltonian(quiet_model())
         inst = induced_instrument([0, 0, 1.0], [1.0, 0, 0], h, 0.0, 1.0, 1e-10, 1e9)
-        pr = inst.pulse_probability(np.eye(4) / 4)
-        rec = propagate_cycles(inst, np.eye(4) / 4, 20_000, seed=11)
+        pr = inst.pulse_probabilities(np.eye(4) / 4)[0]
+        rec = propagate_cycles(inst.pulse[0], inst.nopulse[0], np.eye(4) / 4, 20_000, seed=11)
         assert abs(rec.pr_hat - pr) < 4 * np.sqrt(pr * (1 - pr) / 20_000)
 
     def test_chain_record_extends_shot_record(self):
-        inst = self.make_instrument()
-        rec = propagate_cycles(inst, np.eye(4) / 4, 2_000, seed=13)
+        rec = propagate_cycles(*self.make_maps(), np.eye(4) / 4, 2_000, seed=13)
         assert isinstance(rec, ChainRecord) and isinstance(rec, ShotRecord)
         assert rec.pr_hat == rec.n_pulses / 2_000
         assert rec.std_err == np.sqrt(rec.pr_hat * (1 - rec.pr_hat) / 2_000)
@@ -463,15 +462,14 @@ class TestPropagate:
                   n_cycles=700, seed=3, mode="propagate")
         setting = MeasurementSetting([0, 0, 1.0], [1.0, 0, 0], 4e-6)
         (row,) = run_sweep([setting], **kw)
-        chain = propagate_cycles(self.make_instrument(), np.eye(4) / 4, 700,
+        chain = propagate_cycles(*self.make_maps(), np.eye(4) / 4, 700,
                                  derive_setting_seed(3, setting))
         assert type(row.record) is ShotRecord
         assert row.record == ShotRecord(chain.n_cycles, chain.n_pulses, chain.pr_hat,
                                         chain.std_err, chain.seed)
 
     def test_final_state_valid(self):
-        inst = self.make_instrument()
-        rec = propagate_cycles(inst, np.eye(4) / 4, 2_000, seed=13)
+        rec = propagate_cycles(*self.make_maps(), np.eye(4) / 4, 2_000, seed=13)
         check_density_matrix(rec.rho_final, tol=1e-8)
         assert rec.outcomes.shape == (2_000,)
         assert 0 <= rec.pr_hat <= 1

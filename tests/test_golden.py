@@ -1,9 +1,11 @@
 """Golden bytes: the command line's CSV and JSONL output of fixed sweep and
-tomography grids, pinned by SHA-256.
+tomography grids and of one fixed cycle and calibration, pinned by SHA-256.
 
 Each grid has 40 settings with per-setting model overrides, so the run
 covers full and partial instrument blocks, seed derivation, the resolved
-configuration line and every row renderer. A digest changes when any output
+configuration line and every row renderer. The ``cycle`` and ``calibrate``
+runs share one setting off every axis: tilted partial leads, a detection
+constant of 0.3, an overridden model and a correlated two-spin gate state. A digest changes when any output
 byte does: a change that alters output on purpose records the new digests
 here and says why. The digests hold for one numpy/BLAS build; another
 build may round the instruments differently in the last digit.
@@ -46,8 +48,20 @@ def _settings(rng: random.Random, times=None) -> list:
 
 
 def _config(name: str) -> tuple:
-    """(command, configuration) of one golden grid."""
+    """(command, configuration) of one golden run."""
     rng = random.Random(f"golden:{name}")
+    if name in ("cycle", "calibrate"):
+        return name, {
+            "model": {"exchange_per_s": 1.3e6, "hyperfine_gate_per_s": 2.6e6,
+                      "hyperfine_ancilla_per_s": 0.8e6},
+            "schedule": {"t_interact_s": 2.3e-6},
+            "leads": {"u_left": {"direction": [0.3, -0.5, 0.8], "magnitude": 0.9},
+                      "u_right": {"direction": [-0.6, 0.2, 0.7], "magnitude": 0.8}},
+            "detection": {"c": 0.3},
+            "gate_state": {"theta_two_spin": [0.1, -0.2, 0.15, 0.05, 0.2, -0.1, 0.1, 0.05,
+                                              -0.1, 0.15, 0.0, 0.1, -0.05, 0.1, 0.2]},
+            "experiment": {"n_cycles": 5000, "seed": 99},
+        }
     if name == "tomography":
         times = [rng.uniform(1e-7, 5e-6) for _ in range(5)]
         return "tomography", {
@@ -77,6 +91,10 @@ GOLDEN = {
     ("propagate", "jsonl"): "2472bf58c62895d487294832e1c5d3da7eb846f3eaf179cbbdb4c13c5dae20d2",
     ("tomography", "csv"): "c844c787f6b7894cd793cf2363a7f6f4e9e2ffbc72c246968a3eeb692fa33352",
     ("tomography", "jsonl"): "2fbff3248de660d76a4bad01420cd8b06627b07c5368a31285b3e451832f4b0e",
+    ("cycle", "csv"): "760363394166091904fea59b70164cf6ba5ebaec2673bfecd271bdf9998631a8",
+    ("cycle", "jsonl"): "233c6e1f51404efb586927ffa44c89a216429403c1a5ffb499733b832c19358c",
+    ("calibrate", "csv"): "f59b8e5e8bf72e2c94240c37d2638c7685457e05ff77fa0ccc327a591ac3665f",
+    ("calibrate", "jsonl"): "ee682c3bf3af06349655b07e57bacd0917e2a0b07d65403ae5f0929de2b484e4",
 }
 
 

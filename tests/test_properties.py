@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from spinturnstile.algebra import pauli_coordinates
 from spinturnstile.config import parse_config, resolved_dict
-from spinturnstile.constants import G_NUCLEAR_P31
+from spinturnstile.constants import G_NUCLEAR_P31, STRUCTURAL_TOL
 from spinturnstile.cycle import (
     BLOCK_ROWS,
     MeasurementSetting,
-    induced_instrument,
     setting_instrument,
     setting_instruments,
 )
@@ -58,6 +57,7 @@ from spinturnstile.tomography import (
 from oracles import (
     choi_from_transfer,
     detection_probability,
+    induced_instrument,
     json_scalar,
     kraus_instrument,
     liouville_matrix,
@@ -95,14 +95,14 @@ def build(cycle):
 @given(readout_cycles)
 def test_completeness(cycle):
     inst = build(cycle)
-    assert np.abs(inst.pulse[0] + inst.nopulse[0] - np.eye(16)[0]).max() < 1e-12
+    assert np.abs(inst.pulse[0, 0] + inst.nopulse[0, 0] - np.eye(16)[0]).max() < 1e-12
 
 
 @PROPERTY_SETTINGS
 @given(readout_cycles)
 def test_complete_positivity(cycle):
     inst = build(cycle)
-    for transfer in (inst.pulse, inst.nopulse):
+    for transfer in (inst.pulse[0], inst.nopulse[0]):
         choi = choi_from_transfer(transfer)
         assert np.abs(choi - choi.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(choi).min() > -1e-10
@@ -113,8 +113,8 @@ def test_complete_positivity(cycle):
 def test_pulse_row_is_detection_formula(cycle):
     # Pr = kappa/2 (1 + u_right . u_ancilla), with u_ancilla = ancilla_bloch @ x
     inst = build(cycle)
-    expected = 0.5 * cycle["kappa"] * (np.eye(16)[0] + cycle["u_right"] @ inst.ancilla_bloch)
-    assert np.abs(inst.pulse[0] - expected).max() < 1e-12
+    expected = 0.5 * cycle["kappa"] * (np.eye(16)[0] + cycle["u_right"] @ inst.ancilla_bloch[0])
+    assert np.abs(inst.pulse[0, 0] - expected).max() < 1e-12
 
 
 unit_directions = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
@@ -178,7 +178,7 @@ def test_pulse_probability_is_proportional_to_c(row, c, c_other, seed, direction
     rho = random_density(np.random.default_rng(seed), 4)
 
     def pr(setting, c_):
-        return setting_instrument(setting, model, tunnel, c_).pulse_probability(rho)
+        return setting_instrument(setting, model, tunnel, c_).pulse_probabilities(rho)[0]
 
     setting = MeasurementSetting(row["leads"][0], row["leads"][1], row["t"])
     pr_c, pr_other = pr(setting, c), pr(setting, c_other)
@@ -195,7 +195,8 @@ def test_pulse_probability_is_proportional_to_c(row, c, c_other, seed, direction
 @given(readout_cycles, st.integers(0, 2**32 - 1))
 def test_chain_state_stays_physical(cycle, seed):
     rho0 = random_density(np.random.default_rng(seed), 4)
-    rec = propagate_cycles(build(cycle), rho0, 50, seed=seed)
+    inst = build(cycle)
+    rec = propagate_cycles(inst.pulse[0], inst.nopulse[0], rho0, 50, seed=seed)
     rho = rec.rho_final
     assert abs(np.trace(rho) - 1.0) < 1e-10
     assert np.abs(rho - rho.conj().T).max() < 1e-12
@@ -207,8 +208,9 @@ def test_chain_state_stays_physical(cycle, seed):
 def test_chain_matches_stepwise_rule(cycle, n, seed):
     inst = build(cycle)
     rho0 = random_density(np.random.default_rng(seed), 4)
-    rec = propagate_cycles(inst, rho0, n, seed=seed)
-    outcomes, probs, rho_final, resets = stepwise_chain(inst, rho0, np.random.default_rng(seed).random(n))
+    maps = inst.pulse[0], inst.nopulse[0]
+    rec = propagate_cycles(*maps, rho0, n, seed=seed)
+    outcomes, probs, rho_final, resets = stepwise_chain(*maps, rho0, np.random.default_rng(seed).random(n))
     assert np.array_equal(rec.outcomes, outcomes)
     assert np.abs(rec.probs - probs).max() < 1e-12
     assert np.abs(rec.rho_final - rho_final).max() < 1e-10
@@ -358,21 +360,31 @@ raw_leads = st.one_of(polarizations.map(tuple),
 @given(u_left=raw_leads, u_right=raw_leads,
        t=with_edges([math.nan, math.inf, -math.inf, -1e-9, 0.0], st.floats(0.0, 3e-6)))
 def test_induced_instrument_checks_the_setting(u_left, u_right, t):
-    # induced_instrument raises exactly when MeasurementSetting does, and
-    # otherwise builds setting_instrument's arrays bit for bit
+    # MeasurementSetting, the one check of raw leads and times, rejects the
+    # first bad field with its exact message; a valid setting gets the same
+    # arrays bit for bit from the oracle's raw-Hamiltonian induced_instrument
+    # as from setting_instrument
     model = SpinModelParams(b_field=(0.0, 0.0, 0.01), g_nuclear=G_NUCLEAR_P31,
                             hyperfine_gate=2e6, hyperfine_ancilla=1.1e6, exchange=7e5)
     tunnel = TunnelParams()
-    args = (build_total_hamiltonian(model), t, 1.0, tunnel.tau_detect, tunnel.gamma0)
-    try:
-        setting = MeasurementSetting(u_left, u_right, t)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            induced_instrument(u_left, u_right, *args)
+    bad_leads = [name for name, u in (("u_left", u_left), ("u_right", u_right))
+                 if not (all(map(math.isfinite, u))
+                         and math.fsum(x * x for x in u) <= (1.0 + STRUCTURAL_TOL) ** 2)]
+    if bad_leads:
+        expected = f"{bad_leads[0]} must be finite with norm <= 1"
+    elif not (math.isfinite(t) and t >= 0.0):
+        expected = "t_interact must be finite and nonnegative"
+    else:
+        expected = None
+    if expected is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            MeasurementSetting(u_left, u_right, t)
         return
-    got = induced_instrument(u_left, u_right, *args)
+    setting = MeasurementSetting(u_left, u_right, t)
+    got = induced_instrument(u_left, u_right, build_total_hamiltonian(model), t, 1.0,
+                             tunnel.tau_detect, tunnel.gamma0)
     want = setting_instrument(setting, model, tunnel, 1.0)
-    for name in ("pulse", "nopulse", "ancilla_bloch"):
+    for name in ("effects", "pulse", "nopulse", "ancilla_bloch"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert got.kappa == want.kappa
 

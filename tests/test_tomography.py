@@ -19,7 +19,7 @@ from spinturnstile.tomography import (
     unidentifiable_directions,
 )
 
-from oracles import eigclip_project, partial_trace_bruteforce, random_density
+from oracles import eigclip_project, induced_instrument, partial_trace_bruteforce, random_density
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 C, TAU, TSQ = 1.0, 1e-10, 1e9  # kappa = 0.2
@@ -159,7 +159,6 @@ class TestBuildDesign:
 
     def test_affine_forward_model_matches_simulation(self):
         # Pr = A theta + b must reproduce the direct instrument pathway
-        from spinturnstile.cycle import induced_instrument
         from spinturnstile.model import build_total_hamiltonian
 
         rng = np.random.default_rng(64)
@@ -173,7 +172,7 @@ class TestBuildDesign:
             predicted = forward_probabilities(design, theta)
             for i, s in enumerate(settings):
                 inst = induced_instrument(s.u_left, s.u_right, h, s.t_interact, C, TAU, TSQ)
-                assert abs(predicted[i] - inst.pulse_probability(rho)) < 1e-10
+                assert abs(predicted[i] - inst.pulse_probabilities(rho)[0]) < 1e-10
 
     def test_affine_combination_linearity(self):
         rng = np.random.default_rng(65)
