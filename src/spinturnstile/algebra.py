@@ -51,12 +51,22 @@ MAX_PHASE = 1e12
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
-    """Tensor product of one or more square matrices, leftmost index major."""
+    """Tensor product of one or more square matrices, leftmost index major.
+
+    An operand may also be a (..., d, d) stack of matrices; the stacks
+    broadcast against each other, so a whole table of products takes one
+    multiply per operand after the first. Each entry is the product
+    ``np.kron`` computes, bit for bit.
+    """
     if not ops:
         raise ValueError("kron requires at least one operand")
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        op = np.asarray(op, dtype=complex)
+        m, n = out.shape[-1], op.shape[-1]
+        # [..., i, k, j, l] = out[..., i, j] * op[..., k, l], as np.kron multiplies
+        product = out[..., :, None, :, None] * op[..., None, :, None, :]
+        out = product.reshape(product.shape[:-4] + (m * n, m * n))
     return out
 
 
@@ -135,11 +145,10 @@ PAULI_PRODUCT_LABELS = (
 )
 _PAULI_OF = {"I": IDENTITY_2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
-# (16, 4, 4): the identity, then the products in PAULI_PRODUCT_LABELS order.
-GATE_PAULI_BASIS = np.array(
-    [kron(IDENTITY_2, IDENTITY_2)]
-    + [kron(_PAULI_OF[label[0]], _PAULI_OF[label[1]]) for label in PAULI_PRODUCT_LABELS]
-)
+# (16, 4, 4): the identity, then the products in PAULI_PRODUCT_LABELS order,
+# as one product of the stacked electron and nucleus factors.
+GATE_PAULI_BASIS = kron(*(np.array([_PAULI_OF[label[spin]] for label in ("II",) + PAULI_PRODUCT_LABELS])
+                          for spin in range(2)))
 # Row j is P_j flattened, so coefficients times these rows give the flattened
 # operator sum_j c_j P_j.
 _GATE_BASIS_ROWS = GATE_PAULI_BASIS.reshape(16, 16)

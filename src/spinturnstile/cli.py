@@ -145,7 +145,7 @@ def _cmd_calibrate(cfg: RunConfig, meta: dict) -> ResultTable:
     if c_true == 0.0:
         raise ValueError("detection.c: must be positive to calibrate, since no pulse occurs at 0")
     u_right = dataclasses.replace(cfg.setting.u_left, magnitude=cfg.setting.u_right.magnitude)
-    geometry = dataclasses.replace(cfg.setting, u_right=u_right, t_interact=0.0)
+    geometry = cfg.setting._replace(u_right=u_right, t_interact=0.0)
     block = setting_instrument(geometry.to_setting(), cfg.model, cfg.tunnel, c_true,
                                cfg.include_gate_hamiltonian)
     pr_true = float(block.pulse_probabilities(cfg.gate_state.density())[0])
@@ -241,16 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinturnstile",
         description="Turnstile readout simulator for donor spin gates.",
     )
+    # The options every subcommand takes, declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True,
+                        help="path to the JSON configuration, or '-' for stdin")
+    common.add_argument("--out", default=None, help="output path (default: stdout)")
+    common.add_argument("--format", default="csv", choices=tuple(RENDERERS),
+                        help="output format (default: csv)")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override experiment.seed from the configuration")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True,
-                       help="path to the JSON configuration, or '-' for stdin")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", default="csv", choices=tuple(RENDERERS),
-                       help="output format (default: csv)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override experiment.seed from the configuration")
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 
@@ -280,9 +282,7 @@ def main(argv=None) -> int:
         if not 0 <= args.seed <= MASTER_SEED_MAX:
             print(f"error: --seed must lie in [0, {MASTER_SEED_MAX}]", file=sys.stderr)
             return EXIT_VALIDATION
-        cfg = dataclasses.replace(
-            cfg, experiment=dataclasses.replace(cfg.experiment, seed=args.seed)
-        )
+        cfg = cfg._replace(experiment=cfg.experiment._replace(seed=args.seed))
 
     try:
         table = execute(args.command, cfg, config_digest(raw))

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +92,12 @@ class LeadSpec:
         # lead into an unpolarized one.
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(self.direction))
+        if norm == 0.0 or norm == math.inf:
+            # The sum of squares under- or overflowed. Scaled by the largest
+            # component, only a zero vector or an infinite norm stays.
+            scale = max(abs(float(x)) for x in self.direction)
+            if 0.0 < scale < math.inf:
+                norm = scale * float(np.linalg.norm([float(x) / scale for x in self.direction]))
         if norm == 0.0:
             raise ConfigValidationError("direction", "must be a nonzero vector")
         if not math.isfinite(norm):
@@ -102,8 +109,7 @@ class LeadSpec:
         return tuple(self.magnitude * float(x) / self.norm for x in self.direction)
 
 
-@dataclass(frozen=True)
-class SettingSpec:
+class SettingSpec(NamedTuple):
     """One cycle setting (the run's own, or a sweep/tomography row);
     ``model`` optionally overrides couplings."""
 
@@ -121,8 +127,7 @@ class SettingSpec:
         )
 
 
-@dataclass(frozen=True)
-class GateStateSpec:
+class GateStateSpec(NamedTuple):
     """Initial gate state: a named preset or explicit parameter vector."""
 
     preset: str | None = None
@@ -142,22 +147,19 @@ class GateStateSpec:
         return theta_to_density(self.theta_two_spin(), TWO_SPIN)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(NamedTuple):
     n_cycles: int
     seed: int
     mode: str
 
 
-@dataclass(frozen=True)
-class TomographySpec:
+class TomographySpec(NamedTuple):
     mode: str
     noise: str
     settings: tuple
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully validated configuration for any CLI command."""
 
     model: SpinModelParams
@@ -247,7 +249,7 @@ def _as_direction(value, path: str) -> tuple:
     return _as_vec3(value, path)
 
 
-# Section field tables: JSON key -> (dataclass field, default, reader). Each
+# Section field tables: JSON key -> (record field, default, reader). Each
 # table gives its section's keys, their order in the resolved configuration,
 # their defaults and their checks.
 _MODEL_FIELDS = {
@@ -389,7 +391,7 @@ def parse_config(data) -> RunConfig:
             # Default grid: the run's setting with the right-lead axis swept
             # over x, y, z.
             return tuple(
-                replace(setting, u_right=replace(setting.u_right, direction=_AXES[ax]))
+                setting._replace(u_right=replace(setting.u_right, direction=_AXES[ax]))
                 for ax in ("x", "y", "z")
             )
         if not isinstance(raw, list) or not raw:

@@ -42,6 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,12 +91,14 @@ BLOCK_ROWS = 64
 
 # Row a is kron(sigma_a, I_4) / 2 flattened, sigma_a over (I, X, Y, Z): the
 # ancilla state rho_A x I of polarization u is (1, u) times these rows.
-_ANCILLA_INPUTS = 0.5 * np.array([kron(s, np.eye(4)) for s in (IDENTITY_2,) + PAULIS]).reshape(4, 64)
+_ANCILLA_INPUTS = 0.5 * kron(np.array((IDENTITY_2,) + PAULIS), np.eye(4)).reshape(4, 64)
+# (16, 8, 8): the gate basis on the joint space, kron(I_2, P_j).
+_JOINT_GATE_BASIS = kron(IDENTITY_2, GATE_PAULI_BASIS)
 # kron(I_2, P_j) side by side: column block j of W @ _GATE_RIGHT is W (I x P_j).
-_GATE_RIGHT = np.array([kron(IDENTITY_2, p) for p in GATE_PAULI_BASIS]).transpose(1, 0, 2).reshape(8, 128)
+_GATE_RIGHT = _JOINT_GATE_BASIS.transpose(1, 0, 2).reshape(8, 128)
 # Column j is conj(kron(I_2, P_j)) / 4 flattened: a flattened 8x8 operator X
 # times these columns gives tr[X (I x P_j)] / 4 (the P_j are Hermitian).
-_GATE_READ = 0.25 * np.array([kron(IDENTITY_2, p) for p in GATE_PAULI_BASIS]).reshape(16, 64).conj().T
+_GATE_READ = 0.25 * _JOINT_GATE_BASIS.reshape(16, 64).conj().T
 
 
 class HierarchyWarning(UserWarning):
@@ -184,8 +187,7 @@ class InstrumentBlock:
         return np.clip((self.effects[:, None, :] @ pauli_coordinates(rho_gate))[:, 0], 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class CycleOutcome:
+class CycleOutcome(NamedTuple):
     """Everything a single cycle produces for a given gate state.
 
     The conditional post-measurement states are None when the corresponding
@@ -197,7 +199,7 @@ class CycleOutcome:
     pr_pulse: float
     rho_gate_pulse: np.ndarray | None
     rho_gate_nopulse: np.ndarray | None
-    instrument: InstrumentBlock = field(repr=False)
+    instrument: InstrumentBlock
 
 
 def detection_strength(c: float, tau_detect: float, t_sq: float) -> float:

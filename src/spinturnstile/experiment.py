@@ -111,8 +111,7 @@ class CurrentEstimate(NamedTuple):
     std_err_amperes: float
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Result of one sweep setting; ``status`` is 'ok' or an error message."""
 
     index: int

@@ -28,10 +28,11 @@ realistic nuclear Larmor scales are reached with ``g_nuclear ~ 1e-3``
 
 import math
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import IDENTITY_2, PAULIS, kron
+from .algebra import GATE_PAULI_BASIS, IDENTITY_2, PAULIS, kron
 from .constants import MU_B_PER_HBAR
 
 __all__ = [
@@ -157,8 +158,7 @@ class TunnelParams:
             raise ValueError("tau_detect and tau_cycle must be positive")
 
 
-@dataclass(frozen=True)
-class HierarchyReport:
+class HierarchyReport(NamedTuple):
     """Characteristic times of the device and whether they are well separated.
 
     The protocol requires resonant tunneling to be much faster than the joint
@@ -176,8 +176,10 @@ class HierarchyReport:
 
 
 # _SITE_PAULIS[site][axis]: sigma_axis on one site, identities on the other two.
-_SITE_PAULIS = [[kron(*(pauli if k == site else IDENTITY_2 for k in range(3))) for pauli in PAULIS]
-                for site in range(3)]
+# The factor of the first two sites is a two-spin Pauli product of the gate
+# basis (sigma x I, I x sigma or I x I), so the table is one product.
+_SITE_PAULIS = kron(GATE_PAULI_BASIS[[[1, 2, 3], [4, 5, 6], [0, 0, 0]]],
+                    np.array([[IDENTITY_2] * 3, [IDENTITY_2] * 3, PAULIS]))
 
 
 def _pauli_dot_pauli(site_a: int, site_b: int) -> np.ndarray:

@@ -31,7 +31,7 @@ silently.
 """
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,8 +140,7 @@ def project_physical(theta, mode: str) -> np.ndarray:
     return density_to_theta(rho_proj, mode)
 
 
-@dataclass(frozen=True)
-class TomographyDesign:
+class TomographyDesign(NamedTuple):
     """Affine design ``Pr = A theta + b`` over a grid of settings.
 
     ``matrix`` has one row per setting and one column per state parameter;
@@ -174,8 +173,7 @@ class TomographyDesign:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     """Least-squares gate-state estimate with diagnostics."""
 
     theta_hat: np.ndarray

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from spinturnstile import cycle, model
 from spinturnstile.algebra import (
+    GATE_PAULI_BASIS,
     IDENTITY_2,
     MAX_PHASE,
+    PAULI_PRODUCT_LABELS,
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
@@ -56,6 +59,35 @@ class TestKron:
         a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
         # entrywise up to the rounding of reassociated complex products
         assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), rtol=1e-14, atol=1e-14)
+
+    def test_stacks_give_the_bits_of_np_kron(self):
+        # stacks broadcast against each other; every product is np.kron's,
+        # signed zeros included
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+        b = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        a[::2, 0, 1] = -0.0
+        b[1, 2] = complex(-0.0, 1.0)
+        pairs, table = kron(a, b), kron(a[:, None], b)
+        assert pairs.shape == (4, 6, 6) and table.shape == (4, 4, 6, 6)
+        for i in range(4):
+            assert pairs[i].tobytes() == np.kron(a[i], b[i]).tobytes()
+            for j in range(4):
+                assert table[i, j].tobytes() == np.kron(a[i], b[j]).tobytes()
+
+    def test_import_tables_are_their_kron_definitions(self):
+        # each table is one stacked product, with the bytes of one np.kron per matrix
+        factor = {"I": IDENTITY_2, "X": PAULIS[0], "Y": PAULIS[1], "Z": PAULIS[2]}
+        basis = np.array([np.kron(factor[l[0]], factor[l[1]]) for l in ("II",) + PAULI_PRODUCT_LABELS])
+        assert GATE_PAULI_BASIS.tobytes() == basis.tobytes()
+        sites = np.array([[np.kron(np.kron(*(p if k == site else IDENTITY_2 for k in range(2))),
+                                   p if site == 2 else IDENTITY_2) for p in PAULIS] for site in range(3)])
+        assert model._SITE_PAULIS.tobytes() == sites.tobytes()
+        ancilla = 0.5 * np.array([np.kron(s, np.eye(4)) for s in (IDENTITY_2,) + PAULIS]).reshape(4, 64)
+        assert cycle._ANCILLA_INPUTS.tobytes() == ancilla.tobytes()
+        joint = np.array([np.kron(IDENTITY_2, p) for p in basis])
+        assert cycle._GATE_RIGHT.tobytes() == joint.transpose(1, 0, 2).reshape(8, 128).tobytes()
+        assert cycle._GATE_READ.tobytes() == (0.25 * joint.reshape(16, 64).conj().T).tobytes()
 
 
 class TestPartialTrace:

@@ -151,12 +151,12 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("path, doc", [
         ("leads.u_left.direction",
-         {"leads": {"u_left": {"direction": [1e300, 1e300, 0], "magnitude": 1.0}}}),
+         {"leads": {"u_left": {"direction": [1.7e308, 1.7e308, 0], "magnitude": 1.0}}}),
         ("sweep.settings[1].u_right.direction",
-         {"sweep": {"settings": [{}, {"u_right": {"direction": [0, -1e200, 1e200]}}]}}),
+         {"sweep": {"settings": [{}, {"u_right": {"direction": [0, -1.7e308, 1.7e308]}}]}}),
     ])
     def test_direction_with_overflowing_norm_exit_3(self, tmp_path, capsys, path, doc):
-        # np.linalg.norm overflows to inf, which would make the lead unpolarized
+        # the norm exceeds the float range, and inf would make the lead unpolarized
         code, out = run_cli(tmp_path, "sweep", doc)
         assert code == EXIT_VALIDATION
         assert not out.exists()
@@ -165,7 +165,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("doc, message", [
         ({"leads": {"u_left": {"direction": [0, 0, 0]}}},
          "leads.u_left.direction: must be a nonzero vector"),
-        ({"leads": {"u_right": {"direction": [1e300, 1e300, 0]}}},
+        ({"leads": {"u_right": {"direction": [1.7e308, 1.7e308, 0]}}},
          "leads.u_right.direction: norm must be finite"),
         ({"tomography": {"settings": [{"u_left": {"direction": [0.0, -0.0, 0], "magnitude": 0.5}}]}},
          "tomography.settings[0].u_left.direction: must be a nonzero vector"),
@@ -173,6 +173,21 @@ class TestParseConfig:
     def test_direction_norm_messages(self, doc, message):
         with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}$"):
             parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("direction, same_as", [
+        ([1e-200, 1e-200, 0], [1, 1, 0]),
+        ([5e-324, 0, 0], [1, 0, 0]),
+        ([1e200, 1e200, 0], [1, 1, 0]),
+    ])
+    def test_direction_with_extreme_squares_is_accepted(self, tmp_path, direction, same_as):
+        # the squares under- or overflow, but the norm is nonzero and finite
+        values = []
+        for tag, d in (("", direction), ("_same", same_as)):
+            code, out = run_cli(tmp_path, "cycle", {"leads": {"u_left": {"direction": d}}}, tag=tag)
+            assert code == EXIT_OK
+            (row,) = csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#"))
+            values.append([float(v) for v in row.values()])
+        assert np.allclose(values[0], values[1], rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("path, doc", [
         ("detection.c", {"detection": {"c": 10**400}}),

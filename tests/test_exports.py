@@ -1,14 +1,22 @@
 """Every public name the package declares or re-exports still exists, and is
 used by the package or documented in the README; every field of a package
-record is read somewhere or documented in the README."""
+record is read somewhere or documented in the README. A package class is a
+dataclass only for a named reason, the value records are immutable tuples,
+and importing the command line stays quiet and lean."""
 
 import ast
+import dataclasses
+import functools
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # Found without importing the package, so a stale re-export fails the tests
@@ -110,3 +118,79 @@ def test_record_fields_are_read_or_documented():
         and not re.search(rf"\b{re.escape(item.target.id)}\b", readme)
     ]
     assert not unread, f"record fields neither read as attributes nor in README.md: {unread}"
+
+
+def _dataclass_reason(cls: type, dataclasses_found: list):
+    """Why a package class is a dataclass and not a NamedTuple, which costs
+    about a tenth as much to define at import; None without a reason."""
+    if "__post_init__" in vars(cls):
+        return "checks or normalizes its inputs in __post_init__"
+    if any(isinstance(v, functools.cached_property) for v in vars(cls).values()):
+        return "caches a derived value in a cached_property"
+    if any(other is not cls and (issubclass(other, cls) or issubclass(cls, other))
+           for other in dataclasses_found):
+        return "one of a subclass pair, and a NamedTuple cannot add fields to a base"
+    return None
+
+
+def test_dataclasses_have_a_reason():
+    found = [cls for name in MODULES
+             for cls in vars(importlib.import_module(f"spinturnstile.{name}")).values()
+             if isinstance(cls, type) and cls.__module__ == f"spinturnstile.{name}"
+             and dataclasses.is_dataclass(cls)]
+    assert found
+    unexplained = [f"{cls.__module__}.{cls.__qualname__}" for cls in found
+                   if _dataclass_reason(cls, found) is None]
+    assert not unexplained, f"dataclasses that only carry values, not NamedTuples: {unexplained}"
+
+
+@pytest.fixture(scope="module")
+def value_records() -> dict:
+    """One instance of each value record, by type name, from the default run."""
+    from spinturnstile.config import parse_config
+    from spinturnstile.cycle import run_cycle
+    from spinturnstile.experiment import run_sweep
+    from spinturnstile.model import characteristic_times
+    from spinturnstile.tomography import build_design, forward_probabilities, reconstruct
+
+    cfg = parse_config("{}")
+    setting, rho = cfg.setting.to_setting(), cfg.gate_state.density()
+    design = build_design([s.to_setting() for s in cfg.tomography.settings], cfg.model, cfg.tunnel,
+                          cfg.detection_c)
+    records = (
+        cfg, cfg.setting, cfg.gate_state, cfg.experiment, cfg.tomography,
+        characteristic_times(cfg.model, cfg.tunnel),
+        run_cycle(setting, cfg.model, cfg.tunnel, rho, cfg.detection_c),
+        run_sweep([setting], model=cfg.model, tunnel=cfg.tunnel, rho_gate=rho, c=cfg.detection_c,
+                  n_cycles=10, seed=1)[0],
+        design,
+        reconstruct(design, forward_probabilities(design, np.zeros(3))),
+    )
+    return {type(r).__name__: r for r in records}
+
+
+@pytest.mark.parametrize("name", [
+    "RunConfig", "SettingSpec", "GateStateSpec", "ExperimentSpec", "TomographySpec",
+    "HierarchyReport", "CycleOutcome", "SweepRow", "TomographyDesign", "ReconstructionResult",
+])
+def test_value_records_are_immutable(value_records, name):
+    record = value_records[name]
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+# Modules the package uses only at call time, or not at all.
+NOT_AT_IMPORT = ("numpy.random", "multiprocessing", "concurrent.futures", "scipy", "numba")
+
+
+def test_cli_import_is_quiet_and_lean():
+    # Every command pays its import first: a warning raised there, or a module
+    # it loads early, costs every run.
+    src = str(Path(PACKAGE.origin).resolve().parents[1])
+    code = ("import sys, spinturnstile.cli; "
+            f"print(' '.join(m for m in {NOT_AT_IMPORT!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert proc.stdout.split() == [], f"imported with spinturnstile.cli: {proc.stdout}"

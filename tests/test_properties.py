@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinturnstile.algebra import pauli_coordinates
-from spinturnstile.config import parse_config, resolved_dict
+from spinturnstile.config import LeadSpec, parse_config, resolved_dict
 from spinturnstile.constants import G_NUCLEAR_P31, STRUCTURAL_TOL
 from spinturnstile.cycle import (
     BLOCK_ROWS,
@@ -324,6 +324,29 @@ def test_resolved_config_parses_to_the_same_config(doc):
         override = given_setting.get("model", {})
         for key, value in setting.get("model", {}).items():
             assert value == override.get(key, resolved["model"][key])
+
+
+@PROPERTY_SETTINGS
+@given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+def test_lead_norm_keeps_the_dot_product_bits(direction):
+    # A direction whose x.dot(x) neither under- nor overflows keeps the norm
+    # of that route, bit for bit: a plain sum of squares differs on about
+    # one vector in ten.
+    with np.errstate(over="ignore"):
+        expected = float(np.linalg.norm(direction))
+    assume(0.0 < expected < math.inf)
+    assert LeadSpec(direction, 1.0).norm.hex() == expected.hex()
+
+
+@PROPERTY_SETTINGS
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.integers(-1070, 1020))
+def test_lead_direction_scale_does_not_matter(direction, exponent):
+    # exact scaling by 2**exponent, but for components that become subnormal;
+    # the squares under- or overflow for most exponents
+    assume(max(abs(x) for x in direction) >= 0.5)
+    scaled = tuple(math.ldexp(x, exponent) for x in direction)
+    assert np.allclose(LeadSpec(scaled, 0.9).vector(), LeadSpec(direction, 0.9).vector(),
+                       rtol=0.0, atol=1e-15)
 
 
 def with_edges(edges, strategy):
