@@ -26,7 +26,7 @@ from .config import (
     RunConfig,
     config_digest,
     parse_config,
-    resolved_dict,
+    resolved_json,
 )
 from .algebra import pauli_coordinates
 from .cycle import run_cycle, setting_instrument
@@ -39,7 +39,7 @@ from .experiment import (
     sample_cycles,
 )
 from .model import characteristic_times
-from .results import RENDERERS, ResultTable, write_results
+from .results import RENDERERS, JsonText, ResultTable, write_results
 from .tomography import (
     build_design,
     density_to_theta,
@@ -63,7 +63,7 @@ def _base_metadata(command: str, digest: str, cfg: RunConfig) -> dict:
         "command": command,
         "config_sha256": digest,
         "seed": cfg.experiment.seed,
-        "resolved_config": resolved_dict(cfg),
+        "resolved_config": JsonText(resolved_json(cfg)),
     }
 
 

@@ -5,10 +5,10 @@ field names (``_per_s`` for rates and angular frequencies, ``_s`` for times,
 ``_tesla`` for fields). Parsing applies documented defaults, rejects unknown
 keys, and reports semantic violations with the full field path. The model,
 tunnel, lead and experiment sections are each stated once, as a field table
-that drives their parsing, defaults and resolved form. :func:`resolved_dict`
-gives the configuration with every default applied, in the schema's shape;
-the command line embeds it in every output, and parsing it reproduces an
-equal :class:`RunConfig`.
+that drives their parsing, defaults and resolved form. :func:`resolved_json`
+writes the configuration with every default applied, in the schema's shape,
+as compact JSON text; the command line embeds that text in every output, and
+parsing it reproduces an equal :class:`RunConfig`.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +39,7 @@ __all__ = [
     "TomographySpec",
     "RunConfig",
     "parse_config",
-    "resolved_dict",
+    "resolved_json",
     "config_digest",
     "GATE_PRESETS",
 ]
@@ -73,6 +74,11 @@ GATE_PRESETS = {
 }
 
 
+# A direction whose components all lie below this in magnitude has a finite
+# sum of squares: 3 * 2**1000 < 2**1024.
+_SQUARES_FINITE_BELOW = 2.0 ** 500
+
+
 @dataclass(frozen=True)
 class LeadSpec:
     """Lead polarization: a direction (any nonzero 3-vector of finite norm)
@@ -88,16 +94,22 @@ class LeadSpec:
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The norm vector() divides by: an overflow to inf would turn the
-        # lead into an unpolarized one.
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(self.direction))
+        # The norm vector() divides by, by numpy.linalg.norm's route: the
+        # square root of a.dot(a). An overflow to inf would turn the lead
+        # into an unpolarized one.
+        a = np.array(self.direction, dtype=float)
+        if max(map(abs, self.direction)) < _SQUARES_FINITE_BELOW:
+            norm = math.sqrt(a.dot(a))
+        else:
+            with np.errstate(over="ignore"):
+                norm = math.sqrt(a.dot(a))
         if norm == 0.0 or norm == math.inf:
             # The sum of squares under- or overflowed. Scaled by the largest
             # component, only a zero vector or an infinite norm stays.
-            scale = max(abs(float(x)) for x in self.direction)
+            scale = float(np.abs(a).max())
             if 0.0 < scale < math.inf:
-                norm = scale * float(np.linalg.norm([float(x) / scale for x in self.direction]))
+                a /= scale
+                norm = scale * math.sqrt(a.dot(a))
         if norm == 0.0:
             raise ConfigValidationError("direction", "must be a nonzero vector")
         if not math.isfinite(norm):
@@ -307,15 +319,6 @@ def _parse_section(obj, path: str, cls, fields: dict, base=None):
         raise ConfigValidationError(path, str(exc)) from exc
 
 
-def _section_dict(value, fields: dict) -> dict:
-    """The resolved JSON object of a section built by :func:`_parse_section`."""
-    out = {}
-    for key, (attr, _, _) in fields.items():
-        item = getattr(value, attr)
-        out[key] = list(item) if isinstance(item, tuple) else item
-    return out
-
-
 def _parse_setting(obj, path: str, default: SettingSpec, base_model: SpinModelParams) -> SettingSpec:
     obj = _as_dict(obj, path)
     _reject_unknown(obj, {"u_left", "u_right", "t_interact_s", "model"}, path)
@@ -451,48 +454,99 @@ def _parse_gate_state(obj) -> GateStateSpec:
     return spec
 
 
-def _setting_dict(s: SettingSpec) -> dict:
-    out = {
-        "u_left": _section_dict(s.u_left, _LEAD_FIELDS),
-        "u_right": _section_dict(s.u_right, _LEAD_FIELDS),
-        "t_interact_s": s.t_interact,
-    }
-    if s.model is not None:
-        out["model"] = _section_dict(s.model, _MODEL_FIELDS)
-    return out
+def _slot(default) -> str:
+    """A field's slot in a section template, by the type of its default: a
+    vector is a list of one float slot per component."""
+    if isinstance(default, tuple):
+        return "[" + ",".join(["%.17g"] * len(default)) + "]"
+    if isinstance(default, str):  # a choice among plain words
+        return '"%s"'
+    if isinstance(default, int):
+        return "%d"
+    return "%.17g"
 
 
-def resolved_dict(cfg: RunConfig) -> dict:
-    """Schema-shaped dict of the configuration with all defaults applied."""
-    gs: dict = {}
-    if cfg.gate_state.preset is not None:
-        gs["preset"] = cfg.gate_state.preset
-    elif cfg.gate_state.theta_single is not None:
-        gs["theta_single_spin"] = list(cfg.gate_state.theta_single)
+def _template(fields: dict, null: str | None = None) -> str:
+    """The ``%``-template of the JSON object of a section built by
+    :func:`_parse_section`, one slot per field value. The field ``null``
+    takes its None argument with a ``%.0s`` slot, which writes nothing of
+    it, after the literal ``null``."""
+    return "{" + ",".join(f"{json.dumps(key)}:" + ("null%.0s" if key == null else _slot(default))
+                          for key, (_, default, _) in fields.items()) + "}"
+
+
+def _arguments(fields: dict):
+    """The function from a section's value to its template's arguments: the
+    field values in table order, with a vector field, which comes first,
+    spread into its components."""
+    get = attrgetter(*(attr for attr, _, _ in fields.values()))
+    _, first_default, _ = next(iter(fields.values()))
+    if not isinstance(first_default, tuple):
+        return get
+    return lambda value: (*(values := get(value))[0], *values[1:])
+
+
+_LEAD_TEMPLATE, _lead_arguments = _template(_LEAD_FIELDS), _arguments(_LEAD_FIELDS)
+_MODEL_TEMPLATES = (_template(_MODEL_FIELDS), _template(_MODEL_FIELDS, null="exchange_per_s"))
+_model_arguments = _arguments(_MODEL_FIELDS)
+_TUNNEL_TEMPLATE, _tunnel_arguments = _template(_TUNNEL_FIELDS), _arguments(_TUNNEL_FIELDS)
+_EXPERIMENT_TEMPLATE = _template(_EXPERIMENT_FIELDS)
+_experiment_arguments = _arguments(_EXPERIMENT_FIELDS)
+
+# A setting's template without a model override, then with one whose
+# exchange is a float and with one whose exchange is null.
+_SETTING_HEAD = (f'{{"u_left":{_LEAD_TEMPLATE},"u_right":{_LEAD_TEMPLATE},'
+                 '"t_interact_s":%.17g')
+_SETTING_TEMPLATES = (_SETTING_HEAD + "}",
+                      *(f'{_SETTING_HEAD},"model":{model}}}' for model in _MODEL_TEMPLATES))
+
+
+def _settings_json(settings) -> str:
+    """The JSON array of sweep or tomography settings, one format per setting."""
+    texts = []
+    for s in settings:
+        args = (*_lead_arguments(s.u_left), *_lead_arguments(s.u_right), s.t_interact)
+        if s.model is None:
+            texts.append(_SETTING_TEMPLATES[0] % args)
+        else:
+            texts.append(_SETTING_TEMPLATES[1 + (s.model.exchange is None)]
+                         % (*args, *_model_arguments(s.model)))
+    return "[" + ",".join(texts) + "]"
+
+
+# The resolved configuration around its sections' texts. The names of
+# presets and choices are plain words, written between quotes as they are.
+_RESOLVED_TEMPLATE = (
+    '{"model":%s,"tunnel":%s,"schedule":{"t_interact_s":%.17g,"include_gate_hamiltonian":%s},'
+    '"leads":{"u_left":%s,"u_right":%s},"detection":{"c":%.17g},"gate_state":{"%s":%s},'
+    '"experiment":%s,"hierarchy_threshold":%.17g,"sweep":{"settings":%s},'
+    '"tomography":{"mode":"%s","noise":"%s","settings":%s}}'
+)
+
+
+def resolved_json(cfg: RunConfig) -> str:
+    """The configuration with all defaults applied, as compact JSON text in
+    the schema's shape: keys in the field tables' order, each float at 17
+    significant digits (``-0.0`` as ``-0``) and a null exchange as ``null``.
+    """
+    gate = cfg.gate_state
+    if gate.preset is not None:
+        gate_state = ("preset", f'"{gate.preset}"')
     else:
-        gs["theta_two_spin"] = list(cfg.gate_state.theta_two)
-    return {
-        "model": _section_dict(cfg.model, _MODEL_FIELDS),
-        "tunnel": _section_dict(cfg.tunnel, _TUNNEL_FIELDS),
-        "schedule": {
-            "t_interact_s": cfg.setting.t_interact,
-            "include_gate_hamiltonian": cfg.include_gate_hamiltonian,
-        },
-        "leads": {
-            "u_left": _section_dict(cfg.setting.u_left, _LEAD_FIELDS),
-            "u_right": _section_dict(cfg.setting.u_right, _LEAD_FIELDS),
-        },
-        "detection": {"c": cfg.detection_c},
-        "gate_state": gs,
-        "experiment": _section_dict(cfg.experiment, _EXPERIMENT_FIELDS),
-        "hierarchy_threshold": cfg.hierarchy_threshold,
-        "sweep": {"settings": [_setting_dict(s) for s in cfg.sweep_settings]},
-        "tomography": {
-            "mode": cfg.tomography.mode,
-            "noise": cfg.tomography.noise,
-            "settings": [_setting_dict(s) for s in cfg.tomography.settings],
-        },
-    }
+        key, theta = (("theta_single_spin", gate.theta_single) if gate.theta_single is not None
+                      else ("theta_two_spin", gate.theta_two))
+        gate_state = (key, "[" + ",".join(["%.17g"] * len(theta)) % theta + "]")
+    return _RESOLVED_TEMPLATE % (
+        _MODEL_TEMPLATES[cfg.model.exchange is None] % _model_arguments(cfg.model),
+        _TUNNEL_TEMPLATE % _tunnel_arguments(cfg.tunnel),
+        cfg.setting.t_interact, "true" if cfg.include_gate_hamiltonian else "false",
+        _LEAD_TEMPLATE % _lead_arguments(cfg.setting.u_left),
+        _LEAD_TEMPLATE % _lead_arguments(cfg.setting.u_right),
+        cfg.detection_c, *gate_state,
+        _EXPERIMENT_TEMPLATE % _experiment_arguments(cfg.experiment), cfg.hierarchy_threshold,
+        _settings_json(cfg.sweep_settings),
+        cfg.tomography.mode, cfg.tomography.noise, _settings_json(cfg.tomography.settings),
+    )
 
 
 def config_digest(raw: bytes) -> str:

@@ -207,10 +207,12 @@ def detection_strength(c: float, tau_detect: float, t_sq: float) -> float:
     return 2.0 * c * tau_detect * t_sq
 
 
-def _instrument_block(start: int, h: np.ndarray, t, u_left: np.ndarray, u_right: np.ndarray,
-                      kappa: float, errors=None) -> InstrumentBlock:
+def _instrument_block(start: int, h: np.ndarray, keys: np.ndarray, t, u_left: np.ndarray,
+                      u_right: np.ndarray, kappa: float, errors=None) -> InstrumentBlock:
     """Instruments of stacked rows: Hamiltonians ``h`` (R, 8, 8), times ``t``
     and lead polarizations (R, 3), with detection strength ``kappa``.
+    ``keys`` (R, K) names each row's Hamiltonian: rows with equal keys have
+    equal ``h``.
     ``errors`` holds, per row, None or a reason already known that the row
     has no instrument; the others get the errors of :func:`evolve_unitaries`,
     and every row gets the error of a ``kappa`` above 1.
@@ -219,11 +221,11 @@ def _instrument_block(start: int, h: np.ndarray, t, u_left: np.ndarray, u_right:
     operator evolves backwards, ``A = U^dag (M_pulse x I) U``, and ``E =
     Tr_A[(rho_A x I) A]``, so ``tr(E P_j) = tr[(rho_A x I) A (I x P_j)]``.
     Every product is stacked per row, so a row's effect has the same bits
-    alone as in any block. Rows with the same bytes of ``h`` and ``t`` share
-    one propagator, computed once and copied to each of them.
+    alone as in any block. Rows with the same bytes of ``keys`` and ``t``
+    share one propagator, computed once and copied to each of them.
     """
     t = np.asarray(t, dtype=float)
-    keys = np.concatenate((h.reshape(len(h), -1), t[:, None]), axis=1)
+    keys = np.concatenate((keys, t[:, None]), axis=1)
     slot = {}
     rows = [slot.setdefault(key.tobytes(), len(slot)) for key in keys]
     distinct = list({j: k for k, j in enumerate(rows)}.values())  # one row of each pair
@@ -339,7 +341,9 @@ def setting_instruments(
         h = hamiltonians(coefficients, include_gate_hamiltonian)
         overflow = overflows | ~np.isfinite(h).all(axis=(1, 2))
         h[overflow] = 0.0
-        yield _instrument_block(start, h, [s.t_interact for s in block],
+        # A model's 13 coefficients name its Hamiltonian in a tenth of the
+        # bytes; + 0.0 makes a -0.0 coefficient +0.0, which gives the same H.
+        yield _instrument_block(start, h, coefficients + 0.0, [s.t_interact for s in block],
                                 np.array([s.u_left for s in block]),
                                 np.array([s.u_right for s in block]), kappa,
                                 [_OVERFLOW_ERROR if o else None for o in overflow.tolist()])

@@ -18,7 +18,6 @@ pr)`` for its seed, although the rows' seeds and counts are computed together
 """
 
 import hashlib
-import json
 import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -392,22 +391,44 @@ def calibrate(measured_pr: float, pr_model: float, c: float) -> float:
     return c * (measured_pr / pr_model)
 
 
-# A model override enters a setting's seed as its field values in this order.
+# A model override enters a setting's seed as its field values in this
+# order; the first, b_field, is a vector.
 _MODEL_FIELD_NAMES = tuple(f.name for f in fields(SpinModelParams))
+_model_scalars = operator.attrgetter(*_MODEL_FIELD_NAMES[1:])
+
+
+def _digest_templates() -> tuple:
+    """The ``%r``-templates of a setting's digest text (see
+    :func:`derive_setting_seeds`): without a model, then with one whose
+    exchange is a float and with one whose exchange is null.
+
+    ``repr`` writes what ``json.dumps`` writes for the finite floats that
+    :class:`MeasurementSetting` and :class:`SpinModelParams` keep. A null
+    exchange takes its None argument with a ``%.0s`` slot, which writes
+    nothing of it, after ``null``.
+    """
+    tail = '"t_interact": %r, "u_left": [%r, %r, %r], "u_right": [%r, %r, %r]}'
+
+    def with_model(exchange: str) -> str:
+        scalars = [exchange if name == "exchange" else "%r" for name in _MODEL_FIELD_NAMES[1:]]
+        return '{"model": [[%r, %r, %r], ' + ", ".join(scalars) + "], " + tail
+
+    return "{" + tail, with_model("%r"), with_model("null%.0s")
+
+
+_DIGEST_TEMPLATES = _digest_templates()
 
 
 def _setting_digest(setting: MeasurementSetting) -> bytes:
-    # The text of json.dumps(payload, sort_keys=True), written by the default
-    # encoder: the keys go in sorted order, which saves building a sorting
-    # encoder per call.
-    payload = {}
-    if setting.model is not None:
-        payload["model"] = [getattr(setting.model, name) for name in _MODEL_FIELD_NAMES]
-    payload["t_interact"] = setting.t_interact
-    payload["u_left"] = setting.u_left
-    payload["u_right"] = setting.u_right
+    values = (setting.t_interact, *setting.u_left, *setting.u_right)
+    model = setting.model
+    if model is None:
+        text = _DIGEST_TEMPLATES[0] % values
+    else:
+        text = (_DIGEST_TEMPLATES[1 + (model.exchange is None)]
+                % (*model.b_field, *_model_scalars(model), *values))
     # the first 8 bytes, reversed: the little-endian bytes of their big-endian int
-    return hashlib.sha256(json.dumps(payload).encode()).digest()[7::-1]
+    return hashlib.sha256(text.encode()).digest()[7::-1]
 
 
 def derive_setting_seeds(master_seed: int, settings) -> list:
@@ -419,9 +440,12 @@ def derive_setting_seeds(master_seed: int, settings) -> list:
 
     Setting ``s`` gets ``SeedSequence([master_seed & (2**63 - 1), d]).
     generate_state(1)[0]``, with ``d`` the first 8 bytes, big-endian, of the
-    SHA-256 of its JSON text. Those entropies take at most 4 words, the
-    master's then ``d``'s low and high word, and the states of all settings
-    come from one stacked pass.
+    SHA-256 of its digest text: ``json.dumps(payload, sort_keys=True)`` of
+    ``{"model": [field values], "t_interact": t, "u_left": [..], "u_right":
+    [..]}`` (no "model" without an override), each float as its ``repr``.
+    The text is fixed: seeds change when it does. Those entropies take at
+    most 4 words, the master's then ``d``'s low and high word, and the states
+    of all settings come from one stacked pass.
     """
     master = int(master_seed) & MASTER_SEED_MAX
     master_bytes = master.to_bytes(4 if master < 2**32 else 8, "little")

@@ -13,7 +13,8 @@ import io
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["ResultTable", "RENDERERS", "render_csv", "render_jsonl", "write_results", "format_value"]
+__all__ = ["ResultTable", "JsonText", "RENDERERS", "render_csv", "render_jsonl", "write_results",
+           "format_value"]
 
 
 @dataclass
@@ -29,6 +30,11 @@ class ResultTable:
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError("ragged row: every row must match the column count")
+
+
+class JsonText(str):
+    """A metadata value that is already JSON text: both renderers write it as
+    it is, where a plain string would be a JSON string in JSONL."""
 
 
 def format_value(value) -> str:
@@ -54,9 +60,9 @@ def _json_value(value) -> str:
 
     A float is written at 17 significant digits; JSON has no NaN or
     infinity, so a non-finite float is the string of its CSV text ("nan",
-    "inf", "-inf") and ``null`` stays a missing value. Exact types are tested
-    first; their subclasses (e.g. ``numpy.float64``) take the ``isinstance``
-    tests after them.
+    "inf", "-inf") and ``null`` stays a missing value. A :class:`JsonText`
+    is written as it is. Exact types are tested first; their subclasses
+    (e.g. ``numpy.float64``) take the ``isinstance`` tests after them.
     """
     kind = type(value)
     if kind is float:
@@ -76,6 +82,8 @@ def _json_value(value) -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
+    if kind is JsonText:
+        return value
     for base in (float, int, str, list, tuple, dict):  # a subclass, written as its base
         if isinstance(value, base):
             return _json_value(base(value))

@@ -350,8 +350,9 @@ def induced_instrument(u_left, u_right, h, t, c, tau_detect, t_sq):
     from spinturnstile.cycle import MeasurementSetting, _instrument_block, detection_strength
 
     setting = MeasurementSetting(u_left, u_right, t)
-    block = _instrument_block(0, np.asarray(h)[None], [setting.t_interact], np.array([setting.u_left]),
-                              np.array([setting.u_right]), detection_strength(c, tau_detect, t_sq))
+    block = _instrument_block(0, np.asarray(h)[None], np.zeros((1, 1)), [setting.t_interact],
+                              np.array([setting.u_left]), np.array([setting.u_right]),
+                              detection_strength(c, tau_detect, t_sq))
     if block.errors[0] is not None:
         raise ValueError(block.errors[0])
     return block
@@ -378,6 +379,66 @@ def json_scalar(value) -> str:
     if isinstance(value, dict):
         return "{" + ",".join(f"{json.dumps(str(k))}:{json_scalar(v)}" for k, v in value.items()) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
+
+
+def _section_dict(value, fields: dict) -> dict:
+    """The resolved JSON object of a configuration section, field by field."""
+    out = {}
+    for key, (attr, _, _) in fields.items():
+        item = getattr(value, attr)
+        out[key] = list(item) if isinstance(item, tuple) else item
+    return out
+
+
+def _setting_dict(s) -> dict:
+    from spinturnstile.config import _LEAD_FIELDS, _MODEL_FIELDS
+
+    out = {
+        "u_left": _section_dict(s.u_left, _LEAD_FIELDS),
+        "u_right": _section_dict(s.u_right, _LEAD_FIELDS),
+        "t_interact_s": s.t_interact,
+    }
+    if s.model is not None:
+        out["model"] = _section_dict(s.model, _MODEL_FIELDS)
+    return out
+
+
+def resolved_dict(cfg) -> dict:
+    """The resolved configuration as a schema-shaped dict, built value by
+    value from the section field tables: the package's form before it wrote
+    ``config.resolved_json`` from templates. ``json_scalar`` of it is that
+    text."""
+    from spinturnstile.config import _EXPERIMENT_FIELDS, _LEAD_FIELDS, _MODEL_FIELDS, _TUNNEL_FIELDS
+
+    gs: dict = {}
+    if cfg.gate_state.preset is not None:
+        gs["preset"] = cfg.gate_state.preset
+    elif cfg.gate_state.theta_single is not None:
+        gs["theta_single_spin"] = list(cfg.gate_state.theta_single)
+    else:
+        gs["theta_two_spin"] = list(cfg.gate_state.theta_two)
+    return {
+        "model": _section_dict(cfg.model, _MODEL_FIELDS),
+        "tunnel": _section_dict(cfg.tunnel, _TUNNEL_FIELDS),
+        "schedule": {
+            "t_interact_s": cfg.setting.t_interact,
+            "include_gate_hamiltonian": cfg.include_gate_hamiltonian,
+        },
+        "leads": {
+            "u_left": _section_dict(cfg.setting.u_left, _LEAD_FIELDS),
+            "u_right": _section_dict(cfg.setting.u_right, _LEAD_FIELDS),
+        },
+        "detection": {"c": cfg.detection_c},
+        "gate_state": gs,
+        "experiment": _section_dict(cfg.experiment, _EXPERIMENT_FIELDS),
+        "hierarchy_threshold": cfg.hierarchy_threshold,
+        "sweep": {"settings": [_setting_dict(s) for s in cfg.sweep_settings]},
+        "tomography": {
+            "mode": cfg.tomography.mode,
+            "noise": cfg.tomography.noise,
+            "settings": [_setting_dict(s) for s in cfg.tomography.settings],
+        },
+    }
 
 
 def setting_seed(master_seed: int, setting) -> int:

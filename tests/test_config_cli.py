@@ -18,7 +18,7 @@ from spinturnstile.config import (
     GATE_PRESETS,
     config_digest,
     parse_config,
-    resolved_dict,
+    resolved_json,
 )
 from spinturnstile.cli import (
     COMMANDS,
@@ -105,7 +105,7 @@ class TestParseConfig:
         assert resolved == json.loads(first)["metadata"]["resolved_config"]
         again = parse_config(text)
         assert again == cfg
-        assert resolved_dict(again) == resolved_dict(cfg)
+        assert text == resolved_json(again) == resolved_json(cfg)
 
         _, out = run_cli(tmp_path, "sweep", FULL)
         resolved_path = tmp_path / "resolved.json"
@@ -116,6 +116,19 @@ class TestParseConfig:
         differ = [a for a, b in zip(lines, rerun) if a != b]
         assert len(lines) == len(rerun)
         assert [line.split(b" = ")[0] for line in differ] == [b"# config_sha256"]
+
+    def test_resolved_setting_text(self):
+        # A setting's text: axis names as vectors, floats at 17 digits with
+        # -0.0 as -0, and a null exchange as null.
+        setting = {"u_left": {"direction": "y"},
+                   "u_right": {"direction": [-0.0, 5e-324, 1e200], "magnitude": 0.1},
+                   "t_interact_s": -0.0,
+                   "model": {"exchange_per_s": None, "hopping_per_s": 1e6, "coulomb_u_per_s": 4e6}}
+        text = resolved_json(parse_config(json.dumps({"sweep": {"settings": [setting]}})))
+        assert ('"sweep":{"settings":[{"u_left":{"direction":[0,1,0],"magnitude":1},'
+                '"u_right":{"direction":[-0,4.9406564584124654e-324,9.9999999999999997e+199],'
+                '"magnitude":0.10000000000000001},"t_interact_s":-0,"model":{') in text
+        assert '"coulomb_u_per_s":4000000,"exchange_per_s":null,"level_offset_per_s":0}}]}' in text
 
     def test_presets_are_physical(self):
         for name, theta in GATE_PRESETS.items():

@@ -5,7 +5,11 @@ Each grid has 40 settings with per-setting model overrides, so the run
 covers full and partial instrument blocks, seed derivation, the resolved
 configuration line and every row renderer. The ``cycle`` and ``calibrate``
 runs share one setting off every axis: tilted partial leads, a detection
-constant of 0.3, an overridden model and a correlated two-spin gate state. A digest changes when any output
+constant of 0.3, an overridden model and a correlated two-spin gate state.
+The ``edges`` sweep holds the values whose text is easiest to get wrong:
+axis-name leads, a null ``exchange_per_s`` derived from ``hopping_per_s`` and
+``coulomb_u_per_s``, direction components of 1e-300 and 1e200 (whose squares
+under- and overflow), signed zeros and an interaction time of 0. A digest changes when any output
 byte does: a change that alters output on purpose records the new digests
 here and says why. The digests hold for one numpy/BLAS build; another
 build may round the instruments differently in the last digit.
@@ -47,9 +51,34 @@ def _settings(rng: random.Random, times=None) -> list:
     return settings
 
 
+def _edge_settings() -> list:
+    derived = {"exchange_per_s": None, "hopping_per_s": 1.2e6, "coulomb_u_per_s": 4.0e6}
+    return [
+        {"u_left": {"direction": "x"}, "u_right": {"direction": "y", "magnitude": 0.5},
+         "t_interact_s": 0.0},
+        {"u_left": {"direction": [1e-300, -0.0, 1e-300], "magnitude": 1.0},
+         "u_right": {"direction": [1e200, -1e200, 0.0], "magnitude": 0.75},
+         "t_interact_s": 1.5e-6, "model": derived},
+        {"u_left": {"direction": [-0.0, 0.0, 1.0], "magnitude": 0.0},
+         "u_right": {"direction": "z"}, "t_interact_s": -0.0,
+         "model": {**derived, "b_field_tesla": [-0.0, 0.0, 0.01]}},
+        {"u_left": {"direction": [1e200, 3e-300, -1e200], "magnitude": 0.9},
+         "u_right": {"direction": [2e-300, 1e-300, -3e-300], "magnitude": 1.0},
+         "t_interact_s": 2.5e-6, "model": {"exchange_per_s": 9.5e5}},
+    ]
+
+
 def _config(name: str) -> tuple:
     """(command, configuration) of one golden run."""
     rng = random.Random(f"golden:{name}")
+    if name == "edges":
+        return "sweep", {
+            "model": {"exchange_per_s": None, "hopping_per_s": 1.0e6, "coulomb_u_per_s": 3.0e6},
+            "leads": {"u_left": {"direction": "y"}, "u_right": {"direction": [0.0, -0.0, 1e200]}},
+            "experiment": {"mode": "refresh", "n_cycles": 3000, "seed": 5},
+            "gate_state": {"preset": "pure_up"},
+            "sweep": {"settings": _edge_settings()},
+        }
     if name in ("cycle", "calibrate"):
         return name, {
             "model": {"exchange_per_s": 1.3e6, "hyperfine_gate_per_s": 2.6e6,
@@ -95,6 +124,8 @@ GOLDEN = {
     ("cycle", "jsonl"): "233c6e1f51404efb586927ffa44c89a216429403c1a5ffb499733b832c19358c",
     ("calibrate", "csv"): "f59b8e5e8bf72e2c94240c37d2638c7685457e05ff77fa0ccc327a591ac3665f",
     ("calibrate", "jsonl"): "ee682c3bf3af06349655b07e57bacd0917e2a0b07d65403ae5f0929de2b484e4",
+    ("edges", "csv"): "c6548666fe9019573ca047ac9aaf56412903b18194501549009fd4f8c0641641",
+    ("edges", "jsonl"): "858baba28d69fb36ec10532e7d8796f4c90fa203a54b0a60b8add5bcc8eb15a9",
 }
 
 

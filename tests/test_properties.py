@@ -8,6 +8,7 @@ against their oracles."""
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinturnstile.algebra import pauli_coordinates
-from spinturnstile.config import LeadSpec, parse_config, resolved_dict
+from spinturnstile.config import ConfigValidationError, LeadSpec, parse_config, resolved_json
 from spinturnstile.constants import G_NUCLEAR_P31, STRUCTURAL_TOL
 from spinturnstile.cycle import (
     BLOCK_ROWS,
@@ -42,7 +43,7 @@ from spinturnstile.model import (
     hierarchy_norms,
     hierarchy_report,
 )
-from spinturnstile.results import ResultTable, render_csv, render_jsonl
+from spinturnstile.results import JsonText, ResultTable, render_csv, render_jsonl
 from spinturnstile.tomography import (
     SINGLE_SPIN,
     TWO_SPIN,
@@ -64,6 +65,7 @@ from oracles import (
     pauli_product_basis,
     random_density,
     random_hermitian,
+    resolved_dict,
     setting_seed,
     spin_hamiltonian,
     stepwise_chain,
@@ -263,6 +265,11 @@ def test_single_spin_is_two_spin_with_zero_padding(theta):
         assert is_physical(theta, SINGLE_SPIN) == is_physical(padded, TWO_SPIN) == (norm < 1.0)
 
 
+def with_edges(edges, strategy):
+    """``strategy``, plus the listed edge values drawn as often as the rest."""
+    return st.one_of(st.sampled_from(edges), strategy)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 numbers = finite | st.integers(-10**6, 10**6)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -278,8 +285,27 @@ model_blocks = st.fixed_dictionaries({}, optional={
     "exchange_per_s": st.none() | numbers,
     "level_offset_per_s": numbers,
 })
+# Lead directions as axis names or vectors: components whose squares under-
+# or overflow, on both sides of the 2**500 bound above which LeadSpec guards
+# the overflow, and signed zeros; any norm stays finite and nonzero.
+direction_components = with_edges([-0.0, 0.0, 5e-324, 1e-300, 1e200, 2.0**500, -2.0**500,
+                                   math.nextafter(2.0**500, 0.0)], st.floats(-1e300, 1e300))
+lead_blocks = st.fixed_dictionaries({}, optional={
+    "direction": st.sampled_from(["x", "y", "z"])
+                 | st.lists(direction_components, min_size=3, max_size=3).filter(any),
+    "magnitude": with_edges([0.0, -0.0, 1.0], st.floats(0.0, 1.0)),
+})
+interaction_times = with_edges([0.0, -0.0, 5e-324, 1e200], st.floats(0.0, 1e-3))
+setting_lists = st.lists(st.fixed_dictionaries({}, optional={
+    "u_left": lead_blocks,
+    "u_right": lead_blocks,
+    "t_interact_s": interaction_times,
+    "model": model_blocks,
+}), min_size=1, max_size=3)
 config_documents = st.fixed_dictionaries({}, optional={
     "model": model_blocks,
+    "schedule": st.fixed_dictionaries({}, optional={"t_interact_s": interaction_times}),
+    "leads": st.fixed_dictionaries({}, optional={"u_left": lead_blocks, "u_right": lead_blocks}),
     "tunnel": st.fixed_dictionaries({}, optional={
         "gamma0_per_s": positive,
         "interdot_sq_per_s": st.floats(min_value=0.0, allow_infinity=False),
@@ -292,12 +318,14 @@ config_documents = st.fixed_dictionaries({}, optional={
         "seed": st.integers(0, 2**63 - 1),
         "mode": st.sampled_from(["refresh", "propagate"]),
     }),
-    "sweep": st.fixed_dictionaries({
-        "settings": st.lists(st.fixed_dictionaries({}, optional={"model": model_blocks}),
-                             min_size=1, max_size=3),
+    "sweep": st.fixed_dictionaries({"settings": setting_lists}),
+    "tomography": st.fixed_dictionaries({}, optional={
+        "mode": st.sampled_from(["single_spin", "two_spin"]),
+        "noise": st.sampled_from(["none", "shot"]),
+        "settings": setting_lists,
     }),
 })
-DEFAULT_MODEL = resolved_dict(parse_config("{}"))["model"]
+DEFAULT_MODEL = json.loads(resolved_json(parse_config("{}")))["model"]
 
 
 def exchange_derivable(model: dict) -> bool:
@@ -306,36 +334,67 @@ def exchange_derivable(model: dict) -> bool:
                 and model["coulomb_u_per_s"] <= 0)
 
 
+def given_settings(doc: dict) -> list:
+    return [*doc.get("sweep", {}).get("settings", []),
+            *doc.get("tomography", {}).get("settings", [])]
+
+
+def parsed_document(doc: dict):
+    """The configuration parsed from ``doc``'s JSON text. A document with a
+    model whose exchange cannot be derived is skipped."""
+    run_model = {**DEFAULT_MODEL, **doc.get("model", {})}
+    overrides = [s.get("model", {}) for s in given_settings(doc)]
+    assume(all(exchange_derivable({**run_model, **o}) for o in [{}, *overrides]))
+    return parse_config(json.dumps(doc))
+
+
 @PROPERTY_SETTINGS
 @given(config_documents)
 def test_resolved_config_parses_to_the_same_config(doc):
-    run_model = {**DEFAULT_MODEL, **doc.get("model", {})}
-    overrides = [s.get("model", {}) for s in doc.get("sweep", {}).get("settings", [])]
-    assume(all(exchange_derivable({**run_model, **o}) for o in [{}, *overrides]))
-    cfg = parse_config(json.dumps(doc))
-    resolved = resolved_dict(cfg)
-    assert parse_config(resolved) == cfg
+    cfg = parsed_document(doc)
+    text = resolved_json(cfg)
+    assert parse_config(text) == cfg
+    resolved = json.loads(text)
     for section in ("model", "tunnel", "experiment"):
         for key, value in doc.get(section, {}).items():
             assert resolved[section][key] == value
-    for given_setting, setting in zip(doc.get("sweep", {}).get("settings", []),
-                                      resolved["sweep"]["settings"]):
+    pairs = [pair for grid in ("sweep", "tomography")
+             for pair in zip(doc.get(grid, {}).get("settings", []), resolved[grid]["settings"])]
+    for given_setting, setting in pairs:
         assert ("model" in setting) == ("model" in given_setting)
         override = given_setting.get("model", {})
         for key, value in setting.get("model", {}).items():
             assert value == override.get(key, resolved["model"][key])
+        if "t_interact_s" in given_setting:
+            assert setting["t_interact_s"] == given_setting["t_interact_s"]
+
+
+# the largest component LeadSpec does not guard against an overflow of the
+# sum of squares, the smallest it guards, and the smallest whose square
+# overflows by itself
+SQUARES_BOUNDS = [math.nextafter(2.0**500, 0.0), 2.0**500, -2.0**500, 2.0**512]
 
 
 @PROPERTY_SETTINGS
-@given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+@given(st.tuples(*[with_edges([0.0, -0.0, 5e-324, 1e-170, 1e154, 1e200, 1.7e308,
+                               *SQUARES_BOUNDS], finite)] * 3))
 def test_lead_norm_keeps_the_dot_product_bits(direction):
     # A direction whose x.dot(x) neither under- nor overflows keeps the norm
     # of that route, bit for bit: a plain sum of squares differs on about
-    # one vector in ten.
+    # one vector in ten. No finite direction lets a RuntimeWarning escape,
+    # whether its squares overflow or not.
     with np.errstate(over="ignore"):
         expected = float(np.linalg.norm(direction))
-    assume(0.0 < expected < math.inf)
-    assert LeadSpec(direction, 1.0).norm.hex() == expected.hex()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            norm = LeadSpec(direction, 1.0).norm
+        except ConfigValidationError:  # a zero or infinite norm
+            norm = None
+    if 0.0 < expected < math.inf:
+        assert norm.hex() == expected.hex()
+    elif not any(direction):
+        assert norm is None
 
 
 @PROPERTY_SETTINGS
@@ -347,11 +406,6 @@ def test_lead_direction_scale_does_not_matter(direction, exponent):
     scaled = tuple(math.ldexp(x, exponent) for x in direction)
     assert np.allclose(LeadSpec(scaled, 0.9).vector(), LeadSpec(direction, 0.9).vector(),
                        rtol=0.0, atol=1e-15)
-
-
-def with_edges(edges, strategy):
-    """``strategy``, plus the listed edge values drawn as often as the rest."""
-    return st.one_of(st.sampled_from(edges), strategy)
 
 
 @PROPERTY_SETTINGS
@@ -415,12 +469,13 @@ def test_induced_instrument_checks_the_setting(u_left, u_right, t):
 @PROPERTY_SETTINGS
 @given(config_documents)
 def test_resolved_config_line_matches_the_oracle(doc):
-    run_model = {**DEFAULT_MODEL, **doc.get("model", {})}
-    overrides = [s.get("model", {}) for s in doc.get("sweep", {}).get("settings", [])]
-    assume(all(exchange_derivable({**run_model, **o}) for o in [{}, *overrides]))
-    resolved = resolved_dict(parse_config(json.dumps(doc)))
-    table = ResultTable(columns=(), rows=[], metadata={"resolved_config": resolved})
-    text = json_scalar(resolved)
+    # the template text is the value-by-value writer's, and both renderers
+    # embed it as it is
+    cfg = parsed_document(doc)
+    text = json_scalar(resolved_dict(cfg))
+    assert resolved_json(cfg) == text
+    table = ResultTable(columns=(), rows=[],
+                        metadata={"resolved_config": JsonText(resolved_json(cfg))})
     assert render_csv(table) == f"# resolved_config = {text}\n\n".encode()
     assert render_jsonl(table) == f'{{"metadata":{{"resolved_config":{text}}}}}\n'.encode()
 
@@ -460,7 +515,10 @@ def test_json_writer_matches_the_oracle(tree):
     assert render_csv(meta) == f"# tree = [{want}]\n\n".encode()
 
 
-model_numbers = st.floats(-1e7, 1e7) | st.integers(-10**6, 10**6)
+# floats whose repr takes every form: signed zero, subnormal, exponent
+model_numbers = (with_edges([-0.0, 5e-324, 1e16, -1e200, 1.7976931348623157e308],
+                            st.floats(-1e7, 1e7))
+                 | st.integers(-10**6, 10**6))
 seed_models = st.builds(
     SpinModelParams,
     b_field=st.tuples(model_numbers, model_numbers, model_numbers),
@@ -472,7 +530,8 @@ seed_models = st.builds(
 seed_leads = polarizations.map(tuple) | st.sampled_from([(0, 0, 1), (1, 0, 0), (0, 0, 0)])
 seed_settings = st.builds(
     MeasurementSetting, u_left=seed_leads, u_right=seed_leads,
-    t_interact=st.integers(0, 10) | st.floats(0.0, 1e-3) | st.floats(0.0, 1e-3).map(np.float64),
+    t_interact=(st.integers(0, 10) | with_edges([-0.0, 5e-324, 1e200], st.floats(0.0, 1e-3))
+                | st.floats(0.0, 1e-3).map(np.float64)),
     model=st.none() | seed_models,
 )
 

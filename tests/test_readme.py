@@ -3,12 +3,13 @@ configuration reference states the parser's defaults."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from spinturnstile.config import parse_config, resolved_dict
+from spinturnstile.config import parse_config, resolved_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,8 +47,8 @@ def test_readme_configuration_states_the_defaults():
     # Every section but the example sweep resolves as an empty document does;
     # the README rounds g_nuclear, so floats compare to 1e-4 relative.
     (block,) = re.findall(r"^```jsonc\n(.*?)^```", README.read_text(), flags=re.S | re.M)
-    resolved = resolved_dict(parse_config(re.sub(r"//.*", "", block)))
-    defaults = resolved_dict(parse_config("{}"))
+    resolved = json.loads(resolved_json(parse_config(re.sub(r"//.*", "", block))))
+    defaults = json.loads(resolved_json(parse_config("{}")))
     assert list(resolved) == list(defaults)
     for section in defaults:
         if section != "sweep":
