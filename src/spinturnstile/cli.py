@@ -122,12 +122,12 @@ def _cmd_sweep(cfg: RunConfig, meta: dict) -> ResultTable:
         "n_pulses", "n_cycles", "current_a", "current_std_err_a", "seed", "status",
     )
     rows = []
-    for r in rows_out:
-        ul, ur = r.setting.u_left, r.setting.u_right
+    for index, (setting, r) in enumerate(zip(settings, rows_out)):
+        ul, ur = setting.u_left, setting.u_right
         rec, cur = r.record, r.current
         rows.append((
-            r.index, ul[0], ul[1], ul[2], ur[0], ur[1], ur[2],
-            r.setting.t_interact, r.pr,
+            index, ul[0], ul[1], ul[2], ur[0], ur[1], ur[2],
+            setting.t_interact, r.pr,
             rec.pr_hat if rec else None, rec.std_err if rec else None,
             rec.n_pulses if rec else None, rec.n_cycles if rec else None,
             cur.amperes if cur else None, cur.std_err_amperes if cur else None,

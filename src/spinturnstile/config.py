@@ -349,7 +349,8 @@ def parse_config(data) -> RunConfig:
         data = data.decode("utf-8", errors="replace")
     if isinstance(data, str):
         try:
-            data = json.loads(data)
+            # -0 is the echo's text for -0.0: read it so, and an integer field rejects it
+            data = json.loads(data, parse_int=lambda text: -0.0 if text == "-0" else int(text))
         except json.JSONDecodeError as exc:
             raise ConfigSyntaxError(f"invalid JSON: {exc}") from exc
     root = _as_dict(data, "<config>")

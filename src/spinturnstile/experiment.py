@@ -6,7 +6,8 @@ identically each time ("refresh" mode, binomial counting statistics); an
 optional "propagate" mode instead carries the conditional post-measurement
 gate state from cycle to cycle, exposing measurement back-action. The average
 current through the dot chain is the pulse probability times one electron
-charge per cycle period.
+charge per cycle period. A count is one :class:`ShotRecord`, a chain's
+``shots`` and a sweep row's ``record`` alike.
 
 Reproducibility: every stochastic quantity is drawn from a
 ``numpy.random.Generator`` seeded deterministically. Sweep rows derive their
@@ -19,7 +20,7 @@ pr)`` for its seed, although the rows' seeds and counts are computed together
 
 import hashlib
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -77,9 +78,8 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = 2**128 - 1
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Pulse count over a number of independent cycles."""
+class ShotRecord(NamedTuple):
+    """Pulse count over a number of cycles: every counting route's record."""
 
     n_cycles: int
     n_pulses: int
@@ -88,17 +88,17 @@ class ShotRecord:
     seed: int
 
 
-@dataclass(frozen=True)
-class ChainRecord(ShotRecord):
-    """Pulse statistics of a back-action chain (cycles not independent), with
+class ChainRecord(NamedTuple):
+    """A back-action chain's count ``shots`` (cycles not independent), with
     the chain's outcomes, pulse probabilities and final state.
 
-    ``std_err`` keeps the binomial form, which is only indicative here since
-    the chain correlates cycles. ``resets`` counts no-pulse branches of
+    ``shots.std_err`` keeps the binomial form, which is only indicative here
+    since the chain correlates cycles. ``resets`` counts no-pulse branches of
     nonpositive probability, after which the state was reset to maximally
     mixed; a valid instrument has none.
     """
 
+    shots: ShotRecord
     outcomes: np.ndarray
     probs: np.ndarray
     rho_final: np.ndarray
@@ -113,20 +113,18 @@ class CurrentEstimate(NamedTuple):
 class SweepRow(NamedTuple):
     """Result of one sweep setting; ``status`` is 'ok' or an error message."""
 
-    index: int
-    setting: MeasurementSetting
     pr: float
     record: ShotRecord | None
     current: CurrentEstimate | None
     status: str = "ok"
 
 
-def _count_record(n_pulses: int, n: int, seed: int, record=ShotRecord, **chain):
-    """``record`` of ``n_pulses`` in ``n`` cycles, with their ``pr_hat`` and its
+def _count_record(n_pulses: int, n: int, seed: int) -> ShotRecord:
+    """The record of ``n_pulses`` in ``n`` cycles, with their ``pr_hat`` and its
     binomial ``std_err``."""
     pr_hat = n_pulses / n
-    return record(n_cycles=n, n_pulses=n_pulses, pr_hat=pr_hat,
-                  std_err=float(np.sqrt(pr_hat * (1.0 - pr_hat) / n)), seed=int(seed), **chain)
+    return ShotRecord(n_cycles=n, n_pulses=n_pulses, pr_hat=pr_hat,
+                      std_err=float(np.sqrt(pr_hat * (1.0 - pr_hat) / n)), seed=int(seed))
 
 
 def _check_draw(pr: float, n: int) -> None:
@@ -365,8 +363,8 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
             i += cut
             after_pulse = False
     np.minimum(np.maximum(probs, 0.0, out=probs), 1.0, out=probs)
-    return _count_record(n_pulses, n, seed, ChainRecord, outcomes=outcomes, probs=probs,
-                         rho_final=pauli_operator(y[:16] / y[0]) / 4.0, resets=resets)
+    return ChainRecord(shots=_count_record(n_pulses, n, seed), outcomes=outcomes, probs=probs,
+                       rho_final=pauli_operator(y[:16] / y[0]) / 4.0, resets=resets)
 
 
 def estimate_current(record, tau_cycle: float) -> CurrentEstimate:
@@ -483,7 +481,7 @@ def run_sweep(
     allocate, produce a row with an error status instead of aborting the sweep.
 
     Returns:
-        list of :class:`SweepRow`, ordered like ``settings``.
+        list of :class:`SweepRow`, one per setting, in ``settings`` order.
     """
     if mode not in ("refresh", "propagate"):
         raise ValueError(f"unknown sweep mode {mode!r}")
@@ -495,9 +493,8 @@ def run_sweep(
     rows = [None] * len(settings)
     drawn = []  # (index, pr) of refresh rows; their counts are drawn together below
 
-    def ok_row(idx, pr, record):
-        return SweepRow(index=idx, setting=settings[idx], pr=pr, record=record,
-                        current=estimate_current(record, tunnel.tau_cycle))
+    def ok_row(pr, record):
+        return SweepRow(pr=pr, record=record, current=estimate_current(record, tunnel.tau_cycle))
 
     for block in setting_instruments(settings, model, tunnel, c, include_gate_hamiltonian,
                                      threshold=threshold):
@@ -512,16 +509,16 @@ def run_sweep(
                     _check_draw(pr, n_cycles)
                     drawn.append((idx, pr))
                 else:
-                    # the row keeps the count, not the chain's arrays
+                    # the row keeps the chain's count, not its arrays
                     chain = propagate_cycles(block.pulse[k], block.nopulse[k], rho_gate, n_cycles,
                                              seeds[idx])
-                    rows[idx] = ok_row(idx, pr, _count_record(chain.n_pulses, n_cycles, seeds[idx]))
+                    rows[idx] = ok_row(pr, chain.shots)
             except (ValueError, MemoryError) as exc:
                 # MemoryError: a propagate chain of n_cycles that cannot be allocated.
-                rows[idx] = SweepRow(index=idx, setting=settings[idx], pr=float("nan"),
-                                     record=None, current=None, status=f"error: {exc}")
+                rows[idx] = SweepRow(pr=float("nan"), record=None, current=None,
+                                     status=f"error: {exc}")
     if drawn:
         counts = sample_counts([pr for _, pr in drawn], n_cycles, [seeds[idx] for idx, _ in drawn])
         for (idx, pr), count in zip(drawn, counts):
-            rows[idx] = ok_row(idx, pr, _count_record(count, n_cycles, seeds[idx]))
+            rows[idx] = ok_row(pr, _count_record(count, n_cycles, seeds[idx]))
     return rows

@@ -53,7 +53,7 @@ def assert_matches_stepwise(pulse, nopulse, rho0, n, seed):
     outcomes, probs, rho_final, resets = stepwise_chain(pulse, nopulse, rho0,
                                                         np.random.default_rng(seed).random(n))
     assert np.array_equal(rec.outcomes, outcomes)
-    assert rec.n_pulses == int(outcomes.sum())
+    assert rec.shots.n_pulses == int(outcomes.sum())
     assert np.abs(rec.probs - probs).max() < 1e-12
     assert np.abs(rec.rho_final - rho_final).max() < 1e-10
     assert rec.resets == resets
@@ -101,7 +101,7 @@ class TestPropagateCycles:
         rec = propagate_cycles(*maps(inst), rho0, n, seed=seed)
         outcomes, probs, rho_final = kraus_chain(
             kraus_pulse, kraus_nopulse, rho0, np.random.default_rng(seed).random(n))
-        assert 0 < rec.n_pulses < n
+        assert 0 < rec.shots.n_pulses < n
         assert np.array_equal(rec.outcomes, outcomes)
         assert np.abs(rec.probs - probs).max() < 1e-12
         assert np.abs(rec.rho_final - rho_final).max() < 1e-10
@@ -113,13 +113,13 @@ class TestRunLengthSampler:
         rho0, instruments = default_probes(c)
         for k, inst in enumerate(instruments):
             rec = assert_matches_stepwise(*maps(inst), rho0, 10_000, seed=k + 1)
-            assert 0 < rec.n_pulses < 10_000
+            assert 0 < rec.shots.n_pulses < 10_000
             assert rec.resets == 0
 
     def test_long_low_probability_row(self):
         rho0, instruments = default_probes(0.01)
         rec = assert_matches_stepwise(*maps(instruments[2]), rho0, 200_000, seed=17)
-        assert rec.pr_hat < 0.01
+        assert rec.shots.pr_hat < 0.01
 
     @pytest.mark.parametrize("n", [1, 2, RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1, 3 * RUN_BLOCK + 5])
     @pytest.mark.parametrize("c", [1.0, 0.01])
@@ -171,7 +171,7 @@ class TestRunLengthSampler:
                 rec = propagate_cycles(*maps(inst), rho0, n, seed=k + 1)
                 outcomes, _, _, _ = stepwise_chain(*maps(inst), rho0, np.random.default_rng(k + 1).random(n))
                 assert np.array_equal(rec.outcomes, outcomes)
-        assert rec.n_pulses > 0.999 * n
+        assert rec.shots.n_pulses > 0.999 * n
 
     def test_underflowing_survival(self):
         # the no-pulse image shrinks by 1e-200 per cycle, so survivals of a
@@ -181,7 +181,7 @@ class TestRunLengthSampler:
             warnings.simplefilter("error")
             rec = assert_matches_stepwise(0.3 * np.eye(16), 1e-200 * np.eye(16), rho0, 3 * RUN_BLOCK + 5,
                                           seed=6)
-        assert 0 < rec.n_pulses < rec.n_cycles
+        assert 0 < rec.shots.n_pulses < rec.shots.n_cycles
 
     @pytest.mark.parametrize("scale", [-0.1, 1.25])
     def test_probabilities_clamped_in_record_only(self, scale):
@@ -189,10 +189,10 @@ class TestRunLengthSampler:
         pulse, nopulse = scale * np.eye(16), 0.5 * np.eye(16)
         rec = propagate_cycles(pulse, nopulse, np.eye(4) / 4, 3 * RUN_BLOCK + 5, seed=9)
         outcomes, probs, _, _ = stepwise_chain(pulse, nopulse, np.eye(4) / 4,
-                                               np.random.default_rng(9).random(rec.n_cycles))
+                                               np.random.default_rng(9).random(rec.shots.n_cycles))
         assert np.array_equal(rec.outcomes, outcomes)
         assert np.array_equal(rec.probs, probs)
-        assert rec.n_pulses == (rec.n_cycles if scale > 1 else 0)
+        assert rec.shots.n_pulses == (rec.shots.n_cycles if scale > 1 else 0)
 
     @pytest.mark.parametrize("scale", [-0.1, 1.25])
     def test_unnormalized_state_stays_in_range(self, scale):
@@ -205,10 +205,10 @@ class TestRunLengthSampler:
             warnings.simplefilter("error")
             rec = propagate_cycles(pulse, nopulse, np.eye(4) / 4, 5_000, seed=9)
             outcomes, probs, _, _ = stepwise_chain(pulse, nopulse, np.eye(4) / 4,
-                                                   np.random.default_rng(9).random(rec.n_cycles))
+                                                   np.random.default_rng(9).random(rec.shots.n_cycles))
         assert np.array_equal(rec.outcomes, outcomes)
         assert np.array_equal(rec.probs, probs)
-        assert rec.n_pulses == (rec.n_cycles if scale > 1 else 0)
+        assert rec.shots.n_pulses == (rec.shots.n_cycles if scale > 1 else 0)
         assert np.all(rec.probs == (1.0 if scale > 1 else 0.0))
         assert np.abs(rec.rho_final - np.eye(4) / 4).max() < 1e-12
 
@@ -226,7 +226,7 @@ class TestRunLengthSampler:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = assert_matches_stepwise(*self.resetting_maps(), np.eye(4) / 4, 2_000, seed=8)
-        assert 0.2 * rec.n_cycles < rec.resets < 0.4 * rec.n_cycles
+        assert 0.2 * rec.shots.n_cycles < rec.resets < 0.4 * rec.shots.n_cycles
         assert np.all(rec.probs == 0.5)
         check_density_matrix(rec.rho_final, tol=1e-12)
 

@@ -130,6 +130,25 @@ class TestParseConfig:
                 '"magnitude":0.10000000000000001},"t_interact_s":-0,"model":{') in text
         assert '"coulomb_u_per_s":4000000,"exchange_per_s":null,"level_offset_per_s":0}}]}' in text
 
+    def test_negative_zero_literal_keeps_its_sign(self, tmp_path, capsys):
+        # The echo writes -0.0 as -0, so wherever a float is read, a JSON -0
+        # is -0.0; an integer field rejects it and names the field (exit 3).
+        cfg = parse_config('{"leads": {"u_left": {"direction": [-0, 0, 1]}}, '
+                           '"schedule": {"t_interact_s": -0}, "model": {"b_field_tesla": [0, -0, 1]}}')
+        signs = [np.copysign(1.0, v) for v in (*cfg.setting.u_left.direction, cfg.setting.t_interact,
+                                               *cfg.model.b_field)]
+        assert signs == [-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
+        for key in ("seed", "n_cycles"):
+            with pytest.raises(ConfigValidationError) as err:
+                parse_config(f'{{"experiment": {{"{key}": -0}}}}')
+            assert str(err.value) == f"experiment.{key}: expected an integer"
+        cfg_path = tmp_path / "seed.json"
+        cfg_path.write_text('{"experiment": {"seed": -0}}')
+        argv = ["calibrate", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == EXIT_VALIDATION
+        assert "experiment.seed: expected an integer" in capsys.readouterr().err
+        assert parse_config('{"experiment": {"seed": 0}}').experiment.seed == 0
+
     def test_presets_are_physical(self):
         for name, theta in GATE_PRESETS.items():
             rho = theta_to_density(np.asarray(theta), TWO_SPIN)

@@ -253,9 +253,10 @@ class TestSweep:
         settings = self.axes_settings()
         rows = run_sweep(settings, rho_gate=np.eye(4) / 4, **kw)
         perm = [2, 0, 1]
-        rows_perm = run_sweep([settings[i] for i in perm], rho_gate=np.eye(4) / 4, **kw)
+        settings_perm = [settings[i] for i in perm]
+        rows_perm = run_sweep(settings_perm, rho_gate=np.eye(4) / 4, **kw)
         for new_idx, old_idx in enumerate(perm):
-            assert rows_perm[new_idx].setting == rows[old_idx].setting
+            assert settings_perm[new_idx] == settings[old_idx]
             assert rows_perm[new_idx].record == rows[old_idx].record
             assert rows_perm[new_idx].pr == rows[old_idx].pr
 
@@ -326,11 +327,11 @@ class TestSweep:
                 assert row.status.startswith("error: propagator phase")
                 assert "exceeds" in row.status and row.record is None
             else:
-                ok_rows.append(row)
-        assert [r.index for r in rows] == list(range(len(settings)))
+                ok_rows.append((row, s))
+        assert len(rows) == len(settings)
         assert len(ok_rows) == len(alone)
-        for row, ref in zip(ok_rows, alone):
-            assert row.status == "ok" and row.setting == ref.setting
+        for (row, s), ref, s_ref in zip(ok_rows, alone, valid):
+            assert row.status == "ok" and s == s_ref
             assert row.record == ref.record and row.pr == ref.pr
 
         with pytest.warns(HierarchyWarning) as caught:
@@ -437,7 +438,7 @@ class TestPropagate:
         a = propagate_cycles(*maps, rho, 500, seed=7)
         b = propagate_cycles(*maps, rho, 500, seed=7)
         assert np.array_equal(a.outcomes, b.outcomes)
-        assert a.n_pulses == b.n_pulses
+        assert a.shots.n_pulses == b.shots.n_pulses
 
     def test_uninformative_chain_matches_binomial(self):
         # a zero-time instrument has no back-action: the chain is iid and
@@ -448,16 +449,17 @@ class TestPropagate:
         inst = induced_instrument([0, 0, 1.0], [1.0, 0, 0], h, 0.0, 1.0, 1e-10, 1e9)
         pr = inst.pulse_probabilities(np.eye(4) / 4)[0]
         rec = propagate_cycles(inst.pulse[0], inst.nopulse[0], np.eye(4) / 4, 20_000, seed=11)
-        assert abs(rec.pr_hat - pr) < 4 * np.sqrt(pr * (1 - pr) / 20_000)
+        assert abs(rec.shots.pr_hat - pr) < 4 * np.sqrt(pr * (1 - pr) / 20_000)
 
-    def test_chain_record_extends_shot_record(self):
-        rec = propagate_cycles(*self.make_maps(), np.eye(4) / 4, 2_000, seed=13)
-        assert isinstance(rec, ChainRecord) and isinstance(rec, ShotRecord)
+    def test_chain_record_holds_its_count(self):
+        chain = propagate_cycles(*self.make_maps(), np.eye(4) / 4, 2_000, seed=13)
+        rec = chain.shots
+        assert isinstance(chain, ChainRecord) and type(rec) is ShotRecord
         assert rec.pr_hat == rec.n_pulses / 2_000
         assert rec.std_err == np.sqrt(rec.pr_hat * (1 - rec.pr_hat) / 2_000)
 
     def test_propagate_row_keeps_the_count(self):
-        # a propagate sweep row holds the chain's ShotRecord fields, not its arrays
+        # a propagate sweep row holds the chain's own count record, not its arrays
         kw = dict(model=quiet_model(), tunnel=quiet_tunnel(), rho_gate=np.eye(4) / 4, c=1.0,
                   n_cycles=700, seed=3, mode="propagate")
         setting = MeasurementSetting([0, 0, 1.0], [1.0, 0, 0], 4e-6)
@@ -465,11 +467,10 @@ class TestPropagate:
         chain = propagate_cycles(*self.make_maps(), np.eye(4) / 4, 700,
                                  derive_setting_seed(3, setting))
         assert type(row.record) is ShotRecord
-        assert row.record == ShotRecord(chain.n_cycles, chain.n_pulses, chain.pr_hat,
-                                        chain.std_err, chain.seed)
+        assert row.record == chain.shots
 
     def test_final_state_valid(self):
         rec = propagate_cycles(*self.make_maps(), np.eye(4) / 4, 2_000, seed=13)
         check_density_matrix(rec.rho_final, tol=1e-8)
         assert rec.outcomes.shape == (2_000,)
-        assert 0 <= rec.pr_hat <= 1
+        assert 0 <= rec.shots.pr_hat <= 1

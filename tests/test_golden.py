@@ -14,12 +14,17 @@ byte does: a change that alters output on purpose records the new digests
 here and says why. The digests hold for one numpy/BLAS build; another
 build may round the instruments differently in the last digit.
 
+Every golden run also reproduces itself from its own ``resolved_config``:
+run on that echo, the command prints the same lines but ``config_sha256``.
+
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current digests
-in ``GOLDEN``'s form. Diff the outputs column by column against the previous
-code before recording them.
+in ``GOLDEN``'s form, and names every run whose echo does not reproduce it,
+so that no digest is recorded for such an echo. Diff the outputs column by
+column against the previous code before recording them.
 """
 
 import hashlib
+import itertools
 import json
 import random
 import tempfile
@@ -105,12 +110,30 @@ def _config(name: str) -> tuple:
     }
 
 
+def _output(tmp_path, command: str, config_text: str, fmt: str, tag: str) -> bytes:
+    cfg_path, out_path = tmp_path / f"{tag}.json", tmp_path / f"{tag}.{fmt}"
+    cfg_path.write_text(config_text)
+    assert main([command, "--config", str(cfg_path), "--out", str(out_path), "--format", fmt]) == EXIT_OK
+    return out_path.read_bytes()
+
+
 def output_digest(tmp_path, name: str, fmt: str) -> str:
     command, config = _config(name)
-    cfg_path, out_path = tmp_path / f"{name}.json", tmp_path / f"{name}.{fmt}"
-    cfg_path.write_text(json.dumps(config))
-    assert main([command, "--config", str(cfg_path), "--out", str(out_path), "--format", fmt]) == EXIT_OK
-    return hashlib.sha256(out_path.read_bytes()).hexdigest()
+    return hashlib.sha256(_output(tmp_path, command, json.dumps(config), fmt, name)).hexdigest()
+
+
+ECHO = b"# resolved_config = "
+
+
+def echo_rerun_changes(tmp_path, name: str) -> list:
+    """The CSV lines of a golden run, but its ``config_sha256`` line, that
+    change when the run is repeated on its own ``resolved_config``."""
+    command, config = _config(name)
+    first = _output(tmp_path, command, json.dumps(config), "csv", name).splitlines()
+    (echo,) = [line[len(ECHO):] for line in first if line.startswith(ECHO)]
+    again = _output(tmp_path, command, echo.decode(), "csv", f"{name}-echo").splitlines()
+    return [line for line, rerun in itertools.zip_longest(first, again)
+            if line != rerun and not (line or b"").startswith(b"# config_sha256 = ")]
 
 
 GOLDEN = {
@@ -129,9 +152,17 @@ GOLDEN = {
 }
 
 
+NAMES = sorted({name for name, _ in GOLDEN})
+
+
 @pytest.mark.parametrize("name, fmt", sorted(GOLDEN))
 def test_output_bytes_are_pinned(tmp_path, name, fmt):
     assert output_digest(tmp_path, name, fmt) == GOLDEN[name, fmt]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_resolved_config_reproduces_the_run(tmp_path, name):
+    assert echo_rerun_changes(tmp_path, name) == []
 
 
 if __name__ == "__main__":
@@ -140,3 +171,8 @@ if __name__ == "__main__":
         for name, fmt in GOLDEN:
             print(f'    ("{name}", "{fmt}"): "{output_digest(Path(tmp), name, fmt)}",')
         print("}")
+        for name in NAMES:
+            changed = echo_rerun_changes(Path(tmp), name)
+            if changed:
+                print(f"{name}: rerun on its resolved_config changes {len(changed)} lines, "
+                      "so its digests must not be recorded")
