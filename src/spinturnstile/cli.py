@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration syntax error, 3 validation error,
 """
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -25,6 +24,7 @@ from .config import (
     ConfigValidationError,
     RunConfig,
     config_digest,
+    lead_vectors,
     parse_config,
     resolved_json,
 )
@@ -84,7 +84,7 @@ def _cmd_rates(cfg: RunConfig, meta: dict) -> ResultTable:
 
 def _cmd_cycle(cfg: RunConfig, meta: dict) -> ResultTable:
     outcome = run_cycle(
-        cfg.setting.to_setting(), cfg.model, cfg.tunnel,
+        cfg.setting, cfg.model, cfg.tunnel,
         cfg.gate_state.density(), cfg.detection_c, cfg.include_gate_hamiltonian,
         threshold=cfg.hierarchy_threshold,
     )
@@ -94,16 +94,16 @@ def _cmd_cycle(cfg: RunConfig, meta: dict) -> ResultTable:
     )
     u = outcome.u_ancilla
     row = (
-        cfg.setting.t_interact, outcome.instrument.kappa, outcome.pr_pulse,
+        cfg.setting.t_interact[0], outcome.instrument.kappa, outcome.pr_pulse,
         float(u[0]), float(u[1]), float(u[2]), float(np.linalg.norm(u)),
     )
     return ResultTable(columns=columns, rows=[row], metadata=meta)
 
 
 def _cmd_sweep(cfg: RunConfig, meta: dict) -> ResultTable:
-    settings = [s.to_setting() for s in cfg.sweep_settings]
+    grid = cfg.sweep_settings
     rows_out = run_sweep(
-        settings,
+        grid,
         model=cfg.model,
         tunnel=cfg.tunnel,
         rho_gate=cfg.gate_state.density(),
@@ -122,17 +122,11 @@ def _cmd_sweep(cfg: RunConfig, meta: dict) -> ResultTable:
         "n_pulses", "n_cycles", "current_a", "current_std_err_a", "seed", "status",
     )
     rows = []
-    for index, (setting, r) in enumerate(zip(settings, rows_out)):
-        ul, ur = setting.u_left, setting.u_right
+    for index, (ul, ur, t, r) in enumerate(zip(grid.u_left, grid.u_right, grid.t_interact, rows_out)):
         rec, cur = r.record, r.current
-        rows.append((
-            index, ul[0], ul[1], ul[2], ur[0], ur[1], ur[2],
-            setting.t_interact, r.pr,
-            rec.pr_hat if rec else None, rec.std_err if rec else None,
-            rec.n_pulses if rec else None, rec.n_cycles if rec else None,
-            cur.amperes if cur else None, cur.std_err_amperes if cur else None,
-            rec.seed if rec else None, r.status,
-        ))
+        counts = (rec.pr_hat, rec.std_err, rec.n_pulses, rec.n_cycles) if rec else (None,) * 4
+        current = (cur.amperes, cur.std_err_amperes) if cur else (None, None)
+        rows.append((index, *ul, *ur, t, r.pr, *counts, *current, rec.seed if rec else None, r.status))
     meta["mode"] = cfg.experiment.mode
     return ResultTable(columns=columns, rows=rows, metadata=meta)
 
@@ -144,10 +138,9 @@ def _cmd_calibrate(cfg: RunConfig, meta: dict) -> ResultTable:
     c_true = cfg.detection_c
     if c_true == 0.0:
         raise ValueError("detection.c: must be positive to calibrate, since no pulse occurs at 0")
-    u_right = dataclasses.replace(cfg.setting.u_left, magnitude=cfg.setting.u_right.magnitude)
-    geometry = cfg.setting._replace(u_right=u_right, t_interact=0.0)
-    block = setting_instrument(geometry.to_setting(), cfg.model, cfg.tunnel, c_true,
-                               cfg.include_gate_hamiltonian)
+    (direction, _), (_, magnitude) = cfg.setting.given_left[0], cfg.setting.given_right[0]
+    geometry = cfg.setting._replace(u_right=lead_vectors([(direction, magnitude)]), t_interact=(0.0,))
+    block = setting_instrument(geometry, cfg.model, cfg.tunnel, c_true, cfg.include_gate_hamiltonian)
     pr_true = float(block.pulse_probabilities(cfg.gate_state.density())[0])
     rec = sample_cycles(pr_true, cfg.experiment.n_cycles, cfg.experiment.seed)
     rows = []
@@ -160,7 +153,7 @@ def _cmd_calibrate(cfg: RunConfig, meta: dict) -> ResultTable:
 
 def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
     mode = cfg.tomography.mode
-    settings = [s.to_setting() for s in cfg.tomography.settings]
+    settings = cfg.tomography.settings
     design = build_design(
         settings, cfg.model, cfg.tunnel, cfg.detection_c,
         mode=mode, include_gate_hamiltonian=cfg.include_gate_hamiltonian,

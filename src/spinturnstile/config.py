@@ -5,7 +5,10 @@ field names (``_per_s`` for rates and angular frequencies, ``_s`` for times,
 ``_tesla`` for fields). Parsing applies documented defaults, rejects unknown
 keys, and reports semantic violations with the full field path. The model,
 tunnel, lead and experiment sections are each stated once, as a field table
-that drives their parsing, defaults and resolved form. :func:`resolved_json`
+that drives their parsing, defaults and resolved form. Each settings array
+becomes one :class:`~spinturnstile.cycle.SettingGrid` of columns, checked
+here alone: lead bounds and norms and times stacked, the rest value by value,
+and the first bad field in document order is reported. :func:`resolved_json`
 writes the configuration with every default applied, in the schema's shape,
 as compact JSON text; the command line embeds that text in every output, and
 parsing it reproduces an equal :class:`RunConfig`.
@@ -14,7 +17,7 @@ parsing it reproduces an equal :class:`RunConfig`.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+import sys
 from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
@@ -23,7 +26,7 @@ import numpy as np
 
 from .algebra import PAULI_PRODUCT_LABELS
 from .constants import G_NUCLEAR_P31
-from .cycle import MeasurementSetting
+from .cycle import SettingGrid
 from .experiment import MASTER_SEED_MAX
 from .model import SpinModelParams, TunnelParams
 from .tomography import SINGLE_SPIN, TWO_SPIN, is_physical, n_parameters, theta_to_density
@@ -32,8 +35,6 @@ __all__ = [
     "ConfigError",
     "ConfigSyntaxError",
     "ConfigValidationError",
-    "LeadSpec",
-    "SettingSpec",
     "GateStateSpec",
     "ExperimentSpec",
     "TomographySpec",
@@ -41,6 +42,7 @@ __all__ = [
     "parse_config",
     "resolved_json",
     "config_digest",
+    "lead_vectors",
     "GATE_PRESETS",
 ]
 
@@ -57,8 +59,6 @@ class ConfigValidationError(ConfigError):
     """A field violates the schema; the message names the field path."""
 
     def __init__(self, path: str, message: str):
-        self.path = path
-        self.reason = message
         super().__init__(f"{path}: {message}")
 
 
@@ -72,71 +72,6 @@ GATE_PRESETS = {
         ("singlet", {"XX": -1.0, "YY": -1.0, "ZZ": -1.0}),
     )
 }
-
-
-# A direction whose components all lie below this in magnitude has a finite
-# sum of squares: 3 * 2**1000 < 2**1024.
-_SQUARES_FINITE_BELOW = 2.0 ** 500
-
-
-@dataclass(frozen=True)
-class LeadSpec:
-    """Lead polarization: a direction (any nonzero 3-vector of finite norm)
-    and a magnitude. ``norm`` is the direction's norm, computed once here.
-
-    Raises:
-        ConfigValidationError: at path ``direction`` if its norm is zero or
-            not finite.
-    """
-
-    direction: tuple
-    magnitude: float
-    norm: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # The norm vector() divides by, by numpy.linalg.norm's route: the
-        # square root of a.dot(a). An overflow to inf would turn the lead
-        # into an unpolarized one.
-        a = np.array(self.direction, dtype=float)
-        if max(map(abs, self.direction)) < _SQUARES_FINITE_BELOW:
-            norm = math.sqrt(a.dot(a))
-        else:
-            with np.errstate(over="ignore"):
-                norm = math.sqrt(a.dot(a))
-        if norm == 0.0 or norm == math.inf:
-            # The sum of squares under- or overflowed. Scaled by the largest
-            # component, only a zero vector or an infinite norm stays.
-            scale = float(np.abs(a).max())
-            if 0.0 < scale < math.inf:
-                a /= scale
-                norm = scale * math.sqrt(a.dot(a))
-        if norm == 0.0:
-            raise ConfigValidationError("direction", "must be a nonzero vector")
-        if not math.isfinite(norm):
-            raise ConfigValidationError("direction", "norm must be finite")
-        object.__setattr__(self, "norm", norm)
-
-    def vector(self) -> tuple:
-        # the elementwise float arithmetic of magnitude * d / norm on an array
-        return tuple(self.magnitude * float(x) / self.norm for x in self.direction)
-
-
-class SettingSpec(NamedTuple):
-    """One cycle setting (the run's own, or a sweep/tomography row);
-    ``model`` optionally overrides couplings."""
-
-    u_left: LeadSpec
-    u_right: LeadSpec
-    t_interact: float
-    model: SpinModelParams | None = None
-
-    def to_setting(self) -> MeasurementSetting:
-        return MeasurementSetting(
-            u_left=self.u_left.vector(),
-            u_right=self.u_right.vector(),
-            t_interact=self.t_interact,
-            model=self.model,
-        )
 
 
 class GateStateSpec(NamedTuple):
@@ -168,7 +103,7 @@ class ExperimentSpec(NamedTuple):
 class TomographySpec(NamedTuple):
     mode: str
     noise: str
-    settings: tuple
+    settings: SettingGrid
 
 
 class RunConfig(NamedTuple):
@@ -176,13 +111,13 @@ class RunConfig(NamedTuple):
 
     model: SpinModelParams
     tunnel: TunnelParams
-    setting: SettingSpec
+    setting: SettingGrid
     include_gate_hamiltonian: bool
     detection_c: float
     gate_state: GateStateSpec
     experiment: ExperimentSpec
     hierarchy_threshold: float
-    sweep_settings: tuple
+    sweep_settings: SettingGrid
     tomography: TomographySpec
 
 
@@ -193,19 +128,17 @@ _AXES = {
 }
 
 
-def _reject_unknown(obj: dict, known, path: str):
-    for key in obj:
+def _as_object(value, path: str, known) -> dict:
+    """``value`` as a JSON object of ``known`` keys; ``path`` "" is the root."""
+    if not isinstance(value, dict):
+        raise ConfigValidationError(path or "<config>", "expected an object")
+    for key in value:
         if key not in known:
             raise ConfigValidationError(f"{path}.{key}" if path else key, "unknown key")
-
-
-def _as_dict(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigValidationError(path, "expected an object")
     return value
 
 
-def _as_float(value, path: str, minimum=None, maximum=None, allow_none=False):
+def _as_float(value, path: str, minimum=None, allow_none=False):
     if type(value) is not float:  # a JSON number is most often a float already
         if value is None and allow_none:
             return None
@@ -219,8 +152,6 @@ def _as_float(value, path: str, minimum=None, maximum=None, allow_none=False):
         raise ConfigValidationError(path, "must be finite")
     if minimum is not None and value < minimum:
         raise ConfigValidationError(path, f"must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        raise ConfigValidationError(path, f"must be <= {maximum}")
     return value
 
 
@@ -253,7 +184,7 @@ def _as_vec3(value, path: str):
 
 
 def _as_direction(value, path: str) -> tuple:
-    """An axis name or a 3-vector; :class:`LeadSpec` checks its norm."""
+    """An axis name or a 3-vector; :func:`_grid` checks its norm."""
     if isinstance(value, str):
         if value not in _AXES:
             raise ConfigValidationError(path, "axis name must be 'x', 'y' or 'z'")
@@ -285,9 +216,10 @@ _TUNNEL_FIELDS = {
     "tau_cycle_s": ("tau_cycle", TunnelParams.tau_cycle, _as_float),
 }
 
+# A lead's magnitude bounds and its direction's norm are checked stacked.
 _LEAD_FIELDS = {
     "direction": ("direction", _AXES["z"], _as_direction),
-    "magnitude": ("magnitude", 1.0, partial(_as_float, minimum=0.0, maximum=1.0)),
+    "magnitude": ("magnitude", 1.0, _as_float),
 }
 
 _EXPERIMENT_FIELDS = {
@@ -303,8 +235,7 @@ def _parse_section(obj, path: str, cls, fields: dict, base=None):
     """Build ``cls`` from the JSON object at ``path``: each key of ``fields``
     that ``obj`` gives is read and checked; every other field comes from
     ``base`` (an instance of ``cls``) or, without one, from the table."""
-    obj = _as_dict(obj, path)
-    _reject_unknown(obj, fields, path)
+    obj = _as_object(obj, path, fields)
     values = {}
     for key, (attr, default, read) in fields.items():
         if key in obj:
@@ -313,26 +244,93 @@ def _parse_section(obj, path: str, cls, fields: dict, base=None):
             values[attr] = default if base is None else getattr(base, attr)
     try:
         return cls(**values)
-    except ConfigValidationError as exc:  # a field check the section class makes
-        raise ConfigValidationError(f"{path}.{exc.path}", exc.reason) from exc
-    except ValueError as exc:
+    except ValueError as exc:  # a check the section class makes
         raise ConfigValidationError(path, str(exc)) from exc
 
 
-def _parse_setting(obj, path: str, default: SettingSpec, base_model: SpinModelParams) -> SettingSpec:
-    obj = _as_dict(obj, path)
-    _reject_unknown(obj, {"u_left", "u_right", "t_interact_s", "model"}, path)
-    u_left = (_parse_section(obj["u_left"], f"{path}.u_left", LeadSpec, _LEAD_FIELDS)
-              if "u_left" in obj else default.u_left)
-    u_right = (_parse_section(obj["u_right"], f"{path}.u_right", LeadSpec, _LEAD_FIELDS)
-               if "u_right" in obj else default.u_right)
-    t_interact = _as_float(obj.get("t_interact_s", default.t_interact), f"{path}.t_interact_s",
-                           minimum=0.0)
-    # A per-setting model block is a partial override of the run model.
-    model = (_parse_section(obj["model"], f"{path}.model", SpinModelParams, _MODEL_FIELDS,
-                            base=base_model)
-             if "model" in obj else None)
-    return SettingSpec(u_left=u_left, u_right=u_right, t_interact=t_interact, model=model)
+def _read_lead(obj, path: str) -> tuple:
+    """A lead object's ``(direction, magnitude)``, as given or by default."""
+    obj = _as_object(obj, path, _LEAD_FIELDS)
+    return tuple(read(obj[key], f"{path}.{key}") if key in obj else default
+                 for key, (_, default, read) in _LEAD_FIELDS.items())
+
+
+def _lead_norms(directions: np.ndarray) -> np.ndarray:
+    """Each row's norm by numpy.linalg.norm's route, ``sqrt(a.dot(a))``. A row whose
+    squares under- or overflow (which takes a component of 2**500 or more) is scaled
+    by its largest component first: only a zero row gets 0, and inf only a norm past 2**1024."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])
+        redo = (norms == 0.0) | (norms == math.inf)
+        if redo.any():
+            scales = np.abs(directions[redo]).max(axis=1)
+            a = directions[redo] / np.where(scales > 0.0, scales, 1.0)[:, None]
+            norms[redo] = scales * np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+    return norms
+
+
+def lead_vectors(leads) -> tuple:
+    """Each checked lead ``(direction, magnitude)``'s polarization ``magnitude *
+    direction / norm``, elementwise, as 3 Python floats. An all-subnormal direction
+    is scaled by its largest component first: ``magnitude * direction`` would round it."""
+    directions = np.array([d for d, _ in leads], dtype=float).reshape(-1, 3)
+    scales = np.abs(directions).max(axis=1, keepdims=True)
+    directions = np.where(scales < np.finfo(float).tiny, directions / scales, directions)
+    vectors = np.array([m for _, m in leads], dtype=float)[:, None] * directions
+    return tuple(map(tuple, (vectors / _lead_norms(directions)[:, None]).tolist()))
+
+
+# A setting row's stacked checks, as (field, message), in the order the walk
+# reaches their fields: per lead its magnitude's bounds and its norm, then the time.
+_ROW_CHECKS = (*((f"{lead}.{key}", message) for lead in ("u_left", "u_right")
+                 for key, message in (("magnitude", "must be >= 0.0"), ("magnitude", "must be <= 1.0"),
+                                      ("direction", "must be a nonzero vector"),
+                                      ("direction", "norm must be finite"))),
+               ("t_interact_s", "must be >= 0.0"))
+
+
+def _grid(left: list, right: list, times: list, models: list, path_of) -> SettingGrid:
+    """The grid of walked rows, after the stacked checks: the first to fail in
+    row and field order raises, at its path below ``path_of(row)``."""
+    failed = []
+    for lead in (left, right):
+        magnitudes = np.array([m for _, m in lead], dtype=float)
+        norms = _lead_norms(np.array([d for d, _ in lead], dtype=float).reshape(-1, 3))
+        failed += [magnitudes < 0.0, magnitudes > 1.0, norms == 0.0, norms == math.inf]
+    failed.append(np.array(times, dtype=float) < 0.0)
+    bad = np.flatnonzero(np.column_stack(failed))
+    if bad.size:
+        row, check = divmod(int(bad[0]), len(_ROW_CHECKS))
+        raise ConfigValidationError(f"{path_of(row)}.{_ROW_CHECKS[check][0]}", _ROW_CHECKS[check][1])
+    return SettingGrid(u_left=lead_vectors(left), u_right=lead_vectors(right), t_interact=tuple(times),
+                       models=tuple(models), given_left=tuple(left), given_right=tuple(right))
+
+
+def _parse_settings(objs, path_of, default: SettingGrid | None, base_model: SpinModelParams) -> SettingGrid:
+    """The grid of the setting objects ``objs``, row ``i`` at ``path_of(i)``. A row
+    takes a lead or time it does not give from the first row of ``default`` (the
+    run's own setting); a ``model`` block is a partial override of ``base_model``."""
+    left, right, times, models = [], [], [], []
+    for i, obj in enumerate(objs):
+        path = path_of(i)
+        try:
+            obj = _as_object(obj, path, ("u_left", "u_right", "t_interact_s", "model"))
+            left.append(_read_lead(obj["u_left"], f"{path}.u_left") if "u_left" in obj
+                        else default.given_left[0])
+            right.append(_read_lead(obj["u_right"], f"{path}.u_right") if "u_right" in obj
+                         else default.given_right[0])
+            times.append(_as_float(obj["t_interact_s"], f"{path}.t_interact_s") if "t_interact_s" in obj
+                         else default.t_interact[0])
+            models.append(_parse_section(obj["model"], f"{path}.model", SpinModelParams, _MODEL_FIELDS,
+                                         base=base_model) if "model" in obj else None)
+        except ConfigValidationError:
+            # A stacked check of a field walked before comes first; this row's
+            # fields not read yet get values that pass.
+            right += [(_AXES["z"], 1.0)] * (len(left) - len(right))
+            times += [0.0] * (len(left) - len(times))
+            _grid(left, right, times, models, path_of)
+            raise
+    return _grid(left, right, times, models, path_of)
 
 
 def parse_config(data) -> RunConfig:
@@ -353,33 +351,29 @@ def parse_config(data) -> RunConfig:
             data = json.loads(data, parse_int=lambda text: -0.0 if text == "-0" else int(text))
         except json.JSONDecodeError as exc:
             raise ConfigSyntaxError(f"invalid JSON: {exc}") from exc
-    root = _as_dict(data, "<config>")
-    known = {
-        "model", "tunnel", "schedule", "leads", "detection", "gate_state",
-        "experiment", "hierarchy_threshold", "sweep", "tomography",
-    }
-    _reject_unknown(root, known, "")
+        except RecursionError as exc:
+            raise ConfigSyntaxError("invalid JSON: nested past the recursion limit of "
+                                    f"{sys.getrecursionlimit()}") from exc
+        except ValueError as exc:  # the one other: an integer past int's digit limit
+            raise ConfigSyntaxError("invalid JSON: an integer of more than "
+                                    f"{sys.get_int_max_str_digits()} digits") from exc
+    root = _as_object(data, "", {"model", "tunnel", "schedule", "leads", "detection", "gate_state",
+                                 "experiment", "hierarchy_threshold", "sweep", "tomography"})
 
     model = _parse_section(root.get("model", {}), "model", SpinModelParams, _MODEL_FIELDS)
     tunnel = _parse_section(root.get("tunnel", {}), "tunnel", TunnelParams, _TUNNEL_FIELDS)
 
-    sched = _as_dict(root.get("schedule", {}), "schedule")
-    _reject_unknown(sched, {"t_interact_s", "include_gate_hamiltonian"}, "schedule")
+    sched = _as_object(root.get("schedule", {}), "schedule", {"t_interact_s", "include_gate_hamiltonian"})
     t_interact = _as_float(sched.get("t_interact_s", 1.0e-6), "schedule.t_interact_s", minimum=0.0)
-    include_gate_hamiltonian = _as_bool(
-        sched.get("include_gate_hamiltonian", True), "schedule.include_gate_hamiltonian"
-    )
+    include_gate_hamiltonian = _as_bool(sched.get("include_gate_hamiltonian", True),
+                                        "schedule.include_gate_hamiltonian")
 
-    leads = _as_dict(root.get("leads", {}), "leads")
-    _reject_unknown(leads, {"u_left", "u_right"}, "leads")
-    setting = SettingSpec(
-        u_left=_parse_section(leads.get("u_left", {}), "leads.u_left", LeadSpec, _LEAD_FIELDS),
-        u_right=_parse_section(leads.get("u_right", {}), "leads.u_right", LeadSpec, _LEAD_FIELDS),
-        t_interact=t_interact,
-    )
+    leads = _as_object(root.get("leads", {}), "leads", {"u_left", "u_right"})
+    # the run's own setting: a one-row grid of the given leads and time
+    setting = _parse_settings([{"u_left": leads.get("u_left", {}), "u_right": leads.get("u_right", {}),
+                                "t_interact_s": t_interact}], lambda i: "leads", None, model)
 
-    det = _as_dict(root.get("detection", {}), "detection")
-    _reject_unknown(det, {"c"}, "detection")
+    det = _as_object(root.get("detection", {}), "detection", {"c"})
     detection_c = _as_float(det.get("c", 1.0), "detection.c", minimum=0.0)
 
     gate_state = _parse_gate_state(root.get("gate_state", {"preset": "maximally_mixed"}))
@@ -389,50 +383,32 @@ def parse_config(data) -> RunConfig:
 
     threshold = _as_float(root.get("hierarchy_threshold", 100.0), "hierarchy_threshold", minimum=1.0)
 
-    def parse_settings(block: dict, path: str) -> tuple:
+    def parse_settings(block: dict, path: str) -> SettingGrid:
         raw = block.get("settings")
         if raw is None:
-            # Default grid: the run's setting with the right-lead axis swept
-            # over x, y, z.
-            return tuple(
-                setting._replace(u_right=replace(setting.u_right, direction=_AXES[ax]))
-                for ax in ("x", "y", "z")
-            )
-        if not isinstance(raw, list) or not raw:
+            # Default grid: the run's setting with the right-lead axis swept over x, y, z.
+            raw = [{"u_right": {"direction": _AXES[ax], "magnitude": setting.given_right[0][1]}}
+                   for ax in ("x", "y", "z")]
+        elif not isinstance(raw, list) or not raw:
             raise ConfigValidationError(f"{path}.settings", "expected a nonempty array")
-        return tuple(
-            _parse_setting(s, f"{path}.settings[{i}]", setting, model)
-            for i, s in enumerate(raw)
-        )
+        return _parse_settings(raw, lambda i: f"{path}.settings[{i}]", setting, model)
 
-    sweep = _as_dict(root.get("sweep", {}), "sweep")
-    _reject_unknown(sweep, {"settings"}, "sweep")
+    sweep = _as_object(root.get("sweep", {}), "sweep", {"settings"})
     sweep_settings = parse_settings(sweep, "sweep")
 
-    tomo = _as_dict(root.get("tomography", {}), "tomography")
-    _reject_unknown(tomo, {"mode", "noise", "settings"}, "tomography")
+    tomo = _as_object(root.get("tomography", {}), "tomography", {"mode", "noise", "settings"})
     tomo_mode = _as_choice(tomo.get("mode", SINGLE_SPIN), "tomography.mode", {SINGLE_SPIN, TWO_SPIN})
     tomo_noise = _as_choice(tomo.get("noise", "none"), "tomography.noise", {"none", "shot"})
-    tomo_settings = parse_settings(tomo, "tomography")
-    tomography = TomographySpec(mode=tomo_mode, noise=tomo_noise, settings=tomo_settings)
+    tomography = TomographySpec(mode=tomo_mode, noise=tomo_noise, settings=parse_settings(tomo, "tomography"))
 
-    return RunConfig(
-        model=model,
-        tunnel=tunnel,
-        setting=setting,
-        include_gate_hamiltonian=include_gate_hamiltonian,
-        detection_c=detection_c,
-        gate_state=gate_state,
-        experiment=experiment,
-        hierarchy_threshold=threshold,
-        sweep_settings=sweep_settings,
-        tomography=tomography,
-    )
+    return RunConfig(model=model, tunnel=tunnel, setting=setting,
+                     include_gate_hamiltonian=include_gate_hamiltonian, detection_c=detection_c,
+                     gate_state=gate_state, experiment=experiment, hierarchy_threshold=threshold,
+                     sweep_settings=sweep_settings, tomography=tomography)
 
 
 def _parse_gate_state(obj) -> GateStateSpec:
-    obj = _as_dict(obj, "gate_state")
-    _reject_unknown(obj, {"preset", "theta_single_spin", "theta_two_spin"}, "gate_state")
+    obj = _as_object(obj, "gate_state", {"preset", "theta_single_spin", "theta_two_spin"})
     given = [k for k in ("preset", "theta_single_spin", "theta_two_spin") if k in obj]
     if len(given) != 1:
         raise ConfigValidationError(
@@ -487,7 +463,7 @@ def _arguments(fields: dict):
     return lambda value: (*(values := get(value))[0], *values[1:])
 
 
-_LEAD_TEMPLATE, _lead_arguments = _template(_LEAD_FIELDS), _arguments(_LEAD_FIELDS)
+_LEAD_TEMPLATE = _template(_LEAD_FIELDS)
 _MODEL_TEMPLATES = (_template(_MODEL_FIELDS), _template(_MODEL_FIELDS, null="exchange_per_s"))
 _model_arguments = _arguments(_MODEL_FIELDS)
 _TUNNEL_TEMPLATE, _tunnel_arguments = _template(_TUNNEL_FIELDS), _arguments(_TUNNEL_FIELDS)
@@ -502,16 +478,16 @@ _SETTING_TEMPLATES = (_SETTING_HEAD + "}",
                       *(f'{_SETTING_HEAD},"model":{model}}}' for model in _MODEL_TEMPLATES))
 
 
-def _settings_json(settings) -> str:
-    """The JSON array of sweep or tomography settings, one format per setting."""
+def _settings_json(grid: SettingGrid) -> str:
+    """The JSON array of a sweep or tomography grid, one format per setting."""
     texts = []
-    for s in settings:
-        args = (*_lead_arguments(s.u_left), *_lead_arguments(s.u_right), s.t_interact)
-        if s.model is None:
+    for left, right, t, model in zip(grid.given_left, grid.given_right, grid.t_interact, grid.models):
+        args = (*left[0], left[1], *right[0], right[1], t)
+        if model is None:
             texts.append(_SETTING_TEMPLATES[0] % args)
         else:
-            texts.append(_SETTING_TEMPLATES[1 + (s.model.exchange is None)]
-                         % (*args, *_model_arguments(s.model)))
+            texts.append(_SETTING_TEMPLATES[1 + (model.exchange is None)]
+                         % (*args, *_model_arguments(model)))
     return "[" + ",".join(texts) + "]"
 
 
@@ -530,7 +506,7 @@ def resolved_json(cfg: RunConfig) -> str:
     the schema's shape: keys in the field tables' order, each float at 17
     significant digits (``-0.0`` as ``-0``) and a null exchange as ``null``.
     """
-    gate = cfg.gate_state
+    gate, setting = cfg.gate_state, cfg.setting
     if gate.preset is not None:
         gate_state = ("preset", f'"{gate.preset}"')
     else:
@@ -540,9 +516,9 @@ def resolved_json(cfg: RunConfig) -> str:
     return _RESOLVED_TEMPLATE % (
         _MODEL_TEMPLATES[cfg.model.exchange is None] % _model_arguments(cfg.model),
         _TUNNEL_TEMPLATE % _tunnel_arguments(cfg.tunnel),
-        cfg.setting.t_interact, "true" if cfg.include_gate_hamiltonian else "false",
-        _LEAD_TEMPLATE % _lead_arguments(cfg.setting.u_left),
-        _LEAD_TEMPLATE % _lead_arguments(cfg.setting.u_right),
+        setting.t_interact[0], "true" if cfg.include_gate_hamiltonian else "false",
+        _LEAD_TEMPLATE % (*setting.given_left[0][0], setting.given_left[0][1]),
+        _LEAD_TEMPLATE % (*setting.given_right[0][0], setting.given_right[0][1]),
         cfg.detection_c, *gate_state,
         _EXPERIMENT_TEMPLATE % _experiment_arguments(cfg.experiment), cfg.hierarchy_threshold,
         _settings_json(cfg.sweep_settings),

@@ -23,13 +23,13 @@ coordinates (the Liouville representation), and the ancilla polarization
 pulse matrix is the effect. A post-measurement state is the image of ``x``
 renormalized by its first entry. :class:`InstrumentBlock` is the one
 instrument type: it holds these arrays for a stack of settings, one row
-each. :func:`setting_instruments` is the one route from
-:class:`MeasurementSetting` values to blocks; :func:`setting_instrument`
-gives the one-row block of a single setting, and :func:`run_cycle` reads a
-cycle off it. Their agreement with the ancilla pathway (a second joint
-evolution of ``rho_A x rho``, a partial trace and the formula above) and
-with a Kraus-operator route, both kept in ``tests/oracles.py``, is the
-central consistency check of the package.
+each. Settings travel as one :class:`SettingGrid` of columns, and
+:func:`setting_instruments` is the one route from a grid to blocks;
+:func:`setting_instrument` gives the one-row block of a single setting, and
+:func:`run_cycle` reads a cycle off it. Their agreement with the ancilla
+pathway (a second joint evolution of ``rho_A x rho``, a partial trace and
+the formula above) and with a Kraus-operator route, both kept in
+``tests/oracles.py``, is the central consistency check of the package.
 
 The detection POVM on the ancilla is the minimal two-outcome model that
 reproduces the pulse-probability formula: ``M_pulse = kappa (I + u_right .
@@ -72,10 +72,12 @@ from .model import (
 __all__ = [
     "BLOCK_ROWS",
     "MeasurementSetting",
+    "SettingGrid",
     "InstrumentBlock",
     "CycleOutcome",
     "HierarchyWarning",
     "detection_strength",
+    "setting_grid",
     "setting_instruments",
     "setting_instrument",
     "run_cycle",
@@ -113,11 +115,11 @@ class MeasurementSetting:
     this setting only (sweeps and tomography designs may vary couplings or
     the field alongside the lead magnetizations).
 
-    This is the one check of ``(u_left, u_right, t_interact)``: each lead
-    has 3 components and a finite norm of at most 1, and the time is finite
-    and nonnegative. Each ``ValueError`` names its field. The leads and the
-    time are kept as floats, so equal settings are equal whatever numeric
-    types built them.
+    This is the check of a library setting (a parsed one is the
+    configuration's alone): each lead has 3 components and a finite norm of
+    at most 1, and the time is finite and nonnegative. Each ``ValueError``
+    names its field. The leads and the time are kept as floats, so equal
+    settings are equal whatever numeric types built them.
     """
 
     u_left: tuple
@@ -136,6 +138,30 @@ class MeasurementSetting:
         if not 0.0 <= self.t_interact < math.inf:  # NaN too
             raise ValueError("t_interact must be finite and nonnegative")
         object.__setattr__(self, "t_interact", float(self.t_interact))
+
+
+class SettingGrid(NamedTuple):
+    """Settings as columns, one entry per row: lead polarizations ``u_left`` and
+    ``u_right`` (3-tuples of floats), times ``t_interact`` and model overrides
+    ``models`` (None for the run's model). A parsed grid also keeps each lead's
+    ``(direction, magnitude)`` as given, for the echo; a stacked one has None."""
+
+    u_left: tuple
+    u_right: tuple
+    t_interact: tuple
+    models: tuple
+    given_left: tuple | None = None
+    given_right: tuple | None = None
+
+
+def setting_grid(settings) -> SettingGrid:
+    """``settings`` as one :class:`SettingGrid`: a grid as it is, and one
+    :class:`MeasurementSetting` or a sequence of them stacked into columns."""
+    if isinstance(settings, SettingGrid):
+        return settings
+    settings = (settings,) if isinstance(settings, MeasurementSetting) else tuple(settings)
+    return SettingGrid(*(tuple(getattr(s, name) for s in settings)
+                         for name in ("u_left", "u_right", "t_interact", "model")))
 
 
 @dataclass(frozen=True)
@@ -295,8 +321,8 @@ def setting_instruments(
     *,
     threshold: float | None = None,
 ):
-    """Yield the instruments of a sequence of settings, one
-    :class:`InstrumentBlock` per ``BLOCK_ROWS`` consecutive settings.
+    """Yield the instruments of ``settings`` (what :func:`setting_grid`
+    takes), one :class:`InstrumentBlock` per ``BLOCK_ROWS`` settings.
 
     Each setting uses its own model override when it has one and ``model``
     otherwise; the detection window and the escape transparency
@@ -318,12 +344,13 @@ def setting_instruments(
     reported by its row's error alone, since its time scales cannot be
     computed.
     """
-    settings = list(settings)
+    grid = setting_grid(settings)
+    u_left, u_right = (np.array(u, dtype=float).reshape(-1, 3) for u in (grid.u_left, grid.u_right))
     kappa = detection_strength(c, tunnel.tau_detect, tunnel.gamma0)
     times = _escape_times(tunnel)
-    for start in range(0, len(settings), BLOCK_ROWS):
-        block = settings[start:start + BLOCK_ROWS]
-        coefficients = model_coefficients(s.model if s.model is not None else model for s in block)
+    for start in range(0, len(grid.t_interact), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        coefficients = model_coefficients(model if m is None else m for m in grid.models[rows])
         if threshold is None:
             overflows = _hierarchy_overflows(coefficients)
         else:
@@ -343,23 +370,22 @@ def setting_instruments(
         h[overflow] = 0.0
         # A model's 13 coefficients name its Hamiltonian in a tenth of the
         # bytes; + 0.0 makes a -0.0 coefficient +0.0, which gives the same H.
-        yield _instrument_block(start, h, coefficients + 0.0, [s.t_interact for s in block],
-                                np.array([s.u_left for s in block]),
-                                np.array([s.u_right for s in block]), kappa,
+        yield _instrument_block(start, h, coefficients + 0.0, grid.t_interact[rows], u_left[rows],
+                                u_right[rows], kappa,
                                 [_OVERFLOW_ERROR if o else None for o in overflow.tolist()])
 
 
 def setting_instrument(
-    setting: MeasurementSetting,
+    setting,
     model: SpinModelParams,
     tunnel: TunnelParams,
     c: float,
     include_gate_hamiltonian: bool = True,
 ) -> InstrumentBlock:
-    """The instrument one setting induces on the gate: the one-row block of
-    :func:`setting_instruments`, raising ``ValueError`` where that reports an
-    error."""
-    return _checked(next(setting_instruments([setting], model, tunnel, c, include_gate_hamiltonian)))
+    """The instrument one setting (a :class:`MeasurementSetting` or one-row
+    :class:`SettingGrid`) induces on the gate: the one-row block of
+    :func:`setting_instruments`, raising ``ValueError`` where that reports an error."""
+    return _checked(next(setting_instruments(setting, model, tunnel, c, include_gate_hamiltonian)))
 
 
 def _checked(block: InstrumentBlock) -> InstrumentBlock:
@@ -370,7 +396,7 @@ def _checked(block: InstrumentBlock) -> InstrumentBlock:
 
 
 def run_cycle(
-    setting: MeasurementSetting,
+    setting,
     model: SpinModelParams,
     tunnel: TunnelParams,
     rho_gate: np.ndarray,
@@ -388,7 +414,7 @@ def run_cycle(
     ``threshold`` (the protocol's instantaneous-switching assumptions are
     then questionable), but still computes the ideal-limit result.
     """
-    block = _checked(next(setting_instruments([setting], model, tunnel, c, include_gate_hamiltonian,
+    block = _checked(next(setting_instruments(setting, model, tunnel, c, include_gate_hamiltonian,
                                               threshold=threshold)))
     x = pauli_coordinates(rho_gate)
 

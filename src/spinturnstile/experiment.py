@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import pauli_coordinates, pauli_operator
-from .cycle import MeasurementSetting, setting_instruments
+from .cycle import setting_grid, setting_instruments
 from .constants import ELEMENTARY_CHARGE
 from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
@@ -400,10 +400,10 @@ def _digest_templates() -> tuple:
     :func:`derive_setting_seeds`): without a model, then with one whose
     exchange is a float and with one whose exchange is null.
 
-    ``repr`` writes what ``json.dumps`` writes for the finite floats that
-    :class:`MeasurementSetting` and :class:`SpinModelParams` keep. A null
-    exchange takes its None argument with a ``%.0s`` slot, which writes
-    nothing of it, after ``null``.
+    ``repr`` writes what ``json.dumps`` writes for the Python floats that a
+    :class:`~spinturnstile.cycle.SettingGrid` and :class:`SpinModelParams`
+    keep. A null exchange takes its None argument with a ``%.0s`` slot,
+    which writes nothing of it, after ``null``.
     """
     tail = '"t_interact": %r, "u_left": [%r, %r, %r], "u_right": [%r, %r, %r]}'
 
@@ -417,9 +417,8 @@ def _digest_templates() -> tuple:
 _DIGEST_TEMPLATES = _digest_templates()
 
 
-def _setting_digest(setting: MeasurementSetting) -> bytes:
-    values = (setting.t_interact, *setting.u_left, *setting.u_right)
-    model = setting.model
+def _setting_digest(t_interact: float, u_left: tuple, u_right: tuple, model) -> bytes:
+    values = (t_interact, *u_left, *u_right)
     if model is None:
         text = _DIGEST_TEMPLATES[0] % values
     else:
@@ -430,7 +429,8 @@ def _setting_digest(setting: MeasurementSetting) -> bytes:
 
 
 def derive_setting_seeds(master_seed: int, settings) -> list:
-    """Deterministic per-setting seeds from the master seed and each setting's content.
+    """Deterministic per-setting seeds from the master seed and each setting's
+    content (``settings``: see :func:`~spinturnstile.cycle.setting_grid`).
 
     Content addressing (rather than row position) makes a setting's stochastic
     result invariant under grid reordering and safe to compute in parallel.
@@ -447,14 +447,16 @@ def derive_setting_seeds(master_seed: int, settings) -> list:
     """
     master = int(master_seed) & MASTER_SEED_MAX
     master_bytes = master.to_bytes(4 if master < 2**32 else 8, "little")
-    data = b"".join(master_bytes + _setting_digest(s) for s in settings)
+    grid = setting_grid(settings)
+    data = b"".join(master_bytes + _setting_digest(*row)
+                    for row in zip(grid.t_interact, grid.u_left, grid.u_right, grid.models))
     words = np.frombuffer(data, dtype="<u4").reshape(-1, len(master_bytes) // 4 + 2)
     return _seed_states(words, 1)[:, 0].tolist()
 
 
-def derive_setting_seed(master_seed: int, setting: MeasurementSetting) -> int:
+def derive_setting_seed(master_seed: int, setting) -> int:
     """The one-setting case of :func:`derive_setting_seeds`."""
-    return derive_setting_seeds(master_seed, [setting])[0]
+    return derive_setting_seeds(master_seed, setting)[0]
 
 
 def run_sweep(
@@ -472,31 +474,32 @@ def run_sweep(
 ):
     """Evaluate a grid of measurement settings with shot statistics.
 
-    The settings' instruments come from :func:`setting_instruments`, which
+    ``settings`` (see :func:`~spinturnstile.cycle.setting_grid`) is stacked
+    once, here. Its instruments come from :func:`setting_instruments`, which
     also checks each row's time-scale hierarchy against ``threshold``; each
     row then samples ``n_cycles`` shots. A row's ``pr`` is read off its pulse
-    effect, and only propagate mode builds the transfer matrices.
-    ``mode`` chooses between independent cycles ("refresh") and the
-    back-action chain ("propagate"). Invalid settings, and chains too long to
-    allocate, produce a row with an error status instead of aborting the sweep.
+    effect, and only propagate mode builds the transfer matrices. ``mode``
+    chooses between independent cycles ("refresh") and the back-action chain
+    ("propagate"). Invalid settings, and chains too long to allocate, produce
+    a row with an error status instead of aborting the sweep.
 
     Returns:
         list of :class:`SweepRow`, one per setting, in ``settings`` order.
     """
     if mode not in ("refresh", "propagate"):
         raise ValueError(f"unknown sweep mode {mode!r}")
-    settings = list(settings)
-    if not settings:
+    grid = setting_grid(settings)
+    if not grid.t_interact:
         raise ValueError("sweep requires at least one setting")
 
-    seeds = derive_setting_seeds(seed, settings)
-    rows = [None] * len(settings)
+    seeds = derive_setting_seeds(seed, grid)
+    rows = [None] * len(grid.t_interact)
     drawn = []  # (index, pr) of refresh rows; their counts are drawn together below
 
     def ok_row(pr, record):
         return SweepRow(pr=pr, record=record, current=estimate_current(record, tunnel.tau_cycle))
 
-    for block in setting_instruments(settings, model, tunnel, c, include_gate_hamiltonian,
+    for block in setting_instruments(grid, model, tunnel, c, include_gate_hamiltonian,
                                      threshold=threshold):
         probabilities = block.pulse_probabilities(rho_gate).tolist()
         for k, error in enumerate(block.errors):

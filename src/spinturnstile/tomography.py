@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import PAULI_PRODUCT_LABELS, pauli_coordinates, pauli_operator
-from .cycle import setting_instruments
+from .cycle import setting_grid, setting_instruments
 from .model import SpinModelParams, TunnelParams
 
 __all__ = [
@@ -191,7 +191,7 @@ def build_design(
     mode: str = SINGLE_SPIN,
     include_gate_hamiltonian: bool = True,
 ) -> TomographyDesign:
-    """Assemble the affine design matrix for a grid of settings.
+    """Assemble the affine design matrix for ``settings`` (see :func:`~spinturnstile.cycle.setting_grid`).
 
     Each row holds the coordinates of the setting's pulse effect
     (:attr:`~spinturnstile.cycle.InstrumentBlock.effects`), which give the
@@ -201,12 +201,12 @@ def build_design(
     matrix row.
     """
     _check_mode(mode)
-    settings = tuple(settings)
-    if not settings:
+    grid = setting_grid(settings)
+    if not grid.t_interact:
         raise ValueError("at least one setting is required")
 
-    pulse_rows = np.empty((len(settings), 16))
-    for block in setting_instruments(settings, model, tunnel, c, include_gate_hamiltonian):
+    pulse_rows = np.empty((len(grid.t_interact), 16))
+    for block in setting_instruments(grid, model, tunnel, c, include_gate_hamiltonian):
         for error in block.errors:
             if error is not None:
                 raise ValueError(error)

@@ -10,7 +10,10 @@ run in tests. ``check_density_matrix`` validates the states tests produce.
 import functools
 import hashlib
 import json
+import math
+import sys
 from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -390,6 +393,137 @@ def _section_dict(value, fields: dict) -> dict:
     return out
 
 
+class ReferenceLead(NamedTuple):
+    """A lead as the row-by-row parse keeps it: its direction and magnitude
+    as given, and the direction's norm."""
+
+    direction: tuple
+    magnitude: float
+    norm: float
+
+    def vector(self) -> tuple:
+        # the elementwise float arithmetic of magnitude * d / norm on an array;
+        # a direction of subnormal components is scaled by its largest first,
+        # as magnitude * d would round its bits away
+        direction, norm = self.direction, self.norm
+        scale = max(map(abs, direction))
+        if scale < sys.float_info.min:
+            direction = tuple(x / scale for x in direction)
+            norm = reference_lead_norm(direction)
+        return tuple(self.magnitude * float(x) / norm for x in direction)
+
+
+class ReferenceSetting(NamedTuple):
+    """One setting of the row-by-row parse; ``model`` optionally overrides couplings."""
+
+    u_left: ReferenceLead
+    u_right: ReferenceLead
+    t_interact: float
+    model: object = None
+
+
+def reference_lead_norm(direction) -> float:
+    """A direction's norm by numpy.linalg.norm's route, the square root of
+    ``a.dot(a)``, for one direction alone: with an overflow guard only when a
+    component reaches 2**500, and scaled by its largest component when the
+    sum of squares under- or overflows. Zero or inf for a bad direction."""
+    a = np.array(direction, dtype=float)
+    if max(map(abs, direction)) < 2.0 ** 500:
+        norm = math.sqrt(a.dot(a))
+    else:
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(a.dot(a))
+    if norm == 0.0 or norm == math.inf:
+        scale = float(np.abs(a).max())
+        if 0.0 < scale < math.inf:
+            a /= scale
+            norm = scale * math.sqrt(a.dot(a))
+    return norm
+
+
+def _reference_lead(obj, path: str) -> ReferenceLead:
+    from spinturnstile import config as c
+
+    obj = c._as_object(obj, path, {"direction", "magnitude"})
+    direction = (c._as_direction(obj["direction"], f"{path}.direction") if "direction" in obj
+                 else (0.0, 0.0, 1.0))
+    magnitude = c._as_float(obj["magnitude"], f"{path}.magnitude", minimum=0.0) if "magnitude" in obj else 1.0
+    if magnitude > 1.0:
+        raise c.ConfigValidationError(f"{path}.magnitude", "must be <= 1.0")
+    norm = reference_lead_norm(direction)
+    if norm == 0.0:
+        raise c.ConfigValidationError(f"{path}.direction", "must be a nonzero vector")
+    if not math.isfinite(norm):
+        raise c.ConfigValidationError(f"{path}.direction", "norm must be finite")
+    return ReferenceLead(direction, magnitude, norm)
+
+
+def _reference_setting(obj, path: str, default: ReferenceSetting, base_model) -> ReferenceSetting:
+    from spinturnstile import config as c
+    from spinturnstile.model import SpinModelParams
+
+    obj = c._as_object(obj, path, {"u_left", "u_right", "t_interact_s", "model"})
+    u_left = _reference_lead(obj["u_left"], f"{path}.u_left") if "u_left" in obj else default.u_left
+    u_right = _reference_lead(obj["u_right"], f"{path}.u_right") if "u_right" in obj else default.u_right
+    t_interact = c._as_float(obj.get("t_interact_s", default.t_interact), f"{path}.t_interact_s",
+                             minimum=0.0)
+    model = (c._parse_section(obj["model"], f"{path}.model", SpinModelParams, c._MODEL_FIELDS,
+                              base=base_model)
+             if "model" in obj else None)
+    return ReferenceSetting(u_left, u_right, t_interact, model)
+
+
+def reference_config(text: str):
+    """The configuration of JSON ``text`` by the row-by-row parse: the
+    package's readers for every section but the settings, and each setting
+    a :class:`ReferenceSetting` whose fields are read and checked in turn,
+    every lead checking its own norm. Returns the package's ``RunConfig``
+    with reference settings in place of its grids; raises the package's
+    ``ConfigValidationError`` at the first bad field."""
+    from spinturnstile import config as c
+    from spinturnstile.model import SpinModelParams, TunnelParams
+
+    root = c._as_object(json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t)), "",
+                        {"model", "tunnel", "schedule", "leads", "detection", "gate_state", "experiment",
+                         "hierarchy_threshold", "sweep", "tomography"})
+    model = c._parse_section(root.get("model", {}), "model", SpinModelParams, c._MODEL_FIELDS)
+    tunnel = c._parse_section(root.get("tunnel", {}), "tunnel", TunnelParams, c._TUNNEL_FIELDS)
+    sched = c._as_object(root.get("schedule", {}), "schedule", {"t_interact_s", "include_gate_hamiltonian"})
+    t_interact = c._as_float(sched.get("t_interact_s", 1.0e-6), "schedule.t_interact_s", minimum=0.0)
+    include = c._as_bool(sched.get("include_gate_hamiltonian", True), "schedule.include_gate_hamiltonian")
+    leads = c._as_object(root.get("leads", {}), "leads", {"u_left", "u_right"})
+    setting = ReferenceSetting(_reference_lead(leads.get("u_left", {}), "leads.u_left"),
+                               _reference_lead(leads.get("u_right", {}), "leads.u_right"), t_interact)
+    det = c._as_object(root.get("detection", {}), "detection", {"c"})
+    detection_c = c._as_float(det.get("c", 1.0), "detection.c", minimum=0.0)
+    gate_state = c._parse_gate_state(root.get("gate_state", {"preset": "maximally_mixed"}))
+    experiment = c._parse_section(root.get("experiment", {}), "experiment", c.ExperimentSpec,
+                                  c._EXPERIMENT_FIELDS)
+    threshold = c._as_float(root.get("hierarchy_threshold", 100.0), "hierarchy_threshold", minimum=1.0)
+
+    def settings(block: dict, path: str) -> tuple:
+        raw = block.get("settings")
+        if raw is None:
+            return tuple(setting._replace(u_right=ReferenceLead(
+                c._AXES[ax], setting.u_right.magnitude, reference_lead_norm(c._AXES[ax])))
+                for ax in ("x", "y", "z"))
+        if not isinstance(raw, list) or not raw:
+            raise c.ConfigValidationError(f"{path}.settings", "expected a nonempty array")
+        return tuple(_reference_setting(s, f"{path}.settings[{i}]", setting, model)
+                     for i, s in enumerate(raw))
+
+    sweep = c._as_object(root.get("sweep", {}), "sweep", {"settings"})
+    sweep_settings = settings(sweep, "sweep")
+    tomo = c._as_object(root.get("tomography", {}), "tomography", {"mode", "noise", "settings"})
+    mode = c._as_choice(tomo.get("mode", "single_spin"), "tomography.mode", {"single_spin", "two_spin"})
+    noise = c._as_choice(tomo.get("noise", "none"), "tomography.noise", {"none", "shot"})
+    tomography = c.TomographySpec(mode=mode, noise=noise, settings=settings(tomo, "tomography"))
+    return c.RunConfig(model=model, tunnel=tunnel, setting=setting, include_gate_hamiltonian=include,
+                       detection_c=detection_c, gate_state=gate_state, experiment=experiment,
+                       hierarchy_threshold=threshold, sweep_settings=sweep_settings,
+                       tomography=tomography)
+
+
 def _setting_dict(s) -> dict:
     from spinturnstile.config import _LEAD_FIELDS, _MODEL_FIELDS
 
@@ -404,10 +538,10 @@ def _setting_dict(s) -> dict:
 
 
 def resolved_dict(cfg) -> dict:
-    """The resolved configuration as a schema-shaped dict, built value by
-    value from the section field tables: the package's form before it wrote
-    ``config.resolved_json`` from templates. ``json_scalar`` of it is that
-    text."""
+    """The resolved configuration of a :func:`reference_config` as a
+    schema-shaped dict, built value by value from the section field tables:
+    the package's form before it wrote ``config.resolved_json`` from
+    templates. ``json_scalar`` of it is that text."""
     from spinturnstile.config import _EXPERIMENT_FIELDS, _LEAD_FIELDS, _MODEL_FIELDS, _TUNNEL_FIELDS
 
     gs: dict = {}

@@ -5,7 +5,7 @@ import pytest
 
 from spinturnstile.algebra import evolve_unitary
 from spinturnstile.config import parse_config
-from spinturnstile.cycle import setting_instrument
+from spinturnstile.cycle import MeasurementSetting, setting_instrument
 from spinturnstile.experiment import RUN_BLOCK, _run_stacks, propagate_cycles
 from spinturnstile.model import SpinModelParams, build_total_hamiltonian
 
@@ -41,9 +41,10 @@ def maps(block):
 def default_probes(c):
     """Gate state and instruments of the default sweep's three probes at detection constant c."""
     cfg = parse_config({"detection": {"c": c}})
+    grid = cfg.sweep_settings
     return cfg.gate_state.density(), [
-        setting_instrument(s.to_setting(), cfg.model, cfg.tunnel, c, cfg.include_gate_hamiltonian)
-        for s in cfg.sweep_settings
+        setting_instrument(MeasurementSetting(*row), cfg.model, cfg.tunnel, c, cfg.include_gate_hamiltonian)
+        for row in zip(grid.u_left, grid.u_right, grid.t_interact)
     ]
 
 

@@ -71,8 +71,8 @@ class TestParseConfig:
         assert cfg.gate_state.preset == "maximally_mixed"
         assert np.allclose(cfg.gate_state.density(), np.eye(4) / 4)
         assert cfg.experiment.mode == "refresh"
-        assert len(cfg.sweep_settings) == 3
-        assert len(cfg.tomography.settings) == 3
+        assert len(cfg.sweep_settings.t_interact) == 3
+        assert len(cfg.tomography.settings.t_interact) == 3
 
     def test_magnitude_out_of_range_names_field(self):
         doc = json.dumps({"leads": {"u_left": {"direction": [0, 0, 1], "magnitude": 1.5}}})
@@ -135,7 +135,7 @@ class TestParseConfig:
         # is -0.0; an integer field rejects it and names the field (exit 3).
         cfg = parse_config('{"leads": {"u_left": {"direction": [-0, 0, 1]}}, '
                            '"schedule": {"t_interact_s": -0}, "model": {"b_field_tesla": [0, -0, 1]}}')
-        signs = [np.copysign(1.0, v) for v in (*cfg.setting.u_left.direction, cfg.setting.t_interact,
+        signs = [np.copysign(1.0, v) for v in (*cfg.setting.given_left[0][0], cfg.setting.t_interact[0],
                                                *cfg.model.b_field)]
         assert signs == [-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
         for key in ("seed", "n_cycles"):
@@ -221,6 +221,19 @@ class TestParseConfig:
             values.append([float(v) for v in row.values()])
         assert np.allclose(values[0], values[1], rtol=1e-15, atol=1e-15)
 
+    @pytest.mark.parametrize("direction, scaled", [
+        ([5e-324, 0, 0], [1, 0, 0]),
+        ([-0.0, 5e-324, 5e-324], [-0.0, 1, 1]),
+        ([3e-323, -1e-323, 2e-323], [3, -1, 2]),
+    ])
+    def test_subnormal_direction_keeps_its_magnitude(self, direction, scaled):
+        # magnitude * direction would round a subnormal direction's bits away
+        # (once to a polarization of norm sqrt(2)): it is scaled up first
+        vectors = [parse_config({"leads": {"u_left": {"direction": d, "magnitude": 0.9}}}).setting.u_left[0]
+                   for d in (direction, scaled)]
+        assert np.allclose(vectors[0], vectors[1], rtol=0.0, atol=1e-15)
+        assert abs(np.linalg.norm(vectors[0]) - 0.9) < 1e-15
+
     @pytest.mark.parametrize("path, doc", [
         ("detection.c", {"detection": {"c": 10**400}}),
         ("model.g_electron", {"model": {"g_electron": -(10**400)}}),
@@ -255,7 +268,7 @@ class TestParseConfig:
     def test_axis_name_directions(self):
         doc = json.dumps({"leads": {"u_right": {"direction": "x", "magnitude": 0.5}}})
         cfg = parse_config(doc)
-        assert np.allclose(cfg.setting.u_right.vector(), [0.5, 0, 0])
+        assert np.allclose(cfg.setting.u_right[0], [0.5, 0, 0])
 
     def test_derived_exchange_from_hopping(self):
         doc = json.dumps({"model": {"exchange_per_s": None, "hopping_per_s": 1e6,
@@ -270,7 +283,7 @@ class TestParseConfig:
             ]},
         })
         cfg = parse_config(doc)
-        override = cfg.sweep_settings[0].model
+        override = cfg.sweep_settings.models[0]
         assert override.exchange == pytest.approx(9.9e5)
         # un-overridden fields inherit the run model
         assert override.hyperfine_gate == cfg.model.hyperfine_gate
@@ -402,6 +415,24 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{oops")
         assert main(["rates", "--config", str(cfg_path)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("text, limit", [
+        ('{"model": ' + "[" * 5000 + "]" * 5000 + "}", f"recursion limit of {sys.getrecursionlimit()}"),
+        ("[" * 100_000 + "]" * 100_000, f"recursion limit of {sys.getrecursionlimit()}"),
+        ('{"experiment": {"seed": ' + "1" * 5000 + "}}", f"{sys.get_int_max_str_digits()} digits"),
+        ('{"detection": {"c": ' + "7" * 5000 + "}}", f"{sys.get_int_max_str_digits()} digits"),
+    ], ids=["nested_model", "nested_top", "long_seed", "long_c"])
+    def test_undecodable_json_exit_2(self, tmp_path, capsys, command, text, limit):
+        # nesting past the recursion limit and integers past int's digit
+        # limit are syntax errors, named by their limit
+        cfg_path, out = tmp_path / "deep.json", tmp_path / "out.csv"
+        cfg_path.write_text(text)
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+        assert limit in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_validation_exit_3(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

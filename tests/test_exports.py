@@ -135,7 +135,7 @@ def test_dataclasses_have_a_reason():
              for cls in vars(importlib.import_module(f"spinturnstile.{name}")).values()
              if isinstance(cls, type) and cls.__module__ == f"spinturnstile.{name}"
              and dataclasses.is_dataclass(cls)]
-    assert found
+    assert len(found) == 5
     unexplained = [f"{cls.__module__}.{cls.__qualname__}" for cls in found
                    if _dataclass_reason(cls) is None]
     assert not unexplained, f"dataclasses that only carry values, not NamedTuples: {unexplained}"
@@ -151,15 +151,14 @@ def value_records() -> dict:
     from spinturnstile.tomography import build_design, forward_probabilities, reconstruct
 
     cfg = parse_config("{}")
-    setting, rho = cfg.setting.to_setting(), cfg.gate_state.density()
+    setting, rho = cfg.setting, cfg.gate_state.density()
     block = setting_instrument(setting, cfg.model, cfg.tunnel, cfg.detection_c)
-    design = build_design([s.to_setting() for s in cfg.tomography.settings], cfg.model, cfg.tunnel,
-                          cfg.detection_c)
+    design = build_design(cfg.tomography.settings, cfg.model, cfg.tunnel, cfg.detection_c)
     records = (
         cfg, cfg.setting, cfg.gate_state, cfg.experiment, cfg.tomography,
         characteristic_times(cfg.model, cfg.tunnel),
         run_cycle(setting, cfg.model, cfg.tunnel, rho, cfg.detection_c),
-        run_sweep([setting], model=cfg.model, tunnel=cfg.tunnel, rho_gate=rho, c=cfg.detection_c,
+        run_sweep(setting, model=cfg.model, tunnel=cfg.tunnel, rho_gate=rho, c=cfg.detection_c,
                   n_cycles=10, seed=1)[0],
         sample_cycles(0.5, 10, seed=1),
         propagate_cycles(block.pulse[0], block.nopulse[0], rho, 10, seed=1),
@@ -170,7 +169,7 @@ def value_records() -> dict:
 
 
 @pytest.mark.parametrize("name", [
-    "RunConfig", "SettingSpec", "GateStateSpec", "ExperimentSpec", "TomographySpec",
+    "RunConfig", "SettingGrid", "GateStateSpec", "ExperimentSpec", "TomographySpec",
     "HierarchyReport", "CycleOutcome", "SweepRow", "ShotRecord", "ChainRecord",
     "TomographyDesign", "ReconstructionResult",
 ])

@@ -2,8 +2,11 @@
 tomography grids and of one fixed cycle and calibration, pinned by SHA-256.
 
 Each grid has 40 settings with per-setting model overrides, so the run
-covers full and partial instrument blocks, seed derivation, the resolved
-configuration line and every row renderer. The ``cycle`` and ``calibrate``
+covers seed derivation, the resolved configuration line and every row
+renderer. The ``blocks`` sweep has ``2 * BLOCK_ROWS + 3`` settings, so its
+instruments come in two full blocks and a partial one; its rows mix model
+overrides with the run's model, axis-name leads with vector leads, and
+given leads and times with the run's own. The ``cycle`` and ``calibrate``
 runs share one setting off every axis: tilted partial leads, a detection
 constant of 0.3, an overridden model and a correlated two-spin gate state.
 The ``edges`` sweep holds the values whose text is easiest to get wrong:
@@ -33,6 +36,7 @@ from pathlib import Path
 import pytest
 
 from spinturnstile.cli import EXIT_OK, main
+from spinturnstile.cycle import BLOCK_ROWS
 
 N_SETTINGS = 40
 
@@ -73,6 +77,25 @@ def _edge_settings() -> list:
     ]
 
 
+def _block_settings(rng: random.Random) -> list:
+    settings = []
+    for i in range(2 * BLOCK_ROWS + 3):
+        setting = {"u_left": _lead(rng), "u_right": _lead(rng), "t_interact_s": rng.uniform(1e-7, 5e-6)}
+        if i % 5 == 0:
+            setting["u_left"] = {"direction": "xyz"[i % 3]}
+        if i % 7 == 3:
+            setting["u_right"] = {"direction": "zyx"[i % 3], "magnitude": rng.uniform(0.5, 1.0)}
+        if i % 11 == 6:
+            del setting["u_left"]  # the run's left lead
+        if i % 13 == 9:
+            del setting["t_interact_s"]  # the run's interaction time
+        if i % 3 != 2:
+            keys = ("exchange_per_s", "hyperfine_gate_per_s", "hyperfine_ancilla_per_s")
+            setting["model"] = {key: rng.uniform(2e5, 5e6) for key in keys[i % 3:]}
+        settings.append(setting)
+    return settings
+
+
 def _config(name: str) -> tuple:
     """(command, configuration) of one golden run."""
     rng = random.Random(f"golden:{name}")
@@ -83,6 +106,14 @@ def _config(name: str) -> tuple:
             "experiment": {"mode": "refresh", "n_cycles": 3000, "seed": 5},
             "gate_state": {"preset": "pure_up"},
             "sweep": {"settings": _edge_settings()},
+        }
+    if name == "blocks":
+        return "sweep", {
+            "schedule": {"t_interact_s": 1.7e-6},
+            "leads": {"u_left": {"direction": [0.2, -0.4, 0.9], "magnitude": 0.8}},
+            "experiment": {"mode": "refresh", "n_cycles": 4000, "seed": 31},
+            "gate_state": {"preset": "pure_up"},
+            "sweep": {"settings": _block_settings(rng)},
         }
     if name in ("cycle", "calibrate"):
         return name, {
@@ -149,6 +180,8 @@ GOLDEN = {
     ("calibrate", "jsonl"): "ee682c3bf3af06349655b07e57bacd0917e2a0b07d65403ae5f0929de2b484e4",
     ("edges", "csv"): "c6548666fe9019573ca047ac9aaf56412903b18194501549009fd4f8c0641641",
     ("edges", "jsonl"): "858baba28d69fb36ec10532e7d8796f4c90fa203a54b0a60b8add5bcc8eb15a9",
+    ("blocks", "csv"): "9629027e5fb2db4203ec2017ab5aecd20ce5439fd12cf9e9ec1ccde32f779ff7",
+    ("blocks", "jsonl"): "15b22d284d5682c36c423b70fc58f9a69403c2ac62c116e36c5ec53e05ff72e3",
 }
 
 

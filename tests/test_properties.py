@@ -2,8 +2,8 @@
 settings, of calibration against the pulse-probability formula, of the
 tomography parameterization over random vectors, of the configuration's
 resolved form over random documents, of the time-scale hierarchy report over
-random norms and tunnels, and of the output writer and the setting seeds
-against their oracles."""
+random norms and tunnels, and of the output writer, the setting seeds and
+the stacked settings parse against their oracles."""
 
 import json
 import math
@@ -16,7 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinturnstile.algebra import pauli_coordinates
-from spinturnstile.config import ConfigValidationError, LeadSpec, parse_config, resolved_json
+from spinturnstile.config import (
+    ConfigValidationError,
+    _lead_norms,
+    lead_vectors,
+    parse_config,
+    resolved_json,
+)
 from spinturnstile.constants import G_NUCLEAR_P31, STRUCTURAL_TOL
 from spinturnstile.cycle import (
     BLOCK_ROWS,
@@ -65,6 +71,8 @@ from oracles import (
     pauli_product_basis,
     random_density,
     random_hermitian,
+    reference_config,
+    reference_lead_norm,
     resolved_dict,
     setting_seed,
     spin_hamiltonian,
@@ -286,8 +294,8 @@ model_blocks = st.fixed_dictionaries({}, optional={
     "level_offset_per_s": numbers,
 })
 # Lead directions as axis names or vectors: components whose squares under-
-# or overflow, on both sides of the 2**500 bound above which LeadSpec guards
-# the overflow, and signed zeros; any norm stays finite and nonzero.
+# or overflow, on both sides of the 2**500 bound from which a lead's squares
+# can overflow, and signed zeros; any norm stays finite and nonzero.
 direction_components = with_edges([-0.0, 0.0, 5e-324, 1e-300, 1e200, 2.0**500, -2.0**500,
                                    math.nextafter(2.0**500, 0.0)], st.floats(-1e300, 1e300))
 lead_blocks = st.fixed_dictionaries({}, optional={
@@ -369,9 +377,8 @@ def test_resolved_config_parses_to_the_same_config(doc):
             assert setting["t_interact_s"] == given_setting["t_interact_s"]
 
 
-# the largest component LeadSpec does not guard against an overflow of the
-# sum of squares, the smallest it guards, and the smallest whose square
-# overflows by itself
+# the largest component whose squares cannot overflow their sum, the
+# smallest that can, and the smallest whose square overflows by itself
 SQUARES_BOUNDS = [math.nextafter(2.0**500, 0.0), 2.0**500, -2.0**500, 2.0**512]
 
 
@@ -387,14 +394,11 @@ def test_lead_norm_keeps_the_dot_product_bits(direction):
         expected = float(np.linalg.norm(direction))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            norm = LeadSpec(direction, 1.0).norm
-        except ConfigValidationError:  # a zero or infinite norm
-            norm = None
+        norm = float(_lead_norms(np.array([direction]))[0])
     if 0.0 < expected < math.inf:
         assert norm.hex() == expected.hex()
     elif not any(direction):
-        assert norm is None
+        assert norm == 0.0  # the norm the configuration rejects
 
 
 @PROPERTY_SETTINGS
@@ -404,8 +408,111 @@ def test_lead_direction_scale_does_not_matter(direction, exponent):
     # the squares under- or overflow for most exponents
     assume(max(abs(x) for x in direction) >= 0.5)
     scaled = tuple(math.ldexp(x, exponent) for x in direction)
-    assert np.allclose(LeadSpec(scaled, 0.9).vector(), LeadSpec(direction, 0.9).vector(),
+    assert np.allclose(lead_vectors([(scaled, 0.9)]), lead_vectors([(direction, 0.9)]),
                        rtol=0.0, atol=1e-15)
+
+
+def test_lead_norms_guard_and_rescale_each_row():
+    # one stack of a row whose squares overflow, a plain row, a row whose
+    # squares underflow and a zero row: each row's norm is the one it gets alone
+    rows = [(2.0**512, -(2.0**512), 1.0), (3.0, 4.0, 12.0), (1e-300, -1e-300, 1e-300), (0.0, -0.0, 0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = _lead_norms(np.array(rows))
+        with pytest.raises(ConfigValidationError,
+                           match=r"^sweep\.settings\[3\]\.u_left\.direction: must be a nonzero vector$"):
+            parse_config({"sweep": {"settings": [{"u_left": {"direction": list(r)}} for r in rows]}})
+    assert [n.hex() for n in norms.tolist()] == [reference_lead_norm(r).hex() for r in rows]
+    with np.errstate(over="ignore"):
+        plain = [float(np.linalg.norm(r)) for r in rows]
+    assert plain[0] == math.inf and norms[0] == 2.0**512 * math.sqrt(2.0)
+    assert norms[1] == plain[1] == 13.0
+    assert plain[2] == 0.0 and norms[2] == 1e-300 * math.sqrt(3.0)
+    assert norms[3] == 0.0
+
+
+# Faults of a setting row, as (path in the row, value): a wrong type or an
+# unknown key, a magnitude outside [0, 1], a zero or infinite-norm
+# direction, a negative, NaN or huge time; and a few valid edge values.
+ROW_FAULTS = [
+    (("bogus",), 1), (("u_left",), 3), (("u_right",), []), (("u_left", "bogus"), 0.5),
+    (("u_right", "direction"), "w"), (("u_left", "direction"), [1.0, 0.0]),
+    (("u_right", "direction"), [0.0, "a", 1.0]), (("u_left", "direction"), [math.nan, 0.0, 1.0]),
+    (("u_left", "direction"), [0, 0, 0]), (("u_right", "direction"), [-0.0, 0.0, -0.0]),
+    (("u_left", "direction"), [1.7e308, -1.7e308, 0.0]), (("u_right", "direction"), [5e-324, 0, 0]),
+    (("u_left", "direction"), [-0.0, 5e-324, 1e-323]),
+    (("u_left", "magnitude"), -0.5), (("u_right", "magnitude"), 1.5),
+    (("u_left", "magnitude"), math.nextafter(1.0, 2.0)), (("u_right", "magnitude"), -5e-324),
+    (("u_left", "magnitude"), "a"), (("u_right", "magnitude"), True), (("u_left", "magnitude"), math.inf),
+    (("u_right", "magnitude"), -0.0), (("t_interact_s",), -1e-9), (("t_interact_s",), -5e-324),
+    (("t_interact_s",), math.nan), (("t_interact_s",), 10**400), (("t_interact_s",), 1e300),
+    (("t_interact_s",), None), (("model",), "m"), (("model", "coulomb_u_per_s"), -1.0),
+]
+# the run's own setting takes lead faults only
+LEAD_FAULTS = [fault for fault in ROW_FAULTS if fault[0][0] in ("u_left", "u_right")]
+
+
+def apply_fault(row: dict, fault) -> None:
+    (*outer, key), value = fault
+    for name in outer:
+        row = row.setdefault(name, {})
+        if not isinstance(row, dict):  # an earlier fault replaced the object
+            return
+    row[key] = value
+
+
+@st.composite
+def faulty_documents(draw):
+    """A configuration document with a fault at a random field of a random
+    row of a settings array or of the run's leads, and maybe a second one:
+    in any row, or in the other lead of the same row."""
+    doc = draw(config_documents)
+    rows = [(doc.setdefault("leads", {}), LEAD_FAULTS)] + [
+        (row, ROW_FAULTS) for grid in ("sweep", "tomography") for row in doc.get(grid, {}).get("settings", [])]
+    row, faults = draw(st.sampled_from(rows))
+    fault = draw(st.sampled_from(faults))
+    apply_fault(row, fault)
+    second = draw(st.sampled_from(["none", "any row", "other lead"]))
+    if second == "any row":
+        other_row, other_faults = draw(st.sampled_from(rows))
+        apply_fault(other_row, draw(st.sampled_from(other_faults)))
+    elif second == "other lead" and fault[0][0] in ("u_left", "u_right"):
+        other = "u_right" if fault[0][0] == "u_left" else "u_left"
+        apply_fault(row, draw(st.sampled_from([f for f in LEAD_FAULTS if f[0][0] == other])))
+    return doc
+
+
+def parsed_or_error(parse, text: str):
+    try:
+        return parse(text)
+    except ConfigValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config_documents | faulty_documents())
+def test_stacked_settings_match_the_row_by_row_parse(doc):
+    # The stacked parse reports the first bad field in document order, as
+    # the row-by-row parse does; a document both accept gives bit-identical
+    # leads, times and models, the same seeds and the same resolved text.
+    text = json.dumps(doc)
+    got, want = parsed_or_error(parse_config, text), parsed_or_error(reference_config, text)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    grids = [(got.setting, [want.setting]), (got.sweep_settings, want.sweep_settings),
+             (got.tomography.settings, want.tomography.settings)]
+    for grid, rows in grids:
+        assert len(grid.t_interact) == len(rows)
+        for ul, ur, t, model, row in zip(grid.u_left, grid.u_right, grid.t_interact, grid.models, rows):
+            assert [x.hex() for x in (*ul, *ur, t)] == [
+                x.hex() for x in (*row.u_left.vector(), *row.u_right.vector(), row.t_interact)]
+            assert repr(model) == repr(row.model)
+        library = [MeasurementSetting(r.u_left.vector(), r.u_right.vector(), r.t_interact, r.model)
+                   for r in rows]
+        assert derive_setting_seeds(got.experiment.seed, grid) == derive_setting_seeds(
+            got.experiment.seed, library)
+    assert resolved_json(got) == json_scalar(resolved_dict(want))
 
 
 @PROPERTY_SETTINGS
@@ -472,7 +579,7 @@ def test_resolved_config_line_matches_the_oracle(doc):
     # the template text is the value-by-value writer's, and both renderers
     # embed it as it is
     cfg = parsed_document(doc)
-    text = json_scalar(resolved_dict(cfg))
+    text = json_scalar(resolved_dict(reference_config(json.dumps(doc))))
     assert resolved_json(cfg) == text
     table = ResultTable(columns=(), rows=[],
                         metadata={"resolved_config": JsonText(resolved_json(cfg))})
