@@ -7,8 +7,13 @@ keys, and reports semantic violations with the full field path. The model,
 tunnel, lead and experiment sections are each stated once, as a field table
 that drives their parsing, defaults and resolved form. Each settings array
 becomes one :class:`~spinturnstile.cycle.SettingGrid` of columns, checked
-here alone: lead bounds and norms and times stacked, the rest value by value,
-and the first bad field in document order is reported. :func:`resolved_json`
+here alone: a walk over the rows checks only objects, keys, axis names and
+lengths and gathers every row's numbers (its leads, its time and its model
+override's values); their types, finiteness and bounds, the lead norms and
+the derived exchange are then checked in one stacked pass, and the first bad
+field in document order is reported, its path built only then. A model
+override stays its checked values, with no :class:`SpinModelParams` built
+for it. :func:`resolved_json`
 writes the configuration with every default applied, in the schema's shape,
 as compact JSON text; the command line embeds that text in every output, and
 parsing it reproduces an equal :class:`RunConfig`.
@@ -28,7 +33,7 @@ from .algebra import PAULI_PRODUCT_LABELS
 from .constants import G_NUCLEAR_P31
 from .cycle import SettingGrid
 from .experiment import MASTER_SEED_MAX
-from .model import SpinModelParams, TunnelParams
+from .model import _DERIVE_ERROR, SpinModelParams, TunnelParams, model_values
 from .tomography import SINGLE_SPIN, TWO_SPIN, is_physical, n_parameters, theta_to_density
 
 __all__ = [
@@ -231,28 +236,17 @@ _EXPERIMENT_FIELDS = {
 }
 
 
-def _parse_section(obj, path: str, cls, fields: dict, base=None):
+def _parse_section(obj, path: str, cls, fields: dict):
     """Build ``cls`` from the JSON object at ``path``: each key of ``fields``
-    that ``obj`` gives is read and checked; every other field comes from
-    ``base`` (an instance of ``cls``) or, without one, from the table."""
+    that ``obj`` gives is read and checked; every other field comes from the
+    table."""
     obj = _as_object(obj, path, fields)
-    values = {}
-    for key, (attr, default, read) in fields.items():
-        if key in obj:
-            values[attr] = read(obj[key], f"{path}.{key}")
-        else:
-            values[attr] = default if base is None else getattr(base, attr)
+    values = {attr: read(obj[key], f"{path}.{key}") if key in obj else default
+              for key, (attr, default, read) in fields.items()}
     try:
         return cls(**values)
     except ValueError as exc:  # a check the section class makes
         raise ConfigValidationError(path, str(exc)) from exc
-
-
-def _read_lead(obj, path: str) -> tuple:
-    """A lead object's ``(direction, magnitude)``, as given or by default."""
-    obj = _as_object(obj, path, _LEAD_FIELDS)
-    return tuple(read(obj[key], f"{path}.{key}") if key in obj else default
-                 for key, (_, default, read) in _LEAD_FIELDS.items())
 
 
 def _lead_norms(directions: np.ndarray) -> np.ndarray:
@@ -273,64 +267,178 @@ def lead_vectors(leads) -> tuple:
     """Each checked lead ``(direction, magnitude)``'s polarization ``magnitude *
     direction / norm``, elementwise, as 3 Python floats. An all-subnormal direction
     is scaled by its largest component first: ``magnitude * direction`` would round it."""
-    directions = np.array([d for d, _ in leads], dtype=float).reshape(-1, 3)
+    return _lead_vectors(np.array([d for d, _ in leads], dtype=float).reshape(-1, 3),
+                         np.array([m for _, m in leads], dtype=float))
+
+
+def _lead_vectors(directions: np.ndarray, magnitudes: np.ndarray) -> tuple:
+    """:func:`lead_vectors` of stacked (R, 3) directions and (R,) magnitudes."""
     scales = np.abs(directions).max(axis=1, keepdims=True)
     directions = np.where(scales < np.finfo(float).tiny, directions / scales, directions)
-    vectors = np.array([m for _, m in leads], dtype=float)[:, None] * directions
+    vectors = magnitudes[:, None] * directions
     return tuple(map(tuple, (vectors / _lead_norms(directions)[:, None]).tolist()))
 
 
-# A setting row's stacked checks, as (field, message), in the order the walk
-# reaches their fields: per lead its magnitude's bounds and its norm, then the time.
-_ROW_CHECKS = (*((f"{lead}.{key}", message) for lead in ("u_left", "u_right")
-                 for key, message in (("magnitude", "must be >= 0.0"), ("magnitude", "must be <= 1.0"),
-                                      ("direction", "must be a nonzero vector"),
-                                      ("direction", "norm must be finite"))),
-               ("t_interact_s", "must be >= 0.0"))
+# A walked settings row is one run of _WIDTH numbers in the order of their
+# checks: each lead's direction components and magnitude, the time, and the
+# model override's values as model_values orders them (the run's model's where
+# the row has none). The keys of a row, of a lead and of a model override:
+_ROW_KEYS = frozenset(("u_left", "u_right", "t_interact_s", "model"))
+_LEAD_KEYS = frozenset(_LEAD_FIELDS)
+_MODEL_KEYS = frozenset(_MODEL_FIELDS)
+_TIME, _MODEL, _WIDTH = 8, 9, 21
+# A model key's place in model_values, which follows the table's order with
+# b_field_tesla's 3 components first.
+_MODEL_SLOTS = {key: 2 + k if k else 0 for k, key in enumerate(_MODEL_FIELDS)}
 
 
-def _grid(left: list, right: list, times: list, models: list, path_of) -> SettingGrid:
-    """The grid of walked rows, after the stacked checks: the first to fail in
-    row and field order raises, at its path below ``path_of(row)``."""
-    failed = []
-    for lead in (left, right):
-        magnitudes = np.array([m for _, m in lead], dtype=float)
-        norms = _lead_norms(np.array([d for d, _ in lead], dtype=float).reshape(-1, 3))
-        failed += [magnitudes < 0.0, magnitudes > 1.0, norms == 0.0, norms == math.inf]
-    failed.append(np.array(times, dtype=float) < 0.0)
-    bad = np.flatnonzero(np.column_stack(failed))
+def _walk_lead(obj, path_of, i: int, name: str) -> tuple:
+    """A lead object's direction components and magnitude as given, after the
+    checks of its keys, of an axis name and of a direction's length; its
+    numbers are checked stacked. Its path, ``path_of(i) + name``, is built
+    on a failure."""
+    if type(obj) is not dict or not obj.keys() <= _LEAD_KEYS:
+        _as_object(obj, path_of(i) + name, _LEAD_FIELDS)  # raises, unless a dict subclass of lead keys
+    direction = obj.get("direction", _AXES["z"])
+    if type(direction) is str and direction in _AXES:
+        direction = _AXES[direction]
+    elif type(direction) is not list or len(direction) != 3:  # a fault, or a tuple
+        direction = _as_direction(direction, f"{path_of(i)}{name}.direction")
+    return (*direction, obj.get("magnitude", 1.0))
+
+
+def _walk_model(obj, base: tuple, path_of, i: int) -> list:
+    """A model override's values: ``base`` (the run's model values) with the
+    given fields in their places, after the checks of its keys and of the
+    field vector's length; the values are checked stacked."""
+    if type(obj) is not dict or not obj.keys() <= _MODEL_KEYS:
+        _as_object(obj, f"{path_of(i)}.model", _MODEL_FIELDS)
+    values = list(base)
+    for key, value in obj.items():
+        slot = _MODEL_SLOTS[key]
+        if slot:
+            values[slot] = value
+        else:  # the field vector: the first field, so no other field is checked before it
+            values[:3] = value if type(value) is list and len(value) == 3 else _as_vec3(
+                value, f"{path_of(i)}.model.b_field_tesla")
+    return values
+
+
+def _numbers(values: list) -> tuple:
+    """The walked numbers as Python floats, an integer as the float it names,
+    and as an (R, _WIDTH) array, with the masks of the entries that are not
+    numbers and of the nulls: the array reads 0 for those, and inf for an
+    integer past the float range."""
+    numbers = values
+    not_number, null = np.zeros(len(values), dtype=bool), np.zeros(len(values), dtype=bool)
+    if not set(map(type, values)) <= {float}:  # JSON numbers are most often floats
+        values, numbers = values.copy(), values.copy()
+        for k, value in enumerate(values):
+            if type(value) is float:
+                continue
+            if value is None:
+                null[k], numbers[k] = True, 0.0
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                not_number[k], numbers[k] = True, 0.0
+            else:
+                try:
+                    values[k] = numbers[k] = float(value)
+                except OverflowError:
+                    numbers[k] = math.inf
+    return (values, np.array(numbers, dtype=float).reshape(-1, _WIDTH), not_number.reshape(-1, _WIDTH),
+            null.reshape(-1, _WIDTH))
+
+
+def _row_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray) -> list:
+    """The stacked checks of walked rows as ``(failed, field, message)``, in the
+    order the row-by-row parse makes them: each number's type before its
+    finiteness, then the bounds of its field; each lead's magnitude bounds and
+    direction norm after its numbers; the derived exchange last."""
+    checks = []
+
+    def number(column: int, field: str, null_ok: bool = False):
+        bad = not_number[:, column] if null_ok else not_number[:, column] | null[:, column]
+        checks.extend(((bad, field, "expected a number"),
+                       (~np.isfinite(x[:, column]), field, "must be finite")))
+
+    x_finite = np.where(np.isfinite(x), x, 0.0)  # bounds and norms of numbers that fail above
+    for lead, at in (("u_left", 0), ("u_right", 4)):
+        for k in range(3):
+            number(at + k, f".{lead}.direction[{k}]")
+        number(at + 3, f".{lead}.magnitude")
+        magnitudes, norms = x_finite[:, at + 3], _lead_norms(x_finite[:, at:at + 3])
+        checks += [(magnitudes < 0.0, f".{lead}.magnitude", "must be >= 0.0"),
+                   (magnitudes > 1.0, f".{lead}.magnitude", "must be <= 1.0"),
+                   (norms == 0.0, f".{lead}.direction", "must be a nonzero vector"),
+                   (norms == math.inf, f".{lead}.direction", "norm must be finite")]
+    number(_TIME, ".t_interact_s")
+    checks.append((x_finite[:, _TIME] < 0.0, ".t_interact_s", "must be >= 0.0"))
+    for key, (_, _, read) in _MODEL_FIELDS.items():
+        at, options = _MODEL + _MODEL_SLOTS[key], getattr(read, "keywords", {})  # _as_float's options
+        fields = [f".model.{key}[{k}]" for k in range(3)] if key == "b_field_tesla" else [f".model.{key}"]
+        for k, field in enumerate(fields):
+            number(at + k, field, null_ok=options.get("allow_none", False))
+        if "minimum" in options:
+            checks.append((x_finite[:, at] < options["minimum"], f".model.{key}",
+                           f"must be >= {options['minimum']}"))
+    hopping, coulomb_u, exchange = (_MODEL + _MODEL_SLOTS[key]
+                                    for key in ("hopping_per_s", "coulomb_u_per_s", "exchange_per_s"))
+    checks.append((null[:, exchange] & (x_finite[:, hopping] != 0.0) & (x_finite[:, coulomb_u] <= 0.0),
+                   ".model", _DERIVE_ERROR))
+    return checks
+
+
+def _checked(values: list, path_of) -> tuple:
+    """The numbers and the array of :func:`_numbers` of walked rows, after the
+    stacked checks: the first to fail, in row and check order, raises at its
+    path below ``path_of(row)``."""
+    values, x, not_number, null = _numbers(values)
+    checks = _row_checks(x, not_number, null)
+    bad = np.flatnonzero(np.column_stack([failed for failed, _, _ in checks]))
     if bad.size:
-        row, check = divmod(int(bad[0]), len(_ROW_CHECKS))
-        raise ConfigValidationError(f"{path_of(row)}.{_ROW_CHECKS[check][0]}", _ROW_CHECKS[check][1])
-    return SettingGrid(u_left=lead_vectors(left), u_right=lead_vectors(right), t_interact=tuple(times),
-                       models=tuple(models), given_left=tuple(left), given_right=tuple(right))
+        row, k = divmod(int(bad[0]), len(checks))
+        _, field, message = checks[k]
+        raise ConfigValidationError(f"{path_of(row)}{field}", message)
+    return values, x
 
 
 def _parse_settings(objs, path_of, default: SettingGrid | None, base_model: SpinModelParams) -> SettingGrid:
     """The grid of the setting objects ``objs``, row ``i`` at ``path_of(i)``. A row
     takes a lead or time it does not give from the first row of ``default`` (the
-    run's own setting); a ``model`` block is a partial override of ``base_model``."""
-    left, right, times, models = [], [], [], []
+    run's own setting); a ``model`` block is a partial override of ``base_model``.
+
+    The walk checks only objects, keys, axis names and lengths; every number
+    is checked in one stacked pass (:func:`_checked`). A walk error in row
+    ``i`` first runs that pass over the rows before it and the fields of row
+    ``i`` walked before it, the rest padded with values that pass, so the
+    first bad field in document order is the one reported."""
+    base = model_values(base_model)
+    if default is not None:
+        (left, left_m), (right, right_m) = default.given_left[0], default.given_right[0]
+        left, right, t_default = (*left, left_m), (*right, right_m), default.t_interact[0]
+    passing = (*_AXES["z"], 1.0, *_AXES["z"], 1.0, 0.0, *base)
+    values, overridden = [], []
     for i, obj in enumerate(objs):
-        path = path_of(i)
+        start = len(values)
         try:
-            obj = _as_object(obj, path, ("u_left", "u_right", "t_interact_s", "model"))
-            left.append(_read_lead(obj["u_left"], f"{path}.u_left") if "u_left" in obj
-                        else default.given_left[0])
-            right.append(_read_lead(obj["u_right"], f"{path}.u_right") if "u_right" in obj
-                         else default.given_right[0])
-            times.append(_as_float(obj["t_interact_s"], f"{path}.t_interact_s") if "t_interact_s" in obj
-                         else default.t_interact[0])
-            models.append(_parse_section(obj["model"], f"{path}.model", SpinModelParams, _MODEL_FIELDS,
-                                         base=base_model) if "model" in obj else None)
+            if type(obj) is not dict or not obj.keys() <= _ROW_KEYS:
+                _as_object(obj, path_of(i), _ROW_KEYS)
+            values += _walk_lead(obj["u_left"], path_of, i, ".u_left") if "u_left" in obj else left
+            values += _walk_lead(obj["u_right"], path_of, i, ".u_right") if "u_right" in obj else right
+            values.append(obj["t_interact_s"] if "t_interact_s" in obj else t_default)
+            values += _walk_model(obj["model"], base, path_of, i) if "model" in obj else base
         except ConfigValidationError:
-            # A stacked check of a field walked before comes first; this row's
-            # fields not read yet get values that pass.
-            right += [(_AXES["z"], 1.0)] * (len(left) - len(right))
-            times += [0.0] * (len(left) - len(times))
-            _grid(left, right, times, models, path_of)
+            _checked(values + list(passing[len(values) - start:]), path_of)
             raise
-    return _grid(left, right, times, models, path_of)
+        overridden.append("model" in obj)
+    values, x = _checked(values, path_of)
+    rows = range(0, len(values), _WIDTH)
+    return SettingGrid(u_left=_lead_vectors(x[:, 0:3], x[:, 3]), u_right=_lead_vectors(x[:, 4:7], x[:, 7]),
+                       t_interact=tuple(values[k + _TIME] for k in rows),
+                       models=tuple(tuple(values[k + _MODEL:k + _WIDTH]) if o else None
+                                    for k, o in zip(rows, overridden)),
+                       given_left=tuple((tuple(values[k:k + 3]), values[k + 3]) for k in rows),
+                       given_right=tuple((tuple(values[k + 4:k + 7]), values[k + 7]) for k in rows))
 
 
 def parse_config(data) -> RunConfig:
@@ -454,18 +562,13 @@ def _template(fields: dict, null: str | None = None) -> str:
 
 def _arguments(fields: dict):
     """The function from a section's value to its template's arguments: the
-    field values in table order, with a vector field, which comes first,
-    spread into its components."""
-    get = attrgetter(*(attr for attr, _, _ in fields.values()))
-    _, first_default, _ = next(iter(fields.values()))
-    if not isinstance(first_default, tuple):
-        return get
-    return lambda value: (*(values := get(value))[0], *values[1:])
+    field values in table order."""
+    return attrgetter(*(attr for attr, _, _ in fields.values()))
 
 
+# A model's template takes its model_values.
 _LEAD_TEMPLATE = _template(_LEAD_FIELDS)
 _MODEL_TEMPLATES = (_template(_MODEL_FIELDS), _template(_MODEL_FIELDS, null="exchange_per_s"))
-_model_arguments = _arguments(_MODEL_FIELDS)
 _TUNNEL_TEMPLATE, _tunnel_arguments = _template(_TUNNEL_FIELDS), _arguments(_TUNNEL_FIELDS)
 _EXPERIMENT_TEMPLATE = _template(_EXPERIMENT_FIELDS)
 _experiment_arguments = _arguments(_EXPERIMENT_FIELDS)
@@ -486,8 +589,8 @@ def _settings_json(grid: SettingGrid) -> str:
         if model is None:
             texts.append(_SETTING_TEMPLATES[0] % args)
         else:
-            texts.append(_SETTING_TEMPLATES[1 + (model.exchange is None)]
-                         % (*args, *_model_arguments(model)))
+            texts.append(_SETTING_TEMPLATES[1 + (model[_MODEL_SLOTS["exchange_per_s"]] is None)]
+                         % (*args, *model))
     return "[" + ",".join(texts) + "]"
 
 
@@ -514,7 +617,7 @@ def resolved_json(cfg: RunConfig) -> str:
                       else ("theta_two_spin", gate.theta_two))
         gate_state = (key, "[" + ",".join(["%.17g"] * len(theta)) % theta + "]")
     return _RESOLVED_TEMPLATE % (
-        _MODEL_TEMPLATES[cfg.model.exchange is None] % _model_arguments(cfg.model),
+        _MODEL_TEMPLATES[cfg.model.exchange is None] % model_values(cfg.model),
         _TUNNEL_TEMPLATE % _tunnel_arguments(cfg.tunnel),
         setting.t_interact[0], "true" if cfg.include_gate_hamiltonian else "false",
         _LEAD_TEMPLATE % (*setting.given_left[0][0], setting.given_left[0][1]),

@@ -23,8 +23,9 @@ coordinates (the Liouville representation), and the ancilla polarization
 pulse matrix is the effect. A post-measurement state is the image of ``x``
 renormalized by its first entry. :class:`InstrumentBlock` is the one
 instrument type: it holds these arrays for a stack of settings, one row
-each. Settings travel as one :class:`SettingGrid` of columns, and
-:func:`setting_instruments` is the one route from a grid to blocks;
+each. Settings travel as one :class:`SettingGrid` of columns, a model
+override as its values, and :func:`setting_instruments` is the one route
+from a grid to blocks, with one stacked coefficient pass per block;
 :func:`setting_instrument` gives the one-row block of a single setting, and
 :func:`run_cycle` reads a cycle off it. Their agreement with the ancilla
 pathway (a second joint evolution of ``rho_A x rho``, a partial trace and
@@ -67,6 +68,7 @@ from .model import (
     hamiltonians,
     hierarchy_norms,
     model_coefficients,
+    model_values,
 )
 
 __all__ = [
@@ -143,8 +145,11 @@ class MeasurementSetting:
 class SettingGrid(NamedTuple):
     """Settings as columns, one entry per row: lead polarizations ``u_left`` and
     ``u_right`` (3-tuples of floats), times ``t_interact`` and model overrides
-    ``models`` (None for the run's model). A parsed grid also keeps each lead's
-    ``(direction, magnitude)`` as given, for the echo; a stacked one has None."""
+    ``models``: None for the run's model, or the override's checked field
+    values as :func:`~spinturnstile.model.model_values` writes them (12
+    floats, the exchange None when derived). A parsed grid also keeps each
+    lead's ``(direction, magnitude)`` as given, for the echo; a stacked one
+    has None."""
 
     u_left: tuple
     u_right: tuple
@@ -156,12 +161,14 @@ class SettingGrid(NamedTuple):
 
 def setting_grid(settings) -> SettingGrid:
     """``settings`` as one :class:`SettingGrid`: a grid as it is, and one
-    :class:`MeasurementSetting` or a sequence of them stacked into columns."""
+    :class:`MeasurementSetting` or a sequence of them stacked into columns,
+    each model override as its values."""
     if isinstance(settings, SettingGrid):
         return settings
     settings = (settings,) if isinstance(settings, MeasurementSetting) else tuple(settings)
     return SettingGrid(*(tuple(getattr(s, name) for s in settings)
-                         for name in ("u_left", "u_right", "t_interact", "model")))
+                         for name in ("u_left", "u_right", "t_interact")),
+                       models=tuple(None if s.model is None else model_values(s.model) for s in settings))
 
 
 @dataclass(frozen=True)
@@ -348,9 +355,10 @@ def setting_instruments(
     u_left, u_right = (np.array(u, dtype=float).reshape(-1, 3) for u in (grid.u_left, grid.u_right))
     kappa = detection_strength(c, tunnel.tau_detect, tunnel.gamma0)
     times = _escape_times(tunnel)
+    base = model_values(model)
     for start in range(0, len(grid.t_interact), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        coefficients = model_coefficients(model if m is None else m for m in grid.models[rows])
+        coefficients = model_coefficients([base if m is None else m for m in grid.models[rows]])
         if threshold is None:
             overflows = _hierarchy_overflows(coefficients)
         else:

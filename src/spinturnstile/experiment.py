@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import pauli_coordinates, pauli_operator
 from .cycle import setting_grid, setting_instruments
 from .constants import ELEMENTARY_CHARGE
-from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
+from .model import _EXCHANGE, HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
 __all__ = [
     "RUN_BLOCK",
@@ -392,7 +392,6 @@ def calibrate(measured_pr: float, pr_model: float, c: float) -> float:
 # A model override enters a setting's seed as its field values in this
 # order; the first, b_field, is a vector.
 _MODEL_FIELD_NAMES = tuple(f.name for f in fields(SpinModelParams))
-_model_scalars = operator.attrgetter(*_MODEL_FIELD_NAMES[1:])
 
 
 def _digest_templates() -> tuple:
@@ -401,8 +400,8 @@ def _digest_templates() -> tuple:
     exchange is a float and with one whose exchange is null.
 
     ``repr`` writes what ``json.dumps`` writes for the Python floats that a
-    :class:`~spinturnstile.cycle.SettingGrid` and :class:`SpinModelParams`
-    keep. A null exchange takes its None argument with a ``%.0s`` slot,
+    :class:`~spinturnstile.cycle.SettingGrid` keeps, its model values
+    included. A null exchange takes its None argument with a ``%.0s`` slot,
     which writes nothing of it, after ``null``.
     """
     tail = '"t_interact": %r, "u_left": [%r, %r, %r], "u_right": [%r, %r, %r]}'
@@ -422,8 +421,7 @@ def _setting_digest(t_interact: float, u_left: tuple, u_right: tuple, model) -> 
     if model is None:
         text = _DIGEST_TEMPLATES[0] % values
     else:
-        text = (_DIGEST_TEMPLATES[1 + (model.exchange is None)]
-                % (*model.b_field, *_model_scalars(model), *values))
+        text = _DIGEST_TEMPLATES[1 + (model[_EXCHANGE] is None)] % (*model, *values)
     # the first 8 bytes, reversed: the little-endian bytes of their big-endian int
     return hashlib.sha256(text.encode()).digest()[7::-1]
 

@@ -16,8 +16,11 @@ exchange (standard second-order superexchange, ``4 t^2 / U``), which keeps the
 joint dynamics an 8x8 problem.
 
 The Hamiltonian is built one way: per-model coupling coefficients
-(:func:`model_coefficients`) times a fixed stack of 13 generators
-(:func:`hamiltonians`); :func:`build_total_hamiltonian` is the one-model case.
+(:func:`model_coefficients`, stacked over rows of model values) times a fixed
+stack of 13 generators (:func:`hamiltonians`); :func:`build_total_hamiltonian`
+is the one-model case. A model travels in a setting grid as the flat row of
+its field values (:func:`model_values`), checked where the grid is built;
+:class:`SpinModelParams` is the check of a model built in Python.
 
 Unit conventions follow :mod:`spinturnstile.constants`: couplings in rad/s,
 fields in tesla, times in seconds. Nuclear Zeeman terms are written with the
@@ -40,6 +43,7 @@ __all__ = [
     "TunnelParams",
     "HierarchyReport",
     "build_total_hamiltonian",
+    "model_values",
     "model_coefficients",
     "hamiltonians",
     "hierarchy_norms",
@@ -62,6 +66,8 @@ _OVERFLOW_ERROR = "the model Hamiltonian overflows float64"
 # The scalar fields of SpinModelParams that are never null.
 _FLOAT_FIELDS = ("g_electron", "g_nuclear", "g_ancilla", "hyperfine_gate", "hyperfine_ancilla",
                  "hopping", "coulomb_u", "level_offset")
+
+_DERIVE_ERROR = "coulomb_u must be positive to derive the exchange from hopping"
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ class SpinModelParams:
         if len(self.b_field) != 3:
             raise ValueError("b_field must have 3 components")
         if self.exchange is None and self.hopping != 0.0 and self.coulomb_u <= 0.0:
-            raise ValueError("coulomb_u must be positive to derive the exchange from hopping")
+            raise ValueError(_DERIVE_ERROR)
         # Equal parameters are equal values whatever their numeric type, so
         # they write one text into a setting's seed digest.
         object.__setattr__(self, "b_field", tuple(float(v) for v in self.b_field))
@@ -209,21 +215,36 @@ _GENERATOR_NORMS = np.array([1.0] * 9 + [3.0] * 3 + [1.0])
 _SAFE_NORM_BOUND = np.finfo(float).max / 4
 
 
-def _coefficients(p: SpinModelParams) -> tuple:
-    """Coefficients of the generator stack for one model."""
-    bx, by, bz = p.b_field
-    el, nuc, anc = p.g_electron * MU_B_PER_HBAR, p.g_nuclear * MU_B_PER_HBAR, p.g_ancilla * MU_B_PER_HBAR
-    return (el * bx, el * by, el * bz, nuc * bx, nuc * by, nuc * bz, anc * bx, anc * by, anc * bz,
-            p.hyperfine_gate, p.exchange_value(), p.hyperfine_ancilla, p.level_offset)
+def model_values(p: SpinModelParams) -> tuple:
+    """A model's field values in declaration order, with ``b_field`` spread
+    into its 3 components: 12 floats, the exchange None when it is derived."""
+    return (*p.b_field, p.g_electron, p.g_nuclear, p.g_ancilla, p.hyperfine_gate,
+            p.hyperfine_ancilla, p.hopping, p.coulomb_u, p.exchange, p.level_offset)
 
 
-def model_coefficients(models) -> np.ndarray:
-    """(R, 13) coefficients of the fixed generator stack, one row per model.
+# The place of the exchange in model_values: after b_field's 3 components and
+# the g-factors, hyperfines, hopping and coulomb_u.
+_EXCHANGE = 10
+
+
+def model_coefficients(values) -> np.ndarray:
+    """(R, 13) coefficients of the fixed generator stack, one row per row of
+    checked model values (:func:`model_values`), from one stacked pass.
 
     Every Hamiltonian of this module is a product of such rows with the
-    stack, so a block of models costs one matrix product.
+    stack, so a block of models costs one matrix product. The coefficients
+    are the Zeeman triples ``g * MU_B_PER_HBAR * b`` of the electron, the
+    nucleus and the ancilla, the gate hyperfine, the exchange (``4 t^2 / U``
+    of :func:`effective_exchange` where it is None), the ancilla hyperfine and
+    the level offset; a product that overflows is inf, silently.
     """
-    return np.array([_coefficients(p) for p in models], dtype=float).reshape(-1, 13)
+    v = np.array(values, dtype=float).reshape(-1, 12)  # a null exchange is NaN
+    hopping, coulomb_u, exchange = v[:, _EXCHANGE - 2], v[:, _EXCHANGE - 1], v[:, _EXCHANGE]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        zeeman = ((v[:, 3:6] * MU_B_PER_HBAR)[:, :, None] * v[:, None, 0:3]).reshape(-1, 9)
+        derived = np.where(hopping == 0.0, 0.0, 4.0 * hopping * hopping / coulomb_u)
+    exchange = np.where(np.isnan(exchange), derived, exchange)
+    return np.column_stack((zeeman, v[:, 6], exchange, v[:, 7], v[:, 11]))
 
 
 def _combine(coefficients: np.ndarray, terms) -> np.ndarray:
@@ -283,7 +304,7 @@ def _hierarchy_overflows(coefficients: np.ndarray) -> np.ndarray:
 def build_total_hamiltonian(p: SpinModelParams, include_gate_hamiltonian: bool = True) -> np.ndarray:
     """Hamiltonian of one model during the interaction window: the one-row
     case of :func:`hamiltonians`."""
-    return hamiltonians(model_coefficients([p]), include_gate_hamiltonian)[0]
+    return hamiltonians(model_coefficients([model_values(p)]), include_gate_hamiltonian)[0]
 
 
 def effective_exchange(hopping: float, coulomb_u: float) -> float:
@@ -337,7 +358,7 @@ def characteristic_times(
     Raises:
         ValueError: if the model's Hamiltonian overflows float64.
     """
-    norm = float(hierarchy_norms(model_coefficients([p]))[0])
+    norm = float(hierarchy_norms(model_coefficients([model_values(p)]))[0])
     if math.isnan(norm):
         raise ValueError(_OVERFLOW_ERROR)
     return hierarchy_report(norm, tp, threshold)

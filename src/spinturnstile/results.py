@@ -3,14 +3,15 @@
 Output is byte-deterministic: fixed '\\n' line endings, floats rendered with
 17 significant digits (which round-trips IEEE doubles exactly), metadata in
 fixed key order. CSV carries the metadata as '#'-prefixed preamble lines
-before the header row and quotes fields per RFC 4180; JSONL emits the
-metadata as the first object, then one object per row.
+before the header row and quotes fields per RFC 4180, as the csv module's
+minimal quoting does; each row is written by one ``%``-template chosen by
+the exact types of its cells. JSONL emits the metadata as the first object,
+then one object per row.
 """
 
-import csv
 import functools
-import io
 import json
+import re
 from dataclasses import dataclass, field
 
 __all__ = ["ResultTable", "JsonText", "RENDERERS", "render_csv", "render_jsonl", "write_results",
@@ -90,15 +91,45 @@ def _json_value(value) -> str:
     raise TypeError(f"cannot serialize {kind.__name__} deterministically")
 
 
+# The CSV slot of a cell of each exact type whose text never needs quoting:
+# format_value's text of a float and an int, and nothing of None.
+_CSV_SLOTS = {float: "%.17g", int: "%d", type(None): "%.0s"}
+_needs_quotes = re.compile('[,"\n]').search
+
+
+@functools.lru_cache(maxsize=256)
+def _csv_format(kinds: tuple) -> tuple:
+    """The ``%``-template of a CSV line whose cells have the exact types
+    ``kinds``, and the places of the cells it takes as text (:func:`_csv_text`)."""
+    return (",".join([_CSV_SLOTS.get(kind, "%s") for kind in kinds]) + "\n",
+            tuple(k for k, kind in enumerate(kinds) if kind not in _CSV_SLOTS))
+
+
+def _csv_text(value) -> str:
+    """A cell's CSV field by its :func:`format_value` text, quoted with its
+    quotes doubled where it holds a comma, a quote or a newline."""
+    text = value if type(value) is str else format_value(value)
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
+
+
+def _csv_line(row) -> str:
+    """One CSV line of a row's cells, by the template of their types."""
+    template, texts = _csv_format(tuple(map(type, row)))
+    if texts:
+        row = list(row)
+        for k in texts:
+            row[k] = _csv_text(row[k])
+    line = template % tuple(row)
+    # a row of one empty field is written "", so that it is not a blank line
+    return '""\n' if line == "\n" and len(row) == 1 else line
+
+
 def render_csv(table: ResultTable) -> bytes:
-    buf = io.StringIO()
-    for key, value in table.metadata.items():
-        buf.write(f"# {key} = {_json_value(value) if isinstance(value, (dict, list)) else format_value(value)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([format_value(v) for v in row])
-    return buf.getvalue().encode("utf-8")
+    lines = [f"# {key} = {_json_value(value) if isinstance(value, (dict, list)) else format_value(value)}\n"
+             for key, value in table.metadata.items()]
+    lines.append(_csv_line(table.columns))
+    lines += map(_csv_line, table.rows)
+    return "".join(lines).encode("utf-8")
 
 
 def render_jsonl(table: ResultTable) -> bytes:

@@ -7,8 +7,10 @@ diagonalization instead of the closed-form exchange. Slow is fine; these only
 run in tests. ``check_density_matrix`` validates the states tests produce.
 """
 
+import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -208,6 +210,18 @@ def pauli_product_basis() -> tuple:
     return tuple(kron_bruteforce(_ORACLE_PAULIS[l[0]], _ORACLE_PAULIS[l[1]]) for l in labels)
 
 
+def model_coefficients_by_model(p) -> tuple:
+    """The 13 generator-stack coefficients of one SpinModelParams, by Python
+    float arithmetic on its fields: the package's route before it stacked
+    the models' values."""
+    from spinturnstile.constants import MU_B_PER_HBAR
+
+    bx, by, bz = p.b_field
+    el, nuc, anc = p.g_electron * MU_B_PER_HBAR, p.g_nuclear * MU_B_PER_HBAR, p.g_ancilla * MU_B_PER_HBAR
+    return (el * bx, el * by, el * bz, nuc * bx, nuc * by, nuc * bz, anc * bx, anc * by, anc * bz,
+            p.hyperfine_gate, p.exchange_value(), p.hyperfine_ancilla, p.level_offset)
+
+
 def spin_hamiltonian(p, include_gate_hamiltonian: bool = True) -> np.ndarray:
     """The model Hamiltonian written out term by term with explicit tensor
     products on (ancilla, gate electron, nucleus); ``p`` is a SpinModelParams."""
@@ -384,6 +398,22 @@ def json_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
 
 
+def render_csv_by_writer(table) -> bytes:
+    """A table's CSV bytes by ``csv.writer`` of each row's ``format_value``
+    texts: the package's renderer before it wrote each row with one
+    ``%``-template chosen by its cells' types."""
+    from spinturnstile.results import _json_value, format_value
+
+    buf = io.StringIO()
+    for key, value in table.metadata.items():
+        buf.write(f"# {key} = {_json_value(value) if isinstance(value, (dict, list)) else format_value(value)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([format_value(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
 def _section_dict(value, fields: dict) -> dict:
     """The resolved JSON object of a configuration section, field by field."""
     out = {}
@@ -467,8 +497,10 @@ def _reference_setting(obj, path: str, default: ReferenceSetting, base_model) ->
     u_right = _reference_lead(obj["u_right"], f"{path}.u_right") if "u_right" in obj else default.u_right
     t_interact = c._as_float(obj.get("t_interact_s", default.t_interact), f"{path}.t_interact_s",
                              minimum=0.0)
-    model = (c._parse_section(obj["model"], f"{path}.model", SpinModelParams, c._MODEL_FIELDS,
-                              base=base_model)
+    # an override's table: the model section's, with the run's model as defaults
+    fields = {key: (attr, getattr(base_model, attr), read)
+              for key, (attr, _, read) in c._MODEL_FIELDS.items()}
+    model = (c._parse_section(obj["model"], f"{path}.model", SpinModelParams, fields)
              if "model" in obj else None)
     return ReferenceSetting(u_left, u_right, t_interact, model)
 

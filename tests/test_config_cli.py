@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from spinturnstile.config import (
     ConfigSyntaxError,
     ConfigValidationError,
     GATE_PRESETS,
+    _MODEL_FIELDS,
     config_digest,
     parse_config,
     resolved_json,
@@ -32,6 +34,7 @@ from spinturnstile.cli import (
     main,
 )
 from spinturnstile.cycle import HierarchyWarning
+from spinturnstile.model import SpinModelParams, model_values
 from spinturnstile.results import RENDERERS, ResultTable, render_csv, render_jsonl, write_results
 from spinturnstile.tomography import TWO_SPIN, RankDeficientWarning, theta_to_density
 
@@ -283,10 +286,26 @@ class TestParseConfig:
             ]},
         })
         cfg = parse_config(doc)
-        override = cfg.sweep_settings.models[0]
-        assert override.exchange == pytest.approx(9.9e5)
-        # un-overridden fields inherit the run model
-        assert override.hyperfine_gate == cfg.model.hyperfine_gate
+        # the override's values, in model_values order: the run model's but the exchange
+        assert cfg.sweep_settings.models[0] == model_values(dataclasses.replace(cfg.model, exchange=9.9e5))
+
+    def test_model_table_follows_model_values(self):
+        # the echo's model template and the override walk take model_values in table order
+        assert [attr for attr, _, _ in _MODEL_FIELDS.values()] == [
+            f.name for f in dataclasses.fields(SpinModelParams)]
+
+    def test_overrides_build_no_model(self, monkeypatch):
+        # an override is checked as values in the grid's stacked pass: parsing
+        # 500 of them builds one SpinModelParams, the run's model
+        built = []
+        check = SpinModelParams.__post_init__
+        monkeypatch.setattr(SpinModelParams, "__post_init__", lambda p: (built.append(p), check(p)))
+        doc = {"sweep": {"settings": [{"model": {"exchange_per_s": 1e5 + i, "hopping_per_s": i}}
+                                      for i in range(500)]}}
+        cfg = parse_config(json.dumps(doc))
+        assert built == [cfg.model]
+        assert cfg.sweep_settings.models[499] == model_values(
+            dataclasses.replace(cfg.model, exchange=1e5 + 499, hopping=499.0))
 
     def test_digest_stable(self):
         raw = json.dumps(FULL).encode()

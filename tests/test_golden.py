@@ -12,7 +12,12 @@ constant of 0.3, an overridden model and a correlated two-spin gate state.
 The ``edges`` sweep holds the values whose text is easiest to get wrong:
 axis-name leads, a null ``exchange_per_s`` derived from ``hopping_per_s`` and
 ``coulomb_u_per_s``, direction components of 1e-300 and 1e200 (whose squares
-under- and overflow), signed zeros and an interaction time of 0. A digest changes when any output
+under- and overflow), signed zeros and an interaction time of 0. The
+``errors`` sweep mixes ok rows with a row whose propagator phase is lost
+(an interaction time of 1e10 s) and one whose model overflows (couplings of
+1e308), so empty cells and error statuses are pinned; in the ``kappa``
+sweep a detection constant of 10 gives every row the kappa message, whose
+commas the CSV quotes. No golden run warns. A digest changes when any output
 byte does: a change that alters output on purpose records the new digests
 here and says why. The digests hold for one numpy/BLAS build; another
 build may round the instruments differently in the last digit.
@@ -31,6 +36,7 @@ import itertools
 import json
 import random
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -96,9 +102,29 @@ def _block_settings(rng: random.Random) -> list:
     return settings
 
 
+def _error_settings(rng: random.Random) -> list:
+    settings = _settings(rng)[:6]
+    settings[2] = {**settings[2], "t_interact_s": 1e10}  # lost propagator phase
+    settings[4] = {**settings[4], "model": {"exchange_per_s": 1e308, "hyperfine_gate_per_s": 1e308,
+                                            "hyperfine_ancilla_per_s": 1e308}}  # overflows
+    return settings
+
+
 def _config(name: str) -> tuple:
     """(command, configuration) of one golden run."""
     rng = random.Random(f"golden:{name}")
+    if name == "errors":
+        return "sweep", {
+            "experiment": {"mode": "refresh", "n_cycles": 2000, "seed": 404},
+            "gate_state": {"preset": "pure_up"},
+            "sweep": {"settings": _error_settings(rng)},
+        }
+    if name == "kappa":
+        return "sweep", {
+            "detection": {"c": 10.0},
+            "experiment": {"mode": "refresh", "n_cycles": 2000, "seed": 17},
+            "sweep": {"settings": _settings(rng)[:5]},
+        }
     if name == "edges":
         return "sweep", {
             "model": {"exchange_per_s": None, "hopping_per_s": 1.0e6, "coulomb_u_per_s": 3.0e6},
@@ -144,7 +170,10 @@ def _config(name: str) -> tuple:
 def _output(tmp_path, command: str, config_text: str, fmt: str, tag: str) -> bytes:
     cfg_path, out_path = tmp_path / f"{tag}.json", tmp_path / f"{tag}.{fmt}"
     cfg_path.write_text(config_text)
-    assert main([command, "--config", str(cfg_path), "--out", str(out_path), "--format", fmt]) == EXIT_OK
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg_path), "--out", str(out_path), "--format", fmt]) == EXIT_OK
+    assert [str(w.message) for w in caught] == []
     return out_path.read_bytes()
 
 
@@ -182,6 +211,10 @@ GOLDEN = {
     ("edges", "jsonl"): "858baba28d69fb36ec10532e7d8796f4c90fa203a54b0a60b8add5bcc8eb15a9",
     ("blocks", "csv"): "9629027e5fb2db4203ec2017ab5aecd20ce5439fd12cf9e9ec1ccde32f779ff7",
     ("blocks", "jsonl"): "15b22d284d5682c36c423b70fc58f9a69403c2ac62c116e36c5ec53e05ff72e3",
+    ("errors", "csv"): "4623b14cebbf38a9bf648632b69b8ce3feb8783928753c34784ce8126c16f6f4",
+    ("errors", "jsonl"): "1cdf44eb246e11f6808387a63cb70e75029ffff7531a225e46f56d1f90cdc003",
+    ("kappa", "csv"): "993fa9e5b3fa9ec8a56efb46461eb8ade9c226a0658b7a20ebed7fb3be8eddc7",
+    ("kappa", "jsonl"): "2389a83daa3a952ebb26869d6df7134966d90d08ba2126ab311512f559a40f72",
 }
 
 

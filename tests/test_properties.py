@@ -2,20 +2,26 @@
 settings, of calibration against the pulse-probability formula, of the
 tomography parameterization over random vectors, of the configuration's
 resolved form over random documents, of the time-scale hierarchy report over
-random norms and tunnels, and of the output writer, the setting seeds and
-the stacked settings parse against their oracles."""
+random norms and tunnels, of the output writers, the setting seeds, the
+model coefficients and the stacked settings parse against their oracles, and
+of the command line's exits on hostile documents."""
 
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinturnstile.algebra import pauli_coordinates
+from spinturnstile.cli import COMMANDS, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from spinturnstile.config import (
     ConfigValidationError,
     _lead_norms,
@@ -48,6 +54,8 @@ from spinturnstile.model import (
     build_total_hamiltonian,
     hierarchy_norms,
     hierarchy_report,
+    model_coefficients,
+    model_values,
 )
 from spinturnstile.results import JsonText, ResultTable, render_csv, render_jsonl
 from spinturnstile.tomography import (
@@ -68,11 +76,13 @@ from oracles import (
     json_scalar,
     kraus_instrument,
     liouville_matrix,
+    model_coefficients_by_model,
     pauli_product_basis,
     random_density,
     random_hermitian,
     reference_config,
     reference_lead_norm,
+    render_csv_by_writer,
     resolved_dict,
     setting_seed,
     spin_hamiltonian,
@@ -447,6 +457,13 @@ ROW_FAULTS = [
     (("u_right", "magnitude"), -0.0), (("t_interact_s",), -1e-9), (("t_interact_s",), -5e-324),
     (("t_interact_s",), math.nan), (("t_interact_s",), 10**400), (("t_interact_s",), 1e300),
     (("t_interact_s",), None), (("model",), "m"), (("model", "coulomb_u_per_s"), -1.0),
+    (("model", "bogus_per_s"), 1.0), (("model", "hyperfine_gate_per_s"), "2e6"),
+    (("model", "g_electron"), True), (("model", "hopping_per_s"), math.nan),
+    (("model", "level_offset_per_s"), 10**400), (("model", "b_field_tesla"), [0.0, 0.01]),
+    (("model", "b_field_tesla"), [0.0, "a", 0.01]),
+    (("model",), {"exchange_per_s": None, "hopping_per_s": 1.0e6, "coulomb_u_per_s": 0}),
+    (("model", "exchange_per_s"), 900_000), (("model", "b_field_tesla"), [0, -1, 2]),
+    (("model", "coulomb_u_per_s"), 0),
 ]
 # the run's own setting takes lead faults only
 LEAD_FAULTS = [fault for fault in ROW_FAULTS if fault[0][0] in ("u_left", "u_right")]
@@ -458,7 +475,7 @@ def apply_fault(row: dict, fault) -> None:
         row = row.setdefault(name, {})
         if not isinstance(row, dict):  # an earlier fault replaced the object
             return
-    row[key] = value
+    row[key] = dict(value) if isinstance(value, dict) else value  # a second fault may extend it
 
 
 @st.composite
@@ -507,12 +524,83 @@ def test_stacked_settings_match_the_row_by_row_parse(doc):
         for ul, ur, t, model, row in zip(grid.u_left, grid.u_right, grid.t_interact, grid.models, rows):
             assert [x.hex() for x in (*ul, *ur, t)] == [
                 x.hex() for x in (*row.u_left.vector(), *row.u_right.vector(), row.t_interact)]
-            assert repr(model) == repr(row.model)
+            assert repr(model) == repr(None if row.model is None else model_values(row.model))
         library = [MeasurementSetting(r.u_left.vector(), r.u_right.vector(), r.t_interact, r.model)
                    for r in rows]
         assert derive_setting_seeds(got.experiment.seed, grid) == derive_setting_seeds(
             got.experiment.seed, library)
     assert resolved_json(got) == json_scalar(resolved_dict(want))
+
+
+# Values no schema field takes, as JSON text: wrong types, nests past the
+# recursion limit, integers past the float range and past the digit limit,
+# the non-finite literals json accepts, and bytes that are not UTF-8.
+HOSTILE_VALUES = [
+    b'"x"', b"[]", b"{}", b"true", b"null", b"-1", b"[1, 2]",
+    b"[" * 5000 + b"]" * 5000, b'{"a":' * 3000 + b"0" + b"}" * 3000,
+    b"9" * 400, b"-" + b"9" * 400, b"1" * 5000,
+    b"NaN", b"Infinity", b"-Infinity",
+    b'"\xff\xfe"', b"\xff",
+]
+_MUTANT = "@@mutant@@"
+
+
+def document_paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from document_paths(item, (*path, key))
+
+
+@st.composite
+def cli_documents(draw):
+    """A configuration document's bytes, maybe with a hostile value at a
+    random path (the root included)."""
+    doc = draw(config_documents)
+    experiment = doc.setdefault("experiment", {})
+    # a propagate row costs time in proportion to its cycles
+    experiment["n_cycles"] = min(experiment.get("n_cycles", 2000), 2000)
+    path = draw(st.sampled_from([None, *document_paths(doc)]))
+    if path is None:
+        return json.dumps(doc).encode()
+    mutant = draw(st.sampled_from(HOSTILE_VALUES))
+    if not path:
+        return mutant
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = _MUTANT
+    return json.dumps(doc).encode().replace(json.dumps(_MUTANT).encode(), mutant)
+
+
+def run_main(argv: list) -> tuple:
+    """``cli.main(argv)``'s exit code, stderr text and warnings."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, stderr.getvalue(), [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(text=cli_documents(), command=st.sampled_from(sorted(COMMANDS)), fmt=st.sampled_from(["csv", "jsonl"]))
+def test_cli_exits_cleanly_and_reproducibly(text, command, fmt):
+    # every document ends in a result, a syntax error or a validation error,
+    # never in a traceback, and twice in the same bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "config.json")
+        config.write_bytes(text)
+        runs = []
+        for name in ("first", "second"):
+            out = Path(tmp, name)
+            code, err, caught = run_main([command, "--config", str(config), "--out", str(out),
+                                          "--format", fmt])
+            runs.append((code, err, caught, out.read_bytes() if out.exists() else None))
+    code, err, caught, _ = runs[0]
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION), err
+    assert "Traceback" not in err
+    assert runs[0] == runs[1]
 
 
 @PROPERTY_SETTINGS
@@ -622,6 +710,29 @@ def test_json_writer_matches_the_oracle(tree):
     assert render_csv(meta) == f"# tree = [{want}]\n\n".encode()
 
 
+# CSV cells of every type a row may hold, and text that needs quoting or not
+csv_texts = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "\t", "é"]), max_size=5) | st.text()
+csv_cells = (json_floats | json_floats.map(np.float64) | st.integers(-2**200, 2**200) | st.booleans()
+             | st.none() | csv_texts)
+
+
+@st.composite
+def csv_tables(draw):
+    width = draw(st.integers(0, 4))
+    columns = draw(st.lists(csv_texts, min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(csv_cells, min_size=width, max_size=width).map(tuple), max_size=6))
+    return ResultTable(columns=columns, rows=rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(csv_tables())
+@example(ResultTable(columns=("status",), rows=[("",), (None,), (" ",), ("a,b",)]))
+def test_csv_rows_match_the_writer(table):
+    # a one-column row whose only cell is empty is "" (csv.writer's form of
+    # a row that is not blank)
+    assert render_csv(table) == render_csv_by_writer(table)
+
+
 # floats whose repr takes every form: signed zero, subnormal, exponent
 model_numbers = (with_edges([-0.0, 5e-324, 1e16, -1e200, 1.7976931348623157e308],
                             st.floats(-1e7, 1e7))
@@ -641,6 +752,28 @@ seed_settings = st.builds(
                 | st.floats(0.0, 1e-3).map(np.float64)),
     model=st.none() | seed_models,
 )
+
+
+# couplings whose coefficients overflow to inf, or to nan (inf * 0), too
+coupling_values = model_numbers | with_edges([1e308, -1.7e308, 1e300], st.floats(-1e308, 1e308))
+coefficient_models = st.builds(
+    SpinModelParams,
+    b_field=st.tuples(coupling_values, coupling_values, coupling_values),
+    g_electron=coupling_values, g_nuclear=coupling_values, g_ancilla=coupling_values,
+    hyperfine_gate=coupling_values, hyperfine_ancilla=coupling_values, hopping=coupling_values,
+    coulomb_u=with_edges([5e-324, 1e-300], st.floats(1.0, 1e300)),
+    exchange=st.none() | coupling_values, level_offset=coupling_values,
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(coefficient_models, min_size=1, max_size=5))
+def test_stacked_coefficients_match_each_model(models):
+    # bit for bit, an overflow's inf and nan included, with no numpy warning
+    got = model_coefficients([model_values(p) for p in models])
+    want = np.array([model_coefficients_by_model(p) for p in models])
+    assert got.shape == want.shape
+    assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
 
 
 @PROPERTY_SETTINGS
