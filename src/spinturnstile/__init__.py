@@ -24,7 +24,6 @@ from .model import (
     TunnelParams,
     build_total_hamiltonian,
     characteristic_times,
-    effective_exchange,
     gamma_rate,
 )
 from .tomography import (

@@ -5,18 +5,20 @@ field names (``_per_s`` for rates and angular frequencies, ``_s`` for times,
 ``_tesla`` for fields). Parsing applies documented defaults, rejects unknown
 keys, and reports semantic violations with the full field path. The model,
 tunnel, lead and experiment sections are each stated once, as a field table
-that drives their parsing, defaults and resolved form. Each settings array
-becomes one :class:`~spinturnstile.cycle.SettingGrid` of columns, checked
-here alone: a walk over the rows checks only objects, keys, axis names and
-lengths and gathers every row's numbers (its leads, its time and its model
-override's values); their types, finiteness and bounds, the lead norms and
-the derived exchange are then checked in one stacked pass, and the first bad
-field in document order is reported, its path built only then. A model
-override stays its checked values, with no :class:`SpinModelParams` built
-for it. :func:`resolved_json`
-writes the configuration with every default applied, in the schema's shape,
-as compact JSON text; the command line embeds that text in every output, and
-parsing it reproduces an equal :class:`RunConfig`.
+of their keys, defaults and resolved form; the tunnel and experiment tables
+also give the readers that check their fields. Models and leads are checked
+along one route: a walk checks only objects, keys, axis names and lengths
+and gathers the numbers, whose types, finiteness and bounds, lead norms and
+derived exchange one stacked pass then checks, reporting the first bad field
+in document order, its path built only then. The run's ``model`` section is
+checked as one row of model values, and becomes the one
+:class:`SpinModelParams` built; each settings array becomes one
+:class:`~spinturnstile.cycle.SettingGrid` of columns, its rows (their leads,
+time and model override's values) checked in one pass, and an override stays
+its checked values. :func:`resolved_json` writes the configuration with
+every default applied, in the schema's shape, as compact JSON text; the
+command line embeds that text in every output, and parsing it reproduces an
+equal :class:`RunConfig`.
 """
 
 import hashlib
@@ -33,7 +35,7 @@ from .algebra import PAULI_PRODUCT_LABELS
 from .constants import G_NUCLEAR_P31
 from .cycle import SettingGrid
 from .experiment import MASTER_SEED_MAX
-from .model import _DERIVE_ERROR, SpinModelParams, TunnelParams, model_values
+from .model import _DERIVE_ERROR, _EXCHANGE, SpinModelParams, TunnelParams, model_values
 from .tomography import SINGLE_SPIN, TWO_SPIN, is_physical, n_parameters, theta_to_density
 
 __all__ = [
@@ -197,20 +199,21 @@ def _as_direction(value, path: str) -> tuple:
     return _as_vec3(value, path)
 
 
-# Section field tables: JSON key -> (record field, default, reader). Each
-# table gives its section's keys, their order in the resolved configuration,
-# their defaults and their checks.
+# Section field tables: JSON key -> (record field, default[, reader]). Each
+# table gives its section's keys, their order in the resolved configuration
+# and their defaults. The tunnel and experiment tables give their checks as
+# readers; a model's numbers and a lead's are checked stacked (_checked).
 _MODEL_FIELDS = {
-    "b_field_tesla": ("b_field", (0.0, 0.0, 0.01), _as_vec3),
-    "g_electron": ("g_electron", 0.0, _as_float),
-    "g_nuclear": ("g_nuclear", G_NUCLEAR_P31, _as_float),
-    "g_ancilla": ("g_ancilla", 0.0, _as_float),
-    "hyperfine_gate_per_s": ("hyperfine_gate", 2.0e6, _as_float),
-    "hyperfine_ancilla_per_s": ("hyperfine_ancilla", 1.1e6, _as_float),
-    "hopping_per_s": ("hopping", 0.0, _as_float),
-    "coulomb_u_per_s": ("coulomb_u", 0.0, partial(_as_float, minimum=0.0)),
-    "exchange_per_s": ("exchange", 7.0e5, partial(_as_float, allow_none=True)),
-    "level_offset_per_s": ("level_offset", 0.0, _as_float),
+    "b_field_tesla": ("b_field", (0.0, 0.0, 0.01)),
+    "g_electron": ("g_electron", 0.0),
+    "g_nuclear": ("g_nuclear", G_NUCLEAR_P31),
+    "g_ancilla": ("g_ancilla", 0.0),
+    "hyperfine_gate_per_s": ("hyperfine_gate", 2.0e6),
+    "hyperfine_ancilla_per_s": ("hyperfine_ancilla", 1.1e6),
+    "hopping_per_s": ("hopping", 0.0),
+    "coulomb_u_per_s": ("coulomb_u", 0.0),
+    "exchange_per_s": ("exchange", 7.0e5),
+    "level_offset_per_s": ("level_offset", 0.0),
 }
 
 _TUNNEL_FIELDS = {
@@ -221,10 +224,9 @@ _TUNNEL_FIELDS = {
     "tau_cycle_s": ("tau_cycle", TunnelParams.tau_cycle, _as_float),
 }
 
-# A lead's magnitude bounds and its direction's norm are checked stacked.
 _LEAD_FIELDS = {
-    "direction": ("direction", _AXES["z"], _as_direction),
-    "magnitude": ("magnitude", 1.0, _as_float),
+    "direction": ("direction", _AXES["z"]),
+    "magnitude": ("magnitude", 1.0),
 }
 
 _EXPERIMENT_FIELDS = {
@@ -288,8 +290,13 @@ _LEAD_KEYS = frozenset(_LEAD_FIELDS)
 _MODEL_KEYS = frozenset(_MODEL_FIELDS)
 _TIME, _MODEL, _WIDTH = 8, 9, 21
 # A model key's place in model_values, which follows the table's order with
-# b_field_tesla's 3 components first.
+# b_field_tesla's 3 components first; each model value's place and field, in
+# the order of their checks; and the table's defaults as model values.
 _MODEL_SLOTS = {key: 2 + k if k else 0 for k, key in enumerate(_MODEL_FIELDS)}
+_MODEL_COLUMNS = [(k, f".b_field_tesla[{k}]") for k in range(3)] + [
+    (slot, f".{key}") for key, slot in _MODEL_SLOTS.items() if slot]
+_MODEL_DEFAULTS = model_values(SpinModelParams(**dict(_MODEL_FIELDS.values())))
+_HOPPING, _COULOMB_U = _MODEL_SLOTS["hopping_per_s"], _MODEL_SLOTS["coulomb_u_per_s"]
 
 
 def _walk_lead(obj, path_of, i: int, name: str) -> tuple:
@@ -307,12 +314,13 @@ def _walk_lead(obj, path_of, i: int, name: str) -> tuple:
     return (*direction, obj.get("magnitude", 1.0))
 
 
-def _walk_model(obj, base: tuple, path_of, i: int) -> list:
-    """A model override's values: ``base`` (the run's model values) with the
+def _walk_model(obj, base: tuple, path_of, i: int, name: str) -> list:
+    """A model object's values: ``base`` (the values it overrides) with the
     given fields in their places, after the checks of its keys and of the
-    field vector's length; the values are checked stacked."""
+    field vector's length; the values are checked stacked. Its path,
+    ``path_of(i) + name``, is built on a failure."""
     if type(obj) is not dict or not obj.keys() <= _MODEL_KEYS:
-        _as_object(obj, f"{path_of(i)}.model", _MODEL_FIELDS)
+        _as_object(obj, path_of(i) + name, _MODEL_FIELDS)
     values = list(base)
     for key, value in obj.items():
         slot = _MODEL_SLOTS[key]
@@ -320,13 +328,13 @@ def _walk_model(obj, base: tuple, path_of, i: int) -> list:
             values[slot] = value
         else:  # the field vector: the first field, so no other field is checked before it
             values[:3] = value if type(value) is list and len(value) == 3 else _as_vec3(
-                value, f"{path_of(i)}.model.b_field_tesla")
+                value, f"{path_of(i)}{name}.b_field_tesla")
     return values
 
 
-def _numbers(values: list) -> tuple:
+def _numbers(values: list, width: int) -> tuple:
     """The walked numbers as Python floats, an integer as the float it names,
-    and as an (R, _WIDTH) array, with the masks of the entries that are not
+    and as an (R, width) array, with the masks of the entries that are not
     numbers and of the nulls: the array reads 0 for those, and inf for an
     integer past the float range."""
     numbers = values
@@ -345,61 +353,73 @@ def _numbers(values: list) -> tuple:
                     values[k] = numbers[k] = float(value)
                 except OverflowError:
                     numbers[k] = math.inf
-    return (values, np.array(numbers, dtype=float).reshape(-1, _WIDTH), not_number.reshape(-1, _WIDTH),
-            null.reshape(-1, _WIDTH))
+    return (values, np.array(numbers, dtype=float).reshape(-1, width), not_number.reshape(-1, width),
+            null.reshape(-1, width))
+
+
+def _number(bad: np.ndarray, not_finite: np.ndarray, column: int, field: str) -> list:
+    """The checks of a column of walked numbers: its type, then its finiteness."""
+    return [(bad[:, column], field, "expected a number"), (not_finite[:, column], field, "must be finite")]
+
+
+def _model_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray, path: str = "") -> list:
+    """The stacked checks of walked model values (columns in model_values
+    order) as ``(failed, field, message)``, each field below ``path``, in the
+    order of the model's table: each number's type before its finiteness,
+    coulomb_u's bound after its number, and the derived exchange last."""
+    checks, bad, not_finite = [], not_number | null, ~np.isfinite(x)
+    x_finite = np.where(not_finite, 0.0, x)  # bounds of numbers that fail above
+    for column, field in _MODEL_COLUMNS:
+        # a null exchange is a number: the one derived from hopping
+        checks += _number(not_number if column == _EXCHANGE else bad, not_finite, column, path + field)
+        if column == _COULOMB_U:
+            checks.append((x_finite[:, column] < 0.0, path + field, "must be >= 0.0"))
+    checks.append((null[:, _EXCHANGE] & (x_finite[:, _HOPPING] != 0.0) & (x_finite[:, _COULOMB_U] <= 0.0),
+                   path, _DERIVE_ERROR))
+    return checks
 
 
 def _row_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray) -> list:
     """The stacked checks of walked rows as ``(failed, field, message)``, in the
     order the row-by-row parse makes them: each number's type before its
     finiteness, then the bounds of its field; each lead's magnitude bounds and
-    direction norm after its numbers; the derived exchange last."""
-    checks = []
-
-    def number(column: int, field: str, null_ok: bool = False):
-        bad = not_number[:, column] if null_ok else not_number[:, column] | null[:, column]
-        checks.extend(((bad, field, "expected a number"),
-                       (~np.isfinite(x[:, column]), field, "must be finite")))
-
-    x_finite = np.where(np.isfinite(x), x, 0.0)  # bounds and norms of numbers that fail above
+    direction norm after its numbers; the model override's checks last."""
+    checks, bad, not_finite = [], not_number | null, ~np.isfinite(x)
+    x_finite = np.where(not_finite, 0.0, x)  # bounds and norms of numbers that fail above
     for lead, at in (("u_left", 0), ("u_right", 4)):
         for k in range(3):
-            number(at + k, f".{lead}.direction[{k}]")
-        number(at + 3, f".{lead}.magnitude")
+            checks += _number(bad, not_finite, at + k, f".{lead}.direction[{k}]")
+        checks += _number(bad, not_finite, at + 3, f".{lead}.magnitude")
         magnitudes, norms = x_finite[:, at + 3], _lead_norms(x_finite[:, at:at + 3])
         checks += [(magnitudes < 0.0, f".{lead}.magnitude", "must be >= 0.0"),
                    (magnitudes > 1.0, f".{lead}.magnitude", "must be <= 1.0"),
                    (norms == 0.0, f".{lead}.direction", "must be a nonzero vector"),
                    (norms == math.inf, f".{lead}.direction", "norm must be finite")]
-    number(_TIME, ".t_interact_s")
+    checks += _number(bad, not_finite, _TIME, ".t_interact_s")
     checks.append((x_finite[:, _TIME] < 0.0, ".t_interact_s", "must be >= 0.0"))
-    for key, (_, _, read) in _MODEL_FIELDS.items():
-        at, options = _MODEL + _MODEL_SLOTS[key], getattr(read, "keywords", {})  # _as_float's options
-        fields = [f".model.{key}[{k}]" for k in range(3)] if key == "b_field_tesla" else [f".model.{key}"]
-        for k, field in enumerate(fields):
-            number(at + k, field, null_ok=options.get("allow_none", False))
-        if "minimum" in options:
-            checks.append((x_finite[:, at] < options["minimum"], f".model.{key}",
-                           f"must be >= {options['minimum']}"))
-    hopping, coulomb_u, exchange = (_MODEL + _MODEL_SLOTS[key]
-                                    for key in ("hopping_per_s", "coulomb_u_per_s", "exchange_per_s"))
-    checks.append((null[:, exchange] & (x_finite[:, hopping] != 0.0) & (x_finite[:, coulomb_u] <= 0.0),
-                   ".model", _DERIVE_ERROR))
-    return checks
+    return checks + _model_checks(x[:, _MODEL:], not_number[:, _MODEL:], null[:, _MODEL:], ".model")
 
 
-def _checked(values: list, path_of) -> tuple:
-    """The numbers and the array of :func:`_numbers` of walked rows, after the
-    stacked checks: the first to fail, in row and check order, raises at its
-    path below ``path_of(row)``."""
-    values, x, not_number, null = _numbers(values)
-    checks = _row_checks(x, not_number, null)
+def _checked(values: list, path_of, width: int = _WIDTH, checks_of=_row_checks) -> tuple:
+    """The numbers and the array of :func:`_numbers` of walked rows of
+    ``width`` values, after their stacked checks ``checks_of``: the first to
+    fail, in row and check order, raises at its path below ``path_of(row)``."""
+    values, x, not_number, null = _numbers(values, width)
+    checks = checks_of(x, not_number, null)
     bad = np.flatnonzero(np.column_stack([failed for failed, _, _ in checks]))
     if bad.size:
         row, k = divmod(int(bad[0]), len(checks))
         _, field, message = checks[k]
         raise ConfigValidationError(f"{path_of(row)}{field}", message)
     return values, x
+
+
+def _parse_model(obj) -> SpinModelParams:
+    """The run's model: its section walked over the table's defaults and
+    checked as one row by the checks of a model override."""
+    values, _ = _checked(_walk_model(obj, _MODEL_DEFAULTS, lambda i: "", 0, "model"), lambda i: "model",
+                         len(_MODEL_DEFAULTS), _model_checks)
+    return SpinModelParams(tuple(values[:3]), *values[3:])
 
 
 def _parse_settings(objs, path_of, default: SettingGrid | None, base_model: SpinModelParams) -> SettingGrid:
@@ -426,7 +446,7 @@ def _parse_settings(objs, path_of, default: SettingGrid | None, base_model: Spin
             values += _walk_lead(obj["u_left"], path_of, i, ".u_left") if "u_left" in obj else left
             values += _walk_lead(obj["u_right"], path_of, i, ".u_right") if "u_right" in obj else right
             values.append(obj["t_interact_s"] if "t_interact_s" in obj else t_default)
-            values += _walk_model(obj["model"], base, path_of, i) if "model" in obj else base
+            values += _walk_model(obj["model"], base, path_of, i, ".model") if "model" in obj else base
         except ConfigValidationError:
             _checked(values + list(passing[len(values) - start:]), path_of)
             raise
@@ -468,7 +488,7 @@ def parse_config(data) -> RunConfig:
     root = _as_object(data, "", {"model", "tunnel", "schedule", "leads", "detection", "gate_state",
                                  "experiment", "hierarchy_threshold", "sweep", "tomography"})
 
-    model = _parse_section(root.get("model", {}), "model", SpinModelParams, _MODEL_FIELDS)
+    model = _parse_model(root.get("model", {}))
     tunnel = _parse_section(root.get("tunnel", {}), "tunnel", TunnelParams, _TUNNEL_FIELDS)
 
     sched = _as_object(root.get("schedule", {}), "schedule", {"t_interact_s", "include_gate_hamiltonian"})
@@ -552,18 +572,17 @@ def _slot(default) -> str:
 
 
 def _template(fields: dict, null: str | None = None) -> str:
-    """The ``%``-template of the JSON object of a section built by
-    :func:`_parse_section`, one slot per field value. The field ``null``
-    takes its None argument with a ``%.0s`` slot, which writes nothing of
-    it, after the literal ``null``."""
+    """The ``%``-template of the JSON object of a section's field table, one
+    slot per field value. The field ``null`` takes its None argument with a
+    ``%.0s`` slot, which writes nothing of it, after the literal ``null``."""
     return "{" + ",".join(f"{json.dumps(key)}:" + ("null%.0s" if key == null else _slot(default))
-                          for key, (_, default, _) in fields.items()) + "}"
+                          for key, (_, default, *_) in fields.items()) + "}"
 
 
 def _arguments(fields: dict):
     """The function from a section's value to its template's arguments: the
     field values in table order."""
-    return attrgetter(*(attr for attr, _, _ in fields.values()))
+    return attrgetter(*(attr for attr, *_ in fields.values()))
 
 
 # A model's template takes its model_values.
@@ -589,8 +608,7 @@ def _settings_json(grid: SettingGrid) -> str:
         if model is None:
             texts.append(_SETTING_TEMPLATES[0] % args)
         else:
-            texts.append(_SETTING_TEMPLATES[1 + (model[_MODEL_SLOTS["exchange_per_s"]] is None)]
-                         % (*args, *model))
+            texts.append(_SETTING_TEMPLATES[1 + (model[_EXCHANGE] is None)] % (*args, *model))
     return "[" + ",".join(texts) + "]"
 
 

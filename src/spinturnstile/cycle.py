@@ -270,7 +270,8 @@ def _instrument_block(start: int, h: np.ndarray, keys: np.ndarray, t, u_left: np
                   "tunnel.tau_detect_s or tunnel.gamma0_per_s"] * len(errors)
     n = len(u)
     rho_a = (_with_trace(u_left)[:, None] @ _ANCILLA_INPUTS).reshape(n, 8, 8)
-    m_pulse = (kappa * _with_trace(u_right)[:, None] @ _ANCILLA_INPUTS).reshape(n, 8, 8)
+    with np.errstate(invalid="ignore"):  # an infinite kappa, an error of every row above
+        m_pulse = (kappa * _with_trace(u_right)[:, None] @ _ANCILLA_INPUTS).reshape(n, 8, 8)
     heisenberg = u.conj().swapaxes(1, 2) @ (m_pulse @ u)
     effects = ((rho_a @ heisenberg).reshape(n, 1, 64) @ _GATE_READ)[:, 0].real
     return InstrumentBlock(start=start, effects=effects, kappa=kappa, errors=tuple(errors),

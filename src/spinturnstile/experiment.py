@@ -20,7 +20,6 @@ pr)`` for its seed, although the rows' seeds and counts are computed together
 
 import hashlib
 import operator
-from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -389,11 +388,6 @@ def calibrate(measured_pr: float, pr_model: float, c: float) -> float:
     return c * (measured_pr / pr_model)
 
 
-# A model override enters a setting's seed as its field values in this
-# order; the first, b_field, is a vector.
-_MODEL_FIELD_NAMES = tuple(f.name for f in fields(SpinModelParams))
-
-
 def _digest_templates() -> tuple:
     """The ``%r``-templates of a setting's digest text (see
     :func:`derive_setting_seeds`): without a model, then with one whose
@@ -407,7 +401,8 @@ def _digest_templates() -> tuple:
     tail = '"t_interact": %r, "u_left": [%r, %r, %r], "u_right": [%r, %r, %r]}'
 
     def with_model(exchange: str) -> str:
-        scalars = [exchange if name == "exchange" else "%r" for name in _MODEL_FIELD_NAMES[1:]]
+        # model_values: b_field's 3 components, then 9 scalars
+        scalars = [exchange if slot == _EXCHANGE else "%r" for slot in range(3, 12)]
         return '{"model": [[%r, %r, %r], ' + ", ".join(scalars) + "], " + tail
 
     return "{" + tail, with_model("%r"), with_model("null%.0s")

@@ -48,7 +48,6 @@ __all__ = [
     "hamiltonians",
     "hierarchy_norms",
     "hierarchy_report",
-    "effective_exchange",
     "gamma_rate",
     "characteristic_times",
 ]
@@ -91,7 +90,8 @@ class SpinModelParams:
             rad/s; only enters through the derived exchange.
         exchange: effective Heisenberg exchange between gate and ancilla
             electrons, rad/s. ``None`` means derive it from ``hopping`` and
-            ``coulomb_u`` via :func:`effective_exchange`.
+            ``coulomb_u`` as the superexchange ``4 t^2 / U``, which
+            :func:`model_coefficients` computes.
         level_offset: scalar offset of the donor level, rad/s. Pure phase; it
             has no observable effect and is retained for completeness.
     """
@@ -124,12 +124,6 @@ class SpinModelParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.exchange is not None:
             object.__setattr__(self, "exchange", float(self.exchange))
-
-    def exchange_value(self) -> float:
-        """Exchange coupling in rad/s, deriving it from hopping/coulomb_u if unset."""
-        if self.exchange is not None:
-            return float(self.exchange)
-        return effective_exchange(self.hopping, self.coulomb_u)
 
 
 @dataclass(frozen=True)
@@ -234,9 +228,10 @@ def model_coefficients(values) -> np.ndarray:
     Every Hamiltonian of this module is a product of such rows with the
     stack, so a block of models costs one matrix product. The coefficients
     are the Zeeman triples ``g * MU_B_PER_HBAR * b`` of the electron, the
-    nucleus and the ancilla, the gate hyperfine, the exchange (``4 t^2 / U``
-    of :func:`effective_exchange` where it is None), the ancilla hyperfine and
-    the level offset; a product that overflows is inf, silently.
+    nucleus and the ancilla, the gate hyperfine, the exchange (where it is
+    None, the superexchange ``J = 4 t^2 / U`` of hopping and coulomb_u, valid
+    for ``t << U``, and 0 without hopping), the ancilla hyperfine and the
+    level offset; a product that overflows is inf, silently.
     """
     v = np.array(values, dtype=float).reshape(-1, 12)  # a null exchange is NaN
     hopping, coulomb_u, exchange = v[:, _EXCHANGE - 2], v[:, _EXCHANGE - 1], v[:, _EXCHANGE]
@@ -305,22 +300,6 @@ def build_total_hamiltonian(p: SpinModelParams, include_gate_hamiltonian: bool =
     """Hamiltonian of one model during the interaction window: the one-row
     case of :func:`hamiltonians`."""
     return hamiltonians(model_coefficients([model_values(p)]), include_gate_hamiltonian)[0]
-
-
-def effective_exchange(hopping: float, coulomb_u: float) -> float:
-    """Superexchange ``J = 4 t^2 / U`` from hopping and on-site repulsion.
-
-    Valid in the charge-blockaded regime ``t << U``; the caller may bypass the
-    reduction entirely by setting ``SpinModelParams.exchange`` directly.
-
-    Raises:
-        ValueError: if ``coulomb_u <= 0`` while ``hopping != 0``.
-    """
-    if hopping == 0.0:
-        return 0.0
-    if coulomb_u <= 0.0:
-        raise ValueError("coulomb_u must be positive when hopping is nonzero")
-    return 4.0 * hopping * hopping / coulomb_u
 
 
 def gamma_rate(delta: float, tp: TunnelParams) -> float:

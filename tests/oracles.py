@@ -210,6 +210,26 @@ def pauli_product_basis() -> tuple:
     return tuple(kron_bruteforce(_ORACLE_PAULIS[l[0]], _ORACLE_PAULIS[l[1]]) for l in labels)
 
 
+def effective_exchange(hopping: float, coulomb_u: float) -> float:
+    """Superexchange ``J = 4 t^2 / U`` from hopping and on-site repulsion, by
+    Python float arithmetic: 0 without hopping.
+
+    Raises:
+        ValueError: if ``coulomb_u <= 0`` while ``hopping != 0``.
+    """
+    if hopping == 0.0:
+        return 0.0
+    if coulomb_u <= 0.0:
+        raise ValueError("coulomb_u must be positive when hopping is nonzero")
+    return 4.0 * hopping * hopping / coulomb_u
+
+
+def exchange_value(p) -> float:
+    """A SpinModelParams' exchange in rad/s, by :func:`effective_exchange`
+    where it is None."""
+    return p.exchange if p.exchange is not None else effective_exchange(p.hopping, p.coulomb_u)
+
+
 def model_coefficients_by_model(p) -> tuple:
     """The 13 generator-stack coefficients of one SpinModelParams, by Python
     float arithmetic on its fields: the package's route before it stacked
@@ -219,7 +239,7 @@ def model_coefficients_by_model(p) -> tuple:
     bx, by, bz = p.b_field
     el, nuc, anc = p.g_electron * MU_B_PER_HBAR, p.g_nuclear * MU_B_PER_HBAR, p.g_ancilla * MU_B_PER_HBAR
     return (el * bx, el * by, el * bz, nuc * bx, nuc * by, nuc * bz, anc * bx, anc * by, anc * bz,
-            p.hyperfine_gate, p.exchange_value(), p.hyperfine_ancilla, p.level_offset)
+            p.hyperfine_gate, exchange_value(p), p.hyperfine_ancilla, p.level_offset)
 
 
 def spin_hamiltonian(p, include_gate_hamiltonian: bool = True) -> np.ndarray:
@@ -237,7 +257,7 @@ def spin_hamiltonian(p, include_gate_hamiltonian: bool = True) -> np.ndarray:
     def dot(site_a, site_b):
         return sum(at(site_a, s) @ at(site_b, s) for s in paulis)
 
-    h = p.exchange_value() * dot(1, 0) + p.hyperfine_ancilla * dot(2, 0)
+    h = exchange_value(p) * dot(1, 0) + p.hyperfine_ancilla * dot(2, 0)
     if include_gate_hamiltonian:
         h = h + p.level_offset * np.eye(8) + p.hyperfine_gate * dot(2, 1)
         for g, site in ((p.g_ancilla, 0), (p.g_electron, 1), (p.g_nuclear, 2)):
@@ -417,7 +437,7 @@ def render_csv_by_writer(table) -> bytes:
 def _section_dict(value, fields: dict) -> dict:
     """The resolved JSON object of a configuration section, field by field."""
     out = {}
-    for key, (attr, _, _) in fields.items():
+    for key, (attr, *_) in fields.items():
         item = getattr(value, attr)
         out[key] = list(item) if isinstance(item, tuple) else item
     return out
@@ -488,6 +508,20 @@ def _reference_lead(obj, path: str) -> ReferenceLead:
     return ReferenceLead(direction, magnitude, norm)
 
 
+def _reference_model_fields(base_model=None) -> dict:
+    """The model section's field table for the row-by-row parse: the package's
+    keys and record fields, the fields of ``base_model`` (or the package's
+    defaults) as defaults, and a reader of its own for each field."""
+    from spinturnstile import config as c
+
+    readers = {"b_field_tesla": c._as_vec3,
+               "coulomb_u_per_s": functools.partial(c._as_float, minimum=0.0),
+               "exchange_per_s": functools.partial(c._as_float, allow_none=True)}
+    return {key: (attr, default if base_model is None else getattr(base_model, attr),
+                  readers.get(key, c._as_float))
+            for key, (attr, default) in c._MODEL_FIELDS.items()}
+
+
 def _reference_setting(obj, path: str, default: ReferenceSetting, base_model) -> ReferenceSetting:
     from spinturnstile import config as c
     from spinturnstile.model import SpinModelParams
@@ -497,19 +531,17 @@ def _reference_setting(obj, path: str, default: ReferenceSetting, base_model) ->
     u_right = _reference_lead(obj["u_right"], f"{path}.u_right") if "u_right" in obj else default.u_right
     t_interact = c._as_float(obj.get("t_interact_s", default.t_interact), f"{path}.t_interact_s",
                              minimum=0.0)
-    # an override's table: the model section's, with the run's model as defaults
-    fields = {key: (attr, getattr(base_model, attr), read)
-              for key, (attr, _, read) in c._MODEL_FIELDS.items()}
-    model = (c._parse_section(obj["model"], f"{path}.model", SpinModelParams, fields)
-             if "model" in obj else None)
+    model = (c._parse_section(obj["model"], f"{path}.model", SpinModelParams,
+                              _reference_model_fields(base_model)) if "model" in obj else None)
     return ReferenceSetting(u_left, u_right, t_interact, model)
 
 
 def reference_config(text: str):
     """The configuration of JSON ``text`` by the row-by-row parse: the
-    package's readers for every section but the settings, and each setting
-    a :class:`ReferenceSetting` whose fields are read and checked in turn,
-    every lead checking its own norm. Returns the package's ``RunConfig``
+    package's readers for every section but the model and the settings, each
+    model read field by field (:func:`_reference_model_fields`), and each
+    setting a :class:`ReferenceSetting` whose fields are read and checked in
+    turn, every lead checking its own norm. Returns the package's ``RunConfig``
     with reference settings in place of its grids; raises the package's
     ``ConfigValidationError`` at the first bad field."""
     from spinturnstile import config as c
@@ -518,7 +550,7 @@ def reference_config(text: str):
     root = c._as_object(json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t)), "",
                         {"model", "tunnel", "schedule", "leads", "detection", "gate_state", "experiment",
                          "hierarchy_threshold", "sweep", "tomography"})
-    model = c._parse_section(root.get("model", {}), "model", SpinModelParams, c._MODEL_FIELDS)
+    model = c._parse_section(root.get("model", {}), "model", SpinModelParams, _reference_model_fields())
     tunnel = c._parse_section(root.get("tunnel", {}), "tunnel", TunnelParams, c._TUNNEL_FIELDS)
     sched = c._as_object(root.get("schedule", {}), "schedule", {"t_interact_s", "include_gate_hamiltonian"})
     t_interact = c._as_float(sched.get("t_interact_s", 1.0e-6), "schedule.t_interact_s", minimum=0.0)

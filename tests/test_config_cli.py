@@ -34,7 +34,7 @@ from spinturnstile.cli import (
     main,
 )
 from spinturnstile.cycle import HierarchyWarning
-from spinturnstile.model import SpinModelParams, model_values
+from spinturnstile.model import SpinModelParams, model_coefficients, model_values
 from spinturnstile.results import RENDERERS, ResultTable, render_csv, render_jsonl, write_results
 from spinturnstile.tomography import TWO_SPIN, RankDeficientWarning, theta_to_density
 
@@ -277,7 +277,7 @@ class TestParseConfig:
         doc = json.dumps({"model": {"exchange_per_s": None, "hopping_per_s": 1e6,
                                     "coulomb_u_per_s": 1e9}})
         cfg = parse_config(doc)
-        assert cfg.model.exchange_value() == pytest.approx(4e3)
+        assert model_coefficients([model_values(cfg.model)])[0, 10] == pytest.approx(4e3)
 
     def test_setting_model_override_merges(self):
         doc = json.dumps({
@@ -291,7 +291,7 @@ class TestParseConfig:
 
     def test_model_table_follows_model_values(self):
         # the echo's model template and the override walk take model_values in table order
-        assert [attr for attr, _, _ in _MODEL_FIELDS.values()] == [
+        assert [attr for attr, _ in _MODEL_FIELDS.values()] == [
             f.name for f in dataclasses.fields(SpinModelParams)]
 
     def test_overrides_build_no_model(self, monkeypatch):

@@ -12,8 +12,9 @@ from spinturnstile.model import (
     TunnelParams,
     build_total_hamiltonian,
     characteristic_times,
-    effective_exchange,
     gamma_rate,
+    model_coefficients,
+    model_values,
 )
 
 from oracles import hubbard_dimer_exchange, spin_hamiltonian
@@ -99,35 +100,45 @@ class TestInteractionHamiltonian:
         assert np.allclose(full - bare, ancilla_zeeman)
 
 
+def exchange_column(p: SpinModelParams) -> float:
+    """The exchange the commands use: column 10 of the model's coefficients."""
+    return float(model_coefficients([model_values(p)])[0, 10])
+
+
+def derived_exchange(hopping: float, coulomb_u: float) -> float:
+    """The exchange of a model whose exchange is derived from hopping."""
+    return exchange_column(SpinModelParams(hopping=hopping, coulomb_u=coulomb_u))
+
+
 class TestEffectiveExchange:
     def test_zero_hopping(self):
-        assert effective_exchange(0.0, 0.0) == 0.0
+        assert derived_exchange(0.0, 0.0) == 0.0
 
     def test_formula_point(self):
-        assert effective_exchange(1.0, 4.0) == pytest.approx(1.0)
+        assert derived_exchange(1.0, 4.0) == pytest.approx(1.0)
 
     def test_large_scale_point(self):
-        assert effective_exchange(1e6, 1e9) == pytest.approx(4e3)
+        assert derived_exchange(1e6, 1e9) == pytest.approx(4e3)
 
     @pytest.mark.parametrize("t_hop,u_rep", [(1.0, 4.0), (1e6, 1e9), (2.0, 5e3)])
     def test_matches_hubbard_dimer_at_small_t_over_u(self, t_hop, u_rep):
         exact = hubbard_dimer_exchange(t_hop, u_rep)
-        approx = effective_exchange(t_hop, u_rep)
+        approx = derived_exchange(t_hop, u_rep)
         # superexchange is the t << U limit; correction is O((t/U)^2)
         rel = abs(approx - exact) / exact
         assert rel < 10 * (t_hop / u_rep) ** 2 + 1e-12
 
     def test_invalid_coulomb(self):
         with pytest.raises(ValueError):
-            effective_exchange(1.0, 0.0)
+            derived_exchange(1.0, 0.0)
         with pytest.raises(ValueError):
             SpinModelParams(hopping=1.0, coulomb_u=0.0)
 
     def test_params_derive_exchange(self):
         p = SpinModelParams(hopping=1e6, coulomb_u=1e9)
-        assert p.exchange_value() == pytest.approx(4e3)
+        assert exchange_column(p) == pytest.approx(4e3)
         q = SpinModelParams(hopping=1e6, coulomb_u=1e9, exchange=7.0)
-        assert q.exchange_value() == 7.0
+        assert exchange_column(q) == 7.0
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_exchange_rejected(self, bad):

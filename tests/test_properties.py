@@ -465,8 +465,13 @@ ROW_FAULTS = [
     (("model", "exchange_per_s"), 900_000), (("model", "b_field_tesla"), [0, -1, 2]),
     (("model", "coulomb_u_per_s"), 0),
 ]
-# the run's own setting takes lead faults only
+# the run's own setting takes lead faults only, and the run's model section
+# the model faults
 LEAD_FAULTS = [fault for fault in ROW_FAULTS if fault[0][0] in ("u_left", "u_right")]
+MODEL_FAULTS = [fault for fault in ROW_FAULTS if fault[0][0] == "model"]
+# Faults of the tunnel section, which the run's model section precedes.
+TUNNEL_FAULTS = [(("tunnel", "gamma0_per_s"), 0.0), (("tunnel", "tau_detect_s"), "a"),
+                 (("tunnel", "bogus"), 1.0), (("tunnel",), [])]
 
 
 def apply_fault(row: dict, fault) -> None:
@@ -480,19 +485,25 @@ def apply_fault(row: dict, fault) -> None:
 
 @st.composite
 def faulty_documents(draw):
-    """A configuration document with a fault at a random field of a random
-    row of a settings array or of the run's leads, and maybe a second one:
-    in any row, or in the other lead of the same row."""
+    """A configuration document with a fault at a random field of the run's
+    model section, of the run's leads or of a random row of a settings
+    array, and maybe a second one: in any of those, in the other lead or the
+    same model of the same row, or, after a fault of the run's model, in its
+    tunnel section."""
     doc = draw(config_documents)
-    rows = [(doc.setdefault("leads", {}), LEAD_FAULTS)] + [
+    rows = [(doc, MODEL_FAULTS), (doc.setdefault("leads", {}), LEAD_FAULTS)] + [
         (row, ROW_FAULTS) for grid in ("sweep", "tomography") for row in doc.get(grid, {}).get("settings", [])]
     row, faults = draw(st.sampled_from(rows))
     fault = draw(st.sampled_from(faults))
     apply_fault(row, fault)
-    second = draw(st.sampled_from(["none", "any row", "other lead"]))
+    second = draw(st.sampled_from(["none", "any row", "other lead", "same model", "tunnel"]))
     if second == "any row":
         other_row, other_faults = draw(st.sampled_from(rows))
         apply_fault(other_row, draw(st.sampled_from(other_faults)))
+    elif second == "same model" and fault[0][0] == "model":
+        apply_fault(row, draw(st.sampled_from(MODEL_FAULTS)))
+    elif second == "tunnel" and row is doc:
+        apply_fault(doc, draw(st.sampled_from(TUNNEL_FAULTS)))
     elif second == "other lead" and fault[0][0] in ("u_left", "u_right"):
         other = "u_right" if fault[0][0] == "u_left" else "u_left"
         apply_fault(row, draw(st.sampled_from([f for f in LEAD_FAULTS if f[0][0] == other])))
@@ -508,15 +519,20 @@ def parsed_or_error(parse, text: str):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(config_documents | faulty_documents())
+# a bound before a later field's fault, in the run's model and in an override
+@example({"model": {"level_offset_per_s": 10**400, "coulomb_u_per_s": -1.0}})
+@example({"sweep": {"settings": [{"model": {"exchange_per_s": "a", "coulomb_u_per_s": -1.0}}]}})
 def test_stacked_settings_match_the_row_by_row_parse(doc):
     # The stacked parse reports the first bad field in document order, as
-    # the row-by-row parse does; a document both accept gives bit-identical
-    # leads, times and models, the same seeds and the same resolved text.
+    # the row-by-row parse does, a fault of the run's model before one of
+    # its tunnel; a document both accept gives bit-identical leads, times
+    # and models, the same run model, the same seeds and the same resolved text.
     text = json.dumps(doc)
     got, want = parsed_or_error(parse_config, text), parsed_or_error(reference_config, text)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return
+    assert repr(got.model) == repr(want.model)
     grids = [(got.setting, [want.setting]), (got.sweep_settings, want.sweep_settings),
              (got.tomography.settings, want.tomography.settings)]
     for grid, rows in grids:
@@ -583,11 +599,19 @@ def run_main(argv: list) -> tuple:
     return code, stderr.getvalue(), [(w.category, str(w.message)) for w in caught]
 
 
+# a detection strength that overflows to inf, which every row reports
+INFINITE_KAPPA = b'{"tunnel": {"gamma0_per_s": 4.45e210, "tau_detect_s": 1.0e98}}'
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(text=cli_documents(), command=st.sampled_from(sorted(COMMANDS)), fmt=st.sampled_from(["csv", "jsonl"]))
+@example(text=INFINITE_KAPPA, command="calibrate", fmt="csv")
+@example(text=INFINITE_KAPPA, command="cycle", fmt="jsonl")
+@example(text=INFINITE_KAPPA, command="sweep", fmt="csv")
+@example(text=INFINITE_KAPPA, command="tomography", fmt="jsonl")
 def test_cli_exits_cleanly_and_reproducibly(text, command, fmt):
     # every document ends in a result, a syntax error or a validation error,
-    # never in a traceback, and twice in the same bytes
+    # never in a traceback or a numpy RuntimeWarning, and twice in the same bytes
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp, "config.json")
         config.write_bytes(text)
@@ -600,6 +624,7 @@ def test_cli_exits_cleanly_and_reproducibly(text, command, fmt):
     code, err, caught, _ = runs[0]
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION), err
     assert "Traceback" not in err
+    assert not [message for category, message in caught if issubclass(category, RuntimeWarning)]
     assert runs[0] == runs[1]
 
 
