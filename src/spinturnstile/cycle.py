@@ -19,11 +19,13 @@ setting, and it is all that refresh sweeps, tomography designs and
 calibration read. Propagate-mode sweeps and single cycles also need the two
 completely positive maps, kept as real 16x16 transfer matrices on the same
 coordinates (the Liouville representation), and the ancilla polarization
-``ancilla_bloch @ x``; these are built on demand, and the first row of the
-pulse matrix is the effect. A post-measurement state is the image of ``x``
-renormalized by its first entry. :class:`InstrumentBlock` is the one
-instrument type: it holds these arrays for a stack of settings, one row
-each. Settings travel as one :class:`SettingGrid` of columns, a model
+``ancilla_bloch @ x``; :func:`transfer_matrices` builds them where those
+two read them, and the first row of the pulse matrix is the effect. A
+post-measurement state is the image of ``x`` renormalized by its first
+entry. :class:`InstrumentBlock` is the one instrument type: a value with one
+row per setting of a stack, holding the effects and what the maps are built
+from (propagators, ancilla states and detection weights, each formed once).
+Settings travel as one :class:`SettingGrid` of columns, a model
 override as its values, and :func:`setting_instruments` is the one route
 from a grid to blocks, with one stacked coefficient pass per block;
 :func:`setting_instrument` gives the one-row block of a single setting, and
@@ -41,8 +43,7 @@ sigma)/2`` with strength ``kappa = 2 c tau_detect t_sq``, and
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +83,7 @@ __all__ = [
     "setting_grid",
     "setting_instruments",
     "setting_instrument",
+    "transfer_matrices",
     "run_cycle",
 ]
 
@@ -93,9 +95,9 @@ __all__ = [
 # memory at 64, 128 and 512 rows.
 BLOCK_ROWS = 64
 
-# Row a is kron(sigma_a, I_4) / 2 flattened, sigma_a over (I, X, Y, Z): the
-# ancilla state rho_A x I of polarization u is (1, u) times these rows.
-_ANCILLA_INPUTS = 0.5 * kron(np.array((IDENTITY_2,) + PAULIS), np.eye(4)).reshape(4, 64)
+# Row a is kron(sigma_a, I_4) flattened, sigma_a over (I, X, Y, Z): an ancilla
+# operator of weights w on (I, X, Y, Z) is, on the joint space, w times these rows.
+_ANCILLA_BASIS = kron(np.array((IDENTITY_2,) + PAULIS), np.eye(4)).reshape(4, 64)
 # (16, 8, 8): the gate basis on the joint space, kron(I_2, P_j).
 _JOINT_GATE_BASIS = kron(IDENTITY_2, GATE_PAULI_BASIS)
 # kron(I_2, P_j) side by side: column block j of W @ _GATE_RIGHT is W (I x P_j).
@@ -171,46 +173,27 @@ def setting_grid(settings) -> SettingGrid:
                        models=tuple(None if s.model is None else model_values(s.model) for s in settings))
 
 
-@dataclass(frozen=True)
-class InstrumentBlock:
+class InstrumentBlock(NamedTuple):
     """Two-outcome instruments of consecutive settings, stacked along a first axis.
 
     Row ``k`` belongs to setting ``start + k``. ``effects[k]`` holds the
     Pauli coordinates ``tr(E P_j) / 4`` of its pulse effect ``E``, so that
     ``Pr(pulse | rho) = effects[k] @ x`` with ``x = pauli_coordinates(rho)``.
-    The 16x16 transfer matrices ``pulse[k]`` and ``nopulse[k]`` take ``x`` to
-    the unnormalized post-measurement state of their outcome, and the 3x16
-    ``ancilla_bloch[k]`` to the ancilla polarization before detection. These
-    are built from the block's ``propagators`` and leads the first time one
-    of them is read, and the first row of ``pulse`` is ``effects``. When
-    ``errors[k]`` is not None, row ``k`` holds meaningless numbers and
-    ``errors[k]`` the reason that setting has no instrument.
+    ``propagators[k]`` is the row's joint unitary, ``ancilla[k]`` its
+    ancilla state on the joint space, ``rho_A x I``, and ``detection[k]``
+    the weights ``(kappa/2)(1, u_right)`` of its detection POVM ``M_pulse``
+    on (I, X, Y, Z); :func:`transfer_matrices` builds the row's maps from
+    them. When ``errors[k]`` is not None, row ``k`` holds meaningless
+    numbers and ``errors[k]`` the reason that setting has no instrument.
     """
 
     start: int
     effects: np.ndarray
     kappa: float
     errors: tuple
-    propagators: np.ndarray = field(repr=False)
-    u_left: np.ndarray = field(repr=False)
-    u_right: np.ndarray = field(repr=False)
-
-    @cached_property
-    def _transfers(self) -> tuple:
-        return _transfer_matrices(self.propagators, self.u_left, self.u_right, self.kappa,
-                                  self.effects)
-
-    @property
-    def pulse(self) -> np.ndarray:
-        return self._transfers[0]
-
-    @property
-    def nopulse(self) -> np.ndarray:
-        return self._transfers[1]
-
-    @property
-    def ancilla_bloch(self) -> np.ndarray:
-        return self._transfers[2]
+    propagators: np.ndarray
+    ancilla: np.ndarray
+    detection: np.ndarray
 
     def pulse_probabilities(self, rho_gate: np.ndarray) -> np.ndarray:
         """``Pr(pulse | rho)`` of every row, by one product per row, so a row
@@ -250,6 +233,8 @@ def _instrument_block(start: int, h: np.ndarray, keys: np.ndarray, t, u_left: np
     has no instrument; the others get the errors of :func:`evolve_unitaries`,
     and every row gets the error of a ``kappa`` above 1.
 
+    The ancilla state ``rho_A = (1/2)(1, u_left) . sigma`` and the detection
+    weights ``(kappa/2)(1, u_right)`` of ``M_pulse`` are formed here, once.
     The pulse effect is computed in the Heisenberg picture: the detection
     operator evolves backwards, ``A = U^dag (M_pulse x I) U``, and ``E =
     Tr_A[(rho_A x I) A]``, so ``tr(E P_j) = tr[(rho_A x I) A (I x P_j)]``.
@@ -269,35 +254,38 @@ def _instrument_block(start: int, h: np.ndarray, keys: np.ndarray, t, u_left: np
         errors = [f"detection strength kappa={kappa} exceeds 1; reduce detection.c, "
                   "tunnel.tau_detect_s or tunnel.gamma0_per_s"] * len(errors)
     n = len(u)
-    rho_a = (_with_trace(u_left)[:, None] @ _ANCILLA_INPUTS).reshape(n, 8, 8)
+    ancilla = ((0.5 * _with_trace(u_left))[:, None] @ _ANCILLA_BASIS).reshape(n, 8, 8)
     with np.errstate(invalid="ignore"):  # an infinite kappa, an error of every row above
-        m_pulse = (kappa * _with_trace(u_right)[:, None] @ _ANCILLA_INPUTS).reshape(n, 8, 8)
+        detection = 0.5 * kappa * _with_trace(u_right)
+        m_pulse = (detection[:, None] @ _ANCILLA_BASIS).reshape(n, 8, 8)
     heisenberg = u.conj().swapaxes(1, 2) @ (m_pulse @ u)
-    effects = ((rho_a @ heisenberg).reshape(n, 1, 64) @ _GATE_READ)[:, 0].real
+    effects = ((ancilla @ heisenberg).reshape(n, 1, 64) @ _GATE_READ)[:, 0].real
     return InstrumentBlock(start=start, effects=effects, kappa=kappa, errors=tuple(errors),
-                           propagators=u, u_left=u_left, u_right=u_right)
+                           propagators=u, ancilla=ancilla, detection=detection)
 
 
-def _transfer_matrices(u: np.ndarray, u_left: np.ndarray, u_right: np.ndarray, kappa: float,
-                       effects: np.ndarray) -> tuple:
-    """``(pulse, nopulse, ancilla_bloch)`` of stacked rows with propagators
-    ``u`` (R, 8, 8), lead polarizations (R, 3) and pulse effects ``effects``
-    (R, 16), which become the first rows of ``pulse``.
+def transfer_matrices(block: InstrumentBlock) -> tuple:
+    """``(pulse, nopulse, ancilla_bloch)`` of every row of ``block``: the
+    16x16 transfer matrices that take gate coordinates ``x`` to the
+    unnormalized post-measurement state of each outcome, and the 3x16 map to
+    the ancilla polarization before detection. The first rows of ``pulse``
+    are the block's ``effects``. Only a propagate-mode sweep and
+    :func:`run_cycle` read the maps, so only they call this.
 
     For every gate basis element ``P_j`` the joint state ``U (rho_A x P_j)
     U^dag`` is partially traced against ``sigma_a x I`` (``a`` over I, X, Y,
     Z), which gives the real response tensor ``R[a, i, j] = tr[(sigma_a x
     P_i) U (rho_A x P_j) U^dag] / 4``. Row ``R[a, 0]`` takes gate coordinates
     to the ancilla polarization component ``a`` (``a = 0`` is the trace), and
-    ``R[0]`` is the unconditional map on the gate. The detection POVM
-    ``M_pulse = kappa/2 sum_a (1, u_right)_a sigma_a`` weights the ancilla
-    components: ``pulse = kappa/2 sum_a (1, u_right)_a R[a]`` and ``nopulse
-    = R[0] - pulse``. Since ``U (rho_A x P_j) = W (I x P_j)`` with ``W = U
-    (rho_A x I)``, all 16 joint states of a row come from two matrix
-    products.
+    ``R[0]`` is the unconditional map on the gate. The detection weights
+    ``d`` of ``M_pulse = sum_a d_a sigma_a`` weight the ancilla components:
+    ``pulse = sum_a d_a R[a]`` and ``nopulse = R[0] - pulse``. Since ``U
+    (rho_A x P_j) = W (I x P_j)`` with ``W = U (rho_A x I)``, all 16 joint
+    states of a row come from two matrix products.
     """
+    u = block.propagators
     n = len(u)
-    w = u @ (_with_trace(u_left) @ _ANCILLA_INPUTS).reshape(n, 8, 8)
+    w = u @ block.ancilla
     joint = (w.reshape(8 * n, 8) @ _GATE_RIGHT).reshape(n, 128, 8) @ u.conj().swapaxes(1, 2)
     # [row, k, g, j, l, h] = <k g| U (rho_A x P_j) U^dag |l h>, ancilla k, l
     blocks = joint.reshape(n, 2, 4, 16, 2, 4)
@@ -305,13 +293,12 @@ def _transfer_matrices(u: np.ndarray, u_left: np.ndarray, u_right: np.ndarray, k
     o10, o11 = blocks[:, 1, :, :, 0], blocks[:, 1, :, :, 1]
     # Tr_A[(sigma_a x I) X] = sum_kl sigma_a[l, k] X_kl, as [row, g, j, h]
     traced = (o00 + o11, o01 + o10, 1j * (o01 - o10), o00 - o11)
-    weights = 0.5 * kappa * _with_trace(u_right)
-    pulse_ops = sum(weights[:, a, None, None, None] * traced[a] for a in range(4))
+    pulse_ops = sum(block.detection[:, a, None, None, None] * traced[a] for a in range(4))
     ancilla_bloch = 0.25 * np.stack(traced[1:], 1).trace(axis1=2, axis2=4).real
     # images of P_j as [row, map, j, g, h], then their coordinates as [.., i, j]
     images = np.stack((traced[0], pulse_ops), 1).transpose(0, 1, 3, 2, 4)
     total, pulse = np.moveaxis(0.25 * pauli_coordinates(images).swapaxes(2, 3), 1, 0)
-    pulse[:, 0] = effects
+    pulse[:, 0] = block.effects
     return pulse, total - pulse, ancilla_bloch
 
 
@@ -338,13 +325,12 @@ def setting_instruments(
     one product with the generator stack, its propagators from one ``eigh``
     of its distinct (Hamiltonian, time) pairs (settings that share a model
     and a time share a propagator) and its pulse effects from one stacked
-    conjugation ``U^dag (M_pulse x I) U``; its transfer matrices are built
-    from the same propagators only when read (propagate-mode sweeps and
-    :func:`run_cycle`). A block is built only when the previous one has been
-    consumed, and it keeps no propagator for the next. A setting that has no
-    instrument (detection strength above 1, a model that overflows float64,
-    lost propagator phase) gets an error message in its row instead of
-    stopping the others.
+    conjugation ``U^dag (M_pulse x I) U``; no transfer matrix is built here
+    (see :func:`transfer_matrices`). A block is built only when the previous
+    one has been consumed, and it keeps no propagator for the next. A
+    setting that has no instrument (detection strength above 1, a model that
+    overflows float64, lost propagator phase) gets an error message in its
+    row instead of stopping the others.
 
     With a ``threshold``, every setting whose model's time scales are not
     separated by it emits a :class:`HierarchyWarning`, in row order, at the
@@ -425,6 +411,7 @@ def run_cycle(
     """
     block = _checked(next(setting_instruments(setting, model, tunnel, c, include_gate_hamiltonian,
                                               threshold=threshold)))
+    pulse, nopulse, ancilla_bloch = transfer_matrices(block)
     x = pauli_coordinates(rho_gate)
 
     def branch(transfer):
@@ -433,9 +420,9 @@ def run_cycle(
         return None if prob <= 1e-14 else pauli_operator(post / prob) / 4.0
 
     return CycleOutcome(
-        u_ancilla=block.ancilla_bloch[0] @ x,
+        u_ancilla=ancilla_bloch[0] @ x,
         pr_pulse=float(block.pulse_probabilities(rho_gate)[0]),
-        rho_gate_pulse=branch(block.pulse),
-        rho_gate_nopulse=branch(block.nopulse),
+        rho_gate_pulse=branch(pulse),
+        rho_gate_nopulse=branch(nopulse),
         instrument=block,
     )

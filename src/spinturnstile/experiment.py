@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import pauli_coordinates, pauli_operator
-from .cycle import setting_grid, setting_instruments
+from .cycle import setting_grid, setting_instruments, transfer_matrices
 from .constants import ELEMENTARY_CHARGE
 from .model import _EXCHANGE, HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
@@ -266,7 +266,8 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     """Run ``n`` cycles carrying the conditional gate state across cycles.
 
     ``pulse`` and ``nopulse`` are the 16x16 transfer matrices of one
-    instrument row, ``block.pulse[k]`` and ``block.nopulse[k]`` of an
+    instrument row, row ``k`` of the first two arrays that
+    :func:`~spinturnstile.cycle.transfer_matrices` returns for an
     :class:`~spinturnstile.cycle.InstrumentBlock`. The state is the gate's
     Pauli coordinates ``x``. Cycle ``i`` pulses when the ``i``-th uniform
     variate pre-drawn from the seeded generator lies below the pulse
@@ -471,7 +472,8 @@ def run_sweep(
     once, here. Its instruments come from :func:`setting_instruments`, which
     also checks each row's time-scale hierarchy against ``threshold``; each
     row then samples ``n_cycles`` shots. A row's ``pr`` is read off its pulse
-    effect, and only propagate mode builds the transfer matrices. ``mode``
+    effect. Only propagate mode builds transfer matrices, once per block
+    that has a row without an error, for that block's chains. ``mode``
     chooses between independent cycles ("refresh") and the back-action chain
     ("propagate"). Invalid settings, and chains too long to allocate, produce
     a row with an error status instead of aborting the sweep.
@@ -495,6 +497,8 @@ def run_sweep(
     for block in setting_instruments(grid, model, tunnel, c, include_gate_hamiltonian,
                                      threshold=threshold):
         probabilities = block.pulse_probabilities(rho_gate).tolist()
+        if mode == "propagate" and None in block.errors:
+            pulse, nopulse, _ = transfer_matrices(block)
         for k, error in enumerate(block.errors):
             idx = block.start + k
             try:
@@ -506,8 +510,7 @@ def run_sweep(
                     drawn.append((idx, pr))
                 else:
                     # the row keeps the chain's count, not its arrays
-                    chain = propagate_cycles(block.pulse[k], block.nopulse[k], rho_gate, n_cycles,
-                                             seeds[idx])
+                    chain = propagate_cycles(pulse[k], nopulse[k], rho_gate, n_cycles, seeds[idx])
                     rows[idx] = ok_row(pr, chain.shots)
             except (ValueError, MemoryError) as exc:
                 # MemoryError: a propagate chain of n_cycles that cannot be allocated.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spinturnstile.constants import G_NUCLEAR_P31
-from spinturnstile.cycle import MeasurementSetting, run_cycle, setting_instrument
+from spinturnstile.cycle import MeasurementSetting, run_cycle, setting_instrument, transfer_matrices
 from spinturnstile.algebra import evolve_unitary, pauli_operator
 from spinturnstile.cli import main
 from spinturnstile.experiment import calibrate, sample_cycles
@@ -115,7 +115,8 @@ def test_criterion_4_instrument_theorem():
             _, u_a = ancilla_state(joint)
             pr_formula = detection_probability(u_a, u_r, c, tau, t_sq)
             worst_pr = max(worst_pr, abs(inst.pulse_probabilities(rho_s)[0] - pr_formula))
-            effects = pauli_operator(inst.pulse[0, 0]) + pauli_operator(inst.nopulse[0, 0])
+            pulse, nopulse, _ = transfer_matrices(inst)
+            effects = pauli_operator(pulse[0, 0]) + pauli_operator(nopulse[0, 0])
             comp = np.abs(effects - np.eye(4)).max()
             worst_complete = max(worst_complete, comp)
         assert worst_pr < 1e-10

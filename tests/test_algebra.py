@@ -14,6 +14,7 @@ from spinturnstile.algebra import (
     evolve_unitaries,
     evolve_unitary,
     kron,
+    pauli_coordinates,
 )
 from spinturnstile.cycle import MeasurementSetting
 from spinturnstile.model import _GENERATORS
@@ -37,6 +38,10 @@ class TestKron:
 
     def test_sigma_z_with_identity(self):
         assert np.allclose(kron(SIGMA_Z, IDENTITY_2), np.diag([1, 1, -1, -1]))
+
+    def test_no_operand_rejected(self):
+        with pytest.raises(ValueError, match="^kron requires at least one operand$"):
+            kron()
 
     def test_matches_bruteforce_expansion(self):
         rng = np.random.default_rng(7)
@@ -83,11 +88,16 @@ class TestKron:
         sites = np.array([[np.kron(np.kron(*(p if k == site else IDENTITY_2 for k in range(2))),
                                    p if site == 2 else IDENTITY_2) for p in PAULIS] for site in range(3)])
         assert model._SITE_PAULIS.tobytes() == sites.tobytes()
-        ancilla = 0.5 * np.array([np.kron(s, np.eye(4)) for s in (IDENTITY_2,) + PAULIS]).reshape(4, 64)
-        assert cycle._ANCILLA_INPUTS.tobytes() == ancilla.tobytes()
+        ancilla = np.array([np.kron(s, np.eye(4)) for s in (IDENTITY_2,) + PAULIS]).reshape(4, 64)
+        assert cycle._ANCILLA_BASIS.tobytes() == ancilla.tobytes()
         joint = np.array([np.kron(IDENTITY_2, p) for p in basis])
         assert cycle._GATE_RIGHT.tobytes() == joint.transpose(1, 0, 2).reshape(8, 128).tobytes()
         assert cycle._GATE_READ.tobytes() == (0.25 * joint.reshape(16, 64).conj().T).tobytes()
+
+
+def test_pauli_coordinates_take_gate_operators_only():
+    with pytest.raises(ValueError, match="^expected a 4x4 gate operator$"):
+        pauli_coordinates(IDENTITY_2)
 
 
 class TestPartialTrace:

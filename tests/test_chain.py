@@ -5,7 +5,7 @@ import pytest
 
 from spinturnstile.algebra import evolve_unitary
 from spinturnstile.config import parse_config
-from spinturnstile.cycle import MeasurementSetting, setting_instrument
+from spinturnstile.cycle import MeasurementSetting, setting_instrument, transfer_matrices
 from spinturnstile.experiment import RUN_BLOCK, _run_stacks, propagate_cycles
 from spinturnstile.model import SpinModelParams, build_total_hamiltonian
 
@@ -35,7 +35,8 @@ def make_instrument(exchange=3e5, t=4e-6, kappa_c=0.9):
 
 def maps(block):
     """The (pulse, nopulse) transfer matrices of a one-row instrument block."""
-    return block.pulse[0], block.nopulse[0]
+    pulse, nopulse, _ = transfer_matrices(block)
+    return pulse[0], nopulse[0]
 
 
 def default_probes(c):

@@ -325,6 +325,11 @@ class TestResultTable:
         with pytest.raises(ValueError):
             ResultTable(columns=("a",), rows=[(1, 2)])
 
+    def test_unordered_metadata_rejected(self):
+        # a set has no deterministic order to write
+        with pytest.raises(TypeError, match="^cannot serialize set deterministically$"):
+            render_jsonl(ResultTable(columns=("a",), rows=[], metadata={"k": {1}}))
+
     def test_csv_round_trip_exact_floats(self):
         payload = render_csv(self.table()).decode()
         lines = [l for l in payload.splitlines() if not l.startswith("#")]
@@ -384,6 +389,29 @@ def run_cli(tmp_path, command, cfg_dict, fmt="csv", seed=None, name="cfg.json", 
 
 
 class TestCli:
+    @pytest.mark.parametrize("doc, message", [
+        ({"experiment": {"n_cycles": 0}}, "experiment.n_cycles: must be >= 1"),
+        ({"experiment": {"seed": -1}}, "experiment.seed: must be >= 0"),
+        ({"schedule": {"include_gate_hamiltonian": 1}},
+         "schedule.include_gate_hamiltonian: expected a boolean"),
+        ({"sweep": {"settings": []}}, "sweep.settings: expected a nonempty array"),
+        ({"tomography": {"settings": {}}}, "tomography.settings: expected a nonempty array"),
+        ({"gate_state": {}},
+         "gate_state: exactly one of preset/theta_single_spin/theta_two_spin is required"),
+        ({"gate_state": {"preset": "pure_up", "theta_single_spin": [0, 0, 0]}},
+         "gate_state: exactly one of preset/theta_single_spin/theta_two_spin is required"),
+        ({"gate_state": {"theta_single_spin": [0, 0]}},
+         "gate_state.theta_single_spin: expected an array of 3 numbers"),
+        ({"tunnel": {"gamma0_per_s": 0}}, "tunnel: gamma0 must be positive"),
+        ({"tunnel": {"interdot_sq_per_s": -1}}, "tunnel: interdot_sq must be nonnegative"),
+        ({"tunnel": {"tau_cycle_s": -1}}, "tunnel: tau_detect and tau_cycle must be positive"),
+        ({"model": {"b_field_tesla": [0, 0.01]}}, "model.b_field_tesla: expected a 3-component array"),
+    ])
+    def test_validation_messages_exit_3(self, tmp_path, capsys, doc, message):
+        code, out = run_cli(tmp_path, "sweep", doc)
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_rates_contains_resonant_time(self, tmp_path):
         code, out = run_cli(tmp_path, "rates", FULL)
         assert code == EXIT_OK
@@ -613,14 +641,16 @@ class TestCli:
                                                           command, section, builds):
         # the other commands read Pr off the pulse effect alone
         import spinturnstile.cycle
+        import spinturnstile.experiment
 
         calls = []
 
-        def refuse(*args):
+        def refuse(block):
             calls.append(command)
             raise RuntimeError("transfer matrices built")
 
-        monkeypatch.setattr(spinturnstile.cycle, "_transfer_matrices", refuse)
+        for module in (spinturnstile.cycle, spinturnstile.experiment):
+            monkeypatch.setattr(module, "transfer_matrices", refuse)
         code, _ = run_cli(tmp_path, command, {**FULL, **section})
         assert (code, len(calls)) == ((EXIT_INTERNAL, 1) if builds else (EXIT_OK, 0))
         assert ("transfer matrices built" in capsys.readouterr().err) == builds

@@ -21,6 +21,7 @@ from spinturnstile.cycle import (
     run_cycle,
     setting_instrument,
     setting_instruments,
+    transfer_matrices,
 )
 from spinturnstile.model import SpinModelParams, TunnelParams, build_total_hamiltonian
 
@@ -63,7 +64,7 @@ def quiet_tunnel():
 
 def effect_operators(block):
     """The 4x4 pulse and no-pulse effects of a one-row instrument block."""
-    return pauli_operator(block.effects[0]), pauli_operator(block.nopulse[0, 0])
+    return pauli_operator(block.effects[0]), pauli_operator(transfer_matrices(block)[1][0, 0])
 
 
 class TestPrepareAncilla:
@@ -219,8 +220,9 @@ class TestInducedInstrument:
             t, c, t_sq = rng.uniform(0, 4), rng.uniform(0.1, 1), rng.uniform(0.1, 1)
             inst = induced_instrument(u_l, u_r, h, t, c, 0.4, t_sq)
             kraus_pulse, kraus_nopulse = kraus_instrument(u_l, u_r, evolve_unitary(h, t), inst.kappa)
-            assert np.abs(inst.pulse[0] - liouville_matrix(kraus_pulse)).max() < 1e-10
-            assert np.abs(inst.nopulse[0] - liouville_matrix(kraus_nopulse)).max() < 1e-10
+            pulse, nopulse, _ = transfer_matrices(inst)
+            assert np.abs(pulse[0] - liouville_matrix(kraus_pulse)).max() < 1e-10
+            assert np.abs(nopulse[0] - liouville_matrix(kraus_nopulse)).max() < 1e-10
 
     def test_post_states_are_valid(self):
         rng = np.random.default_rng(28)
@@ -231,7 +233,8 @@ class TestInducedInstrument:
             )
             x = pauli_coordinates(random_density(rng, 4))
             probs = []
-            for transfer in (inst.pulse[0], inst.nopulse[0]):
+            pulse, nopulse, _ = transfer_matrices(inst)
+            for transfer in (pulse[0], nopulse[0]):
                 post = transfer @ x
                 if post[0] > 1e-14:
                     check_density_matrix(pauli_operator(post / post[0]) / 4.0, dims=[2, 2], tol=1e-9)
@@ -471,8 +474,7 @@ class TestSettingInstruments:
         blocks = list(setting_instruments(settings, base, tunnel, c, include))
         assert [b.start for b in blocks] == list(range(0, len(settings), BLOCK_ROWS))
         assert all(e is None for b in blocks for e in b.errors)
-        return [np.concatenate([getattr(b, name) for b in blocks])
-                for name in ("pulse", "nopulse", "ancilla_bloch")]
+        return [np.concatenate(maps) for maps in zip(*map(transfer_matrices, blocks))]
 
     @pytest.mark.parametrize("include", [True, False])
     def test_rows_match_oracles(self, include):
@@ -524,7 +526,7 @@ class TestSettingInstruments:
 
         def rows(block, k):
             return [block.effects[k], block.pulse_probabilities(rho)[k]] + [
-                getattr(block, name)[k] for name in ("pulse", "nopulse", "ancilla_bloch")]
+                maps[k] for maps in transfer_matrices(block)]
 
         wants = []
         for setting in checked:
@@ -590,13 +592,15 @@ class TestSettingInstruments:
         names = ("effects", "propagators", "pulse", "nopulse", "ancilla_bloch")
         lone_keys = []
         for block in blocks:
+            arrays = (block.effects, block.propagators, *transfer_matrices(block))
             for k, setting in enumerate(settings[block.start:block.start + len(block.errors)]):
                 (alone,) = setting_instruments([setting], base, tunnel, 2.0)
                 (key,) = calls[-1]
                 lone_keys.append(key)
                 assert block.errors[k] == alone.errors[0]
-                for name in names:
-                    assert np.array_equal(getattr(block, name)[k], getattr(alone, name)[0]), name
+                for name, got, want in zip(names, arrays,
+                                           (alone.effects, alone.propagators, *transfer_matrices(alone))):
+                    assert np.array_equal(got[k], want[0]), name
         errors = [e for block in blocks for e in block.errors]
         assert errors.count(None) < len(errors) and len(set(errors)) == 3
         for block, keys in zip(blocks, calls):

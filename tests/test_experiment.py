@@ -13,6 +13,7 @@ from spinturnstile.cycle import (
     MeasurementSetting,
     run_cycle,
     setting_instrument,
+    transfer_matrices,
 )
 from spinturnstile.experiment import (
     ChainRecord,
@@ -117,6 +118,10 @@ class TestSampleCounts:
 
 
 class TestEstimateCurrent:
+    def test_nonpositive_period_rejected(self):
+        with pytest.raises(ValueError, match="^tau_cycle must be positive$"):
+            estimate_current(sample_cycles(0.5, 10, seed=0), 0.0)
+
     def test_zero(self):
         rec = sample_cycles(0.0, 10, seed=0)
         assert estimate_current(rec, 1e-6).amperes == 0.0
@@ -224,6 +229,10 @@ class TestSettingSeeds:
 
 
 class TestSweep:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown sweep mode 'bogus'$"):
+            run_sweep(self.axes_settings(), rho_gate=np.eye(4) / 4, mode="bogus", **self.common())
+
     def axes_settings(self, t=4e-6):
         axes = [(1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)]
         return [MeasurementSetting(u_left=(0, 0, 1.0), u_right=ax, t_interact=t) for ax in axes]
@@ -429,7 +438,8 @@ class TestPropagate:
         model = quiet_model()
         h = build_total_hamiltonian(model)
         inst = induced_instrument([0, 0, 1.0], [1.0, 0, 0], h, 4e-6, 1.0, 1e-10, 1e9)
-        return inst.pulse[0], inst.nopulse[0]
+        pulse, nopulse, _ = transfer_matrices(inst)
+        return pulse[0], nopulse[0]
 
     def test_deterministic(self):
         maps = self.make_maps()
@@ -448,7 +458,8 @@ class TestPropagate:
         h = build_total_hamiltonian(quiet_model())
         inst = induced_instrument([0, 0, 1.0], [1.0, 0, 0], h, 0.0, 1.0, 1e-10, 1e9)
         pr = inst.pulse_probabilities(np.eye(4) / 4)[0]
-        rec = propagate_cycles(inst.pulse[0], inst.nopulse[0], np.eye(4) / 4, 20_000, seed=11)
+        pulse, nopulse, _ = transfer_matrices(inst)
+        rec = propagate_cycles(pulse[0], nopulse[0], np.eye(4) / 4, 20_000, seed=11)
         assert abs(rec.shots.pr_hat - pr) < 4 * np.sqrt(pr * (1 - pr) / 20_000)
 
     def test_chain_record_holds_its_count(self):
@@ -457,6 +468,10 @@ class TestPropagate:
         assert isinstance(chain, ChainRecord) and type(rec) is ShotRecord
         assert rec.pr_hat == rec.n_pulses / 2_000
         assert rec.std_err == np.sqrt(rec.pr_hat * (1 - rec.pr_hat) / 2_000)
+
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            propagate_cycles(*self.make_maps(), np.eye(4) / 4, 0, seed=13)
 
     def test_propagate_row_keeps_the_count(self):
         # a propagate sweep row holds the chain's own count record, not its arrays
@@ -474,3 +489,51 @@ class TestPropagate:
         check_density_matrix(rec.rho_final, tol=1e-8)
         assert rec.outcomes.shape == (2_000,)
         assert 0 <= rec.shots.pr_hat <= 1
+
+
+class TestTransferMatrixBuilds:
+    """The 16x16 maps are built where they are read, once per block: only for
+    a propagate sweep's chains, and only in blocks with a row to chain. (The
+    commands, ``calibrate`` among them, are pinned by
+    ``test_config_cli.py::TestCli::test_only_chain_and_cycle_build_transfer_matrices``.)"""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import spinturnstile.cycle
+        import spinturnstile.experiment
+
+        calls = []
+
+        def counted(block):
+            calls.append(block.start)
+            return transfer_matrices(block)
+
+        for module in (spinturnstile.cycle, spinturnstile.experiment):
+            monkeypatch.setattr(module, "transfer_matrices", counted)
+        return calls
+
+    def settings(self, n, t=4e-6):
+        return [MeasurementSetting([0, 0, 1.0], [1.0, 0, 0], t * (1 + k / n)) for k in range(n)]
+
+    def sweep(self, settings, mode, c=1.0):
+        return run_sweep(settings, model=quiet_model(), tunnel=quiet_tunnel(), rho_gate=np.eye(4) / 4,
+                         c=c, n_cycles=50, seed=5, mode=mode)
+
+    def test_refresh_sweep_and_design_build_none(self, builds):
+        rows = self.sweep(self.settings(BLOCK_ROWS + 1), "refresh")
+        build_design(self.settings(3), quiet_model(), quiet_tunnel(), 1.0)
+        assert all(r.status == "ok" for r in rows) and len(builds) == 0
+
+    def test_propagate_sweep_builds_once_per_block_with_a_chain(self, builds):
+        # the middle block's rows all lose their propagator phase
+        settings = (self.settings(BLOCK_ROWS) + self.settings(BLOCK_ROWS, t=1e300)
+                    + self.settings(1))
+        rows = self.sweep(settings, "propagate")
+        assert [r.status == "ok" for r in rows] == [True] * BLOCK_ROWS + [False] * BLOCK_ROWS + [True]
+        assert builds == [0, 2 * BLOCK_ROWS]
+
+    def test_block_of_failed_rows_builds_none(self, builds):
+        # c = 10 gives kappa = 2, an error of every row
+        rows = self.sweep(self.settings(3), "propagate", c=10.0)
+        assert all(r.status.startswith("error: detection strength") for r in rows)
+        assert len(builds) == 0

@@ -135,7 +135,7 @@ def test_dataclasses_have_a_reason():
              for cls in vars(importlib.import_module(f"spinturnstile.{name}")).values()
              if isinstance(cls, type) and cls.__module__ == f"spinturnstile.{name}"
              and dataclasses.is_dataclass(cls)]
-    assert len(found) == 5
+    assert len(found) == 4
     unexplained = [f"{cls.__module__}.{cls.__qualname__}" for cls in found
                    if _dataclass_reason(cls) is None]
     assert not unexplained, f"dataclasses that only carry values, not NamedTuples: {unexplained}"
@@ -145,7 +145,7 @@ def test_dataclasses_have_a_reason():
 def value_records() -> dict:
     """One instance of each value record, by type name, from the default run."""
     from spinturnstile.config import parse_config
-    from spinturnstile.cycle import run_cycle, setting_instrument
+    from spinturnstile.cycle import run_cycle, setting_instrument, transfer_matrices
     from spinturnstile.experiment import propagate_cycles, run_sweep, sample_cycles
     from spinturnstile.model import characteristic_times
     from spinturnstile.tomography import build_design, forward_probabilities, reconstruct
@@ -153,15 +153,16 @@ def value_records() -> dict:
     cfg = parse_config("{}")
     setting, rho = cfg.setting, cfg.gate_state.density()
     block = setting_instrument(setting, cfg.model, cfg.tunnel, cfg.detection_c)
+    pulse, nopulse, _ = transfer_matrices(block)
     design = build_design(cfg.tomography.settings, cfg.model, cfg.tunnel, cfg.detection_c)
     records = (
-        cfg, cfg.setting, cfg.gate_state, cfg.experiment, cfg.tomography,
+        cfg, cfg.setting, cfg.gate_state, cfg.experiment, cfg.tomography, block,
         characteristic_times(cfg.model, cfg.tunnel),
         run_cycle(setting, cfg.model, cfg.tunnel, rho, cfg.detection_c),
         run_sweep(setting, model=cfg.model, tunnel=cfg.tunnel, rho_gate=rho, c=cfg.detection_c,
                   n_cycles=10, seed=1)[0],
         sample_cycles(0.5, 10, seed=1),
-        propagate_cycles(block.pulse[0], block.nopulse[0], rho, 10, seed=1),
+        propagate_cycles(pulse[0], nopulse[0], rho, 10, seed=1),
         design,
         reconstruct(design, forward_probabilities(design, np.zeros(3))),
     )
@@ -170,7 +171,7 @@ def value_records() -> dict:
 
 @pytest.mark.parametrize("name", [
     "RunConfig", "SettingGrid", "GateStateSpec", "ExperimentSpec", "TomographySpec",
-    "HierarchyReport", "CycleOutcome", "SweepRow", "ShotRecord", "ChainRecord",
+    "HierarchyReport", "InstrumentBlock", "CycleOutcome", "SweepRow", "ShotRecord", "ChainRecord",
     "TomographyDesign", "ReconstructionResult",
 ])
 def test_value_records_are_immutable(value_records, name):

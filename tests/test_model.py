@@ -40,6 +40,10 @@ def gate_only(p):
 
 
 class TestGateHamiltonian:
+    def test_field_needs_3_components(self):
+        with pytest.raises(ValueError, match="^b_field must have 3 components$"):
+            SpinModelParams(b_field=(0.0, 1.0))
+
     def test_all_zero(self):
         h = build_total_hamiltonian(SpinModelParams())
         assert np.allclose(h, 0)

@@ -35,6 +35,7 @@ from spinturnstile.cycle import (
     MeasurementSetting,
     setting_instrument,
     setting_instruments,
+    transfer_matrices,
 )
 from spinturnstile.experiment import (
     RUN_BLOCK,
@@ -114,15 +115,15 @@ def build(cycle):
 @PROPERTY_SETTINGS
 @given(readout_cycles)
 def test_completeness(cycle):
-    inst = build(cycle)
-    assert np.abs(inst.pulse[0, 0] + inst.nopulse[0, 0] - np.eye(16)[0]).max() < 1e-12
+    pulse, nopulse, _ = transfer_matrices(build(cycle))
+    assert np.abs(pulse[0, 0] + nopulse[0, 0] - np.eye(16)[0]).max() < 1e-12
 
 
 @PROPERTY_SETTINGS
 @given(readout_cycles)
 def test_complete_positivity(cycle):
-    inst = build(cycle)
-    for transfer in (inst.pulse[0], inst.nopulse[0]):
+    pulse, nopulse, _ = transfer_matrices(build(cycle))
+    for transfer in (pulse[0], nopulse[0]):
         choi = choi_from_transfer(transfer)
         assert np.abs(choi - choi.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(choi).min() > -1e-10
@@ -132,9 +133,9 @@ def test_complete_positivity(cycle):
 @given(readout_cycles)
 def test_pulse_row_is_detection_formula(cycle):
     # Pr = kappa/2 (1 + u_right . u_ancilla), with u_ancilla = ancilla_bloch @ x
-    inst = build(cycle)
-    expected = 0.5 * cycle["kappa"] * (np.eye(16)[0] + cycle["u_right"] @ inst.ancilla_bloch[0])
-    assert np.abs(inst.pulse[0, 0] - expected).max() < 1e-12
+    pulse, _, ancilla_bloch = transfer_matrices(build(cycle))
+    expected = 0.5 * cycle["kappa"] * (np.eye(16)[0] + cycle["u_right"] @ ancilla_bloch[0])
+    assert np.abs(pulse[0, 0] - expected).max() < 1e-12
 
 
 unit_directions = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
@@ -167,6 +168,7 @@ def test_block_matches_the_kraus_route(rows, kappa, include, seed):
     e0 = np.eye(16)[0]
     for block in blocks:
         probabilities = block.pulse_probabilities(rho)
+        maps = transfer_matrices(block)
         for k, s in enumerate(settings_[block.start:block.start + len(block.errors)]):
             assert block.errors[k] is None
             w, v = np.linalg.eigh(spin_hamiltonian(s.model, include))
@@ -174,13 +176,13 @@ def test_block_matches_the_kraus_route(rows, kappa, include, seed):
             kraus_p, kraus_n = kraus_instrument(s.u_left, s.u_right, u, kappa)
             pulse = liouville_matrix(kraus_p)
             assert np.abs(block.effects[k] - pulse[0]).max() < 1e-14
-            assert np.abs(block.pulse[k] - pulse).max() < 1e-14
-            assert np.abs(block.nopulse[k] - liouville_matrix(kraus_n)).max() < 1e-14
+            assert np.abs(maps[0][k] - pulse).max() < 1e-14
+            assert np.abs(maps[1][k] - liouville_matrix(kraus_n)).max() < 1e-14
             # a unit pulse effect E along axis a has tr(E P_j) / 4 = (e0 + ancilla_bloch[a]) / 2
             for a, axis in enumerate(np.eye(3)):
                 effect = sum(kr.conj().T @ kr for kr in kraus_instrument(s.u_left, axis, u, 1.0)[0])
                 half = 0.25 * np.array([np.trace(effect @ p).real for p in pauli_product_basis()])
-                assert np.abs(block.ancilla_bloch[k, a] - (2.0 * half - e0)).max() < 1e-14
+                assert np.abs(maps[2][k, a] - (2.0 * half - e0)).max() < 1e-14
             pr = sum(np.trace(kr @ rho @ kr.conj().T).real for kr in kraus_p)
             assert abs(probabilities[k] - min(max(pr, 0.0), 1.0)) < 1e-14
             assert abs(block.effects[k] @ x - pr) < 1e-14
@@ -215,8 +217,8 @@ def test_pulse_probability_is_proportional_to_c(row, c, c_other, seed, direction
 @given(readout_cycles, st.integers(0, 2**32 - 1))
 def test_chain_state_stays_physical(cycle, seed):
     rho0 = random_density(np.random.default_rng(seed), 4)
-    inst = build(cycle)
-    rec = propagate_cycles(inst.pulse[0], inst.nopulse[0], rho0, 50, seed=seed)
+    pulse, nopulse, _ = transfer_matrices(build(cycle))
+    rec = propagate_cycles(pulse[0], nopulse[0], rho0, 50, seed=seed)
     rho = rec.rho_final
     assert abs(np.trace(rho) - 1.0) < 1e-10
     assert np.abs(rho - rho.conj().T).max() < 1e-12
@@ -226,9 +228,9 @@ def test_chain_state_stays_physical(cycle, seed):
 @PROPERTY_SETTINGS
 @given(readout_cycles, st.integers(1, 3 * RUN_BLOCK + 5), st.integers(0, 2**32 - 1))
 def test_chain_matches_stepwise_rule(cycle, n, seed):
-    inst = build(cycle)
+    pulse, nopulse, _ = transfer_matrices(build(cycle))
     rho0 = random_density(np.random.default_rng(seed), 4)
-    maps = inst.pulse[0], inst.nopulse[0]
+    maps = pulse[0], nopulse[0]
     rec = propagate_cycles(*maps, rho0, n, seed=seed)
     outcomes, probs, rho_final, resets = stepwise_chain(*maps, rho0, np.random.default_rng(seed).random(n))
     assert np.array_equal(rec.outcomes, outcomes)
@@ -601,6 +603,8 @@ def run_main(argv: list) -> tuple:
 
 # a detection strength that overflows to inf, which every row reports
 INFINITE_KAPPA = b'{"tunnel": {"gamma0_per_s": 4.45e210, "tau_detect_s": 1.0e98}}'
+# the same rows in a propagate sweep, which has no chain to build maps for
+INFINITE_KAPPA_CHAINS = INFINITE_KAPPA[:-1] + b', "experiment": {"mode": "propagate"}}'
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -608,6 +612,7 @@ INFINITE_KAPPA = b'{"tunnel": {"gamma0_per_s": 4.45e210, "tau_detect_s": 1.0e98}
 @example(text=INFINITE_KAPPA, command="calibrate", fmt="csv")
 @example(text=INFINITE_KAPPA, command="cycle", fmt="jsonl")
 @example(text=INFINITE_KAPPA, command="sweep", fmt="csv")
+@example(text=INFINITE_KAPPA_CHAINS, command="sweep", fmt="csv")
 @example(text=INFINITE_KAPPA, command="tomography", fmt="jsonl")
 def test_cli_exits_cleanly_and_reproducibly(text, command, fmt):
     # every document ends in a result, a syntax error or a validation error,
@@ -681,8 +686,9 @@ def test_induced_instrument_checks_the_setting(u_left, u_right, t):
     got = induced_instrument(u_left, u_right, build_total_hamiltonian(model), t, 1.0,
                              tunnel.tau_detect, tunnel.gamma0)
     want = setting_instrument(setting, model, tunnel, 1.0)
-    for name in ("effects", "pulse", "nopulse", "ancilla_bloch"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.effects, want.effects)
+    for got_map, want_map in zip(transfer_matrices(got), transfer_matrices(want)):
+        assert np.array_equal(got_map, want_map)
     assert got.kappa == want.kappa
 
 

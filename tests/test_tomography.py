@@ -84,6 +84,14 @@ class TestParameterization:
         assert len(PAULI_PRODUCT_LABELS) == 15
         assert n_parameters(SINGLE_SPIN) == 3 and n_parameters(TWO_SPIN) == 15
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown tomography mode 'bogus'$"):
+            n_parameters("bogus")
+
+    def test_theta_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^single_spin expects 3 parameters, got shape \(2,\)$"):
+            theta_to_density([0.0, 0.0], SINGLE_SPIN)
+
 
 class TestProjection:
     def test_physical_input_unchanged(self):
@@ -126,6 +134,10 @@ class TestProjection:
 
 
 class TestBuildDesign:
+    def test_empty_design_rejected(self):
+        with pytest.raises(ValueError, match="^at least one setting is required$"):
+            build_design([], exchange_model(), TUNNEL, C)
+
     def test_no_interaction_rank_zero(self):
         settings = [
             MeasurementSetting(u_left=AXES["z"], u_right=AXES[ax], t_interact=0.0)
@@ -187,6 +199,11 @@ class TestBuildDesign:
 
 
 class TestReconstruct:
+    def test_nonpositive_shot_count_rejected(self):
+        design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C)
+        with pytest.raises(ValueError, match="^shot counts must be positive$"):
+            reconstruct(design, forward_probabilities(design, np.zeros(3)), shot_counts=0)
+
     def test_noiseless_exact_recovery_single_spin(self):
         rng = np.random.default_rng(66)
         design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,
