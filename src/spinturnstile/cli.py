@@ -287,9 +287,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
     try:
-        dest = args.out if args.out is not None else sys.stdout.buffer
-        write_results(table, args.format, dest)
-        if dest is sys.stdout.buffer:
+        if args.out is not None:
+            write_results(table, args.format, args.out)
+        else:
+            write_results(table, args.format, sys.stdout.buffer)
             sys.stdout.buffer.flush()
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from .algebra import PAULI_PRODUCT_LABELS
 from .constants import G_NUCLEAR_P31
 from .cycle import SettingGrid
 from .experiment import MASTER_SEED_MAX
-from .model import _DERIVE_ERROR, _EXCHANGE, SpinModelParams, TunnelParams, model_values
+from .model import _DERIVE_ERROR, _EXCHANGE, HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams, model_values
 from .tomography import SINGLE_SPIN, TWO_SPIN, is_physical, n_parameters, theta_to_density
 
 __all__ = [
@@ -179,7 +179,7 @@ def _as_bool(value, path: str):
 
 
 def _as_choice(value, path: str, choices):
-    if value not in choices:
+    if not isinstance(value, str) or value not in choices:  # an array or object is unhashable
         raise ConfigValidationError(path, f"must be one of {sorted(choices)}")
     return value
 
@@ -509,7 +509,7 @@ def parse_config(data) -> RunConfig:
     experiment = _parse_section(root.get("experiment", {}), "experiment", ExperimentSpec,
                                 _EXPERIMENT_FIELDS)
 
-    threshold = _as_float(root.get("hierarchy_threshold", 100.0), "hierarchy_threshold", minimum=1.0)
+    threshold = _as_float(root.get("hierarchy_threshold", HIERARCHY_THRESHOLD), "hierarchy_threshold", minimum=1.0)
 
     def parse_settings(block: dict, path: str) -> SettingGrid:
         raw = block.get("settings")

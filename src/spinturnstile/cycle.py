@@ -63,9 +63,8 @@ from .model import (
     HIERARCHY_THRESHOLD,
     SpinModelParams,
     TunnelParams,
-    _escape_times,
     _hierarchy_overflows,
-    _hierarchy_report,
+    _time_scales,
     hamiltonians,
     hierarchy_norms,
     model_coefficients,
@@ -332,16 +331,17 @@ def setting_instruments(
     overflows float64, lost propagator phase) gets an error message in its
     row instead of stopping the others.
 
-    With a ``threshold``, every setting whose model's time scales are not
-    separated by it emits a :class:`HierarchyWarning`, in row order, at the
-    caller of the code iterating this generator. A model that overflows is
-    reported by its row's error alone, since its time scales cannot be
-    computed.
+    With a ``threshold``, a block's time scales come from the same stacked
+    pass as the ``rates`` command's (``model._time_scales`` of its
+    :func:`hierarchy_norms`), and every setting whose model's time scales
+    are not separated by it emits a :class:`HierarchyWarning`, in row order,
+    at the caller of the code iterating this generator. A model that
+    overflows is reported by its row's error alone, since its time scales
+    cannot be computed. Without one, only the overflow check runs.
     """
     grid = setting_grid(settings)
     u_left, u_right = (np.array(u, dtype=float).reshape(-1, 3) for u in (grid.u_left, grid.u_right))
     kappa = detection_strength(c, tunnel.tau_detect, tunnel.gamma0)
-    times = _escape_times(tunnel)
     base = model_values(model)
     for start in range(0, len(grid.t_interact), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
@@ -351,15 +351,12 @@ def setting_instruments(
         else:
             norms = hierarchy_norms(coefficients)
             overflows = np.isnan(norms)
-            for norm in norms.tolist():
-                # an overflowing model is reported by its row's error alone
-                if math.isnan(norm):
-                    continue
-                report = _hierarchy_report(norm, *times, threshold)
-                if not report.satisfied:
-                    warnings.warn("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
-                                  f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})",
-                                  HierarchyWarning, stacklevel=3)
+            report = _time_scales(norms, tunnel, threshold)
+            # an overflowing model is reported by its row's error alone
+            for k in np.flatnonzero(~(report.satisfied | overflows)).tolist():
+                warnings.warn("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+                              f"(ratios {report.ratio_dyn_res[k]:.3g}, {report.ratio_non_dyn[k]:.3g})",
+                              HierarchyWarning, stacklevel=3)
         h = hamiltonians(coefficients, include_gate_hamiltonian)
         overflow = overflows | ~np.isfinite(h).all(axis=(1, 2))
         h[overflow] = 0.0

@@ -22,6 +22,13 @@ is the one-model case. A model travels in a setting grid as the flat row of
 its field values (:func:`model_values`), checked where the grid is built;
 :class:`SpinModelParams` is the check of a model built in Python.
 
+The time-scale hierarchy ``tau_res << tau_dyn << tau_non`` is checked one way
+too: the spectral norms of a block of models (:func:`hierarchy_norms`), then
+one stacked pass over them (``_time_scales``) for the times, the two ratios
+and whether both reach the threshold. :func:`characteristic_times` (the
+``rates`` command) is its one-model case, and ``cycle.setting_instruments``
+runs it once per block of settings.
+
 Unit conventions follow :mod:`spinturnstile.constants`: couplings in rad/s,
 fields in tesla, times in seconds. Nuclear Zeeman terms are written with the
 Bohr magneton and a freely settable dimensionless factor ``g_nuclear``, so
@@ -47,7 +54,6 @@ __all__ = [
     "model_coefficients",
     "hamiltonians",
     "hierarchy_norms",
-    "hierarchy_report",
     "gamma_rate",
     "characteristic_times",
 ]
@@ -315,68 +321,47 @@ def gamma_rate(delta: float, tp: TunnelParams) -> float:
     return tp.interdot_sq / (1.0 + x * x)
 
 
-def _inverse(rate: float) -> float:
-    """Time scale of a rate; a vanishing rate never happens (``inf``)."""
-    return 1.0 / rate if rate > 0.0 else math.inf
-
-
-def _separation(slow: float, fast: float) -> float:
-    """Ratio ``slow / fast`` of two time scales; 0 (not separated) when the
-    faster one never happens, so two infinite times give 0, not NaN."""
-    return 0.0 if math.isinf(fast) else slow / fast
-
-
 def characteristic_times(
     p: SpinModelParams, tp: TunnelParams, threshold: float = HIERARCHY_THRESHOLD
 ) -> HierarchyReport:
     """Evaluate the three device time scales and check their separation.
 
-    The one-model case of :func:`hierarchy_report`, with the norm from
-    :func:`hierarchy_norms`.
+    The one-model case of the stacked hierarchy check (:func:`_time_scales`),
+    with the norm from :func:`hierarchy_norms`: its row, as Python floats
+    and a ``bool``.
 
     Raises:
         ValueError: if the model's Hamiltonian overflows float64.
     """
-    norm = float(hierarchy_norms(model_coefficients([model_values(p)]))[0])
-    if math.isnan(norm):
+    norms = hierarchy_norms(model_coefficients([model_values(p)]))
+    if math.isnan(norms[0]):
         raise ValueError(_OVERFLOW_ERROR)
-    return hierarchy_report(norm, tp, threshold)
+    tau_res, tau_dyn, tau_non, ratio_dyn_res, ratio_non_dyn, satisfied = _time_scales(norms, tp, threshold)
+    return HierarchyReport(tau_res, float(tau_dyn[0]), tau_non, float(ratio_dyn_res[0]),
+                           float(ratio_non_dyn[0]), bool(satisfied[0]))
 
 
-def hierarchy_report(
-    norm: float, tp: TunnelParams, threshold: float = HIERARCHY_THRESHOLD
-) -> HierarchyReport:
-    """Device time scales of a model whose :func:`hierarchy_norms` entry is ``norm``.
+def _time_scales(norms: np.ndarray, tp: TunnelParams, threshold: float) -> HierarchyReport:
+    """Device time scales of the models whose :func:`hierarchy_norms` entries
+    are ``norms``, from one stacked pass: ``tau_res`` and ``tau_non`` are
+    floats, since they depend on the tunnel alone, and ``tau_dyn``, both
+    ratios and ``satisfied`` are arrays with one entry per norm.
 
     ``tau_res`` is the on-resonance escape time, ``tau_non`` the leakage time
     at detuning ``tp.detuning``, and ``tau_dyn`` the joint spin-dynamics time
     estimated as ``2 pi / norm``.
 
     A rate that vanishes in floating point (e.g. leakage through a barrier
-    with ``gamma0`` near the underflow limit) gives an infinite time.
-    A zero Hamiltonian generates no dynamics; the report then carries
-    ``tau_dyn = inf`` instead of raising. A ratio whose denominator time is
-    infinite reads 0.
+    with ``gamma0`` near the underflow limit) gives an infinite time, and so
+    does a zero Hamiltonian, which generates no dynamics (a NaN norm too). A
+    ratio whose denominator time is infinite reads 0, so two infinite times
+    give 0, not NaN; a ratio that overflows is inf, silently.
     """
-    return _hierarchy_report(norm, *_escape_times(tp), threshold)
-
-
-def _escape_times(tp: TunnelParams) -> tuple:
-    """``(tau_res, tau_non)`` of :func:`hierarchy_report`, which depend on the
-    tunnel alone."""
-    return _inverse(gamma_rate(0.0, tp)), _inverse(gamma_rate(tp.detuning, tp))
-
-
-def _hierarchy_report(norm: float, tau_res: float, tau_non: float, threshold: float) -> HierarchyReport:
-    """:func:`hierarchy_report` from the tunnel's :func:`_escape_times`."""
-    tau_dyn = 2.0 * math.pi / norm if norm > 0.0 else math.inf
-    r1 = _separation(tau_dyn, tau_res)
-    r2 = _separation(tau_non, tau_dyn)
-    return HierarchyReport(
-        tau_res=tau_res,
-        tau_dyn=tau_dyn,
-        tau_non=tau_non,
-        ratio_dyn_res=r1,
-        ratio_non_dyn=r2,
-        satisfied=bool(r1 >= threshold and r2 >= threshold),
-    )
+    tau_res, tau_non = (1.0 / rate if rate > 0.0 else math.inf
+                        for rate in (gamma_rate(0.0, tp), gamma_rate(tp.detuning, tp)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tau_dyn = np.where(norms > 0.0, 2.0 * math.pi / norms, math.inf)
+        ratio_dyn_res = np.zeros_like(tau_dyn) if math.isinf(tau_res) else tau_dyn / tau_res
+        ratio_non_dyn = np.where(np.isinf(tau_dyn), 0.0, tau_non / tau_dyn)
+    return HierarchyReport(tau_res, tau_dyn, tau_non, ratio_dyn_res, ratio_non_dyn,
+                           (ratio_dyn_res >= threshold) & (ratio_non_dyn >= threshold))

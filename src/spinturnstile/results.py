@@ -124,8 +124,13 @@ def _csv_line(row) -> str:
     return '""\n' if line == "\n" and len(row) == 1 else line
 
 
+# The metadata values a CSV preamble line writes by format_value; any other
+# is written as JSON, as in JSONL.
+_CSV_SCALARS = (type(None), bool, int, float, str)
+
+
 def render_csv(table: ResultTable) -> bytes:
-    lines = [f"# {key} = {_json_value(value) if isinstance(value, (dict, list)) else format_value(value)}\n"
+    lines = [f"# {key} = {format_value(value) if isinstance(value, _CSV_SCALARS) else _json_value(value)}\n"
              for key, value in table.metadata.items()]
     lines.append(_csv_line(table.columns))
     lines += map(_csv_line, table.rows)

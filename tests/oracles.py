@@ -242,6 +242,25 @@ def model_coefficients_by_model(p) -> tuple:
             p.hyperfine_gate, exchange_value(p), p.hyperfine_ancilla, p.level_offset)
 
 
+def hierarchy_report(norm: float, tp, threshold: float):
+    """Device time scales of one model whose ``hierarchy_norms`` entry is
+    ``norm``, by Python float arithmetic: the package's route before it
+    stacked the rows (``model._time_scales``). A vanishing rate or norm gives
+    an infinite time, and a ratio whose faster time is infinite reads 0."""
+    from spinturnstile.model import HierarchyReport, gamma_rate
+
+    def inverse(rate):
+        return 1.0 / rate if rate > 0.0 else math.inf
+
+    def separation(slow, fast):
+        return 0.0 if math.isinf(fast) else slow / fast
+
+    tau_res, tau_non = inverse(gamma_rate(0.0, tp)), inverse(gamma_rate(tp.detuning, tp))
+    tau_dyn = 2.0 * math.pi / norm if norm > 0.0 else math.inf
+    r1, r2 = separation(tau_dyn, tau_res), separation(tau_non, tau_dyn)
+    return HierarchyReport(tau_res, tau_dyn, tau_non, r1, r2, bool(r1 >= threshold and r2 >= threshold))
+
+
 def spin_hamiltonian(p, include_gate_hamiltonian: bool = True) -> np.ndarray:
     """The model Hamiltonian written out term by term with explicit tensor
     products on (ancilla, gate electron, nucleus); ``p`` is a SpinModelParams."""

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -330,6 +331,14 @@ class TestResultTable:
         with pytest.raises(TypeError, match="^cannot serialize set deterministically$"):
             render_jsonl(ResultTable(columns=("a",), rows=[], metadata={"k": {1}}))
 
+    @pytest.mark.parametrize("render", [render_csv, render_jsonl])
+    def test_metadata_containers_are_written_alike(self, render):
+        # a tuple is a JSON array in both formats, and a set is rejected by both
+        tuple_text = render(ResultTable(columns=("a",), rows=[], metadata={"k": (1, 2)})).decode()
+        assert tuple_text.startswith("# k = [1,2]\n" if render is render_csv else '{"metadata":{"k":[1,2]}}')
+        with pytest.raises(TypeError, match="^cannot serialize set deterministically$"):
+            render(ResultTable(columns=("a",), rows=[], metadata={"k": {"x", "y", "z"}}))
+
     def test_csv_round_trip_exact_floats(self):
         payload = render_csv(self.table()).decode()
         lines = [l for l in payload.splitlines() if not l.startswith("#")]
@@ -406,6 +415,12 @@ class TestCli:
         ({"tunnel": {"interdot_sq_per_s": -1}}, "tunnel: interdot_sq must be nonnegative"),
         ({"tunnel": {"tau_cycle_s": -1}}, "tunnel: tau_detect and tau_cycle must be positive"),
         ({"model": {"b_field_tesla": [0, 0.01]}}, "model.b_field_tesla: expected a 3-component array"),
+        # a choice field given an array or an object
+        ({"experiment": {"mode": []}}, "experiment.mode: must be one of ['propagate', 'refresh']"),
+        ({"tomography": {"mode": {}}}, "tomography.mode: must be one of ['single_spin', 'two_spin']"),
+        ({"tomography": {"noise": ["shot"]}}, "tomography.noise: must be one of ['none', 'shot']"),
+        ({"gate_state": {"preset": {"pure_up": 1}}},
+         "gate_state.preset: must be one of ['maximally_mixed', 'pure_up', 'singlet']"),
     ])
     def test_validation_messages_exit_3(self, tmp_path, capsys, doc, message):
         code, out = run_cli(tmp_path, "sweep", doc)
@@ -488,6 +503,15 @@ class TestCli:
 
     def test_missing_config_exit_4(self, tmp_path):
         assert main(["rates", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
+
+    def test_out_under_a_text_only_stdout(self, tmp_path):
+        # a notebook's sys.stdout, like redirect_stdout's, has no binary buffer
+        cfg_path, dest = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(MINIMAL)
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(["rates", "--config", str(cfg_path), "--out", str(dest)]) == EXIT_OK
+        assert stdout.getvalue() == ""
+        assert dest.read_bytes().startswith(b"# tool = spinturnstile\n")
 
     def test_unwritable_out_exit_4(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -17,7 +17,14 @@ under- and overflow), signed zeros and an interaction time of 0. The
 (an interaction time of 1e10 s) and one whose model overflows (couplings of
 1e308), so empty cells and error statuses are pinned; in the ``kappa``
 sweep a detection constant of 10 gives every row the kappa message, whose
-commas the CSV quotes. No golden run warns. A digest changes when any output
+commas the CSV quotes. The ``rates`` runs pin the device time scales on
+the default configuration and on three edges of the time-scale hierarchy
+(``HIERARCHY_EDGES``): an exchange too strong for resonant escape, a model
+and tunnel with no dynamics and no escape (every time infinite, every ratio
+0), and a leakage rate that underflows to 0 (``tau_non`` infinite) beside a
+model that overflows. No golden run warns; the ``cycle`` and ``sweep`` runs
+of the three edges are pinned by their ``HierarchyWarning`` messages
+(``HIERARCHY_WARNINGS``) instead. A digest changes when any output
 byte does: a change that alters output on purpose records the new digests
 here and says why. The digests hold for one numpy/BLAS build; another
 build may round the instruments differently in the last digit.
@@ -110,8 +117,23 @@ def _error_settings(rng: random.Random) -> list:
     return settings
 
 
+# Configurations at the edges of the time-scale hierarchy.
+HIERARCHY_EDGES = {
+    "exchange": {"model": {"exchange_per_s": 5e9}},
+    "still": {"model": {"b_field_tesla": [0, 0, 0], "g_nuclear": 0, "hyperfine_gate_per_s": 0,
+                        "hyperfine_ancilla_per_s": 0, "exchange_per_s": 0},
+              "tunnel": {"interdot_sq_per_s": 0}},
+    "leakage": {"tunnel": {"gamma0_per_s": 1e-300, "detuning_per_s": 1e300},
+                "sweep": {"settings": [{"model": {"exchange_per_s": 5e9}}, {},
+                                       {"model": {"exchange_per_s": 1e308, "hyperfine_gate_per_s": 1e308,
+                                                  "hyperfine_ancilla_per_s": 1e308}}]}},
+}
+
+
 def _config(name: str) -> tuple:
     """(command, configuration) of one golden run."""
+    if name == "rates" or name.startswith("rates-"):
+        return "rates", HIERARCHY_EDGES.get(name[len("rates-"):], {})
     rng = random.Random(f"golden:{name}")
     if name == "errors":
         return "sweep", {
@@ -167,14 +189,20 @@ def _config(name: str) -> tuple:
     }
 
 
-def _output(tmp_path, command: str, config_text: str, fmt: str, tag: str) -> bytes:
+def _run(tmp_path, command: str, config_text: str, fmt: str, tag: str) -> tuple:
+    """(output bytes, warnings caught) of one successful run."""
     cfg_path, out_path = tmp_path / f"{tag}.json", tmp_path / f"{tag}.{fmt}"
     cfg_path.write_text(config_text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([command, "--config", str(cfg_path), "--out", str(out_path), "--format", fmt]) == EXIT_OK
+    return out_path.read_bytes(), caught
+
+
+def _output(tmp_path, command: str, config_text: str, fmt: str, tag: str) -> bytes:
+    output, caught = _run(tmp_path, command, config_text, fmt, tag)
     assert [str(w.message) for w in caught] == []
-    return out_path.read_bytes()
+    return output
 
 
 def output_digest(tmp_path, name: str, fmt: str) -> str:
@@ -215,6 +243,14 @@ GOLDEN = {
     ("errors", "jsonl"): "1cdf44eb246e11f6808387a63cb70e75029ffff7531a225e46f56d1f90cdc003",
     ("kappa", "csv"): "993fa9e5b3fa9ec8a56efb46461eb8ade9c226a0658b7a20ebed7fb3be8eddc7",
     ("kappa", "jsonl"): "2389a83daa3a952ebb26869d6df7134966d90d08ba2126ab311512f559a40f72",
+    ("rates", "csv"): "de24b3d7718ddd6f01848546fc5d52e101eb92829b5d4d7580ead16155807d23",
+    ("rates", "jsonl"): "af98847f7534001f0c2b56075728f95f78715027a1a72b9d7a7753690d899111",
+    ("rates-exchange", "csv"): "970588fe28ec9b054ac16b336efa88a1087adf44816ca9dbd7590728e9f22156",
+    ("rates-exchange", "jsonl"): "6068bb1b79d2a6c4ca9112bf37913b678ad6e0dd935429cfa592f447932d7ccb",
+    ("rates-leakage", "csv"): "39be2b99eaf563371deb53e912bea8d1a6ba729ec306024402811d13e84c0458",
+    ("rates-leakage", "jsonl"): "f2b446b36c48f79969bfb55a4d7594997344641ea040c9deb93c1ae51499c16a",
+    ("rates-still", "csv"): "850afc6222859e95bb308f6d31e3d89f893c8a51a9baaaa35add8ed867aa768a",
+    ("rates-still", "jsonl"): "dcad14701d9a673cc0b9ab7c165a84ff7ef2b2b34655b9a2d2490cfa49e9e9b6",
 }
 
 
@@ -229,6 +265,32 @@ def test_output_bytes_are_pinned(tmp_path, name, fmt):
 @pytest.mark.parametrize("name", NAMES)
 def test_resolved_config_reproduces_the_run(tmp_path, name):
     assert echo_rerun_changes(tmp_path, name) == []
+
+
+def _unsatisfied(ratios: str) -> str:
+    return f"time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied (ratios {ratios})"
+
+
+# The HierarchyWarning messages of each edge's cycle and sweep, in order: one
+# per setting whose model's time scales are not separated, none for a model
+# that overflows.
+HIERARCHY_WARNINGS = {
+    ("exchange", "cycle"): [_unsatisfied("0.419, 2.39e+06")],
+    ("exchange", "sweep"): [_unsatisfied("0.419, 2.39e+06")] * 3,
+    ("still", "cycle"): [_unsatisfied("0, 0")],
+    ("still", "sweep"): [_unsatisfied("0, 0")] * 3,
+    ("leakage", "cycle"): [],
+    ("leakage", "sweep"): [_unsatisfied("0.419, inf")],
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(HIERARCHY_WARNINGS))
+def test_hierarchy_warnings_are_pinned(tmp_path, name, command):
+    _, caught = _run(tmp_path, command, json.dumps(HIERARCHY_EDGES[name]), "csv", name)
+    assert [(w.category.__name__, str(w.message)) for w in caught] == [
+        ("HierarchyWarning", message) for message in HIERARCHY_WARNINGS[name, command]]
+    # each names the command's line in the command line module
+    assert {Path(w.filename).name for w in caught} <= {"cli.py"}
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Property-based checks of the transfer-matrix instrument over random
 settings, of calibration against the pulse-probability formula, of the
 tomography parameterization over random vectors, of the configuration's
-resolved form over random documents, of the time-scale hierarchy report over
+resolved form over random documents, of the time-scale hierarchy over
 random norms and tunnels, of the output writers, the setting seeds, the
-model coefficients and the stacked settings parse against their oracles, and
-of the command line's exits on hostile documents."""
+stacked time scales, the model coefficients and the stacked settings parse
+against their oracles, and of the command line's exits on hostile documents."""
 
 import contextlib
 import io
@@ -52,9 +52,9 @@ from spinturnstile.model import (
     SpinModelParams,
     TunnelParams,
     _hierarchy_overflows,
+    _time_scales,
     build_total_hamiltonian,
     hierarchy_norms,
-    hierarchy_report,
     model_coefficients,
     model_values,
 )
@@ -73,6 +73,7 @@ from spinturnstile.tomography import (
 from oracles import (
     choi_from_transfer,
     detection_probability,
+    hierarchy_report,
     induced_instrument,
     json_scalar,
     kraus_instrument,
@@ -614,6 +615,11 @@ INFINITE_KAPPA_CHAINS = INFINITE_KAPPA[:-1] + b', "experiment": {"mode": "propag
 @example(text=INFINITE_KAPPA, command="sweep", fmt="csv")
 @example(text=INFINITE_KAPPA_CHAINS, command="sweep", fmt="csv")
 @example(text=INFINITE_KAPPA, command="tomography", fmt="jsonl")
+# a choice field given an array or an object
+@example(text=b'{"experiment": {"mode": []}}', command="sweep", fmt="csv")
+@example(text=b'{"tomography": {"mode": {}}}', command="tomography", fmt="jsonl")
+@example(text=b'{"tomography": {"noise": ["shot"]}}', command="tomography", fmt="csv")
+@example(text=b'{"gate_state": {"preset": {"pure_up": 1}}}', command="cycle", fmt="jsonl")
 def test_cli_exits_cleanly_and_reproducibly(text, command, fmt):
     # every document ends in a result, a syntax error or a validation error,
     # never in a traceback or a numpy RuntimeWarning, and twice in the same bytes
@@ -644,10 +650,34 @@ def test_cli_exits_cleanly_and_reproducibly(text, command, fmt):
 )
 def test_hierarchy_ratios_are_never_nan(norm, gamma0, interdot_sq, detuning, threshold):
     tunnel = TunnelParams(gamma0=gamma0, interdot_sq=interdot_sq, detuning=detuning)
-    report = hierarchy_report(norm, tunnel, threshold=threshold)
+    report = _time_scales(np.array([norm]), tunnel, threshold)
+    ratio_dyn_res, ratio_non_dyn, satisfied = report.ratio_dyn_res[0], report.ratio_non_dyn[0], report.satisfied[0]
     # nan compares false, so this also rules it out
-    assert report.ratio_dyn_res >= 0.0 and report.ratio_non_dyn >= 0.0
-    assert report.satisfied == (report.ratio_dyn_res >= threshold and report.ratio_non_dyn >= threshold)
+    assert ratio_dyn_res >= 0.0 and ratio_non_dyn >= 0.0
+    assert satisfied == (ratio_dyn_res >= threshold and ratio_non_dyn >= threshold)
+
+
+@PROPERTY_SETTINGS
+@given(
+    norms=st.lists(with_edges([0.0, 5e-324, 1.0, 1.7e308, math.nan], st.floats(0.0, 1.7e308)),
+                   min_size=1, max_size=6),
+    gamma0=with_edges([5e-324, 1e-300, 1e9], st.floats(5e-324, 1e300)),
+    interdot_sq=with_edges([0.0, 5e-324, 1e9], st.floats(0.0, 1e300)),
+    detuning=with_edges([-1e300, 0.0, 1e12, 1e300], st.floats(-1e300, 1e300)),
+    threshold=with_edges([0.0, 1.0, 100.0], st.floats(0.0, 1e12)),
+)
+def test_stacked_time_scales_match_the_row_by_row_report(norms, gamma0, interdot_sq, detuning, threshold):
+    # every field of every row bit for bit, and satisfied, as the oracle's
+    # per-row Python floats give them; a numpy warning fails the test
+    tunnel = TunnelParams(gamma0=gamma0, interdot_sq=interdot_sq, detuning=detuning)
+    stacked = _time_scales(np.array(norms), tunnel, threshold)
+    assert type(stacked.tau_res) is float and type(stacked.tau_non) is float
+    for k, norm in enumerate(norms):
+        expected = hierarchy_report(norm, tunnel, threshold)
+        row = (stacked.tau_res, stacked.tau_dyn[k], stacked.tau_non,
+               stacked.ratio_dyn_res[k], stacked.ratio_non_dyn[k])
+        assert [float(v).hex() for v in row] == [v.hex() for v in expected[:5]]
+        assert bool(stacked.satisfied[k]) is expected.satisfied
 
 
 # leads and times, valid or not: NaN, infinities, negative and overlong
