@@ -19,7 +19,9 @@ pr)`` for its seed, although the rows' seeds and counts are computed together
 """
 
 import hashlib
+import math
 import operator
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -48,10 +50,13 @@ __all__ = [
 
 _IDENTITY = np.eye(16)
 _MIXED_COORDINATES = _IDENTITY[0]
+# Each thread's event-map buffer, ``buffer`` (see :func:`_run_stacks`).
+_EVENT_MAPS = threading.local()
 
-# Cycles decided by one block of :func:`propagate_cycles`. A chain's two
-# event-map stacks hold 2 * (RUN_BLOCK + 1) matrices of 16 + 2 * (RUN_BLOCK + 1)
-# rows and 16 columns (0.69 MB).
+# Cycles decided by one block of :func:`propagate_cycles`. The two event-map
+# stacks hold 2 * (RUN_BLOCK + 1) matrices of 16 + 2 * (RUN_BLOCK + 1) rows and
+# 16 columns (0.69 MB), in one buffer per thread that every chain of the thread
+# reuses (:func:`_run_stacks`).
 RUN_BLOCK = 32
 # Run probabilities are ratios over no-pulse survivals ``(Q^j x)[0]``; below
 # this fraction of the block's first survival a ratio could carry over 2**16
@@ -123,7 +128,7 @@ def _count_record(n_pulses: int, n: int, seed: int) -> ShotRecord:
     binomial ``std_err``."""
     pr_hat = n_pulses / n
     return ShotRecord(n_cycles=n, n_pulses=n_pulses, pr_hat=pr_hat,
-                      std_err=float(np.sqrt(pr_hat * (1.0 - pr_hat) / n)), seed=int(seed))
+                      std_err=math.sqrt(pr_hat * (1.0 - pr_hat) / n), seed=int(seed))
 
 
 def _check_draw(pr: float, n: int) -> None:
@@ -228,7 +233,7 @@ def sample_cycles(pr: float, n: int, seed: int) -> ShotRecord:
 
 
 def _run_stacks(pulse: np.ndarray, nopulse: np.ndarray, m: int):
-    """Event maps for sampling a chain in blocks of up to ``m`` cycles.
+    """Event maps for sampling a chain in blocks of up to ``m <= RUN_BLOCK`` cycles.
 
     With ``Q = nopulse``, ``heads`` stacks the first rows of ``Q^j`` and then
     of ``pulse Q^j`` for ``j <= m``, so that ``heads @ x`` holds the
@@ -241,10 +246,19 @@ def _run_stacks(pulse: np.ndarray, nopulse: np.ndarray, m: int):
     ``Q^d`` over ``heads @ Q^d``. One product ``y = map @ x`` then gives the
     state after the event, ``y[:16]``, together with ``heads`` of that state
     in ``y[16:]``. The powers are built by doubling.
+
+    Both stacks are views of one buffer per thread, allocated by the
+    thread's first call, and the thread's next call overwrites them. So a
+    chain faults in no fresh memory for its maps, and chains in different
+    threads do not share them.
     """
     rows = 16 + 2 * (m + 1)
-    after_jump = np.empty((m + 1, rows, 16))
-    after_run = np.empty((m + 1, rows, 16))
+    size = (m + 1) * rows * 16
+    buffer = getattr(_EVENT_MAPS, "buffer", None)
+    if buffer is None:
+        buffer = _EVENT_MAPS.buffer = np.empty(2 * (RUN_BLOCK + 1) * (16 + 2 * (RUN_BLOCK + 1)) * 16)
+    after_jump = buffer[:size].reshape(m + 1, rows, 16)
+    after_run = buffer[size:2 * size].reshape(m + 1, rows, 16)
     powers = after_run[:, :16]
     powers[0] = _IDENTITY
     powers[1] = nopulse
@@ -262,7 +276,7 @@ def _run_stacks(pulse: np.ndarray, nopulse: np.ndarray, m: int):
 
 
 def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarray, n: int,
-                     seed: int) -> ChainRecord:
+                     seed: int, *, count_only: bool = False) -> ChainRecord | ShotRecord:
     """Run ``n`` cycles carrying the conditional gate state across cycles.
 
     ``pulse`` and ``nopulse`` are the 16x16 transfer matrices of one
@@ -273,6 +287,11 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     variate pre-drawn from the seeded generator lies below the pulse
     probability ``(pulse @ x)[0] / x[0]``; the state becomes the selected
     branch.
+
+    Returns the :class:`ChainRecord`, or with ``count_only`` its ``shots``
+    alone: the same :class:`ShotRecord`, for which the chain builds no
+    ``outcomes``, ``probs`` or ``rho_final`` and holds no per-cycle array but
+    the uniforms.
 
     The chain is sampled in blocks, one stacked product per event. Between
     pulses the state is deterministic: ``j`` no-pulse cycles after ``x`` it
@@ -285,11 +304,14 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     state after it. A block without a pulse moves ``y`` on by
     ``after_run[k]``. Right after a pulse, cycle ``i`` is first checked
     alone, so a chain that pulses every cycle costs one product per cycle.
-    The uniforms and the comparisons are those of the per-cycle rule, so
-    the outcomes equal it unless a uniform lies within rounding (about
-    1e-16) of its probability. This needs the no-pulse survival not to grow
-    along a run, which holds for every physical instrument: positive maps
-    whose effects sum to the identity.
+    The scalar decisions are made on Python floats read off ``y``, with the
+    same operands, divisions and comparisons as on numpy scalars, so they
+    cost little beside the event's product. The uniforms and the
+    comparisons are those of the per-cycle rule, so the outcomes equal it
+    unless a uniform lies within rounding (about 1e-16) of its probability.
+    This needs the no-pulse survival not to grow along a run, which holds
+    for every physical instrument: positive maps whose effects sum to the
+    identity.
 
     The state is carried unnormalized, since the probabilities are ratios.
     It is divided by its first entry only when that leaves
@@ -304,67 +326,85 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     if n < 1:
         raise ValueError("n must be at least 1")
     uniforms = np.random.default_rng(seed).random(n)
-    m = min(RUN_BLOCK, n)
+    m = RUN_BLOCK if n > RUN_BLOCK else n
     after_jump, after_run = _run_stacks(pulse, nopulse, m)
+    jump_maps, run_maps = list(after_jump), list(after_run)
     # y[sv + j] = (Q^j x)[0] and y[nm + j] = (pulse Q^j x)[0], with x = y[:16]
     sv, nm = 16, 17 + m
-    y = after_run[0].dot(pauli_coordinates(rho_gate))
-    outcomes = np.zeros(n, dtype=np.uint8)
-    probs = np.empty(n)
+    # the state y and the next one: each event's product writes the other
+    y, y_next = np.empty((2, sv + 2 * (m + 1)))
+    x, x_next = y[:16], y_next[:16]
+    run_maps[0].dot(pauli_coordinates(rho_gate), y)
+    outcomes = probs = None
+    if not count_only:
+        outcomes = np.zeros(n, dtype=np.uint8)
+        probs = np.empty(n)
     n_pulses = resets = 0
-    u = uniforms.tolist()
     after_pulse = False
     i = 0
     while i < n:
-        if not _RESCALE_BELOW <= y[0] <= _RESCALE_ABOVE:
+        if not _RESCALE_BELOW <= y.item(0) <= _RESCALE_ABOVE:
             y /= y[0]
         if after_pulse:
             # Cycle i alone first: a pulse often follows a pulse.
-            p_pulse = y[nm] / y[sv]
-            if u[i] < p_pulse:
-                probs[i] = p_pulse
-                outcomes[i] = 1
+            p_pulse = y.item(nm) / y.item(sv)
+            if uniforms.item(i) < p_pulse:
+                if outcomes is not None:
+                    probs[i] = p_pulse
+                    outcomes[i] = 1
                 n_pulses += 1
-                y = after_jump[0].dot(y[:16])
+                jump_maps[0].dot(x, y_next)
+                y, y_next, x, x_next = y_next, y, x_next, x
                 i += 1
                 continue
-        k = min(m, n - i)
-        floor = _SURVIVAL_FLOOR * y[sv]
+        k = n - i
+        if k > m:
+            k = m
+        floor = _SURVIVAL_FLOOR * y.item(sv)
         # Survivals do not grow along a run, so the one after the block tells
         # whether any falls below the floor; cut at the first that does.
-        whole = y[sv + k] >= floor
+        whole = y.item(sv + k) >= floor
         cut = k if whole else int((y[sv:sv + k + 1] >= floor).argmin())
-        p_run = np.divide(y[nm:nm + cut], y[sv:sv + cut], out=probs[i:i + cut])
-        fired = uniforms[i:i + cut] < p_run
-        j = int(fired.argmax())
-        if fired[j]:
-            outcomes[i + j] = 1
+        if outcomes is None:
+            p_run = y[nm:nm + cut] / y[sv:sv + cut]
+        else:
+            p_run = np.divide(y[nm:nm + cut], y[sv:sv + cut], out=probs[i:i + cut])
+        # the offset of the block's first pulse, or -1: a bool is one byte, 0 or 1
+        j = (uniforms[i:i + cut] < p_run).tobytes().find(1)
+        if j >= 0:
+            if outcomes is not None:
+                outcomes[i + j] = 1
             n_pulses += 1
-            y = after_jump[j].dot(y[:16])
+            jump_maps[j].dot(x, y_next)
+            y, y_next, x, x_next = y_next, y, x_next, x
             i += j + 1
             after_pulse = True
         elif whole:
-            y = after_run[k].dot(y[:16])
+            run_maps[k].dot(x, y_next)
+            y, y_next, x, x_next = y_next, y, x_next, x
             i += k
             after_pulse = False
         else:
             # The survival of cycle i + cut is below the floor: step the
             # no-pulse branch of cycle i + cut - 1 alone, from the state
             # before it, as the per-cycle rule does.
-            post = nopulse.dot(after_run[cut - 1, :16].dot(y[:16]))
-            p_no = float(post[0])
+            post = nopulse.dot(run_maps[cut - 1][:16].dot(x))
+            p_no = post.item(0)
             if p_no > 0.0:
-                x = post / p_no
+                post /= p_no
             else:
                 # Unreachable for a valid instrument; keep the chain alive.
-                x = _MIXED_COORDINATES
+                post = _MIXED_COORDINATES
                 resets += 1
-            y = after_run[0].dot(x)
+            run_maps[0].dot(post, y)
             i += cut
             after_pulse = False
+    shots = _count_record(n_pulses, n, seed)
+    if outcomes is None:
+        return shots
     np.minimum(np.maximum(probs, 0.0, out=probs), 1.0, out=probs)
-    return ChainRecord(shots=_count_record(n_pulses, n, seed), outcomes=outcomes, probs=probs,
-                       rho_final=pauli_operator(y[:16] / y[0]) / 4.0, resets=resets)
+    return ChainRecord(shots=shots, outcomes=outcomes, probs=probs,
+                       rho_final=pauli_operator(x / y[0]) / 4.0, resets=resets)
 
 
 def estimate_current(record, tau_cycle: float) -> CurrentEstimate:
@@ -509,9 +549,8 @@ def run_sweep(
                     _check_draw(pr, n_cycles)
                     drawn.append((idx, pr))
                 else:
-                    # the row keeps the chain's count, not its arrays
-                    chain = propagate_cycles(pulse[k], nopulse[k], rho_gate, n_cycles, seeds[idx])
-                    rows[idx] = ok_row(pr, chain.shots)
+                    rows[idx] = ok_row(pr, propagate_cycles(pulse[k], nopulse[k], rho_gate, n_cycles,
+                                                            seeds[idx], count_only=True))
             except (ValueError, MemoryError) as exc:
                 # MemoryError: a propagate chain of n_cycles that cannot be allocated.
                 rows[idx] = SweepRow(pr=float("nan"), record=None, current=None,

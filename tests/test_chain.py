@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from spinturnstile.algebra import evolve_unitary
 from spinturnstile.config import parse_config
 from spinturnstile.cycle import MeasurementSetting, setting_instrument, transfer_matrices
-from spinturnstile.experiment import RUN_BLOCK, _run_stacks, propagate_cycles
+from spinturnstile.experiment import RUN_BLOCK, ShotRecord, _run_stacks, propagate_cycles
 from spinturnstile.model import SpinModelParams, build_total_hamiltonian
 
 from oracles import (
@@ -245,3 +248,86 @@ class TestRunLengthSampler:
                 resets += rec.resets
                 check_density_matrix(rec.rho_final, tol=1e-12)
         assert resets > 0
+
+
+def traced_peak(call):
+    """The peak of memory newly traced by tracemalloc while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestEventMapBuffers:
+    def test_threads_reproduce_sequential_records(self):
+        # each thread builds its chains' event maps in its own buffer; a
+        # shared one would be rebuilt under a running chain, here with another
+        # instrument and, at n < RUN_BLOCK, another layout
+        rho0, instruments = default_probes(1.0)
+        jobs = [(maps(instruments[k % 2]), (5_000, RUN_BLOCK - 5)[k % 2], k) for k in range(4)]
+
+        def chains(job):
+            (pulse, nopulse), n, seed = job
+            return [propagate_cycles(pulse, nopulse, rho0, n, seed + 10 * r) for r in range(8)]
+
+        expected = [chains(job) for job in jobs]
+        results = [None] * len(jobs)
+        start = threading.Barrier(len(jobs))
+
+        def worker(k):
+            start.wait(timeout=60)
+            results[k] = chains(jobs[k])
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shots == b.shots and a.resets == b.resets
+                assert a.outcomes.tobytes() == b.outcomes.tobytes()
+                assert a.probs.tobytes() == b.probs.tobytes()
+                assert a.rho_final.tobytes() == b.rho_final.tobytes()
+
+    def test_second_chain_allocates_no_event_maps(self):
+        rho0, instruments = default_probes(1.0)
+        propagate_cycles(*maps(instruments[0]), rho0, 100, seed=1)
+        pulse, nopulse = maps(instruments[1])
+        new, (after_jump, after_run) = traced_peak(lambda: _run_stacks(pulse, nopulse, RUN_BLOCK))
+        assert after_jump.nbytes + after_run.nbytes > 0.6e6
+        assert new < 64 * 1024
+
+    @staticmethod
+    def z_probe_chain(c, n, **kwargs):
+        """The peak of new memory of an n-cycle chain of the z probe at c, and
+        its result; the thread's event maps exist before."""
+        rho0, instruments = default_probes(c)
+        pulse, nopulse = maps(instruments[2])
+        propagate_cycles(pulse, nopulse, rho0, 10, seed=1)
+        return traced_peak(lambda: propagate_cycles(pulse, nopulse, rho0, n, seed=2, **kwargs))
+
+    @pytest.mark.parametrize("c, n", [(0.01, 1_000_000), (5.0, 100_000)])
+    def test_count_holds_the_uniforms_alone(self, c, n):
+        # 8n bytes of uniforms; at c = 5 nearly every cycle pulses, so an
+        # object kept per cycle or per pulse would show
+        peak, shots = self.z_probe_chain(c, n, count_only=True)
+        assert type(shots) is ShotRecord and shots.n_cycles == n
+        assert peak < 8 * n + 1e6
+
+    def test_full_record_holds_its_arrays_alone(self):
+        # the uniforms and probabilities (8n bytes each) and outcomes (n)
+        n = 100_000
+        peak, chain = self.z_probe_chain(5.0, n)
+        assert chain.shots.n_pulses > 0.99 * n
+        assert peak < 3 * 8 * n + 1e6

@@ -18,6 +18,7 @@ from spinturnstile.cycle import (
 from spinturnstile.experiment import (
     ChainRecord,
     ShotRecord,
+    _count_record,
     _seed_states,
     _uint32_words,
     calibrate,
@@ -75,6 +76,15 @@ class TestSampleCycles:
             errs.append(np.mean(errors))
         slope = np.polyfit(np.log10(sizes), np.log10(errs), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
+
+    @pytest.mark.parametrize("n", [3, 10_000, 12_345_678_901])
+    def test_std_err_is_the_numpy_square_root(self, n):
+        # math.sqrt and numpy.sqrt are both the correctly rounded square root
+        for count in (0, 1, n // 2, n - 1, n):
+            pr_hat = count / n
+            std_err = _count_record(count, n, seed=1).std_err
+            assert type(std_err) is float
+            assert std_err.hex() == float(np.sqrt(pr_hat * (1.0 - pr_hat) / n)).hex()
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
@@ -355,10 +365,10 @@ class TestSweep:
         settings = self.axes_settings()
         chain = experiment.propagate_cycles
 
-        def propagate_or_fail(pulse, nopulse, rho_gate, n, seed):
+        def propagate_or_fail(pulse, nopulse, rho_gate, n, seed, **kwargs):
             if seed == derive_setting_seed(123, settings[1]):
                 raise MemoryError("Unable to allocate 72.8 TiB for an array")
-            return chain(pulse, nopulse, rho_gate, n, seed)
+            return chain(pulse, nopulse, rho_gate, n, seed, **kwargs)
 
         monkeypatch.setattr(experiment, "propagate_cycles", propagate_or_fail)
         rows = run_sweep(settings, rho_gate=np.eye(4) / 4, mode="propagate", **self.common())

@@ -39,6 +39,7 @@ from spinturnstile.cycle import (
 )
 from spinturnstile.experiment import (
     RUN_BLOCK,
+    ShotRecord,
     _seed_states,
     _uint32_words,
     calibrate,
@@ -238,6 +239,37 @@ def test_chain_matches_stepwise_rule(cycle, n, seed):
     assert np.abs(rec.probs - probs).max() < 1e-12
     assert np.abs(rec.rho_final - rho_final).max() < 1e-10
     assert rec.resets == resets == 0
+
+
+def assert_count_only_is_the_chain_count(maps, rho0, n, seed):
+    """The count-only chain's record is the full chain's ``shots``, and its
+    count that of the per-cycle rule on the same uniforms."""
+    shots = propagate_cycles(*maps, rho0, n, seed, count_only=True)
+    outcomes, _, _, _ = stepwise_chain(*maps, rho0, np.random.default_rng(seed).random(n))
+    assert type(shots) is ShotRecord
+    assert shots == propagate_cycles(*maps, rho0, n, seed).shots
+    assert shots.n_pulses == int(outcomes.sum())
+    return shots
+
+
+@PROPERTY_SETTINGS
+@given(readout_cycles, st.integers(1, 3 * RUN_BLOCK + 5), st.integers(0, 2**32 - 1))
+def test_count_only_chain_is_the_chain_count(cycle, n, seed):
+    pulse, nopulse, _ = transfer_matrices(build(cycle))
+    rho0 = random_density(np.random.default_rng(seed), 4)
+    assert_count_only_is_the_chain_count((pulse[0], nopulse[0]), rho0, n, seed)
+
+
+def test_long_low_probability_count_only_chain():
+    # at c = 0.01 the default z probe pulses in under 1% of cycles, so nearly
+    # every block of the 2e5 cycles runs whole
+    cfg = parse_config({"detection": {"c": 0.01}})
+    (block,) = setting_instruments(cfg.sweep_settings, cfg.model, cfg.tunnel, cfg.detection_c,
+                                   cfg.include_gate_hamiltonian)
+    pulse, nopulse, _ = transfer_matrices(block)
+    shots = assert_count_only_is_the_chain_count((pulse[2], nopulse[2]), cfg.gate_state.density(), 200_000,
+                                                 seed=29)
+    assert 0 < shots.pr_hat < 0.01
 
 
 DESIGN_MODEL = SpinModelParams(b_field=(0.0, 0.0, 0.01), g_nuclear=G_NUCLEAR_P31,
