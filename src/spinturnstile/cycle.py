@@ -63,10 +63,9 @@ from .model import (
     HIERARCHY_THRESHOLD,
     SpinModelParams,
     TunnelParams,
-    _hierarchy_overflows,
     _time_scales,
+    _unsettled_norms,
     hamiltonians,
-    hierarchy_norms,
     model_coefficients,
     model_values,
 )
@@ -331,13 +330,17 @@ def setting_instruments(
     overflows float64, lost propagator phase) gets an error message in its
     row instead of stopping the others.
 
-    With a ``threshold``, a block's time scales come from the same stacked
-    pass as the ``rates`` command's (``model._time_scales`` of its
-    :func:`hierarchy_norms`), and every setting whose model's time scales
-    are not separated by it emits a :class:`HierarchyWarning`, in row order,
-    at the caller of the code iterating this generator. A model that
-    overflows is reported by its row's error alone, since its time scales
-    cannot be computed. Without one, only the overflow check runs.
+    A block's hierarchy check is one route, with or without a ``threshold``
+    (``model._unsettled_norms``): a bracket of each row's hierarchy norm from
+    its coefficients settles every row that can neither overflow nor, with
+    a threshold, fail it, and only the other rows get their
+    :func:`~spinturnstile.model.hierarchy_norms` and their time scales from
+    the same stacked pass as the ``rates`` command's (``model._time_scales``).
+    Every setting whose model's time scales are not separated by the
+    threshold emits a :class:`HierarchyWarning`, in row order, at the caller
+    of the code iterating this generator. A model that overflows is reported
+    by its row's error alone, since its time scales cannot be computed.
+    Without a threshold, only the overflow check runs.
     """
     grid = setting_grid(settings)
     u_left, u_right = (np.array(u, dtype=float).reshape(-1, 3) for u in (grid.u_left, grid.u_right))
@@ -346,11 +349,9 @@ def setting_instruments(
     for start in range(0, len(grid.t_interact), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         coefficients = model_coefficients([base if m is None else m for m in grid.models[rows]])
-        if threshold is None:
-            overflows = _hierarchy_overflows(coefficients)
-        else:
-            norms = hierarchy_norms(coefficients)
-            overflows = np.isnan(norms)
+        unsettled, norms = _unsettled_norms(coefficients, tunnel, threshold)
+        overflows = np.isnan(norms)
+        if threshold is not None and len(unsettled):
             report = _time_scales(norms, tunnel, threshold)
             # an overflowing model is reported by its row's error alone
             for k in np.flatnonzero(~(report.satisfied | overflows)).tolist():
@@ -358,7 +359,8 @@ def setting_instruments(
                               f"(ratios {report.ratio_dyn_res[k]:.3g}, {report.ratio_non_dyn[k]:.3g})",
                               HierarchyWarning, stacklevel=3)
         h = hamiltonians(coefficients, include_gate_hamiltonian)
-        overflow = overflows | ~np.isfinite(h).all(axis=(1, 2))
+        overflow = ~np.isfinite(h).all(axis=(1, 2))
+        overflow[unsettled[overflows]] = True
         h[overflow] = 0.0
         # A model's 13 coefficients name its Hamiltonian in a tenth of the
         # bytes; + 0.0 makes a -0.0 coefficient +0.0, which gives the same H.

@@ -26,8 +26,12 @@ The time-scale hierarchy ``tau_res << tau_dyn << tau_non`` is checked one way
 too: the spectral norms of a block of models (:func:`hierarchy_norms`), then
 one stacked pass over them (``_time_scales``) for the times, the two ratios
 and whether both reach the threshold. :func:`characteristic_times` (the
-``rates`` command) is its one-model case, and ``cycle.setting_instruments``
-runs it once per block of settings.
+``rates`` command) is its one-model case. ``cycle.setting_instruments`` runs
+it once per block of settings, on the rows whose check the coefficients
+alone cannot settle (``_unsettled_norms``): a bracket of each row's norm
+(``_norm_bracket``) passed through the same ``_time_scales`` settles a row
+that can neither overflow nor fail the threshold, and only the other rows
+get the eigenvalues.
 
 Unit conventions follow :mod:`spinturnstile.constants`: couplings in rad/s,
 fields in tesla, times in seconds. Nuclear Zeeman terms are written with the
@@ -210,9 +214,28 @@ _HIERARCHY_TERMS = [0, 1, 2, 3, 4, 5, 9, 10, 11]
 # Spectral norm of each generator: 1 for a Pauli term and the identity, 3
 # for sigma . sigma (eigenvalues 1 and -3).
 _GENERATOR_NORMS = np.array([1.0] * 9 + [3.0] * 3 + [1.0])
+# sqrt(w_k) = ||G_k||_F / sqrt(8) of each hierarchy generator: 1 for a Pauli
+# term, sqrt(3) for sigma . sigma. These generators are distinct Pauli
+# products (sigma . sigma a sum of three), so they are orthogonal under
+# tr(A^dag B), and the Hamiltonian they make has ||H||_F^2 / 8 = sum_k w_k c_k^2.
+_ROOT_WEIGHTS = np.linalg.norm(_GENERATORS[_HIERARCHY_TERMS], axis=1) / math.sqrt(_DIM)
 # A Hamiltonian whose norm is bounded by this has finite entries and
 # eigenvalues, with room to spare for the rounding of the bound and of them.
 _SAFE_NORM_BOUND = np.finfo(float).max / 4
+# How far _norm_bracket widens its bounds, so that they also hold for the
+# norm hierarchy_norms computes. Forming H rounds each entry by at most
+# gamma_9 sum_k |c_k| |(G_k)_ij| (at most 9 terms, generator entries small
+# integers), so ||dH||_2 <= ||dH||_F <= gamma_9 sum_k |c_k| ||G_k||_F
+# <= gamma_9 sqrt(72) ||H||_F / sqrt(8) <= 1e-14 ||H||_2 (Cauchy-Schwarz over
+# the 9 terms). eigvalsh is backward stable: its eigenvalues are those of
+# some H + E with ||E||_2 <= p(8) u ||H||_2, about 6e-14 ||H||_2 even for
+# p(n) = n^3; Weyl's inequality moves each eigenvalue, and so the norm, by at
+# most ||dH||_2 + ||E||_2. The bounds themselves round in a few ulps. A
+# relative 1e-9 covers all of it 10^4 times over. Below the normal range
+# rounding is absolute, a few multiples of 5e-324 in each entry, eigenvalue
+# and bound; the absolute widening by the smallest normal float covers that.
+_BRACKET_MARGIN = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 def model_values(p: SpinModelParams) -> tuple:
@@ -286,19 +309,67 @@ def hierarchy_norms(coefficients: np.ndarray) -> np.ndarray:
     return np.where(finite & np.isfinite(norms), norms, np.nan)
 
 
-def _hierarchy_overflows(coefficients: np.ndarray) -> np.ndarray:
-    """Whether each coefficient row's :func:`hierarchy_norms` entry is NaN.
+def _triangle_bound(coefficients: np.ndarray) -> np.ndarray:
+    """``sum_k |c_k| ||G_k||_2`` over the hierarchy terms of each coefficient
+    row: the triangle-inequality bound on its :func:`hierarchy_norms` entry.
+    Overflows to inf silently under the caller's ``np.errstate``."""
+    return np.abs(coefficients[:, _HIERARCHY_TERMS]) @ _GENERATOR_NORMS[_HIERARCHY_TERMS]
 
-    The norm is at most ``sum_k |c_k| ||G_k||`` over the hierarchy terms. A
-    row whose bound stays below a quarter of the float64 maximum cannot
-    overflow; only the other rows get the eigenvalues.
+
+def _norm_bracket(coefficients: np.ndarray) -> tuple:
+    """``(lower, upper)``: bounds on the :func:`hierarchy_norms` entry of each
+    coefficient row, from its coefficients alone.
+
+    With ``||H||_F / sqrt(8) = sqrt(sum_k w_k c_k^2)`` (see ``_ROOT_WEIGHTS``),
+    ``||H||_F / sqrt(8) <= ||H||_2 <= min(sum_k |c_k| ||G_k||_2, ||H||_F)``
+    (Golub & Van Loan, *Matrix Computations*, section 2.3), and both bounds
+    are widened by ``_BRACKET_MARGIN``, so that they hold for the computed
+    norm too. A row with a coefficient near the float64 maximum or beyond it
+    gets an infinite or NaN upper bound.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.abs(coefficients[:, _HIERARCHY_TERMS]) @ _GENERATOR_NORMS[_HIERARCHY_TERMS]
-    unsure = ~(bound <= _SAFE_NORM_BOUND)  # NaN too
+        lower = np.hypot.reduce(coefficients[:, _HIERARCHY_TERMS] * _ROOT_WEIGHTS, axis=1)
+        upper = np.minimum(_triangle_bound(coefficients), math.sqrt(_DIM) * lower)
+        return lower * (1.0 - _BRACKET_MARGIN) - _TINY, upper * (1.0 + _BRACKET_MARGIN) + _TINY
+
+
+def _unsettled_norms(coefficients: np.ndarray, tunnel: TunnelParams | None = None,
+                     threshold: float | None = None) -> tuple:
+    """``(rows, norms)``: the indices of the coefficient rows whose hierarchy
+    check the norm bracket (``_norm_bracket``) cannot settle, and their
+    :func:`hierarchy_norms` entries, computed only when there are such rows.
+
+    A row is settled when its upper bound is below ``_SAFE_NORM_BOUND``, so
+    that its Hamiltonian cannot overflow, and, with a ``threshold``, when the
+    bracket alone gives both ratios of ``_time_scales`` on ``tunnel`` at or
+    above it: ``ratio_dyn_res`` of the upper bound and ``ratio_non_dyn`` of
+    the lower. The first never rises and the second never falls as the norm
+    grows, rounding included, so the row's exact norm satisfies the threshold
+    too. Only the other rows can overflow or fail the threshold. Without a
+    threshold only an overflow is to be ruled out, and the triangle half of
+    the upper bound (``_triangle_bound``) rules it out at the cost of one
+    product; the rest of the bracket is computed for a threshold alone.
+    """
+    if threshold is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            settled = _triangle_bound(coefficients) < _SAFE_NORM_BOUND  # NaN is unsettled too
+    else:
+        lower, upper = _norm_bracket(coefficients)
+        n = len(coefficients)
+        bounds = _time_scales(np.concatenate((upper, lower)), tunnel, threshold)
+        settled = ((upper < _SAFE_NORM_BOUND) & (bounds.ratio_dyn_res[:n] >= threshold)
+                   & (bounds.ratio_non_dyn[n:] >= threshold))
+    rows = np.flatnonzero(~settled)
+    return rows, hierarchy_norms(coefficients[rows]) if len(rows) else np.empty(0)
+
+
+def _hierarchy_overflows(coefficients: np.ndarray) -> np.ndarray:
+    """Whether each coefficient row's :func:`hierarchy_norms` entry is NaN:
+    the threshold-free case of ``_unsettled_norms``, whose settled rows
+    cannot overflow."""
+    rows, norms = _unsettled_norms(coefficients)
     overflows = np.zeros(len(coefficients), dtype=bool)
-    if unsure.any():
-        overflows[unsure] = np.isnan(hierarchy_norms(coefficients[unsure]))
+    overflows[rows[np.isnan(norms)]] = True
     return overflows
 
 

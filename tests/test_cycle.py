@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +24,17 @@ from spinturnstile.cycle import (
     setting_instruments,
     transfer_matrices,
 )
-from spinturnstile.model import SpinModelParams, TunnelParams, build_total_hamiltonian
+from spinturnstile.config import parse_config
+from spinturnstile.model import (
+    _OVERFLOW_ERROR,
+    SpinModelParams,
+    TunnelParams,
+    build_total_hamiltonian,
+    gamma_rate,
+    hierarchy_norms,
+    model_coefficients,
+    model_values,
+)
 
 from oracles import (
     ancilla_state,
@@ -621,3 +632,87 @@ class TestSettingInstruments:
         assert [len(b.errors) for b in blocks] == [BLOCK_ROWS] * 7 + [500 - 7 * BLOCK_ROWS]
         assert [len(keys) for keys in calls] == [10] * len(blocks)
         assert all(len(set(keys)) == 10 for keys in calls)
+
+
+class TestHierarchyNormCalls:
+    """The eigenvalues of the hierarchy check are paid only for the rows whose
+    coefficient norm bracket cannot settle it (``model._unsettled_norms``)."""
+
+    @pytest.fixture
+    def norm_rows(self, monkeypatch):
+        """Route ``hierarchy_norms`` through a recorder, wherever the package
+        calls it from; the returned list gets, per call, the coefficient rows
+        it received."""
+        from spinturnstile import model
+
+        calls = []
+
+        def recording(coefficients):
+            calls.append(coefficients.tolist())
+            return hierarchy_norms(coefficients)
+
+        for module in (model, cycle):
+            monkeypatch.setattr(module, "hierarchy_norms", recording, raising=False)
+        return calls
+
+    @staticmethod
+    def sweep_config(models, times):
+        """A sweep document of default leads, one setting per (model, time)."""
+        return parse_config({"sweep": {"settings": [
+            {"u_left": {"direction": [0.0, 0.0, 1.0]}, "u_right": {"direction": [1.0, 0.0, 0.0]},
+             "t_interact_s": t, "model": m}
+            for m, t in zip(models, times)]}})
+
+    @staticmethod
+    def instruments(cfg):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            blocks = list(setting_instruments(cfg.sweep_settings, cfg.model, cfg.tunnel, cfg.detection_c,
+                                              threshold=cfg.hierarchy_threshold))
+        return blocks, [w for w in caught if w.category is HierarchyWarning]
+
+    def test_benchmark_range_grid_needs_no_eigenvalues(self, norm_rows):
+        # 200 settings drawn as the benchmark's setting_grid draws them:
+        # couplings log-uniform over 2e5-5e6 rad/s, times over 1e-7-1e-5 s
+        rng = np.random.default_rng(2029)
+        models = [dict(zip(("exchange_per_s", "hyperfine_gate_per_s", "hyperfine_ancilla_per_s"),
+                           np.exp(rng.uniform(np.log(2e5), np.log(5e6), size=3)).tolist()))
+                  for _ in range(200)]
+        times = np.exp(rng.uniform(np.log(1e-7), np.log(1e-5), size=200)).tolist()
+        blocks, caught = self.instruments(self.sweep_config(models, times))
+        assert sum(len(b.errors) for b in blocks) == 200 and not caught
+        assert all(e is None for b in blocks for e in b.errors)
+        assert norm_rows == []
+
+    def test_only_unsettled_rows_get_eigenvalues(self, norm_rows):
+        # settled rows among rows the bracket cannot settle: a zero, a weak
+        # and a huge Hamiltonian (they fail the threshold), an overflowing
+        # one, and a lone gate hyperfine whose exact ratio_non_dyn passes (130
+        # against 100) while its lower bound, sqrt(3) below the norm, cannot
+        tunnel = parse_config({}).tunnel
+        tau_non = 1.0 / gamma_rate(tunnel.detuning, tunnel)
+        zero = dict.fromkeys(("exchange_per_s", "hyperfine_gate_per_s", "hyperfine_ancilla_per_s",
+                              "g_nuclear"), 0.0)
+        pool = [({}, "settled"), (dict(exchange_per_s=3e6), "settled"), (zero, "warns"),
+                (dict(zero, exchange_per_s=1e2), "warns"), (dict(exchange_per_s=1e300), "warns"),
+                (dict(zero, hyperfine_gate_per_s=130 * 2 * math.pi / (3 * tau_non)), "passes"),
+                (dict(exchange_per_s=1e308, hyperfine_gate_per_s=1e308), "overflows")]
+        models, kinds = zip(*(pool[k % len(pool)] for k in range(2 * BLOCK_ROWS + 3)))
+        cfg = self.sweep_config(models, [1e-6] * len(models))
+        blocks, caught = self.instruments(cfg)
+        coefficients = model_coefficients([model_values(cfg.model) if m is None else m
+                                           for m in cfg.sweep_settings.models])
+        unsettled = [i for i, kind in enumerate(kinds) if kind != "settled"]
+        assert [row for call in norm_rows for row in call] == coefficients[unsettled].tolist()
+        assert len(norm_rows) == len(blocks)
+        assert len(caught) == kinds.count("warns")
+        errors = [e for b in blocks for e in b.errors]
+        assert [e == _OVERFLOW_ERROR for e in errors] == [kind == "overflows" for kind in kinds]
+
+    def test_rates_gets_the_exact_norm(self, norm_rows, tmp_path):
+        from spinturnstile.cli import EXIT_OK, main
+
+        config, out = tmp_path / "c.json", tmp_path / "out.csv"
+        config.write_text("{}")
+        assert main(["rates", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert norm_rows == [model_coefficients([model_values(parse_config({}).model)]).tolist()]

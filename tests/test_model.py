@@ -222,6 +222,14 @@ class TestCharacteristicTimes:
         stack = model._GENERATORS.reshape(13, 8, 8)
         assert np.array_equal(model._GENERATOR_NORMS, np.abs(np.linalg.eigvalsh(stack)).max(axis=1))
 
+    def test_norm_bracket_weighs_each_term_by_its_frobenius_norm(self):
+        # _norm_bracket's sqrt(sum_k w_k c_k^2) is ||H||_F / sqrt(8) because
+        # the hierarchy generators are orthogonal under tr(A^dag B)
+        stack = model._GENERATORS[model._HIERARCHY_TERMS]
+        weights = [1.0] * 6 + [3.0] * 3
+        assert np.array_equal(stack.conj() @ stack.T / 8, np.diag(weights))
+        assert model._ROOT_WEIGHTS ** 2 == pytest.approx(weights, rel=1e-15)
+
     def test_satisfied_definition(self):
         report = characteristic_times(self.nuclear_only(), TunnelParams(), threshold=100.0)
         expect = report.ratio_dyn_res >= 100.0 and report.ratio_non_dyn >= 100.0

@@ -30,8 +30,10 @@ from spinturnstile.config import (
     resolved_json,
 )
 from spinturnstile.constants import G_NUCLEAR_P31, STRUCTURAL_TOL
+from spinturnstile import cycle
 from spinturnstile.cycle import (
     BLOCK_ROWS,
+    HierarchyWarning,
     MeasurementSetting,
     setting_instrument,
     setting_instruments,
@@ -52,8 +54,11 @@ from spinturnstile.experiment import (
 from spinturnstile.model import (
     SpinModelParams,
     TunnelParams,
+    _OVERFLOW_ERROR,
     _hierarchy_overflows,
+    _norm_bracket,
     _time_scales,
+    _unsettled_norms,
     build_total_hamiltonian,
     hierarchy_norms,
     model_coefficients,
@@ -938,3 +943,107 @@ coefficient_values = with_edges([0.0, 5e-324, 1e307, -6e307, 1e308, -1.7e308, ma
 def test_overflow_bound_agrees_with_the_eigenvalues(rows):
     coefficients = np.array(rows)
     assert np.array_equal(_hierarchy_overflows(coefficients), np.isnan(hierarchy_norms(coefficients)))
+
+
+# finite values of either sign, their exponent uniform from subnormal to huge
+log_uniform_values = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-320.0, 300.0)).map(
+    lambda s: s[0] * 10.0 ** s[1])
+# how far a fitted tunnel puts a row's exact ratios from the threshold, as
+# a fraction of it: on both sides of the bracket's margin, and far from it
+ratio_slack = st.floats(-0.9, 10.0) | st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 3e-9, -3e-9, 1e-6, -1e-6])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(rows=st.lists(st.lists(st.just(0.0) | coefficient_values.filter(math.isfinite) | log_uniform_values,
+                              min_size=13, max_size=13), min_size=1, max_size=5),
+       exponent=st.floats(-300.0, 300.0) | st.none(),
+       threshold=st.floats(1.0, 1e6),
+       fitted=st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2), ratio_slack, ratio_slack)
+       | st.none(),
+       gamma0=with_edges([5e-324, 1e-300, 1e9], st.floats(5e-324, 1e300)),
+       interdot_sq=with_edges([0.0, 5e-324, 1e9], st.floats(0.0, 1e300)),
+       detuning=with_edges([0.0, 1e12, 1e300], st.floats(-1e300, 1e300)))
+def test_norm_bracket_is_sound(rows, exponent, threshold, fitted, gamma0, interdot_sq, detuning):
+    # the widened bracket holds the computed norm of every finite row that
+    # has one, and every row it settles is satisfied by its exact time
+    # scales. A fitted tunnel puts one row's ratios at threshold * (1 + slack),
+    # each that of its lower bound, its exact norm or its upper bound (so
+    # that the row settles, or just fails to): ratio_dyn_res = 2 pi
+    # interdot_sq / norm and ratio_non_dyn = norm / (2 pi gamma_rate(detuning)),
+    # with interdot_sq / gamma_rate(detuning) = 1 + (detuning / gamma0)^2. The
+    # drawn tunnels include vanishing rates.
+    # With an exponent, each row is scaled to the largest magnitude 10**exponent.
+    coefficients = np.array(rows)
+    if exponent is not None:
+        largest = np.abs(coefficients).max(axis=1, keepdims=True)
+        coefficients = coefficients / np.where(largest > 0.0, largest, 1.0) * 10.0 ** exponent
+    norms = hierarchy_norms(coefficients)
+    lower, upper = _norm_bracket(coefficients)
+    if fitted is not None:
+        k, fast, slow, dyn_res, non_dyn = fitted
+        ends = np.column_stack((lower, norms, upper))
+        ends = ends[((ends > 0.0) & (ends < math.inf)).all(axis=1)]
+        if len(ends):
+            fastest, slowest = float(ends[k % len(ends), fast]), float(ends[k % len(ends), slow])
+            fit = (threshold * (1.0 + dyn_res) * fastest / (2.0 * math.pi),
+                   gamma0 * math.sqrt(max(0.0, threshold ** 2 * (1.0 + dyn_res) * (1.0 + non_dyn)
+                                          * fastest / slowest - 1.0)))
+            if all(map(math.isfinite, fit)):
+                interdot_sq, detuning = fit
+    tunnel = TunnelParams(gamma0=gamma0, interdot_sq=interdot_sq, detuning=detuning)
+    known = ~np.isnan(norms)
+    assert (lower[known] <= norms[known]).all() and (norms[known] <= upper[known]).all()
+    unsettled, unsettled_norms = _unsettled_norms(coefficients, tunnel, threshold)
+    assert np.array_equal(unsettled_norms, norms[unsettled], equal_nan=True)
+    settled = np.ones(len(coefficients), dtype=bool)
+    settled[unsettled] = False
+    assert known[settled].all()
+    assert _time_scales(norms, tunnel, threshold).satisfied[settled].all()
+
+
+couplings = (st.sampled_from([0.0, 1e300, -1e300, 1e308])
+             | st.tuples(st.sampled_from([1.0, -1.0]), st.floats(2.0, 10.0)).map(lambda s: s[0] * 10.0 ** s[1]))
+override_models = st.none() | st.builds(
+    lambda j, gate, ancilla, bz: SpinModelParams(b_field=(0.0, 0.0, bz), g_nuclear=G_NUCLEAR_P31, exchange=j,
+                                                 hyperfine_gate=gate, hyperfine_ancilla=ancilla),
+    couplings, couplings, couplings, st.sampled_from([0.0, 0.01]))
+
+
+@PROPERTY_SETTINGS
+@given(models=st.lists(override_models, min_size=1, max_size=13),
+       t=st.sampled_from([0.0, 1e-7, 1e-6]),
+       threshold=st.floats(1.0, 1e4),
+       interdot_sq=st.sampled_from([1e9, 1e7, 0.0]),
+       detuning=st.sampled_from([1e12, 1e10]))
+def test_hierarchy_warnings_match_the_exact_route(models, t, threshold, interdot_sq, detuning):
+    # 4-row blocks, so that a grid spans several; the exact route computes
+    # hierarchy_norms on every row, and its messages come from the per-row
+    # oracle. Both give the same warnings, in order, and the same errors.
+    base = SpinModelParams(b_field=(0.0, 0.0, 0.01), g_nuclear=G_NUCLEAR_P31, hyperfine_gate=2e6,
+                           hyperfine_ancilla=1.1e6, exchange=7e5)
+    tunnel = TunnelParams(interdot_sq=interdot_sq, detuning=detuning)
+    settings_ = [MeasurementSetting((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), t, model=m) for m in models]
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            errors = [b.errors for b in setting_instruments(settings_, base, tunnel, 1.0, threshold=threshold)]
+        assert all(w.category is HierarchyWarning for w in caught)
+        return errors, [str(w.message) for w in caught]
+
+    norms = hierarchy_norms(model_coefficients([model_values(m or base) for m in models]))
+    expected = []
+    for norm in norms:
+        report = hierarchy_report(norm, tunnel, threshold)
+        if not (math.isnan(norm) or report.satisfied):
+            expected.append("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+                            f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycle, "BLOCK_ROWS", 4)
+        errors, messages = run()
+        patch.setattr(cycle, "_unsettled_norms", lambda c, *_: (np.arange(len(c)), hierarchy_norms(c)))
+        exact_errors, exact_messages = run()
+    assert messages == exact_messages == expected
+    assert errors == exact_errors
+    assert [len(e) for e in errors] == [4] * ((len(models) - 1) // 4) + [(len(models) - 1) % 4 + 1]
+    assert [e == _OVERFLOW_ERROR for block in errors for e in block] == np.isnan(norms).tolist()
