@@ -3,10 +3,10 @@
 A run configuration is a single JSON document with explicit unit-bearing
 field names (``_per_s`` for rates and angular frequencies, ``_s`` for times,
 ``_tesla`` for fields). Parsing applies documented defaults, rejects unknown
-keys, and reports semantic violations with the full field path. The model,
-tunnel, lead and experiment sections are each stated once, as a field table
-of their keys, defaults and resolved form; the tunnel and experiment tables
-also give the readers that check their fields. Models and leads are checked
+keys, and reports semantic violations with the full field path. One schema,
+``_ROOT_FIELDS``, lists the root's sections in document order, each as a
+field table of its keys, defaults, readers and resolved form;
+:func:`_parse_section` reads every section by its table. Models and leads are checked
 along one route: a walk checks only objects, keys, axis names and lengths
 and gathers the numbers, whose types, finiteness and bounds, lead norms and
 derived exchange one stacked pass then checks, reporting the first bad field
@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from functools import partial
-from operator import attrgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -201,8 +201,8 @@ def _as_direction(value, path: str) -> tuple:
 
 # Section field tables: JSON key -> (record field, default[, reader]). Each
 # table gives its section's keys, their order in the resolved configuration
-# and their defaults. The tunnel and experiment tables give their checks as
-# readers; a model's numbers and a lead's are checked stacked (_checked).
+# and their defaults. A field without a reader is kept as given for its own
+# route: a model's numbers and a lead's are checked stacked (_checked).
 _MODEL_FIELDS = {
     "b_field_tesla": ("b_field", (0.0, 0.0, 0.01)),
     "g_electron": ("g_electron", 0.0),
@@ -216,34 +216,18 @@ _MODEL_FIELDS = {
     "level_offset_per_s": ("level_offset", 0.0),
 }
 
-_TUNNEL_FIELDS = {
-    "gamma0_per_s": ("gamma0", TunnelParams.gamma0, _as_float),
-    "interdot_sq_per_s": ("interdot_sq", TunnelParams.interdot_sq, _as_float),
-    "detuning_per_s": ("detuning", TunnelParams.detuning, _as_float),
-    "tau_detect_s": ("tau_detect", TunnelParams.tau_detect, _as_float),
-    "tau_cycle_s": ("tau_cycle", TunnelParams.tau_cycle, _as_float),
-}
-
 _LEAD_FIELDS = {
     "direction": ("direction", _AXES["z"]),
     "magnitude": ("magnitude", 1.0),
 }
 
-_EXPERIMENT_FIELDS = {
-    # numpy's binomial sampler takes counts up to the int64 maximum.
-    "n_cycles": ("n_cycles", 100_000, partial(_as_int, minimum=1, maximum=2**63 - 1)),
-    # the range derive_setting_seeds mixes, so that no two seeds give one run
-    "seed": ("seed", 12345, partial(_as_int, minimum=0, maximum=MASTER_SEED_MAX)),
-    "mode": ("mode", "refresh", partial(_as_choice, choices={"refresh", "propagate"})),
-}
-
 
 def _parse_section(obj, path: str, cls, fields: dict):
     """Build ``cls`` from the JSON object at ``path``: each key of ``fields``
-    that ``obj`` gives is read and checked; every other field comes from the
-    table."""
+    that ``obj`` gives is read and checked by its reader, or kept as given
+    when it has none; every other field comes from the table."""
     obj = _as_object(obj, path, fields)
-    values = {attr: read(obj[key], f"{path}.{key}") if key in obj else default
+    values = {attr: (read(obj[key], f"{path}.{key}") if read else obj[key]) if key in obj else default
               for key, (attr, default, read) in fields.items()}
     try:
         return cls(**values)
@@ -414,10 +398,10 @@ def _checked(values: list, path_of, width: int = _WIDTH, checks_of=_row_checks) 
     return values, x
 
 
-def _parse_model(obj) -> SpinModelParams:
+def _parse_model(obj, path: str) -> SpinModelParams:
     """The run's model: its section walked over the table's defaults and
     checked as one row by the checks of a model override."""
-    values, _ = _checked(_walk_model(obj, _MODEL_DEFAULTS, lambda i: "", 0, "model"), lambda i: "model",
+    values, _ = _checked(_walk_model(obj, _MODEL_DEFAULTS, lambda i: "", 0, path), lambda i: path,
                          len(_MODEL_DEFAULTS), _model_checks)
     return SpinModelParams(tuple(values[:3]), *values[3:])
 
@@ -461,6 +445,77 @@ def _parse_settings(objs, path_of, default: SettingGrid | None, base_model: Spin
                        given_right=tuple((tuple(values[k + 4:k + 7]), values[k + 7]) for k in rows))
 
 
+# The keys of GateStateSpec's fields, in its order.
+_GATE_KEYS = ("preset", "theta_single_spin", "theta_two_spin")
+
+
+def _parse_gate_state(obj, path: str) -> GateStateSpec:
+    obj = _as_object(obj, path, _GATE_KEYS)
+    given = [k for k in _GATE_KEYS if k in obj]
+    if len(given) != 1:
+        raise ConfigValidationError(
+            path, "exactly one of preset/theta_single_spin/theta_two_spin is required"
+        )
+    if "preset" in obj:
+        name = _as_choice(obj["preset"], f"{path}.preset", set(GATE_PRESETS))
+        return GateStateSpec(preset=name)
+    key = given[0]
+    want = n_parameters(SINGLE_SPIN if key == "theta_single_spin" else TWO_SPIN)
+    raw = obj[key]
+    if not isinstance(raw, list) or len(raw) != want:
+        raise ConfigValidationError(f"{path}.{key}", f"expected an array of {want} numbers")
+    theta = tuple(_as_float(v, f"{path}.{key}[{i}]") for i, v in enumerate(raw))
+    spec = GateStateSpec(*(theta if k == key else None for k in _GATE_KEYS))
+    if not is_physical(spec.theta_two_spin(), TWO_SPIN):
+        raise ConfigValidationError(f"{path}.{key}", "parameters give an unphysical state")
+    return spec
+
+
+# The schema: the root's keys in document order, each -> (RunConfig field,
+# default, reader), a section's reader being its field table. A section whose
+# fields are the RunConfig's own names no RunConfig field; the schedule's
+# time and the leads become the run's setting.
+_ROOT_FIELDS = {
+    "model": ("model", {}, _parse_model),
+    "tunnel": ("tunnel", {}, {
+        "gamma0_per_s": ("gamma0", TunnelParams.gamma0, _as_float),
+        "interdot_sq_per_s": ("interdot_sq", TunnelParams.interdot_sq, _as_float),
+        "detuning_per_s": ("detuning", TunnelParams.detuning, _as_float),
+        "tau_detect_s": ("tau_detect", TunnelParams.tau_detect, _as_float),
+        "tau_cycle_s": ("tau_cycle", TunnelParams.tau_cycle, _as_float),
+    }),
+    "schedule": (None, {}, {
+        "t_interact_s": ("t_interact", 1.0e-6, partial(_as_float, minimum=0.0)),
+        "include_gate_hamiltonian": ("include_gate_hamiltonian", True, _as_bool),
+    }),
+    "leads": (None, {}, {"u_left": ("u_left", {}, None), "u_right": ("u_right", {}, None)}),
+    "detection": (None, {}, {"c": ("detection_c", 1.0, partial(_as_float, minimum=0.0))}),
+    "gate_state": ("gate_state", {"preset": "maximally_mixed"}, _parse_gate_state),
+    "experiment": ("experiment", {}, {
+        # numpy's binomial sampler takes counts up to the int64 maximum.
+        "n_cycles": ("n_cycles", 100_000, partial(_as_int, minimum=1, maximum=2**63 - 1)),
+        # the range derive_setting_seeds mixes, so that no two seeds give one run
+        "seed": ("seed", 12345, partial(_as_int, minimum=0, maximum=MASTER_SEED_MAX)),
+        "mode": ("mode", "refresh", partial(_as_choice, choices={"refresh", "propagate"})),
+    }),
+    "hierarchy_threshold": ("hierarchy_threshold", HIERARCHY_THRESHOLD, partial(_as_float, minimum=1.0)),
+    "sweep": (None, {}, {"settings": ("sweep_settings", None, None)}),
+    "tomography": ("tomography", {}, {
+        "mode": ("mode", SINGLE_SPIN, partial(_as_choice, choices={SINGLE_SPIN, TWO_SPIN})),
+        "noise": ("noise", "none", partial(_as_choice, choices={"none", "shot"})),
+        "settings": ("settings", None, None),
+    }),
+}
+
+
+def _read(root: dict, key: str, cls=dict):
+    """The root's ``key``, given or its default, read by its row of the
+    schema: a section by its field table into ``cls``, a value by its reader."""
+    _, default, read = _ROOT_FIELDS[key]
+    value = root.get(key, default)
+    return _parse_section(value, key, cls, read) if isinstance(read, dict) else read(value, key)
+
+
 def parse_config(data) -> RunConfig:
     """Parse and validate a configuration document.
 
@@ -485,34 +540,19 @@ def parse_config(data) -> RunConfig:
         except ValueError as exc:  # the one other: an integer past int's digit limit
             raise ConfigSyntaxError("invalid JSON: an integer of more than "
                                     f"{sys.get_int_max_str_digits()} digits") from exc
-    root = _as_object(data, "", {"model", "tunnel", "schedule", "leads", "detection", "gate_state",
-                                 "experiment", "hierarchy_threshold", "sweep", "tomography"})
-
-    model = _parse_model(root.get("model", {}))
-    tunnel = _parse_section(root.get("tunnel", {}), "tunnel", TunnelParams, _TUNNEL_FIELDS)
-
-    sched = _as_object(root.get("schedule", {}), "schedule", {"t_interact_s", "include_gate_hamiltonian"})
-    t_interact = _as_float(sched.get("t_interact_s", 1.0e-6), "schedule.t_interact_s", minimum=0.0)
-    include_gate_hamiltonian = _as_bool(sched.get("include_gate_hamiltonian", True),
-                                        "schedule.include_gate_hamiltonian")
-
-    leads = _as_object(root.get("leads", {}), "leads", {"u_left", "u_right"})
+    root = _as_object(data, "", _ROOT_FIELDS)
+    model = _read(root, "model")
+    tunnel = _read(root, "tunnel", TunnelParams)
+    run = _read(root, "schedule")  # the RunConfig's own fields, and the run's time
     # the run's own setting: a one-row grid of the given leads and time
-    setting = _parse_settings([{"u_left": leads.get("u_left", {}), "u_right": leads.get("u_right", {}),
-                                "t_interact_s": t_interact}], lambda i: "leads", None, model)
+    setting = _parse_settings([{**_read(root, "leads"), "t_interact_s": run.pop("t_interact")}],
+                              lambda i: "leads", None, model)
+    run.update(_read(root, "detection"))
+    gate_state = _read(root, "gate_state")
+    experiment = _read(root, "experiment", ExperimentSpec)
+    threshold = _read(root, "hierarchy_threshold")
 
-    det = _as_object(root.get("detection", {}), "detection", {"c"})
-    detection_c = _as_float(det.get("c", 1.0), "detection.c", minimum=0.0)
-
-    gate_state = _parse_gate_state(root.get("gate_state", {"preset": "maximally_mixed"}))
-
-    experiment = _parse_section(root.get("experiment", {}), "experiment", ExperimentSpec,
-                                _EXPERIMENT_FIELDS)
-
-    threshold = _as_float(root.get("hierarchy_threshold", HIERARCHY_THRESHOLD), "hierarchy_threshold", minimum=1.0)
-
-    def parse_settings(block: dict, path: str) -> SettingGrid:
-        raw = block.get("settings")
+    def parse_settings(raw, path: str) -> SettingGrid:
         if raw is None:
             # Default grid: the run's setting with the right-lead axis swept over x, y, z.
             raw = [{"u_right": {"direction": _AXES[ax], "magnitude": setting.given_right[0][1]}}
@@ -521,54 +561,23 @@ def parse_config(data) -> RunConfig:
             raise ConfigValidationError(f"{path}.settings", "expected a nonempty array")
         return _parse_settings(raw, lambda i: f"{path}.settings[{i}]", setting, model)
 
-    sweep = _as_object(root.get("sweep", {}), "sweep", {"settings"})
-    sweep_settings = parse_settings(sweep, "sweep")
-
-    tomo = _as_object(root.get("tomography", {}), "tomography", {"mode", "noise", "settings"})
-    tomo_mode = _as_choice(tomo.get("mode", SINGLE_SPIN), "tomography.mode", {SINGLE_SPIN, TWO_SPIN})
-    tomo_noise = _as_choice(tomo.get("noise", "none"), "tomography.noise", {"none", "shot"})
-    tomography = TomographySpec(mode=tomo_mode, noise=tomo_noise, settings=parse_settings(tomo, "tomography"))
-
-    return RunConfig(model=model, tunnel=tunnel, setting=setting,
-                     include_gate_hamiltonian=include_gate_hamiltonian, detection_c=detection_c,
-                     gate_state=gate_state, experiment=experiment, hierarchy_threshold=threshold,
-                     sweep_settings=sweep_settings, tomography=tomography)
-
-
-def _parse_gate_state(obj) -> GateStateSpec:
-    obj = _as_object(obj, "gate_state", {"preset", "theta_single_spin", "theta_two_spin"})
-    given = [k for k in ("preset", "theta_single_spin", "theta_two_spin") if k in obj]
-    if len(given) != 1:
-        raise ConfigValidationError(
-            "gate_state", "exactly one of preset/theta_single_spin/theta_two_spin is required"
-        )
-    if "preset" in obj:
-        name = _as_choice(obj["preset"], "gate_state.preset", set(GATE_PRESETS))
-        return GateStateSpec(preset=name)
-    key = given[0]
-    mode = SINGLE_SPIN if key == "theta_single_spin" else TWO_SPIN
-    want = n_parameters(mode)
-    raw = obj[key]
-    if not isinstance(raw, list) or len(raw) != want:
-        raise ConfigValidationError(f"gate_state.{key}", f"expected an array of {want} numbers")
-    theta = tuple(_as_float(v, f"gate_state.{key}[{i}]") for i, v in enumerate(raw))
-    spec = (GateStateSpec(theta_single=theta) if mode == SINGLE_SPIN
-            else GateStateSpec(theta_two=theta))
-    if not is_physical(spec.theta_two_spin(), TWO_SPIN):
-        raise ConfigValidationError(f"gate_state.{key}", "parameters give an unphysical state")
-    return spec
+    run.update(_read(root, "sweep"))
+    run["sweep_settings"] = parse_settings(run["sweep_settings"], "sweep")
+    tomography = _read(root, "tomography")
+    tomography["settings"] = parse_settings(tomography["settings"], "tomography")
+    return RunConfig(model=model, tunnel=tunnel, setting=setting, gate_state=gate_state, experiment=experiment,
+                     hierarchy_threshold=threshold, tomography=TomographySpec(**tomography), **run)
 
 
 def _slot(default) -> str:
     """A field's slot in a section template, by the type of its default: a
-    vector is a list of one float slot per component."""
+    vector is a list of one float slot per component, and any other default
+    not a number or a word (a bool's, a section's) takes the JSON text."""
     if isinstance(default, tuple):
         return "[" + ",".join(["%.17g"] * len(default)) + "]"
     if isinstance(default, str):  # a choice among plain words
         return '"%s"'
-    if isinstance(default, int):
-        return "%d"
-    return "%.17g"
+    return {int: "%d", float: "%.17g"}.get(type(default), "%s")
 
 
 def _template(fields: dict, null: str | None = None) -> str:
@@ -579,18 +588,9 @@ def _template(fields: dict, null: str | None = None) -> str:
                           for key, (_, default, *_) in fields.items()) + "}"
 
 
-def _arguments(fields: dict):
-    """The function from a section's value to its template's arguments: the
-    field values in table order."""
-    return attrgetter(*(attr for attr, *_ in fields.values()))
-
-
 # A model's template takes its model_values.
 _LEAD_TEMPLATE = _template(_LEAD_FIELDS)
 _MODEL_TEMPLATES = (_template(_MODEL_FIELDS), _template(_MODEL_FIELDS, null="exchange_per_s"))
-_TUNNEL_TEMPLATE, _tunnel_arguments = _template(_TUNNEL_FIELDS), _arguments(_TUNNEL_FIELDS)
-_EXPERIMENT_TEMPLATE = _template(_EXPERIMENT_FIELDS)
-_experiment_arguments = _arguments(_EXPERIMENT_FIELDS)
 
 # A setting's template without a model override, then with one whose
 # exchange is a float and with one whose exchange is null.
@@ -612,39 +612,37 @@ def _settings_json(grid: SettingGrid) -> str:
     return "[" + ",".join(texts) + "]"
 
 
-# The resolved configuration around its sections' texts. The names of
-# presets and choices are plain words, written between quotes as they are.
-_RESOLVED_TEMPLATE = (
-    '{"model":%s,"tunnel":%s,"schedule":{"t_interact_s":%.17g,"include_gate_hamiltonian":%s},'
-    '"leads":{"u_left":%s,"u_right":%s},"detection":{"c":%.17g},"gate_state":{"%s":%s},'
-    '"experiment":%s,"hierarchy_threshold":%.17g,"sweep":{"settings":%s},'
-    '"tomography":{"mode":"%s","noise":"%s","settings":%s}}'
-)
+def _section_json(fields: dict, value) -> str:
+    """A section's JSON text: its template filled with the fields of ``value``,
+    a field whose reader is a table by that table (from ``value`` itself when
+    it names no field), a bool as true or false and a grid as its array."""
+    args = []
+    for attr, _, read in fields.values():
+        field = value if attr is None else getattr(value, attr)
+        if isinstance(read, dict):
+            field = _section_json(read, field)
+        elif type(field) is bool:
+            field = "true" if field else "false"
+        elif isinstance(field, SettingGrid):
+            field = _settings_json(field)
+        args.append(field)
+    return _template(fields) % tuple(args)
 
 
 def resolved_json(cfg: RunConfig) -> str:
     """The configuration with all defaults applied, as compact JSON text in
     the schema's shape: keys in the field tables' order, each float at 17
-    significant digits (``-0.0`` as ``-0``) and a null exchange as ``null``.
+    significant digits (``-0.0`` as ``-0``), a null exchange as ``null`` and
+    the names of presets and choices, plain words, between quotes as they are.
     """
-    gate, setting = cfg.gate_state, cfg.setting
-    if gate.preset is not None:
-        gate_state = ("preset", f'"{gate.preset}"')
-    else:
-        key, theta = (("theta_single_spin", gate.theta_single) if gate.theta_single is not None
-                      else ("theta_two_spin", gate.theta_two))
-        gate_state = (key, "[" + ",".join(["%.17g"] * len(theta)) % theta + "]")
-    return _RESOLVED_TEMPLATE % (
-        _MODEL_TEMPLATES[cfg.model.exchange is None] % model_values(cfg.model),
-        _TUNNEL_TEMPLATE % _tunnel_arguments(cfg.tunnel),
-        setting.t_interact[0], "true" if cfg.include_gate_hamiltonian else "false",
-        _LEAD_TEMPLATE % (*setting.given_left[0][0], setting.given_left[0][1]),
-        _LEAD_TEMPLATE % (*setting.given_right[0][0], setting.given_right[0][1]),
-        cfg.detection_c, *gate_state,
-        _EXPERIMENT_TEMPLATE % _experiment_arguments(cfg.experiment), cfg.hierarchy_threshold,
-        _settings_json(cfg.sweep_settings),
-        cfg.tomography.mode, cfg.tomography.noise, _settings_json(cfg.tomography.settings),
-    )
+    key, value = next(item for item in zip(_GATE_KEYS, cfg.gate_state) if item[1] is not None)
+    value = f'"{value}"' if key == "preset" else "[" + ",".join(["%.17g"] * len(value)) % value + "]"
+    (left, left_m), (right, right_m) = cfg.setting.given_left[0], cfg.setting.given_right[0]
+    # the run's setting gives the schedule its time and the leads their texts
+    return _section_json(_ROOT_FIELDS, SimpleNamespace(**{
+        **cfg._asdict(), "model": _MODEL_TEMPLATES[cfg.model.exchange is None] % model_values(cfg.model),
+        "gate_state": f'{{"{key}":{value}}}', "t_interact": cfg.setting.t_interact[0],
+        "u_left": _LEAD_TEMPLATE % (*left, left_m), "u_right": _LEAD_TEMPLATE % (*right, right_m)}))
 
 
 def config_digest(raw: bytes) -> str:

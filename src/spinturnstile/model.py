@@ -102,8 +102,13 @@ class SpinModelParams:
             electrons, rad/s. ``None`` means derive it from ``hopping`` and
             ``coulomb_u`` as the superexchange ``4 t^2 / U``, which
             :func:`model_coefficients` computes.
-        level_offset: scalar offset of the donor level, rad/s. Pure phase; it
-            has no observable effect and is retained for completeness.
+        level_offset: scalar offset of the donor level, rad/s. A global phase
+            in principle, but it enters the Hamiltonian as its identity term,
+            so it takes part in every propagator's eigendecomposition and
+            phase check: at 1e13 rad/s ``pr_pulse`` moves by 3e-10 relative,
+            and from about 1e19 rad/s the phase check rejects the run.
+            ROADMAP.md plans to take the term out ("The level offset leaves
+            the Hamiltonian").
     """
 
     b_field: tuple = (0.0, 0.0, 0.0)
@@ -361,16 +366,6 @@ def _unsettled_norms(coefficients: np.ndarray, tunnel: TunnelParams | None = Non
                    & (bounds.ratio_non_dyn[n:] >= threshold))
     rows = np.flatnonzero(~settled)
     return rows, hierarchy_norms(coefficients[rows]) if len(rows) else np.empty(0)
-
-
-def _hierarchy_overflows(coefficients: np.ndarray) -> np.ndarray:
-    """Whether each coefficient row's :func:`hierarchy_norms` entry is NaN:
-    the threshold-free case of ``_unsettled_norms``, whose settled rows
-    cannot overflow."""
-    rows, norms = _unsettled_norms(coefficients)
-    overflows = np.zeros(len(coefficients), dtype=bool)
-    overflows[rows[np.isnan(norms)]] = True
-    return overflows
 
 
 def build_total_hamiltonian(p: SpinModelParams, include_gate_hamiltonian: bool = True) -> np.ndarray:

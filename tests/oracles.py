@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -454,10 +455,16 @@ def render_csv_by_writer(table) -> bytes:
 
 
 def _section_dict(value, fields: dict) -> dict:
-    """The resolved JSON object of a configuration section, field by field."""
+    """The resolved JSON object of a configuration section, field by field: a
+    field whose reader is a table is that section's object (of ``value``
+    itself when it names no field), and a settings array its settings'."""
     out = {}
-    for key, (attr, *_) in fields.items():
-        item = getattr(value, attr)
+    for key, (attr, _, *read) in fields.items():
+        item = value if attr is None else getattr(value, attr)
+        if read and isinstance(read[0], dict):
+            item = _section_dict(item, read[0])
+        elif key == "settings":
+            item = [_setting_dict(s) for s in item]
         out[key] = list(item) if isinstance(item, tuple) else item
     return out
 
@@ -566,26 +573,19 @@ def reference_config(text: str):
     from spinturnstile import config as c
     from spinturnstile.model import SpinModelParams, TunnelParams
 
-    root = c._as_object(json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t)), "",
-                        {"model", "tunnel", "schedule", "leads", "detection", "gate_state", "experiment",
-                         "hierarchy_threshold", "sweep", "tomography"})
+    root = c._as_object(json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t)), "", c._ROOT_FIELDS)
     model = c._parse_section(root.get("model", {}), "model", SpinModelParams, _reference_model_fields())
-    tunnel = c._parse_section(root.get("tunnel", {}), "tunnel", TunnelParams, c._TUNNEL_FIELDS)
-    sched = c._as_object(root.get("schedule", {}), "schedule", {"t_interact_s", "include_gate_hamiltonian"})
-    t_interact = c._as_float(sched.get("t_interact_s", 1.0e-6), "schedule.t_interact_s", minimum=0.0)
-    include = c._as_bool(sched.get("include_gate_hamiltonian", True), "schedule.include_gate_hamiltonian")
-    leads = c._as_object(root.get("leads", {}), "leads", {"u_left", "u_right"})
-    setting = ReferenceSetting(_reference_lead(leads.get("u_left", {}), "leads.u_left"),
-                               _reference_lead(leads.get("u_right", {}), "leads.u_right"), t_interact)
-    det = c._as_object(root.get("detection", {}), "detection", {"c"})
-    detection_c = c._as_float(det.get("c", 1.0), "detection.c", minimum=0.0)
-    gate_state = c._parse_gate_state(root.get("gate_state", {"preset": "maximally_mixed"}))
-    experiment = c._parse_section(root.get("experiment", {}), "experiment", c.ExperimentSpec,
-                                  c._EXPERIMENT_FIELDS)
-    threshold = c._as_float(root.get("hierarchy_threshold", 100.0), "hierarchy_threshold", minimum=1.0)
+    tunnel = c._read(root, "tunnel", TunnelParams)
+    run = c._read(root, "schedule")
+    leads = c._read(root, "leads")
+    setting = ReferenceSetting(_reference_lead(leads["u_left"], "leads.u_left"),
+                               _reference_lead(leads["u_right"], "leads.u_right"), run.pop("t_interact"))
+    run.update(c._read(root, "detection"))
+    gate_state = c._read(root, "gate_state")
+    experiment = c._read(root, "experiment", c.ExperimentSpec)
+    threshold = c._read(root, "hierarchy_threshold")
 
-    def settings(block: dict, path: str) -> tuple:
-        raw = block.get("settings")
+    def settings(raw, path: str) -> tuple:
         if raw is None:
             return tuple(setting._replace(u_right=ReferenceLead(
                 c._AXES[ax], setting.u_right.magnitude, reference_lead_norm(c._AXES[ax])))
@@ -595,16 +595,12 @@ def reference_config(text: str):
         return tuple(_reference_setting(s, f"{path}.settings[{i}]", setting, model)
                      for i, s in enumerate(raw))
 
-    sweep = c._as_object(root.get("sweep", {}), "sweep", {"settings"})
-    sweep_settings = settings(sweep, "sweep")
-    tomo = c._as_object(root.get("tomography", {}), "tomography", {"mode", "noise", "settings"})
-    mode = c._as_choice(tomo.get("mode", "single_spin"), "tomography.mode", {"single_spin", "two_spin"})
-    noise = c._as_choice(tomo.get("noise", "none"), "tomography.noise", {"none", "shot"})
-    tomography = c.TomographySpec(mode=mode, noise=noise, settings=settings(tomo, "tomography"))
-    return c.RunConfig(model=model, tunnel=tunnel, setting=setting, include_gate_hamiltonian=include,
-                       detection_c=detection_c, gate_state=gate_state, experiment=experiment,
-                       hierarchy_threshold=threshold, sweep_settings=sweep_settings,
-                       tomography=tomography)
+    run.update(c._read(root, "sweep"))
+    run["sweep_settings"] = settings(run["sweep_settings"], "sweep")
+    tomography = c._read(root, "tomography")
+    tomography["settings"] = settings(tomography["settings"], "tomography")
+    return c.RunConfig(model=model, tunnel=tunnel, setting=setting, gate_state=gate_state, experiment=experiment,
+                       hierarchy_threshold=threshold, tomography=c.TomographySpec(**tomography), **run)
 
 
 def _setting_dict(s) -> dict:
@@ -625,7 +621,7 @@ def resolved_dict(cfg) -> dict:
     schema-shaped dict, built value by value from the section field tables:
     the package's form before it wrote ``config.resolved_json`` from
     templates. ``json_scalar`` of it is that text."""
-    from spinturnstile.config import _EXPERIMENT_FIELDS, _LEAD_FIELDS, _MODEL_FIELDS, _TUNNEL_FIELDS
+    from spinturnstile.config import _LEAD_FIELDS, _MODEL_FIELDS, _ROOT_FIELDS
 
     gs: dict = {}
     if cfg.gate_state.preset is not None:
@@ -634,28 +630,10 @@ def resolved_dict(cfg) -> dict:
         gs["theta_single_spin"] = list(cfg.gate_state.theta_single)
     else:
         gs["theta_two_spin"] = list(cfg.gate_state.theta_two)
-    return {
-        "model": _section_dict(cfg.model, _MODEL_FIELDS),
-        "tunnel": _section_dict(cfg.tunnel, _TUNNEL_FIELDS),
-        "schedule": {
-            "t_interact_s": cfg.setting.t_interact,
-            "include_gate_hamiltonian": cfg.include_gate_hamiltonian,
-        },
-        "leads": {
-            "u_left": _section_dict(cfg.setting.u_left, _LEAD_FIELDS),
-            "u_right": _section_dict(cfg.setting.u_right, _LEAD_FIELDS),
-        },
-        "detection": {"c": cfg.detection_c},
-        "gate_state": gs,
-        "experiment": _section_dict(cfg.experiment, _EXPERIMENT_FIELDS),
-        "hierarchy_threshold": cfg.hierarchy_threshold,
-        "sweep": {"settings": [_setting_dict(s) for s in cfg.sweep_settings]},
-        "tomography": {
-            "mode": cfg.tomography.mode,
-            "noise": cfg.tomography.noise,
-            "settings": [_setting_dict(s) for s in cfg.tomography.settings],
-        },
-    }
+    return _section_dict(SimpleNamespace(**{
+        **cfg._asdict(), "model": _section_dict(cfg.model, _MODEL_FIELDS), "gate_state": gs,
+        "t_interact": cfg.setting.t_interact, "u_left": _section_dict(cfg.setting.u_left, _LEAD_FIELDS),
+        "u_right": _section_dict(cfg.setting.u_right, _LEAD_FIELDS)}), _ROOT_FIELDS)
 
 
 def setting_seed(master_seed: int, setting) -> int:

@@ -19,6 +19,7 @@ from spinturnstile.config import (
     ConfigValidationError,
     GATE_PRESETS,
     _MODEL_FIELDS,
+    _ROOT_FIELDS,
     config_digest,
     parse_config,
     resolved_json,
@@ -312,6 +313,59 @@ class TestParseConfig:
         raw = json.dumps(FULL).encode()
         assert config_digest(raw) == config_digest(raw)
         assert config_digest(raw) != config_digest(raw + b" ")
+
+
+# A valid value other than its default for each field that a section's table
+# reads with a reader, in table order, then for the root's
+# hierarchy_threshold (section None).
+NON_DEFAULT_FIELDS = [
+    ("tunnel", "gamma0_per_s", 2.5e9),
+    ("tunnel", "interdot_sq_per_s", 0.0),
+    ("tunnel", "detuning_per_s", -3.0e11),
+    ("tunnel", "tau_detect_s", 2.0e-10),
+    ("tunnel", "tau_cycle_s", 3.0e-6),
+    ("schedule", "t_interact_s", 2.5e-7),
+    ("schedule", "include_gate_hamiltonian", False),
+    ("detection", "c", 0.25),
+    ("experiment", "n_cycles", 7),
+    ("experiment", "seed", 0),
+    ("experiment", "mode", "propagate"),
+    ("tomography", "mode", "two_spin"),
+    ("tomography", "noise", "shot"),
+    (None, "hierarchy_threshold", 7.5),
+]
+
+
+class TestSchema:
+    def test_every_field_with_a_reader_has_a_case(self):
+        read = [(section, key) for section, (_, _, fields) in _ROOT_FIELDS.items() if isinstance(fields, dict)
+                for key, (_, _, reader) in fields.items() if reader is not None]
+        assert [(section, key) for section, key, _ in NON_DEFAULT_FIELDS] == read + [(None, "hierarchy_threshold")]
+
+    @pytest.mark.parametrize("section, key, value", NON_DEFAULT_FIELDS)
+    def test_a_given_field_is_echoed_at_its_key(self, section, key, value):
+        # a document that gives one field echoes it at its key, every section's
+        # keys in its table's order, and the echo parses to the same configuration
+        cfg = parse_config(json.dumps({key: value} if section is None else {section: {key: value}}))
+        text = resolved_json(cfg)
+        echo, default = json.loads(text), json.loads(resolved_json(parse_config(MINIMAL)))
+        assert list(echo) == list(_ROOT_FIELDS)
+        for name, (_, _, fields) in _ROOT_FIELDS.items():
+            if isinstance(fields, dict):
+                assert list(echo[name]) == list(fields)
+        if section is not None:
+            echo, default = echo[section], default[section]
+        assert echo[key] == value != default[key]
+        if isinstance(value, bool):
+            assert echo[key] is value and f'"{key}":{json.dumps(value)}' in text
+        assert parse_config(text) == cfg
+
+    @pytest.mark.parametrize("section", [key for key, (_, default, _) in _ROOT_FIELDS.items()
+                                         if isinstance(default, dict)])
+    def test_an_unknown_section_key_exits_3(self, tmp_path, capsys, section):
+        code, out = run_cli(tmp_path, "rates", {section: {"unknown_field": 1.0}})
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == f"error: {section}.unknown_field: unknown key\n"
 
 
 class TestResultTable:

@@ -218,7 +218,7 @@ class TestCharacteristicTimes:
         assert a.tau_dyn == pytest.approx(b.tau_dyn, rel=1e-12)
 
     def test_overflow_bound_weighs_each_term_by_its_norm(self):
-        # _hierarchy_overflows bounds the norm by sum_k |c_k| ||G_k||
+        # _triangle_bound bounds the norm by sum_k |c_k| ||G_k||
         stack = model._GENERATORS.reshape(13, 8, 8)
         assert np.array_equal(model._GENERATOR_NORMS, np.abs(np.linalg.eigvalsh(stack)).max(axis=1))
 

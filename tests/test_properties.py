@@ -55,7 +55,6 @@ from spinturnstile.model import (
     SpinModelParams,
     TunnelParams,
     _OVERFLOW_ERROR,
-    _hierarchy_overflows,
     _norm_bracket,
     _time_scales,
     _unsettled_norms,
@@ -938,16 +937,27 @@ coefficient_values = with_edges([0.0, 5e-324, 1e307, -6e307, 1e308, -1.7e308, ma
                                  math.nan], st.floats(-1e300, 1e300))
 
 
-@PROPERTY_SETTINGS
-@given(st.lists(st.lists(coefficient_values, min_size=13, max_size=13), min_size=1, max_size=5))
-def test_overflow_bound_agrees_with_the_eigenvalues(rows):
-    coefficients = np.array(rows)
-    assert np.array_equal(_hierarchy_overflows(coefficients), np.isnan(hierarchy_norms(coefficients)))
-
-
 # finite values of either sign, their exponent uniform from subnormal to huge
 log_uniform_values = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-320.0, 300.0)).map(
     lambda s: s[0] * 10.0 ** s[1])
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.lists(coefficient_values, min_size=13, max_size=13)
+                | st.lists(st.just(0.0) | log_uniform_values, min_size=13, max_size=13), min_size=1, max_size=5))
+# finite rows: one that overflows, and one that the bound cannot settle but does not overflow
+@example([[1e308] * 13, [1e308] + [0.0] * 12])
+def test_overflow_bound_agrees_with_the_eigenvalues(rows):
+    # without a threshold, _unsettled_norms computes the norm of every row
+    # that its triangle bound cannot clear of an overflow, so its NaN norms
+    # mark every overflowing row
+    coefficients = np.array(rows)
+    unsettled, norms = _unsettled_norms(coefficients)
+    overflows = np.zeros(len(coefficients), dtype=bool)
+    overflows[unsettled[np.isnan(norms)]] = True
+    assert np.array_equal(overflows, np.isnan(hierarchy_norms(coefficients)))
+
+
 # how far a fitted tunnel puts a row's exact ratios from the threshold, as
 # a fraction of it: on both sides of the bracket's margin, and far from it
 ratio_slack = st.floats(-0.9, 10.0) | st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 3e-9, -3e-9, 1e-6, -1e-6])
