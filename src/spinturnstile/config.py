@@ -588,6 +588,10 @@ def _template(fields: dict, null: str | None = None) -> str:
                           for key, (_, default, *_) in fields.items()) + "}"
 
 
+# The root's template, and each section table's by its root key.
+_ROOT_TEMPLATE = _template(_ROOT_FIELDS)
+_SECTION_TEMPLATES = {key: _template(read) for key, (_, _, read) in _ROOT_FIELDS.items() if isinstance(read, dict)}
+
 # A model's template takes its model_values.
 _LEAD_TEMPLATE = _template(_LEAD_FIELDS)
 _MODEL_TEMPLATES = (_template(_MODEL_FIELDS), _template(_MODEL_FIELDS, null="exchange_per_s"))
@@ -612,21 +616,22 @@ def _settings_json(grid: SettingGrid) -> str:
     return "[" + ",".join(texts) + "]"
 
 
-def _section_json(fields: dict, value) -> str:
-    """A section's JSON text: its template filled with the fields of ``value``,
-    a field whose reader is a table by that table (from ``value`` itself when
-    it names no field), a bool as true or false and a grid as its array."""
+def _section_json(fields: dict, template: str, value) -> str:
+    """A section's JSON text: its ``template`` filled with the fields of
+    ``value``, a field whose reader is a table by that table (from ``value``
+    itself when it names no field), a bool as true or false and a grid as its
+    array."""
     args = []
-    for attr, _, read in fields.values():
+    for key, (attr, _, read) in fields.items():
         field = value if attr is None else getattr(value, attr)
         if isinstance(read, dict):
-            field = _section_json(read, field)
+            field = _section_json(read, _SECTION_TEMPLATES[key], field)
         elif type(field) is bool:
             field = "true" if field else "false"
         elif isinstance(field, SettingGrid):
             field = _settings_json(field)
         args.append(field)
-    return _template(fields) % tuple(args)
+    return template % tuple(args)
 
 
 def resolved_json(cfg: RunConfig) -> str:
@@ -639,7 +644,7 @@ def resolved_json(cfg: RunConfig) -> str:
     value = f'"{value}"' if key == "preset" else "[" + ",".join(["%.17g"] * len(value)) % value + "]"
     (left, left_m), (right, right_m) = cfg.setting.given_left[0], cfg.setting.given_right[0]
     # the run's setting gives the schedule its time and the leads their texts
-    return _section_json(_ROOT_FIELDS, SimpleNamespace(**{
+    return _section_json(_ROOT_FIELDS, _ROOT_TEMPLATE, SimpleNamespace(**{
         **cfg._asdict(), "model": _MODEL_TEMPLATES[cfg.model.exchange is None] % model_values(cfg.model),
         "gate_state": f'{{"{key}":{value}}}', "t_interact": cfg.setting.t_interact[0],
         "u_left": _LEAD_TEMPLATE % (*left, left_m), "u_right": _LEAD_TEMPLATE % (*right, right_m)}))

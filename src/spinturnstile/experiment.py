@@ -304,9 +304,17 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     state after it. A block without a pulse moves ``y`` on by
     ``after_run[k]``. Right after a pulse, cycle ``i`` is first checked
     alone, so a chain that pulses every cycle costs one product per cycle.
-    The scalar decisions are made on Python floats read off ``y``, with the
-    same operands, divisions and comparisons as on numpy scalars, so they
-    cost little beside the event's product. The uniforms and the
+    A whole block, of ``RUN_BLOCK`` cycles or of the ``n`` of a shorter
+    chain, divides and compares in place: views of ``y``'s survival and
+    numerator heads, built once per chain, are divided into one reused ratio
+    buffer (into ``probs`` for a full record) and compared into one reused
+    bool buffer, so the block slices no part of ``y`` and allocates no
+    array. A block cut short, at the survival floor or at the chain's end,
+    divides and compares slices of its cycles before the cut alone, so no
+    survival past the cut is ever a divisor. The scalar decisions are made
+    on Python floats read through memoryviews of ``y`` and of the uniforms,
+    with the same operands, divisions and comparisons as on numpy scalars,
+    so they cost little beside the event's product. The uniforms and the
     comparisons are those of the per-cycle rule, so the outcomes equal it
     unless a uniform lies within rounding (about 1e-16) of its probability.
     This needs the no-pulse survival not to grow along a run, which holds
@@ -326,15 +334,22 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     if n < 1:
         raise ValueError("n must be at least 1")
     uniforms = np.random.default_rng(seed).random(n)
+    uv = memoryview(uniforms)
     m = RUN_BLOCK if n > RUN_BLOCK else n
     after_jump, after_run = _run_stacks(pulse, nopulse, m)
     jump_maps, run_maps = list(after_jump), list(after_run)
     # y[sv + j] = (Q^j x)[0] and y[nm + j] = (pulse Q^j x)[0], with x = y[:16]
     sv, nm = 16, 17 + m
-    # the state y and the next one: each event's product writes the other
-    y, y_next = np.empty((2, sv + 2 * (m + 1)))
-    x, x_next = y[:16], y_next[:16]
+    # The state y and the next one, each with views built once: the state x,
+    # the survivals and pulse numerators of a whole block, and a memoryview
+    # whose items are Python floats. Each event's product writes the other
+    # vector, and the loop moves on to its views.
+    now, spare = [(y, y[:16], y[sv:sv + m], y[nm:nm + m], memoryview(y))
+                  for y in np.empty((2, sv + 2 * (m + 1)))]
+    y, x, survivals, numerators, yv = now
     run_maps[0].dot(pauli_coordinates(rho_gate), y)
+    # a whole block's pulse probabilities and their comparisons
+    ratio, below = np.empty(m), np.empty(m, dtype=bool)
     outcomes = probs = None
     if not count_only:
         outcomes = np.zeros(n, dtype=np.uint8)
@@ -343,45 +358,55 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     after_pulse = False
     i = 0
     while i < n:
-        if not _RESCALE_BELOW <= y.item(0) <= _RESCALE_ABOVE:
+        if not _RESCALE_BELOW <= yv[0] <= _RESCALE_ABOVE:
             y /= y[0]
         if after_pulse:
             # Cycle i alone first: a pulse often follows a pulse.
-            p_pulse = y.item(nm) / y.item(sv)
-            if uniforms.item(i) < p_pulse:
+            p_pulse = yv[nm] / yv[sv]
+            if uv[i] < p_pulse:
                 if outcomes is not None:
                     probs[i] = p_pulse
                     outcomes[i] = 1
                 n_pulses += 1
-                jump_maps[0].dot(x, y_next)
-                y, y_next, x, x_next = y_next, y, x_next, x
+                jump_maps[0].dot(x, spare[0])
+                now, spare = spare, now
+                y, x, survivals, numerators, yv = now
                 i += 1
                 continue
         k = n - i
         if k > m:
             k = m
-        floor = _SURVIVAL_FLOOR * y.item(sv)
+        floor = _SURVIVAL_FLOOR * yv[sv]
         # Survivals do not grow along a run, so the one after the block tells
         # whether any falls below the floor; cut at the first that does.
-        whole = y.item(sv + k) >= floor
+        whole = yv[sv + k] >= floor
         cut = k if whole else int((y[sv:sv + k + 1] >= floor).argmin())
-        if outcomes is None:
-            p_run = y[nm:nm + cut] / y[sv:sv + cut]
+        if cut == m:
+            # A whole block decides in place, on the fixed views.
+            p_run = np.divide(numerators, survivals, out=ratio if outcomes is None else probs[i:i + m])
+            hits = np.less(uniforms[i:i + m], p_run, out=below)
         else:
-            p_run = np.divide(y[nm:nm + cut], y[sv:sv + cut], out=probs[i:i + cut])
+            # A block cut short divides by no survival past the cut.
+            if outcomes is None:
+                p_run = y[nm:nm + cut] / y[sv:sv + cut]
+            else:
+                p_run = np.divide(y[nm:nm + cut], y[sv:sv + cut], out=probs[i:i + cut])
+            hits = uniforms[i:i + cut] < p_run
         # the offset of the block's first pulse, or -1: a bool is one byte, 0 or 1
-        j = (uniforms[i:i + cut] < p_run).tobytes().find(1)
+        j = hits.tobytes().find(1)
         if j >= 0:
             if outcomes is not None:
                 outcomes[i + j] = 1
             n_pulses += 1
-            jump_maps[j].dot(x, y_next)
-            y, y_next, x, x_next = y_next, y, x_next, x
+            jump_maps[j].dot(x, spare[0])
+            now, spare = spare, now
+            y, x, survivals, numerators, yv = now
             i += j + 1
             after_pulse = True
         elif whole:
-            run_maps[k].dot(x, y_next)
-            y, y_next, x, x_next = y_next, y, x_next, x
+            run_maps[k].dot(x, spare[0])
+            now, spare = spare, now
+            y, x, survivals, numerators, yv = now
             i += k
             after_pulse = False
         else:

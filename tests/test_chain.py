@@ -258,41 +258,49 @@ class TestRunLengthSampler:
 # probs and rho_final are left to the stepwise checks above: their last bits
 # follow the BLAS build.
 PINNED_CHAINS = {
-    (0.01, 1): ("3e7077fd2f66d689e0cee6a7cf5b37bf2dca7c979af356d0a31cbc5c85605c7d", (0, 0, 0, 0, 0, 0, 0, 0, 0)),
-    (0.01, 31): ("778893c945e9695c6ff83a08ba05d61083a0b006bd5eaa3ee7cf51d454143b06", (0, 0, 0, 0, 0, 0, 0, 0, 1)),
-    (0.01, 32): ("527fe9d0afeb3c0387d6ab387436dfaeb3c2638520a7fef7daed3d1121fabf59", (0, 0, 0, 0, 0, 0, 0, 0, 1)),
-    (0.01, 33): ("2c0f479169a49b0a30868cb4acf25cdb0e39de8cd95ff8e9d2261bb6274f6717", (0, 0, 0, 0, 0, 0, 0, 0, 1)),
-    (0.01, 64): ("d8e6940effe572a25d6db9b0639f3b1b692c1fcf58a60d6585905c55b086510f", (0, 0, 0, 0, 0, 0, 0, 0, 1)),
-    (0.01, 65): ("04e0fc1309808d896f14d9fdf97dbf113cea2a1f339183d956af222713840ce0", (0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (0.01, 1): ("3e7077fd2f66d689e0cee6a7cf5b37bf2dca7c979af356d0a31cbc5c85605c7d",
+                (0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    (0.01, RUN_BLOCK - 1): ("778893c945e9695c6ff83a08ba05d61083a0b006bd5eaa3ee7cf51d454143b06",
+                            (0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (0.01, RUN_BLOCK): ("527fe9d0afeb3c0387d6ab387436dfaeb3c2638520a7fef7daed3d1121fabf59",
+                        (0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (0.01, RUN_BLOCK + 1): ("2c0f479169a49b0a30868cb4acf25cdb0e39de8cd95ff8e9d2261bb6274f6717",
+                            (0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (0.01, 2 * RUN_BLOCK): ("d8e6940effe572a25d6db9b0639f3b1b692c1fcf58a60d6585905c55b086510f",
+                            (0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (0.01, 2 * RUN_BLOCK + 1): ("04e0fc1309808d896f14d9fdf97dbf113cea2a1f339183d956af222713840ce0",
+                                (0, 0, 0, 0, 0, 0, 0, 0, 1)),
     (0.01, 10_000): ("f4cb3abe941ea948925af19e788370adad6012b70f1372279a415d50d9e8227b",
                      (10, 10, 13, 10, 10, 13, 14, 23, 26)),
-    (1.0, 1): ("f6b531e31b875e4ca8a2dad0f3624f68cb783b04956d5a888ea4c7ef9fbaa510", (0, 0, 1, 0, 0, 1, 0, 0, 1)),
-    (1.0, 31): ("b37bf95f72da5023d5b8f1dac5a49f87fc1cb4d772b8094840d286c1fa0dee49", (1, 2, 4, 1, 2, 4, 4, 7, 6)),
-    (1.0, 32): ("b669e4b9331759dfad45c1cb304ea2b5c0b5ba20a4a6ef6d3b27a3488610265e", (1, 2, 5, 1, 2, 5, 5, 7, 7)),
-    (1.0, 33): ("3d538f7f5f0c2cd6f73ca67d31d550c4f31e400f4fb4573fb04b029e810c5046", (1, 2, 5, 1, 2, 5, 5, 7, 7)),
-    (1.0, 64): ("7785cd242af76405c573f03e8e4dee2c7a8dcb3fc7e883b06ce968b36ecfb688", (5, 3, 5, 5, 3, 5, 12, 13, 11)),
-    (1.0, 65): ("c4bba99af807beb3f505ad5e391be98496f6fad97a836ec792ada069e9a7dc72", (5, 4, 5, 5, 4, 5, 12, 14, 11)),
+    (1.0, 1): ("f6b531e31b875e4ca8a2dad0f3624f68cb783b04956d5a888ea4c7ef9fbaa510",
+               (0, 0, 1, 0, 0, 1, 0, 0, 1)),
+    (1.0, RUN_BLOCK - 1): ("b37bf95f72da5023d5b8f1dac5a49f87fc1cb4d772b8094840d286c1fa0dee49",
+                           (1, 2, 4, 1, 2, 4, 4, 7, 6)),
+    (1.0, RUN_BLOCK): ("b669e4b9331759dfad45c1cb304ea2b5c0b5ba20a4a6ef6d3b27a3488610265e",
+                       (1, 2, 5, 1, 2, 5, 5, 7, 7)),
+    (1.0, RUN_BLOCK + 1): ("3d538f7f5f0c2cd6f73ca67d31d550c4f31e400f4fb4573fb04b029e810c5046",
+                           (1, 2, 5, 1, 2, 5, 5, 7, 7)),
+    (1.0, 2 * RUN_BLOCK): ("7785cd242af76405c573f03e8e4dee2c7a8dcb3fc7e883b06ce968b36ecfb688",
+                           (5, 3, 5, 5, 3, 5, 12, 13, 11)),
+    (1.0, 2 * RUN_BLOCK + 1): ("c4bba99af807beb3f505ad5e391be98496f6fad97a836ec792ada069e9a7dc72",
+                               (5, 4, 5, 5, 4, 5, 12, 14, 11)),
     (1.0, 10_000): ("b998a6909f6f4c856724894a6a2b649d0e7e50770d85fbf1b2e7270304d35116",
                     (1013, 1022, 1090, 1013, 1022, 1090, 1999, 2026, 2047)),
-    (5.0, 1): ("cbf31821485d5ce93254f6c70ef26c2c326bda0066448e31eefa3dcc35fa6def", (0, 1, 1, 0, 1, 1, 1, 1, 1)),
-    (5.0, 31): ("b32de4f19a68ed1135319853119f47a528f0e87f4363db0790082524262e47e6",
-                (16, 17, 17, 16, 17, 17, 30, 31, 31)),
-    (5.0, 32): ("a21deb57724091ff4e923540da40a48218ff3ce22fe55e6b4b0cf0270b467485",
-                (17, 17, 18, 17, 17, 18, 31, 32, 32)),
-    (5.0, 33): ("6b475f4219420117505accf03f2977a79f1e9fb6ed7854d33fd05657924d2980",
-                (17, 17, 18, 17, 17, 18, 32, 33, 33)),
-    (5.0, 64): ("8f57652e880aa48f8f8c82de943f76d726e6c1f5767d730bfe0c798466bb42c6",
-                (28, 31, 31, 28, 31, 31, 63, 64, 64)),
-    (5.0, 65): ("0bb122a9177ed325164804de171f00d846a6e9432df54c76c828d9db5b40555e",
-                (28, 32, 31, 28, 32, 31, 64, 65, 65)),
+    (5.0, 1): ("cbf31821485d5ce93254f6c70ef26c2c326bda0066448e31eefa3dcc35fa6def",
+               (0, 1, 1, 0, 1, 1, 1, 1, 1)),
+    (5.0, RUN_BLOCK - 1): ("b32de4f19a68ed1135319853119f47a528f0e87f4363db0790082524262e47e6",
+                           (16, 17, 17, 16, 17, 17, 30, 31, 31)),
+    (5.0, RUN_BLOCK): ("a21deb57724091ff4e923540da40a48218ff3ce22fe55e6b4b0cf0270b467485",
+                       (17, 17, 18, 17, 17, 18, 31, 32, 32)),
+    (5.0, RUN_BLOCK + 1): ("6b475f4219420117505accf03f2977a79f1e9fb6ed7854d33fd05657924d2980",
+                           (17, 17, 18, 17, 17, 18, 32, 33, 33)),
+    (5.0, 2 * RUN_BLOCK): ("8f57652e880aa48f8f8c82de943f76d726e6c1f5767d730bfe0c798466bb42c6",
+                           (28, 31, 31, 28, 31, 31, 63, 64, 64)),
+    (5.0, 2 * RUN_BLOCK + 1): ("0bb122a9177ed325164804de171f00d846a6e9432df54c76c828d9db5b40555e",
+                               (28, 32, 31, 28, 32, 31, 64, 65, 65)),
     (5.0, 10_000): ("604a5ce8d339a727a6bac13116fb58e5011f29cb0c7c9fd2f1ca30e31f550add",
                     (4951, 5028, 5032, 4951, 5028, 5032, 9999, 9999, 9999)),
 }
-
-
-def test_pinned_chain_lengths_cover_the_block_routes():
-    assert {n for _, n in PINNED_CHAINS} == {1, RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1, 2 * RUN_BLOCK,
-                                             2 * RUN_BLOCK + 1, 10_000}
 
 
 @pytest.mark.parametrize("c, n", sorted(PINNED_CHAINS))
