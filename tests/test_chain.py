@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinturnstile.algebra import evolve_unitary
 from spinturnstile.config import parse_config
@@ -19,6 +21,7 @@ from oracles import (
     kraus_chain,
     kraus_instrument,
     random_density,
+    random_hermitian,
     stepwise_chain,
 )
 
@@ -43,9 +46,10 @@ def maps(block):
     return pulse[0], nopulse[0]
 
 
-def default_probes(c):
-    """Gate state and instruments of the default sweep's three probes at detection constant c."""
-    cfg = parse_config({"detection": {"c": c}})
+def default_probes(c, u_left="z"):
+    """Gate state and instruments of the default sweep's three probes at
+    detection constant c, with the left lead along the axis u_left."""
+    cfg = parse_config({"detection": {"c": c}, "leads": {"u_left": {"direction": u_left}}})
     grid = cfg.sweep_settings
     return cfg.gate_state.density(), [
         setting_instrument(MeasurementSetting(*row), cfg.model, cfg.tunnel, c, cfg.include_gate_hamiltonian)
@@ -319,6 +323,74 @@ def test_chain_counts_pinned(c, n):
                 n_pulses.append(rec.shots.n_pulses)
     assert tuple(n_pulses) == counts
     assert outcomes.hexdigest() == digest
+
+
+# Dense pulse trains pinned the same way, one case per (c, left-lead axis, n):
+# at c = 2 and 5 (kappa = 0.4 and 1) pulses come every few cycles, so most
+# cycles follow a pulse closely. With u_left along z the z/z probe's survival
+# falls below the floor two cycles after a no-pulse cycle at c = 5; with
+# u_left along x every probe pulses at rates that swing with the gate's
+# precession. The c = 5 z-lead cases of n = RUN_BLOCK - 1 and RUN_BLOCK + 1
+# are in PINNED_CHAINS.
+PINNED_DENSE_CHAINS = {
+    (2.0, "z", RUN_BLOCK - 1): ("84f49c4392e7e98cb63a5797c7d8b0e27ea99b0ff168c4d5a2bd3868e28f6fc8",
+                                (4, 7, 6, 4, 7, 6, 11, 14, 13)),
+    (2.0, "z", RUN_BLOCK + 1): ("b83c765adaa7e103f1fc37a4e4eb3eac2e3c103a97b238638515aa89d43f61ae",
+                                (5, 7, 7, 5, 7, 7, 12, 14, 14)),
+    (2.0, "z", 1000): ("d35e8e9cbf6a9c3f54b2e1f0ae4e1069704f7091ba001d98eb8e918233ae7ea6",
+                       (187, 198, 207, 187, 198, 207, 415, 396, 405)),
+    (2.0, "x", RUN_BLOCK - 1): ("58f2f63845932b54b2f033fb0e155fa70319cab927f4467c2b3ea560e6311e2d",
+                                (8, 11, 11, 8, 9, 11, 4, 7, 6)),
+    (2.0, "x", RUN_BLOCK + 1): ("cdfc4832720c040336fa0d76ef4b43e5f7cca0071b6d160d647924ce41b35827",
+                                (9, 11, 12, 9, 9, 12, 5, 7, 7)),
+    (2.0, "x", 1000): ("a993a6114c10f9f85eb49ae77c2f612bbac90863e2f6d01d60135e7aafe36013",
+                       (314, 325, 321, 296, 296, 291, 192, 201, 209)),
+    (5.0, "z", 1000): ("477c3a161bb9dd8380c36205ca5837087b737c121485966251722031624bfc4d",
+                       (505, 502, 500, 505, 502, 500, 999, 999, 999)),
+    (5.0, "x", RUN_BLOCK - 1): ("d9f66e9504c89826a688efe13c19b9ec74c05e01dd9993264dbdfe6dae112455",
+                                (23, 30, 27, 24, 30, 28, 17, 18, 17)),
+    (5.0, "x", RUN_BLOCK + 1): ("480fcca35d33b9280123d26254b716abff82e5d25662cf06e758492ee86b404f",
+                                (25, 32, 29, 26, 32, 30, 18, 18, 18)),
+    (5.0, "x", 1000): ("361596799ef6ebab699d2891a56c6f488ed76ebb95deaa69ce2ab6238988398c",
+                       (747, 862, 847, 798, 833, 878, 502, 492, 503)),
+}
+
+
+@pytest.mark.parametrize("c, u_left, n", sorted(PINNED_DENSE_CHAINS))
+def test_dense_chain_counts_pinned(c, u_left, n):
+    digest, counts = PINNED_DENSE_CHAINS[c, u_left, n]
+    rho0, instruments = default_probes(c, u_left)
+    outcomes, n_pulses = hashlib.sha256(), []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for inst in instruments:
+            for seed in (1, 2, 3):
+                rec = propagate_cycles(*maps(inst), rho0, n, seed)
+                assert propagate_cycles(*maps(inst), rho0, n, seed, count_only=True) == rec.shots
+                assert rec.resets == 0
+                outcomes.update(rec.outcomes.tobytes())
+                n_pulses.append(rec.shots.n_pulses)
+    assert tuple(n_pulses) == counts
+    assert outcomes.hexdigest() == digest
+
+
+unit_vectors = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+    lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: np.array(v) / np.linalg.norm(v))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(u_left=unit_vectors, u_right=unit_vectors, h_seed=st.integers(0, 2**32 - 1),
+       t=st.floats(0.0, 5.0), c=st.floats(1.0, 5.0), n=st.integers(1, 4 * RUN_BLOCK),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_chain_matches_stepwise(u_left, u_right, h_seed, t, c, n, seed):
+    # kappa = 2 c tau_detect t_sq = 0.2 c lies in [0.2, 1]: pulses every few
+    # cycles, often several in a row, and survivals that can reach the floor
+    # within a few cycles
+    h = random_hermitian(np.random.default_rng(h_seed), 8)
+    inst = induced_instrument(u_left, u_right, h, t, c, 0.1, 1.0)
+    rho0 = random_density(np.random.default_rng(seed), 4)
+    rec = assert_matches_stepwise(*maps(inst), rho0, n, seed)
+    assert propagate_cycles(*maps(inst), rho0, n, seed, count_only=True) == rec.shots
 
 
 def traced_peak(call):

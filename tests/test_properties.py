@@ -958,6 +958,28 @@ def test_overflow_bound_agrees_with_the_eigenvalues(rows):
     assert np.array_equal(overflows, np.isnan(hierarchy_norms(coefficients)))
 
 
+def test_rows_near_the_float_maximum_get_exact_norms():
+    # Each row's triangle bound lies in [max / 4, max): below the float
+    # maximum but not below _SAFE_NORM_BOUND, its margin for rounding. So no
+    # row is settled by its bound, with or without a threshold, and each gets
+    # its computed norm. The tunnel passes both ratios of every bracket: its
+    # leakage rate vanishes, and its resonant time is 1e-308 s.
+    big = np.finfo(float).max
+    coefficients = np.zeros((6, 13))
+    coefficients[0, 0] = big / 4
+    coefficients[1, 0] = 0.9 * big
+    coefficients[2, 9] = big / 6  # sigma . sigma, spectral norm 3
+    coefficients[3, :4] = big / 8
+    coefficients[4, [0, 3, 9]] = big / 4, -big / 4, big / 12
+    coefficients[5, [4, 10]] = big / 3, big / 9
+    tunnel = TunnelParams(gamma0=1.0, interdot_sq=1e308, detuning=1e300)
+    lower, upper = _norm_bracket(coefficients)
+    assert _time_scales(np.concatenate((lower, upper)), tunnel, 1.0).satisfied.all()
+    for unsettled, norms in (_unsettled_norms(coefficients), _unsettled_norms(coefficients, tunnel, 1.0)):
+        assert unsettled.tolist() == list(range(len(coefficients)))
+        assert np.array_equal(norms, hierarchy_norms(coefficients), equal_nan=True)
+
+
 # how far a fitted tunnel puts a row's exact ratios from the threshold, as
 # a fraction of it: on both sides of the bracket's margin, and far from it
 ratio_slack = st.floats(-0.9, 10.0) | st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 3e-9, -3e-9, 1e-6, -1e-6])
