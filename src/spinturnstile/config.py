@@ -551,13 +551,19 @@ def parse_config(data) -> RunConfig:
     gate_state = _read(root, "gate_state")
     experiment = _read(root, "experiment", ExperimentSpec)
     threshold = _read(root, "hierarchy_threshold")
+    # The default grid: the run's checked setting with the right lead's
+    # direction swept over the axes x, y, z at its magnitude.
+    right_magnitude = setting.given_right[0][1]
+    default_grid = SettingGrid(
+        u_left=setting.u_left * 3,
+        u_right=_lead_vectors(np.array(list(_AXES.values())), np.full(3, right_magnitude)),
+        t_interact=setting.t_interact * 3, models=(None,) * 3, given_left=setting.given_left * 3,
+        given_right=tuple((axis, right_magnitude) for axis in _AXES.values()))
 
     def parse_settings(raw, path: str) -> SettingGrid:
         if raw is None:
-            # Default grid: the run's setting with the right-lead axis swept over x, y, z.
-            raw = [{"u_right": {"direction": _AXES[ax], "magnitude": setting.given_right[0][1]}}
-                   for ax in ("x", "y", "z")]
-        elif not isinstance(raw, list) or not raw:
+            return default_grid
+        if not isinstance(raw, list) or not raw:
             raise ConfigValidationError(f"{path}.settings", "expected a nonempty array")
         return _parse_settings(raw, lambda i: f"{path}.settings[{i}]", setting, model)
 

@@ -53,10 +53,11 @@ _MIXED_COORDINATES = _IDENTITY[0]
 # Each thread's event-map buffer, ``buffer`` (see :func:`_run_stacks`).
 _EVENT_MAPS = threading.local()
 
-# Cycles decided by one block of :func:`propagate_cycles`. The two event-map
-# stacks hold 2 * (RUN_BLOCK + 1) matrices of 16 + 2 * (RUN_BLOCK + 1) rows and
-# 16 columns (0.69 MB), in one buffer per thread that every chain of the thread
-# reuses (:func:`_run_stacks`).
+# Cycles decided by one block of :func:`propagate_cycles`, and the most that
+# one run decides one at a time after a pulse. The two event-map stacks hold
+# 2 * (RUN_BLOCK + 1) matrices of 16 + 2 * (RUN_BLOCK + 1) rows and 16 columns
+# (0.69 MB), in one buffer per thread that every chain of the thread reuses
+# (:func:`_run_stacks`).
 RUN_BLOCK = 32
 # Run probabilities are ratios over no-pulse survivals ``(Q^j x)[0]``; below
 # this fraction of the block's first survival a ratio could carry over 2**16
@@ -66,6 +67,15 @@ _SURVIVAL_FLOOR = 2.0 ** -16
 # only when that leaves this range, far from the float range's ends.
 _RESCALE_BELOW = 2.0 ** -600
 _RESCALE_ABOVE = 2.0 ** 600
+# After a pulse the chain decides cycle by cycle, on Python floats, while the
+# cycle just decided had at least this pulse probability (see
+# :func:`propagate_cycles`). On one core a cycle decided so costs 0.18-0.3 us
+# and a stacked block's step 1.8-2.8 us, about 10 times as much. At pulse
+# probability p the run finds its pulse after about 1/p cycles in place of
+# the block that would find it, so it pays above p = 0.1: on the default
+# probes at c = 1 a run at p = 0.098 made the chain 10% slower, and one at
+# p = 0.2 made it 15% faster. 1/8 keeps a margin above 0.1.
+_DENSE = 1.0 / 8.0
 
 # The largest master seed: :func:`derive_setting_seeds` mixes a master
 # seed's low 63 bits, so a larger one would repeat a smaller one's seeds.
@@ -302,9 +312,14 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     these ratios; the first uniform below its ratio marks a pulse, and the
     event map ``after_jump[j]`` of :func:`_run_stacks` takes ``y`` to the
     state after it. A block without a pulse moves ``y`` on by
-    ``after_run[k]``. Right after a pulse, cycle ``i`` is first checked
-    alone, so a chain that pulses every cycle costs one product per cycle.
-    A whole block, of ``RUN_BLOCK`` cycles or of the ``n`` of a shorter
+    ``after_run[k]``. Right after a pulse, the chain decides cycle ``i``
+    alone, and then the next cycles one at a time by the same ratios and
+    comparisons, as long as the cycle just decided had a pulse probability
+    of at least ``_DENSE``, up to the block's ``k`` cycles and its first
+    survival below the floor. A pulse found so takes ``after_jump[j]`` as a
+    block's would, so a dense pulse train costs one product per pulse and
+    no stacked block; a run that ends without one leaves cycle ``i`` on to
+    the block. A whole block, of ``RUN_BLOCK`` cycles or of the ``n`` of a shorter
     chain, divides and compares in place: views of ``y``'s survival and
     numerator heads, built once per chain, are divided into one reused ratio
     buffer (into ``probs`` for a full record) and compared into one reused
@@ -350,6 +365,9 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     run_maps[0].dot(pauli_coordinates(rho_gate), y)
     # a whole block's pulse probabilities and their comparisons
     ratio, below = np.empty(m), np.empty(m, dtype=bool)
+    divide, less = np.divide, np.less
+    survival_floor, dense = _SURVIVAL_FLOOR, _DENSE
+    rescale_below, rescale_above = _RESCALE_BELOW, _RESCALE_ABOVE
     outcomes = probs = None
     if not count_only:
         outcomes = np.zeros(n, dtype=np.uint8)
@@ -358,39 +376,49 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     after_pulse = False
     i = 0
     while i < n:
-        if not _RESCALE_BELOW <= yv[0] <= _RESCALE_ABOVE:
+        if not rescale_below <= yv[0] <= rescale_above:
             y /= y[0]
-        if after_pulse:
-            # Cycle i alone first: a pulse often follows a pulse.
-            p_pulse = yv[nm] / yv[sv]
-            if uv[i] < p_pulse:
-                if outcomes is not None:
-                    probs[i] = p_pulse
-                    outcomes[i] = 1
-                n_pulses += 1
-                jump_maps[0].dot(x, spare[0])
-                now, spare = spare, now
-                y, x, survivals, numerators, yv = now
-                i += 1
-                continue
         k = n - i
         if k > m:
             k = m
-        floor = _SURVIVAL_FLOOR * yv[sv]
+        floor = survival_floor * yv[sv]
+        if after_pulse:
+            # Cycle i alone, then the next while the one just decided was
+            # likely to pulse (_DENSE): the block's ratios and comparisons one
+            # cycle at a time, up to its end and its floor. A run without a
+            # pulse leaves cycle i on to the block.
+            j = 0
+            p_pulse = yv[nm] / yv[sv]
+            while not uv[i + j] < p_pulse:
+                j += 1
+                if p_pulse < dense or j == k or not yv[sv + j] >= floor:
+                    j = -1
+                    break
+                p_pulse = yv[nm + j] / yv[sv + j]
+            if j >= 0:
+                if outcomes is not None:
+                    divide(y[nm:nm + j + 1], y[sv:sv + j + 1], probs[i:i + j + 1])
+                    outcomes[i + j] = 1
+                n_pulses += 1
+                jump_maps[j].dot(x, spare[0])
+                now, spare = spare, now
+                y, x, survivals, numerators, yv = now
+                i += j + 1
+                continue
         # Survivals do not grow along a run, so the one after the block tells
         # whether any falls below the floor; cut at the first that does.
         whole = yv[sv + k] >= floor
         cut = k if whole else int((y[sv:sv + k + 1] >= floor).argmin())
         if cut == m:
             # A whole block decides in place, on the fixed views.
-            p_run = np.divide(numerators, survivals, out=ratio if outcomes is None else probs[i:i + m])
-            hits = np.less(uniforms[i:i + m], p_run, out=below)
+            p_run = divide(numerators, survivals, ratio if outcomes is None else probs[i:i + m])
+            hits = less(uniforms[i:i + m], p_run, below)
         else:
             # A block cut short divides by no survival past the cut.
             if outcomes is None:
                 p_run = y[nm:nm + cut] / y[sv:sv + cut]
             else:
-                p_run = np.divide(y[nm:nm + cut], y[sv:sv + cut], out=probs[i:i + cut])
+                p_run = divide(y[nm:nm + cut], y[sv:sv + cut], probs[i:i + cut])
             hits = uniforms[i:i + cut] < p_run
         # the offset of the block's first pulse, or -1: a bool is one byte, 0 or 1
         j = hits.tobytes().find(1)
