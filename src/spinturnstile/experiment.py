@@ -372,32 +372,39 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     if not count_only:
         outcomes = np.zeros(n, dtype=np.uint8)
         probs = np.empty(n)
+        pv = memoryview(probs)
     n_pulses = resets = 0
     after_pulse = False
     i = 0
     while i < n:
         if not rescale_below <= yv[0] <= rescale_above:
             y /= y[0]
-        k = n - i
-        if k > m:
-            k = m
-        floor = survival_floor * yv[sv]
         if after_pulse:
-            # Cycle i alone, then the next while the one just decided was
-            # likely to pulse (_DENSE): the block's ratios and comparisons one
-            # cycle at a time, up to its end and its floor. A run without a
-            # pulse leaves cycle i on to the block.
+            # Cycle i alone first: a pulse often follows a pulse. Then, while
+            # the cycle just decided was likely to pulse (_DENSE), the next
+            # ones one at a time, by the block's ratios and comparisons, up to
+            # its end and its floor. j is the offset of the run's pulse; a
+            # run without one (-1) leaves cycle i on to the block.
             j = 0
             p_pulse = yv[nm] / yv[sv]
-            while not uv[i + j] < p_pulse:
-                j += 1
-                if p_pulse < dense or j == k or not yv[sv + j] >= floor:
-                    j = -1
-                    break
-                p_pulse = yv[nm + j] / yv[sv + j]
+            if not uv[i] < p_pulse:
+                j = -1
+                if p_pulse >= dense:
+                    floor = survival_floor * yv[sv]
+                    for d in range(1, n - i if n - i < m else m):
+                        if not yv[sv + d] >= floor:
+                            break
+                        if outcomes is not None:  # the cycle before, without a pulse
+                            pv[i + d - 1] = p_pulse
+                        p_pulse = yv[nm + d] / yv[sv + d]
+                        if uv[i + d] < p_pulse:
+                            j = d
+                            break
+                        if p_pulse < dense:
+                            break
             if j >= 0:
                 if outcomes is not None:
-                    divide(y[nm:nm + j + 1], y[sv:sv + j + 1], probs[i:i + j + 1])
+                    pv[i + j] = p_pulse
                     outcomes[i + j] = 1
                 n_pulses += 1
                 jump_maps[j].dot(x, spare[0])
@@ -405,6 +412,10 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
                 y, x, survivals, numerators, yv = now
                 i += j + 1
                 continue
+        k = n - i
+        if k > m:
+            k = m
+        floor = survival_floor * yv[sv]
         # Survivals do not grow along a run, so the one after the block tells
         # whether any falls below the floor; cut at the first that does.
         whole = yv[sv + k] >= floor
