@@ -319,12 +319,12 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     survival below the floor. A pulse found so takes ``after_jump[j]`` as a
     block's would, so a dense pulse train costs one product per pulse and
     no stacked block; a run that ends without one leaves cycle ``i`` on to
-    the block. A whole block, of ``RUN_BLOCK`` cycles or of the ``n`` of a shorter
-    chain, divides and compares in place: views of ``y``'s survival and
-    numerator heads, built once per chain, are divided into one reused ratio
-    buffer (into ``probs`` for a full record) and compared into one reused
-    bool buffer, so the block slices no part of ``y`` and allocates no
-    array. A block cut short, at the survival floor or at the chain's end,
+    the block. A whole block, of ``RUN_BLOCK`` cycles or of the ``n`` of a
+    shorter chain, divides and compares in place: views of ``y``'s survival
+    and numerator heads, built once per chain, are divided into one reused
+    ratio buffer (into ``probs`` for a full record) and compared into one
+    reused bool buffer, so the block slices no part of ``y`` and allocates
+    no array. A block cut short, at the survival floor or at the chain's end,
     divides and compares slices of its cycles before the cut alone, so no
     survival past the cut is ever a divisor. The scalar decisions are made
     on Python floats read through memoryviews of ``y`` and of the uniforms,
