@@ -69,12 +69,13 @@ _RESCALE_BELOW = 2.0 ** -600
 _RESCALE_ABOVE = 2.0 ** 600
 # After a pulse the chain decides cycle by cycle, on Python floats, while the
 # cycle just decided had at least this pulse probability (see
-# :func:`propagate_cycles`). On one core a cycle decided so costs 0.18-0.3 us
-# and a stacked block's step 1.8-2.8 us, about 10 times as much. At pulse
-# probability p the run finds its pulse after about 1/p cycles in place of
-# the block that would find it, so it pays above p = 0.1: on the default
-# probes at c = 1 a run at p = 0.098 made the chain 10% slower, and one at
-# p = 0.2 made it 15% faster. 1/8 keeps a margin above 0.1.
+# :func:`propagate_cycles`). Measured with Python 3.11 on one core of a shared
+# 2-CPU host, a cycle decided so costs 0.18-0.3 us and a stacked block's step
+# 1.8-2.8 us, about 10 times as much. At pulse probability p the run finds
+# its pulse after about 1/p cycles in place of the block that would find it,
+# so it pays above p = 0.1: on the default probes at c = 1 a run at p = 0.098
+# made the chain 10% slower, and one at p = 0.2 made it 15% faster. 1/8
+# keeps a margin above 0.1.
 _DENSE = 1.0 / 8.0
 
 # The largest master seed: :func:`derive_setting_seeds` mixes a master
