@@ -27,12 +27,13 @@ row per setting of a stack, holding the effects and what the maps are built
 from (propagators, ancilla states and detection weights, each formed once).
 Settings travel as one :class:`SettingGrid` of columns, a model
 override as its values, and :func:`setting_instruments` is the one route
-from a grid to blocks, with one stacked coefficient pass per block;
-:func:`setting_instrument` gives the one-row block of a single setting, and
-:func:`run_cycle` reads a cycle off it. Their agreement with the ancilla
-pathway (a second joint evolution of ``rho_A x rho``, a partial trace and
-the formula above) and with a Kraus-operator route, both kept in
-``tests/oracles.py``, is the central consistency check of the package.
+from a grid to blocks, with one coefficient pass per grid and one
+propagator per distinct (model, time) pair; :func:`setting_instrument` gives
+the one-row block of a single setting, and :func:`run_cycle` reads a cycle
+off it. Their agreement with the ancilla pathway (a second joint evolution
+of ``rho_A x rho``, a partial trace and the formula above) and with a
+Kraus-operator route, both kept in ``tests/oracles.py``, is the central
+consistency check of the package.
 
 The detection POVM on the ancilla is the minimal two-outcome model that
 reproduces the pulse-probability formula: ``M_pulse = kappa (I + u_right .
@@ -85,12 +86,12 @@ __all__ = [
     "run_cycle",
 ]
 
-# Settings per stacked pass of setting_instruments. A block shares the
-# propagators of its equal (H, t) pairs, so larger blocks share more but hold
-# more memory. On a 500-setting tomography grid of 10 interaction times (2
-# shared CPUs), against 16 rows without sharing: 16 rows ran as fast, 64 rows
-# 9% faster, 128 rows 11% and 512 rows 9%, with 0.2, 0.8 and 3.6 MB more peak
-# memory at 64, 128 and 512 rows.
+# Settings per stacked pass of setting_instruments. Propagators are shared
+# over the whole grid, so the size sets only how many rows a pass stacks.
+# Median perfbench exec_s at 32, 64 and 128 rows (5 runs each, 2 shared
+# CPUs): tomography_grid 21.1, 21.9 and 21.8 ms, setting_grid 44.2, 43.0 and
+# 43.3 ms, propagate_chain (3 rows) 13.8, 13.6 and 14.2 ms, with peak RSS
+# within 0.6 MB. No size won on every workload, and the spread is noise.
 BLOCK_ROWS = 64
 
 # Row a is kron(sigma_a, I_4) flattened, sigma_a over (I, X, Y, Z): an ancilla
@@ -221,15 +222,12 @@ def detection_strength(c: float, tau_detect: float, t_sq: float) -> float:
     return 2.0 * c * tau_detect * t_sq
 
 
-def _instrument_block(start: int, h: np.ndarray, keys: np.ndarray, t, u_left: np.ndarray,
-                      u_right: np.ndarray, kappa: float, errors=None) -> InstrumentBlock:
-    """Instruments of stacked rows: Hamiltonians ``h`` (R, 8, 8), times ``t``
-    and lead polarizations (R, 3), with detection strength ``kappa``.
-    ``keys`` (R, K) names each row's Hamiltonian: rows with equal keys have
-    equal ``h``.
-    ``errors`` holds, per row, None or a reason already known that the row
-    has no instrument; the others get the errors of :func:`evolve_unitaries`,
-    and every row gets the error of a ``kappa`` above 1.
+def _instrument_block(start: int, u: np.ndarray, errors: list, u_left: np.ndarray,
+                      u_right: np.ndarray, kappa: float) -> InstrumentBlock:
+    """Instruments of stacked rows: propagators ``u`` (R, 8, 8), lead
+    polarizations (R, 3) and detection strength ``kappa``. ``errors`` holds,
+    per row, None or the reason the row has no propagator; every row gets
+    the error of a ``kappa`` above 1.
 
     The ancilla state ``rho_A = (1/2)(1, u_left) . sigma`` and the detection
     weights ``(kappa/2)(1, u_right)`` of ``M_pulse`` are formed here, once.
@@ -237,17 +235,8 @@ def _instrument_block(start: int, h: np.ndarray, keys: np.ndarray, t, u_left: np
     operator evolves backwards, ``A = U^dag (M_pulse x I) U``, and ``E =
     Tr_A[(rho_A x I) A]``, so ``tr(E P_j) = tr[(rho_A x I) A (I x P_j)]``.
     Every product is stacked per row, so a row's effect has the same bits
-    alone as in any block. Rows with the same bytes of ``keys`` and ``t``
-    share one propagator, computed once and copied to each of them.
+    alone as in any block.
     """
-    t = np.asarray(t, dtype=float)
-    keys = np.concatenate((keys, t[:, None]), axis=1)
-    slot = {}
-    rows = [slot.setdefault(key.tobytes(), len(slot)) for key in keys]
-    distinct = list({j: k for k, j in enumerate(rows)}.values())  # one row of each pair
-    u, found = evolve_unitaries(h[distinct], t[distinct])
-    u, found = u[rows], [found[j] for j in rows]
-    errors = found if errors is None else [known or other for known, other in zip(errors, found)]
     if kappa > 1.0 + STRUCTURAL_TOL:
         errors = [f"detection strength kappa={kappa} exceeds 1; reduce detection.c, "
                   "tunnel.tau_detect_s or tunnel.gamma0_per_s"] * len(errors)
@@ -319,54 +308,92 @@ def setting_instruments(
 
     Each setting uses its own model override when it has one and ``model``
     otherwise; the detection window and the escape transparency
-    (``t_sq = gamma0``) come from ``tunnel``. A block's Hamiltonians come from
-    one product with the generator stack, its propagators from one ``eigh``
-    of its distinct (Hamiltonian, time) pairs (settings that share a model
-    and a time share a propagator) and its pulse effects from one stacked
-    conjugation ``U^dag (M_pulse x I) U``; no transfer matrix is built here
-    (see :func:`transfer_matrices`). A block is built only when the previous
-    one has been consumed, and it keeps no propagator for the next. A
-    setting that has no instrument (detection strength above 1, a model that
-    overflows float64, lost propagator phase) gets an error message in its
-    row instead of stopping the others.
+    (``t_sq = gamma0``) come from ``tunnel``. The first block to use a
+    (model, time) pair builds its Hamiltonian and its propagator (one
+    ``eigh`` of the block's new pairs), kept while a later block uses it. A
+    block's pulse effects come from one stacked conjugation ``U^dag (M_pulse
+    x I) U``; no transfer matrix is built here. A block is built only when
+    the previous one has been consumed. A setting that has no instrument
+    (detection strength above 1, a model that overflows float64, lost
+    propagator phase) gets an error message in its row instead of stopping
+    the others.
 
-    A block's hierarchy check is one route, with or without a ``threshold``
-    (``model._unsettled_norms``): a bracket of each row's hierarchy norm from
-    its coefficients settles every row that can neither overflow nor, with
-    a threshold, fail it, and only the other rows get their
+    The grid's distinct models get their coefficients and hierarchy check
+    from one stacked pass, with or without a ``threshold``
+    (``model._unsettled_norms``): a bracket of each model's hierarchy norm
+    from its coefficients settles every model that can neither overflow nor,
+    with a threshold, fail it, and only the other models get their
     :func:`~spinturnstile.model.hierarchy_norms` and their time scales from
     the same stacked pass as the ``rates`` command's (``model._time_scales``).
     Every setting whose model's time scales are not separated by the
     threshold emits a :class:`HierarchyWarning`, in row order, at the caller
-    of the code iterating this generator. A model that overflows is reported
-    by its row's error alone, since its time scales cannot be computed.
-    Without a threshold, only the overflow check runs.
+    of the code iterating this generator, as its block is built. A model
+    that overflows is reported by its rows' errors alone, since its time
+    scales cannot be computed. Without a threshold, only the overflow check
+    runs.
     """
     grid = setting_grid(settings)
     u_left, u_right = (np.array(u, dtype=float).reshape(-1, 3) for u in (grid.u_left, grid.u_right))
     kappa = detection_strength(c, tunnel.tau_detect, tunnel.gamma0)
-    base = model_values(model)
-    for start in range(0, len(grid.t_interact), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        coefficients = model_coefficients([base if m is None else m for m in grid.models[rows]])
-        unsettled, norms = _unsettled_norms(coefficients, tunnel, threshold)
-        overflows = np.isnan(norms)
-        if threshold is not None and len(unsettled):
-            report = _time_scales(norms, tunnel, threshold)
-            # an overflowing model is reported by its row's error alone
-            for k in np.flatnonzero(~(report.satisfied | overflows)).tolist():
-                warnings.warn("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
-                              f"(ratios {report.ratio_dyn_res[k]:.3g}, {report.ratio_non_dyn[k]:.3g})",
-                              HierarchyWarning, stacklevel=3)
-        h = hamiltonians(coefficients, include_gate_hamiltonian)
-        overflow = ~np.isfinite(h).all(axis=(1, 2))
-        overflow[unsettled[overflows]] = True
-        h[overflow] = 0.0
-        # A model's 13 coefficients name its Hamiltonian in a tenth of the
-        # bytes; + 0.0 makes a -0.0 coefficient +0.0, which gives the same H.
-        yield _instrument_block(start, h, coefficients + 0.0, grid.t_interact[rows], u_left[rows],
-                                u_right[rows], kappa,
-                                [_OVERFLOW_ERROR if o else None for o in overflow.tolist()])
+    coefficients, slots, pair, pair_slots, pair_times, last = _grid_index(grid, model_values(model))
+    unsettled, norms = _unsettled_norms(coefficients, tunnel, threshold)
+    coefficients[unsettled[np.isnan(norms)]] = np.nan  # so its H is non-finite: the overflow error
+    messages = {}
+    if threshold is not None and len(unsettled):
+        report = _time_scales(norms, tunnel, threshold)
+        # an overflowing model is reported by its rows' errors alone
+        for k in np.flatnonzero(~(report.satisfied | np.isnan(norms))).tolist():
+            messages[unsettled[k]] = ("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+                                      f"(ratios {report.ratio_dyn_res[k]:.3g}, {report.ratio_non_dyn[k]:.3g})")
+    # each evolved pair's error, the pairs a later block uses, their propagators and their rows there
+    errors, held, kept, where = [], [], np.empty((0, 8, 8), complex), np.empty(len(last), dtype=int)
+    for start in range(0, len(pair), BLOCK_ROWS):
+        ids, end = pair[start:start + BLOCK_ROWS], start + BLOCK_ROWS
+        for m in slots[start:end] if messages else ():
+            if m in messages:
+                warnings.warn(messages[m], HierarchyWarning, stacklevel=3)
+        new = slice(len(errors), int(ids.max()) + 1)  # the pairs this block is the first to use
+        if new.stop > new.start:
+            held += range(new.start, new.stop)
+            kept = _evolve_pairs(kept, coefficients[pair_slots[new]], pair_times[new],
+                                 include_gate_hamiltonian, errors)
+        where[held] = np.arange(len(held))
+        block = _instrument_block(start, kept[where[ids]], [errors[j] for j in ids.tolist()],
+                                  u_left[start:end], u_right[start:end], kappa)
+        later = [k for k, row in enumerate(last[held].tolist()) if row >= end]  # a later block's pairs
+        held, kept = [held[k] for k in later], kept[later]
+        yield block
+
+
+def _grid_index(grid: SettingGrid, base: tuple) -> tuple:
+    """The coefficients of the grid's distinct models (``base`` for a row
+    without an override), each row's model slot and (model, time) pair, and
+    each pair's model slot, time and last row. Pairs are numbered by their
+    first rows, and named by the bits of the time and of the model's 13
+    coefficients, a tenth of its Hamiltonian's (+ 0.0 makes a -0.0
+    coefficient +0.0, which gives the same H)."""
+    models, names, pairs = {}, {}, {}
+    slots = [models.setdefault(base if m is None else m, len(models)) for m in grid.models]
+    coefficients = model_coefficients(list(models))
+    named = [names.setdefault(row.tobytes(), m) for m, row in enumerate(coefficients + 0.0)]
+    pair = [pairs.setdefault((named[m], bits), len(pairs))
+            for m, bits in zip(slots, np.array(grid.t_interact, dtype=float).view(np.uint64).tolist())]
+    pair_slots, pair_times = np.array(list(pairs), dtype=np.uint64).reshape(-1, 2).T
+    last = list({j: k for k, j in enumerate(pair)}.values())
+    return coefficients, slots, np.array(pair, dtype=int), pair_slots, pair_times.view(float), np.array(last)
+
+
+def _evolve_pairs(kept: np.ndarray, coefficients: np.ndarray, t: np.ndarray,
+                  include_gate_hamiltonian: bool, errors: list) -> np.ndarray:
+    """``kept`` followed by the propagators of model ``coefficients`` at times
+    ``t``, whose errors go to ``errors``: an overflowing H is zeroed and
+    gets ``_OVERFLOW_ERROR``."""
+    h = hamiltonians(coefficients, include_gate_hamiltonian)
+    overflow = ~np.isfinite(h).all(axis=(1, 2))
+    h[overflow] = 0.0
+    u, found = evolve_unitaries(h, t)
+    errors += [_OVERFLOW_ERROR if o else e for o, e in zip(overflow.tolist(), found)]
+    return np.concatenate((kept, u))
 
 
 def setting_instrument(

@@ -27,11 +27,11 @@ too: the spectral norms of a block of models (:func:`hierarchy_norms`), then
 one stacked pass over them (``_time_scales``) for the times, the two ratios
 and whether both reach the threshold. :func:`characteristic_times` (the
 ``rates`` command) is its one-model case. ``cycle.setting_instruments`` runs
-it once per block of settings, on the rows whose check the coefficients
-alone cannot settle (``_unsettled_norms``): a bracket of each row's norm
-(``_norm_bracket``) passed through the same ``_time_scales`` settles a row
-that can neither overflow nor fail the threshold, and only the other rows
-get the eigenvalues.
+it once per grid of settings, on the distinct models whose check the
+coefficients alone cannot settle (``_unsettled_norms``): a bracket of each
+model's norm (``_norm_bracket``) passed through the same ``_time_scales``
+settles a model that can neither overflow nor fail the threshold, and only
+the other models get the eigenvalues.
 
 Unit conventions follow :mod:`spinturnstile.constants`: couplings in rad/s,
 fields in tesla, times in seconds. Nuclear Zeeman terms are written with the

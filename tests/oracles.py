@@ -404,11 +404,12 @@ def induced_instrument(u_left, u_right, h, t, c, tau_detect, t_sq):
     """The one-row instrument block of a raw 8x8 Hamiltonian ``h``, by the
     package's stacked route; raises ``ValueError`` where
     :class:`MeasurementSetting` does or with the row's error."""
+    from spinturnstile.algebra import evolve_unitaries
     from spinturnstile.cycle import MeasurementSetting, _instrument_block, detection_strength
 
     setting = MeasurementSetting(u_left, u_right, t)
-    block = _instrument_block(0, np.asarray(h)[None], np.zeros((1, 1)), [setting.t_interact],
-                              np.array([setting.u_left]), np.array([setting.u_right]),
+    u, errors = evolve_unitaries(np.asarray(h)[None], [setting.t_interact])
+    block = _instrument_block(0, u, errors, np.array([setting.u_left]), np.array([setting.u_right]),
                               detection_strength(c, tau_detect, t_sq))
     if block.errors[0] is not None:
         raise ValueError(block.errors[0])

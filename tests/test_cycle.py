@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from spinturnstile.cycle import (
     MeasurementSetting,
     detection_strength,
     run_cycle,
+    setting_grid,
     setting_instrument,
     setting_instruments,
     transfer_matrices,
@@ -40,6 +42,7 @@ from oracles import (
     ancilla_state,
     check_density_matrix,
     detection_probability,
+    hierarchy_report,
     induced_instrument,
     joint_evolve,
     kraus_instrument,
@@ -574,8 +577,8 @@ class TestSettingInstruments:
         # (model, t) pairs repeat inside a block and across block boundaries:
         # equal-valued but distinct model objects, a -0.0 field component
         # beside its +0.0 twin, lost-phase rows and overflowing models. Each
-        # row is the setting alone, bit for bit, and each block evolves only
-        # its distinct (H, t) pairs, once each
+        # row is the setting alone, bit for bit, and the whole pass evolves
+        # each distinct (H, t) pair once, in the first block that uses it
         rng = np.random.default_rng(2027)
         base, tunnel = hierarchy_ok_params(exchange=1.3e6, hyperfine_gate=2e6), quiet_tunnel()
 
@@ -600,6 +603,7 @@ class TestSettingInstruments:
                                                model=model()))
         calls = self.record_propagator_rows(monkeypatch)
         blocks = list(setting_instruments(settings, base, tunnel, 2.0))
+        grid_calls = calls[:]
         names = ("effects", "propagators", "pulse", "nopulse", "ancilla_bloch")
         lone_keys = []
         for block in blocks:
@@ -614,24 +618,62 @@ class TestSettingInstruments:
                     assert np.array_equal(got[k], want[0]), name
         errors = [e for block in blocks for e in block.errors]
         assert errors.count(None) < len(errors) and len(set(errors)) == 3
-        for block, keys in zip(blocks, calls):
-            wanted = lone_keys[block.start:block.start + len(block.errors)]
-            assert sorted(keys) == sorted(set(wanted)) and len(keys) <= len(pool)
+        assert sorted(key for keys in grid_calls for key in keys) == sorted(set(lone_keys))
+        assert len(set(lone_keys)) == len(pool) - 1  # the -0.0 and +0.0 twins are one pair
+        # a pair is evolved in the first block that uses it: in the first block here
+        assert len(grid_calls) == 1
 
-    def test_tomography_grid_evolves_each_time_once_per_block(self, monkeypatch):
+    def test_tomography_grid_evolves_each_time_once_per_grid(self, monkeypatch):
         # 500 settings over 10 interaction times and the base model, as in a
-        # tomography design: 10 propagators per block, one per time
+        # tomography design: 10 propagators for the whole grid, one per time,
+        # all in the first block, and one model coefficient pass
         rng = np.random.default_rng(2028)
         times = rng.uniform(1e-7, 3e-6, size=10)
         settings = [MeasurementSetting(u_left=tuple(random_bloch(rng)),
                                        u_right=tuple(random_bloch(rng)), t_interact=times[k % 10])
                     for k in range(500)]
         calls = self.record_propagator_rows(monkeypatch)
+        passes = []
+        monkeypatch.setattr(cycle, "model_coefficients",
+                            lambda values: passes.append(len(values)) or model_coefficients(values))
         blocks = list(setting_instruments(settings, hierarchy_ok_params(exchange=1.3e6),
                                           quiet_tunnel(), 2.0))
         assert [len(b.errors) for b in blocks] == [BLOCK_ROWS] * 7 + [500 - 7 * BLOCK_ROWS]
-        assert [len(keys) for keys in calls] == [10] * len(blocks)
-        assert all(len(set(keys)) == 10 for keys in calls)
+        assert [len(keys) for keys in calls] == [10] and len(set(calls[0])) == 10
+        assert passes == [1]
+
+    def test_a_propagator_is_held_only_while_a_later_block_uses_it(self):
+        # a grid of 16 blocks whose (model, t) pairs never repeat holds no
+        # propagator from one block to the next, so consuming it peaks within
+        # 1.25x of a 4-block grid; a tomography grid of 10 interaction times
+        # holds its 10 propagators between blocks, and no more
+        rng = np.random.default_rng(2031)
+        base, tunnel = hierarchy_ok_params(exchange=1.3e6), quiet_tunnel()
+
+        def grid(times):
+            return setting_grid([MeasurementSetting(tuple(random_bloch(rng)), tuple(random_bloch(rng)), t)
+                                 for t in times])
+
+        def consume(grid):
+            """Peak traced bytes of consuming the grid's blocks, and the most
+            8x8 matrices their generator holds between two blocks."""
+            blocks, held = setting_instruments(grid, base, tunnel, 2.0), []
+            tracemalloc.start()
+            try:
+                for _ in blocks:
+                    held.append(sum(len(v) for v in blocks.gi_frame.f_locals.values()
+                                    if isinstance(v, np.ndarray) and v.shape[1:] == (8, 8)))
+                return tracemalloc.get_traced_memory()[1], max(held)
+            finally:
+                tracemalloc.stop()
+
+        small, large = (grid(rng.uniform(1e-7, 3e-6, size=n * BLOCK_ROWS)) for n in (4, 16))
+        consume(small)  # one-time allocations of numpy and the package
+        (small_peak, small_held), (large_peak, large_held) = consume(small), consume(large)
+        assert small_held == large_held == 0
+        assert large_peak <= 1.25 * small_peak
+        times = rng.uniform(1e-7, 3e-6, size=10)
+        assert consume(grid([times[k % 10] for k in range(500)]))[1] == 10
 
 
 class TestHierarchyNormCalls:
@@ -702,10 +744,17 @@ class TestHierarchyNormCalls:
         blocks, caught = self.instruments(cfg)
         coefficients = model_coefficients([model_values(cfg.model) if m is None else m
                                            for m in cfg.sweep_settings.models])
-        unsettled = [i for i, kind in enumerate(kinds) if kind != "settled"]
-        assert [row for call in norm_rows for row in call] == coefficients[unsettled].tolist()
-        assert len(norm_rows) == len(blocks)
-        assert len(caught) == kinds.count("warns")
+        # each distinct unsettled model once, in the order of its first row, in one call
+        unsettled = [i for i, kind in enumerate(kinds[:len(pool)]) if kind != "settled"]
+        assert norm_rows == [coefficients[unsettled].tolist()]
+        # the warnings, one per failing row in row order, read as the per-row route's
+        expected = []
+        for kind, norm in zip(kinds, hierarchy_norms(coefficients)):
+            report = hierarchy_report(norm, cfg.tunnel, cfg.hierarchy_threshold)
+            if kind == "warns":
+                expected.append("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+                                f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})")
+        assert [str(w.message) for w in caught] == expected and len(expected) == kinds.count("warns")
         errors = [e for b in blocks for e in b.errors]
         assert [e == _OVERFLOW_ERROR for e in errors] == [kind == "overflows" for kind in kinds]
 

@@ -1079,3 +1079,63 @@ def test_hierarchy_warnings_match_the_exact_route(models, t, threshold, interdot
     assert errors == exact_errors
     assert [len(e) for e in errors] == [4] * ((len(models) - 1) // 4) + [(len(models) - 1) % 4 + 1]
     assert [e == _OVERFLOW_ERROR for block in errors for e in block] == np.isnan(norms).tolist()
+
+
+# Row models of a grid, each a new object per call: the run's model, equal
+# twins, a -0.0 field and coupling beside their +0.0 twin, a weak model that
+# fails the hierarchy and one that overflows float64.
+_GRID_MODELS = (
+    lambda: None,
+    lambda: SpinModelParams(b_field=(2e-5, 0.0, 1e-4), g_electron=2.0, g_ancilla=2.0, exchange=7e5,
+                            hyperfine_gate=2e6),
+    lambda: SpinModelParams(b_field=(-0.0, 3e-5, 1e-4), g_electron=2.0, g_ancilla=1.5,
+                            hyperfine_gate=2e6, hyperfine_ancilla=-0.0),
+    lambda: SpinModelParams(b_field=(0.0, 3e-5, 1e-4), g_electron=2.0, g_ancilla=1.5,
+                            hyperfine_gate=2e6, hyperfine_ancilla=0.0),
+    lambda: SpinModelParams(exchange=1e2),
+    lambda: SpinModelParams(exchange=1e308, hyperfine_gate=1e308),
+)
+# Times: -0.0 beside 0.0, and 1e300 s, where every nonzero Hamiltonian loses
+# its phase. The leads come from a few fixed vectors, so that a failing grid
+# shrinks quickly.
+_GRID_LEADS = [np.zeros(3), np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
+               np.array([0.48, -0.36, 0.6])]
+grid_rows = st.tuples(st.integers(0, len(_GRID_MODELS) - 1), st.sampled_from([0.0, -0.0, 1e-6, 2e-6, 1e300]),
+                      st.sampled_from(_GRID_LEADS), st.sampled_from(_GRID_LEADS))
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.lists(grid_rows, min_size=1, max_size=16), block_rows=st.integers(3, 5),
+       c=st.sampled_from([1.0, 20.0]), threshold=st.sampled_from([None, 100.0]), include=st.booleans())
+def test_grid_sharing_matches_the_lone_rows(rows, block_rows, c, threshold, include):
+    # Blocks of 3-5 rows over a few models and times, so that (model, t)
+    # pairs recur within and across blocks. Every row's effect, propagator,
+    # transfer matrices and error are those of its setting alone, bit for
+    # bit, and the warnings are the lone rows' warnings in row order. c = 20
+    # gives kappa = 4, an error of every row.
+    base = SpinModelParams(b_field=(0.0, 0.0, 1e-4), g_electron=2.0, g_ancilla=2.0, exchange=1.3e6,
+                           hyperfine_gate=2e6, hyperfine_ancilla=4e5)
+    tunnel = TunnelParams()
+    settings_ = [MeasurementSetting(left, right, t, model=_GRID_MODELS[m]()) for m, t, left, right in rows]
+
+    def run(grid):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            blocks = list(setting_instruments(grid, base, tunnel, c, include, threshold=threshold))
+        assert all(w.category is HierarchyWarning for w in caught)
+        return blocks, [str(w.message) for w in caught]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycle, "BLOCK_ROWS", block_rows)
+        blocks, messages = run(settings_)
+    assert [b.start for b in blocks] == list(range(0, len(settings_), block_rows))
+    lone_messages = []
+    for block in blocks:
+        arrays = (block.effects, block.propagators, *transfer_matrices(block))
+        for k, setting in enumerate(settings_[block.start:block.start + len(block.errors)]):
+            (alone,), alone_messages = run([setting])
+            lone_messages += alone_messages
+            assert block.errors[k] == alone.errors[0]
+            for got, want in zip(arrays, (alone.effects, alone.propagators, *transfer_matrices(alone))):
+                assert np.array_equal(got[k], want[0])
+    assert messages == lone_messages
