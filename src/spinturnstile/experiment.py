@@ -19,6 +19,7 @@ pr)`` for its seed, although the rows' seeds and counts are computed together
 """
 
 import hashlib
+import itertools
 import math
 import operator
 import threading
@@ -53,30 +54,45 @@ _MIXED_COORDINATES = _IDENTITY[0]
 # Each thread's event-map buffer, ``buffer`` (see :func:`_run_stacks`).
 _EVENT_MAPS = threading.local()
 
-# Cycles decided by one block of :func:`propagate_cycles`, and the most that
-# one run decides one at a time after a pulse. The two event-map stacks hold
-# 2 * (RUN_BLOCK + 1) matrices of 16 + 2 * (RUN_BLOCK + 1) rows and 16 columns
-# (0.69 MB), in one buffer per thread that every chain of the thread reuses
-# (:func:`_run_stacks`).
+# The most cycles one window of :func:`propagate_cycles` spans, and so one
+# event product moves a chain on. The two event-map stacks hold
+# 2 * (RUN_BLOCK + 1) matrices of 16 + 2 * (RUN_BLOCK + 1) rows and 16
+# columns (0.69 MB), in one buffer per thread that every chain of the thread
+# reuses (:func:`_run_stacks`).
 RUN_BLOCK = 32
-# Run probabilities are ratios over no-pulse survivals ``(Q^j x)[0]``; below
-# this fraction of the block's first survival a ratio could carry over 2**16
-# times the rounding of the per-cycle rule, so the block is cut there.
+# Pulse probabilities are ratios over no-pulse survivals ``(Q^j x)[0]``;
+# below this fraction of the window's first survival a ratio could carry over
+# 2**16 times the rounding of the per-cycle rule, so the window is cut there.
 _SURVIVAL_FLOOR = 2.0 ** -16
 # The chain carries its state unnormalized and divides it by its first entry
 # only when that leaves this range, far from the float range's ends.
 _RESCALE_BELOW = 2.0 ** -600
 _RESCALE_ABOVE = 2.0 ** 600
-# After a pulse the chain decides cycle by cycle, on Python floats, while the
-# cycle just decided had at least this pulse probability (see
-# :func:`propagate_cycles`). Measured with Python 3.11 on one core of a shared
-# 2-CPU host, a cycle decided so costs 0.18-0.3 us and a stacked block's step
-# 1.8-2.8 us, about 10 times as much. At pulse probability p the run finds
-# its pulse after about 1/p cycles in place of the block that would find it,
-# so it pays above p = 0.1: on the default probes at c = 1 a run at p = 0.098
-# made the chain 10% slower, and one at p = 0.2 made it 15% faster. 1/8
-# keeps a margin above 0.1.
-_DENSE = 1.0 / 8.0
+# A chain decides only the cycles whose uniform lies below a bound on every
+# pulse probability it can reach: the largest eigenvalue L of the pulse effect
+# E, plus this margin (thinning: Lewis & Shedler, Naval Res. Logist. Q. 26,
+# 403, 1979). A physical instrument's maps are completely positive, so every
+# conditional state of a positive semidefinite gate state is PSD, and then
+# p = tr(E rho) / tr(rho) <= L. The margin covers two departures from that.
+# Rounding: a ratio's numerator and survival are sums of 16 products of a
+# map entry (at most 1 in size) with a coordinate (at most the trace), after
+# about 8 such rounded products, so each is off by at most 2048 * 2**-53 of
+# the state's trace; the survival is at least 2**-16 of it (the floor), so
+# the computed p is within 3e-8 of the exact ratio. The gate tolerance: a
+# gate state of smallest eigenvalue -e is rho+ - N with N >= 0 and
+# tr N <= 4e, and the state reached by maps M is M(rho+) - M(N), whose p
+# exceeds L by at most L tr M(N) / tr(M(rho+) - M(N)). That share starts
+# at 4e, 4e-10 at config's tolerance of 1e-10, and grows only on branches
+# where M(rho+) fades faster than M(N); since tr M(N) summed over the
+# branches of any run of cycles is tr N, a skipped cycle could have pulsed
+# with probability at most 4e. The margin costs one decision per 10**6
+# cycles. A gate state that is not PSD within the margin, relative to its
+# trace, or a gate state or pulse row that is not finite, gets an infinite
+# bound: every cycle is decided.
+_PULSE_BOUND_MARGIN = 1e-6
+# Uniforms compared with the bound per pass, so that the index of the cycles
+# to decide holds one chunk at a time and not one entry per cycle.
+_BOUND_CHUNK = 4096
 
 # The largest master seed: :func:`derive_setting_seeds` mixes a master
 # seed's low 63 bits, so a larger one would repeat a smaller one's seeds.
@@ -286,6 +302,35 @@ def _run_stacks(pulse: np.ndarray, nopulse: np.ndarray, m: int):
     return after_jump, after_run
 
 
+def _pulse_bound(pulse: np.ndarray, x: np.ndarray) -> float:
+    """The bound on every pulse probability that a chain of the transfer
+    matrix ``pulse`` reaches from the gate state of Pauli coordinates ``x``:
+    the pulse effect's largest eigenvalue plus ``_PULSE_BOUND_MARGIN``, or
+    infinity (see ``_PULSE_BOUND_MARGIN``)."""
+    if not (np.isfinite(pulse[0]).all() and np.isfinite(x).all()):
+        return math.inf
+    effect, gate = np.linalg.eigvalsh([pauli_operator(pulse[0]), pauli_operator(x)]).tolist()
+    if not gate[0] >= -_PULSE_BOUND_MARGIN * sum(gate):
+        return math.inf
+    return effect[-1] + _PULSE_BOUND_MARGIN
+
+
+def _uncertain_cycles(uniforms: np.ndarray, bound: float):
+    """An iterator over the indices, in order, of the cycles whose uniform
+    lies below ``bound``, found ``_BOUND_CHUNK`` cycles at a time; then over
+    ``len(uniforms)`` forever."""
+    n = len(uniforms)
+
+    def chunks():
+        for start in range(0, n, _BOUND_CHUNK):
+            chunk = np.flatnonzero(uniforms[start:start + _BOUND_CHUNK] < bound)
+            chunk += start
+            yield chunk.tolist()
+        yield itertools.repeat(n)
+
+    return itertools.chain.from_iterable(chunks())
+
+
 def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarray, n: int,
                      seed: int, *, count_only: bool = False) -> ChainRecord | ShotRecord:
     """Run ``n`` cycles carrying the conditional gate state across cycles.
@@ -304,43 +349,36 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     ``outcomes``, ``probs`` or ``rho_final`` and holds no per-cycle array but
     the uniforms.
 
-    The chain is sampled in blocks, one stacked product per event. Between
+    The chain moves in windows, one stacked product per event. Between
     pulses the state is deterministic: ``j`` no-pulse cycles after ``x`` it
     is ``Q^j x``, with ``Q = nopulse``, and the pulse probability there is
     ``(pulse Q^j x)[0] / (Q^j x)[0]``. The state ``y[:16]`` travels with
     those survivals and pulse numerators for the next ``RUN_BLOCK + 1``
-    cycles, ``y[16:]``. A block decides cycles ``i`` to ``i + k - 1`` by
-    these ratios; the first uniform below its ratio marks a pulse, and the
-    event map ``after_jump[j]`` of :func:`_run_stacks` takes ``y`` to the
-    state after it. A block without a pulse moves ``y`` on by
-    ``after_run[k]``. Right after a pulse, the chain decides cycle ``i``
-    alone, and then the next cycles one at a time by the same ratios and
-    comparisons, as long as the cycle just decided had a pulse probability
-    of at least ``_DENSE``, up to the block's ``k`` cycles and its first
-    survival below the floor. A pulse found so takes ``after_jump[j]`` as a
-    block's would, so a dense pulse train costs one product per pulse and
-    no stacked block; a run that ends without one leaves cycle ``i`` on to
-    the block. A whole block, of ``RUN_BLOCK`` cycles or of the ``n`` of a
-    shorter chain, divides and compares in place: views of ``y``'s survival
-    and numerator heads, built once per chain, are divided into one reused
-    ratio buffer (into ``probs`` for a full record) and compared into one
-    reused bool buffer, so the block slices no part of ``y`` and allocates
-    no array. A block cut short, at the survival floor or at the chain's end,
-    divides and compares slices of its cycles before the cut alone, so no
-    survival past the cut is ever a divisor. The scalar decisions are made
-    on Python floats read through memoryviews of ``y`` and of the uniforms,
-    with the same operands, divisions and comparisons as on numpy scalars,
-    so they cost little beside the event's product. The uniforms and the
-    comparisons are those of the per-cycle rule, so the outcomes equal it
-    unless a uniform lies within rounding (about 1e-16) of its probability.
-    This needs the no-pulse survival not to grow along a run, which holds
-    for every physical instrument: positive maps whose effects sum to the
-    identity.
+    cycles, ``y[16:]``. No reachable state pulses with a probability above
+    a bound, the largest eigenvalue of the pulse effect plus a margin
+    (``_PULSE_BOUND_MARGIN`` gives the argument), so a cycle whose uniform
+    is at least the bound has no pulse and is not decided. A window decides
+    the other cycles in its first ``k`` (``RUN_BLOCK``, or fewer at the
+    chain's end) in order, each on Python floats read through memoryviews
+    of ``y`` and of the uniforms, by the ratio and comparison of the
+    per-cycle rule, until the first pulse or the first survival below the
+    floor. A pulse ``j`` cycles on takes ``y`` to the state after it by the
+    event map ``after_jump[j]`` of :func:`_run_stacks`; a window without one
+    moves ``y`` on by ``after_run[k]``. A cycle to decide at a window's
+    start needs no floor check, so a dense pulse train costs one product
+    per pulse. The cycles to decide are found by comparing the uniforms with
+    the bound one chunk at a time. A full record's ``probs`` are each
+    window's ratios up to its event: a few are divided as Python floats,
+    more in one division of slices of ``y``. The outcomes equal the
+    per-cycle rule's unless a uniform lies within rounding (about 1e-16) of
+    its probability. This needs a physical instrument: completely positive
+    maps whose effects sum to the identity, so that the no-pulse survival
+    does not grow along a run.
 
     The state is carried unnormalized, since the probabilities are ratios.
     It is divided by its first entry only when that leaves
     ``[2**-600, 2**600]``, and ``rho_final`` is normalized at the end. A
-    block is cut at the first survival below ``2**-16`` of its first one.
+    window is cut at the first survival below ``2**-16`` of its first one.
     The no-pulse branch of the cycle before the cut is then stepped alone
     and renormalized, as in the per-cycle rule. A branch of nonpositive
     probability there, unreachable for a valid instrument, resets the state
@@ -356,104 +394,76 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     jump_maps, run_maps = list(after_jump), list(after_run)
     # y[sv + j] = (Q^j x)[0] and y[nm + j] = (pulse Q^j x)[0], with x = y[:16]
     sv, nm = 16, 17 + m
-    # The state y and the next one, each with views built once: the state x,
-    # the survivals and pulse numerators of a whole block, and a memoryview
-    # whose items are Python floats. Each event's product writes the other
-    # vector, and the loop moves on to its views.
-    now, spare = [(y, y[:16], y[sv:sv + m], y[nm:nm + m], memoryview(y))
-                  for y in np.empty((2, sv + 2 * (m + 1)))]
-    y, x, survivals, numerators, yv = now
+    # The state y and the next one, each with the view of its state x and a
+    # memoryview whose items are Python floats. Each event's product writes
+    # the other vector, and the loop moves on to its views.
+    now, spare = [(y, y[:16], memoryview(y)) for y in np.empty((2, sv + 2 * (m + 1)))]
+    y, x, yv = now
     run_maps[0].dot(pauli_coordinates(rho_gate), y)
-    # a whole block's pulse probabilities and their comparisons
-    ratio, below = np.empty(m), np.empty(m, dtype=bool)
-    divide, less = np.divide, np.less
-    survival_floor, dense = _SURVIVAL_FLOOR, _DENSE
+    next_uncertain = _uncertain_cycles(uniforms, _pulse_bound(pulse, x)).__next__
+    survival_floor = _SURVIVAL_FLOOR
     rescale_below, rescale_above = _RESCALE_BELOW, _RESCALE_ABOVE
-    outcomes = probs = None
+    outcomes = None
     if not count_only:
         outcomes = np.zeros(n, dtype=np.uint8)
         probs = np.empty(n)
         pv = memoryview(probs)
     n_pulses = resets = 0
-    after_pulse = False
+    u = next_uncertain()  # the next cycle to decide
     i = 0
     while i < n:
         if not rescale_below <= yv[0] <= rescale_above:
             y /= y[0]
-        if after_pulse:
-            # Cycle i alone first: a pulse often follows a pulse. Then, while
-            # the cycle just decided was likely to pulse (_DENSE), the next
-            # ones one at a time, by the block's ratios and comparisons, up to
-            # its end and its floor. j is the offset of the run's pulse; a
-            # run without one (-1) leaves cycle i on to the block.
-            j = 0
+        if u == i:
+            # A cycle to decide at the window's start: its survival is the
+            # window's first, so it needs no floor check.
             p_pulse = yv[nm] / yv[sv]
-            if not uv[i] < p_pulse:
-                j = -1
-                if p_pulse >= dense:
-                    floor = survival_floor * yv[sv]
-                    for d in range(1, n - i if n - i < m else m):
-                        if not yv[sv + d] >= floor:
-                            break
-                        if outcomes is not None:  # the cycle before, without a pulse
-                            pv[i + d - 1] = p_pulse
-                        p_pulse = yv[nm + d] / yv[sv + d]
-                        if uv[i + d] < p_pulse:
-                            j = d
-                            break
-                        if p_pulse < dense:
-                            break
-            if j >= 0:
+            if uv[i] < p_pulse:
                 if outcomes is not None:
-                    pv[i + j] = p_pulse
-                    outcomes[i + j] = 1
+                    pv[i] = p_pulse
+                    outcomes[i] = 1
                 n_pulses += 1
-                jump_maps[j].dot(x, spare[0])
+                u = next_uncertain()
+                jump_maps[0].dot(x, spare[0])
                 now, spare = spare, now
-                y, x, survivals, numerators, yv = now
-                i += j + 1
+                y, x, yv = now
+                i += 1
                 continue
-        k = n - i
-        if k > m:
-            k = m
+            u = next_uncertain()
+        d = u - i
+        j = -1
+        k = n - i if n - i < m else m
         floor = survival_floor * yv[sv]
-        # Survivals do not grow along a run, so the one after the block tells
-        # whether any falls below the floor; cut at the first that does.
-        whole = yv[sv + k] >= floor
-        cut = k if whole else int((y[sv:sv + k + 1] >= floor).argmin())
-        if cut == m:
-            # A whole block decides in place, on the fixed views.
-            p_run = divide(numerators, survivals, ratio if outcomes is None else probs[i:i + m])
-            hits = less(uniforms[i:i + m], p_run, below)
-        else:
-            # A block cut short divides by no survival past the cut.
-            if outcomes is None:
-                p_run = y[nm:nm + cut] / y[sv:sv + cut]
-            else:
-                p_run = divide(y[nm:nm + cut], y[sv:sv + cut], probs[i:i + cut])
-            hits = uniforms[i:i + cut] < p_run
-        # the offset of the block's first pulse, or -1: a bool is one byte, 0 or 1
-        j = hits.tobytes().find(1)
+        while d < k and yv[sv + d] >= floor:
+            if uv[u] < yv[nm + d] / yv[sv + d]:
+                j = d
+                break
+            u = next_uncertain()
+            d = u - i
         if j >= 0:
-            if outcomes is not None:
-                outcomes[i + j] = 1
-            n_pulses += 1
-            jump_maps[j].dot(x, spare[0])
-            now, spare = spare, now
-            y, x, survivals, numerators, yv = now
-            i += j + 1
-            after_pulse = True
-        elif whole:
-            run_maps[k].dot(x, spare[0])
-            now, spare = spare, now
-            y, x, survivals, numerators, yv = now
-            i += k
-            after_pulse = False
+            span, event = j + 1, jump_maps[j]
+        elif d >= k and yv[sv + k] >= floor:
+            span, event = k, run_maps[k]
         else:
-            # The survival of cycle i + cut is below the floor: step the
-            # no-pulse branch of cycle i + cut - 1 alone, from the state
-            # before it, as the per-cycle rule does.
-            post = nopulse.dot(run_maps[cut - 1][:16].dot(x))
+            # A survival of the window is below the floor: the no-pulse
+            # branch of the cycle before the first such one is stepped alone
+            # below, from the state before it, as the per-cycle rule does.
+            span, event = int((y[sv:sv + k + 1] >= floor).argmin()), None
+        if outcomes is not None:
+            if span < 8:
+                for d in range(span):
+                    pv[i + d] = yv[nm + d] / yv[sv + d]
+            else:
+                np.divide(y[nm:nm + span], y[sv:sv + span], probs[i:i + span])
+            if j >= 0:
+                outcomes[i + j] = 1
+        if j >= 0:
+            n_pulses += 1
+            u = next_uncertain()
+        if event is not None:
+            event.dot(x, spare[0])
+        else:
+            post = nopulse.dot(run_maps[span - 1][:16].dot(x))
             p_no = post.item(0)
             if p_no > 0.0:
                 post /= p_no
@@ -461,9 +471,10 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
                 # Unreachable for a valid instrument; keep the chain alive.
                 post = _MIXED_COORDINATES
                 resets += 1
-            run_maps[0].dot(post, y)
-            i += cut
-            after_pulse = False
+            run_maps[0].dot(post, spare[0])
+        now, spare = spare, now
+        y, x, yv = now
+        i += span
     shots = _count_record(n_pulses, n, seed)
     if outcomes is None:
         return shots

@@ -6,13 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinturnstile.algebra import evolve_unitary
+from spinturnstile.algebra import evolve_unitary, pauli_coordinates
 from spinturnstile.config import parse_config
 from spinturnstile.cycle import MeasurementSetting, setting_instrument, transfer_matrices
-from spinturnstile.experiment import RUN_BLOCK, ShotRecord, _run_stacks, propagate_cycles
+from spinturnstile.experiment import RUN_BLOCK, ShotRecord, _pulse_bound, _run_stacks, propagate_cycles
 from spinturnstile.model import SpinModelParams, build_total_hamiltonian
 
 from oracles import (
@@ -134,8 +134,8 @@ class TestRunLengthSampler:
     @pytest.mark.parametrize("n", [1, 2, RUN_BLOCK - 1, RUN_BLOCK, RUN_BLOCK + 1, 3 * RUN_BLOCK + 5])
     @pytest.mark.parametrize("c", [1.0, 0.01])
     def test_short_and_partial_blocks(self, n, c):
-        # at c = 0.01 most chains end inside a run, so the final state comes
-        # from a partial block
+        # at c = 0.01 most chains end inside a pulse-free stretch, so the
+        # final state comes from a window cut short at the chain's end
         rho0, instruments = default_probes(c)
         for seed in range(8):
             for inst in instruments:
@@ -155,8 +155,8 @@ class TestRunLengthSampler:
     @pytest.mark.parametrize("n", [RUN_BLOCK, RUN_BLOCK + 1])
     def test_pulse_after_pulse_checked_alone(self, n):
         # at c = 5 the z/z probe (the last) pulses almost every cycle, so
-        # nearly every cycle, the last one included, is checked alone after
-        # a pulse
+        # nearly every cycle, the last one included, is decided alone at the
+        # start of the window that follows a pulse
         rho0, instruments = default_probes(5.0)
         for seed in range(8):
             for inst in instruments:
@@ -185,7 +185,7 @@ class TestRunLengthSampler:
 
     def test_underflowing_survival(self):
         # the no-pulse image shrinks by 1e-200 per cycle, so survivals of a
-        # stacked run underflow; the per-cycle rule renormalizes every cycle
+        # window underflow; the per-cycle rule renormalizes every cycle
         rho0 = random_density(np.random.default_rng(60), 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -207,7 +207,7 @@ class TestRunLengthSampler:
     @pytest.mark.parametrize("scale", [-0.1, 1.25])
     def test_unnormalized_state_stays_in_range(self, scale):
         # the state is carried unnormalized: over 5000 cycles it would shrink
-        # by 0.8**5000 (no pulse ever, in whole blocks) or grow by 1.25**5000
+        # by 0.8**5000 (no pulse ever, in whole windows) or grow by 1.25**5000
         # (a pulse map that adds trace), past either end of the float range,
         # unless rescaled; the per-cycle oracle renormalizes every cycle
         pulse, nopulse = scale * np.eye(16), 0.8 * np.eye(16)
@@ -242,7 +242,7 @@ class TestRunLengthSampler:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reset_on_the_last_cycle(self, n):
-        # a short chain's one block reaches its end: the state after it has
+        # a short chain's one window reaches its end: the state after it has
         # survival 0 when its last two cycles give no pulse, so the last
         # cycle is stepped alone and resets
         resets = 0
@@ -258,9 +258,9 @@ class TestRunLengthSampler:
 # Chain outcomes pinned bit for bit, one case per (c, n): the SHA-256 of the
 # outcomes bytes of the default sweep's three probes with seeds 1-3 each
 # (probe by probe, seed by seed) and their nine pulse counts. The lengths lie
-# on both sides of a whole block and of a block cut short at the chain's end.
+# on both sides of a whole window and of a window cut short at the chain's end.
 # At c = 0.05 and 0.001 pulses are rare and nearly every cycle passes
-# undecided inside a pulse-free block. probs and rho_final are left to the
+# undecided inside a pulse-free window. probs and rho_final are left to the
 # stepwise checks above: their last bits follow the BLAS build.
 PINNED_CHAINS = {
     (0.001, RUN_BLOCK + 1): ("d99258f5d81067df4e95825381104fe6c90d04d01bdd2915954dd06f75d07c10",
@@ -409,6 +409,68 @@ def test_dense_chain_matches_stepwise(u_left, u_right, h_seed, t, c, n, seed):
     assert propagate_cycles(*maps(inst), rho0, n, seed, count_only=True) == rec.shots
 
 
+
+# A fixed pool of leads: drawing float leads lets a failing example shrink for
+# minutes.
+LEADS = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.6, 0.0, 0.8), (0.0, -0.8, 0.6),
+         (3 ** -0.5, 3 ** -0.5, 3 ** -0.5)]
+
+
+def gate_state(kind, seed):
+    """A gate state along a random pure state: the mixture of weight ``kind``
+    with the maximally mixed state, a full-rank Wishart state ("wishart"), or
+    a state beyond the pure one whose smallest eigenvalue is ``-e`` ("edge":
+    -1e-10, at config's tolerance)."""
+    rng = np.random.default_rng(seed)
+    if kind == "wishart":
+        return random_density(rng, 4)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    proj = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    if kind == "edge":
+        return beyond_pure(proj, 1e-10)
+    return (1.0 - kind) * np.eye(4) / 4 + kind * proj
+
+
+def beyond_pure(proj, e):
+    """The unit-trace state ``(1 + 3e) proj - e (I - proj)``, of smallest
+    eigenvalue ``-e``."""
+    return (1.0 + 3.0 * e) * proj - e * (np.eye(4) - proj)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(u_left=st.sampled_from(LEADS), u_right=st.sampled_from(LEADS), h_seed=st.integers(0, 2**32 - 1),
+       t=st.floats(0.0, 5.0), c=st.floats(0.001, 5.0), n=st.integers(1, 4 * RUN_BLOCK),
+       kind=st.sampled_from([0.0, 0.3, 0.9, 1.0, "wishart", "edge"]), seed=st.integers(0, 2**32 - 1))
+@example(u_left=LEADS[0], u_right=LEADS[1], h_seed=1, t=1.0, c=0.001, n=100_000, kind=1.0, seed=1)
+@example(u_left=LEADS[3], u_right=LEADS[4], h_seed=2, t=2.5, c=0.005, n=100_000, kind="wishart", seed=2)
+@example(u_left=LEADS[5], u_right=LEADS[0], h_seed=3, t=4.0, c=0.01, n=100_000, kind="edge", seed=3)
+def test_bounded_chain_matches_stepwise(u_left, u_right, h_seed, t, c, n, kind, seed):
+    # kappa = 2 c tau_detect t_sq = 0.2 c lies in [2e-4, 1]: from a pulse in
+    # tens of thousands of cycles to pulse trains; only the cycles whose
+    # uniform lies below the bound are decided
+    h = random_hermitian(np.random.default_rng(h_seed), 8)
+    pulse, nopulse = maps(induced_instrument(u_left, u_right, h, t, c, 0.1, 1.0))
+    rho0 = gate_state(kind, seed)
+    rec = assert_matches_stepwise(pulse, nopulse, rho0, n, seed)
+    assert propagate_cycles(pulse, nopulse, rho0, n, seed, count_only=True) == rec.shots
+    bound = _pulse_bound(pulse, pauli_coordinates(rho0))
+    if bound < 1.0:
+        assert rec.probs.max() <= bound
+
+
+def test_state_beyond_the_margin_decides_every_cycle():
+    # a negative eigenvalue of -1e-5 is past the bound's margin: the bound is
+    # infinite and the chain still equals the per-cycle rule
+    rho0, instruments = default_probes(0.05)
+    proj = np.zeros((4, 4))
+    proj[0, 0] = 1.0
+    rho_edge = beyond_pure(proj, 1e-5)
+    for k, inst in enumerate(instruments):
+        assert _pulse_bound(maps(inst)[0], pauli_coordinates(rho_edge)) == np.inf
+        assert _pulse_bound(maps(inst)[0], pauli_coordinates(rho0)) < 1.0
+        assert_matches_stepwise(*maps(inst), rho_edge, 3_000, seed=k + 1)
+
+
 def traced_peak(call):
     """The peak of memory newly traced by tracemalloc while ``call()`` runs."""
     tracemalloc.start()
@@ -483,6 +545,14 @@ class TestEventMapBuffers:
         peak, shots = self.z_probe_chain(c, n, count_only=True)
         assert type(shots) is ShotRecord and shots.n_cycles == n
         assert peak < 8 * n + 1e6
+
+    def test_index_of_cycles_to_decide_holds_one_chunk(self):
+        # the z probe's bound at c = 5 is at least 1, so every cycle is
+        # decided: an index of them that grew with n would show here
+        rho0, instruments = default_probes(5.0)
+        assert _pulse_bound(maps(instruments[2])[0], pauli_coordinates(rho0)) >= 1.0
+        above = [self.z_probe_chain(5.0, n, count_only=True)[0] - 8 * n for n in (100_000, 400_000)]
+        assert abs(above[1] - above[0]) < 64 * 1024
 
     def test_full_record_holds_its_arrays_alone(self):
         # the uniforms and probabilities (8n bytes each) and outcomes (n)
