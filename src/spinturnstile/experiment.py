@@ -450,6 +450,7 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
             # below, from the state before it, as the per-cycle rule does.
             span, event = int((y[sv:sv + k + 1] >= floor).argmin()), None
         if outcomes is not None:
+            # a few ratios cost less divided one by one than in sliced arrays
             if span < 8:
                 for d in range(span):
                     pv[i + d] = yv[nm + d] / yv[sv + d]
