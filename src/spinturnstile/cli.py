@@ -1,7 +1,10 @@
 """Command-line front end.
 
-The subcommands, listed with their handlers and help texts in ``COMMANDS``,
-map one-to-one onto the library layers. All commands read one JSON
+The commands, listed with their handlers and help texts in ``COMMANDS``,
+map one-to-one onto the library layers. One parser reads them all: the
+command is its positional argument, and ``--help`` lists the commands with
+their help texts after the options. All commands take the same four options
+(``--config``, ``--out``, ``--format``, ``--seed``) and read one JSON
 configuration (``--config PATH`` or ``-`` for stdin), write their table in
 one of the ``results.RENDERERS`` formats (CSV or JSON-lines) to ``--out``
 (default stdout) and embed the configuration digest and effective seed in
@@ -14,6 +17,7 @@ Exit codes: 0 success, 2 configuration syntax error, 3 validation error,
 """
 
 import argparse
+import gc
 import sys
 
 import numpy as np
@@ -212,7 +216,7 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
     return ResultTable(columns=columns, rows=rows, metadata=meta)
 
 
-# Subcommand -> (handler, help text).
+# Command -> (handler, help text).
 COMMANDS = {
     "rates": (_cmd_rates, "device time scales and hierarchy check"),
     "cycle": (_cmd_cycle, "single measurement cycle"),
@@ -223,35 +227,54 @@ COMMANDS = {
 
 
 def execute(command: str, cfg: RunConfig, digest: str) -> ResultTable:
-    """Run one subcommand against a validated configuration."""
+    """Run one command against a validated configuration."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     return COMMANDS[command][0](cfg, _base_metadata(command, digest, cfg))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: the command is a positional choice, and
+    the options all commands take are declared once. ``--help`` lists the
+    commands and their help texts from ``COMMANDS`` in its epilog."""
+    width = max(map(len, COMMANDS))
+    epilog = "commands:\n" + "".join(
+        f"  {name:<{width}}  {help_text}\n" for name, (_, help_text) in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="spinturnstile",
         description="Turnstile readout simulator for donor spin gates.",
+        epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    # The options every subcommand takes, declared once.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True,
+    parser.add_argument("command", choices=tuple(COMMANDS), metavar="command",
+                        help="the command to run, one of those listed below")
+    parser.add_argument("--config", required=True,
                         help="path to the JSON configuration, or '-' for stdin")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--format", default="csv", choices=tuple(RENDERERS),
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", default="csv", choices=tuple(RENDERERS),
                         help="output format (default: csv)")
-    common.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=None,
                         help="override experiment.seed from the configuration")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # One execution leaves a few dozen objects of cyclic garbage, however
+    # large its grid, so the collector's passes during it free next to
+    # nothing; pause it and give the caller back the state it had, also when
+    # argparse exits.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
+
+def _run(args: argparse.Namespace) -> int:
+    """Read, parse, execute and write for the parsed command line; returns
+    the exit code."""
     try:
         if args.config == "-":
             raw = sys.stdin.buffer.read()

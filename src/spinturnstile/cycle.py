@@ -357,6 +357,8 @@ def setting_instruments(
             held += range(new.start, new.stop)
             kept = _evolve_pairs(kept, coefficients[pair_slots[new]], pair_times[new],
                                  include_gate_hamiltonian, errors)
+            if new.stop == len(pair_times):  # the grid's last new pair: no later block reads these
+                coefficients = pair_slots = pair_times = None
         where[held] = np.arange(len(held))
         block = _instrument_block(start, kept[where[ids]], [errors[j] for j in ids.tolist()],
                                   u_left[start:end], u_right[start:end], kappa)

@@ -87,8 +87,9 @@ _RESCALE_ABOVE = 2.0 ** 600
 # branches of any run of cycles is tr N, a skipped cycle could have pulsed
 # with probability at most 4e. The margin costs one decision per 10**6
 # cycles. A gate state that is not PSD within the margin, relative to its
-# trace, or a gate state or pulse row that is not finite, gets an infinite
-# bound: every cycle is decided.
+# trace, or a pulse row or gate coordinates that are not finite (a finite
+# gate state's coordinates can overflow), gets an infinite bound: every
+# cycle is decided.
 _PULSE_BOUND_MARGIN = 1e-6
 # Uniforms compared with the bound per pass, so that the index of the cycles
 # to decide holds one chunk at a time and not one entry per cycle.
@@ -383,10 +384,13 @@ def propagate_cycles(pulse: np.ndarray, nopulse: np.ndarray, rho_gate: np.ndarra
     and renormalized, as in the per-cycle rule. A branch of nonpositive
     probability there, unreachable for a valid instrument, resets the state
     to maximally mixed; ``resets`` counts it. ``probs`` is clamped to
-    [0, 1]; the comparisons need no clamp.
+    [0, 1]; the comparisons need no clamp. A ``rho_gate`` with an entry that
+    is not finite raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not np.isfinite(rho_gate).all():
+        raise ValueError("rho_gate must be finite")
     uniforms = np.random.default_rng(seed).random(n)
     uv = memoryview(uniforms)
     m = RUN_BLOCK if n > RUN_BLOCK else n

@@ -471,6 +471,21 @@ def test_state_beyond_the_margin_decides_every_cycle():
         assert_matches_stepwise(*maps(inst), rho_edge, 3_000, seed=k + 1)
 
 
+@pytest.mark.parametrize("count_only", [False, True])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_gate_state_not_finite_raises(entry, count_only):
+    # a state with an entry that is not finite is refused before any cycle
+    # runs; an all-NaN state used to count as maximally mixed (on the x
+    # probe at c = 1, n = 100, seed 1: 8 pulses and one reset)
+    rho0, instruments = default_probes(1.0)
+    one_entry = rho0.astype(complex)
+    one_entry[0, 1] = entry
+    for rho in (np.full((4, 4), entry), one_entry):
+        for inst in instruments:
+            with pytest.raises(ValueError, match="rho_gate must be finite"):
+                propagate_cycles(*maps(inst), rho, 100, seed=1, count_only=count_only)
+
+
 def traced_peak(call):
     """The peak of memory newly traced by tracemalloc while ``call()`` runs."""
     tracemalloc.start()

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -424,10 +425,8 @@ class TestResultTable:
             assert dest.read_bytes() == render(self.table())
         with pytest.raises(ValueError, match="unknown output format"):
             write_results(self.table(), "xml", tmp_path / "out.xml")
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        for parser in sub.choices.values():
-            (fmt,) = [a for a in parser._actions if a.dest == "format"]
-            assert tuple(fmt.choices) == tuple(RENDERERS)
+        (fmt,) = [a for a in build_parser()._actions if a.dest == "format"]
+        assert tuple(fmt.choices) == tuple(RENDERERS)
 
     def test_write_returns_byte_count(self, tmp_path):
         dest = tmp_path / "out.csv"
@@ -809,10 +808,24 @@ class TestCli:
         assert main(["rates", "--config", "-", "--out", str(out_path)]) == EXIT_OK
         assert out_path.exists()
 
-    def test_subcommands_are_the_command_table(self):
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        assert list(sub.choices) == list(COMMANDS)
-        assert [a.help for a in sub._choices_actions] == [text for _, text in COMMANDS.values()]
+    def test_subcommands_are_the_command_table(self, capsys):
+        parser = build_parser()
+        (command,) = [a for a in parser._actions if a.dest == "command"]
+        assert list(command.choices) == list(COMMANDS)
+        # --help lists each command with its help text, in the table's order
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        listing = capsys.readouterr().out
+        lines = [re.search(rf"^ +{name} +{re.escape(text)}$", listing, re.M)
+                 for name, (_, text) in COMMANDS.items()]
+        assert all(lines) and sorted(m.start() for m in lines) == [m.start() for m in lines]
+        # every command takes the four options after its name
+        for name in COMMANDS:
+            args = parser.parse_args([name, "--config", "c.json", "--out", "o.jsonl",
+                                      "--format", "jsonl", "--seed", "7"])
+            assert vars(args) == {"command": name, "config": "c.json", "out": "o.jsonl",
+                                  "format": "jsonl", "seed": 7}
         cfg = parse_config(MINIMAL)
         assert execute("rates", cfg, "0" * 64).metadata["command"] == "rates"
         with pytest.raises(ValueError, match="unknown command 'bogus'"):
@@ -908,3 +921,93 @@ class TestCli:
         assert meta["rank"] == 3
         for row in rows:
             assert row["abs_error"] < 1e-8
+
+
+def refresh_sweep(n):
+    """A refresh sweep of n settings that share no interaction time."""
+    return {"sweep": {"settings": [{"t_interact_s": 1e-7 * (k + 1)} for k in range(n)]},
+            "experiment": {"n_cycles": 1000, "mode": "refresh"}}
+
+
+class TestGcPause:
+    """``main`` runs with the cyclic garbage collector paused and gives the
+    caller back the state it had, on every way out."""
+
+    def raise_internal(self, *args):
+        raise RuntimeError("boom")
+
+    # case -> (configuration text, None for a missing file; command line,
+    # with {cfg} and {out} for the paths; exit code; whether argparse exits)
+    CASES = {
+        "ok": ("{}", "rates --config {cfg} --out {out}", EXIT_OK, False),
+        "internal": ("{}", "rates --config {cfg} --out {out}", EXIT_INTERNAL, False),
+        "syntax": ("{not json", "rates --config {cfg}", EXIT_PARSE, False),
+        "validation": ('{"experiment": {"n_cycles": 0}}', "rates --config {cfg}", EXIT_VALIDATION, False),
+        "io": (None, "rates --config {cfg}", EXIT_IO, False),
+        "help": ("{}", "--help", 0, True),
+        "unknown command": ("{}", "bogus --config {cfg}", 2, True),
+        "missing config": ("{}", "rates", 2, True),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_caller_state_restored(self, tmp_path, monkeypatch, capsys, case, enabled):
+        text, line, expected, exits = self.CASES[case]
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        argv = [word.format(cfg=cfg_path, out=tmp_path / "out.csv") for word in line.split()]
+        if case == "internal":
+            monkeypatch.setattr(spinturnstile.cli, "execute", self.raise_internal)
+        # the collector's state while the parser is built, inside the pause
+        inside, build = [], spinturnstile.cli.build_parser
+        monkeypatch.setattr(spinturnstile.cli, "build_parser",
+                            lambda: inside.append(gc.isenabled()) or build())
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if exits:
+                with pytest.raises(SystemExit) as exited:
+                    main(argv)
+                code = exited.value.code
+            else:
+                code = main(argv)
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert (code, inside, after) == (expected, [False], enabled)
+        if case == "internal":
+            assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    def test_no_collection_inside_a_run(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(refresh_sweep(200)))
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            code = main(argv)
+        finally:
+            gc.callbacks.remove(record)
+        assert (code, started) == (EXIT_OK, [])
+
+    def test_garbage_does_not_grow_with_the_grid(self, tmp_path):
+        # a run leaves the collector the same objects for 10 rows as for
+        # 200, so pausing it cannot hold memory that grows with the grid;
+        # the collector stays off until the count, or the first allocation
+        # after a long run would collect them
+        def garbage(n):
+            gc.collect()
+            gc.disable()
+            try:
+                code, _ = run_cli(tmp_path, "sweep", refresh_sweep(n), tag=str(n))
+                return code, gc.collect()
+            finally:
+                gc.enable()
+
+        garbage(3)  # what only a first run leaves
+        assert garbage(10) == garbage(200) == (EXIT_OK, garbage(10)[1])

@@ -675,6 +675,27 @@ class TestSettingInstruments:
         times = rng.uniform(1e-7, 3e-6, size=10)
         assert consume(grid([times[k % 10] for k in range(500)]))[1] == 10
 
+    def test_model_arrays_released_with_the_last_new_pair(self):
+        # the generator drops the grid's model coefficients and per-pair
+        # index once it has built the block that evolves the last new pair:
+        # after the first block of 10 repeating times, after the last one
+        # when every row brings a new time
+        rng = np.random.default_rng(2033)
+        times = rng.uniform(1e-7, 3e-6, size=10)
+        base, tunnel = hierarchy_ok_params(exchange=1.3e6), quiet_tunnel()
+
+        def released(times):
+            """Per block, whether the generator has dropped each of the arrays."""
+            blocks, dropped = setting_instruments([MeasurementSetting((0, 0, 1), (1, 0, 0), t) for t in times],
+                                                  base, tunnel, 2.0), []
+            for _ in blocks:
+                frame = blocks.gi_frame.f_locals
+                dropped.append([frame[name] is None for name in ("coefficients", "pair_slots", "pair_times")])
+            return dropped
+
+        assert released([times[k % 10] for k in range(3 * BLOCK_ROWS)]) == [[True] * 3] * 3
+        assert released(rng.uniform(1e-7, 3e-6, size=3 * BLOCK_ROWS)) == [[False] * 3] * 2 + [[True] * 3]
+
 
 class TestHierarchyNormCalls:
     """The eigenvalues of the hierarchy check are paid only for the rows whose
