@@ -371,9 +371,10 @@ def _grid_index(grid: SettingGrid, base: tuple) -> tuple:
     """The coefficients of the grid's distinct models (``base`` for a row
     without an override), each row's model slot and (model, time) pair, and
     each pair's model slot, time and last row. Pairs are numbered by their
-    first rows and named by the bits of the time and of the model's 13
+    first rows and named by the bits of the time and of the model's 12
     coefficients, which name its Hamiltonian in a tenth of the bytes (+ 0.0
-    makes a -0.0 coefficient +0.0, which gives the same H)."""
+    makes a -0.0 coefficient +0.0, which gives the same H). Models that
+    differ only in their level offset share a name."""
     models, names, pairs = {}, {}, {}
     slots = [models.setdefault(base if m is None else m, len(models)) for m in grid.models]
     coefficients = model_coefficients(list(models))

@@ -17,10 +17,12 @@ joint dynamics an 8x8 problem.
 
 The Hamiltonian is built one way: per-model coupling coefficients
 (:func:`model_coefficients`, stacked over rows of model values) times a fixed
-stack of 13 generators (:func:`hamiltonians`); :func:`build_total_hamiltonian`
-is the one-model case. A model travels in a setting grid as the flat row of
-its field values (:func:`model_values`), checked where the grid is built;
-:class:`SpinModelParams` is the check of a model built in Python.
+stack of 12 traceless generators (:func:`hamiltonians`);
+:func:`build_total_hamiltonian` is the one-model case. The donor-level offset
+is a global phase, so no Hamiltonian holds it. A model travels in a setting
+grid as the flat row of its field values (:func:`model_values`), checked where
+the grid is built; :class:`SpinModelParams` is the check of a model built in
+Python.
 
 The time-scale hierarchy ``tau_res << tau_dyn << tau_non`` is checked one way
 too: the spectral norms of a block of models (:func:`hierarchy_norms`), then
@@ -102,13 +104,9 @@ class SpinModelParams:
             electrons, rad/s. ``None`` means derive it from ``hopping`` and
             ``coulomb_u`` as the superexchange ``4 t^2 / U``, which
             :func:`model_coefficients` computes.
-        level_offset: scalar offset of the donor level, rad/s. A global phase
-            in principle, but it enters the Hamiltonian as its identity term,
-            so it takes part in every propagator's eigendecomposition and
-            phase check: at 1e13 rad/s ``pr_pulse`` moves by 3e-10 relative,
-            and from about 1e19 rad/s the phase check rejects the run.
-            ROADMAP.md plans to take the term out ("The level offset leaves
-            the Hamiltonian").
+        level_offset: scalar offset of the donor level, rad/s. A global
+            phase: it is checked finite and written into a setting's seed
+            digest, but no Hamiltonian holds it, so it changes no result.
     """
 
     b_field: tuple = (0.0, 0.0, 0.0)
@@ -203,22 +201,21 @@ def _pauli_dot_pauli(site_a: int, site_b: int) -> np.ndarray:
 
 
 # H is linear in the couplings: H = sum_k coefficient_k G_k over this fixed
-# stack of Hermitian generators (flattened), in the order of _coefficients:
-# the electron, nucleus and ancilla Zeeman triples, the gate hyperfine, the
-# exchange, the ancilla hyperfine and the level offset.
+# stack of traceless Hermitian generators (flattened), in the order of
+# model_coefficients: the electron, nucleus and ancilla Zeeman triples, the
+# gate hyperfine, the exchange and the ancilla hyperfine.
 _GENERATORS = np.array(
     [_SITE_PAULIS[site][axis] for site in (_ELECTRON, _NUCLEUS, _ANCILLA) for axis in range(3)]
     + [_pauli_dot_pauli(_NUCLEUS, _ELECTRON), _pauli_dot_pauli(_ELECTRON, _ANCILLA),
-       _pauli_dot_pauli(_NUCLEUS, _ANCILLA), np.eye(_DIM)]
-).reshape(13, _DIM * _DIM)
+       _pauli_dot_pauli(_NUCLEUS, _ANCILLA)]
+).reshape(12, _DIM * _DIM)
 _INTERACTION_TERMS = [10, 11]
-_TOTAL_TERMS = list(range(13))
-# The traceless gate+interaction part: everything but the ancilla Zeeman term
-# and the level offset (the only generator with a trace).
+_TOTAL_TERMS = list(range(12))
+# The gate+interaction part: everything but the ancilla Zeeman term.
 _HIERARCHY_TERMS = [0, 1, 2, 3, 4, 5, 9, 10, 11]
-# Spectral norm of each generator: 1 for a Pauli term and the identity, 3
-# for sigma . sigma (eigenvalues 1 and -3).
-_GENERATOR_NORMS = np.array([1.0] * 9 + [3.0] * 3 + [1.0])
+# Spectral norm of each generator: 1 for a Pauli term, 3 for sigma . sigma
+# (eigenvalues 1 and -3).
+_GENERATOR_NORMS = np.array([1.0] * 9 + [3.0] * 3)
 # sqrt(w_k) = ||G_k||_F / sqrt(8) of each hierarchy generator: 1 for a Pauli
 # term, sqrt(3) for sigma . sigma. These generators are distinct Pauli
 # products (sigma . sigma a sum of three), so they are orthogonal under
@@ -256,7 +253,7 @@ _EXCHANGE = 10
 
 
 def model_coefficients(values) -> np.ndarray:
-    """(R, 13) coefficients of the fixed generator stack, one row per row of
+    """(R, 12) coefficients of the fixed generator stack, one row per row of
     checked model values (:func:`model_values`), from one stacked pass.
 
     Every Hamiltonian of this module is a product of such rows with the
@@ -264,8 +261,9 @@ def model_coefficients(values) -> np.ndarray:
     are the Zeeman triples ``g * MU_B_PER_HBAR * b`` of the electron, the
     nucleus and the ancilla, the gate hyperfine, the exchange (where it is
     None, the superexchange ``J = 4 t^2 / U`` of hopping and coulomb_u, valid
-    for ``t << U``, and 0 without hopping), the ancilla hyperfine and the
-    level offset; a product that overflows is inf, silently.
+    for ``t << U``, and 0 without hopping) and the ancilla hyperfine; a
+    product that overflows is inf, silently. The level offset, a global
+    phase, has no coefficient: no generator has a trace.
     """
     v = np.array(values, dtype=float).reshape(-1, 12)  # a null exchange is NaN
     hopping, coulomb_u, exchange = v[:, _EXCHANGE - 2], v[:, _EXCHANGE - 1], v[:, _EXCHANGE]
@@ -273,7 +271,7 @@ def model_coefficients(values) -> np.ndarray:
         zeeman = ((v[:, 3:6] * MU_B_PER_HBAR)[:, :, None] * v[:, None, 0:3]).reshape(-1, 9)
         derived = np.where(hopping == 0.0, 0.0, 4.0 * hopping * hopping / coulomb_u)
     exchange = np.where(np.isnan(exchange), derived, exchange)
-    return np.column_stack((zeeman, v[:, 6], exchange, v[:, 7], v[:, 11]))
+    return np.column_stack((zeeman, v[:, 6], exchange, v[:, 7]))
 
 
 def _combine(coefficients: np.ndarray, terms) -> np.ndarray:
@@ -304,21 +302,13 @@ def hamiltonians(coefficients: np.ndarray, include_gate_hamiltonian: bool = True
 
 
 def hierarchy_norms(coefficients: np.ndarray) -> np.ndarray:
-    """Spectral norm of the traceless gate+interaction Hamiltonian of each
-    coefficient row, from one stacked ``eigvalsh`` (the trace part is a global
-    phase and generates no dynamics). A Hamiltonian that overflows float64,
+    """Spectral norm of the gate+interaction Hamiltonian of each coefficient
+    row, from one stacked ``eigvalsh``. A Hamiltonian that overflows float64,
     or whose norm does, gets NaN, and the other rows still get their norms."""
     h = _combine(coefficients, _HIERARCHY_TERMS)
     finite = np.isfinite(h).all(axis=(1, 2))
     norms = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], h, 0.0))).max(axis=1)
     return np.where(finite & np.isfinite(norms), norms, np.nan)
-
-
-def _triangle_bound(coefficients: np.ndarray) -> np.ndarray:
-    """``sum_k |c_k| ||G_k||_2`` over the hierarchy terms of each coefficient
-    row: the triangle-inequality bound on its :func:`hierarchy_norms` entry.
-    Overflows to inf silently under the caller's ``np.errstate``."""
-    return np.abs(coefficients[:, _HIERARCHY_TERMS]) @ _GENERATOR_NORMS[_HIERARCHY_TERMS]
 
 
 def _norm_bracket(coefficients: np.ndarray) -> tuple:
@@ -332,9 +322,10 @@ def _norm_bracket(coefficients: np.ndarray) -> tuple:
     norm too. A row with a coefficient near the float64 maximum or beyond it
     gets an infinite or NaN upper bound.
     """
+    terms = coefficients[:, _HIERARCHY_TERMS]
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = np.hypot.reduce(coefficients[:, _HIERARCHY_TERMS] * _ROOT_WEIGHTS, axis=1)
-        upper = np.minimum(_triangle_bound(coefficients), math.sqrt(_DIM) * lower)
+        lower = np.hypot.reduce(terms * _ROOT_WEIGHTS, axis=1)
+        upper = np.minimum(np.abs(terms) @ _GENERATOR_NORMS[_HIERARCHY_TERMS], math.sqrt(_DIM) * lower)
         return lower * (1.0 - _BRACKET_MARGIN) - _TINY, upper * (1.0 + _BRACKET_MARGIN) + _TINY
 
 
@@ -350,20 +341,14 @@ def _unsettled_norms(coefficients: np.ndarray, tunnel: TunnelParams | None = Non
     above it: ``ratio_dyn_res`` of the upper bound and ``ratio_non_dyn`` of
     the lower. The first never rises and the second never falls as the norm
     grows, rounding included, so the row's exact norm satisfies the threshold
-    too. Only the other rows can overflow or fail the threshold. Without a
-    threshold only an overflow is to be ruled out, and the triangle half of
-    the upper bound (``_triangle_bound``) rules it out at the cost of one
-    product; the rest of the bracket is computed for a threshold alone.
+    too. Only the other rows can overflow or fail the threshold.
     """
-    if threshold is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            settled = _triangle_bound(coefficients) < _SAFE_NORM_BOUND  # NaN is unsettled too
-    else:
-        lower, upper = _norm_bracket(coefficients)
+    lower, upper = _norm_bracket(coefficients)
+    settled = upper < _SAFE_NORM_BOUND  # NaN is unsettled too
+    if threshold is not None:
         n = len(coefficients)
         bounds = _time_scales(np.concatenate((upper, lower)), tunnel, threshold)
-        settled = ((upper < _SAFE_NORM_BOUND) & (bounds.ratio_dyn_res[:n] >= threshold)
-                   & (bounds.ratio_non_dyn[n:] >= threshold))
+        settled &= (bounds.ratio_dyn_res[:n] >= threshold) & (bounds.ratio_non_dyn[n:] >= threshold)
     rows = np.flatnonzero(~settled)
     return rows, hierarchy_norms(coefficients[rows]) if len(rows) else np.empty(0)
 

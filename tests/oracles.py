@@ -232,15 +232,15 @@ def exchange_value(p) -> float:
 
 
 def model_coefficients_by_model(p) -> tuple:
-    """The 13 generator-stack coefficients of one SpinModelParams, by Python
+    """The 12 generator-stack coefficients of one SpinModelParams, by Python
     float arithmetic on its fields: the package's route before it stacked
-    the models' values."""
+    the models' values. The level offset, a global phase, has none."""
     from spinturnstile.constants import MU_B_PER_HBAR
 
     bx, by, bz = p.b_field
     el, nuc, anc = p.g_electron * MU_B_PER_HBAR, p.g_nuclear * MU_B_PER_HBAR, p.g_ancilla * MU_B_PER_HBAR
     return (el * bx, el * by, el * bz, nuc * bx, nuc * by, nuc * bz, anc * bx, anc * by, anc * bz,
-            p.hyperfine_gate, exchange_value(p), p.hyperfine_ancilla, p.level_offset)
+            p.hyperfine_gate, exchange_value(p), p.hyperfine_ancilla)
 
 
 def hierarchy_report(norm: float, tp, threshold: float):

@@ -36,6 +36,8 @@ from spinturnstile.cli import (
     execute,
     main,
 )
+from spinturnstile import cycle
+from spinturnstile.algebra import evolve_unitaries
 from spinturnstile.cycle import HierarchyWarning
 from spinturnstile.model import SpinModelParams, model_coefficients, model_values
 from spinturnstile.results import RENDERERS, ResultTable, render_csv, render_jsonl, write_results
@@ -856,6 +858,24 @@ class TestCli:
         assert rows[2] == reference[2]
         # the row's error names the overflow, so stderr stays empty
         assert err == ""
+
+    def test_overrides_differing_in_level_offset_share_a_propagator(self, tmp_path, monkeypatch):
+        # the offset is a global phase, so two overrides that differ in it
+        # alone have one Hamiltonian: one propagator row and bit-equal pr
+        rows = []
+
+        def recording(h, t):
+            rows.append(len(h))
+            return evolve_unitaries(h, t)
+
+        monkeypatch.setattr(cycle, "evolve_unitaries", recording)
+        settings = [{"model": {"level_offset_per_s": offset}} for offset in (1.0, 2.0)]
+        code, out = run_cli(tmp_path, "sweep", {"sweep": {"settings": settings}})
+        assert code == EXIT_OK
+        table = list(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+        assert [r["status"] for r in table] == ["ok", "ok"]
+        assert table[0]["pr"] == table[1]["pr"]
+        assert rows == [1]
 
     def test_console_entrypoint_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -218,8 +218,8 @@ class TestCharacteristicTimes:
         assert a.tau_dyn == pytest.approx(b.tau_dyn, rel=1e-12)
 
     def test_overflow_bound_weighs_each_term_by_its_norm(self):
-        # _triangle_bound bounds the norm by sum_k |c_k| ||G_k||
-        stack = model._GENERATORS.reshape(13, 8, 8)
+        # _norm_bracket bounds the norm by sum_k |c_k| ||G_k||
+        stack = model._GENERATORS.reshape(len(model._GENERATORS), 8, 8)
         assert np.array_equal(model._GENERATOR_NORMS, np.abs(np.linalg.eigvalsh(stack)).max(axis=1))
 
     def test_norm_bracket_weighs_each_term_by_its_frobenius_norm(self):

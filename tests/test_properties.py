@@ -4,7 +4,8 @@ tomography parameterization over random vectors, of the configuration's
 resolved form over random documents, of the time-scale hierarchy over
 random norms and tunnels, of the output writers, the setting seeds, the
 stacked time scales, the model coefficients and the stacked settings parse
-against their oracles, and of the command line's exits on hostile documents."""
+against their oracles, of the command line's exits on hostile documents, and
+of every command's output under any finite level offset."""
 
 import contextlib
 import io
@@ -673,6 +674,41 @@ def test_cli_exits_cleanly_and_reproducibly(text, command, fmt):
     assert "Traceback" not in err
     assert not [message for category, message in caught if issubclass(category, RuntimeWarning)]
     assert runs[0] == runs[1]
+
+
+# Every command, a sweep in both modes; the propagate one with few cycles,
+# since a chain's time grows with them.
+OFFSET_RUNS = [("rates", {}), ("cycle", {}), ("sweep", {}), ("sweep", {"mode": "propagate", "n_cycles": 300}),
+               ("calibrate", {}), ("tomography", {})]
+
+
+def offset_run(command: str, experiment: dict, offset: float) -> tuple:
+    """Exit code, stderr, warnings and stdout of ``command`` with the run
+    model's level offset at ``offset``, the stdout without the
+    ``config_sha256`` and ``resolved_config`` lines, which echo the offset."""
+    doc = {"model": {"level_offset_per_s": offset}, "experiment": experiment}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "config.json")
+        config.write_text(json.dumps(doc))
+        stdout = io.TextIOWrapper(io.BytesIO())
+        with contextlib.redirect_stdout(stdout):
+            code, err, caught = run_main([command, "--config", str(config)])
+    lines = stdout.buffer.getvalue().splitlines(keepends=True)
+    return code, err, caught, [l for l in lines if not l.startswith((b"# config_sha256 ", b"# resolved_config "))]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(offset=st.floats(-1.7e308, 1.7e308))
+@example(offset=1e13)
+@example(offset=1e19)
+@example(offset=1.7e308)
+def test_level_offset_changes_no_output(offset):
+    # a global phase: any finite offset of the run's model gives every
+    # command the output of offset 0, the echo aside
+    for command, experiment in OFFSET_RUNS:
+        got = offset_run(command, experiment, offset)
+        assert got[0] == EXIT_OK, got[1]
+        assert got == offset_run(command, experiment, 0.0), command
 
 
 @PROPERTY_SETTINGS
