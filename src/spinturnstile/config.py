@@ -13,12 +13,12 @@ derived exchange one stacked pass then checks, reporting the first bad field
 in document order, its path built only then. The run's ``model`` section is
 checked as one row of model values, and becomes the one
 :class:`SpinModelParams` built; each settings array becomes one
-:class:`~spinturnstile.cycle.SettingGrid` of columns, its rows (their leads,
-time and model override's values) checked in one pass, and an override stays
-its checked values. :func:`resolved_json` writes the configuration with
-every default applied, in the schema's shape, as compact JSON text; the
-command line embeds that text in every output, and parsing it reproduces an
-equal :class:`RunConfig`.
+:class:`~spinturnstile.cycle.SettingGrid` of columns, its rows' leads and
+times checked in one pass and its model overrides in a block of their own,
+and an override stays its checked values. :func:`resolved_json` writes the
+configuration with every default applied, in the schema's shape, as compact
+JSON text; the command line embeds that text in every output, and parsing it
+reproduces an equal :class:`RunConfig`.
 """
 
 import hashlib
@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import PAULI_PRODUCT_LABELS
 from .constants import G_NUCLEAR_P31
-from .cycle import SettingGrid
+from .cycle import SettingGrid, _time_texts
 from .experiment import MASTER_SEED_MAX
 from .model import _DERIVE_ERROR, _EXCHANGE, HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams, model_values
 from .tomography import SINGLE_SPIN, TWO_SPIN, is_physical, n_parameters, theta_to_density
@@ -266,13 +266,14 @@ def _lead_vectors(directions: np.ndarray, magnitudes: np.ndarray) -> tuple:
 
 
 # A walked settings row is one run of _WIDTH numbers in the order of their
-# checks: each lead's direction components and magnitude, the time, and the
-# model override's values as model_values orders them (the run's model's where
-# the row has none). The keys of a row, of a lead and of a model override:
+# checks: each lead's direction components and magnitude, then the time. A
+# model override is walked into a block of its own, its values as model_values
+# orders them over those of the model it overrides. The keys of a row, of a
+# lead and of a model override:
 _ROW_KEYS = frozenset(("u_left", "u_right", "t_interact_s", "model"))
 _LEAD_KEYS = frozenset(_LEAD_FIELDS)
 _MODEL_KEYS = frozenset(_MODEL_FIELDS)
-_TIME, _MODEL, _WIDTH = 8, 9, 21
+_TIME, _WIDTH = 8, 9
 # A model key's place in model_values, which follows the table's order with
 # b_field_tesla's 3 components first; each model value's place and field, in
 # the order of their checks; and the table's defaults as model values.
@@ -346,20 +347,20 @@ def _number(bad: np.ndarray, not_finite: np.ndarray, column: int, field: str) ->
     return [(bad[:, column], field, "expected a number"), (not_finite[:, column], field, "must be finite")]
 
 
-def _model_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray, path: str = "") -> list:
+def _model_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray) -> list:
     """The stacked checks of walked model values (columns in model_values
-    order) as ``(failed, field, message)``, each field below ``path``, in the
-    order of the model's table: each number's type before its finiteness,
-    coulomb_u's bound after its number, and the derived exchange last."""
+    order) as ``(failed, field, message)``, each field below the model's path,
+    in the order of the model's table: each number's type before its
+    finiteness, coulomb_u's bound after its number, and the derived exchange last."""
     checks, bad, not_finite = [], not_number | null, ~np.isfinite(x)
     x_finite = np.where(not_finite, 0.0, x)  # bounds of numbers that fail above
     for column, field in _MODEL_COLUMNS:
         # a null exchange is a number: the one derived from hopping
-        checks += _number(not_number if column == _EXCHANGE else bad, not_finite, column, path + field)
+        checks += _number(not_number if column == _EXCHANGE else bad, not_finite, column, field)
         if column == _COULOMB_U:
-            checks.append((x_finite[:, column] < 0.0, path + field, "must be >= 0.0"))
+            checks.append((x_finite[:, column] < 0.0, field, "must be >= 0.0"))
     checks.append((null[:, _EXCHANGE] & (x_finite[:, _HOPPING] != 0.0) & (x_finite[:, _COULOMB_U] <= 0.0),
-                   path, _DERIVE_ERROR))
+                   "", _DERIVE_ERROR))
     return checks
 
 
@@ -367,7 +368,7 @@ def _row_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray) -> list
     """The stacked checks of walked rows as ``(failed, field, message)``, in the
     order the row-by-row parse makes them: each number's type before its
     finiteness, then the bounds of its field; each lead's magnitude bounds and
-    direction norm after its numbers; the model override's checks last."""
+    direction norm after its numbers."""
     checks, bad, not_finite = [], not_number | null, ~np.isfinite(x)
     x_finite = np.where(not_finite, 0.0, x)  # bounds and norms of numbers that fail above
     for lead, at in (("u_left", 0), ("u_right", 4)):
@@ -381,29 +382,47 @@ def _row_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray) -> list
                    (norms == math.inf, f".{lead}.direction", "norm must be finite")]
     checks += _number(bad, not_finite, _TIME, ".t_interact_s")
     checks.append((x_finite[:, _TIME] < 0.0, ".t_interact_s", "must be >= 0.0"))
-    return checks + _model_checks(x[:, _MODEL:], not_number[:, _MODEL:], null[:, _MODEL:], ".model")
+    return checks
 
 
-def _checked(values: list, path_of, width: int = _WIDTH, checks_of=_row_checks) -> tuple:
+def _checked(values: list, width: int, checks_of) -> tuple:
     """The numbers and the array of :func:`_numbers` of walked rows of
-    ``width`` values, after their stacked checks ``checks_of``: the first to
-    fail, in row and check order, raises at its path below ``path_of(row)``."""
+    ``width`` values, and the first of their stacked checks ``checks_of`` to
+    fail, in row and check order, as ``(row, field, message)``, or None."""
     values, x, not_number, null = _numbers(values, width)
     checks = checks_of(x, not_number, null)
     bad = np.flatnonzero(np.column_stack([failed for failed, _, _ in checks]))
-    if bad.size:
-        row, k = divmod(int(bad[0]), len(checks))
-        _, field, message = checks[k]
-        raise ConfigValidationError(f"{path_of(row)}{field}", message)
-    return values, x
+    if not bad.size:
+        return values, x, None
+    row, k = divmod(int(bad[0]), len(checks))
+    return values, x, (row, *checks[k][1:])
 
 
 def _parse_model(obj, path: str) -> SpinModelParams:
     """The run's model: its section walked over the table's defaults and
     checked as one row by the checks of a model override."""
-    values, _ = _checked(_walk_model(obj, _MODEL_DEFAULTS, lambda i: "", 0, path), lambda i: path,
-                         len(_MODEL_DEFAULTS), _model_checks)
+    values, _, failure = _checked(_walk_model(obj, _MODEL_DEFAULTS, lambda i: "", 0, path),
+                                  len(_MODEL_DEFAULTS), _model_checks)
+    if failure is not None:
+        raise ConfigValidationError(path + failure[1], failure[2])
     return SpinModelParams(tuple(values[:3]), *values[3:])
+
+
+def _checked_rows(values: list, models: list, overridden: list, path_of) -> tuple:
+    """The numbers of walked rows and of their model overrides, the override
+    of row ``overridden[k]`` the ``k``-th, each block after its own stacked
+    checks, and the rows' array. The first failure by row raises at its path
+    below ``path_of(row)``, a row's lead and time checks before those of its
+    override."""
+    values, x, failure = _checked(values, _WIDTH, _row_checks)
+    if models:
+        models, _, bad_model = _checked(models, len(_MODEL_DEFAULTS), _model_checks)
+        if bad_model is not None and (failure is None or overridden[bad_model[0]] < failure[0]):
+            failure = (overridden[bad_model[0]], ".model" + bad_model[1], bad_model[2])
+    if failure is not None:
+        row, field, message = failure
+        raise ConfigValidationError(f"{path_of(row)}{field}", message)
+    return values, models, x
 
 
 def _parse_settings(objs, path_of, default: SettingGrid | None, base_model: SpinModelParams) -> SettingGrid:
@@ -412,16 +431,18 @@ def _parse_settings(objs, path_of, default: SettingGrid | None, base_model: Spin
     run's own setting); a ``model`` block is a partial override of ``base_model``.
 
     The walk checks only objects, keys, axis names and lengths; every number
-    is checked in one stacked pass (:func:`_checked`). A walk error in row
-    ``i`` first runs that pass over the rows before it and the fields of row
-    ``i`` walked before it, the rest padded with values that pass, so the
-    first bad field in document order is the one reported."""
+    is checked stacked (:func:`_checked_rows`): the rows' leads and times in
+    one pass, and the model overrides in a block of their own, so a row
+    without one carries no model values. A walk error in row ``i`` first runs
+    those passes over the rows before it and the fields of row ``i`` walked
+    before it, the rest of its leads and time padded with values that pass,
+    so the first bad field in document order is the one reported."""
     base = model_values(base_model)
     if default is not None:
         (left, left_m), (right, right_m) = default.given_left[0], default.given_right[0]
         left, right, t_default = (*left, left_m), (*right, right_m), default.t_interact[0]
-    passing = (*_AXES["z"], 1.0, *_AXES["z"], 1.0, 0.0, *base)
-    values, overridden = [], []
+    passing = (*_AXES["z"], 1.0, *_AXES["z"], 1.0, 0.0)
+    values, models, overridden = [], [], []
     for i, obj in enumerate(objs):
         start = len(values)
         try:
@@ -430,17 +451,19 @@ def _parse_settings(objs, path_of, default: SettingGrid | None, base_model: Spin
             values += _walk_lead(obj["u_left"], path_of, i, ".u_left") if "u_left" in obj else left
             values += _walk_lead(obj["u_right"], path_of, i, ".u_right") if "u_right" in obj else right
             values.append(obj["t_interact_s"] if "t_interact_s" in obj else t_default)
-            values += _walk_model(obj["model"], base, path_of, i, ".model") if "model" in obj else base
+            if "model" in obj:
+                models += _walk_model(obj["model"], base, path_of, i, ".model")
+                overridden.append(i)
         except ConfigValidationError:
-            _checked(values + list(passing[len(values) - start:]), path_of)
+            _checked_rows(values + list(passing[len(values) - start:]), models, overridden, path_of)
             raise
-        overridden.append("model" in obj)
-    values, x = _checked(values, path_of)
+    values, models, x = _checked_rows(values, models, overridden, path_of)
     rows = range(0, len(values), _WIDTH)
+    grid_models = [None] * len(rows)
+    for i, k in zip(overridden, range(0, len(models), len(base))):
+        grid_models[i] = tuple(models[k:k + len(base)])
     return SettingGrid(u_left=_lead_vectors(x[:, 0:3], x[:, 3]), u_right=_lead_vectors(x[:, 4:7], x[:, 7]),
-                       t_interact=tuple(values[k + _TIME] for k in rows),
-                       models=tuple(tuple(values[k + _MODEL:k + _WIDTH]) if o else None
-                                    for k, o in zip(rows, overridden)),
+                       t_interact=tuple(values[k + _TIME] for k in rows), models=tuple(grid_models),
                        given_left=tuple((tuple(values[k:k + 3]), values[k + 3]) for k in rows),
                        given_right=tuple((tuple(values[k + 4:k + 7]), values[k + 7]) for k in rows))
 
@@ -603,23 +626,23 @@ _LEAD_TEMPLATE = _template(_LEAD_FIELDS)
 _MODEL_TEMPLATES = (_template(_MODEL_FIELDS), _template(_MODEL_FIELDS, null="exchange_per_s"))
 
 # A setting's template without a model override, then with one whose
-# exchange is a float and with one whose exchange is null.
+# exchange is a float and with one whose exchange is null; each takes its
+# time as its text.
 _SETTING_HEAD = (f'{{"u_left":{_LEAD_TEMPLATE},"u_right":{_LEAD_TEMPLATE},'
-                 '"t_interact_s":%.17g')
+                 '"t_interact_s":%s')
 _SETTING_TEMPLATES = (_SETTING_HEAD + "}",
                       *(f'{_SETTING_HEAD},"model":{model}}}' for model in _MODEL_TEMPLATES))
 
 
 def _settings_json(grid: SettingGrid) -> str:
-    """The JSON array of a sweep or tomography grid, one format per setting."""
-    texts = []
-    for left, right, t, model in zip(grid.given_left, grid.given_right, grid.t_interact, grid.models):
-        args = (*left[0], left[1], *right[0], right[1], t)
-        if model is None:
-            texts.append(_SETTING_TEMPLATES[0] % args)
-        else:
-            texts.append(_SETTING_TEMPLATES[1 + (model[_EXCHANGE] is None)] % (*args, *model))
-    return "[" + ",".join(texts) + "]"
+    """The JSON array of a sweep or tomography grid, in one format of its
+    settings' joined templates, each distinct time's text made once."""
+    args = []
+    for (left, left_m), (right, right_m), t, model in zip(grid.given_left, grid.given_right,
+                                                          _time_texts(grid.t_interact, "%.17g"), grid.models):
+        args += (*left, left_m, *right, right_m, t, *(model or ()))
+    template = ",".join([_SETTING_TEMPLATES[0 if m is None else 1 + (m[_EXCHANGE] is None)] for m in grid.models])
+    return "[" + template % tuple(args) + "]"
 
 
 def _section_json(fields: dict, template: str, value) -> str:

@@ -172,6 +172,16 @@ def setting_grid(settings) -> SettingGrid:
                        models=tuple(None if s.model is None else model_values(s.model) for s in settings))
 
 
+def _time_texts(times, fmt: str) -> list:
+    """``fmt % t`` of each of ``times``, made once per distinct nonzero float.
+    A zero or a time that is not a float is formatted at each row, since
+    ``0.0 == -0.0`` and ``1 == 1.0`` as dict keys while their texts differ."""
+    if len(set(times)) == len(times):  # no time equals another: nothing to share
+        return [fmt % t for t in times]
+    shared = {t: fmt % t for t in {t for t in times if type(t) is float and t}}
+    return [shared[t] if type(t) is float and t else fmt % t for t in times]
+
+
 class InstrumentBlock(NamedTuple):
     """Two-outcome instruments of consecutive settings, stacked along a first axis.
 
@@ -368,16 +378,17 @@ def setting_instruments(
 
 
 def _grid_index(grid: SettingGrid, base: tuple) -> tuple:
-    """The coefficients of the grid's distinct models (``base`` for a row
-    without an override), each row's model slot and (model, time) pair, and
-    each pair's model slot, time and last row. Pairs are numbered by their
-    first rows and named by the bits of the time and of the model's 12
-    coefficients, which name its Hamiltonian in a tenth of the bytes (+ 0.0
-    makes a -0.0 coefficient +0.0, which gives the same H). Models that
-    differ only in their level offset share a name."""
+    """The coefficients of the grid's distinct models (keyed None for a row
+    without an override, whose model is ``base``), each row's model slot and
+    (model, time) pair, and each pair's model slot, time and last row. Pairs
+    are numbered by their first rows and named by the bits of the time and of
+    the model's 12 coefficients, which name its Hamiltonian in a tenth of the
+    bytes (+ 0.0 makes a -0.0 coefficient +0.0, which gives the same H).
+    Models that differ only in their level offset share a name, and so do an
+    override equal to ``base`` and the rows without one."""
     models, names, pairs = {}, {}, {}
-    slots = [models.setdefault(base if m is None else m, len(models)) for m in grid.models]
-    coefficients = model_coefficients(list(models))
+    slots = [models.setdefault(m, len(models)) for m in grid.models]
+    coefficients = model_coefficients([base if m is None else m for m in models])
     named = [names.setdefault(row.tobytes(), m) for m, row in enumerate(coefficients + 0.0)]
     pair = [pairs.setdefault((named[m], bits), len(pairs))
             for m, bits in zip(slots, np.array(grid.t_interact, dtype=float).view(np.uint64).tolist())]

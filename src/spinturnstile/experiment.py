@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import pauli_coordinates, pauli_operator
-from .cycle import setting_grid, setting_instruments, transfer_matrices
+from .cycle import _time_texts, setting_grid, setting_instruments, transfer_matrices
 from .constants import ELEMENTARY_CHARGE
 from .model import _EXCHANGE, HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
@@ -511,16 +511,17 @@ def calibrate(measured_pr: float, pr_model: float, c: float) -> float:
 
 
 def _digest_templates() -> tuple:
-    """The ``%r``-templates of a setting's digest text (see
-    :func:`derive_setting_seeds`): without a model, then with one whose
-    exchange is a float and with one whose exchange is null.
+    """The templates of a setting's digest text (see
+    :func:`derive_setting_seeds`), which take its time as its text and every
+    other value by ``%r``: without a model, then with one whose exchange is a
+    float and with one whose exchange is null.
 
     ``repr`` writes what ``json.dumps`` writes for the Python floats that a
     :class:`~spinturnstile.cycle.SettingGrid` keeps, its model values
     included. A null exchange takes its None argument with a ``%.0s`` slot,
     which writes nothing of it, after ``null``.
     """
-    tail = '"t_interact": %r, "u_left": [%r, %r, %r], "u_right": [%r, %r, %r]}'
+    tail = '"t_interact": %s, "u_left": [%r, %r, %r], "u_right": [%r, %r, %r]}'
 
     def with_model(exchange: str) -> str:
         # model_values: b_field's 3 components, then 9 scalars
@@ -531,16 +532,10 @@ def _digest_templates() -> tuple:
 
 
 _DIGEST_TEMPLATES = _digest_templates()
-
-
-def _setting_digest(t_interact: float, u_left: tuple, u_right: tuple, model) -> bytes:
-    values = (t_interact, *u_left, *u_right)
-    if model is None:
-        text = _DIGEST_TEMPLATES[0] % values
-    else:
-        text = _DIGEST_TEMPLATES[1 + (model[_EXCHANGE] is None)] % (*model, *values)
-    # the first 8 bytes, reversed: the little-endian bytes of their big-endian int
-    return hashlib.sha256(text.encode()).digest()[7::-1]
+# Settings per format pass of the digest texts. A pass's texts take about
+# 30 KB, so the passes reuse the same heap memory; one pass over a 500-row
+# grid of overrides faulted in about 120 fresh pages.
+_TEXT_ROWS = 64
 
 
 def derive_setting_seeds(master_seed: int, settings) -> list:
@@ -556,16 +551,28 @@ def derive_setting_seeds(master_seed: int, settings) -> list:
     SHA-256 of its digest text: ``json.dumps(payload, sort_keys=True)`` of
     ``{"model": [field values], "t_interact": t, "u_left": [..], "u_right":
     [..]}`` (no "model" without an override), each float as its ``repr``.
-    The text is fixed: seeds change when it does. Those entropies take at
-    most 4 words, the master's then ``d``'s low and high word, and the states
-    of all settings come from one stacked pass.
+    The text is fixed: seeds change when it does. The texts are made 64
+    settings at a time, by one format of their joined templates, and each
+    distinct time's text once. Those entropies take at most 4 words, the
+    master's then ``d``'s low and high word, and the states of all settings
+    come from one stacked pass.
     """
     master = int(master_seed) & MASTER_SEED_MAX
     master_bytes = master.to_bytes(4 if master < 2**32 else 8, "little")
     grid = setting_grid(settings)
-    data = b"".join(master_bytes + _setting_digest(*row)
-                    for row in zip(grid.t_interact, grid.u_left, grid.u_right, grid.models))
-    words = np.frombuffer(data, dtype="<u4").reshape(-1, len(master_bytes) // 4 + 2)
+    times, digests = _time_texts(grid.t_interact, "%r"), []
+    for start in range(0, len(times), _TEXT_ROWS):
+        rows = slice(start, start + _TEXT_ROWS)
+        args = []
+        for model, t, left, right in zip(grid.models[rows], times[rows], grid.u_left[rows], grid.u_right[rows]):
+            args += (*(model or ()), t, *left, *right)
+        # no number's repr holds a newline, so it parts the texts
+        template = "\n".join([_DIGEST_TEMPLATES[0 if m is None else 1 + (m[_EXCHANGE] is None)]
+                              for m in grid.models[rows]])
+        # each digest's first 8 bytes, reversed: the little-endian bytes of their big-endian int
+        digests += [master_bytes + hashlib.sha256(text).digest()[7::-1]
+                    for text in (template % tuple(args)).encode().split(b"\n")]
+    words = np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, len(master_bytes) // 4 + 2)
     return _seed_states(words, 1)[:, 0].tolist()
 
 

@@ -562,6 +562,13 @@ def parsed_or_error(parse, text: str):
 # a bound before a later field's fault, in the run's model and in an override
 @example({"model": {"level_offset_per_s": 10**400, "coulomb_u_per_s": -1.0}})
 @example({"sweep": {"settings": [{"model": {"exchange_per_s": "a", "coulomb_u_per_s": -1.0}}]}})
+# an override's fault and a later row's time fault, which has no override, in
+# both orders; a lead's fault after its own row's override fault in document
+# order; an unknown key after an earlier row's bad override number
+@example({"sweep": {"settings": [{"model": {"coulomb_u_per_s": -1.0}}, {"t_interact_s": -1e-9}]}})
+@example({"sweep": {"settings": [{"t_interact_s": -1e-9}, {"model": {"coulomb_u_per_s": -1.0}}]}})
+@example({"tomography": {"settings": [{}, {"model": {"g_electron": "a"}, "u_left": {"magnitude": 1.5}}]}})
+@example({"tomography": {"settings": [{}, {"model": {"hopping_per_s": math.nan}}, {"bogus": 1}]}})
 def test_stacked_settings_match_the_row_by_row_parse(doc):
     # The stacked parse reports the first bad field in document order, as
     # the row-by-row parse does, a fault of the run's model before one of
@@ -796,6 +803,10 @@ def test_induced_instrument_checks_the_setting(u_left, u_right, t):
 
 @PROPERTY_SETTINGS
 @given(config_documents)
+# a repeated time and both zeros, in rows with and without an override
+@example({"tomography": {"settings": [
+    {"t_interact_s": 2e-6}, {"t_interact_s": -0.0, "model": {"exchange_per_s": 5e5}}, {"t_interact_s": 0.0},
+    {"t_interact_s": 2e-6, "model": {"exchange_per_s": None}}, {"t_interact_s": -0.0}]}})
 def test_resolved_config_line_matches_the_oracle(doc):
     # the template text is the value-by-value writer's, and both renderers
     # embed it as it is
@@ -938,6 +949,11 @@ def test_stacked_seed_states_of_int_entropies(values):
 
 @PROPERTY_SETTINGS
 @given(master=st.integers(0, 2**70), settings_=st.lists(seed_settings, max_size=5))
+# repeated times, both zeros and an int, in rows with and without an override
+@example(master=7, settings_=[
+    MeasurementSetting((0, 0, 1), (1, 0, 0), t, model)
+    for t, model in zip([1e-6, -0.0, 0.0, 1e-6, -0.0, 3],
+                        [None, DESIGN_MODEL, None, SpinModelParams(coulomb_u=1e9), DESIGN_MODEL, None])])
 def test_setting_seeds_match_the_oracle_in_any_order(master, settings_):
     seeds = derive_setting_seeds(master, settings_)
     assert seeds == [setting_seed(master, s) for s in settings_]
@@ -985,7 +1001,7 @@ log_uniform_values = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-320.0, 3
 @example([[1e308] * 13, [1e308] + [0.0] * 12])
 def test_overflow_bound_agrees_with_the_eigenvalues(rows):
     # without a threshold, _unsettled_norms computes the norm of every row
-    # that its triangle bound cannot clear of an overflow, so its NaN norms
+    # that _norm_bracket's upper bound cannot clear of an overflow, so its NaN norms
     # mark every overflowing row
     coefficients = np.array(rows)
     unsettled, norms = _unsettled_norms(coefficients)
