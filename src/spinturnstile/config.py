@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import PAULI_PRODUCT_LABELS
 from .constants import G_NUCLEAR_P31
-from .cycle import SettingGrid, _time_texts
+from .cycle import SettingGrid, _joined_texts, _time_texts
 from .experiment import MASTER_SEED_MAX
 from .model import _DERIVE_ERROR, _EXCHANGE, HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams, model_values
 from .tomography import SINGLE_SPIN, TWO_SPIN, is_physical, n_parameters, theta_to_density
@@ -635,14 +635,12 @@ _SETTING_TEMPLATES = (_SETTING_HEAD + "}",
 
 
 def _settings_json(grid: SettingGrid) -> str:
-    """The JSON array of a sweep or tomography grid, in one format of its
-    settings' joined templates, each distinct time's text made once."""
-    args = []
-    for (left, left_m), (right, right_m), t, model in zip(grid.given_left, grid.given_right,
-                                                          _time_texts(grid.t_interact, "%.17g"), grid.models):
-        args += (*left, left_m, *right, right_m, t, *(model or ()))
-    template = ",".join([_SETTING_TEMPLATES[0 if m is None else 1 + (m[_EXCHANGE] is None)] for m in grid.models])
-    return "[" + template % tuple(args) + "]"
+    """The JSON array of a sweep or tomography grid, its settings' texts made
+    by :func:`~spinturnstile.cycle._joined_texts`, each distinct time's once."""
+    args = ((*left, left_m, *right, right_m, t, *(model or ()))
+            for (left, left_m), (right, right_m), t, model in
+            zip(grid.given_left, grid.given_right, _time_texts(grid.t_interact, "%.17g"), grid.models))
+    return "[" + ",".join(_joined_texts(_SETTING_TEMPLATES, grid.models, args, ",")) + "]"
 
 
 def _section_json(fields: dict, template: str, value) -> str:

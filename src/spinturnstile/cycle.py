@@ -45,6 +45,7 @@ sigma)/2`` with strength ``kappa = 2 c tau_detect t_sq``, and
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +61,7 @@ from .algebra import (
     pauli_operator,
 )
 from .model import (
+    _EXCHANGE,
     _OVERFLOW_ERROR,
     HIERARCHY_THRESHOLD,
     SpinModelParams,
@@ -176,10 +178,26 @@ def _time_texts(times, fmt: str) -> list:
     """``fmt % t`` of each of ``times``, made once per distinct nonzero float.
     A zero or a time that is not a float is formatted at each row, since
     ``0.0 == -0.0`` and ``1 == 1.0`` as dict keys while their texts differ."""
-    if len(set(times)) == len(times):  # no time equals another: nothing to share
-        return [fmt % t for t in times]
     shared = {t: fmt % t for t in {t for t in times if type(t) is float and t}}
     return [shared[t] if type(t) is float and t else fmt % t for t in times]
+
+
+# Rows per format pass of _joined_texts. A pass's text takes some tens of KB,
+# and its argument tuples are made as it reads them, so the passes reuse the
+# same heap memory: one pass over a 500-row grid of overrides faulted in about
+# 120 more fresh pages.
+_TEXT_ROWS = 64
+
+
+def _joined_texts(templates: tuple, models: tuple, args, sep: str) -> list:
+    """The texts of a grid's rows, joined by ``sep`` ``_TEXT_ROWS`` rows at a
+    time, each joined text made by one format of its rows' templates. Row
+    ``i`` fills ``templates[0]`` with the ``i``-th tuple of the iterable
+    ``args`` where ``models[i]`` is None, else ``templates[1]``, or
+    ``templates[2]`` where its exchange is null."""
+    chosen, args = [templates[0 if m is None else 1 + (m[_EXCHANGE] is None)] for m in models], iter(args)
+    return [sep.join(chosen[k:k + _TEXT_ROWS]) % tuple(chain.from_iterable(islice(args, _TEXT_ROWS)))
+            for k in range(0, len(chosen), _TEXT_ROWS)]
 
 
 class InstrumentBlock(NamedTuple):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import pauli_coordinates, pauli_operator
-from .cycle import _time_texts, setting_grid, setting_instruments, transfer_matrices
+from .cycle import _joined_texts, _time_texts, setting_grid, setting_instruments, transfer_matrices
 from .constants import ELEMENTARY_CHARGE
 from .model import _EXCHANGE, HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
@@ -532,10 +532,6 @@ def _digest_templates() -> tuple:
 
 
 _DIGEST_TEMPLATES = _digest_templates()
-# Settings per format pass of the digest texts. A pass's texts take about
-# 30 KB, so the passes reuse the same heap memory; one pass over a 500-row
-# grid of overrides faulted in about 120 fresh pages.
-_TEXT_ROWS = 64
 
 
 def derive_setting_seeds(master_seed: int, settings) -> list:
@@ -560,18 +556,13 @@ def derive_setting_seeds(master_seed: int, settings) -> list:
     master = int(master_seed) & MASTER_SEED_MAX
     master_bytes = master.to_bytes(4 if master < 2**32 else 8, "little")
     grid = setting_grid(settings)
-    times, digests = _time_texts(grid.t_interact, "%r"), []
-    for start in range(0, len(times), _TEXT_ROWS):
-        rows = slice(start, start + _TEXT_ROWS)
-        args = []
-        for model, t, left, right in zip(grid.models[rows], times[rows], grid.u_left[rows], grid.u_right[rows]):
-            args += (*(model or ()), t, *left, *right)
-        # no number's repr holds a newline, so it parts the texts
-        template = "\n".join([_DIGEST_TEMPLATES[0 if m is None else 1 + (m[_EXCHANGE] is None)]
-                              for m in grid.models[rows]])
-        # each digest's first 8 bytes, reversed: the little-endian bytes of their big-endian int
-        digests += [master_bytes + hashlib.sha256(text).digest()[7::-1]
-                    for text in (template % tuple(args)).encode().split(b"\n")]
+    args = ((*(model or ()), t, *left, *right) for model, t, left, right in
+            zip(grid.models, _time_texts(grid.t_interact, "%r"), grid.u_left, grid.u_right))
+    # no number's repr holds a newline, so it parts the texts; each digest's
+    # first 8 bytes, reversed: the little-endian bytes of their big-endian int
+    digests = [master_bytes + hashlib.sha256(text).digest()[7::-1]
+               for block in _joined_texts(_DIGEST_TEMPLATES, grid.models, args, "\n")
+               for text in block.encode().split(b"\n")]
     words = np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, len(master_bytes) // 4 + 2)
     return _seed_states(words, 1)[:, 0].tolist()
 
