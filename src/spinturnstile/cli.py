@@ -175,15 +175,14 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
         n = cfg.experiment.n_cycles
         seeds = derive_setting_seeds(cfg.experiment.seed, settings)
         # A repeated setting would repeat its draws, which reconstruct would
-        # count as independent shots; the rows are walked only to name one.
-        if len(set(seeds)) < len(seeds):
-            rows_of_seed = {}
-            for i, seed_i in enumerate(seeds):
-                first = rows_of_seed.setdefault(seed_i, i)
-                if first != i:
-                    raise ValueError(f"tomography.settings[{first}] and tomography.settings[{i}] derive "
-                                     "the same seed, so their shot-noise draws would be identical, not "
-                                     "independent; list each setting once")
+        # count as independent shots.
+        rows_of_seed = {}
+        for i, seed_i in enumerate(seeds):
+            first = rows_of_seed.setdefault(seed_i, i)
+            if first != i:
+                raise ValueError(f"tomography.settings[{first}] and tomography.settings[{i}] derive "
+                                 "the same seed, so their shot-noise draws would be identical, not "
+                                 "independent; list each setting once")
         pulses = sample_counts(np.clip(pr_exact, 0.0, 1.0).tolist(), n, seeds)
         pr_used = np.array([k / n for k in pulses])
         counts = np.full(design.n_settings, n)

@@ -33,9 +33,10 @@ import numpy as np
 
 from .algebra import PAULI_PRODUCT_LABELS
 from .constants import G_NUCLEAR_P31
-from .cycle import SettingGrid, _joined_texts, _time_texts
+from .cycle import SettingGrid
 from .experiment import MASTER_SEED_MAX
 from .model import _DERIVE_ERROR, _EXCHANGE, HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams, model_values
+from .results import _time_texts
 from .tomography import SINGLE_SPIN, TWO_SPIN, is_physical, n_parameters, theta_to_density
 
 __all__ = [
@@ -145,10 +146,8 @@ def _as_object(value, path: str, known) -> dict:
     return value
 
 
-def _as_float(value, path: str, minimum=None, allow_none=False):
+def _as_float(value, path: str, minimum=None):
     if type(value) is not float:  # a JSON number is most often a float already
-        if value is None and allow_none:
-            return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigValidationError(path, "expected a number")
         try:
@@ -635,12 +634,13 @@ _SETTING_TEMPLATES = (_SETTING_HEAD + "}",
 
 
 def _settings_json(grid: SettingGrid) -> str:
-    """The JSON array of a sweep or tomography grid, its settings' texts made
-    by :func:`~spinturnstile.cycle._joined_texts`, each distinct time's once."""
-    args = ((*left, left_m, *right, right_m, t, *(model or ()))
-            for (left, left_m), (right, right_m), t, model in
-            zip(grid.given_left, grid.given_right, _time_texts(grid.t_interact, "%.17g"), grid.models))
-    return "[" + ",".join(_joined_texts(_SETTING_TEMPLATES, grid.models, args, ",")) + "]"
+    """The JSON array of a sweep or tomography grid: each setting's template
+    filled once, with each distinct time's text made once."""
+    return "[" + ",".join([_SETTING_TEMPLATES[0 if model is None else 1 + (model[_EXCHANGE] is None)]
+                           % (*left, left_m, *right, right_m, t, *(model or ()))
+                           for (left, left_m), (right, right_m), t, model in
+                           zip(grid.given_left, grid.given_right, _time_texts(grid.t_interact, "%.17g"),
+                               grid.models)]) + "]"
 
 
 def _section_json(fields: dict, template: str, value) -> str:

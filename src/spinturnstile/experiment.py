@@ -28,9 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import pauli_coordinates, pauli_operator
-from .cycle import _joined_texts, _time_texts, setting_grid, setting_instruments, transfer_matrices
+from .cycle import setting_grid, setting_instruments, transfer_matrices
 from .constants import ELEMENTARY_CHARGE
 from .model import _EXCHANGE, HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
+from .results import _time_texts
 
 __all__ = [
     "RUN_BLOCK",
@@ -547,22 +548,19 @@ def derive_setting_seeds(master_seed: int, settings) -> list:
     SHA-256 of its digest text: ``json.dumps(payload, sort_keys=True)`` of
     ``{"model": [field values], "t_interact": t, "u_left": [..], "u_right":
     [..]}`` (no "model" without an override), each float as its ``repr``.
-    The text is fixed: seeds change when it does. The texts are made 64
-    settings at a time, by one format of their joined templates, and each
-    distinct time's text once. Those entropies take at most 4 words, the
-    master's then ``d``'s low and high word, and the states of all settings
-    come from one stacked pass.
+    The text is fixed: seeds change when it does. Each setting's text is its
+    template filled once, with each distinct time's text made once. Those
+    entropies take at most 4 words, the master's then ``d``'s low and high
+    word, and the states of all settings come from one stacked pass.
     """
     master = int(master_seed) & MASTER_SEED_MAX
     master_bytes = master.to_bytes(4 if master < 2**32 else 8, "little")
     grid = setting_grid(settings)
-    args = ((*(model or ()), t, *left, *right) for model, t, left, right in
-            zip(grid.models, _time_texts(grid.t_interact, "%r"), grid.u_left, grid.u_right))
-    # no number's repr holds a newline, so it parts the texts; each digest's
-    # first 8 bytes, reversed: the little-endian bytes of their big-endian int
-    digests = [master_bytes + hashlib.sha256(text).digest()[7::-1]
-               for block in _joined_texts(_DIGEST_TEMPLATES, grid.models, args, "\n")
-               for text in block.encode().split(b"\n")]
+    texts = [_DIGEST_TEMPLATES[0 if model is None else 1 + (model[_EXCHANGE] is None)]
+             % (*(model or ()), t, *left, *right) for model, t, left, right in
+             zip(grid.models, _time_texts(grid.t_interact, "%r"), grid.u_left, grid.u_right)]
+    # each digest's first 8 bytes, reversed: the little-endian bytes of their big-endian int
+    digests = [master_bytes + hashlib.sha256(text.encode()).digest()[7::-1] for text in texts]
     words = np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, len(master_bytes) // 4 + 2)
     return _seed_states(words, 1)[:, 0].tolist()
 

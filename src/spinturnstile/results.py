@@ -6,7 +6,8 @@ fixed key order. CSV carries the metadata as '#'-prefixed preamble lines
 before the header row and quotes fields per RFC 4180, as the csv module's
 minimal quoting does; each row is written by one ``%``-template chosen by
 the exact types of its cells. JSONL emits the metadata as the first object,
-then one object per row.
+then one object per row. :func:`_time_texts` writes the time texts of a
+grid's seed texts and echo, each distinct time's once.
 """
 
 import functools
@@ -47,6 +48,14 @@ def format_value(value) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def _time_texts(times, fmt: str) -> list:
+    """``fmt % t`` of each of ``times``, made once per distinct nonzero float.
+    A zero or a time that is not a float is formatted at each row, since
+    ``0.0 == -0.0`` and ``1 == 1.0`` as dict keys while their texts differ."""
+    shared = {t: fmt % t for t in {t for t in times if type(t) is float and t}}
+    return [shared[t] if type(t) is float and t else fmt % t for t in times]
 
 
 @functools.cache

@@ -543,7 +543,7 @@ def _reference_model_fields(base_model=None) -> dict:
 
     readers = {"b_field_tesla": c._as_vec3,
                "coulomb_u_per_s": functools.partial(c._as_float, minimum=0.0),
-               "exchange_per_s": functools.partial(c._as_float, allow_none=True)}
+               "exchange_per_s": lambda value, path: None if value is None else c._as_float(value, path)}
     return {key: (attr, default if base_model is None else getattr(base_model, attr),
                   readers.get(key, c._as_float))
             for key, (attr, default) in c._MODEL_FIELDS.items()}

@@ -64,7 +64,7 @@ from spinturnstile.model import (
     model_coefficients,
     model_values,
 )
-from spinturnstile.results import JsonText, ResultTable, render_csv, render_jsonl
+from spinturnstile.results import JsonText, ResultTable, _time_texts, render_csv, render_jsonl
 from spinturnstile.tomography import (
     SINGLE_SPIN,
     TWO_SPIN,
@@ -958,6 +958,19 @@ def test_setting_seeds_match_the_oracle_in_any_order(master, settings_):
     seeds = derive_setting_seeds(master, settings_)
     assert seeds == [setting_seed(master, s) for s in settings_]
     assert derive_setting_seeds(master, settings_[::-1]) == seeds[::-1]
+
+
+time_edges = [0.0, -0.0, 1, 1.0, 3e-6, math.inf, -math.inf, math.nan]
+
+
+@PROPERTY_SETTINGS
+@given(times=st.lists(with_edges(time_edges, st.floats() | st.integers(-3, 3)), max_size=12),
+       fmt=st.sampled_from(["%r", "%.17g"]))
+# each edge twice, in the other order, and a NaN both as one object and as another
+@example(times=time_edges + [float("nan")] + time_edges[::-1], fmt="%r")
+@example(times=time_edges + [float("nan")] + time_edges[::-1], fmt="%.17g")
+def test_time_texts_are_each_times_format(times, fmt):
+    assert _time_texts(times, fmt) == [fmt % t for t in times]
 
 
 edge_probabilities = st.sampled_from([0.0, 5e-324, 0.5, 1 - 2**-53, 1.0]) | unit_interval
