@@ -166,8 +166,6 @@ def pauli_coordinates(op: np.ndarray) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 gate operator")
-    if op.ndim == 2:
-        return (_GATE_TRACE_ROWS @ op.reshape(16)).real
     return (op.reshape(-1, 16) @ _GATE_TRACE_ROWS.T).real.reshape(op.shape[:-2] + (16,))
 
 

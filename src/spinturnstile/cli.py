@@ -38,6 +38,7 @@ from .experiment import (
     MASTER_SEED_MAX,
     calibrate,
     derive_setting_seeds,
+    estimate_current,
     run_sweep,
     sample_counts,
     sample_cycles,
@@ -48,6 +49,7 @@ from .tomography import (
     build_design,
     density_to_theta,
     identified_parameters,
+    is_physical,
     parameter_labels,
     reconstruct,
     unidentifiable_directions,
@@ -127,7 +129,8 @@ def _cmd_sweep(cfg: RunConfig, meta: dict) -> ResultTable:
     )
     rows = []
     for index, (ul, ur, t, r) in enumerate(zip(grid.u_left, grid.u_right, grid.t_interact, rows_out)):
-        rec, cur = r.record, r.current
+        rec = r.record
+        cur = estimate_current(rec, cfg.tunnel.tau_cycle) if rec else None
         counts = (rec.pr_hat, rec.std_err, rec.n_pulses, rec.n_cycles) if rec else (None,) * 4
         current = (cur.amperes, cur.std_err_amperes) if cur else (None, None)
         rows.append((index, *ul, *ur, t, r.pr, *counts, *current, rec.seed if rec else None, r.status))
@@ -167,8 +170,10 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
 
     # Probabilities of the actual configured state (not its mode-truncated
     # representative), so single-spin reconstruction of a correlated state
-    # honestly shows its model error.
-    pr_exact = design.pulse_rows @ pauli_coordinates(rho_true)
+    # honestly shows its model error; one product per row, as
+    # InstrumentBlock.pulse_probabilities takes, so a setting's probability
+    # has the same bits alone as in any grid. Only the shot draw clips it.
+    pr_exact = (design.pulse_rows[:, None, :] @ pauli_coordinates(rho_true))[:, 0]
     counts = None
     pr_used = pr_exact
     if cfg.tomography.noise == "shot":
@@ -185,7 +190,7 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
                                  "independent; list each setting once")
         pulses = sample_counts(np.clip(pr_exact, 0.0, 1.0).tolist(), n, seeds)
         pr_used = np.array([k / n for k in pulses])
-        counts = np.full(design.n_settings, n)
+        counts = n
 
     result = reconstruct(design, pr_used, shot_counts=counts)
 
@@ -210,7 +215,7 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
         "condition_number": design.condition_number,
         "identifiable": design.rank == design.n_params,
         "residual_norm": result.residual_norm,
-        "estimate_physical": result.physical,
+        "estimate_physical": is_physical(result.theta_hat, mode),
         "unidentifiable_directions": unidentifiable_directions(design),
     })
     return ResultTable(columns=columns, rows=rows, metadata=meta)

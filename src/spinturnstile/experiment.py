@@ -144,11 +144,12 @@ class CurrentEstimate(NamedTuple):
 
 
 class SweepRow(NamedTuple):
-    """Result of one sweep setting; ``status`` is 'ok' or an error message."""
+    """Result of one sweep setting; ``status`` is 'ok' or an error message,
+    and an error row has no ``record``. A row's current is
+    :func:`estimate_current` of its record."""
 
     pr: float
     record: ShotRecord | None
-    current: CurrentEstimate | None
     status: str = "ok"
 
 
@@ -607,10 +608,6 @@ def run_sweep(
     seeds = derive_setting_seeds(seed, grid)
     rows = [None] * len(grid.t_interact)
     drawn = []  # (index, pr) of refresh rows; their counts are drawn together below
-
-    def ok_row(pr, record):
-        return SweepRow(pr=pr, record=record, current=estimate_current(record, tunnel.tau_cycle))
-
     for block in setting_instruments(grid, model, tunnel, c, include_gate_hamiltonian,
                                      threshold=threshold):
         probabilities = block.pulse_probabilities(rho_gate).tolist()
@@ -626,14 +623,13 @@ def run_sweep(
                     _check_draw(pr, n_cycles)
                     drawn.append((idx, pr))
                 else:
-                    rows[idx] = ok_row(pr, propagate_cycles(pulse[k], nopulse[k], rho_gate, n_cycles,
-                                                            seeds[idx], count_only=True))
+                    rows[idx] = SweepRow(pr, propagate_cycles(pulse[k], nopulse[k], rho_gate, n_cycles,
+                                                              seeds[idx], count_only=True))
             except (ValueError, MemoryError) as exc:
                 # MemoryError: a propagate chain of n_cycles that cannot be allocated.
-                rows[idx] = SweepRow(pr=float("nan"), record=None, current=None,
-                                     status=f"error: {exc}")
+                rows[idx] = SweepRow(float("nan"), None, f"error: {exc}")
     if drawn:
         counts = sample_counts([pr for _, pr in drawn], n_cycles, [seeds[idx] for idx, _ in drawn])
         for (idx, pr), count in zip(drawn, counts):
-            rows[idx] = ok_row(pr, _count_record(count, n_cycles, seeds[idx]))
+            rows[idx] = SweepRow(pr, _count_record(count, n_cycles, seeds[idx]))
     return rows

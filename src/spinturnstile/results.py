@@ -58,10 +58,8 @@ def _time_texts(times, fmt: str) -> list:
     return [shared[t] if type(t) is float and t else fmt % t for t in times]
 
 
-@functools.cache
 def _json_key(key: str) -> str:
-    """A JSON object key with its colon, encoded once per process: the keys
-    are the configuration schema's and the tables' few dozen names."""
+    """A JSON object key with its colon."""
     return json.dumps(key) + ":"
 
 
@@ -79,7 +77,7 @@ def _json_value(value) -> str:
         text = format(value, ".17g")
         return text if value - value == 0.0 else f'"{text}"'  # inf - inf and nan are nan
     if kind is dict:
-        # str(k) before the cache, which would take the key 1 for True
+        # a key that is not a string is written as the JSON string of its str
         return "{" + ",".join([_json_key(k if type(k) is str else str(k)) + _json_value(v)
                                for k, v in value.items()]) + "}"
     if kind is list or kind is tuple:

@@ -25,9 +25,10 @@ so the state, its physicality and its projection follow one route in both
 modes. Rank, conditioning and null space live on the design only.
 
 Shot noise propagates through the pseudoinverse into a parameter covariance
-estimate. Raw estimates may leave the physical state set; an eigenvalue-clip
-projection back to physicality is provided as a diagnostic, never applied
-silently.
+estimate. :func:`reconstruct` returns the raw estimate, which may leave the
+physical state set, and nothing derived from it: :func:`is_physical` tells
+whether it is a state, and the eigenvalue-clip :func:`project_physical`
+gives one, as a diagnostic that is never applied silently.
 """
 
 import warnings
@@ -174,13 +175,14 @@ class TomographyDesign(NamedTuple):
 
 
 class ReconstructionResult(NamedTuple):
-    """Least-squares gate-state estimate with diagnostics."""
+    """Least-squares gate-state estimate with its residual norm and, when
+    shot counts were given, its covariance. Whether the estimate is a state
+    is :func:`is_physical` of ``theta_hat``, and :func:`project_physical`
+    of it gives the clipped state."""
 
     theta_hat: np.ndarray
     residual_norm: float
     covariance: np.ndarray | None
-    physical: bool
-    physical_projection: np.ndarray | None
 
 
 def build_design(
@@ -252,7 +254,9 @@ def reconstruct(design: TomographyDesign, pr_measured, shot_counts=None) -> Reco
 
     A rank-deficient design triggers a :class:`RankDeficientWarning` (the
     null-space component of the state is unobservable and is returned as 0),
-    never a silent fill-in.
+    never a silent fill-in. The estimate is returned raw, whether or not it
+    is a state: :func:`is_physical` and :func:`project_physical` of
+    ``theta_hat`` read its physicality and its projection.
     """
     pr_measured = np.asarray(pr_measured, dtype=float)
     if pr_measured.shape != (design.n_settings,):
@@ -281,15 +285,7 @@ def reconstruct(design: TomographyDesign, pr_measured, shot_counts=None) -> Reco
         var = pr_measured * (1.0 - pr_measured) / counts
         covariance = (design.pseudo_inverse * var) @ design.pseudo_inverse.T
 
-    physical = is_physical(theta_hat, design.mode)
-    projection = None if physical else project_physical(theta_hat, design.mode)
-    return ReconstructionResult(
-        theta_hat=theta_hat,
-        residual_norm=residual_norm,
-        covariance=covariance,
-        physical=physical,
-        physical_projection=projection,
-    )
+    return ReconstructionResult(theta_hat, residual_norm, covariance)
 
 
 def identified_parameters(design: TomographyDesign) -> np.ndarray:

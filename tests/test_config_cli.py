@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -39,6 +40,7 @@ from spinturnstile.cli import (
 from spinturnstile import cycle
 from spinturnstile.algebra import evolve_unitaries
 from spinturnstile.cycle import HierarchyWarning
+from spinturnstile.experiment import sample_counts
 from spinturnstile.model import SpinModelParams, model_coefficients, model_values
 from spinturnstile.results import RENDERERS, ResultTable, render_csv, render_jsonl, write_results
 from spinturnstile.tomography import TWO_SPIN, RankDeficientWarning, theta_to_density
@@ -707,6 +709,44 @@ class TestCli:
             with pytest.warns(RankDeficientWarning):
                 code, out = run_cli(tmp_path, "tomography", cfg)
             assert code == expected and out.exists()
+
+    @pytest.mark.parametrize("n_settings", [5, 7])
+    def test_tomography_draws_each_settings_lone_probability(self, tmp_path, monkeypatch, n_settings):
+        # Each setting's shot draw takes, bit for bit, the pulse probability of
+        # its own instrument alone. A dense gate state makes the grid's
+        # probabilities differ in the last digit when one matrix product over
+        # the rows forms them.
+        rng = random.Random(f"dense:{n_settings}")
+
+        def lead():
+            return {"direction": [rng.uniform(-1.0, 1.0) for _ in range(3)], "magnitude": rng.uniform(0.5, 1.0)}
+
+        settings = [{"u_left": lead(), "u_right": lead(), "t_interact_s": rng.uniform(1e-7, 5e-6)}
+                    for _ in range(n_settings)]
+        doc = {
+            "model": {"exchange_per_s": 1.3e6, "hyperfine_gate_per_s": 2.6e6, "hyperfine_ancilla_per_s": 0.8e6},
+            "detection": {"c": 0.3},
+            "gate_state": {"theta_two_spin": [0.1, -0.2, 0.15, 0.05, 0.2, -0.1, 0.1, 0.05,
+                                              -0.1, 0.15, 0.0, 0.1, -0.05, 0.1, 0.2]},
+            "experiment": {"n_cycles": 1000},
+            "tomography": {"mode": "two_spin", "noise": "shot", "settings": settings},
+        }
+        drawn = []
+
+        def recording(probabilities, n, seeds):
+            drawn.append(list(probabilities))
+            return sample_counts(probabilities, n, seeds)
+
+        monkeypatch.setattr(spinturnstile.cli, "sample_counts", recording)
+        with pytest.warns(RankDeficientWarning):
+            code, _ = run_cli(tmp_path, "tomography", doc)
+        assert code == EXIT_OK
+        lone = []
+        for setting in settings:
+            one = parse_config(json.dumps({**doc, "tomography": {"settings": [setting]}}))
+            block = cycle.setting_instrument(one.tomography.settings, one.model, one.tunnel, one.detection_c)
+            lone.append(float(block.pulse_probabilities(one.gate_state.density())[0]).hex())
+        assert [[p.hex() for p in row] for row in drawn] == [lone]
 
     @pytest.mark.parametrize("command, section, builds", [
         ("sweep", {"experiment": {"mode": "refresh"}}, False),

@@ -374,7 +374,7 @@ class TestSweep:
         rows = run_sweep(settings, rho_gate=np.eye(4) / 4, mode="propagate", **self.common())
         assert [r.status for r in rows[::2]] == ["ok", "ok"]
         assert rows[1].status == "error: Unable to allocate 72.8 TiB for an array"
-        assert rows[1].record is None and rows[1].current is None
+        assert rows[1].record is None
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

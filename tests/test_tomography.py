@@ -252,11 +252,8 @@ class TestReconstruct:
         pr = forward_probabilities(design, theta)
         noisy = pr + np.array([2e-3, 0.0, 2e-3])  # push |u| past 1
         result = reconstruct(design, noisy)
-        if not result.physical:
-            assert result.physical_projection is not None
-            assert is_physical(result.physical_projection, SINGLE_SPIN)
-        else:
-            assert result.physical_projection is None
+        assert not is_physical(result.theta_hat, SINGLE_SPIN)
+        assert is_physical(project_physical(result.theta_hat, SINGLE_SPIN), SINGLE_SPIN)
 
     def test_covariance_matches_monte_carlo(self):
         design = build_design(swap_axes_settings(), exchange_model(), TUNNEL, C,

@@ -1,5 +1,6 @@
 """Compare the command line's output bytes of two source trees on every
-benchmark variant and on the default configuration.
+benchmark variant, on the default configuration, on sweeps with error rows
+and on invalid documents.
 
     python tools/compare_output_bytes.py BASE_SRC [HEAD_SRC]
 
@@ -7,10 +8,13 @@ Runs ``python -m spinturnstile`` once with each tree on ``PYTHONPATH``
 (HEAD_SRC defaults to this checkout's ``src``), in both output formats, csv
 and jsonl, on each of the 48 perfbench variants (the configs of
 ``perfbench/workloads.generate``, seeds 0-15 of each workload) with its own
-command, and on ``{}`` with each of the five commands: 106 runs, each of
-which writes the configuration's echo. It prints in Markdown how many runs
-differ in stdout, stderr or exit code, and which. It exits 0 whatever
-differs: a change of the random stream changes bytes on purpose.
+command, on ``{}`` with each of the five commands, on a refresh and a
+propagate sweep of an ok row, a row whose propagator phase is lost and a row
+whose model overflows, and with ``sweep`` on a document that fails
+validation (exit 3) and on one that is not JSON (exit 2): 114 runs. It
+prints in Markdown how many runs differ in stdout, stderr or exit code, and
+which. It exits 0 whatever differs: a change of the random stream changes
+bytes on purpose.
 """
 
 import json
@@ -25,6 +29,10 @@ import workloads  # noqa: E402
 
 COMMANDS = ("rates", "cycle", "sweep", "calibrate", "tomography")
 FORMATS = ("csv", "jsonl")
+# An ok row, a row whose propagator phase is lost and a row whose model overflows.
+ERROR_ROWS = [{}, {"t_interact_s": 1e10}, {"model": {"exchange_per_s": 1e308}}]
+# Documents that exit 3 (validation) and 2 (syntax) before any command runs.
+INVALID = {"invalid": '{"leads": {"u_left": {"magnitude": 2}}}', "syntax": "{"}
 
 
 def _run(src: str, command: str, config: str, fmt: str) -> tuple:
@@ -33,9 +41,10 @@ def _run(src: str, command: str, config: str, fmt: str) -> tuple:
     return done.stdout, done.stderr, done.returncode
 
 
-def _write(path: str, config: dict) -> str:
+def _write(path: str, config) -> str:
+    """Write ``config``, a document's text or a value to dump as JSON, to ``path``."""
     with open(path, "w") as f:
-        json.dump(config, f)
+        f.write(config if isinstance(config, str) else json.dumps(config))
     return path
 
 
@@ -53,6 +62,12 @@ def main(argv: list) -> None:
                 cases.append((f"{name}-{seed}", workload.command, config))
         empty = _write(os.path.join(tmp, "empty.json"), {})
         cases += [(f"{command} on {{}}", command, empty) for command in COMMANDS]
+        for mode in ("refresh", "propagate"):
+            config = {"experiment": {"mode": mode, "n_cycles": 2000}, "sweep": {"settings": ERROR_ROWS}}
+            cases.append((f"{mode} sweep with error rows", "sweep",
+                          _write(os.path.join(tmp, f"errors-{mode}.json"), config)))
+        cases += [(f"sweep on the {name} document", "sweep", _write(os.path.join(tmp, f"{name}.json"), text))
+                  for name, text in INVALID.items()]
         for label, command, config in cases:
             for fmt in FORMATS:
                 if _run(head, command, config, fmt) != _run(base, command, config, fmt):
