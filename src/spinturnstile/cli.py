@@ -9,6 +9,10 @@ configuration (``--config PATH`` or ``-`` for stdin), write their table in
 one of the ``results.RENDERERS`` formats (CSV or JSON-lines) to ``--out``
 (default stdout) and embed the configuration digest and effective seed in
 the output metadata, making every result reproducible from its own header.
+The digest is taken when the configuration is read, and neither its bytes
+nor their text is kept past the parse; the table is written piece by piece
+(``results.write_results``), so the one large text an execution holds while
+it computes and writes is the echo of its resolved configuration.
 Warnings (e.g. a violated time-scale hierarchy) go to stderr and never
 change the exit code.
 
@@ -290,6 +294,7 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    digest = config_digest(raw)
     try:
         cfg = parse_config(raw)
     except ConfigSyntaxError as exc:
@@ -298,6 +303,7 @@ def _run(args: argparse.Namespace) -> int:
     except ConfigValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    del raw  # the execution and the write hold no copy of the document
 
     if args.seed is not None:
         if not 0 <= args.seed <= MASTER_SEED_MAX:
@@ -306,7 +312,7 @@ def _run(args: argparse.Namespace) -> int:
         cfg = cfg._replace(experiment=cfg.experiment._replace(seed=args.seed))
 
     try:
-        table = execute(args.command, cfg, config_digest(raw))
+        table = execute(args.command, cfg, digest)
     except (ValueError, ConfigValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -22,6 +22,7 @@ reproduces an equal :class:`RunConfig`.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -598,7 +599,7 @@ def parse_config(data) -> RunConfig:
 
 
 def _slot(default) -> str:
-    """A field's slot in a section template, by the type of its default: a
+    """A field's ``%``-slot in a JSON object, by the type of its default: a
     vector is a list of one float slot per component, and any other default
     not a number or a word (a bool's, a section's) takes the JSON text."""
     if isinstance(default, tuple):
@@ -616,49 +617,49 @@ def _template(fields: dict, null: str | None = None) -> str:
                           for key, (_, default, *_) in fields.items()) + "}"
 
 
-# The root's template, and each section table's by its root key.
-_ROOT_TEMPLATE = _template(_ROOT_FIELDS)
-_SECTION_TEMPLATES = {key: _template(read) for key, (_, _, read) in _ROOT_FIELDS.items() if isinstance(read, dict)}
-
 # A model's template takes its model_values.
 _LEAD_TEMPLATE = _template(_LEAD_FIELDS)
 _MODEL_TEMPLATES = (_template(_MODEL_FIELDS), _template(_MODEL_FIELDS, null="exchange_per_s"))
 
 # A setting's template without a model override, then with one whose
-# exchange is a float and with one whose exchange is null; each takes its
-# time as its text.
-_SETTING_HEAD = (f'{{"u_left":{_LEAD_TEMPLATE},"u_right":{_LEAD_TEMPLATE},'
+# exchange is a float and with one whose exchange is null; each takes the
+# separator before it and its time as its text.
+_SETTING_HEAD = (f'%s{{"u_left":{_LEAD_TEMPLATE},"u_right":{_LEAD_TEMPLATE},'
                  '"t_interact_s":%s')
 _SETTING_TEMPLATES = (_SETTING_HEAD + "}",
                       *(f'{_SETTING_HEAD},"model":{model}}}' for model in _MODEL_TEMPLATES))
 
 
-def _settings_json(grid: SettingGrid) -> str:
-    """The JSON array of a sweep or tomography grid: each setting's template
-    filled once, with each distinct time's text made once."""
-    return "[" + ",".join([_SETTING_TEMPLATES[0 if model is None else 1 + (model[_EXCHANGE] is None)]
-                           % (*left, left_m, *right, right_m, t, *(model or ()))
-                           for (left, left_m), (right, right_m), t, model in
-                           zip(grid.given_left, grid.given_right, _time_texts(grid.t_interact, "%.17g"),
-                               grid.models)]) + "]"
+def _settings_json(grid: SettingGrid, pieces: list) -> None:
+    """Append the JSON array of a sweep or tomography grid to ``pieces``, one
+    piece per setting: each setting's template filled once, with each
+    distinct time's text made once."""
+    pieces.append("[")
+    pieces += [_SETTING_TEMPLATES[0 if model is None else 1 + (model[_EXCHANGE] is None)]
+               % (sep, *left, left_m, *right, right_m, t, *(model or ()))
+               for sep, (left, left_m), (right, right_m), t, model in
+               zip(itertools.chain(("",), itertools.repeat(",")), grid.given_left, grid.given_right,
+                   _time_texts(grid.t_interact, "%.17g"), grid.models)]
+    pieces.append("]")
 
 
-def _section_json(fields: dict, template: str, value) -> str:
-    """A section's JSON text: its ``template`` filled with the fields of
-    ``value``, a field whose reader is a table by that table (from ``value``
-    itself when it names no field), a bool as true or false and a grid as its
-    array."""
-    args = []
-    for key, (attr, _, read) in fields.items():
+def _object_json(fields: dict, value, pieces: list) -> None:
+    """Append the JSON object of a field table to ``pieces``: each field of
+    ``value`` (``value`` itself when the field names none) after its key, by
+    its slot; a field whose reader is a table as that table's object, a bool
+    as true or false and a grid as its array."""
+    for i, (key, (attr, default, read)) in enumerate(fields.items()):
         field = value if attr is None else getattr(value, attr)
+        pieces.append(("," if i else "{") + json.dumps(key) + ":")
         if isinstance(read, dict):
-            field = _section_json(read, _SECTION_TEMPLATES[key], field)
-        elif type(field) is bool:
-            field = "true" if field else "false"
+            _object_json(read, field, pieces)
         elif isinstance(field, SettingGrid):
-            field = _settings_json(field)
-        args.append(field)
-    return template % tuple(args)
+            _settings_json(field, pieces)
+        elif type(field) is bool:
+            pieces.append("true" if field else "false")
+        else:
+            pieces.append(_slot(default) % (field,))
+    pieces.append("}")
 
 
 def resolved_json(cfg: RunConfig) -> str:
@@ -666,15 +667,20 @@ def resolved_json(cfg: RunConfig) -> str:
     the schema's shape: keys in the field tables' order, each float at 17
     significant digits (``-0.0`` as ``-0``), a null exchange as ``null`` and
     the names of presets and choices, plain words, between quotes as they are.
+
+    The text is one join of one list of pieces, a settings array's rows
+    among them, so that no array, section or root text is made on the way.
     """
     key, value = next(item for item in zip(_GATE_KEYS, cfg.gate_state) if item[1] is not None)
     value = f'"{value}"' if key == "preset" else "[" + ",".join(["%.17g"] * len(value)) % value + "]"
     (left, left_m), (right, right_m) = cfg.setting.given_left[0], cfg.setting.given_right[0]
+    pieces = []
     # the run's setting gives the schedule its time and the leads their texts
-    return _section_json(_ROOT_FIELDS, _ROOT_TEMPLATE, SimpleNamespace(**{
+    _object_json(_ROOT_FIELDS, SimpleNamespace(**{
         **cfg._asdict(), "model": _MODEL_TEMPLATES[cfg.model.exchange is None] % model_values(cfg.model),
         "gate_state": f'{{"{key}":{value}}}', "t_interact": cfg.setting.t_interact[0],
-        "u_left": _LEAD_TEMPLATE % (*left, left_m), "u_right": _LEAD_TEMPLATE % (*right, right_m)}))
+        "u_left": _LEAD_TEMPLATE % (*left, left_m), "u_right": _LEAD_TEMPLATE % (*right, right_m)}), pieces)
+    return "".join(pieces)
 
 
 def config_digest(raw: bytes) -> str:

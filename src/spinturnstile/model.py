@@ -43,7 +43,7 @@ realistic nuclear Larmor scales are reached with ``g_nuclear ~ 1e-3``
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -161,7 +161,8 @@ class TunnelParams:
     tau_cycle: float = 1.0e-6
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in astuple(self)):
+        values = (self.gamma0, self.interdot_sq, self.detuning, self.tau_detect, self.tau_cycle)
+        if not all(math.isfinite(v) for v in values):
             raise ValueError("all tunnel parameters must be finite")
         if self.gamma0 <= 0:
             raise ValueError("gamma0 must be positive")

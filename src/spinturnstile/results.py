@@ -8,8 +8,17 @@ minimal quoting does; each row is written by one ``%``-template chosen by
 the exact types of its cells. JSONL emits the metadata as the first object,
 then one object per row. :func:`_time_texts` writes the time texts of a
 grid's seed texts and echo, each distinct time's once.
+
+Each format is rendered as a stream of text pieces: a metadata line (a JSONL
+metadata entry) as its head, its value and its end, a long text value such
+as the echo of the configuration in slices of itself, and the rows in blocks.
+:func:`write_results` encodes and writes the pieces one by one, so it holds
+neither the document, nor its encoding, nor a copy of a large text value;
+:func:`render_csv` and :func:`render_jsonl` are the bytes of the same
+pieces joined.
 """
 
+import contextlib
 import functools
 import json
 import re
@@ -134,30 +143,81 @@ def _csv_line(row) -> str:
 # The metadata values a CSV preamble line writes by format_value; any other
 # is written as JSON, as in JSONL.
 _CSV_SCALARS = (type(None), bool, int, float, str)
+# The characters of a text value in one piece, and the rows in one piece.
+_SLICE = 1 << 16
+_ROW_BLOCK = 256
+
+
+def _slices(text: str):
+    """``text`` in pieces of at most ``_SLICE`` characters; a text that fits
+    in one is that text itself, not a copy."""
+    if len(text) <= _SLICE:
+        yield text
+    else:
+        for start in range(0, len(text), _SLICE):
+            yield text[start:start + _SLICE]
+
+
+def _blocks(line, rows):
+    """The ``line`` texts of ``rows``, ``_ROW_BLOCK`` rows to a piece."""
+    for start in range(0, len(rows), _ROW_BLOCK):
+        yield "".join(map(line, rows[start:start + _ROW_BLOCK]))
+
+
+def _csv_pieces(table: ResultTable):
+    """The CSV text of a table in pieces: each preamble line as its head, its
+    value and its newline, a text value in slices as it is; then the header
+    and the rows in blocks."""
+    for key, value in table.metadata.items():
+        yield f"# {key} = "
+        if isinstance(value, str):  # format_value's text of it, without its str copy
+            yield from _slices(value)
+        else:
+            yield format_value(value) if isinstance(value, _CSV_SCALARS) else _json_value(value)
+        yield "\n"
+    yield _csv_line(table.columns)
+    yield from _blocks(_csv_line, table.rows)
+
+
+def _jsonl_pieces(table: ResultTable):
+    """The JSON-lines text of a table in pieces: the metadata object key by
+    key, a :class:`JsonText` value in slices as it is; then the rows in blocks."""
+    yield '{"metadata":{'
+    for i, (key, value) in enumerate(dict(table.metadata).items()):
+        # a key that is not a string is written as the JSON string of its str
+        yield ("," if i else "") + _json_key(key if type(key) is str else str(key))
+        if type(value) is JsonText:
+            yield from _slices(value)
+        else:
+            yield _json_value(value)
+    yield "}}\n"
+    keys = [_json_key(str(col)) for col in table.columns]
+
+    def line(row) -> str:
+        return "{" + ",".join([key + _json_value(v) for key, v in zip(keys, row)]) + "}\n"
+
+    yield from _blocks(line, table.rows)
 
 
 def render_csv(table: ResultTable) -> bytes:
-    lines = [f"# {key} = {format_value(value) if isinstance(value, _CSV_SCALARS) else _json_value(value)}\n"
-             for key, value in table.metadata.items()]
-    lines.append(_csv_line(table.columns))
-    lines += map(_csv_line, table.rows)
-    return "".join(lines).encode("utf-8")
+    return "".join(_csv_pieces(table)).encode("utf-8")
 
 
 def render_jsonl(table: ResultTable) -> bytes:
-    lines = ["{\"metadata\":" + _json_value(dict(table.metadata)) + "}"]
-    keys = [_json_key(str(col)) for col in table.columns]
-    for row in table.rows:
-        lines.append("{" + ",".join([key + _json_value(v) for key, v in zip(keys, row)]) + "}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "".join(_jsonl_pieces(table)).encode("utf-8")
 
 
-# Output format name -> renderer.
+# Output format name -> renderer, and the pieces it joins.
 RENDERERS = {"csv": render_csv, "jsonl": render_jsonl}
+_PIECES = {"csv": _csv_pieces, "jsonl": _jsonl_pieces}
 
 
 def write_results(table: ResultTable, fmt: str, dest) -> int:
-    """Render and write a table; returns the number of bytes written.
+    """Render and write a table piece by piece; returns the number of bytes
+    written, the bytes of ``RENDERERS[fmt](table)``. No piece holds more than
+    one slice of a text value or one block of rows, so the write holds no
+    copy of the whole document or of its large texts; a table that fails to
+    render leaves the pieces before the failure written.
 
     Args:
         table: the results.
@@ -166,10 +226,10 @@ def write_results(table: ResultTable, fmt: str, dest) -> int:
     """
     if fmt not in RENDERERS:
         raise ValueError(f"unknown output format {fmt!r}")
-    payload = RENDERERS[fmt](table)
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        with open(dest, "wb") as fh:
-            fh.write(payload)
-    return len(payload)
+    n = 0
+    with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "wb") as fh:
+        for piece in _PIECES[fmt](table):
+            data = piece.encode("utf-8")
+            fh.write(data)
+            n += len(data)
+    return n

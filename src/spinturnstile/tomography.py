@@ -130,11 +130,12 @@ def project_physical(theta, mode: str) -> np.ndarray:
     Clips the negative eigenvalues of :func:`theta_to_density` to zero,
     renormalizes the trace and returns the mode's parameters. In single-spin
     mode this shrinks an overlong polarization radially onto the unit
-    sphere. Idempotent; physical inputs pass through unchanged.
+    sphere. Idempotent; an input that :func:`is_physical` accepts passes
+    through unchanged, so that one test decides both.
     """
-    w, v = np.linalg.eigh(theta_to_density(theta, mode))
-    if w.min() >= 0.0:
+    if is_physical(theta, mode):
         return np.array(theta, dtype=float)
+    w, v = np.linalg.eigh(theta_to_density(theta, mode))
     w = np.clip(w, 0.0, None)
     rho_proj = (v * w) @ v.conj().T
     rho_proj /= np.trace(rho_proj).real

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -37,13 +38,15 @@ from spinturnstile.cli import (
     execute,
     main,
 )
-from spinturnstile import cycle
+from spinturnstile import cycle, results
 from spinturnstile.algebra import evolve_unitaries
 from spinturnstile.cycle import HierarchyWarning
 from spinturnstile.experiment import sample_counts
 from spinturnstile.model import SpinModelParams, model_coefficients, model_values
-from spinturnstile.results import RENDERERS, ResultTable, render_csv, render_jsonl, write_results
+from spinturnstile.results import RENDERERS, JsonText, ResultTable, render_csv, render_jsonl, write_results
 from spinturnstile.tomography import TWO_SPIN, RankDeficientWarning, theta_to_density
+
+from oracles import render_csv_by_writer
 
 
 def package_env() -> dict:
@@ -422,15 +425,49 @@ class TestResultTable:
         assert render_csv(self.table()) == render_csv(self.table())
         assert render_jsonl(self.table()) == render_jsonl(self.table())
 
+    def long_table(self):
+        """Text metadata values longer than one slice, a plain one and a
+        JsonText, and a row count that is not a multiple of the row block."""
+        rows = [(k, k / 7, "a,b" if k % 2 else None) for k in range(2 * results._ROW_BLOCK + 3)]
+        return ResultTable(columns=("k", "v", "s"), rows=rows, metadata={
+            "text": 'ключ,"' + "x" * results._SLICE,
+            "echo": JsonText("[" + ",".join(["1.5"] * results._SLICE) + "]"),
+        })
+
     def test_formats_are_the_renderer_table(self, tmp_path):
-        for fmt, render in RENDERERS.items():
-            dest = tmp_path / f"out.{fmt}"
-            write_results(self.table(), fmt, dest)
-            assert dest.read_bytes() == render(self.table())
+        for table in (self.table(), self.long_table()):
+            for fmt, render in RENDERERS.items():
+                dest, stream = tmp_path / f"out.{fmt}", io.BytesIO()
+                assert write_results(table, fmt, dest) == write_results(table, fmt, stream) == len(render(table))
+                assert dest.read_bytes() == stream.getvalue() == render(table)
+        # the long texts' slices and the rows' blocks join to the texts and lines themselves
+        table = self.long_table()
+        assert render_csv(table) == render_csv_by_writer(table)
+        metadata, *rows = map(json.loads, render_jsonl(table).decode().splitlines())
+        assert metadata == {"metadata": {**table.metadata, "echo": json.loads(table.metadata["echo"])}}
+        assert rows == [dict(zip(table.columns, row)) for row in table.rows]
         with pytest.raises(ValueError, match="unknown output format"):
             write_results(self.table(), "xml", tmp_path / "out.xml")
         (fmt,) = [a for a in build_parser()._actions if a.dest == "format"]
         assert tuple(fmt.choices) == tuple(RENDERERS)
+
+    @pytest.mark.parametrize("fmt", tuple(RENDERERS))
+    def test_write_holds_no_copy_of_its_payload(self, tmp_path, fmt):
+        # a text value of several MB and thousands of rows: the write holds a
+        # slice of the one and a block of the others, not a line, the
+        # document or its encoding
+        echo = JsonText("[" + ",".join(["0.30000000000000004"] * 200_000) + "]")
+        table = ResultTable(columns=("row", "value", "label"), rows=[(k, k / 7, f"r{k}") for k in range(5000)],
+                            metadata={"tool": "x", "resolved_config": echo})
+        dest = tmp_path / f"out.{fmt}"
+        tracemalloc.start()
+        try:
+            n = write_results(table, fmt, dest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == dest.stat().st_size > len(echo)
+        assert peak < n / 2
 
     def test_write_returns_byte_count(self, tmp_path):
         dest = tmp_path / "out.csv"

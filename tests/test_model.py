@@ -242,5 +242,5 @@ class TestTunnelParams:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, field, bad):
         # nan passes "<= 0" and "< 0" checks; inf passes them too
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^all tunnel parameters must be finite$"):
             TunnelParams(**{field: bad})

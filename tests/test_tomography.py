@@ -95,8 +95,10 @@ class TestParameterization:
 
 class TestProjection:
     def test_physical_input_unchanged(self):
-        theta = np.array([0.3, 0.0, 0.4])
-        assert np.allclose(project_physical(theta, SINGLE_SPIN), theta)
+        # the second's smallest eigenvalue, about -1e-12, is below 0 but within is_physical's tolerance
+        for theta in (np.array([0.3, 0.0, 0.4]), np.array([0.0, 0.0, 1.0 + 4e-12])):
+            assert is_physical(theta, SINGLE_SPIN)
+            assert np.array_equal(project_physical(theta, SINGLE_SPIN), theta)
 
     def test_overlong_vector_shrinks_radially(self):
         theta = np.array([2.0, 0.0, 0.0])
