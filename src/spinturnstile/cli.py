@@ -151,7 +151,8 @@ def _cmd_calibrate(cfg: RunConfig, meta: dict) -> ResultTable:
         raise ValueError("detection.c: must be positive to calibrate, since no pulse occurs at 0")
     (direction, _), (_, magnitude) = cfg.setting.given_left[0], cfg.setting.given_right[0]
     geometry = cfg.setting._replace(u_right=lead_vectors([(direction, magnitude)]), t_interact=(0.0,))
-    block = setting_instrument(geometry, cfg.model, cfg.tunnel, c_true, cfg.include_gate_hamiltonian)
+    block = setting_instrument(geometry, cfg.model, cfg.tunnel, c_true, cfg.include_gate_hamiltonian,
+                               threshold=cfg.hierarchy_threshold)
     pr_true = float(block.pulse_probabilities(cfg.gate_state.density())[0])
     rec = sample_cycles(pr_true, cfg.experiment.n_cycles, cfg.experiment.seed)
     rows = []
@@ -167,7 +168,7 @@ def _cmd_tomography(cfg: RunConfig, meta: dict) -> ResultTable:
     settings = cfg.tomography.settings
     design = build_design(
         settings, cfg.model, cfg.tunnel, cfg.detection_c,
-        mode=mode, include_gate_hamiltonian=cfg.include_gate_hamiltonian,
+        mode=mode, include_gate_hamiltonian=cfg.include_gate_hamiltonian, threshold=cfg.hierarchy_threshold,
     )
     rho_true = cfg.gate_state.density()
     theta_true = density_to_theta(rho_true, mode)

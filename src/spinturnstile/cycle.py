@@ -301,7 +301,7 @@ def setting_instruments(
     c: float,
     include_gate_hamiltonian: bool = True,
     *,
-    threshold: float | None = None,
+    threshold: float = HIERARCHY_THRESHOLD,
 ):
     """Yield the instruments of ``settings`` (what :func:`setting_grid`
     takes), one :class:`InstrumentBlock` per ``BLOCK_ROWS`` settings.
@@ -319,18 +319,16 @@ def setting_instruments(
     the others.
 
     The grid's distinct models get their coefficients and hierarchy check
-    from one stacked pass, with or without a ``threshold``
-    (``model._unsettled_norms``): a bracket of each model's hierarchy norm
-    from its coefficients settles every model that can neither overflow nor,
-    with a threshold, fail it, and only the other models get their
-    :func:`~spinturnstile.model.hierarchy_norms` and their time scales from
-    the same stacked pass as the ``rates`` command's (``model._time_scales``).
-    Every setting whose model's time scales are not separated by the
-    threshold emits a :class:`HierarchyWarning`, in row order, at the caller
-    of the code iterating this generator, as its block is built. A model
-    that overflows is reported by its rows' errors alone, since its time
-    scales cannot be computed. Without a threshold, only the overflow check
-    runs.
+    from one stacked pass (``model._unsettled_norms``): a bracket of each
+    model's hierarchy norm from its coefficients settles every model that
+    can neither overflow nor fail ``threshold``, and only the other models
+    get :func:`~spinturnstile.model.hierarchy_norms` and the time scales of
+    the ``rates`` command's pass (``model._time_scales``). Each setting
+    whose model fails the threshold emits a :class:`HierarchyWarning`, in
+    row order, at the caller of the code iterating this generator, as its
+    block is built; no model fails a threshold of 0. A model that overflows
+    is reported by its rows' errors alone, since its time scales cannot be
+    computed.
     """
     grid = setting_grid(settings)
     u_left, u_right = (np.array(u, dtype=float).reshape(-1, 3) for u in (grid.u_left, grid.u_right))
@@ -338,13 +336,11 @@ def setting_instruments(
     coefficients, slots, pair, pair_slots, pair_times, last = _grid_index(grid, model_values(model))
     unsettled, norms = _unsettled_norms(coefficients, tunnel, threshold)
     coefficients[unsettled[np.isnan(norms)]] = np.nan  # so its H is non-finite: the overflow error
-    messages = {}
-    if threshold is not None and len(unsettled):
-        report = _time_scales(norms, tunnel, threshold)
-        # an overflowing model is reported by its rows' errors alone
-        for k in np.flatnonzero(~(report.satisfied | np.isnan(norms))).tolist():
-            messages[unsettled[k]] = ("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
-                                      f"(ratios {report.ratio_dyn_res[k]:.3g}, {report.ratio_non_dyn[k]:.3g})")
+    report = _time_scales(norms, tunnel, threshold)
+    # an overflowing model is reported by its rows' errors alone
+    messages = {unsettled[k]: ("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+                               f"(ratios {report.ratio_dyn_res[k]:.3g}, {report.ratio_non_dyn[k]:.3g})")
+                for k in np.flatnonzero(~(report.satisfied | np.isnan(norms))).tolist()}
     # each evolved pair's error, the pairs a later block uses, their propagators and their rows there
     errors, held, kept, where = [], [], np.empty((0, 8, 8), complex), np.empty(len(last), dtype=int)
     for start in range(0, len(pair), BLOCK_ROWS):
@@ -406,11 +402,14 @@ def setting_instrument(
     tunnel: TunnelParams,
     c: float,
     include_gate_hamiltonian: bool = True,
+    *,
+    threshold: float = HIERARCHY_THRESHOLD,
 ) -> InstrumentBlock:
     """The instrument one setting (a :class:`MeasurementSetting` or one-row
     :class:`SettingGrid`) induces on the gate: the one-row block of
-    :func:`setting_instruments`, raising ``ValueError`` where that reports an error."""
-    return _checked(next(setting_instruments(setting, model, tunnel, c, include_gate_hamiltonian)))
+    :func:`setting_instruments`, which warns at the caller, raising ``ValueError`` for its error."""
+    return _checked(next(setting_instruments(setting, model, tunnel, c, include_gate_hamiltonian,
+                                             threshold=threshold)))
 
 
 def _checked(block: InstrumentBlock) -> InstrumentBlock:

@@ -608,8 +608,7 @@ def run_sweep(
     seeds = derive_setting_seeds(seed, grid)
     rows = [None] * len(grid.t_interact)
     drawn = []  # (index, pr) of refresh rows; their counts are drawn together below
-    for block in setting_instruments(grid, model, tunnel, c, include_gate_hamiltonian,
-                                     threshold=threshold):
+    for block in setting_instruments(grid, model, tunnel, c, include_gate_hamiltonian, threshold=threshold):
         probabilities = block.pulse_probabilities(rho_gate).tolist()
         if mode == "propagate" and None in block.errors:
             pulse, nopulse, _ = transfer_matrices(block)

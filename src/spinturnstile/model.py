@@ -128,6 +128,8 @@ class SpinModelParams:
             raise ValueError("all model parameters must be finite")
         if len(self.b_field) != 3:
             raise ValueError("b_field must have 3 components")
+        if self.coulomb_u < 0.0:
+            raise ValueError("coulomb_u must be >= 0.0")
         if self.exchange is None and self.hopping != 0.0 and self.coulomb_u <= 0.0:
             raise ValueError(_DERIVE_ERROR)
         # Equal parameters are equal values whatever their numeric type, so
@@ -330,26 +332,23 @@ def _norm_bracket(coefficients: np.ndarray) -> tuple:
         return lower * (1.0 - _BRACKET_MARGIN) - _TINY, upper * (1.0 + _BRACKET_MARGIN) + _TINY
 
 
-def _unsettled_norms(coefficients: np.ndarray, tunnel: TunnelParams | None = None,
-                     threshold: float | None = None) -> tuple:
+def _unsettled_norms(coefficients: np.ndarray, tunnel: TunnelParams, threshold: float) -> tuple:
     """``(rows, norms)``: the indices of the coefficient rows whose hierarchy
     check the norm bracket (``_norm_bracket``) cannot settle, and their
     :func:`hierarchy_norms` entries, computed only when there are such rows.
 
     A row is settled when its upper bound is below ``_SAFE_NORM_BOUND``, so
-    that its Hamiltonian cannot overflow, and, with a ``threshold``, when the
-    bracket alone gives both ratios of ``_time_scales`` on ``tunnel`` at or
-    above it: ``ratio_dyn_res`` of the upper bound and ``ratio_non_dyn`` of
-    the lower. The first never rises and the second never falls as the norm
-    grows, rounding included, so the row's exact norm satisfies the threshold
-    too. Only the other rows can overflow or fail the threshold.
+    that its Hamiltonian cannot overflow, and the bracket gives both ratios
+    of ``_time_scales`` on ``tunnel`` at or above ``threshold``:
+    ``ratio_dyn_res`` of the upper bound and ``ratio_non_dyn`` of the lower.
+    The first never rises and the second never falls as the norm grows,
+    rounding included, so the exact norm satisfies the threshold too. No
+    ratio is NaN, so a threshold of 0 settles every row that cannot overflow.
     """
     lower, upper = _norm_bracket(coefficients)
-    settled = upper < _SAFE_NORM_BOUND  # NaN is unsettled too
-    if threshold is not None:
-        n = len(coefficients)
-        bounds = _time_scales(np.concatenate((upper, lower)), tunnel, threshold)
-        settled &= (bounds.ratio_dyn_res[:n] >= threshold) & (bounds.ratio_non_dyn[n:] >= threshold)
+    bounds = _time_scales(np.stack((upper, lower)), tunnel, threshold)
+    settled = ((upper < _SAFE_NORM_BOUND)  # NaN is unsettled too
+               & (bounds.ratio_dyn_res[0] >= threshold) & (bounds.ratio_non_dyn[1] >= threshold))
     rows = np.flatnonzero(~settled)
     return rows, hierarchy_norms(coefficients[rows]) if len(rows) else np.empty(0)
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .algebra import PAULI_PRODUCT_LABELS, pauli_coordinates, pauli_operator
 from .cycle import setting_grid, setting_instruments
-from .model import SpinModelParams, TunnelParams
+from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
 __all__ = [
     "SINGLE_SPIN",
@@ -193,6 +193,8 @@ def build_design(
     c: float,
     mode: str = SINGLE_SPIN,
     include_gate_hamiltonian: bool = True,
+    *,
+    threshold: float = HIERARCHY_THRESHOLD,
 ) -> TomographyDesign:
     """Assemble the affine design matrix for ``settings`` (see :func:`~spinturnstile.cycle.setting_grid`).
 
@@ -201,7 +203,7 @@ def build_design(
     probability as a function of the state's Pauli coordinates
     ``(1, theta)``: its identity entry is the offset (the probability on the
     maximally mixed gate) and the entries of the mode's parameters are the
-    matrix row.
+    matrix row. A row whose model fails ``threshold`` warns (:class:`~spinturnstile.cycle.HierarchyWarning`).
     """
     _check_mode(mode)
     grid = setting_grid(settings)
@@ -209,7 +211,7 @@ def build_design(
         raise ValueError("at least one setting is required")
 
     pulse_rows = np.empty((len(grid.t_interact), 16))
-    for block in setting_instruments(grid, model, tunnel, c, include_gate_hamiltonian):
+    for block in setting_instruments(grid, model, tunnel, c, include_gate_hamiltonian, threshold=threshold):
         for error in block.errors:
             if error is not None:
                 raise ValueError(error)

@@ -214,7 +214,8 @@ def test_criterion_8_calibration():
         setting = MeasurementSetting(u_left=(0, 0, mag), u_right=(0, 0, mag), t_interact=0.0)
 
         def model_pr(c):  # read off the pulse effect
-            instrument = setting_instrument(setting, SpinModelParams(), tunnel, c)
+            # H = 0 has no dynamics to separate, and needs none at t = 0
+            instrument = setting_instrument(setting, SpinModelParams(), tunnel, c, threshold=0.0)
             return instrument.pulse_probabilities(np.eye(4) / 4)[0]
 
         pr_model = model_pr(1.0)

@@ -483,9 +483,11 @@ class TestSettingInstruments:
                                           u_right=tuple(random_bloch(rng)), t_interact=t, model=model))
         return out
 
+    # The rows' models include H = 0, which no threshold above 0 separates:
+    # these checks are of the instruments alone, so they check no hierarchy.
     @staticmethod
     def stacked(settings, base, tunnel, c, include):
-        blocks = list(setting_instruments(settings, base, tunnel, c, include))
+        blocks = list(setting_instruments(settings, base, tunnel, c, include, threshold=0.0))
         assert [b.start for b in blocks] == list(range(0, len(settings), BLOCK_ROWS))
         assert all(e is None for b in blocks for e in b.errors)
         return [np.concatenate(maps) for maps in zip(*map(transfer_matrices, blocks))]
@@ -544,19 +546,20 @@ class TestSettingInstruments:
 
         wants = []
         for setting in checked:
-            (alone,) = setting_instruments([setting], base, tunnel, 2.0, include)
+            (alone,) = setting_instruments([setting], base, tunnel, 2.0, include, threshold=0.0)
             want = rows(alone, 0)
             wants.append(want)
             assert np.array_equal(want[2][0], want[0])  # the first pulse row is the effect
-            _, last = setting_instruments(others + [setting], base, tunnel, 2.0, include)
+            _, last = setting_instruments(others + [setting], base, tunnel, 2.0, include, threshold=0.0)
             assert len(last.errors) == 1
             assert all(np.array_equal(g, w) for g, w in zip(rows(last, 0), want))
             # the single-instrument route reads the same probability
-            assert setting_instrument(setting, base, tunnel, 2.0, include).pulse_probabilities(rho)[0] == want[1]
+            single = setting_instrument(setting, base, tunnel, 2.0, include, threshold=0.0)
+            assert single.pulse_probabilities(rho)[0] == want[1]
         assert len(checked) > BLOCK_ROWS
         for shift in range(len(checked)):
             order = [(shift + k) % len(checked) for k in range(BLOCK_ROWS)]
-            (got,) = setting_instruments([checked[i] for i in order], base, tunnel, 2.0, include)
+            (got,) = setting_instruments([checked[i] for i in order], base, tunnel, 2.0, include, threshold=0.0)
             for k, i in enumerate(order):
                 assert all(np.array_equal(g, w) for g, w in zip(rows(got, k), wants[i]))
 

@@ -5,6 +5,7 @@ import pytest
 
 from spinturnstile import model
 from spinturnstile.algebra import IDENTITY_2, SIGMA_Z, kron
+from spinturnstile.config import ConfigValidationError, parse_config
 from spinturnstile.constants import G_NUCLEAR_P31, MU_B_PER_HBAR
 from spinturnstile.model import (
     HierarchyReport,
@@ -137,6 +138,24 @@ class TestEffectiveExchange:
             derived_exchange(1.0, 0.0)
         with pytest.raises(ValueError):
             SpinModelParams(hopping=1.0, coulomb_u=0.0)
+
+    @pytest.mark.parametrize("hopping, coulomb_u, exchange", [
+        (0.0, -1.0, None), (1.0, -1.0, None), (1.0, -1.0, 7.0), (0.0, -5e-324, 0.0),
+        (1.0, -0.0, None), (1.0, 0.0, 7.0), (0.0, 0.0, None), (1.0, 4.0, None),
+    ])
+    def test_params_reject_what_the_config_rejects(self, hopping, coulomb_u, exchange):
+        # one rule per field: a model built in Python is rejected where the
+        # config's model section is, with the config's message, so a negative
+        # coulomb_u by its own bound before the derive rule
+        section = {"hopping_per_s": hopping, "coulomb_u_per_s": coulomb_u, "exchange_per_s": exchange}
+        try:
+            parse_config({"model": section})
+        except ConfigValidationError as exc:
+            with pytest.raises(ValueError) as raised:
+                SpinModelParams(hopping=hopping, coulomb_u=coulomb_u, exchange=exchange)
+            assert str(exc).endswith(str(raised.value).removeprefix("coulomb_u "))
+        else:
+            SpinModelParams(hopping=hopping, coulomb_u=coulomb_u, exchange=exchange)
 
     def test_params_derive_exchange(self):
         p = SpinModelParams(hopping=1e6, coulomb_u=1e9)

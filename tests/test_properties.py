@@ -56,10 +56,12 @@ from spinturnstile.model import (
     SpinModelParams,
     TunnelParams,
     _OVERFLOW_ERROR,
+    _SAFE_NORM_BOUND,
     _norm_bracket,
     _time_scales,
     _unsettled_norms,
     build_total_hamiltonian,
+    characteristic_times,
     hierarchy_norms,
     model_coefficients,
     model_values,
@@ -169,7 +171,8 @@ def test_block_matches_the_kraus_route(rows, kappa, include, seed):
         for row in rows
     ]
     tunnel = TunnelParams()  # kappa = 2 c tau_detect gamma0 with tau_detect * gamma0 = 0.1
-    blocks = list(setting_instruments(settings_, SpinModelParams(), tunnel, 5.0 * kappa, include))
+    # random couplings, most of them outside the time-scale hierarchy: no check
+    blocks = list(setting_instruments(settings_, SpinModelParams(), tunnel, 5.0 * kappa, include, threshold=0.0))
     rho = random_density(np.random.default_rng(seed), 4)
     x = pauli_coordinates(rho)
     e0 = np.eye(16)[0]
@@ -1013,11 +1016,11 @@ log_uniform_values = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-320.0, 3
 # finite rows: one that overflows, and one that the bound cannot settle but does not overflow
 @example([[1e308] * 13, [1e308] + [0.0] * 12])
 def test_overflow_bound_agrees_with_the_eigenvalues(rows):
-    # without a threshold, _unsettled_norms computes the norm of every row
+    # with a threshold of 0, _unsettled_norms computes the norm of every row
     # that _norm_bracket's upper bound cannot clear of an overflow, so its NaN norms
     # mark every overflowing row
     coefficients = np.array(rows)
-    unsettled, norms = _unsettled_norms(coefficients)
+    unsettled, norms = _unsettled_norms(coefficients, TunnelParams(), 0.0)
     overflows = np.zeros(len(coefficients), dtype=bool)
     overflows[unsettled[np.isnan(norms)]] = True
     assert np.array_equal(overflows, np.isnan(hierarchy_norms(coefficients)))
@@ -1026,7 +1029,7 @@ def test_overflow_bound_agrees_with_the_eigenvalues(rows):
 def test_rows_near_the_float_maximum_get_exact_norms():
     # Each row's triangle bound lies in [max / 4, max): below the float
     # maximum but not below _SAFE_NORM_BOUND, its margin for rounding. So no
-    # row is settled by its bound, with or without a threshold, and each gets
+    # row is settled by its bound, whatever the threshold, and each gets
     # its computed norm. The tunnel passes both ratios of every bracket: its
     # leakage rate vanishes, and its resonant time is 1e-308 s.
     big = np.finfo(float).max
@@ -1040,7 +1043,8 @@ def test_rows_near_the_float_maximum_get_exact_norms():
     tunnel = TunnelParams(gamma0=1.0, interdot_sq=1e308, detuning=1e300)
     lower, upper = _norm_bracket(coefficients)
     assert _time_scales(np.concatenate((lower, upper)), tunnel, 1.0).satisfied.all()
-    for unsettled, norms in (_unsettled_norms(coefficients), _unsettled_norms(coefficients, tunnel, 1.0)):
+    for unsettled, norms in (_unsettled_norms(coefficients, TunnelParams(), 0.0),
+                             _unsettled_norms(coefficients, tunnel, 1.0)):
         assert unsettled.tolist() == list(range(len(coefficients)))
         assert np.array_equal(norms, hierarchy_norms(coefficients), equal_nan=True)
 
@@ -1146,6 +1150,91 @@ def test_hierarchy_warnings_match_the_exact_route(models, t, threshold, interdot
     assert [e == _OVERFLOW_ERROR for block in errors for e in block] == np.isnan(norms).tolist()
 
 
+@PROPERTY_SETTINGS
+@given(rows=st.lists(st.lists(coefficient_values, min_size=12, max_size=12), min_size=1, max_size=5),
+       models=st.lists(override_models, min_size=1, max_size=6),
+       gamma0=with_edges([5e-324, 1e-300, 1e9], st.floats(5e-324, 1e300)),
+       interdot_sq=with_edges([0.0, 5e-324, 1e9], st.floats(0.0, 1e300)),
+       detuning=with_edges([0.0, 1e12, 1e300], st.floats(-1e300, 1e300)))
+def test_a_threshold_of_zero_checks_only_for_overflow(rows, models, gamma0, interdot_sq, detuning):
+    # No ratio is NaN, so every ratio reaches a threshold of 0: the rows it
+    # leaves unsettled are those whose upper bound cannot rule out an
+    # overflow (NaN included), and no model warns, not even H = 0, whose
+    # ratios are 0, or a model that overflows.
+    tunnel = TunnelParams(gamma0=gamma0, interdot_sq=interdot_sq, detuning=detuning)
+    coefficients = np.array(rows)
+    _, upper = _norm_bracket(coefficients)
+    unsettled, norms = _unsettled_norms(coefficients, tunnel, 0.0)
+    assert unsettled.tolist() == np.flatnonzero(~(upper < _SAFE_NORM_BOUND)).tolist()
+    assert np.array_equal(norms, hierarchy_norms(coefficients)[unsettled], equal_nan=True)
+    settings_ = [MeasurementSetting((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1e-6, model=m) for m in models]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        list(setting_instruments(settings_, SpinModelParams(), tunnel, 1.0, threshold=0.0))
+    assert [str(w.message) for w in caught] == []
+
+
+# Couplings of the run's model and of row overrides, each drawn from a fixed
+# pool, since floats drawn near a strategy's leads would seldom leave the
+# hierarchy: 5e9 rad/s of exchange or ancilla hyperfine puts tau_dyn near
+# tau_res, and 1e3 rad/s couplings without a field leave the dynamics slower
+# than the leakage; the default model passes a threshold of 100 but not 1e4.
+HIERARCHY_POOLS = {
+    "b_field_tesla": [[0.0, 0.0, 0.01], [0.0, 0.0, 0.0]],
+    "exchange_per_s": [7e5, 5e9, 1e3],
+    "hyperfine_gate_per_s": [2e6, 1e3],
+    "hyperfine_ancilla_per_s": [1.1e6, 5e9, 1e3],
+}
+hierarchy_models = st.fixed_dictionaries(
+    {}, optional={key: st.sampled_from(pool) for key, pool in HIERARCHY_POOLS.items()})
+hierarchy_rows = st.fixed_dictionaries(
+    {"settings": st.lists(st.fixed_dictionaries({}, optional={"model": hierarchy_models,
+                                                              "t_interact_s": st.sampled_from([1e-6, 2.5e-6])}),
+                          min_size=1, max_size=5)})
+hierarchy_documents = st.fixed_dictionaries({}, optional={
+    "model": hierarchy_models, "hierarchy_threshold": st.sampled_from([100.0, 1.0, 1e4]),
+    "sweep": hierarchy_rows, "tomography": hierarchy_rows})
+
+
+def hierarchy_run(command: str, config: Path, action: str) -> tuple:
+    """Exit code, stdout bytes and ``(file name, message)`` of each
+    ``HierarchyWarning`` of one in-process run, with warnings under ``action``."""
+    stdout = io.TextIOWrapper(io.BytesIO())
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(io.StringIO())):
+        warnings.simplefilter(action)
+        code = main([command, "--config", str(config)])
+    return code, stdout.buffer.getvalue(), [(Path(w.filename).name, str(w.message))
+                                            for w in caught if w.category is HierarchyWarning]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(doc=hierarchy_documents)
+@example(doc={"model": {"exchange_per_s": 5e9}})
+@example(doc={"tomography": {"settings": [{}, {"model": {"hyperfine_ancilla_per_s": 5e9}}, {}]}})
+def test_every_instrument_route_warns_by_one_rule(doc):
+    # cycle, sweep, calibrate and tomography each warn once per row whose
+    # model characteristic_times finds unseparated, in row order, at the
+    # command's line in cli.py; the warnings change no output byte or exit code
+    cfg = reference_config(json.dumps(doc))
+    row_models = {"cycle": [cfg.model], "sweep": [s.model or cfg.model for s in cfg.sweep_settings],
+                  "calibrate": [cfg.model], "tomography": [s.model or cfg.model for s in cfg.tomography.settings]}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "config.json")
+        config.write_text(json.dumps(doc))
+        for command, models in row_models.items():
+            expected = []
+            for model in models:
+                report = characteristic_times(model, cfg.tunnel, cfg.hierarchy_threshold)
+                if not report.satisfied:
+                    expected.append(("cli.py", "time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+                                               f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})"))
+            code, stdout, caught = hierarchy_run(command, config, "always")
+            assert code == EXIT_OK
+            assert caught == expected, command
+            assert hierarchy_run(command, config, "ignore") == (code, stdout, [])
+
+
 # Row models of a grid, each a new object per call: the run's model, equal
 # twins, a -0.0 field and coupling beside their +0.0 twin, a weak model that
 # fails the hierarchy and one that overflows float64.
@@ -1171,7 +1260,7 @@ grid_rows = st.tuples(st.integers(0, len(_GRID_MODELS) - 1), st.sampled_from([0.
 
 @PROPERTY_SETTINGS
 @given(rows=st.lists(grid_rows, min_size=1, max_size=16), block_rows=st.integers(3, 5),
-       c=st.sampled_from([1.0, 20.0]), threshold=st.sampled_from([None, 100.0]), include=st.booleans())
+       c=st.sampled_from([1.0, 20.0]), threshold=st.sampled_from([0.0, 100.0]), include=st.booleans())
 def test_grid_sharing_matches_the_lone_rows(rows, block_rows, c, threshold, include):
     # Blocks of 3-5 rows over a few models and times, so that (model, t)
     # pairs recur within and across blocks. Every row's effect, propagator,

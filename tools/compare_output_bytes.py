@@ -8,21 +8,26 @@ Runs ``python -m spinturnstile`` with each tree on ``PYTHONPATH``
 (HEAD_SRC defaults to this checkout's ``src``), in both output formats, csv
 and jsonl, on each of the 48 perfbench variants (the configs of
 ``perfbench/workloads.generate``, seeds 0-15 of each workload) with its own
-command, on ``{}`` with each of the five commands, on a refresh and a
-propagate sweep of an ok row, a row whose propagator phase is lost and a row
-whose model overflows, and with ``sweep`` on a document that fails
-validation (exit 3) and on one that is not JSON (exit 2): 114 cases. Each
-case runs twice per tree, once to stdout and once with ``--out FILE``: 228
-runs per tree. It prints in Markdown how many of one tree's 228 runs differ
-from the other's in stdout, the bytes written to ``--out``, stderr or exit
-code, and which; and how many of the 228 ``--out`` runs of both trees wrote
-other bytes than the same tree's run printed to stdout, or another stderr or
-exit code, and which. It exits 0 whatever differs: a change of the random
-stream changes bytes on purpose.
+command, on ``{}`` with each of the five commands, on a model outside the
+time-scale hierarchy (``HIERARCHY``) with each command that builds an
+instrument, on a refresh and a propagate sweep of an ok row, a row whose
+propagator phase is lost and a row whose model overflows, and with ``sweep``
+on a document that fails validation (exit 3) and on one that is not JSON
+(exit 2): 122 cases. Each case runs twice per tree, once to stdout and once
+with ``--out FILE``: 244 runs per tree. It prints in Markdown how many of one
+tree's 244 runs differ from the other's in stdout, the bytes written to
+``--out``, stderr or exit code, and which; and how many of the 244 ``--out``
+runs of both trees wrote other bytes than the same tree's run printed to
+stdout, or another stderr or exit code, and which. Stderr is compared with
+the tree's source path and the line number of each warning replaced by
+placeholders, so that another checkout or a moved line is no byte change. It
+exits 0 whatever differs: a change of the random stream changes bytes on
+purpose.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -32,6 +37,9 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 COMMANDS = ("rates", "cycle", "sweep", "calibrate", "tomography")
+# An exchange that puts tau_dyn near tau_res (ratios 0.419 and 2.39e+06),
+# which every command that builds an instrument warns about.
+HIERARCHY = {"model": {"exchange_per_s": 5e9}}
 FORMATS = ("csv", "jsonl")
 # An ok row, a row whose propagator phase is lost and a row whose model overflows.
 ERROR_ROWS = [{}, {"t_interact_s": 1e10}, {"model": {"exchange_per_s": 1e308}}]
@@ -50,7 +58,14 @@ def _run(src: str, command: str, config: str, fmt: str, out: str | None = None) 
         with open(out, "rb") as f:
             written = f.read()
         os.remove(out)
-    return done.stdout, written, done.stderr, done.returncode
+    return done.stdout, written, _placeholders(done.stderr, src), done.returncode
+
+
+def _placeholders(stderr: bytes, src: str) -> bytes:
+    """``stderr`` with the source path ``src`` as ``SRC`` and the line number
+    of each warning from a module under it as ``LINE``."""
+    stderr = stderr.replace(os.fsencode(src), b"SRC")
+    return re.sub(rb"^(SRC\S*\.py):\d+:", rb"\1:LINE:", stderr, flags=re.M)
 
 
 def _write(path: str, config) -> str:
@@ -74,6 +89,8 @@ def main(argv: list) -> None:
                 cases.append((f"{name}-{seed}", workload.command, config))
         empty = _write(os.path.join(tmp, "empty.json"), {})
         cases += [(f"{command} on {{}}", command, empty) for command in COMMANDS]
+        hierarchy = _write(os.path.join(tmp, "hierarchy.json"), HIERARCHY)
+        cases += [(f"{command} outside the hierarchy", command, hierarchy) for command in COMMANDS[1:]]
         for mode in ("refresh", "propagate"):
             config = {"experiment": {"mode": mode, "n_cycles": 2000}, "sweep": {"settings": ERROR_ROWS}}
             cases.append((f"{mode} sweep with error rows", "sweep",
