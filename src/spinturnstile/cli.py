@@ -6,13 +6,13 @@ command is its positional argument, and ``--help`` lists the commands with
 their help texts after the options. All commands take the same four options
 (``--config``, ``--out``, ``--format``, ``--seed``) and read one JSON
 configuration (``--config PATH`` or ``-`` for stdin), write their table in
-one of the ``results.RENDERERS`` formats (CSV or JSON-lines) to ``--out``
+one of the ``results.FORMATS`` (CSV or JSON-lines) to ``--out``
 (default stdout) and embed the configuration digest and effective seed in
 the output metadata, making every result reproducible from its own header.
 The digest is taken when the configuration is read, and neither its bytes
 nor their text is kept past the parse; the table is written piece by piece
 (``results.write_results``), so the one large text an execution holds while
-it computes and writes is the echo of its resolved configuration.
+it computes and writes is the echo of its resolved configuration, held once.
 Warnings (e.g. a violated time-scale hierarchy) go to stderr and never
 change the exit code.
 
@@ -48,7 +48,7 @@ from .experiment import (
     sample_cycles,
 )
 from .model import characteristic_times
-from .results import RENDERERS, JsonText, ResultTable, write_results
+from .results import FORMATS, JsonText, ResultTable, write_results
 from .tomography import (
     build_design,
     density_to_theta,
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True,
                         help="path to the JSON configuration, or '-' for stdin")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", default="csv", choices=tuple(RENDERERS),
+    parser.add_argument("--format", default="csv", choices=tuple(FORMATS),
                         help="output format (default: csv)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override experiment.seed from the configuration")

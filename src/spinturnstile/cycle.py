@@ -324,11 +324,11 @@ def setting_instruments(
     can neither overflow nor fail ``threshold``, and only the other models
     get :func:`~spinturnstile.model.hierarchy_norms` and the time scales of
     the ``rates`` command's pass (``model._time_scales``). Each setting
-    whose model fails the threshold emits a :class:`HierarchyWarning`, in
-    row order, at the caller of the code iterating this generator, as its
-    block is built; no model fails a threshold of 0. A model that overflows
-    is reported by its rows' errors alone, since its time scales cannot be
-    computed.
+    whose model fails the threshold emits a :class:`HierarchyWarning`
+    (``setting i: ...``, ``i`` its row), in row order, at the caller of the
+    code iterating this generator, as its block is built; no model fails a
+    threshold of 0. A model that overflows is reported by its rows' errors
+    alone, since its time scales cannot be computed.
     """
     grid = setting_grid(settings)
     u_left, u_right = (np.array(u, dtype=float).reshape(-1, 3) for u in (grid.u_left, grid.u_right))
@@ -345,9 +345,9 @@ def setting_instruments(
     errors, held, kept, where = [], [], np.empty((0, 8, 8), complex), np.empty(len(last), dtype=int)
     for start in range(0, len(pair), BLOCK_ROWS):
         ids, end = pair[start:start + BLOCK_ROWS], start + BLOCK_ROWS
-        for m in slots[start:end] if messages else ():
+        for row, m in enumerate(slots[start:end] if messages else (), start):
             if m in messages:
-                warnings.warn(messages[m], HierarchyWarning, stacklevel=3)
+                warnings.warn(f"setting {row}: {messages[m]}", HierarchyWarning, stacklevel=3)
         new = slice(len(errors), int(ids.max()) + 1)  # the pairs this block is the first to use
         if new.stop > new.start:
             held += range(new.start, new.stop)
@@ -407,9 +407,18 @@ def setting_instrument(
 ) -> InstrumentBlock:
     """The instrument one setting (a :class:`MeasurementSetting` or one-row
     :class:`SettingGrid`) induces on the gate: the one-row block of
-    :func:`setting_instruments`, which warns at the caller, raising ``ValueError`` for its error."""
-    return _checked(next(setting_instruments(setting, model, tunnel, c, include_gate_hamiltonian,
-                                             threshold=threshold)))
+    :func:`setting_instruments`, which warns at the caller, raising ``ValueError`` for its error
+    (first, for a grid of another row count)."""
+    return _checked(next(setting_instruments(_one_setting(setting), model, tunnel, c,
+                                             include_gate_hamiltonian, threshold=threshold)))
+
+
+def _one_setting(setting) -> SettingGrid:
+    """``setting`` as a one-row grid; raises ``ValueError`` for any other count."""
+    grid = setting_grid(setting)
+    if len(grid.t_interact) != 1:
+        raise ValueError(f"expected one setting, got {len(grid.t_interact)}")
+    return grid
 
 
 def _checked(block: InstrumentBlock) -> InstrumentBlock:
@@ -432,14 +441,15 @@ def run_cycle(
     """Execute one full measurement cycle on a given gate state.
 
     Builds the setting's instrument (:func:`setting_instrument`, same
-    arguments) and reads the ancilla polarization, the pulse probability and
-    both conditional gate states off it. Emits a :class:`HierarchyWarning`
-    when the time scales of the setting's model are not separated by
-    ``threshold`` (the protocol's instantaneous-switching assumptions are
-    then questionable), but still computes the ideal-limit result.
+    arguments and errors) and reads the ancilla polarization, the pulse
+    probability and both conditional gate states off it. Emits a
+    :class:`HierarchyWarning` when the time scales of the setting's model are
+    not separated by ``threshold`` (the protocol's instantaneous-switching
+    assumptions are then questionable), but still computes the ideal-limit
+    result.
     """
-    block = _checked(next(setting_instruments(setting, model, tunnel, c, include_gate_hamiltonian,
-                                              threshold=threshold)))
+    block = _checked(next(setting_instruments(_one_setting(setting), model, tunnel, c,
+                                              include_gate_hamiltonian, threshold=threshold)))
     pulse, nopulse, ancilla_bloch = transfer_matrices(block)
     x = pauli_coordinates(rho_gate)
 

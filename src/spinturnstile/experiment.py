@@ -45,7 +45,6 @@ __all__ = [
     "propagate_cycles",
     "estimate_current",
     "calibrate",
-    "derive_setting_seed",
     "derive_setting_seeds",
     "run_sweep",
 ]
@@ -83,10 +82,10 @@ _RESCALE_ABOVE = 2.0 ** 600
 # gate state of smallest eigenvalue -e is rho+ - N with N >= 0 and
 # tr N <= 4e, and the state reached by maps M is M(rho+) - M(N), whose p
 # exceeds L by at most L tr M(N) / tr(M(rho+) - M(N)). That share starts
-# at 4e, 4e-10 at config's tolerance of 1e-10, and grows only on branches
-# where M(rho+) fades faster than M(N); since tr M(N) summed over the
-# branches of any run of cycles is tr N, a skipped cycle could have pulsed
-# with probability at most 4e. The margin costs one decision per 10**6
+# at 4e, 4e-10 at config's tolerance STRUCTURAL_TOL, and grows only on
+# branches where M(rho+) fades faster than M(N); since tr M(N) summed over
+# the branches of any run of cycles is tr N, a skipped cycle could have
+# pulsed with probability at most 4e. The margin costs one decision per 10**6
 # cycles. A gate state that is not PSD within the margin, relative to its
 # trace, or a pulse row or gate coordinates that are not finite (a finite
 # gate state's coordinates can overflow), gets an infinite bound: every
@@ -564,11 +563,6 @@ def derive_setting_seeds(master_seed: int, settings) -> list:
     digests = [master_bytes + hashlib.sha256(text.encode()).digest()[7::-1] for text in texts]
     words = np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, len(master_bytes) // 4 + 2)
     return _seed_states(words, 1)[:, 0].tolist()
-
-
-def derive_setting_seed(master_seed: int, setting) -> int:
-    """The one-setting case of :func:`derive_setting_seeds`."""
-    return derive_setting_seeds(master_seed, setting)[0]
 
 
 def run_sweep(

@@ -9,13 +9,12 @@ the exact types of its cells. JSONL emits the metadata as the first object,
 then one object per row. :func:`_time_texts` writes the time texts of a
 grid's seed texts and echo, each distinct time's once.
 
-Each format is rendered as a stream of text pieces: a metadata line (a JSONL
-metadata entry) as its head, its value and its end, a long text value such
-as the echo of the configuration in slices of itself, and the rows in blocks.
-:func:`write_results` encodes and writes the pieces one by one, so it holds
-neither the document, nor its encoding, nor a copy of a large text value;
-:func:`render_csv` and :func:`render_jsonl` are the bytes of the same
-pieces joined.
+Each format in ``FORMATS`` is a generator of text pieces: a metadata line
+(a JSONL metadata entry) as its head, its value and its end, a long text
+value such as the echo of the configuration in slices of itself, and the
+rows in blocks. :func:`write_results`, the one writer, encodes and writes
+the pieces one by one, so it holds neither the document, nor its encoding,
+nor a copy of a large text value.
 """
 
 import contextlib
@@ -23,9 +22,9 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-__all__ = ["ResultTable", "JsonText", "RENDERERS", "render_csv", "render_jsonl", "write_results",
-           "format_value"]
+__all__ = ["ResultTable", "JsonText", "FORMATS", "write_results", "format_value"]
 
 
 @dataclass
@@ -43,9 +42,11 @@ class ResultTable:
                 raise ValueError("ragged row: every row must match the column count")
 
 
-class JsonText(str):
-    """A metadata value that is already JSON text: both renderers write it as
-    it is, where a plain string would be a JSON string in JSONL."""
+class JsonText(NamedTuple):
+    """A metadata value whose ``text``, held as it is and not copied, is
+    already JSON text: both formats write it as it is, in slices."""
+
+    text: str
 
 
 def format_value(value) -> str:
@@ -100,7 +101,7 @@ def _json_value(value) -> str:
     if kind is bool:
         return "true" if value else "false"
     if kind is JsonText:
-        return value
+        return value.text
     for base in (float, int, str, list, tuple, dict):  # a subclass, written as its base
         if isinstance(value, base):
             return _json_value(base(value))
@@ -170,8 +171,9 @@ def _csv_pieces(table: ResultTable):
     and the rows in blocks."""
     for key, value in table.metadata.items():
         yield f"# {key} = "
-        if isinstance(value, str):  # format_value's text of it, without its str copy
-            yield from _slices(value)
+        text = value.text if type(value) is JsonText else value
+        if isinstance(text, str):  # format_value's text of a str, without its str copy
+            yield from _slices(text)
         else:
             yield format_value(value) if isinstance(value, _CSV_SCALARS) else _json_value(value)
         yield "\n"
@@ -187,7 +189,7 @@ def _jsonl_pieces(table: ResultTable):
         # a key that is not a string is written as the JSON string of its str
         yield ("," if i else "") + _json_key(key if type(key) is str else str(key))
         if type(value) is JsonText:
-            yield from _slices(value)
+            yield from _slices(value.text)
         else:
             yield _json_value(value)
     yield "}}\n"
@@ -199,36 +201,27 @@ def _jsonl_pieces(table: ResultTable):
     yield from _blocks(line, table.rows)
 
 
-def render_csv(table: ResultTable) -> bytes:
-    return "".join(_csv_pieces(table)).encode("utf-8")
-
-
-def render_jsonl(table: ResultTable) -> bytes:
-    return "".join(_jsonl_pieces(table)).encode("utf-8")
-
-
-# Output format name -> renderer, and the pieces it joins.
-RENDERERS = {"csv": render_csv, "jsonl": render_jsonl}
-_PIECES = {"csv": _csv_pieces, "jsonl": _jsonl_pieces}
+# Output format name -> generator of its text pieces.
+FORMATS = {"csv": _csv_pieces, "jsonl": _jsonl_pieces}
 
 
 def write_results(table: ResultTable, fmt: str, dest) -> int:
-    """Render and write a table piece by piece; returns the number of bytes
-    written, the bytes of ``RENDERERS[fmt](table)``. No piece holds more than
-    one slice of a text value or one block of rows, so the write holds no
-    copy of the whole document or of its large texts; a table that fails to
-    render leaves the pieces before the failure written.
+    """Render and write a table piece by piece, the one writer of ``FORMATS``;
+    returns the number of bytes written. No piece holds more than one slice
+    of a text value or one block of rows, so the write holds no copy of the
+    whole document or of its large texts; a table that fails to render
+    leaves the pieces before the failure written.
 
     Args:
         table: the results.
-        fmt: a name in ``RENDERERS``.
-        dest: a filesystem path or a binary file-like object.
+        fmt: a name in ``FORMATS``.
+        dest: a filesystem path, opened once, or a binary file-like object.
     """
-    if fmt not in RENDERERS:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown output format {fmt!r}")
     n = 0
     with contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "wb") as fh:
-        for piece in _PIECES[fmt](table):
+        for piece in FORMATS[fmt](table):
             data = piece.encode("utf-8")
             fh.write(data)
             n += len(data)

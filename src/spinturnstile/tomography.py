@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import PAULI_PRODUCT_LABELS, pauli_coordinates, pauli_operator
+from .algebra import PAULI_PRODUCT_LABELS, STRUCTURAL_TOL, pauli_coordinates, pauli_operator
 from .cycle import setting_grid, setting_instruments
 from .model import HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams
 
@@ -118,10 +118,10 @@ def density_to_theta(rho: np.ndarray, mode: str) -> np.ndarray:
     return pauli_coordinates(rho)[1 : 1 + n_parameters(mode)]
 
 
-def is_physical(theta, mode: str, tol: float = 1e-10) -> bool:
-    """Whether the smallest eigenvalue of :func:`theta_to_density` is at
-    least ``-tol``; in single-spin mode it is ``(1 - |theta|) / 4``."""
-    return float(np.linalg.eigvalsh(theta_to_density(theta, mode)).min()) >= -tol
+def is_physical(theta, mode: str) -> bool:
+    """Whether the smallest eigenvalue of :func:`theta_to_density` is at least
+    ``-STRUCTURAL_TOL``; in single-spin mode it is ``(1 - |theta|) / 4``."""
+    return float(np.linalg.eigvalsh(theta_to_density(theta, mode)).min()) >= -STRUCTURAL_TOL
 
 
 def project_physical(theta, mode: str) -> np.ndarray:
@@ -239,9 +239,11 @@ def build_design(
 
 
 def forward_probabilities(design: TomographyDesign, theta) -> np.ndarray:
-    """Noiseless pulse probabilities the design predicts for a state."""
-    theta = np.asarray(theta, dtype=float)
-    return design.matrix @ theta + design.offset
+    """Noiseless pulse probabilities of the state ``theta``: one product per
+    row of ``pulse_rows`` with the state's coordinates ``(1, theta, 0, ...)``,
+    as in ``InstrumentBlock.pulse_probabilities``, so each row has the bits of its setting alone."""
+    x = np.concatenate(([1.0], np.asarray(theta, dtype=float), np.zeros(15 - design.n_params)))
+    return (design.pulse_rows[:, None, :] @ x)[:, 0]
 
 
 def reconstruct(design: TomographyDesign, pr_measured, shot_counts=None) -> ReconstructionResult:

@@ -443,11 +443,12 @@ def render_csv_by_writer(table) -> bytes:
     """A table's CSV bytes by ``csv.writer`` of each row's ``format_value``
     texts: the package's renderer before it wrote each row with one
     ``%``-template chosen by its cells' types."""
-    from spinturnstile.results import _json_value, format_value
+    from spinturnstile.results import JsonText, _json_value, format_value
 
     buf = io.StringIO()
     for key, value in table.metadata.items():
-        buf.write(f"# {key} = {_json_value(value) if isinstance(value, (dict, list)) else format_value(value)}\n")
+        json_text = isinstance(value, (dict, list, JsonText))
+        buf.write(f"# {key} = {_json_value(value) if json_text else format_value(value)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
     for row in table.rows:

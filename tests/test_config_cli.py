@@ -43,10 +43,17 @@ from spinturnstile.algebra import evolve_unitaries
 from spinturnstile.cycle import HierarchyWarning
 from spinturnstile.experiment import sample_counts
 from spinturnstile.model import SpinModelParams, model_coefficients, model_values
-from spinturnstile.results import RENDERERS, JsonText, ResultTable, render_csv, render_jsonl, write_results
+from spinturnstile.results import FORMATS, JsonText, ResultTable, write_results
 from spinturnstile.tomography import TWO_SPIN, RankDeficientWarning, theta_to_density
 
 from oracles import render_csv_by_writer
+
+
+def rendered(table: ResultTable, fmt: str) -> bytes:
+    """The bytes ``write_results`` writes of ``table`` in format ``fmt``."""
+    buffer = io.BytesIO()
+    write_results(table, fmt, buffer)
+    return buffer.getvalue()
 
 
 def package_env() -> dict:
@@ -391,18 +398,18 @@ class TestResultTable:
     def test_unordered_metadata_rejected(self):
         # a set has no deterministic order to write
         with pytest.raises(TypeError, match="^cannot serialize set deterministically$"):
-            render_jsonl(ResultTable(columns=("a",), rows=[], metadata={"k": {1}}))
+            rendered(ResultTable(columns=("a",), rows=[], metadata={"k": {1}}), "jsonl")
 
-    @pytest.mark.parametrize("render", [render_csv, render_jsonl])
-    def test_metadata_containers_are_written_alike(self, render):
+    @pytest.mark.parametrize("fmt", tuple(FORMATS))
+    def test_metadata_containers_are_written_alike(self, fmt):
         # a tuple is a JSON array in both formats, and a set is rejected by both
-        tuple_text = render(ResultTable(columns=("a",), rows=[], metadata={"k": (1, 2)})).decode()
-        assert tuple_text.startswith("# k = [1,2]\n" if render is render_csv else '{"metadata":{"k":[1,2]}}')
+        tuple_text = rendered(ResultTable(columns=("a",), rows=[], metadata={"k": (1, 2)}), fmt).decode()
+        assert tuple_text.startswith("# k = [1,2]\n" if fmt == "csv" else '{"metadata":{"k":[1,2]}}')
         with pytest.raises(TypeError, match="^cannot serialize set deterministically$"):
-            render(ResultTable(columns=("a",), rows=[], metadata={"k": {"x", "y", "z"}}))
+            rendered(ResultTable(columns=("a",), rows=[], metadata={"k": {"x", "y", "z"}}), fmt)
 
     def test_csv_round_trip_exact_floats(self):
-        payload = render_csv(self.table()).decode()
+        payload = rendered(self.table(), "csv").decode()
         lines = [l for l in payload.splitlines() if not l.startswith("#")]
         rows = list(csv.reader(lines))
         assert rows[0] == ["name", "value", "flag"]
@@ -410,20 +417,20 @@ class TestResultTable:
         assert rows[1][2] == "true"
 
     def test_csv_metadata_preamble(self):
-        payload = render_csv(self.table()).decode()
+        payload = rendered(self.table(), "csv").decode()
         assert payload.startswith("# tool = x\n")
         assert '# nested = {"k":[1,2.5]}' in payload
 
     def test_jsonl_metadata_first(self):
-        lines = render_jsonl(self.table()).decode().splitlines()
+        lines = rendered(self.table(), "jsonl").decode().splitlines()
         first = json.loads(lines[0])
         assert "metadata" in first and first["metadata"]["tool"] == "x"
         row = json.loads(lines[1])
         assert row == {"name": "a", "value": 0.1, "flag": True}
 
     def test_deterministic_bytes(self):
-        assert render_csv(self.table()) == render_csv(self.table())
-        assert render_jsonl(self.table()) == render_jsonl(self.table())
+        for fmt in FORMATS:
+            assert rendered(self.table(), fmt) == rendered(self.table(), fmt)
 
     def long_table(self):
         """Text metadata values longer than one slice, a plain one and a
@@ -436,22 +443,22 @@ class TestResultTable:
 
     def test_formats_are_the_renderer_table(self, tmp_path):
         for table in (self.table(), self.long_table()):
-            for fmt, render in RENDERERS.items():
+            for fmt in FORMATS:
                 dest, stream = tmp_path / f"out.{fmt}", io.BytesIO()
-                assert write_results(table, fmt, dest) == write_results(table, fmt, stream) == len(render(table))
-                assert dest.read_bytes() == stream.getvalue() == render(table)
+                assert write_results(table, fmt, dest) == write_results(table, fmt, stream) == len(rendered(table, fmt))
+                assert dest.read_bytes() == stream.getvalue() == rendered(table, fmt)
         # the long texts' slices and the rows' blocks join to the texts and lines themselves
         table = self.long_table()
-        assert render_csv(table) == render_csv_by_writer(table)
-        metadata, *rows = map(json.loads, render_jsonl(table).decode().splitlines())
-        assert metadata == {"metadata": {**table.metadata, "echo": json.loads(table.metadata["echo"])}}
+        assert rendered(table, "csv") == render_csv_by_writer(table)
+        metadata, *rows = map(json.loads, rendered(table, "jsonl").decode().splitlines())
+        assert metadata == {"metadata": {**table.metadata, "echo": json.loads(table.metadata["echo"].text)}}
         assert rows == [dict(zip(table.columns, row)) for row in table.rows]
         with pytest.raises(ValueError, match="unknown output format"):
             write_results(self.table(), "xml", tmp_path / "out.xml")
         (fmt,) = [a for a in build_parser()._actions if a.dest == "format"]
-        assert tuple(fmt.choices) == tuple(RENDERERS)
+        assert tuple(fmt.choices) == tuple(FORMATS)
 
-    @pytest.mark.parametrize("fmt", tuple(RENDERERS))
+    @pytest.mark.parametrize("fmt", tuple(FORMATS))
     def test_write_holds_no_copy_of_its_payload(self, tmp_path, fmt):
         # a text value of several MB and thousands of rows: the write holds a
         # slice of the one and a block of the others, not a line, the
@@ -466,7 +473,7 @@ class TestResultTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert n == dest.stat().st_size > len(echo)
+        assert n == dest.stat().st_size > len(echo.text)
         assert peak < n / 2
 
     def test_write_returns_byte_count(self, tmp_path):
@@ -476,7 +483,7 @@ class TestResultTable:
 
     def test_empty_table_has_header_and_metadata(self):
         t = ResultTable(columns=("a", "b"), rows=[], metadata={"k": "v"})
-        text = render_csv(t).decode()
+        text = rendered(t, "csv").decode()
         assert text == "# k = v\na,b\n"
 
 

@@ -384,6 +384,23 @@ class TestRunCycle:
         with pytest.warns(HierarchyWarning):
             run_cycle(*args, threshold=1e12)
 
+    def test_one_setting_routes_reject_other_counts(self):
+        # a grid of two rows whose models fail the hierarchy, in either
+        # order, and an empty one: each one-setting route raises before it
+        # builds an instrument, so it emits no warning
+        p = SpinModelParams(exchange=1e3)
+        tp = TunnelParams(gamma0=1e9, interdot_sq=1e9, detuning=1e10)
+        s1 = MeasurementSetting([0, 0, 1], [0, 0, 1], 1e-6)
+        s2 = MeasurementSetting([0, 0, 1], [1, 0, 0], 2e-6)
+        for grid, count in (([s1, s2], 2), ([s2, s1], 2), ([], 0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match=f"^expected one setting, got {count}$"):
+                    setting_instrument(grid, p, tp, 1.0)
+                with pytest.raises(ValueError, match=f"^expected one setting, got {count}$"):
+                    run_cycle(setting_grid(grid), p, tp, np.eye(4) / 4, 1.0)
+            assert caught == []
+
     def test_post_states_match_kraus_route(self):
         # both conditional states against sum_k K rho K^dag / tr of Kraus
         # operators built from the same model's propagator; the last case,
@@ -773,10 +790,10 @@ class TestHierarchyNormCalls:
         assert norm_rows == [coefficients[unsettled].tolist()]
         # the warnings, one per failing row in row order, read as the per-row route's
         expected = []
-        for kind, norm in zip(kinds, hierarchy_norms(coefficients)):
+        for row, (kind, norm) in enumerate(zip(kinds, hierarchy_norms(coefficients))):
             report = hierarchy_report(norm, cfg.tunnel, cfg.hierarchy_threshold)
             if kind == "warns":
-                expected.append("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+                expected.append(f"setting {row}: time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
                                 f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})")
         assert [str(w.message) for w in caught] == expected and len(expected) == kinds.count("warns")
         errors = [e for b in blocks for e in b.errors]

@@ -267,20 +267,20 @@ def test_resolved_config_reproduces_the_run(tmp_path, name):
     assert echo_rerun_changes(tmp_path, name) == []
 
 
-def _unsatisfied(ratios: str) -> str:
-    return f"time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied (ratios {ratios})"
+def _unsatisfied(row: int, ratios: str) -> str:
+    return f"setting {row}: time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied (ratios {ratios})"
 
 
 # The HierarchyWarning messages of each edge's cycle and sweep, in order: one
-# per setting whose model's time scales are not separated, none for a model
-# that overflows.
+# per setting whose model's time scales are not separated, named by its row,
+# none for a model that overflows.
 HIERARCHY_WARNINGS = {
-    ("exchange", "cycle"): [_unsatisfied("0.419, 2.39e+06")],
-    ("exchange", "sweep"): [_unsatisfied("0.419, 2.39e+06")] * 3,
-    ("still", "cycle"): [_unsatisfied("0, 0")],
-    ("still", "sweep"): [_unsatisfied("0, 0")] * 3,
+    ("exchange", "cycle"): [_unsatisfied(0, "0.419, 2.39e+06")],
+    ("exchange", "sweep"): [_unsatisfied(row, "0.419, 2.39e+06") for row in range(3)],
+    ("still", "cycle"): [_unsatisfied(0, "0, 0")],
+    ("still", "sweep"): [_unsatisfied(row, "0, 0") for row in range(3)],
     ("leakage", "cycle"): [],
-    ("leakage", "sweep"): [_unsatisfied("0.419, inf")],
+    ("leakage", "sweep"): [_unsatisfied(0, "0.419, inf")],
 }
 
 

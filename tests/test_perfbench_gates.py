@@ -1,17 +1,21 @@
 """The benchmark's reference gates, in-process: every variant of every
 perfbench workload runs through ``cli.main`` and must exit 0 with no
 warning and pass ``perfbench/workloads.py``'s ``check`` against its recorded
-reference. The benchmark module is loaded from its file and only read."""
+reference, and a variant's echo is held once. The benchmark module is
+loaded from its file and only read."""
 
 import importlib.util
 import json
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 from spinturnstile.cli import EXIT_OK, main
+from spinturnstile.config import parse_config, resolved_json
+from spinturnstile.results import JsonText
 
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
@@ -35,3 +39,17 @@ def test_variant_passes_its_gates(tmp_path, name, variant):
     assert code == EXIT_OK
     assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
     assert workloads.check(workload, out.read_bytes(), workloads.load_reference(workload)) == []
+
+
+def test_json_text_holds_the_echo_itself():
+    # the echo of setting_grid's variant 3 is about 282,000 characters, and
+    # its JsonText keeps that text, not a copy of it
+    echo = resolved_json(parse_config(json.dumps(workloads.generate("setting_grid", 3).config)))
+    tracemalloc.start()
+    try:
+        text = JsonText(echo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.text is echo and len(echo) > 250_000
+    assert peak < 1024

@@ -46,7 +46,6 @@ from spinturnstile.experiment import (
     _seed_states,
     _uint32_words,
     calibrate,
-    derive_setting_seed,
     derive_setting_seeds,
     propagate_cycles,
     sample_counts,
@@ -66,7 +65,7 @@ from spinturnstile.model import (
     model_coefficients,
     model_values,
 )
-from spinturnstile.results import JsonText, ResultTable, _time_texts, render_csv, render_jsonl
+from spinturnstile.results import JsonText, ResultTable, _time_texts, write_results
 from spinturnstile.tomography import (
     SINGLE_SPIN,
     TWO_SPIN,
@@ -310,6 +309,30 @@ def test_design_is_affine_in_the_state(settings_, kappa, pol_a, pol_b, seed, lam
         mixed = probabilities(lam * rho_a + (1.0 - lam) * rho_b)
         expected = lam * probabilities(rho_a) + (1.0 - lam) * probabilities(rho_b)
         assert np.abs(mixed - expected).max() < 1e-12
+
+
+# Leads and times of a design's rows, each from a fixed pool, so that a
+# failing design shrinks quickly.
+_DESIGN_LEADS = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0), (0.48, -0.36, 0.6),
+                 (0.0, 0.0, 0.0)]
+design_rows = st.builds(MeasurementSetting, u_left=st.sampled_from(_DESIGN_LEADS),
+                        u_right=st.sampled_from(_DESIGN_LEADS),
+                        t_interact=st.sampled_from([0.0, 3e-7, 1e-6, 2.5e-6, 7e-6]))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(design_rows, min_size=2, max_size=39), st.sampled_from([SINGLE_SPIN, TWO_SPIN]),
+       st.integers(0, 2**32 - 1))
+def test_forward_probabilities_have_the_lone_setting_bits(settings_, mode, seed):
+    # each row's predicted probability is, bit for bit, that of the same
+    # setting's lone design, whatever the rows around it
+    theta = density_to_theta(random_density(np.random.default_rng(seed), 4), mode)
+
+    def predicted(grid):
+        return forward_probabilities(build_design(grid, DESIGN_MODEL, TunnelParams(), 1.0, mode=mode), theta)
+
+    alone = [predicted([setting])[0] for setting in settings_]
+    assert [x.hex() for x in predicted(settings_).tolist()] == [x.hex() for x in alone]
 
 
 @PROPERTY_SETTINGS
@@ -804,6 +827,13 @@ def test_induced_instrument_checks_the_setting(u_left, u_right, t):
     assert got.kappa == want.kappa
 
 
+def rendered(table: ResultTable, fmt: str) -> bytes:
+    """The bytes ``write_results`` writes of ``table`` in format ``fmt``."""
+    buffer = io.BytesIO()
+    write_results(table, fmt, buffer)
+    return buffer.getvalue()
+
+
 @PROPERTY_SETTINGS
 @given(config_documents)
 # a repeated time and both zeros, in rows with and without an override
@@ -818,8 +848,8 @@ def test_resolved_config_line_matches_the_oracle(doc):
     assert resolved_json(cfg) == text
     table = ResultTable(columns=(), rows=[],
                         metadata={"resolved_config": JsonText(resolved_json(cfg))})
-    assert render_csv(table) == f"# resolved_config = {text}\n\n".encode()
-    assert render_jsonl(table) == f'{{"metadata":{{"resolved_config":{text}}}}}\n'.encode()
+    assert rendered(table, "csv") == f"# resolved_config = {text}\n\n".encode()
+    assert rendered(table, "jsonl") == f'{{"metadata":{{"resolved_config":{text}}}}}\n'.encode()
 
 
 json_floats = with_edges([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -852,9 +882,9 @@ def test_json_writer_matches_the_oracle(tree):
     # text instead of null
     want = json_scalar(nonfinite_as_text(tree))
     row = ResultTable(columns=("v", "ключ"), rows=[(tree, 1)])
-    assert render_jsonl(row).decode().splitlines()[1] == f'{{"v":{want},{json_scalar("ключ")}:1}}'
+    assert rendered(row, "jsonl").decode().splitlines()[1] == f'{{"v":{want},{json_scalar("ключ")}:1}}'
     meta = ResultTable(columns=(), rows=[], metadata={"tree": [tree]})
-    assert render_csv(meta) == f"# tree = [{want}]\n\n".encode()
+    assert rendered(meta, "csv") == f"# tree = [{want}]\n\n".encode()
 
 
 # CSV cells of every type a row may hold, and text that needs quoting or not
@@ -877,7 +907,7 @@ def csv_tables(draw):
 def test_csv_rows_match_the_writer(table):
     # a one-column row whose only cell is empty is "" (csv.writer's form of
     # a row that is not blank)
-    assert render_csv(table) == render_csv_by_writer(table)
+    assert rendered(table, "csv") == render_csv_by_writer(table)
 
 
 # floats whose repr takes every form: signed zero, subnormal, exponent
@@ -926,7 +956,7 @@ def test_stacked_coefficients_match_each_model(models):
 @PROPERTY_SETTINGS
 @given(master=st.integers(0, 2**70), setting=seed_settings)
 def test_setting_seed_matches_the_oracle(master, setting):
-    assert derive_setting_seed(master, setting) == setting_seed(master, setting)
+    assert derive_setting_seeds(master, setting) == [setting_seed(master, setting)]
 
 
 entropy_words = st.integers(0, 2**32 - 1) | st.just(0)
@@ -1134,10 +1164,10 @@ def test_hierarchy_warnings_match_the_exact_route(models, t, threshold, interdot
 
     norms = hierarchy_norms(model_coefficients([model_values(m or base) for m in models]))
     expected = []
-    for norm in norms:
+    for i, norm in enumerate(norms):
         report = hierarchy_report(norm, tunnel, threshold)
         if not (math.isnan(norm) or report.satisfied):
-            expected.append("time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+            expected.append(f"setting {i}: time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
                             f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cycle, "BLOCK_ROWS", 4)
@@ -1224,10 +1254,11 @@ def test_every_instrument_route_warns_by_one_rule(doc):
         config.write_text(json.dumps(doc))
         for command, models in row_models.items():
             expected = []
-            for model in models:
+            for i, model in enumerate(models):
                 report = characteristic_times(model, cfg.tunnel, cfg.hierarchy_threshold)
                 if not report.satisfied:
-                    expected.append(("cli.py", "time-scale hierarchy tau_res << tau_dyn << tau_non not satisfied "
+                    expected.append(("cli.py", f"setting {i}: time-scale hierarchy tau_res << tau_dyn << tau_non "
+                                               "not satisfied "
                                                f"(ratios {report.ratio_dyn_res:.3g}, {report.ratio_non_dyn:.3g})"))
             code, stdout, caught = hierarchy_run(command, config, "always")
             assert code == EXIT_OK
@@ -1265,8 +1296,9 @@ def test_grid_sharing_matches_the_lone_rows(rows, block_rows, c, threshold, incl
     # Blocks of 3-5 rows over a few models and times, so that (model, t)
     # pairs recur within and across blocks. Every row's effect, propagator,
     # transfer matrices and error are those of its setting alone, bit for
-    # bit, and the warnings are the lone rows' warnings in row order. c = 20
-    # gives kappa = 4, an error of every row.
+    # bit, and the warnings are the lone rows' warnings in row order, each
+    # named by its row in the grid instead of 0. c = 20 gives kappa = 4, an
+    # error of every row.
     base = SpinModelParams(b_field=(0.0, 0.0, 1e-4), g_electron=2.0, g_ancilla=2.0, exchange=1.3e6,
                            hyperfine_gate=2e6, hyperfine_ancilla=4e5)
     tunnel = TunnelParams()
@@ -1288,7 +1320,7 @@ def test_grid_sharing_matches_the_lone_rows(rows, block_rows, c, threshold, incl
         arrays = (block.effects, block.propagators, *transfer_matrices(block))
         for k, setting in enumerate(settings_[block.start:block.start + len(block.errors)]):
             (alone,), alone_messages = run([setting])
-            lone_messages += alone_messages
+            lone_messages += [m.replace("setting 0: ", f"setting {block.start + k}: ", 1) for m in alone_messages]
             assert block.errors[k] == alone.errors[0]
             for got, want in zip(arrays, (alone.effects, alone.propagators, *transfer_matrices(alone))):
                 assert np.array_equal(got[k], want[0])

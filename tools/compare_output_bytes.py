@@ -10,15 +10,16 @@ and jsonl, on each of the 48 perfbench variants (the configs of
 ``perfbench/workloads.generate``, seeds 0-15 of each workload) with its own
 command, on ``{}`` with each of the five commands, on a model outside the
 time-scale hierarchy (``HIERARCHY``) with each command that builds an
-instrument, on a refresh and a propagate sweep of an ok row, a row whose
-propagator phase is lost and a row whose model overflows, and with ``sweep``
-on a document that fails validation (exit 3) and on one that is not JSON
-(exit 2): 122 cases. Each case runs twice per tree, once to stdout and once
-with ``--out FILE``: 244 runs per tree. It prints in Markdown how many of one
-tree's 244 runs differ from the other's in stdout, the bytes written to
-``--out``, stderr or exit code, and which; and how many of the 244 ``--out``
-runs of both trees wrote other bytes than the same tree's run printed to
-stdout, or another stderr or exit code, and which. Stderr is compared with
+instrument, with ``sweep`` and ``tomography`` on three rows of which two
+share such a model (``SHARED``), on a refresh and a propagate sweep of an ok
+row, a row whose propagator phase is lost and a row whose model overflows,
+and with ``sweep`` on a document that fails validation (exit 3) and on one
+that is not JSON (exit 2): 126 cases. Each case runs twice per tree, once to
+stdout and once with ``--out FILE``: 252 runs per tree. It prints in
+Markdown how many of one tree's 252 runs differ from the other's in stdout,
+the bytes written to ``--out``, stderr or exit code, and which; and how many
+of the 252 ``--out`` runs of both trees wrote other bytes than the same
+tree's run printed to stdout, or another stderr or exit code, and which. Stderr is compared with
 the tree's source path and the line number of each warning replaced by
 placeholders, so that another checkout or a moved line is no byte change. It
 exits 0 whatever differs: a change of the random stream changes bytes on
@@ -40,6 +41,11 @@ COMMANDS = ("rates", "cycle", "sweep", "calibrate", "tomography")
 # An exchange that puts tau_dyn near tau_res (ratios 0.419 and 2.39e+06),
 # which every command that builds an instrument warns about.
 HIERARCHY = {"model": {"exchange_per_s": 5e9}}
+# Three rows, the first and the last with HIERARCHY's model: their warnings
+# come from one line of the package, so that only their texts tell them apart.
+_SHARED_ROWS = [{"u_right": {"direction": "x"}, **HIERARCHY}, {"u_right": {"direction": "y"}},
+                {"u_right": {"direction": "z"}, **HIERARCHY}]
+SHARED = {"sweep": {"settings": _SHARED_ROWS}, "tomography": {"settings": _SHARED_ROWS}}
 FORMATS = ("csv", "jsonl")
 # An ok row, a row whose propagator phase is lost and a row whose model overflows.
 ERROR_ROWS = [{}, {"t_interact_s": 1e10}, {"model": {"exchange_per_s": 1e308}}]
@@ -91,6 +97,9 @@ def main(argv: list) -> None:
         cases += [(f"{command} on {{}}", command, empty) for command in COMMANDS]
         hierarchy = _write(os.path.join(tmp, "hierarchy.json"), HIERARCHY)
         cases += [(f"{command} outside the hierarchy", command, hierarchy) for command in COMMANDS[1:]]
+        shared = _write(os.path.join(tmp, "shared.json"), SHARED)
+        cases += [(f"{command} of two rows outside the hierarchy", command, shared)
+                  for command in ("sweep", "tomography")]
         for mode in ("refresh", "propagate"):
             config = {"experiment": {"mode": mode, "n_cycles": 2000}, "sweep": {"settings": ERROR_ROWS}}
             cases.append((f"{mode} sweep with error rows", "sweep",
