@@ -5,13 +5,14 @@ field names (``_per_s`` for rates and angular frequencies, ``_s`` for times,
 ``_tesla`` for fields). Parsing applies documented defaults, rejects unknown
 keys, and reports semantic violations with the full field path. One schema,
 ``_ROOT_FIELDS``, lists the root's sections in document order, each as a
-field table of its keys, defaults, readers and resolved form;
-:func:`_parse_section` reads every section by its table. Models and leads are checked
-along one route: a walk checks only objects, keys, axis names and lengths
-and gathers the numbers, whose types, finiteness and bounds, lead norms and
-derived exchange one stacked pass then checks, reporting the first bad field
-in document order, its path built only then. The run's ``model`` section is
-checked as one row of model values, and becomes the one
+field table of its keys, defaults, readers or bounds and resolved form;
+:func:`_parse_section` reads every section by its table. A bound is written
+once, in its field's row, which the library types check by too, naming the
+same key. Numbers are checked along one route: a walk checks only objects,
+keys, axis names and lengths and gathers them, and one stacked pass
+(``model._checked``) checks their types, finiteness and bounds, lead norms
+and derived exchange, reporting the first bad field in document order, its
+path built only then. The run's ``model`` section is checked by the one
 :class:`SpinModelParams` built; each settings array becomes one
 :class:`~spinturnstile.cycle.SettingGrid` of columns, its rows' leads and
 times checked in one pass and its model overrides in a block of their own,
@@ -33,10 +34,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import PAULI_PRODUCT_LABELS
-from .constants import G_NUCLEAR_P31
-from .cycle import SettingGrid
+from .cycle import _TIME_FIELDS, SettingGrid
 from .experiment import MASTER_SEED_MAX
-from .model import _DERIVE_ERROR, _EXCHANGE, HIERARCHY_THRESHOLD, SpinModelParams, TunnelParams, model_values
+from .model import (
+    _EXCHANGE, _MODEL_FIELDS, _TUNNEL_FIELDS, HIERARCHY_THRESHOLD, ConfigError, ConfigValidationError,
+    SpinModelParams, TunnelParams, _check_fields, _checked, _columns, _components, _field_checks, _model_checks,
+    model_values)
 from .results import _time_texts
 from .tomography import SINGLE_SPIN, TWO_SPIN, is_physical, n_parameters, theta_to_density
 
@@ -56,19 +59,8 @@ __all__ = [
 ]
 
 
-class ConfigError(Exception):
-    """Base class for configuration failures."""
-
-
 class ConfigSyntaxError(ConfigError):
     """The configuration document is not well-formed JSON."""
-
-
-class ConfigValidationError(ConfigError):
-    """A field violates the schema; the message names the field path."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
 
 
 # Gate-state presets, expressed as 15-component two-spin parameter vectors
@@ -147,21 +139,6 @@ def _as_object(value, path: str, known) -> dict:
     return value
 
 
-def _as_float(value, path: str, minimum=None):
-    if type(value) is not float:  # a JSON number is most often a float already
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigValidationError(path, "expected a number")
-        try:
-            value = float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            raise ConfigValidationError(path, "must be finite") from None
-    if not math.isfinite(value):
-        raise ConfigValidationError(path, "must be finite")
-    if minimum is not None and value < minimum:
-        raise ConfigValidationError(path, f"must be >= {minimum}")
-    return value
-
-
 def _as_int(value, path: str, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigValidationError(path, "expected an integer")
@@ -184,55 +161,28 @@ def _as_choice(value, path: str, choices):
     return value
 
 
-def _as_vec3(value, path: str):
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigValidationError(path, "expected a 3-component array")
-    return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _as_direction(value, path: str) -> tuple:
-    """An axis name or a 3-vector; :func:`_grid` checks its norm."""
-    if isinstance(value, str):
-        if value not in _AXES:
-            raise ConfigValidationError(path, "axis name must be 'x', 'y' or 'z'")
-        return _AXES[value]
-    return _as_vec3(value, path)
-
-
-# Section field tables: JSON key -> (record field, default[, reader]). Each
-# table gives its section's keys, their order in the resolved configuration
-# and their defaults. A field without a reader is kept as given for its own
-# route: a model's numbers and a lead's are checked stacked (_checked).
-_MODEL_FIELDS = {
-    "b_field_tesla": ("b_field", (0.0, 0.0, 0.01)),
-    "g_electron": ("g_electron", 0.0),
-    "g_nuclear": ("g_nuclear", G_NUCLEAR_P31),
-    "g_ancilla": ("g_ancilla", 0.0),
-    "hyperfine_gate_per_s": ("hyperfine_gate", 2.0e6),
-    "hyperfine_ancilla_per_s": ("hyperfine_ancilla", 1.1e6),
-    "hopping_per_s": ("hopping", 0.0),
-    "coulomb_u_per_s": ("coulomb_u", 0.0),
-    "exchange_per_s": ("exchange", 7.0e5),
-    "level_offset_per_s": ("level_offset", 0.0),
-}
-
+# Section field tables: JSON key -> (record field, default, reader or
+# bounds). Each table gives its section's keys, their order in the resolved
+# configuration and their defaults. A number field's row holds its bounds
+# (see model._MODEL_FIELDS); a field without a reader or bounds is kept as
+# given for its own route.
 _LEAD_FIELDS = {
-    "direction": ("direction", _AXES["z"]),
-    "magnitude": ("magnitude", 1.0),
+    "direction": ("direction", _AXES["z"], ()),
+    "magnitude": ("magnitude", 1.0, ((">=", 0.0), ("<=", 1.0))),
 }
 
 
-def _parse_section(obj, path: str, cls, fields: dict):
-    """Build ``cls`` from the JSON object at ``path``: each key of ``fields``
-    that ``obj`` gives is read and checked by its reader, or kept as given
-    when it has none; every other field comes from the table."""
+def _parse_section(obj, path: str, fields: dict, cls=dict):
+    """Build ``cls`` from the JSON object at ``path``: each field of
+    ``fields`` is the value ``obj`` gives, read by its reader if it has one,
+    or else the table's default. A library type checks its numbers by the
+    same rows; a dict's are checked in one pass, before the readers run."""
     obj = _as_object(obj, path, fields)
-    values = {attr: (read(obj[key], f"{path}.{key}") if read else obj[key]) if key in obj else default
-              for key, (attr, default, read) in fields.items()}
-    try:
-        return cls(**values)
-    except ValueError as exc:  # a check the section class makes
-        raise ConfigValidationError(path, str(exc)) from exc
+    values = {attr: obj[key] if key in obj else default for key, (attr, default, _) in fields.items()}
+    if cls is dict:
+        values = _check_fields(path, fields, values)
+    return cls(**{attr: read(values[attr], f"{path}.{key}") if callable(read) and key in obj else values[attr]
+                  for key, (attr, _, read) in fields.items()})
 
 
 def _lead_norms(directions: np.ndarray) -> np.ndarray:
@@ -278,10 +228,7 @@ _TIME, _WIDTH = 8, 9
 # b_field_tesla's 3 components first; each model value's place and field, in
 # the order of their checks; and the table's defaults as model values.
 _MODEL_SLOTS = {key: 2 + k if k else 0 for k, key in enumerate(_MODEL_FIELDS)}
-_MODEL_COLUMNS = [(k, f".b_field_tesla[{k}]") for k in range(3)] + [
-    (slot, f".{key}") for key, slot in _MODEL_SLOTS.items() if slot]
-_MODEL_DEFAULTS = model_values(SpinModelParams(**dict(_MODEL_FIELDS.values())))
-_HOPPING, _COULOMB_U = _MODEL_SLOTS["hopping_per_s"], _MODEL_SLOTS["coulomb_u_per_s"]
+_MODEL_DEFAULTS = model_values(SpinModelParams(**{attr: default for attr, default, _ in _MODEL_FIELDS.values()}))
 
 
 def _walk_lead(obj, path_of, i: int, name: str) -> tuple:
@@ -292,10 +239,12 @@ def _walk_lead(obj, path_of, i: int, name: str) -> tuple:
     if type(obj) is not dict or not obj.keys() <= _LEAD_KEYS:
         _as_object(obj, path_of(i) + name, _LEAD_FIELDS)  # raises, unless a dict subclass of lead keys
     direction = obj.get("direction", _AXES["z"])
-    if type(direction) is str and direction in _AXES:
+    if isinstance(direction, str):
+        if direction not in _AXES:
+            raise ConfigValidationError(f"{path_of(i)}{name}.direction", "axis name must be 'x', 'y' or 'z'")
         direction = _AXES[direction]
     elif type(direction) is not list or len(direction) != 3:  # a fault, or a tuple
-        direction = _as_direction(direction, f"{path_of(i)}{name}.direction")
+        direction = _components(direction, f"{path_of(i)}{name}.direction", 3)
     return (*direction, obj.get("magnitude", 1.0))
 
 
@@ -312,109 +261,41 @@ def _walk_model(obj, base: tuple, path_of, i: int, name: str) -> list:
         if slot:
             values[slot] = value
         else:  # the field vector: the first field, so no other field is checked before it
-            values[:3] = value if type(value) is list and len(value) == 3 else _as_vec3(
-                value, f"{path_of(i)}{name}.b_field_tesla")
+            values[:3] = value if type(value) is list and len(value) == 3 else _components(
+                value, f"{path_of(i)}{name}.b_field_tesla", 3)
     return values
 
 
-def _numbers(values: list, width: int) -> tuple:
-    """The walked numbers as Python floats, an integer as the float it names,
-    and as an (R, width) array, with the masks of the entries that are not
-    numbers and of the nulls: the array reads 0 for those, and inf for an
-    integer past the float range."""
-    numbers = values
-    not_number, null = np.zeros(len(values), dtype=bool), np.zeros(len(values), dtype=bool)
-    if not set(map(type, values)) <= {float}:  # JSON numbers are most often floats
-        values, numbers = values.copy(), values.copy()
-        for k, value in enumerate(values):
-            if type(value) is float:
-                continue
-            if value is None:
-                null[k], numbers[k] = True, 0.0
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                not_number[k], numbers[k] = True, 0.0
-            else:
-                try:
-                    values[k] = numbers[k] = float(value)
-                except OverflowError:
-                    numbers[k] = math.inf
-    return (values, np.array(numbers, dtype=float).reshape(-1, width), not_number.reshape(-1, width),
-            null.reshape(-1, width))
-
-
-def _number(bad: np.ndarray, not_finite: np.ndarray, column: int, field: str) -> list:
-    """The checks of a column of walked numbers: its type, then its finiteness."""
-    return [(bad[:, column], field, "expected a number"), (not_finite[:, column], field, "must be finite")]
-
-
-def _model_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray) -> list:
-    """The stacked checks of walked model values (columns in model_values
-    order) as ``(failed, field, message)``, each field below the model's path,
-    in the order of the model's table: each number's type before its
-    finiteness, coulomb_u's bound after its number, and the derived exchange last."""
-    checks, bad, not_finite = [], not_number | null, ~np.isfinite(x)
-    x_finite = np.where(not_finite, 0.0, x)  # bounds of numbers that fail above
-    for column, field in _MODEL_COLUMNS:
-        # a null exchange is a number: the one derived from hopping
-        checks += _number(not_number if column == _EXCHANGE else bad, not_finite, column, field)
-        if column == _COULOMB_U:
-            checks.append((x_finite[:, column] < 0.0, field, "must be >= 0.0"))
-    checks.append((null[:, _EXCHANGE] & (x_finite[:, _HOPPING] != 0.0) & (x_finite[:, _COULOMB_U] <= 0.0),
-                   "", _DERIVE_ERROR))
+def _lead_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray) -> list:
+    """The stacked checks of the leads of walked rows, in the order the
+    row-by-row parse makes them: each lead's numbers, then its norm."""
+    checks, bad = [], not_number | null
+    for lead, at in (("u_left", 0), ("u_right", 4)):
+        checks += _field_checks(x, bad, _columns(_LEAD_FIELDS, at, f".{lead}"))
+        norms = _lead_norms(np.where(np.isfinite(x[:, at:at + 3]), x[:, at:at + 3], 0.0))  # inf/NaN fail above
+        checks += [(norms == 0.0, f".{lead}.direction", "must be a nonzero vector"),
+                   (norms == math.inf, f".{lead}.direction", "norm must be finite")]
     return checks
 
 
 def _row_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray) -> list:
-    """The stacked checks of walked rows as ``(failed, field, message)``, in the
-    order the row-by-row parse makes them: each number's type before its
-    finiteness, then the bounds of its field; each lead's magnitude bounds and
-    direction norm after its numbers."""
-    checks, bad, not_finite = [], not_number | null, ~np.isfinite(x)
-    x_finite = np.where(not_finite, 0.0, x)  # bounds and norms of numbers that fail above
-    for lead, at in (("u_left", 0), ("u_right", 4)):
-        for k in range(3):
-            checks += _number(bad, not_finite, at + k, f".{lead}.direction[{k}]")
-        checks += _number(bad, not_finite, at + 3, f".{lead}.magnitude")
-        magnitudes, norms = x_finite[:, at + 3], _lead_norms(x_finite[:, at:at + 3])
-        checks += [(magnitudes < 0.0, f".{lead}.magnitude", "must be >= 0.0"),
-                   (magnitudes > 1.0, f".{lead}.magnitude", "must be <= 1.0"),
-                   (norms == 0.0, f".{lead}.direction", "must be a nonzero vector"),
-                   (norms == math.inf, f".{lead}.direction", "norm must be finite")]
-    checks += _number(bad, not_finite, _TIME, ".t_interact_s")
-    checks.append((x_finite[:, _TIME] < 0.0, ".t_interact_s", "must be >= 0.0"))
-    return checks
-
-
-def _checked(values: list, width: int, checks_of) -> tuple:
-    """The numbers and the array of :func:`_numbers` of walked rows of
-    ``width`` values, and the first of their stacked checks ``checks_of`` to
-    fail, in row and check order, as ``(row, field, message)``, or None."""
-    values, x, not_number, null = _numbers(values, width)
-    checks = checks_of(x, not_number, null)
-    bad = np.flatnonzero(np.column_stack([failed for failed, _, _ in checks]))
-    if not bad.size:
-        return values, x, None
-    row, k = divmod(int(bad[0]), len(checks))
-    return values, x, (row, *checks[k][1:])
+    """The stacked checks of walked rows: their leads', then their time's."""
+    return _lead_checks(x, not_number, null) + _field_checks(x, not_number | null, _columns(_TIME_FIELDS, _TIME))
 
 
 def _parse_model(obj, path: str) -> SpinModelParams:
     """The run's model: its section walked over the table's defaults and
-    checked as one row by the checks of a model override."""
-    values, _, failure = _checked(_walk_model(obj, _MODEL_DEFAULTS, lambda i: "", 0, path),
-                                  len(_MODEL_DEFAULTS), _model_checks)
-    if failure is not None:
-        raise ConfigValidationError(path + failure[1], failure[2])
+    checked by :class:`SpinModelParams`, by the checks of a model override."""
+    values = _walk_model(obj, _MODEL_DEFAULTS, lambda i: "", 0, path)
     return SpinModelParams(tuple(values[:3]), *values[3:])
 
 
-def _checked_rows(values: list, models: list, overridden: list, path_of) -> tuple:
+def _checked_rows(values: list, models: list, overridden: list, path_of, row_checks) -> tuple:
     """The numbers of walked rows and of their model overrides, the override
     of row ``overridden[k]`` the ``k``-th, each block after its own stacked
-    checks, and the rows' array. The first failure by row raises at its path
-    below ``path_of(row)``, a row's lead and time checks before those of its
-    override."""
-    values, x, failure = _checked(values, _WIDTH, _row_checks)
+    checks (the rows' ``row_checks``), and the rows' array. The first failure
+    by row raises at its path below ``path_of(row)``, a row's before its override's."""
+    values, x, failure = _checked(values, _WIDTH, row_checks)
     if models:
         models, _, bad_model = _checked(models, len(_MODEL_DEFAULTS), _model_checks)
         if bad_model is not None and (failure is None or overridden[bad_model[0]] < failure[0]):
@@ -436,7 +317,9 @@ def _parse_settings(objs, path_of, default: SettingGrid | None, base_model: Spin
     without one carries no model values. A walk error in row ``i`` first runs
     those passes over the rows before it and the fields of row ``i`` walked
     before it, the rest of its leads and time padded with values that pass,
-    so the first bad field in document order is the one reported."""
+    so the first bad field in document order is the one reported. The run's
+    own setting (``default`` None) has the schedule's checked time."""
+    row_checks = _lead_checks if default is None else _row_checks
     base = model_values(base_model)
     if default is not None:
         (left, left_m), (right, right_m) = default.given_left[0], default.given_right[0]
@@ -455,9 +338,9 @@ def _parse_settings(objs, path_of, default: SettingGrid | None, base_model: Spin
                 models += _walk_model(obj["model"], base, path_of, i, ".model")
                 overridden.append(i)
         except ConfigValidationError:
-            _checked_rows(values + list(passing[len(values) - start:]), models, overridden, path_of)
+            _checked_rows(values + list(passing[len(values) - start:]), models, overridden, path_of, row_checks)
             raise
-    values, models, x = _checked_rows(values, models, overridden, path_of)
+    values, models, x = _checked_rows(values, models, overridden, path_of, row_checks)
     rows = range(0, len(values), _WIDTH)
     grid_models = [None] * len(rows)
     for i, k in zip(overridden, range(0, len(models), len(base))):
@@ -487,7 +370,7 @@ def _parse_gate_state(obj, path: str) -> GateStateSpec:
     raw = obj[key]
     if not isinstance(raw, list) or len(raw) != want:
         raise ConfigValidationError(f"{path}.{key}", f"expected an array of {want} numbers")
-    theta = tuple(_as_float(v, f"{path}.{key}[{i}]") for i, v in enumerate(raw))
+    theta = _check_fields(path, {key: (key, (0.0,) * want, ())}, {key: raw})[key]
     spec = GateStateSpec(*(theta if k == key else None for k in _GATE_KEYS))
     if not is_physical(spec.theta_two_spin(), TWO_SPIN):
         raise ConfigValidationError(f"{path}.{key}", "parameters give an unphysical state")
@@ -495,24 +378,18 @@ def _parse_gate_state(obj, path: str) -> GateStateSpec:
 
 
 # The schema: the root's keys in document order, each -> (RunConfig field,
-# default, reader), a section's reader being its field table. A section whose
-# fields are the RunConfig's own names no RunConfig field; the schedule's
-# time and the leads become the run's setting.
+# default, reader or bounds), a section's reader being its field table. A
+# section whose fields are the RunConfig's own names no RunConfig field; the
+# schedule's time and the leads become the run's setting.
 _ROOT_FIELDS = {
     "model": ("model", {}, _parse_model),
-    "tunnel": ("tunnel", {}, {
-        "gamma0_per_s": ("gamma0", TunnelParams.gamma0, _as_float),
-        "interdot_sq_per_s": ("interdot_sq", TunnelParams.interdot_sq, _as_float),
-        "detuning_per_s": ("detuning", TunnelParams.detuning, _as_float),
-        "tau_detect_s": ("tau_detect", TunnelParams.tau_detect, _as_float),
-        "tau_cycle_s": ("tau_cycle", TunnelParams.tau_cycle, _as_float),
-    }),
+    "tunnel": ("tunnel", {}, _TUNNEL_FIELDS),
     "schedule": (None, {}, {
-        "t_interact_s": ("t_interact", 1.0e-6, partial(_as_float, minimum=0.0)),
+        **_TIME_FIELDS,
         "include_gate_hamiltonian": ("include_gate_hamiltonian", True, _as_bool),
     }),
     "leads": (None, {}, {"u_left": ("u_left", {}, None), "u_right": ("u_right", {}, None)}),
-    "detection": (None, {}, {"c": ("detection_c", 1.0, partial(_as_float, minimum=0.0))}),
+    "detection": (None, {}, {"c": ("detection_c", 1.0, ((">=", 0.0),))}),
     "gate_state": ("gate_state", {"preset": "maximally_mixed"}, _parse_gate_state),
     "experiment": ("experiment", {}, {
         # numpy's binomial sampler takes counts up to the int64 maximum.
@@ -521,7 +398,7 @@ _ROOT_FIELDS = {
         "seed": ("seed", 12345, partial(_as_int, minimum=0, maximum=MASTER_SEED_MAX)),
         "mode": ("mode", "refresh", partial(_as_choice, choices={"refresh", "propagate"})),
     }),
-    "hierarchy_threshold": ("hierarchy_threshold", HIERARCHY_THRESHOLD, partial(_as_float, minimum=1.0)),
+    "hierarchy_threshold": ("hierarchy_threshold", HIERARCHY_THRESHOLD, ((">=", 1.0),)),
     "sweep": (None, {}, {"settings": ("sweep_settings", None, None)}),
     "tomography": ("tomography", {}, {
         "mode": ("mode", SINGLE_SPIN, partial(_as_choice, choices={SINGLE_SPIN, TWO_SPIN})),
@@ -533,10 +410,13 @@ _ROOT_FIELDS = {
 
 def _read(root: dict, key: str, cls=dict):
     """The root's ``key``, given or its default, read by its row of the
-    schema: a section by its field table into ``cls``, a value by its reader."""
-    _, default, read = _ROOT_FIELDS[key]
+    schema: a section by its field table into ``cls``, a value by its reader
+    or checked by its bounds."""
+    attr, default, read = _ROOT_FIELDS[key]
     value = root.get(key, default)
-    return _parse_section(value, key, cls, read) if isinstance(read, dict) else read(value, key)
+    if isinstance(read, dict):
+        return _parse_section(value, key, read, cls)
+    return read(value, key) if callable(read) else _check_fields("", {key: _ROOT_FIELDS[key]}, {attr: value})[attr]
 
 
 def parse_config(data) -> RunConfig:

@@ -64,6 +64,7 @@ from .model import (
     HIERARCHY_THRESHOLD,
     SpinModelParams,
     TunnelParams,
+    _check_fields,
     _time_scales,
     _unsettled_norms,
     hamiltonians,
@@ -110,6 +111,10 @@ class HierarchyWarning(UserWarning):
     """Device time scales violate tau_res << tau_dyn << tau_non."""
 
 
+# The interaction time's field-table row (see ``model._MODEL_FIELDS``).
+_TIME_FIELDS = {"t_interact_s": ("t_interact", 1.0e-6, ((">=", 0.0),))}
+
+
 @dataclass(frozen=True)
 class MeasurementSetting:
     """One knob configuration for a cycle: lead polarizations and duration.
@@ -120,9 +125,9 @@ class MeasurementSetting:
 
     This is the check of a library setting (a parsed one is the
     configuration's alone): each lead has 3 components and a finite norm of
-    at most 1, and the time is finite and nonnegative. Each ``ValueError``
-    names its field. The leads and the time are kept as floats, so equal
-    settings are equal whatever numeric types built them.
+    at most 1, and the time passes the ``t_interact_s`` row. Each
+    ``ValueError`` names its lead or key. The leads and the time are kept as
+    floats, so equal settings are equal whatever numeric types built them.
     """
 
     u_left: tuple
@@ -131,16 +136,18 @@ class MeasurementSetting:
     model: SpinModelParams | None = None
 
     def __post_init__(self):
-        for name in ("u_left", "u_right"):
-            u = tuple(float(x) for x in getattr(self, name))
-            if len(u) != 3:
-                raise ValueError(f"{name} must have 3 components")
-            if not math.hypot(*u) <= 1.0 + STRUCTURAL_TOL:  # NaN too
-                raise ValueError(f"{name} must be finite with norm <= 1")
-            object.__setattr__(self, name, u)
-        if not 0.0 <= self.t_interact < math.inf:  # NaN too
-            raise ValueError("t_interact must be finite and nonnegative")
-        object.__setattr__(self, "t_interact", float(self.t_interact))
+        vars(self).update({name: _lead(getattr(self, name), name) for name in ("u_left", "u_right")})
+        vars(self).update(_check_fields("", _TIME_FIELDS, vars(self)))
+
+
+def _lead(u, name: str) -> tuple:
+    """A library lead polarization as 3 floats, of a finite norm of at most 1."""
+    u = tuple(float(x) for x in u)
+    if len(u) != 3:
+        raise ValueError(f"{name} must have 3 components")
+    if not math.hypot(*u) <= 1.0 + STRUCTURAL_TOL:  # NaN too
+        raise ValueError(f"{name} must be finite with norm <= 1")
+    return u
 
 
 class SettingGrid(NamedTuple):

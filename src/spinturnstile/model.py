@@ -20,9 +20,9 @@ The Hamiltonian is built one way: per-model coupling coefficients
 stack of 12 traceless generators (:func:`hamiltonians`);
 :func:`build_total_hamiltonian` is the one-model case. The donor-level offset
 is a global phase, so no Hamiltonian holds it. A model travels in a setting
-grid as the flat row of its field values (:func:`model_values`), checked where
-the grid is built; :class:`SpinModelParams` is the check of a model built in
-Python.
+grid as the flat row of its field values (:func:`model_values`), checked by
+its table's rows where the grid is built, as :class:`SpinModelParams` and
+:class:`TunnelParams` check their one row.
 
 The time-scale hierarchy ``tau_res << tau_dyn << tau_non`` is checked one way
 too: the spectral norms of a block of models (:func:`hierarchy_norms`), then
@@ -42,6 +42,7 @@ realistic nuclear Larmor scales are reached with ``g_nuclear ~ 1e-3``
 (see ``constants.G_NUCLEAR_P31``).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -49,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import GATE_PAULI_BASIS, IDENTITY_2, PAULIS, kron
-from .constants import MU_B_PER_HBAR
+from .constants import G_NUCLEAR_P31, MU_B_PER_HBAR
 
 __all__ = [
     "SpinModelParams",
@@ -74,11 +75,15 @@ HIERARCHY_THRESHOLD = 100.0
 _OVERFLOW_ERROR = "the model Hamiltonian overflows float64"
 
 
-# The scalar fields of SpinModelParams that are never null.
-_FLOAT_FIELDS = ("g_electron", "g_nuclear", "g_ancilla", "hyperfine_gate", "hyperfine_ancilla",
-                 "hopping", "coulomb_u", "level_offset")
+class ConfigError(Exception):
+    """Base class for configuration failures."""
 
-_DERIVE_ERROR = "coulomb_u must be positive to derive the exchange from hopping"
+
+class ConfigValidationError(ConfigError, ValueError):
+    """A field violates its table row; the message names the field path."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,10 @@ class SpinModelParams:
         level_offset: scalar offset of the donor level, rad/s. A global
             phase: it is checked finite and written into a setting's seed
             digest, but no Hamiltonian holds it, so it changes no result.
+
+    The one-row case of a model override's checks (``_model_checks``) checks
+    the fields, a ``ValueError`` naming the config key, and keeps them as
+    floats: equal models write one text into a setting's seed digest.
     """
 
     b_field: tuple = (0.0, 0.0, 0.0)
@@ -121,24 +130,8 @@ class SpinModelParams:
     level_offset: float = 0.0
 
     def __post_init__(self):
-        values = (*self.b_field, self.g_electron, self.g_nuclear, self.g_ancilla,
-                  self.hyperfine_gate, self.hyperfine_ancilla, self.hopping,
-                  self.coulomb_u, self.level_offset, 0.0 if self.exchange is None else self.exchange)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("all model parameters must be finite")
-        if len(self.b_field) != 3:
-            raise ValueError("b_field must have 3 components")
-        if self.coulomb_u < 0.0:
-            raise ValueError("coulomb_u must be >= 0.0")
-        if self.exchange is None and self.hopping != 0.0 and self.coulomb_u <= 0.0:
-            raise ValueError(_DERIVE_ERROR)
-        # Equal parameters are equal values whatever their numeric type, so
-        # they write one text into a setting's seed digest.
-        object.__setattr__(self, "b_field", tuple(float(v) for v in self.b_field))
-        for name in _FLOAT_FIELDS:
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.exchange is not None:
-            object.__setattr__(self, "exchange", float(self.exchange))
+        # a frozen dataclass sets its fields through its __dict__
+        vars(self).update(_check_fields("model", _MODEL_FIELDS, vars(self), _model_checks))
 
 
 @dataclass(frozen=True)
@@ -154,6 +147,9 @@ class TunnelParams:
             configuration, rad/s.
         tau_detect: detection pulse width, seconds.
         tau_cycle: duration of a complete measurement cycle, seconds.
+
+    The rows of the ``tunnel`` section check the fields, a ``ValueError``
+    naming the config key, and they are kept as floats.
     """
 
     gamma0: float = 1.0e9
@@ -163,15 +159,130 @@ class TunnelParams:
     tau_cycle: float = 1.0e-6
 
     def __post_init__(self):
-        values = (self.gamma0, self.interdot_sq, self.detuning, self.tau_detect, self.tau_cycle)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("all tunnel parameters must be finite")
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
-        if self.interdot_sq < 0:
-            raise ValueError("interdot_sq must be nonnegative")
-        if self.tau_detect <= 0 or self.tau_cycle <= 0:
-            raise ValueError("tau_detect and tau_cycle must be positive")
+        vars(self).update(_check_fields("tunnel", _TUNNEL_FIELDS, vars(self)))
+
+
+# Field tables of the config's sections: key -> (record field, default,
+# bounds), each bound (operator, value) and every number finite. A vector
+# field's default is a tuple, and each of its components has its bounds.
+_MODEL_FIELDS = {
+    "b_field_tesla": ("b_field", (0.0, 0.0, 0.01), ()),
+    "g_electron": ("g_electron", 0.0, ()),
+    "g_nuclear": ("g_nuclear", G_NUCLEAR_P31, ()),
+    "g_ancilla": ("g_ancilla", 0.0, ()),
+    "hyperfine_gate_per_s": ("hyperfine_gate", 2.0e6, ()),
+    "hyperfine_ancilla_per_s": ("hyperfine_ancilla", 1.1e6, ()),
+    "hopping_per_s": ("hopping", 0.0, ()),
+    "coulomb_u_per_s": ("coulomb_u", 0.0, ((">=", 0.0),)),
+    "exchange_per_s": ("exchange", 7.0e5, ()),
+    "level_offset_per_s": ("level_offset", 0.0, ()),
+}
+
+_TUNNEL_FIELDS = {
+    "gamma0_per_s": ("gamma0", TunnelParams.gamma0, ((">", 0.0),)),
+    "interdot_sq_per_s": ("interdot_sq", TunnelParams.interdot_sq, ((">=", 0.0),)),
+    "detuning_per_s": ("detuning", TunnelParams.detuning, ()),
+    "tau_detect_s": ("tau_detect", TunnelParams.tau_detect, ((">", 0.0),)),
+    "tau_cycle_s": ("tau_cycle", TunnelParams.tau_cycle, ((">", 0.0),)),
+}
+
+# The values that fail a bound, by its operator.
+_FAILS = {">=": np.less, ">": np.less_equal, "<=": np.greater}
+
+
+def _columns(fields: dict, start: int = 0, prefix: str = "") -> list:
+    """``(column, field path after prefix, bounds)`` of each number of a row
+    of the table ``fields`` from column ``start``, a vector's components in turn."""
+    names = [(f"{prefix}.{key}" + (f"[{k}]" if type(default) is tuple else ""), bounds)
+             for key, (_, default, bounds) in fields.items()
+             for k in range(len(default) if type(default) is tuple else 1)]
+    return [(start + column, name, bounds) for column, (name, bounds) in enumerate(names)]
+
+
+def _field_checks(x: np.ndarray, bad: np.ndarray, columns) -> list:
+    """The stacked checks of the ``columns`` of walked numbers ``x`` whose
+    ``bad`` entries are not numbers, as ``(failed, field, message)``: each
+    column's type, its finiteness, then its bounds (which NaN passes)."""
+    not_finite = ~np.isfinite(x)
+    return [check for column, field, bounds in columns for check in (
+        (bad[:, column], field, "expected a number"), (not_finite[:, column], field, "must be finite"),
+        *((_FAILS[op](x[:, column], bound), field, f"must be {op} {bound}") for op, bound in bounds))]
+
+
+def _numbers(values: list, width: int) -> tuple:
+    """The walked numbers as Python floats, an integer as the float it names,
+    and as an (R, width) array, with the masks of the entries that are not
+    numbers and of the nulls: the array reads 0 for those, and inf for an
+    integer past the float range."""
+    numbers = values
+    not_number, null = np.zeros(len(values), dtype=bool), np.zeros(len(values), dtype=bool)
+    if not set(map(type, values)) <= {float}:  # JSON numbers are most often floats
+        values, numbers = values.copy(), values.copy()
+        for k, value in enumerate(values):
+            if type(value) is float:
+                continue
+            if value is None:
+                null[k], numbers[k] = True, 0.0
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                not_number[k], numbers[k] = True, 0.0
+            else:
+                try:
+                    values[k] = numbers[k] = float(value)
+                except OverflowError:
+                    numbers[k] = math.inf
+    return (values, np.array(numbers, dtype=float).reshape(-1, width), not_number.reshape(-1, width),
+            null.reshape(-1, width))
+
+
+def _checked(values: list, width: int, checks_of) -> tuple:
+    """The numbers and the array of :func:`_numbers` of walked rows of
+    ``width`` values, and the first of their stacked checks ``checks_of`` to
+    fail, in row and check order, as ``(row, field, message)``, or None."""
+    values, x, not_number, null = _numbers(values, width)
+    checks = checks_of(x, not_number, null)
+    bad = np.flatnonzero(np.column_stack([failed for failed, _, _ in checks]))
+    if not bad.size:
+        return values, x, None
+    row, k = divmod(int(bad[0]), len(checks))
+    return values, x, (row, *checks[k][1:])
+
+
+def _model_checks(x: np.ndarray, not_number: np.ndarray, null: np.ndarray) -> list:
+    """The stacked checks of walked model values (columns in model_values
+    order): the table's, then that a null exchange, the one derived from
+    hopping, has a positive coulomb_u to derive it by."""
+    bad = not_number | null
+    bad[:, _EXCHANGE] = not_number[:, _EXCHANGE]
+    return _field_checks(x, bad, _columns(_MODEL_FIELDS)) + [
+        (null[:, _EXCHANGE] & (x[:, _EXCHANGE - 2] != 0.0) & (x[:, _EXCHANGE - 1] <= 0.0), "",
+         "coulomb_u must be positive to derive the exchange from hopping")]
+
+
+def _components(value, path: str, n: int) -> list:
+    """A vector field's ``n`` components as given; raises
+    ConfigValidationError unless ``value`` is a list or tuple of ``n``."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise ConfigValidationError(path, f"expected a {n}-component array")
+    return list(value)
+
+
+def _check_fields(path: str, fields: dict, values: dict, checks_of=None) -> dict:
+    """``values`` (record field -> value) with each number field of the
+    table ``fields`` (a row with bounds) as floats, after the one-row case of
+    their stacked checks (``checks_of``, or the rows'); raises
+    ConfigValidationError naming the first bad field's key below ``path``."""
+    numbers = {key: row for key, row in fields.items() if type(row[2]) is tuple}
+    if not numbers:
+        return values
+    row = [v for key, (attr, default, _) in numbers.items() for v in (
+        _components(values[attr], f"{path}.{key}", len(default)) if type(default) is tuple else [values[attr]])]
+    row, _, failure = _checked(row, len(row), checks_of or (
+        lambda x, not_number, null: _field_checks(x, not_number | null, _columns(numbers))))
+    if failure is not None:
+        raise ConfigValidationError(f"{path}{failure[1]}".lstrip("."), failure[2])
+    row = iter(row)
+    return {**values, **{attr: tuple(itertools.islice(row, len(default))) if type(default) is tuple else next(row)
+                         for attr, default, _ in numbers.values()}}
 
 
 class HierarchyReport(NamedTuple):

@@ -523,9 +523,14 @@ def _reference_lead(obj, path: str) -> ReferenceLead:
     from spinturnstile import config as c
 
     obj = c._as_object(obj, path, {"direction", "magnitude"})
-    direction = (c._as_direction(obj["direction"], f"{path}.direction") if "direction" in obj
-                 else (0.0, 0.0, 1.0))
-    magnitude = c._as_float(obj["magnitude"], f"{path}.magnitude", minimum=0.0) if "magnitude" in obj else 1.0
+    direction = obj.get("direction", "z")
+    if not isinstance(direction, str):
+        direction = _reference_vector(direction, f"{path}.direction")
+    elif direction in c._AXES:
+        direction = c._AXES[direction]
+    else:
+        raise c.ConfigValidationError(f"{path}.direction", "axis name must be 'x', 'y' or 'z'")
+    magnitude = _reference_float(obj["magnitude"], f"{path}.magnitude", 0.0) if "magnitude" in obj else 1.0
     if magnitude > 1.0:
         raise c.ConfigValidationError(f"{path}.magnitude", "must be <= 1.0")
     norm = reference_lead_norm(direction)
@@ -536,47 +541,77 @@ def _reference_lead(obj, path: str) -> ReferenceLead:
     return ReferenceLead(direction, magnitude, norm)
 
 
-def _reference_model_fields(base_model=None) -> dict:
-    """The model section's field table for the row-by-row parse: the package's
-    keys and record fields, the fields of ``base_model`` (or the package's
-    defaults) as defaults, and a reader of its own for each field."""
+def _reference_float(value, path: str, minimum=None) -> float:
+    """A number of the row-by-row parse, an integer as the float it names,
+    that must be finite and at least ``minimum`` if given."""
     from spinturnstile import config as c
 
-    readers = {"b_field_tesla": c._as_vec3,
-               "coulomb_u_per_s": functools.partial(c._as_float, minimum=0.0),
-               "exchange_per_s": lambda value, path: None if value is None else c._as_float(value, path)}
-    return {key: (attr, default if base_model is None else getattr(base_model, attr),
-                  readers.get(key, c._as_float))
-            for key, (attr, default) in c._MODEL_FIELDS.items()}
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise c.ConfigValidationError(path, "expected a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise c.ConfigValidationError(path, "must be finite")
+    if minimum is not None and value < minimum:
+        raise c.ConfigValidationError(path, f"must be >= {minimum}")
+    return value
+
+
+def _reference_vector(value, path: str) -> tuple:
+    """A 3-vector of the row-by-row parse, each component read in turn."""
+    from spinturnstile import config as c
+
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise c.ConfigValidationError(path, "expected a 3-component array")
+    return tuple(_reference_float(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _reference_model(obj, path: str, base_model=None):
+    """A model section of the row-by-row parse: the package's keys and record
+    fields, the fields of ``base_model`` (or the package's defaults) as
+    defaults, each given field read by a reader of its own, then the
+    derived exchange's rule."""
+    from spinturnstile import config as c
+    from spinturnstile.model import SpinModelParams
+
+    readers = {"b_field_tesla": _reference_vector,
+               "coulomb_u_per_s": functools.partial(_reference_float, minimum=0.0),
+               "exchange_per_s": lambda value, path: None if value is None else _reference_float(value, path)}
+    obj = c._as_object(obj, path, c._MODEL_FIELDS)
+    values = {attr: readers.get(key, _reference_float)(obj[key], f"{path}.{key}") if key in obj
+              else default if base_model is None else getattr(base_model, attr)
+              for key, (attr, default, _) in c._MODEL_FIELDS.items()}
+    if values["exchange"] is None and values["hopping"] != 0.0 and values["coulomb_u"] <= 0.0:
+        raise c.ConfigValidationError(path, "coulomb_u must be positive to derive the exchange from hopping")
+    return SpinModelParams(**values)
 
 
 def _reference_setting(obj, path: str, default: ReferenceSetting, base_model) -> ReferenceSetting:
     from spinturnstile import config as c
-    from spinturnstile.model import SpinModelParams
 
     obj = c._as_object(obj, path, {"u_left", "u_right", "t_interact_s", "model"})
     u_left = _reference_lead(obj["u_left"], f"{path}.u_left") if "u_left" in obj else default.u_left
     u_right = _reference_lead(obj["u_right"], f"{path}.u_right") if "u_right" in obj else default.u_right
-    t_interact = c._as_float(obj.get("t_interact_s", default.t_interact), f"{path}.t_interact_s",
-                             minimum=0.0)
-    model = (c._parse_section(obj["model"], f"{path}.model", SpinModelParams,
-                              _reference_model_fields(base_model)) if "model" in obj else None)
+    t_interact = _reference_float(obj.get("t_interact_s", default.t_interact), f"{path}.t_interact_s", 0.0)
+    model = _reference_model(obj["model"], f"{path}.model", base_model) if "model" in obj else None
     return ReferenceSetting(u_left, u_right, t_interact, model)
 
 
 def reference_config(text: str):
     """The configuration of JSON ``text`` by the row-by-row parse: the
     package's readers for every section but the model and the settings, each
-    model read field by field (:func:`_reference_model_fields`), and each
+    model read field by field (:func:`_reference_model`), and each
     setting a :class:`ReferenceSetting` whose fields are read and checked in
     turn, every lead checking its own norm. Returns the package's ``RunConfig``
     with reference settings in place of its grids; raises the package's
     ``ConfigValidationError`` at the first bad field."""
     from spinturnstile import config as c
-    from spinturnstile.model import SpinModelParams, TunnelParams
+    from spinturnstile.model import TunnelParams
 
     root = c._as_object(json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t)), "", c._ROOT_FIELDS)
-    model = c._parse_section(root.get("model", {}), "model", SpinModelParams, _reference_model_fields())
+    model = _reference_model(root.get("model", {}), "model")
     tunnel = c._read(root, "tunnel", TunnelParams)
     run = c._read(root, "schedule")
     leads = c._read(root, "leads")

@@ -308,7 +308,7 @@ class TestParseConfig:
 
     def test_model_table_follows_model_values(self):
         # the echo's model template and the override walk take model_values in table order
-        assert [attr for attr, _ in _MODEL_FIELDS.values()] == [
+        assert [attr for attr, _, _ in _MODEL_FIELDS.values()] == [
             f.name for f in dataclasses.fields(SpinModelParams)]
 
     def test_overrides_build_no_model(self, monkeypatch):
@@ -512,9 +512,9 @@ class TestCli:
          "gate_state: exactly one of preset/theta_single_spin/theta_two_spin is required"),
         ({"gate_state": {"theta_single_spin": [0, 0]}},
          "gate_state.theta_single_spin: expected an array of 3 numbers"),
-        ({"tunnel": {"gamma0_per_s": 0}}, "tunnel: gamma0 must be positive"),
-        ({"tunnel": {"interdot_sq_per_s": -1}}, "tunnel: interdot_sq must be nonnegative"),
-        ({"tunnel": {"tau_cycle_s": -1}}, "tunnel: tau_detect and tau_cycle must be positive"),
+        ({"tunnel": {"gamma0_per_s": 0}}, "tunnel.gamma0_per_s: must be > 0.0"),
+        ({"tunnel": {"interdot_sq_per_s": -1}}, "tunnel.interdot_sq_per_s: must be >= 0.0"),
+        ({"tunnel": {"tau_cycle_s": -1}}, "tunnel.tau_cycle_s: must be > 0.0"),
         ({"model": {"b_field_tesla": [0, 0.01]}}, "model.b_field_tesla: expected a 3-component array"),
         # a choice field given an array or an object
         ({"experiment": {"mode": []}}, "experiment.mode: must be one of ['propagate', 'refresh']"),

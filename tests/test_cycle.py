@@ -262,7 +262,8 @@ class TestInducedInstrument:
     @pytest.mark.parametrize("t", [np.nan, np.inf, -1e-9])
     def test_invalid_time_rejected(self, t):
         # the setting's own check: a NaN time used to give an all-NaN instrument
-        with pytest.raises(ValueError, match="^t_interact must be finite and nonnegative$"):
+        message = "must be >= 0.0" if t < 0.0 else "must be finite"
+        with pytest.raises(ValueError, match=f"^t_interact_s: {message}$"):
             induced_instrument([0, 0, 1], [0, 0, 1], np.zeros((8, 8)), t, 1.0, 1e-10, 1e9)
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from spinturnstile import model
 from spinturnstile.algebra import IDENTITY_2, SIGMA_Z, kron
 from spinturnstile.config import ConfigValidationError, parse_config
 from spinturnstile.constants import G_NUCLEAR_P31, MU_B_PER_HBAR
+from spinturnstile.cycle import MeasurementSetting
 from spinturnstile.model import (
     HierarchyReport,
     SpinModelParams,
@@ -42,7 +44,7 @@ def gate_only(p):
 
 class TestGateHamiltonian:
     def test_field_needs_3_components(self):
-        with pytest.raises(ValueError, match="^b_field must have 3 components$"):
+        with pytest.raises(ValueError, match=r"^model\.b_field_tesla: expected a 3-component array$"):
             SpinModelParams(b_field=(0.0, 1.0))
 
     def test_all_zero(self):
@@ -153,9 +155,30 @@ class TestEffectiveExchange:
         except ConfigValidationError as exc:
             with pytest.raises(ValueError) as raised:
                 SpinModelParams(hopping=hopping, coulomb_u=coulomb_u, exchange=exchange)
-            assert str(exc).endswith(str(raised.value).removeprefix("coulomb_u "))
+            assert str(exc) == str(raised.value)
         else:
             SpinModelParams(hopping=hopping, coulomb_u=coulomb_u, exchange=exchange)
+
+    @pytest.mark.parametrize("build, given, message", [
+        (TunnelParams, {"gamma0": True}, "tunnel.gamma0_per_s: expected a number"),
+        (TunnelParams, {"gamma0": 1, "tau_cycle": 10**-6}, None),
+        (SpinModelParams, {"g_electron": "x"}, "model.g_electron: expected a number"),
+        (MeasurementSetting, {"u_left": (0, 0, 1.0), "u_right": (1.0, 0, 0), "t_interact": True},
+         "t_interact_s: expected a number"),
+        (MeasurementSetting, {"u_left": (0, 0, 1.0), "u_right": (1.0, 0, 0), "t_interact": 1}, None),
+    ])
+    def test_library_types_keep_the_config_rule(self, build, given, message):
+        # a bool or a string is no number for the config, so none for a
+        # library type either, whose ValueError names the config key; an int
+        # is one, kept as the float it names
+        if message is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(**given)
+            return
+        record = build(**given)
+        for name in given:
+            stored = getattr(record, name)
+            assert all(type(v) is float for v in (stored if isinstance(stored, tuple) else (stored,)))
 
     def test_params_derive_exchange(self):
         p = SpinModelParams(hopping=1e6, coulomb_u=1e9)
@@ -261,5 +284,7 @@ class TestTunnelParams:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, field, bad):
         # nan passes "<= 0" and "< 0" checks; inf passes them too
-        with pytest.raises(ValueError, match="^all tunnel parameters must be finite$"):
+        key = {"gamma0": "gamma0_per_s", "interdot_sq": "interdot_sq_per_s", "detuning": "detuning_per_s",
+               "tau_detect": "tau_detect_s", "tau_cycle": "tau_cycle_s"}[field]
+        with pytest.raises(ValueError, match=rf"^tunnel\.{key}: must be finite$"):
             TunnelParams(**{field: bad})

@@ -52,6 +52,8 @@ from spinturnstile.experiment import (
     sample_cycles,
 )
 from spinturnstile.model import (
+    _MODEL_FIELDS,
+    _TUNNEL_FIELDS,
     SpinModelParams,
     TunnelParams,
     _OVERFLOW_ERROR,
@@ -809,8 +811,10 @@ def test_induced_instrument_checks_the_setting(u_left, u_right, t):
                          and math.fsum(x * x for x in u) <= (1.0 + STRUCTURAL_TOL) ** 2)]
     if bad_leads:
         expected = f"{bad_leads[0]} must be finite with norm <= 1"
-    elif not (math.isfinite(t) and t >= 0.0):
-        expected = "t_interact must be finite and nonnegative"
+    elif not math.isfinite(t):
+        expected = "t_interact_s: must be finite"
+    elif t < 0.0:
+        expected = "t_interact_s: must be >= 0.0"
     else:
         expected = None
     if expected is not None:
@@ -825,6 +829,108 @@ def test_induced_instrument_checks_the_setting(u_left, u_right, t):
     for got_map, want_map in zip(transfer_matrices(got), transfer_matrices(want)):
         assert np.array_equal(got_map, want_map)
     assert got.kappa == want.kappa
+
+
+# Every number field of a table, at its document path, with its bounds as the
+# README lists them: each field is also finite, and only the exchange may be null.
+FIELD_BOUNDS = {
+    "model.b_field_tesla[1]": (), "model.g_electron": (), "model.g_nuclear": (), "model.g_ancilla": (),
+    "model.hyperfine_gate_per_s": (), "model.hyperfine_ancilla_per_s": (), "model.hopping_per_s": (),
+    "model.coulomb_u_per_s": ((">=", 0.0),), "model.exchange_per_s": (), "model.level_offset_per_s": (),
+    "tunnel.gamma0_per_s": ((">", 0.0),), "tunnel.interdot_sq_per_s": ((">=", 0.0),),
+    "tunnel.detuning_per_s": (), "tunnel.tau_detect_s": ((">", 0.0),), "tunnel.tau_cycle_s": ((">", 0.0),),
+    "schedule.t_interact_s": ((">=", 0.0),), "sweep.settings[0].t_interact_s": ((">=", 0.0),),
+    "leads.u_left.magnitude": ((">=", 0.0), ("<=", 1.0)), "detection.c": ((">=", 0.0),),
+    "hierarchy_threshold": ((">=", 1.0),),
+}
+# Values at and around the bounds 0 and 1, and values that are no finite number.
+BOUND_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), -1.0,
+                1.7976931348623157e308, 0, 1, -1, 10**400, -(10**400), math.nan, math.inf, -math.inf,
+                True, False, None, "1", [1.0]]
+
+
+def field_document(path: str, value) -> dict:
+    """A configuration that gives the field at ``path`` the ``value``."""
+    if path == "model.b_field_tesla[1]":
+        return {"model": {"b_field_tesla": [0.0, value, 0.01]}}
+    if path == "sweep.settings[0].t_interact_s":
+        return {"sweep": {"settings": [{"t_interact_s": value}]}}
+    *sections, doc = *path.split("."), value
+    for key in reversed(sections):
+        doc = {key: doc}
+    return doc
+
+
+def library_field(path: str, value):
+    """The library record built with the field at ``path`` given ``value``,
+    or None for a field no type holds. A model takes the config's defaults
+    for its other fields."""
+    section, _, key = path.rpartition(".")
+    if section == "model":
+        given = {attr: default for attr, default, _ in _MODEL_FIELDS.values()}
+        if key == "b_field_tesla[1]":
+            given["b_field"] = (0.0, value, 0.01)
+        else:
+            given[_MODEL_FIELDS[key][0]] = value
+        return SpinModelParams(**given)
+    if section == "tunnel":
+        return TunnelParams(**{_TUNNEL_FIELDS[key][0]: value})
+    if key == "t_interact_s":
+        return MeasurementSetting((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), value)
+    return None
+
+
+def field_rule(path: str, value):
+    """The message of the first rule of a number field that ``value`` breaks,
+    or None: its type, its finiteness, then each bound in turn."""
+    if value is None and path == "model.exchange_per_s":
+        return None
+    if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "expected a number"
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        return "must be finite"
+    if not math.isfinite(value):
+        return "must be finite"
+    for op, bound in FIELD_BOUNDS[path]:
+        if not {">=": value >= bound, ">": value > bound, "<=": value <= bound}[op]:
+            return f"must be {op} {bound}"
+    return None
+
+
+def built_path(path: str) -> str:
+    """The path a library type's message names for the field at ``path``:
+    the key of a setting's time, and the config's path otherwise."""
+    return "t_interact_s" if path.endswith(".t_interact_s") else path
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(path=st.sampled_from(list(FIELD_BOUNDS)), value=st.sampled_from(BOUND_VALUES))
+def test_config_and_library_check_a_field_by_one_rule(path, value):
+    # one rule per field: the config rejects the value at the field's path
+    # with the rule's message, and the library type holding the field (a
+    # model, a tunnel, a setting's time) rejects it with the same message at
+    # the same key; a value both accept is stored as the same float
+    rule = field_rule(path, value)
+    config = parsed_or_error(parse_config, field_document(path, value))
+    if rule is None:
+        assert not isinstance(config, str), config
+    else:
+        assert config == f"{path}: {rule}"
+    try:
+        built = library_field(path, value)
+    except ValueError as exc:
+        assert rule is not None and str(exc) == f"{built_path(path)}: {rule}"
+        return
+    assert rule is None or built is None
+    if built is not None:
+        stored = {"model": config.model, "tunnel": config.tunnel}.get(path.partition(".")[0])
+        if stored is None:
+            grid = config.sweep_settings if path.startswith("sweep") else config.setting
+            assert grid.t_interact[0].hex() == built.t_interact.hex()
+        else:
+            assert repr(stored) == repr(built)
 
 
 def rendered(table: ResultTable, fmt: str) -> bytes:

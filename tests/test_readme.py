@@ -1,5 +1,6 @@
 """The README's Python API example runs against the current package, and its
-configuration reference states the parser's defaults."""
+configuration reference states the parser's defaults and the bounds of its
+field tables."""
 
 import contextlib
 import io
@@ -53,3 +54,15 @@ def test_readme_configuration_states_the_defaults():
     for section in defaults:
         if section != "sweep":
             assert_close(resolved[section], defaults[section], section)
+
+
+def test_readme_lists_every_bound_of_the_field_tables():
+    from spinturnstile.config import _LEAD_FIELDS, _ROOT_FIELDS
+    from spinturnstile.model import _MODEL_FIELDS
+
+    tables = [_ROOT_FIELDS, _MODEL_FIELDS, _LEAD_FIELDS,
+              *(fields for _, _, fields in _ROOT_FIELDS.values() if isinstance(fields, dict))]
+    bounds = [f"`{key} {op} {bound}`" for table in tables for key, (_, _, read) in table.items()
+              if type(read) is tuple for op, bound in read]
+    text = README.read_text()
+    assert len(bounds) == 10 and not [bound for bound in bounds if bound not in text]

@@ -13,12 +13,13 @@ time-scale hierarchy (``HIERARCHY``) with each command that builds an
 instrument, with ``sweep`` and ``tomography`` on three rows of which two
 share such a model (``SHARED``), on a refresh and a propagate sweep of an ok
 row, a row whose propagator phase is lost and a row whose model overflows,
-and with ``sweep`` on a document that fails validation (exit 3) and on one
-that is not JSON (exit 2): 126 cases. Each case runs twice per tree, once to
-stdout and once with ``--out FILE``: 252 runs per tree. It prints in
-Markdown how many of one tree's 252 runs differ from the other's in stdout,
-the bytes written to ``--out``, stderr or exit code, and which; and how many
-of the 252 ``--out`` runs of both trees wrote other bytes than the same
+and with ``sweep`` on five documents that fail validation (exit 3: a lead
+magnitude, three tunnel bounds and a model bound) and on one that is not
+JSON (exit 2): 134 cases. Each case runs twice per tree, once to stdout and
+once with ``--out FILE``: 268 runs per tree. It prints in Markdown how many
+of one tree's 268 runs differ from the other's in stdout, the bytes written
+to ``--out``, stderr or exit code, and which; and how many of the 268
+``--out`` runs of both trees wrote other bytes than the same
 tree's run printed to stdout, or another stderr or exit code, and which. Stderr is compared with
 the tree's source path and the line number of each warning replaced by
 placeholders, so that another checkout or a moved line is no byte change. It
@@ -49,8 +50,14 @@ SHARED = {"sweep": {"settings": _SHARED_ROWS}, "tomography": {"settings": _SHARE
 FORMATS = ("csv", "jsonl")
 # An ok row, a row whose propagator phase is lost and a row whose model overflows.
 ERROR_ROWS = [{}, {"t_interact_s": 1e10}, {"model": {"exchange_per_s": 1e308}}]
-# Documents that exit 3 (validation) and 2 (syntax) before any command runs.
-INVALID = {"invalid": '{"leads": {"u_left": {"magnitude": 2}}}', "syntax": "{"}
+# Documents that exit 3 (validation) and 2 (syntax) before any command runs:
+# three tunnel bounds, whose messages name their keys since the tunnel's
+# bounds became its table's rows, and a model bound whose message did already.
+INVALID = {"invalid": '{"leads": {"u_left": {"magnitude": 2}}}', "syntax": "{",
+           "zero gamma0": '{"tunnel": {"gamma0_per_s": 0}}',
+           "negative interdot_sq": '{"tunnel": {"interdot_sq_per_s": -1}}',
+           "negative tau_cycle": '{"tunnel": {"tau_cycle_s": -1}}',
+           "negative coulomb_u": '{"model": {"coulomb_u_per_s": -1}}'}
 
 
 def _run(src: str, command: str, config: str, fmt: str, out: str | None = None) -> tuple:
